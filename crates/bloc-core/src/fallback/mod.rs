@@ -282,13 +282,7 @@ impl FallbackStack {
             (None, Some(_)) => EstimateMode::Counts,
             (None, None) => return Err(FallbackError::NoEstimator),
         };
-        let mut parts: Vec<(&Grid2D, f64)> = Vec::new();
-        if let Some((bump, _)) = &fp {
-            parts.push((bump, weights.fingerprint));
-        }
-        if let Some(c) = &counts {
-            parts.push((&c.likelihood, weights.counts));
-        }
+        let parts = prior_parts(&fp, &counts, &weights);
         let mut fused = fusion::fuse_mass(&parts).ok_or(FallbackError::NoEstimator)?;
         fused.normalize_mass();
         let (ix, iy, _) = fused.argmax().ok_or(FallbackError::NoEstimator)?;
@@ -305,4 +299,16 @@ impl FallbackStack {
             counts_anchors: counts.as_ref().map(|c| c.anchors_used),
         })
     }
+}
+
+/// The evaluated priors of [`FallbackStack::priors`] as mass-fusion
+/// `(surface, weight)` parts under `weights`.
+pub(crate) fn prior_parts<'a>(
+    fp: &'a Option<(Grid2D, KnnEstimate)>,
+    counts: &'a Option<CountsEstimate>,
+    weights: &FusionWeights,
+) -> Vec<(&'a Grid2D, f64)> {
+    let fp = fp.iter().map(|(bump, _)| (bump, weights.fingerprint));
+    fp.chain(counts.iter().map(|c| (&c.likelihood, weights.counts)))
+        .collect()
 }

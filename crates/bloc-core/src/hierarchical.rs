@@ -18,9 +18,9 @@
 //!    fine grid), assembled into the weighted joint under exactly the
 //!    dense-pipeline contract. Non-maximum suppression over this surface
 //!    picks up to [`HierarchicalConfig::max_candidates`] candidate lobes.
-//!    Degraded-mode fallback priors (fingerprint / packet-count) enter
-//!    *here*, fused into the candidate-selection surface, so a degraded
-//!    round pays coarse-grid — not fine-grid — prior evaluation.
+//!    Candidate selection sees CSI evidence only: fallback priors, when
+//!    the runtime blends them, enter after the fix, on the estimate's own
+//!    surface (see `BlocLocalizer::localize_with_fallback`).
 //! 2. **Fine** — an index-aligned patch of the native grid around each
 //!    candidate, sized so a true peak's dominance neighborhood *and*
 //!    entropy window fit inside. Patch joints are normalized by the
@@ -35,8 +35,9 @@
 //! Chosen positions are snapped to parent-grid cell centres, so when the
 //! hierarchical and dense solvers agree on the winning cell the reported
 //! positions are **bit-identical**. When refinement loses every candidate
-//! (pathological surfaces), the solver escapes to the full dense sweep
-//! rather than degrade accuracy — see [`EscapeReason`].
+//! (pathological surfaces), the solver escapes to the dense fix the dense
+//! localizer itself runs rather than degrade accuracy — see
+//! [`EscapeReason`].
 //!
 //! [`HierarchicalLocalizer::localize_seeded`] is the tracking fast path:
 //! one fine patch around the tracker's prediction, no coarse sweep at
@@ -54,10 +55,9 @@ use bloc_num::{Grid2D, GridPatch, GridSpec, P2};
 
 use crate::correction::CorrectedChannels;
 use crate::error::LocalizeError;
-use crate::fallback::{fusion, EstimateMode, FallbackStack, FusionWeights};
 use crate::likelihood::anchor_weights;
-use crate::localizer::{BlocLocalizer, Estimate};
-use crate::multipath::{record_scored, score_candidates, score_peaks, ScoredPeak};
+use crate::localizer::{anchor_refs, observe_fix, BlocLocalizer, Estimate};
+use crate::multipath::{record_scored, score_candidates, ScoredPeak};
 
 /// Configuration of the coarse-to-fine hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -125,9 +125,6 @@ pub enum EscapeReason {
     /// Fine refinement lost every candidate; the full dense sweep ran as
     /// a correctness safety net.
     DenseFallback,
-    /// CSI failed outright and the estimate came from the fallback stack
-    /// alone (coarse-grid surfaces, no fine refinement).
-    FallbackOnly,
 }
 
 impl EscapeReason {
@@ -139,32 +136,23 @@ impl EscapeReason {
             EscapeReason::NoLocalPeak => "no_local_peak",
             EscapeReason::PeakAtBoundary => "peak_at_boundary",
             EscapeReason::DenseFallback => "dense_fallback",
-            EscapeReason::FallbackOnly => "fallback_only",
         }
     }
 }
 
 fn record_escape(reason: EscapeReason) {
-    let name = match reason {
-        EscapeReason::SmallGrid => "hier.escape.small_grid",
-        EscapeReason::PatchTooLarge => "hier.escape.patch_too_large",
-        EscapeReason::NoLocalPeak => "hier.escape.no_local_peak",
-        EscapeReason::PeakAtBoundary => "hier.escape.peak_at_boundary",
-        EscapeReason::DenseFallback => "hier.escape.dense_fallback",
-        EscapeReason::FallbackOnly => "hier.escape.fallback_only",
-    };
-    bloc_obs::counter(name).inc();
+    bloc_obs::counter(&format!("hier.escape.{}", reason.reason())).inc();
 }
 
 /// A fix with its hierarchy cost accounting.
-///
-/// `estimate.peaks` are indexed on the **fine** grid (positions snapped
-/// to fine cell centres); `estimate.likelihood` is the candidate-selection
-/// surface (coarse, possibly prior-fused) for the full flow, or the fine
-/// patch surface for the seeded fast path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HierarchicalEstimate {
     /// The fix itself, shaped exactly like a dense-pipeline estimate.
+    /// `peaks` are indexed on the **fine** grid (positions snapped to
+    /// fine cell centres); `likelihood` is the coarse candidate-selection
+    /// joint for the full flow, the fine patch surface for the seeded
+    /// fast path, and the fine grid on the dense escapes. The runtime's
+    /// fallback priors are evaluated on whichever of these it carries.
     pub estimate: Estimate,
     /// Cell evaluations actually spent (summed over anchors and levels).
     pub cells_evaluated: usize,
@@ -191,27 +179,23 @@ impl HierarchicalEstimate {
     }
 }
 
-/// A hierarchical fix with degraded-mode provenance — the hierarchy's
-/// counterpart of [`crate::localizer::FusedFix`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct HierarchicalFusedFix {
-    /// The fix and its cost accounting.
-    pub fix: HierarchicalEstimate,
-    /// Which evidence produced it.
-    pub mode: EstimateMode,
-    /// The convex weights actually used.
-    pub weights: FusionWeights,
-}
-
 /// An alive anchor's weight and coarse-level normalizer.
 #[derive(Debug, Clone, Copy)]
 struct AliveAnchor {
     index: usize,
     weight: f64,
     /// Maximum of this anchor's likelihood over the coarse grid — the
-    /// shared normalization constant for its fine patches. 0 when the
-    /// coarse stage did not run (seeded fast path).
+    /// shared normalization constant for its fine patches.
     coarse_max: f64,
+}
+
+/// Anchors the weighted joint gives a map: the `anchor_weights > 0` set,
+/// which is exactly the engine's `surviving_fraction > 0` set.
+fn alive_count(corrected: &CorrectedChannels) -> usize {
+    anchor_weights(corrected)
+        .iter()
+        .filter(|&&w| w > 0.0)
+        .count()
 }
 
 /// The coarse-to-fine solver. Wraps a [`BlocLocalizer`] (whose grid is
@@ -276,26 +260,15 @@ impl HierarchicalLocalizer {
         cfg.score.peaks.dominance_radius.max(entropy_cells)
     }
 
-    fn is_small_grid(&self) -> bool {
-        self.localizer.config().grid.len() <= self.config.small_grid_cells
-    }
-
     /// Coarse-to-fine localization.
     ///
     /// # Errors
     ///
     /// The same typed failures as [`BlocLocalizer::localize`].
     pub fn localize(&self, data: &SoundingData) -> Result<HierarchicalEstimate, LocalizeError> {
-        let _span = bloc_obs::span("hier.localize");
-        bloc_obs::counter("hier.localize.calls").inc();
-        let corrected = self.localizer.correct(data)?;
-        BlocLocalizer::record_recovered(&corrected);
-        BlocLocalizer::check_usable(&corrected)?;
-        if self.is_small_grid() {
-            record_escape(EscapeReason::SmallGrid);
-            return self.dense_estimate(data, &corrected, EscapeReason::SmallGrid, 0);
-        }
-        self.refine_full(data, &corrected, &[], 1.0)
+        observe_fix("hier.localize", "hier.localize.calls", || {
+            self.fix(data, None)
+        })
     }
 
     /// Tracking fast path: one fine patch of half-extent `radius_m`
@@ -314,17 +287,40 @@ impl HierarchicalLocalizer {
         seed: P2,
         radius_m: f64,
     ) -> Result<HierarchicalEstimate, LocalizeError> {
-        let _span = bloc_obs::span("hier.localize_seeded");
-        bloc_obs::counter("hier.localize.seeded").inc();
-        let corrected = self.localizer.correct(data)?;
-        BlocLocalizer::record_recovered(&corrected);
-        BlocLocalizer::check_usable(&corrected)?;
-        if self.is_small_grid() {
-            record_escape(EscapeReason::SmallGrid);
+        observe_fix("hier.localize_seeded", "hier.localize.seeded", || {
+            self.fix(data, Some((seed, radius_m)))
+        })
+    }
+
+    /// One hierarchical fix: correction, then the dense fix on a small
+    /// grid, the seeded patch when a `(seed, radius_m)` is given, and the
+    /// full coarse→fine flow otherwise.
+    fn fix(
+        &self,
+        data: &SoundingData,
+        seed: Option<(P2, f64)>,
+    ) -> Result<HierarchicalEstimate, LocalizeError> {
+        let corrected = self.localizer.correct_usable(data)?;
+        if self.localizer.config().grid.len() <= self.config.small_grid_cells {
             let mut h = self.dense_estimate(data, &corrected, EscapeReason::SmallGrid, 0)?;
-            h.seeded = true;
+            h.seeded = seed.is_some();
             return Ok(h);
         }
+        match seed {
+            Some((seed, radius_m)) => self.seeded_patch(data, &corrected, seed, radius_m),
+            None => self.refine_full(data, &corrected),
+        }
+    }
+
+    /// The seeded patch on already-corrected channels, escaping to the
+    /// full flow whenever the patch cannot be trusted.
+    fn seeded_patch(
+        &self,
+        data: &SoundingData,
+        corrected: &CorrectedChannels,
+        seed: P2,
+        radius_m: f64,
+    ) -> Result<HierarchicalEstimate, LocalizeError> {
         let cfg = self.localizer.config();
         let fine = cfg.grid;
         let margin = cfg.score.entropy_radius_m
@@ -332,172 +328,63 @@ impl HierarchicalLocalizer {
         let patch = fine.patch(seed, radius_m.max(0.0) + margin);
         let escape_cells = ((self.config.seed_escape_fraction * fine.len() as f64) as usize).max(1);
         if patch.spec.len() >= escape_cells {
-            return self.escape_to_full(data, &corrected, EscapeReason::PatchTooLarge, 0);
+            return self.escape_to_full(data, corrected, EscapeReason::PatchTooLarge, 0);
         }
-        let alive: Vec<AliveAnchor> = anchor_weights(&corrected)
-            .iter()
-            .enumerate()
-            .filter(|(_, &w)| w > 0.0)
-            .map(|(index, &weight)| AliveAnchor {
-                index,
-                weight,
-                coarse_max: 0.0,
-            })
-            .collect();
-        let mut cells = 0usize;
-        // Patch-local normalization: exactly the weighted-joint contract
-        // evaluated on the patch spec, so a seeded fix equals a dense fix
-        // whose grid *is* the patch.
-        let joint = self.level_joint(&corrected, patch.spec, &alive, false, &mut cells);
+        // Patch-local normalization: the dense joint evaluated on the
+        // patch spec, so a seeded fix equals a dense fix whose grid *is*
+        // the patch.
+        let joint = self
+            .localizer
+            .engine()
+            .joint_likelihood(corrected, patch.spec, cfg.combining);
+        let alive = alive_count(corrected);
+        let cells = patch.spec.len() * alive;
         let Some((ax, ay, max_v)) = joint.argmax() else {
-            return self.escape_to_full(data, &corrected, EscapeReason::NoLocalPeak, cells);
+            return self.escape_to_full(data, corrected, EscapeReason::NoLocalPeak, cells);
         };
         if max_v <= 0.0 {
-            return self.escape_to_full(data, &corrected, EscapeReason::NoLocalPeak, cells);
+            return self.escape_to_full(data, corrected, EscapeReason::NoLocalPeak, cells);
         }
         let keep = self.keep_dist();
         if patch.interior_border_dist(&fine, ax, ay) < keep {
-            return self.escape_to_full(data, &corrected, EscapeReason::PeakAtBoundary, cells);
+            return self.escape_to_full(data, corrected, EscapeReason::PeakAtBoundary, cells);
         }
         let kept: Vec<Peak> = find_peaks(&joint, &cfg.score.peaks)
             .into_iter()
             .filter(|p| patch.interior_border_dist(&fine, p.ix, p.iy) >= keep)
             .collect();
-        if kept.is_empty() {
-            return self.escape_to_full(data, &corrected, EscapeReason::NoLocalPeak, cells);
-        }
         let background = bloc_num::stats::median(joint.data());
-        let anchor_refs: Vec<P2> = data.anchors.iter().map(|a| a.center()).collect();
-        let scored: Vec<ScoredPeak> =
-            score_candidates(&joint, &kept, &anchor_refs, &cfg.score, background, max_v)
-                .into_iter()
-                .map(|s| remap_to_parent(s, &patch, fine))
-                .collect();
-        let Some(best) = scored.first() else {
-            return self.escape_to_full(data, &corrected, EscapeReason::NoLocalPeak, cells);
+        let scored: Vec<ScoredPeak> = score_candidates(
+            &joint,
+            &kept,
+            &anchor_refs(data),
+            &cfg.score,
+            background,
+            max_v,
+        )
+        .into_iter()
+        .map(|s| remap_to_parent(s, &patch, fine))
+        .collect();
+        let degradation = BlocLocalizer::degradation_of(corrected);
+        let Some(estimate) = Estimate::from_scored(scored, joint, degradation) else {
+            return self.escape_to_full(data, corrected, EscapeReason::NoLocalPeak, cells);
         };
-        record_scored(&scored);
-        let mut est = Estimate {
-            position: best.peak.position,
-            peaks: scored,
-            likelihood: joint,
-            degradation: BlocLocalizer::degradation_of(&corrected),
-        };
-        est.degradation.confidence = est.confidence();
+        record_scored(&estimate.peaks);
         Ok(HierarchicalEstimate {
-            estimate: est,
+            estimate,
             cells_evaluated: cells,
-            dense_cells_evaluated: fine.len() * alive.len(),
+            dense_cells_evaluated: fine.len() * alive,
             candidates_refined: 1,
             seeded: true,
             escape: None,
         })
     }
 
-    /// Degradation-aware hierarchical localization — the hierarchy's
-    /// counterpart of [`BlocLocalizer::localize_with_fallback`], with
-    /// every fallback surface evaluated on the **coarse** grid: priors
-    /// steer candidate *selection* (then fine refinement proceeds as
-    /// usual), and a CSI-outage fix is synthesized at coarse resolution.
-    /// A healthy round short-circuits to the pure hierarchical estimate.
-    ///
-    /// # Errors
-    ///
-    /// The original [`LocalizeError`] when CSI failed *and* no fallback
-    /// estimator could produce anything either.
-    pub fn localize_with_fallback(
-        &self,
-        data: &SoundingData,
-        stack: &FallbackStack,
-        open_frac: f64,
-    ) -> Result<HierarchicalFusedFix, LocalizeError> {
-        match self.localize(data) {
-            Ok(h) => {
-                let weights = FusionWeights::from_degradation(
-                    &h.estimate.degradation,
-                    open_frac,
-                    &stack.config.policy,
-                );
-                if weights.csi >= 1.0 || !stack.has_estimators() {
-                    return Ok(HierarchicalFusedFix {
-                        fix: h,
-                        mode: EstimateMode::Csi,
-                        weights: FusionWeights::pure_csi(),
-                    });
-                }
-                let (fp, counts) = stack.priors(data, self.coarse);
-                let weights = weights.restrict(true, fp.is_some(), counts.is_some());
-                if weights.csi >= 1.0 {
-                    return Ok(HierarchicalFusedFix {
-                        fix: h,
-                        mode: EstimateMode::Csi,
-                        weights,
-                    });
-                }
-                let mut priors: Vec<(&Grid2D, f64)> = Vec::new();
-                if let Some((bump, _)) = &fp {
-                    priors.push((bump, weights.fingerprint));
-                }
-                if let Some(c) = &counts {
-                    priors.push((&c.likelihood, weights.counts));
-                }
-                let Ok(corrected) = self.localizer.correct(data) else {
-                    // Corrected a moment ago; a disagreeing re-run means
-                    // the pure-CSI fix is the best we have.
-                    return Ok(HierarchicalFusedFix {
-                        fix: h,
-                        mode: EstimateMode::Csi,
-                        weights,
-                    });
-                };
-                match self.refine_full(data, &corrected, &priors, weights.csi) {
-                    Ok(mut fused) => {
-                        fused.cells_evaluated += h.cells_evaluated;
-                        Ok(HierarchicalFusedFix {
-                            fix: fused,
-                            mode: EstimateMode::CsiFused,
-                            weights,
-                        })
-                    }
-                    // A prior must never turn a fix into a no-fix.
-                    Err(_) => Ok(HierarchicalFusedFix {
-                        fix: h,
-                        mode: EstimateMode::Csi,
-                        weights,
-                    }),
-                }
-            }
-            Err(csi_err) => {
-                let Ok(fb) = stack.estimate(data, self.coarse) else {
-                    return Err(csi_err);
-                };
-                record_escape(EscapeReason::FallbackOnly);
-                let estimate = self.localizer.estimate_from_fallback(data, &fb);
-                Ok(HierarchicalFusedFix {
-                    fix: HierarchicalEstimate {
-                        estimate,
-                        cells_evaluated: 0,
-                        dense_cells_evaluated: 0,
-                        candidates_refined: 0,
-                        seeded: false,
-                        escape: Some(EscapeReason::FallbackOnly),
-                    },
-                    mode: fb.mode,
-                    weights: fb.weights,
-                })
-            }
-        }
-    }
-
-    /// The full coarse→fine flow on already-corrected channels. `priors`
-    /// (with `csi_weight`) fuse into the candidate-selection surface;
-    /// pass `&[]` for pure CSI.
+    /// The full coarse→fine flow on already-corrected channels.
     fn refine_full(
         &self,
         data: &SoundingData,
         corrected: &CorrectedChannels,
-        priors: &[(&Grid2D, f64)],
-        csi_weight: f64,
     ) -> Result<HierarchicalEstimate, LocalizeError> {
         let cfg = self.localizer.config();
         let fine = cfg.grid;
@@ -530,18 +417,8 @@ impl HierarchicalLocalizer {
         }
         let dense_cells = fine.len() * alive.len();
 
-        // Candidate selection surface: the coarse joint, with fallback
-        // priors (if any) blended in mass-normalized convex combination.
-        let select: Grid2D = if priors.is_empty() {
-            coarse_joint.clone()
-        } else {
-            let mut parts: Vec<(&Grid2D, f64)> = Vec::with_capacity(priors.len() + 1);
-            parts.push((&coarse_joint, csi_weight));
-            parts.extend_from_slice(priors);
-            fusion::fuse_mass(&parts).unwrap_or_else(|| coarse_joint.clone())
-        };
         let candidates = find_peaks(
-            &select,
+            &coarse_joint,
             &PeakOptions {
                 dominance_radius: self.config.coarse_dominance_radius,
                 min_rel_height: self.config.coarse_min_rel_height,
@@ -558,7 +435,7 @@ impl HierarchicalLocalizer {
         let mut patches: Vec<(GridPatch, Grid2D)> = Vec::with_capacity(candidates.len());
         for c in &candidates {
             let patch = fine.patch(c.position, half);
-            let joint = self.level_joint(corrected, patch.spec, &alive, true, &mut cells);
+            let joint = self.patch_joint(corrected, patch.spec, &alive, &mut cells);
             patches.push((patch, joint));
         }
         bloc_obs::counter("hier.candidates").add(patches.len() as u64);
@@ -575,7 +452,7 @@ impl HierarchicalLocalizer {
         // statistics: the coarse background pedestal and the global patch
         // maximum put every candidate on one dense-equivalent scale.
         let background = bloc_num::stats::median(coarse_joint.data()).min(max_v);
-        let anchor_refs: Vec<P2> = data.anchors.iter().map(|a| a.center()).collect();
+        let anchor_refs = anchor_refs(data);
         let keep = self.keep_dist();
         let floor = cfg.score.peaks.min_rel_height * max_v;
         let mut merged: Vec<ScoredPeak> = Vec::new();
@@ -608,21 +485,14 @@ impl HierarchicalLocalizer {
                 .then_with(|| (a.peak.iy, a.peak.ix).cmp(&(b.peak.iy, b.peak.ix)))
         });
         merged.truncate(cfg.score.peaks.max_peaks);
-        let Some(best) = merged.first() else {
+        let degradation = BlocLocalizer::degradation_of(corrected);
+        let Some(estimate) = Estimate::from_scored(merged, coarse_joint, degradation) else {
             // Refinement lost every candidate: correctness beats speed.
-            record_escape(EscapeReason::DenseFallback);
             return self.dense_estimate(data, corrected, EscapeReason::DenseFallback, cells);
         };
-        record_scored(&merged);
-        let mut est = Estimate {
-            position: best.peak.position,
-            peaks: merged,
-            likelihood: select,
-            degradation: BlocLocalizer::degradation_of(corrected),
-        };
-        est.degradation.confidence = est.confidence();
+        record_scored(&estimate.peaks);
         Ok(HierarchicalEstimate {
-            estimate: est,
+            estimate,
             cells_evaluated: cells,
             dense_cells_evaluated: dense_cells,
             candidates_refined: patches.len(),
@@ -631,16 +501,14 @@ impl HierarchicalLocalizer {
         })
     }
 
-    /// The weighted joint on one level's spec. With `coarse_norms`, each
-    /// alive anchor's map is scaled by `weight / coarse_max` (the shared
-    /// cross-patch normalization); without, by `weight / patch_max`
-    /// (exactly [`crate::likelihood::weighted_joint`] on this spec).
-    fn level_joint(
+    /// The weighted joint on one fine patch: each alive anchor's map is
+    /// scaled by `weight / coarse_max`, the shared cross-patch
+    /// normalization.
+    fn patch_joint(
         &self,
         corrected: &CorrectedChannels,
         spec: GridSpec,
         alive: &[AliveAnchor],
-        coarse_norms: bool,
         cells: &mut usize,
     ) -> Grid2D {
         let cfg = self.localizer.config();
@@ -651,12 +519,8 @@ impl HierarchicalLocalizer {
                     .engine()
                     .anchor_likelihood(corrected, a.index, spec, cfg.combining);
             *cells += spec.len();
-            if coarse_norms {
-                if a.coarse_max > 0.0 {
-                    map.scale(1.0 / a.coarse_max);
-                }
-            } else {
-                map.normalize_peak();
+            if a.coarse_max > 0.0 {
+                map.scale(1.0 / a.coarse_max);
             }
             map.scale(a.weight);
             joint.add_assign(&map);
@@ -675,15 +539,16 @@ impl HierarchicalLocalizer {
         prespent: usize,
     ) -> Result<HierarchicalEstimate, LocalizeError> {
         record_escape(reason);
-        let mut h = self.refine_full(data, corrected, &[], 1.0)?;
+        let mut h = self.refine_full(data, corrected)?;
         h.cells_evaluated += prespent;
         h.seeded = true;
         h.escape = Some(reason);
         Ok(h)
     }
 
-    /// The dense fine sweep, dressed as a hierarchical estimate — the
-    /// small-grid path and the lost-every-candidate safety net.
+    /// The dense fix ([`BlocLocalizer`]'s own), dressed as a hierarchical
+    /// estimate — the small-grid path and the lost-every-candidate safety
+    /// net.
     fn dense_estimate(
         &self,
         data: &SoundingData,
@@ -691,30 +556,11 @@ impl HierarchicalLocalizer {
         escape: EscapeReason,
         prespent: usize,
     ) -> Result<HierarchicalEstimate, LocalizeError> {
-        let cfg = self.localizer.config();
-        let grid = self
-            .localizer
-            .engine()
-            .joint_likelihood(corrected, cfg.grid, cfg.combining);
-        let n_alive = anchor_weights(corrected)
-            .iter()
-            .filter(|&&w| w > 0.0)
-            .count();
-        let dense_cells = cfg.grid.len() * n_alive;
-        let anchor_refs: Vec<P2> = data.anchors.iter().map(|a| a.center()).collect();
-        let peaks = score_peaks(&grid, &anchor_refs, &cfg.score);
-        let Some(best) = peaks.first() else {
-            return Err(LocalizeError::NoPeak);
-        };
-        let mut est = Estimate {
-            position: best.peak.position,
-            peaks: peaks.clone(),
-            likelihood: grid,
-            degradation: BlocLocalizer::degradation_of(corrected),
-        };
-        est.degradation.confidence = est.confidence();
+        record_escape(escape);
+        let estimate = self.localizer.dense_fix(data, corrected)?;
+        let dense_cells = self.localizer.config().grid.len() * alive_count(corrected);
         Ok(HierarchicalEstimate {
-            estimate: est,
+            estimate,
             cells_evaluated: prespent + dense_cells,
             dense_cells_evaluated: dense_cells,
             candidates_refined: 0,
@@ -908,7 +754,9 @@ mod tests {
         let data = sounder.sound(P2::new(2.0, 2.0), &all_data_channels(), &mut rng);
         let h = hier.localize(&data).unwrap();
         assert_eq!(h.escape, Some(EscapeReason::SmallGrid));
-        assert_eq!(h.estimate.position, dense.localize(&data).unwrap().position);
+        // The small-grid escape *is* the dense fix: the whole estimate,
+        // not just its position.
+        assert_eq!(h.estimate, dense.localize(&data).unwrap());
     }
 
     #[test]

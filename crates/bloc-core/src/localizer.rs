@@ -19,7 +19,7 @@ use bloc_num::{Grid2D, GridSpec, P2};
 use crate::correction::{correct, CorrectedChannels};
 use crate::engine::LikelihoodEngine;
 use crate::error::{DegradationReport, LocalizeError};
-use crate::fallback::{fusion, EstimateMode, FallbackStack, FusionWeights};
+use crate::fallback::{fusion, prior_parts, EstimateMode, FallbackStack, FusionWeights};
 use crate::likelihood::AntennaCombining;
 use crate::multipath::{score_peaks, ScoreConfig, ScoredPeak};
 
@@ -125,6 +125,53 @@ impl Estimate {
             }
         }
     }
+
+    /// The one way a scored fix is finished: `position` is the best of
+    /// the Eq. 18 `peaks` (best first) and `degradation.confidence` their
+    /// margin. `None` when scoring found no peak.
+    pub(crate) fn from_scored(
+        peaks: Vec<ScoredPeak>,
+        likelihood: Grid2D,
+        degradation: DegradationReport,
+    ) -> Option<Self> {
+        let position = peaks.first()?.peak.position;
+        let mut est = Self {
+            position,
+            peaks,
+            likelihood,
+            degradation,
+        };
+        est.degradation.confidence = est.confidence();
+        Some(est)
+    }
+}
+
+/// The anchor reference points Eq. 18's distance penalty is taken from.
+pub(crate) fn anchor_refs(data: &SoundingData) -> Vec<P2> {
+    data.anchors.iter().map(|a| a.center()).collect()
+}
+
+/// Runs one fix attempt under `span`, counted in `calls`, and records
+/// its outcome the one way every entry point (dense, multi-burst,
+/// hierarchical, seeded) shares: the attempt's wall time in
+/// `localize.latency_us`, and a failure in `localize.no_fix` plus a
+/// `localize`/`no_fix` event.
+pub(crate) fn observe_fix<T>(
+    span: &'static str,
+    calls: &str,
+    fix: impl FnOnce() -> Result<T, LocalizeError>,
+) -> Result<T, LocalizeError> {
+    let start = std::time::Instant::now();
+    let _span = bloc_obs::span(span);
+    bloc_obs::counter(calls).inc();
+    let result = fix();
+    bloc_obs::histogram("localize.latency_us")
+        .record(start.elapsed().as_micros().min(u64::MAX as u128) as u64);
+    if let Err(e) = &result {
+        bloc_obs::counter("localize.no_fix").inc();
+        bloc_obs::emit(bloc_obs::Event::new("localize", "no_fix").field("reason", e.reason()));
+    }
+    result
 }
 
 /// The BLoc localization pipeline.
@@ -197,9 +244,9 @@ impl BlocLocalizer {
     /// Records what the masking pass absorbed on the global registry,
     /// under `fault.recovered.*` — the mirror of `fault.injected.*` (which
     /// `bloc_chan::FaultPlan` records at sounding time). Counted exactly
-    /// once per [`Self::localize`] call so one sounding → one localize
-    /// reconciles the two families exactly.
-    pub(crate) fn record_recovered(corrected: &CorrectedChannels) {
+    /// once per corrected sounding, so one sounding → one fix reconciles
+    /// the two families exactly, for single- and multi-burst fixes alike.
+    fn record_recovered(corrected: &CorrectedChannels) {
         let m = &corrected.masking;
         if m.holes_masked > 0 {
             bloc_obs::counter("fault.recovered.holes").add(m.holes_masked as u64);
@@ -233,8 +280,15 @@ impl BlocLocalizer {
         }
     }
 
-    /// Checks that `corrected` can support a fix at all.
-    pub(crate) fn check_usable(corrected: &CorrectedChannels) -> Result<(), LocalizeError> {
+    /// Eq. 10 correction as every single-sounding fix starts: the masking
+    /// pass is recorded under `fault.recovered.*`, and channels without a
+    /// band or with fewer than two surviving anchors are refused.
+    pub(crate) fn correct_usable(
+        &self,
+        data: &SoundingData,
+    ) -> Result<CorrectedChannels, LocalizeError> {
+        let corrected = self.correct(data)?;
+        Self::record_recovered(&corrected);
         if corrected.bands.is_empty() {
             return Err(LocalizeError::NoUsableBands {
                 total: corrected.masking.bands_total,
@@ -248,7 +302,7 @@ impl BlocLocalizer {
                 total: corrected.n_anchors(),
             });
         }
-        Ok(())
+        Ok(corrected)
     }
 
     /// Full localization.
@@ -259,38 +313,25 @@ impl BlocLocalizer {
     /// structurally empty input, every band dropped by masking, fewer than
     /// two surviving anchors, or a peakless likelihood.
     pub fn localize(&self, data: &SoundingData) -> Result<Estimate, LocalizeError> {
-        let start = std::time::Instant::now();
-        let _span = bloc_obs::span("localize");
-        bloc_obs::counter("localize.calls").inc();
-        let result = self.localize_impl(data);
-        bloc_obs::histogram("localize.latency_us")
-            .record(start.elapsed().as_micros().min(u64::MAX as u128) as u64);
-        if let Err(e) = &result {
-            bloc_obs::counter("localize.no_fix").inc();
-            bloc_obs::emit(bloc_obs::Event::new("localize", "no_fix").field("reason", e.reason()));
-        }
-        result
+        observe_fix("localize", "localize.calls", || {
+            let corrected = self.correct_usable(data)?;
+            self.dense_fix(data, &corrected)
+        })
     }
 
-    fn localize_impl(&self, data: &SoundingData) -> Result<Estimate, LocalizeError> {
-        let corrected = self.correct(data)?;
-        Self::record_recovered(&corrected);
-        Self::check_usable(&corrected)?;
-        let degradation = Self::degradation_of(&corrected);
-        let grid = self.joint_likelihood_timed(&corrected);
-        let anchor_refs: Vec<P2> = data.anchors.iter().map(|a| a.center()).collect();
-        let peaks = score_peaks(&grid, &anchor_refs, &self.config.score);
-        if peaks.is_empty() {
-            return Err(LocalizeError::NoPeak);
-        }
-        let mut est = Estimate {
-            position: peaks[0].peak.position,
-            peaks,
-            likelihood: grid,
-            degradation,
-        };
-        est.degradation.confidence = est.confidence();
-        Ok(est)
+    /// The dense fix on already-corrected channels: the Eq. 17 sweep over
+    /// the whole configured grid, then Eq. 18 scoring. Shared by
+    /// [`Self::localize`] and the hierarchy's dense escapes, so a dense
+    /// escape is exactly a dense fix.
+    pub(crate) fn dense_fix(
+        &self,
+        data: &SoundingData,
+        corrected: &CorrectedChannels,
+    ) -> Result<Estimate, LocalizeError> {
+        let grid = self.joint_likelihood_timed(corrected);
+        let peaks = score_peaks(&grid, &anchor_refs(data), &self.config.score);
+        Estimate::from_scored(peaks, grid, Self::degradation_of(corrected))
+            .ok_or(LocalizeError::NoPeak)
     }
 
     /// Multi-burst localization: fuses several soundings of the *same*
@@ -308,19 +349,14 @@ impl BlocLocalizer {
     /// sound, otherwise the same failures as [`Self::localize`] evaluated
     /// on the fused evidence.
     pub fn localize_fused(&self, soundings: &[SoundingData]) -> Result<Estimate, LocalizeError> {
-        let _span = bloc_obs::span("localize_fused");
-        bloc_obs::counter("localize_fused.calls").inc();
-        let result = self.localize_fused_impl(soundings);
-        if let Err(e) = &result {
-            bloc_obs::counter("localize.no_fix").inc();
-            bloc_obs::emit(bloc_obs::Event::new("localize", "no_fix").field("reason", e.reason()));
-        }
-        result
+        observe_fix("localize_fused", "localize_fused.calls", || {
+            self.localize_fused_impl(soundings)
+        })
     }
 
     fn localize_fused_impl(&self, soundings: &[SoundingData]) -> Result<Estimate, LocalizeError> {
         let mut combined: Option<Grid2D> = None;
-        let mut anchor_refs: Vec<P2> = Vec::new();
+        let mut anchor_refs_first: Vec<P2> = Vec::new();
         let mut degradation = DegradationReport::default();
         let mut surviving_total: Vec<usize> = Vec::new();
         let mut structurally_sound = 0usize;
@@ -328,6 +364,7 @@ impl BlocLocalizer {
             let Ok(corrected) = self.correct(data) else {
                 continue;
             };
+            Self::record_recovered(&corrected);
             structurally_sound += 1;
             bloc_obs::counter("localize_fused.bursts").inc();
             degradation.bands_total += corrected.masking.bands_total;
@@ -350,7 +387,7 @@ impl BlocLocalizer {
             match &mut combined {
                 Some(acc) => acc.add_assign(&grid),
                 None => {
-                    anchor_refs = data.anchors.iter().map(|a| a.center()).collect();
+                    anchor_refs_first = anchor_refs(data);
                     degradation.anchors_total = corrected.n_anchors();
                     combined = Some(grid);
                 }
@@ -378,62 +415,76 @@ impl BlocLocalizer {
                 total: surviving_total.len(),
             });
         }
-        let peaks = score_peaks(&grid, &anchor_refs, &self.config.score);
-        if peaks.is_empty() {
-            return Err(LocalizeError::NoPeak);
-        }
-        let mut est = Estimate {
-            position: peaks[0].peak.position,
-            peaks,
-            likelihood: grid,
-            degradation,
-        };
-        est.degradation.confidence = est.confidence();
-        Ok(est)
+        let peaks = score_peaks(&grid, &anchor_refs_first, &self.config.score);
+        Estimate::from_scored(peaks, grid, degradation).ok_or(LocalizeError::NoPeak)
     }
 
-    /// Blends an estimate's CSI likelihood with fallback prior surfaces
-    /// (each mass-normalized, convex `csi_weight` + prior weights) and
-    /// re-runs peak scoring on the fused surface. Keeps the original
-    /// degradation evidence; if the fused surface yields no peak the
-    /// original estimate is returned untouched (a prior must never turn
-    /// a fix into a no-fix).
-    pub fn refine_with_priors(
+    /// The fallback-fusion step for a CSI fix. Derives [`FusionWeights`]
+    /// from `est`'s [`DegradationReport`] and the breaker `open_frac`; a
+    /// healthy round (or no stack, or one without estimators) keeps `est`
+    /// untouched under pure-CSI weights. Otherwise the fingerprint and
+    /// packet-count priors (De et al.) are evaluated from `prior_basis`
+    /// on `est`'s own likelihood grid — the fine grid for dense fixes, the
+    /// coarse surface or the seeded patch for hierarchical ones — blended
+    /// with it by mass (convex weights), and Eq. 18 re-scores the blend
+    /// against `data`'s anchors, keeping `est`'s degradation evidence;
+    /// each refined fix counts in `fallback.refined_fixes`. A blend
+    /// without a peak keeps `est` (a prior must never turn a fix into a
+    /// no-fix). `prior_basis` is the full-deployment sounding when `data`
+    /// is an admitted-anchor subset (the fingerprint feature shape is
+    /// fixed at survey time), `data` itself otherwise.
+    pub(crate) fn fuse_fallback(
         &self,
         est: Estimate,
-        priors: &[(&Grid2D, f64)],
-        csi_weight: f64,
-        anchor_refs: &[P2],
-    ) -> Estimate {
-        let mut parts: Vec<(&Grid2D, f64)> = Vec::with_capacity(priors.len() + 1);
-        parts.push((&est.likelihood, csi_weight));
-        parts.extend_from_slice(priors);
-        let Some(fused) = fusion::fuse_mass(&parts) else {
-            return est;
+        data: &SoundingData,
+        prior_basis: &SoundingData,
+        stack: Option<&FallbackStack>,
+        open_frac: f64,
+    ) -> FusedFix {
+        let pure_csi = |estimate| FusedFix {
+            estimate,
+            mode: EstimateMode::Csi,
+            weights: FusionWeights::pure_csi(),
         };
-        let peaks = score_peaks(&fused, anchor_refs, &self.config.score);
-        if peaks.is_empty() {
-            return est;
+        let Some(stack) = stack.filter(|s| s.has_estimators()) else {
+            return pure_csi(est);
+        };
+        let weights =
+            FusionWeights::from_degradation(&est.degradation, open_frac, &stack.config.policy);
+        if weights.csi >= 1.0 {
+            return pure_csi(est);
         }
-        let mut out = Estimate {
-            position: peaks[0].peak.position,
-            peaks,
-            likelihood: fused,
-            degradation: est.degradation,
-        };
-        out.degradation.confidence = out.confidence();
-        out
+        let (fp, counts) = stack.priors(prior_basis, est.likelihood.spec());
+        let weights = weights.restrict(true, fp.is_some(), counts.is_some());
+        if weights.csi >= 1.0 {
+            return FusedFix {
+                estimate: est,
+                mode: EstimateMode::Csi,
+                weights,
+            };
+        }
+        let mut parts = vec![(&est.likelihood, weights.csi)];
+        parts.extend(prior_parts(&fp, &counts, &weights));
+        let refined = fusion::fuse_mass(&parts).and_then(|blend| {
+            let peaks = score_peaks(&blend, &anchor_refs(data), &self.config.score);
+            Estimate::from_scored(peaks, blend, est.degradation.clone())
+        });
+        bloc_obs::counter("fallback.refined_fixes").inc();
+        FusedFix {
+            estimate: refined.unwrap_or(est),
+            mode: EstimateMode::CsiFused,
+            weights,
+        }
     }
 
-    /// Degradation-aware localization: runs the CSI pipeline, derives
-    /// fusion weights from the resulting [`DegradationReport`] (plus the
-    /// caller's breaker `open_frac`), and — only when the round is below
-    /// the healthy threshold — blends in whatever priors `stack` can
-    /// produce. A healthy round short-circuits to the *identical*
-    /// pure-CSI estimate (weights snap to `csi = 1`). When CSI fails
-    /// outright, the stack's fallback-only estimate is dressed as an
-    /// [`Estimate`] (synthetic degradation report counting the sounding's
-    /// holes) so downstream consumers see one shape.
+    /// Degradation-aware localization: runs the CSI pipeline, then the
+    /// fallback-fusion step the supervised runtime runs on every fix
+    /// (weights from the [`DegradationReport`] plus the caller's breaker
+    /// `open_frac`; priors blended only below the healthy threshold, so a
+    /// healthy round is the *identical* pure-CSI estimate). When CSI
+    /// fails outright, the stack's fallback-only estimate is dressed as
+    /// an [`Estimate`] (synthetic degradation report counting the
+    /// sounding's holes) so downstream consumers see one shape.
     ///
     /// # Errors
     ///
@@ -446,43 +497,7 @@ impl BlocLocalizer {
         open_frac: f64,
     ) -> Result<FusedFix, LocalizeError> {
         match self.localize(data) {
-            Ok(est) => {
-                let weights = FusionWeights::from_degradation(
-                    &est.degradation,
-                    open_frac,
-                    &stack.config.policy,
-                );
-                if weights.csi >= 1.0 || !stack.has_estimators() {
-                    return Ok(FusedFix {
-                        estimate: est,
-                        mode: EstimateMode::Csi,
-                        weights: FusionWeights::pure_csi(),
-                    });
-                }
-                let (fp, counts) = stack.priors(data, self.config.grid);
-                let weights = weights.restrict(true, fp.is_some(), counts.is_some());
-                if weights.csi >= 1.0 {
-                    return Ok(FusedFix {
-                        estimate: est,
-                        mode: EstimateMode::Csi,
-                        weights,
-                    });
-                }
-                let mut priors: Vec<(&Grid2D, f64)> = Vec::new();
-                if let Some((bump, _)) = &fp {
-                    priors.push((bump, weights.fingerprint));
-                }
-                if let Some(c) = &counts {
-                    priors.push((&c.likelihood, weights.counts));
-                }
-                let anchor_refs: Vec<P2> = data.anchors.iter().map(|a| a.center()).collect();
-                let refined = self.refine_with_priors(est, &priors, weights.csi, &anchor_refs);
-                Ok(FusedFix {
-                    estimate: refined,
-                    mode: EstimateMode::CsiFused,
-                    weights,
-                })
-            }
+            Ok(est) => Ok(self.fuse_fallback(est, data, data, Some(stack), open_frac)),
             Err(csi_err) => {
                 let Ok(fb) = stack.estimate(data, self.config.grid) else {
                     return Err(csi_err);
@@ -505,94 +520,18 @@ impl BlocLocalizer {
         data: &SoundingData,
         fb: &crate::fallback::FallbackEstimate,
     ) -> Estimate {
-        let anchor_refs: Vec<P2> = data.anchors.iter().map(|a| a.center()).collect();
-        let peaks = score_peaks(&fb.likelihood, &anchor_refs, &self.config.score);
-        let position = peaks
-            .first()
-            .map(|p| p.peak.position)
-            .unwrap_or(fb.position);
-        let mut est = Estimate {
-            position,
+        let peaks = score_peaks(&fb.likelihood, &anchor_refs(data), &self.config.score);
+        Estimate::from_scored(
             peaks,
+            fb.likelihood.clone(),
+            Self::synthetic_degradation(data),
+        )
+        .unwrap_or_else(|| Estimate {
+            position: fb.position,
+            peaks: Vec::new(),
             likelihood: fb.likelihood.clone(),
             degradation: Self::synthetic_degradation(data),
-        };
-        est.degradation.confidence = est.confidence();
-        est
-    }
-
-    /// Multi-burst variant of [`Self::localize_with_fallback`]: fuses the
-    /// bursts' CSI evidence via [`Self::localize_fused`], with fallback
-    /// priors evaluated on the *last* burst (the freshest evidence).
-    ///
-    /// # Errors
-    ///
-    /// The [`Self::localize_fused`] error when CSI failed and no burst
-    /// supported a fallback estimate either.
-    pub fn localize_fused_with_fallback(
-        &self,
-        soundings: &[SoundingData],
-        stack: &FallbackStack,
-        open_frac: f64,
-    ) -> Result<FusedFix, LocalizeError> {
-        match self.localize_fused(soundings) {
-            Ok(est) => {
-                let weights = FusionWeights::from_degradation(
-                    &est.degradation,
-                    open_frac,
-                    &stack.config.policy,
-                );
-                let Some(last) = soundings.last() else {
-                    return Ok(FusedFix {
-                        estimate: est,
-                        mode: EstimateMode::Csi,
-                        weights: FusionWeights::pure_csi(),
-                    });
-                };
-                if weights.csi >= 1.0 || !stack.has_estimators() {
-                    return Ok(FusedFix {
-                        estimate: est,
-                        mode: EstimateMode::Csi,
-                        weights: FusionWeights::pure_csi(),
-                    });
-                }
-                let (fp, counts) = stack.priors(last, self.config.grid);
-                let weights = weights.restrict(true, fp.is_some(), counts.is_some());
-                if weights.csi >= 1.0 {
-                    return Ok(FusedFix {
-                        estimate: est,
-                        mode: EstimateMode::Csi,
-                        weights,
-                    });
-                }
-                let mut priors: Vec<(&Grid2D, f64)> = Vec::new();
-                if let Some((bump, _)) = &fp {
-                    priors.push((bump, weights.fingerprint));
-                }
-                if let Some(c) = &counts {
-                    priors.push((&c.likelihood, weights.counts));
-                }
-                let anchor_refs: Vec<P2> = last.anchors.iter().map(|a| a.center()).collect();
-                let refined = self.refine_with_priors(est, &priors, weights.csi, &anchor_refs);
-                Ok(FusedFix {
-                    estimate: refined,
-                    mode: EstimateMode::CsiFused,
-                    weights,
-                })
-            }
-            Err(csi_err) => {
-                for data in soundings.iter().rev() {
-                    if let Ok(fb) = stack.estimate(data, self.config.grid) {
-                        return Ok(FusedFix {
-                            estimate: self.estimate_from_fallback(data, &fb),
-                            mode: fb.mode,
-                            weights: fb.weights,
-                        });
-                    }
-                }
-                Err(csi_err)
-            }
-        }
+        })
     }
 
     /// A degradation report for a fallback-only estimate: CSI never ran,
@@ -626,22 +565,28 @@ impl BlocLocalizer {
         }
     }
 
-    /// Localization with multipath rejection replaced by the naive
-    /// shortest-distance peak pick — the paper's Fig. 12 baseline. Kept on
-    /// the `Option` interface: it is an ablation, not a production path.
-    pub fn localize_shortest_distance(&self, data: &SoundingData) -> Option<Estimate> {
+    /// The Fig. 12 ablations' front half: the joint likelihood of the
+    /// corrected channels and their degradation evidence, `None` when
+    /// correction fails or leaves no band.
+    fn corrected_surface(&self, data: &SoundingData) -> Option<(Grid2D, DegradationReport)> {
         let corrected = self.correct(data).ok()?;
         if corrected.bands.is_empty() {
             return None;
         }
-        let degradation = Self::degradation_of(&corrected);
         let grid =
             self.engine
                 .joint_likelihood(&corrected, self.config.grid, self.config.combining);
-        let anchor_refs: Vec<P2> = data.anchors.iter().map(|a| a.center()).collect();
+        Some((grid, Self::degradation_of(&corrected)))
+    }
+
+    /// Localization with multipath rejection replaced by the naive
+    /// shortest-distance peak pick — the paper's Fig. 12 baseline. Kept on
+    /// the `Option` interface: it is an ablation, not a production path.
+    pub fn localize_shortest_distance(&self, data: &SoundingData) -> Option<Estimate> {
+        let (grid, degradation) = self.corrected_surface(data)?;
         let pick = crate::multipath::shortest_distance_peak(
             &grid,
-            &anchor_refs,
+            &anchor_refs(data),
             &self.config.score.peaks,
         )?;
         Some(Estimate {
@@ -655,21 +600,13 @@ impl BlocLocalizer {
     /// Localization by raw argmax of the joint likelihood (no peak
     /// analysis at all) — the "naive way" of §5.4, exposed for ablations.
     pub fn localize_argmax(&self, data: &SoundingData) -> Option<Estimate> {
-        let corrected = self.correct(data).ok()?;
-        if corrected.bands.is_empty() {
-            return None;
-        }
-        let degradation = Self::degradation_of(&corrected);
-        let grid =
-            self.engine
-                .joint_likelihood(&corrected, self.config.grid, self.config.combining);
+        let (grid, degradation) = self.corrected_surface(data)?;
         let (ix, iy, max) = grid.argmax()?;
         if max <= 0.0 {
             return None;
         }
-        let position = grid.spec().cell_center(ix, iy);
         Some(Estimate {
-            position,
+            position: grid.spec().cell_center(ix, iy),
             peaks: Vec::new(),
             likelihood: grid,
             degradation,
@@ -883,6 +820,41 @@ mod tests {
             localizer.localize_fused(&[empty]).unwrap_err(),
             LocalizeError::EmptySounding
         );
+    }
+
+    #[test]
+    fn single_burst_fusion_is_exactly_localize() {
+        // One burst through the multi-burst entry point is the dense fix,
+        // bit for bit: position, peaks, likelihood and degradation.
+        let room = Room::new(5.0, 6.0);
+        let env = Environment::free_space();
+        let anchors = anchors(&room);
+        let chans = all_data_channels();
+        let plan = FaultPlan {
+            seed: 12,
+            tag_loss: 0.25,
+            dropouts: vec![AnchorDropout {
+                anchor: 3,
+                bands: 0..chans.len(),
+            }],
+            ..Default::default()
+        };
+        let clean = Sounder::new(&env, &anchors, SounderConfig::default());
+        let faulted = clean.clone().with_faults(plan);
+        let localizer = BlocLocalizer::new(BlocConfig::for_room(&room));
+        let mut rng = StdRng::seed_from_u64(25);
+        let tag = P2::new(3.1, 2.4);
+        for sounder in [&clean, &faulted] {
+            let data = sounder.sound(tag, &chans, &mut rng);
+            let single = localizer.localize(&data).unwrap();
+            let fused = localizer
+                .localize_fused(std::slice::from_ref(&data))
+                .unwrap();
+            assert_eq!(fused.position, single.position);
+            assert_eq!(fused.peaks, single.peaks);
+            assert_eq!(fused.likelihood, single.likelihood);
+            assert_eq!(fused.degradation, single.degradation);
+        }
     }
 
     #[test]

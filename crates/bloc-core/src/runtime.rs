@@ -46,7 +46,7 @@ use bloc_num::par::Deadline;
 // All runtime "randomness" (backoff jitter) is the same pure splitmix64
 // hash of seeds the fault plan uses, so reruns are bit-identical.
 use bloc_num::seed::splitmix64 as splitmix;
-use bloc_num::{Grid2D, P2};
+use bloc_num::P2;
 use bloc_obs::mode::ModeTracker;
 use bloc_obs::BoundedLedger;
 
@@ -206,8 +206,10 @@ pub struct RuntimeConfig {
     pub tracker: TrackerConfig,
     /// Hierarchical coarse-to-fine solver for the session's rounds:
     /// `Some` localizes seeded from the live track (full coarse→fine when
-    /// no track), with fallback priors evaluated at the coarse level;
-    /// `None` (the default) keeps the dense solver.
+    /// no track); `None` (the default) keeps the dense solver. Either way
+    /// an unhealthy fix is refined with fallback priors on its own
+    /// likelihood surface, and a fallback-only round is estimated on
+    /// [`TrackingPipeline::prior_grid`].
     #[cfg_attr(feature = "serde", serde(default))]
     pub hierarchical: Option<crate::hierarchical::HierarchicalConfig>,
     /// Resident capacity of the breaker-transition ledger. Older entries
@@ -679,22 +681,29 @@ impl SessionSupervisor {
                             bloc_obs::gauge(&format!("runtime.anchor_health.{orig}")).set(health);
                         }
                     }
-                    let (est, mode, weights) =
-                        self.maybe_refine(est, &data, fallback_sounding.as_ref());
+                    // Unhealthy fixes are refined with the stack's priors,
+                    // evaluated on the attempt-0 full-deployment sounding.
+                    let fused = self.pipeline.localizer().fuse_fallback(
+                        est,
+                        &data,
+                        fallback_sounding.as_ref().unwrap_or(&data),
+                        self.fallback.as_ref(),
+                        self.open_frac(),
+                    );
                     if let Some(mt) = &mut self.mode_tracker {
-                        mt.observe(mode.name());
+                        mt.observe(fused.mode.name());
                     }
-                    let disposition = self.pipeline.offer_fix(est.position, dt);
+                    let disposition = self.pipeline.offer_fix(fused.estimate.position, dt);
                     bloc_obs::counter("runtime.rounds.fixed").inc();
                     return RoundOutcome::Fix(Box::new(RoundFix {
                         round,
                         track: disposition.state(),
                         disposition,
-                        estimate: est,
+                        estimate: fused.estimate,
                         attempts: attempt + 1,
                         admitted,
-                        mode,
-                        weights,
+                        mode: fused.mode,
+                        weights: fused.weights,
                     }));
                 }
                 Err(e) => {
@@ -710,53 +719,6 @@ impl SessionSupervisor {
             last: LocalizeError::EmptySounding,
         });
         self.degraded_or_defer(dt, reason, fallback_sounding, round, &mut sound)
-    }
-
-    /// Refines a native fix with fallback priors when the round's health
-    /// is below the fusion policy's threshold. A healthy round (or a
-    /// session without a stack) returns the estimate untouched under
-    /// pure-CSI weights.
-    fn maybe_refine(
-        &self,
-        est: Estimate,
-        data: &SoundingData,
-        full: Option<&SoundingData>,
-    ) -> (Estimate, EstimateMode, FusionWeights) {
-        let Some(stack) = &self.fallback else {
-            return (est, EstimateMode::Csi, FusionWeights::pure_csi());
-        };
-        let weights = FusionWeights::from_degradation(
-            &est.degradation,
-            self.open_frac(),
-            &stack.config.policy,
-        );
-        if weights.csi >= 1.0 || !stack.has_estimators() {
-            return (est, EstimateMode::Csi, FusionWeights::pure_csi());
-        }
-        // Priors must share the estimate's likelihood spec to fuse: the
-        // fine grid for dense rounds, the coarse selection surface or the
-        // seeded patch for hierarchical ones.
-        let grid = est.likelihood.spec();
-        let basis = full.unwrap_or(data);
-        let (fp, counts) = stack.priors(basis, grid);
-        let weights = weights.restrict(true, fp.is_some(), counts.is_some());
-        if weights.csi >= 1.0 {
-            return (est, EstimateMode::Csi, weights);
-        }
-        let mut priors: Vec<(&Grid2D, f64)> = Vec::new();
-        if let Some((bump, _)) = &fp {
-            priors.push((bump, weights.fingerprint));
-        }
-        if let Some(c) = &counts {
-            priors.push((&c.likelihood, weights.counts));
-        }
-        let anchor_refs: Vec<P2> = data.anchors.iter().map(|a| a.center()).collect();
-        let refined =
-            self.pipeline
-                .localizer()
-                .refine_with_priors(est, &priors, weights.csi, &anchor_refs);
-        bloc_obs::counter("fallback.refined_fixes").inc();
-        (refined, EstimateMode::CsiFused, weights)
     }
 
     /// The defer path with a fallback stack attached: try to rescue the
@@ -776,14 +738,10 @@ impl SessionSupervisor {
     where
         F: FnMut(usize) -> SoundingData,
     {
-        let has_stack = self.fallback.as_ref().is_some_and(|s| s.has_estimators());
-        if !has_stack {
+        let Some(stack) = self.fallback.as_ref().filter(|s| s.has_estimators()) else {
             return self.defer(dt, reason);
-        }
-        let data = match sounding {
-            Some(d) => d,
-            None => sound(0),
         };
+        let data = sounding.unwrap_or_else(|| sound(0));
         let census = ReceptionCensus::from_sounding(&data);
         bloc_obs::counter("fallback.census.received").add(census.total_received() as u64);
         bloc_obs::counter("fallback.census.expected")
@@ -792,15 +750,12 @@ impl SessionSupervisor {
         // on the pipeline's prior grid (coarse when hierarchical — a
         // fallback-only fix has metre-class uncertainty anyway).
         let grid = self.pipeline.prior_grid();
-        let fb = match self.fallback.as_ref() {
-            Some(stack) => match stack.estimate(&data, grid) {
-                Ok(fb) => fb,
-                Err(e) => {
-                    bloc_obs::counter(&format!("fallback.failed.{}", e.reason())).inc();
-                    return self.defer(dt, reason);
-                }
-            },
-            None => return self.defer(dt, reason),
+        let fb = match stack.estimate(&data, grid) {
+            Ok(fb) => fb,
+            Err(e) => {
+                bloc_obs::counter(&format!("fallback.failed.{}", e.reason())).inc();
+                return self.defer(dt, reason);
+            }
         };
         let estimate = self.pipeline.localizer().estimate_from_fallback(&data, &fb);
         if let Some(mt) = &mut self.mode_tracker {

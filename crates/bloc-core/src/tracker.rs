@@ -451,10 +451,12 @@ impl TrackingPipeline {
         self.hier.as_ref()
     }
 
-    /// The grid fallback priors should be evaluated on for this
-    /// pipeline's rounds: the coarse candidate-selection grid when the
-    /// hierarchy is enabled (priors enter at the coarse level), the full
-    /// fine grid otherwise.
+    /// The grid a fallback-only round (no CSI fix, so no likelihood
+    /// surface to match) is estimated on: the coarse candidate-selection
+    /// grid when the hierarchy is enabled — a fallback-only fix has
+    /// metre-class uncertainty anyway — the fine grid otherwise. Priors
+    /// refining a CSI fix are evaluated on that estimate's own surface
+    /// instead.
     pub fn prior_grid(&self) -> bloc_num::GridSpec {
         self.hier
             .as_ref()

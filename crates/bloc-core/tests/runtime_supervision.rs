@@ -7,10 +7,13 @@ use bloc_ble::channels::{Channel, ChannelMap};
 use bloc_ble::hopping::{HopIncrement, HopSequence};
 use bloc_chan::geometry::Room;
 use bloc_chan::sounder::{all_data_channels, Sounder, SounderConfig, SoundingData};
-use bloc_chan::{AnchorArray, AnchorDropout, Environment, FaultPlan, InterferenceBurst};
+use bloc_chan::{AnchorArray, AnchorDropout, Environment, FaultPlan, InterferenceBurst, RangeLoss};
 use bloc_core::runtime::{HopMonitor, RetryPolicy, RoundOutcome, RuntimeConfig, SessionSupervisor};
 use bloc_core::tracker::FixDisposition;
-use bloc_core::{BlocConfig, BlocLocalizer, BreakerState, DeferReason};
+use bloc_core::{
+    BlocConfig, BlocLocalizer, BreakerState, DeferReason, EstimateMode, FallbackConfig,
+    FallbackStack, FingerprintDb, PacketCountModel,
+};
 use bloc_num::par::Deadline;
 use bloc_num::P2;
 use rand::rngs::StdRng;
@@ -796,4 +799,62 @@ fn bounded_breaker_ledger_reconciles_after_eviction() {
     sorted.sort_unstable();
     assert_eq!(rounds, sorted, "resident window must stay in order");
     assert!(ledger.iter().all(|t| t.anchor == 2));
+}
+
+#[test]
+fn runtime_fuses_fallback_exactly_like_the_localizer() {
+    // One fallback-fusion step: a degraded round through the supervisor
+    // and the same sounding through `localize_with_fallback` must agree
+    // on the fix, its evidence mode and its fusion weights.
+    let (room, anchors) = deployment();
+    let env = Environment::free_space();
+    let sounder = Sounder::new(&env, &anchors, quiet());
+    let channels = all_data_channels();
+    let mut db = FingerprintDb::new(channels.len(), anchors.len());
+    let mut rng = StdRng::seed_from_u64(60);
+    for yi in 0..5 {
+        for xi in 0..4 {
+            let pos = P2::new(0.7 + xi as f64 * 1.2, 0.7 + yi as f64 * 1.2);
+            let survey = sounder.sound(pos, &channels, &mut rng);
+            db.insert(pos, &survey).expect("survey shapes agree");
+        }
+    }
+    let range_loss = RangeLoss {
+        d0: 1.0,
+        per_m: 0.12,
+        max: 0.8,
+    };
+    let stack = FallbackStack::new(FallbackConfig::default())
+        .with_fingerprints(db)
+        .with_counts(PacketCountModel::new(0.0, range_loss));
+
+    // A dark slave: the CSI fix survives on three anchors, but the round
+    // is below the healthy threshold, so the priors are blended in.
+    let plan = FaultPlan {
+        seed: 61,
+        tag_loss: 0.1,
+        dropouts: vec![AnchorDropout {
+            anchor: 3,
+            bands: 0..channels.len(),
+        }],
+        range_loss: Some(range_loss),
+        ..Default::default()
+    };
+    let data = sound(&sounder, &plan, &channels, P2::new(2.4, 3.2), 61, 0, 0);
+    let localizer = BlocLocalizer::new(BlocConfig::for_room(&room));
+    let direct = localizer
+        .localize_with_fallback(&data, &stack, 0.0)
+        .expect("three anchors still fix");
+    assert_eq!(direct.mode, EstimateMode::CsiFused);
+
+    let mut sup = SessionSupervisor::new(localizer, anchors.len(), RuntimeConfig::default())
+        .with_fallback(stack);
+    let RoundOutcome::Fix(fix) = sup.run_round(0.5, |_| data.clone()) else {
+        panic!("a three-anchor round must fix");
+    };
+    assert_eq!(sup.open_frac(), 0.0, "no breaker moved in one round");
+    assert_eq!(fix.attempts, 1);
+    assert_eq!(fix.mode, direct.mode);
+    assert_eq!(fix.weights, direct.weights);
+    assert_eq!(fix.estimate.position, direct.estimate.position);
 }
