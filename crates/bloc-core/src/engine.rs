@@ -23,7 +23,12 @@
 //!    lane-padded layout, and [`SteeringCache`] memoizes the per-cell
 //!    relative distances `Δ_ij(x)` (Eq. 14) and their seed/step phasors
 //!    keyed by (grid, anchor geometry) — a deployment sounds thousands of
-//!    times against the same grid, and the geometry never changes.
+//!    times against the same grid, and the geometry never changes. The
+//!    tables are indexed by the grid and filled lazily in small tiles;
+//!    every evaluation reads a [`GridPatch`] *window* of them — the whole
+//!    grid for a dense map, a patch for a hierarchical level — so a
+//!    moving patch reuses its grid's one table instead of building its
+//!    own, and its cells equal the dense map's bit for bit.
 //! 3. **Coarse parallelism**: the joint likelihood fans out across
 //!    *anchors* and single-anchor maps across row *chunks*, both through
 //!    [`bloc_num::par`] with work-size thresholding
@@ -33,12 +38,13 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use bloc_chan::AnchorArray;
 use bloc_num::constants::SPEED_OF_LIGHT;
 use bloc_num::sweep::{self, CellSweep, Combine, OffCombSweep};
-use bloc_num::{Grid2D, GridSpec, C64, P2};
+use bloc_num::{Grid2D, GridPatch, GridSpec, C64, P2};
 
 use crate::correction::CorrectedChannels;
 use crate::likelihood::AntennaCombining;
@@ -204,38 +210,151 @@ impl SoaChannels {
     }
 }
 
-/// Precomputed per-cell steering geometry for one (grid, deployment,
-/// band-comb) triple: the relative distances
-/// `Δ_ij(x) = d_ij(x) − d_00(x) − d^{i0}_{00}` of Eq. 14 for every cell
-/// and every (anchor, antenna), plus — when the surviving bands form a
-/// uniform comb — the two phasors the recurrence kernel seeds from them,
-/// `e^{ι2πf_baseΔ/c}` and `e^{ι2πsΔ/c}`. Hoisting the phasors into the
-/// cache removes every transcendental call from the steady-state
-/// per-sounding path: the warm kernel is pure complex multiply-adds.
-#[derive(Debug)]
-pub struct SteeringTables {
-    spec: GridSpec,
-    /// `delta[i][cell·n_lanes[i] + j]`, cell-major, lane-padded with 0.
-    delta: Vec<Vec<f64>>,
+/// Width, in cells, of a fill tile — the unit of lazy fill.
+const TILE_W: usize = 4;
+/// Height, in grid rows, of a fill tile. Tiles this small fill little
+/// beyond a refine patch's own cells (33 across on the 8 cm corridor
+/// grid), so an acquisition round fills about as many cells as its
+/// patches evaluate.
+const TILE_H: usize = 2;
+/// Width, in cells, of a storage block (a multiple of [`TILE_W`]).
+/// Storage is coarser than fill so one sweep-kernel call covers up to a
+/// whole block — with 4-cell runs the per-call cost slows dense sweeps —
+/// while a block stays small enough that sparse fills touch little
+/// memory beyond their tiles.
+const BLOCK_W: usize = 16;
+/// Height, in grid rows, of a storage block (a multiple of [`TILE_H`]).
+const BLOCK_H: usize = 4;
+
+/// One anchor's lane-padded steering tables over the cells of one block,
+/// row-major, borrowed from the block's storage.
+struct AnchorLanes<'a> {
+    /// `delta[cell·n_lanes + j]`, cell-major, lane-padded with 0.
+    delta: &'a [f64],
     /// `e^{ι2πf_baseΔ/c}` real parts, same indexing; padding lanes hold
     /// the neutral phasor `1 + 0ι` (finite, so a zero alpha annihilates
     /// it exactly — garbage here could produce `0 × ∞ = NaN`).
-    seed_re: Vec<Vec<f64>>,
+    seed_re: &'a [f64],
     /// Seed imaginary parts.
-    seed_im: Vec<Vec<f64>>,
+    seed_im: &'a [f64],
     /// `e^{ι2πsΔ/c}` (comb-step rotation) real parts, same indexing.
-    step_re: Vec<Vec<f64>>,
+    step_re: &'a [f64],
     /// Step imaginary parts.
-    step_im: Vec<Vec<f64>>,
+    step_im: &'a [f64],
+}
+
+/// Per-cell steering geometry for one (grid, deployment, band-comb)
+/// triple: the relative distances `Δ_ij(x) = d_ij(x) − d_00(x) −
+/// d^{i0}_{00}` of Eq. 14 for every cell and every (anchor, antenna),
+/// plus — when the surviving bands form a uniform comb — the two phasors
+/// the recurrence kernel seeds from them, `e^{ι2πf_baseΔ/c}` and
+/// `e^{ι2πsΔ/c}`. Hoisting the phasors into the cache removes every
+/// transcendental call from the steady-state per-sounding path: the warm
+/// kernel is pure complex multiply-adds.
+///
+/// The tables are indexed by the parent grid and filled lazily, one
+/// [`TILE_W`]×[`TILE_H`] tile at a time, the first time a window touches
+/// it ([`SteeringTables::fill`]); every cell's values are computed from
+/// `spec.cell_center(ix, iy)` exactly as a whole-grid build computes
+/// them, so the fill order never changes a bit. Storage is one
+/// [`BLOCK_W`]×[`BLOCK_H`] block at a time, allocated by the block's
+/// first tile. A fine patch is a window into its grid's one table, not a
+/// table of its own.
+#[derive(Debug)]
+pub struct SteeringTables {
+    spec: GridSpec,
+    /// Antenna positions per anchor.
+    antennas: Vec<Vec<P2>>,
+    /// The master anchor's first antenna, the reference of `d_00`.
+    master0: P2,
+    master_anchor_dist: Vec<f64>,
+    base_hz: f64,
+    step_hz: f64,
     n_antennas: Vec<usize>,
     n_lanes: Vec<usize>,
+    /// Lanes of the anchors before anchor `i` (its table offset in a
+    /// block, in units of `5 · block cells`); the last entry is the total.
+    lane_base: Vec<usize>,
+    /// Fill markers, row-major over tiles; each tile is computed at most
+    /// once.
+    tiles: Vec<OnceLock<()>>,
+    /// Block storage, row-major over blocks: anchor `i`'s five tables
+    /// (Δ, seed re/im, step re/im, each `block cells · n_lanes[i]` long)
+    /// from offset `5 · block cells · lane_base[i]`.
+    /// Empty until the block's first tile fills; tiles write under the
+    /// block's write lock, the kernel reads under its read lock.
+    blocks: Vec<RwLock<Vec<f64>>>,
+    /// Payload bytes of the tiles filled so far.
+    filled_bytes: AtomicUsize,
+}
+
+/// A storage block's extent in the grid — ragged at the grid's last block
+/// column and row.
+#[derive(Debug, Clone, Copy)]
+struct BlockShape {
+    /// First column.
+    x0: usize,
+    /// First row.
+    y0: usize,
+    /// Columns (the block's row stride).
+    nx: usize,
+    /// Rows.
+    ny: usize,
+}
+
+impl BlockShape {
+    fn cells(&self) -> usize {
+        self.nx * self.ny
+    }
+
+    /// The block-local index of grid cell `(ix, iy)`.
+    fn cell(&self, ix: usize, iy: usize) -> usize {
+        (iy - self.y0) * self.nx + ix - self.x0
+    }
 }
 
 impl SteeringTables {
-    /// Computes the tables — the one place per deployment that pays the
-    /// per-cell distance arithmetic and phasor seeding. `base_hz` and
-    /// `step_hz` are the [`BandPlan`] comb parameters (0 disables the
-    /// phasor tables' usefulness but is still a valid build).
+    /// Tables for this (grid, deployment, comb) with no tile filled yet.
+    /// `base_hz` and `step_hz` are the [`BandPlan`] comb parameters (0
+    /// disables the phasor tables' usefulness but is still a valid
+    /// build).
+    pub fn empty(
+        spec: GridSpec,
+        anchors: &[AnchorArray],
+        master_anchor_dist: &[f64],
+        base_hz: f64,
+        step_hz: f64,
+    ) -> Self {
+        let n_antennas: Vec<usize> = anchors.iter().map(|a| a.n_antennas).collect();
+        let n_lanes: Vec<usize> = n_antennas.iter().map(|&nj| lane_stride(nj)).collect();
+        let lane_base = std::iter::once(0)
+            .chain(n_lanes.iter().scan(0, |sum, &nl| {
+                *sum += nl;
+                Some(*sum)
+            }))
+            .collect();
+        let n_tiles = spec.ny.div_ceil(TILE_H) * spec.nx.div_ceil(TILE_W);
+        let n_blocks = spec.ny.div_ceil(BLOCK_H) * spec.nx.div_ceil(BLOCK_W);
+        Self {
+            spec,
+            antennas: anchors.iter().map(|a| a.antennas()).collect(),
+            master0: anchors
+                .first()
+                .map(|a| a.antenna(0))
+                .unwrap_or(P2::new(0.0, 0.0)),
+            master_anchor_dist: master_anchor_dist.to_vec(),
+            base_hz,
+            step_hz,
+            n_antennas,
+            n_lanes,
+            lane_base,
+            tiles: (0..n_tiles).map(|_| OnceLock::new()).collect(),
+            blocks: (0..n_blocks).map(|_| RwLock::new(Vec::new())).collect(),
+            filled_bytes: AtomicUsize::new(0),
+        }
+    }
+
+    /// The tables over the whole grid, every tile filled.
     pub fn build(
         spec: GridSpec,
         anchors: &[AnchorArray],
@@ -243,62 +362,118 @@ impl SteeringTables {
         base_hz: f64,
         step_hz: f64,
     ) -> Self {
-        let n_cells = spec.len();
-        let n_antennas: Vec<usize> = anchors.iter().map(|a| a.n_antennas).collect();
-        let n_lanes: Vec<usize> = n_antennas.iter().map(|&nj| lane_stride(nj)).collect();
-        let master0 = anchors
-            .first()
-            .map(|a| a.antenna(0))
-            .unwrap_or(P2::new(0.0, 0.0));
+        let tables = Self::empty(spec, anchors, master_anchor_dist, base_hz, step_hz);
+        tables.fill(&GridPatch::whole(spec));
+        tables
+    }
+
+    /// Fills every tile `window` (a window of [`SteeringTables::spec`])
+    /// touches and returns how many this call computed. Each tile is
+    /// computed exactly once: a concurrent caller reaching a tile another
+    /// is computing waits for that tile only.
+    pub fn fill(&self, window: &GridPatch) -> usize {
+        if window.spec.is_empty() {
+            return 0;
+        }
+        let tiles_x = self.spec.nx.div_ceil(TILE_W);
+        let mut computed = 0;
+        for ty in window.y0 / TILE_H..=(window.y0 + window.spec.ny - 1) / TILE_H {
+            for tx in window.x0 / TILE_W..=(window.x0 + window.spec.nx - 1) / TILE_W {
+                self.tiles[ty * tiles_x + tx].get_or_init(|| {
+                    computed += 1;
+                    self.compute_tile(tx, ty);
+                });
+            }
+        }
+        computed
+    }
+
+    /// The block holding grid cell `(ix, iy)`: its index into `blocks`
+    /// and its shape.
+    fn block(&self, ix: usize, iy: usize) -> (usize, BlockShape) {
+        let (bx, by) = (ix / BLOCK_W, iy / BLOCK_H);
+        let (x0, y0) = (bx * BLOCK_W, by * BLOCK_H);
+        let shape = BlockShape {
+            x0,
+            y0,
+            nx: BLOCK_W.min(self.spec.nx - x0),
+            ny: BLOCK_H.min(self.spec.ny - y0),
+        };
+        (by * self.spec.nx.div_ceil(BLOCK_W) + bx, shape)
+    }
+
+    /// The one place that pays the per-cell distance arithmetic and
+    /// phasor seeding: tile `(tx, ty)`, written into its block under the
+    /// block's write lock.
+    fn compute_tile(&self, tx: usize, ty: usize) {
+        let spec = self.spec;
+        let (x0, y0) = (tx * TILE_W, ty * TILE_H);
+        let (x1, y1) = ((x0 + TILE_W).min(spec.nx), (y0 + TILE_H).min(spec.ny));
+        let (b, shape) = self.block(x0, y0);
+        let block_cells = shape.cells();
+        let total_lanes = self.lane_base.last().copied().unwrap_or(0);
         let tau_over_c = std::f64::consts::TAU / SPEED_OF_LIGHT;
-        let mut delta = Vec::with_capacity(anchors.len());
-        let mut seed_re = Vec::with_capacity(anchors.len());
-        let mut seed_im = Vec::with_capacity(anchors.len());
-        let mut step_re = Vec::with_capacity(anchors.len());
-        let mut step_im = Vec::with_capacity(anchors.len());
-        for (i, anchor) in anchors.iter().enumerate() {
-            let positions = anchor.antennas();
-            let d_i0 = master_anchor_dist[i];
-            let nl = n_lanes[i];
-            let mut d_table = vec![0.0; n_cells * nl];
-            let mut sre = vec![1.0; n_cells * nl];
-            let mut sim = vec![0.0; n_cells * nl];
-            let mut rre = vec![1.0; n_cells * nl];
-            let mut rim = vec![0.0; n_cells * nl];
-            for iy in 0..spec.ny {
-                for ix in 0..spec.nx {
+        let (master0, base_hz, step_hz) = (self.master0, self.base_hz, self.step_hz);
+        // A fill that panicked left only its own tile's cells half
+        // written, and that tile stays unfilled, so recovering is sound.
+        let mut block = self.blocks[b].write().unwrap_or_else(|e| e.into_inner());
+        if block.is_empty() {
+            *block = vec![0.0; 5 * block_cells * total_lanes];
+        }
+        let mut rest = block.as_mut_slice();
+        for (i, positions) in self.antennas.iter().enumerate() {
+            let d_i0 = self.master_anchor_dist[i];
+            let nl = self.n_lanes[i];
+            let len = block_cells * nl;
+            let (tables, tail) = rest.split_at_mut(5 * len);
+            rest = tail;
+            let (delta, tables) = tables.split_at_mut(len);
+            let (seed_re, tables) = tables.split_at_mut(len);
+            let (seed_im, tables) = tables.split_at_mut(len);
+            let (step_re, step_im) = tables.split_at_mut(len);
+            for iy in y0..y1 {
+                for ix in x0..x1 {
                     let x = spec.cell_center(ix, iy);
                     let d_00 = x.dist(master0);
-                    let cell = spec.flat(ix, iy);
+                    let cell = shape.cell(ix, iy);
                     for (j, &p) in positions.iter().enumerate() {
                         let d = x.dist(p) - d_00 - d_i0;
                         let w = tau_over_c * d;
                         let k = cell * nl + j;
-                        d_table[k] = d;
+                        delta[k] = d;
                         let s = C64::cis(w * base_hz);
                         let r = C64::cis(w * step_hz);
-                        sre[k] = s.re;
-                        sim[k] = s.im;
-                        rre[k] = r.re;
-                        rim[k] = r.im;
+                        seed_re[k] = s.re;
+                        seed_im[k] = s.im;
+                        step_re[k] = r.re;
+                        step_im[k] = r.im;
+                    }
+                    for k in cell * nl + positions.len()..(cell + 1) * nl {
+                        seed_re[k] = 1.0;
+                        step_re[k] = 1.0;
                     }
                 }
             }
-            delta.push(d_table);
-            seed_re.push(sre);
-            seed_im.push(sim);
-            step_re.push(rre);
-            step_im.push(rim);
         }
-        Self {
-            spec,
+        let bytes = 5 * (x1 - x0) * (y1 - y0) * total_lanes * std::mem::size_of::<f64>();
+        self.filled_bytes.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// Anchor `i`'s tables within the storage of a block of `cells`
+    /// cells.
+    fn lanes<'b>(&self, block: &'b [f64], cells: usize, i: usize) -> AnchorLanes<'b> {
+        let len = cells * self.n_lanes[i];
+        let tables = &block[5 * cells * self.lane_base[i]..][..5 * len];
+        let (delta, rest) = tables.split_at(len);
+        let (seed_re, rest) = rest.split_at(len);
+        let (seed_im, rest) = rest.split_at(len);
+        let (step_re, step_im) = rest.split_at(len);
+        AnchorLanes {
             delta,
             seed_re,
             seed_im,
             step_re,
             step_im,
-            n_antennas,
-            n_lanes,
         }
     }
 
@@ -307,54 +482,113 @@ impl SteeringTables {
         self.spec
     }
 
-    /// Approximate heap footprint of the tables (the payload vectors; the
-    /// struct header is noise next to them). Feeds the
-    /// `cache.steering.resident_bytes` gauge.
+    /// Approximate heap footprint of the tiles filled so far (the payload
+    /// vectors; headers and unfilled slots are noise next to them). It
+    /// grows as windows fill tiles and feeds the
+    /// `cache.steering.resident_bytes` gauge and the LRU byte budget.
     pub fn approx_bytes(&self) -> usize {
-        self.delta
-            .iter()
-            .chain(&self.seed_re)
-            .chain(&self.seed_im)
-            .chain(&self.step_re)
-            .chain(&self.step_im)
-            .map(|v| v.len() * 8)
-            .sum()
+        self.filled_bytes.load(Ordering::Relaxed)
     }
 
-    /// The `Δ_ij` slice of one cell for anchor `i` (length = antennas of
-    /// `i`, indexed by `j` — padding lanes excluded).
-    #[inline]
-    pub fn cell_deltas(&self, i: usize, cell: usize) -> &[f64] {
-        let nl = self.n_lanes[i];
-        &self.delta[i][cell * nl..cell * nl + self.n_antennas[i]]
+    /// The `Δ_ij` of one cell for anchor `i` (length = antennas of `i`,
+    /// indexed by `j` — padding lanes excluded); filled first if no
+    /// window has touched it yet. A copy — inspection, not a hot path.
+    pub fn cell_deltas(&self, i: usize, cell: usize) -> Vec<f64> {
+        let nx = self.spec.nx.max(1);
+        let (ix, iy) = (cell % nx, cell / nx);
+        self.fill(&self.spec.patch(self.spec.cell_center(ix, iy), 0.0));
+        let (b, shape) = self.block(ix, iy);
+        let block = self.blocks[b].read().unwrap_or_else(|e| e.into_inner());
+        let lanes = self.lanes(&block, shape.cells(), i);
+        let k = shape.cell(ix, iy) * self.n_lanes[i];
+        lanes.delta[k..k + self.n_antennas[i]].to_vec()
     }
 
-    /// The kernel-ready sweep view of anchor `i`: the cached phasor
-    /// tables zipped with `soa`'s matching alpha tensor.
-    fn cell_sweep<'a>(&'a self, soa: &'a SoaChannels, i: usize) -> CellSweep<'a> {
-        debug_assert_eq!(self.n_lanes[i], soa.n_lanes[i]);
-        CellSweep {
-            seed_re: &self.seed_re[i],
-            seed_im: &self.seed_im[i],
-            step_re: &self.step_re[i],
-            step_im: &self.step_im[i],
-            alpha_re: &soa.alpha_re[i],
-            alpha_im: &soa.alpha_im[i],
-            n_lanes: self.n_lanes[i],
-            gaps: &soa.kernel_gaps,
+    /// Evaluates anchor `i` over whole rows of `window`, whose tiles are
+    /// filled: `out` holds window rows `r0 ..`. Each block the rows cross
+    /// is read under its read lock: one sweep-kernel call for all its
+    /// rows when the window spans the block's width, else one per row
+    /// segment, each at its block-local `first_cell`.
+    fn sweep_rows(
+        &self,
+        soa: &SoaChannels,
+        i: usize,
+        combine: Combine,
+        window: &GridPatch,
+        r0: usize,
+        out: &mut [f64],
+    ) {
+        let (x0, nx) = (window.x0, window.spec.nx.max(1));
+        let rows = out.len() / nx;
+        let mut r = 0;
+        while r < rows {
+            let iy = window.y0 + r0 + r;
+            let group = (BLOCK_H - iy % BLOCK_H).min(rows - r);
+            let mut x = x0;
+            while x < x0 + nx {
+                let (b, shape) = self.block(x, iy);
+                let n = (shape.x0 + shape.nx - x).min(x0 + nx - x);
+                let block = self.blocks[b].read().unwrap_or_else(|e| e.into_inner());
+                let lanes = self.lanes(&block, shape.cells(), i);
+                let at = |k: usize| (r + k) * nx + x - x0;
+                if n == shape.nx && group > 1 {
+                    // The group's rows are contiguous in the block.
+                    let mut cells = [0.0; BLOCK_W * BLOCK_H];
+                    let cells = &mut cells[..group * n];
+                    self.sweep_cells(&lanes, soa, i, combine, shape.cell(x, iy), cells);
+                    for (k, row) in cells.chunks_exact(n).enumerate() {
+                        out[at(k)..at(k) + n].copy_from_slice(row);
+                    }
+                } else {
+                    for k in 0..group {
+                        let first = shape.cell(x, iy + k);
+                        let row = &mut out[at(k)..at(k) + n];
+                        self.sweep_cells(&lanes, soa, i, combine, first, row);
+                    }
+                }
+                x += n;
+            }
+            r += group;
         }
     }
 
-    /// The off-comb fallback view of anchor `i`.
-    fn offcomb_sweep<'a>(&'a self, soa: &'a SoaChannels, i: usize) -> OffCombSweep<'a> {
-        debug_assert_eq!(self.n_lanes[i], soa.n_lanes[i]);
-        OffCombSweep {
-            delta: &self.delta[i],
-            alpha_re: &soa.alpha_re[i],
-            alpha_im: &soa.alpha_im[i],
-            n_lanes: self.n_lanes[i],
-            freqs: &soa.plan.freqs,
-            phase_per_hz: std::f64::consts::TAU / SPEED_OF_LIGHT,
+    /// One sweep-kernel call: anchor `i` over block cells
+    /// `first_cell .. first_cell + out.len()` of `lanes`.
+    fn sweep_cells(
+        &self,
+        lanes: &AnchorLanes<'_>,
+        soa: &SoaChannels,
+        i: usize,
+        combine: Combine,
+        first_cell: usize,
+        out: &mut [f64],
+    ) {
+        let nl = self.n_lanes[i];
+        debug_assert_eq!(nl, soa.n_lanes[i]);
+        if soa.plan.is_uniform_comb() {
+            // The cached seed/step phasors make this branch free of
+            // transcendentals: pure complex multiply-adds.
+            let view = CellSweep {
+                seed_re: lanes.seed_re,
+                seed_im: lanes.seed_im,
+                step_re: lanes.step_re,
+                step_im: lanes.step_im,
+                alpha_re: &soa.alpha_re[i],
+                alpha_im: &soa.alpha_im[i],
+                n_lanes: nl,
+                gaps: &soa.kernel_gaps,
+            };
+            sweep::write_comb_cells(&view, combine, first_cell, out);
+        } else {
+            let view = OffCombSweep {
+                delta: lanes.delta,
+                alpha_re: &soa.alpha_re[i],
+                alpha_im: &soa.alpha_im[i],
+                n_lanes: nl,
+                freqs: &soa.plan.freqs,
+                phase_per_hz: std::f64::consts::TAU / SPEED_OF_LIGHT,
+            };
+            sweep::write_offcomb_cells(&view, combine, first_cell, out);
         }
     }
 }
@@ -363,6 +597,11 @@ impl SteeringTables {
 /// anchor geometry, master-anchor distances). Clones share the underlying
 /// map, so a localizer cloned across sweep workers computes each
 /// deployment's geometry exactly once.
+///
+/// An entry is created empty and its tiles fill as windows touch them,
+/// outside the cache-wide lock: a corridor-size fill for one key never
+/// stalls another key's lookup. Entries grow after insert, so the
+/// resident-byte gauge and the LRU budget are charged as tiles fill.
 ///
 /// Telemetry follows the workspace cache convention
 /// ([`bloc_obs::CacheStats`]): `cache.steering.{hits,misses,
@@ -374,12 +613,11 @@ pub struct SteeringCache {
     stats: bloc_obs::CacheStats,
 }
 
-/// One resident steering geometry plus the bookkeeping the LRU budget
-/// needs: its payload size and the last access tick.
+/// One resident steering geometry plus the last access tick the LRU
+/// budget orders by; its size is read live from the tables.
 #[derive(Debug)]
 struct CacheEntry {
     tables: Arc<SteeringTables>,
-    bytes: usize,
     last_used: u64,
 }
 
@@ -391,6 +629,12 @@ struct CacheInner {
     tick: u64,
     /// Resident-byte ceiling; `None` (the default) never evicts.
     byte_budget: Option<usize>,
+}
+
+impl CacheInner {
+    fn resident_bytes(&self) -> usize {
+        self.map.values().map(|e| e.tables.approx_bytes()).sum()
+    }
 }
 
 impl Default for SteeringCache {
@@ -454,9 +698,8 @@ impl SteeringCache {
         Self::default()
     }
 
-    /// The tables for this (grid, deployment, comb), computed on first
-    /// use. Concurrent callers for the same key block on the build rather
-    /// than duplicating it.
+    /// The tables for this (grid, deployment, comb) with every tile
+    /// filled — [`SteeringCache::window`] over the whole grid.
     pub fn tables(
         &self,
         spec: GridSpec,
@@ -465,48 +708,70 @@ impl SteeringCache {
         base_hz: f64,
         step_hz: f64,
     ) -> Arc<SteeringTables> {
+        let whole = GridPatch::whole(spec);
+        self.window(spec, anchors, master_anchor_dist, base_hz, step_hz, &whole)
+    }
+
+    /// The tables for this (grid, deployment, comb) with at least the
+    /// tiles under `window` (a window of `spec`) filled. The first lookup
+    /// of a key inserts it empty (one miss); concurrent callers share
+    /// that one entry, and each tile is computed once, by whichever
+    /// caller reaches it first, with the cache-wide lock released.
+    pub fn window(
+        &self,
+        spec: GridSpec,
+        anchors: &[AnchorArray],
+        master_anchor_dist: &[f64],
+        base_hz: f64,
+        step_hz: f64,
+        window: &GridPatch,
+    ) -> Arc<SteeringTables> {
         let key = cache_key(spec, anchors, master_anchor_dist, base_hz, step_hz);
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(hit) = inner.map.get_mut(&key) {
-            hit.last_used = tick;
-            self.stats.hit();
-            return Arc::clone(&hit.tables);
+        let tables = {
+            let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+            inner.tick += 1;
+            let tick = inner.tick;
+            if let Some(hit) = inner.map.get_mut(&key) {
+                hit.last_used = tick;
+                self.stats.hit();
+                Arc::clone(&hit.tables)
+            } else {
+                self.stats.miss();
+                let tables = Arc::new(SteeringTables::empty(
+                    spec,
+                    anchors,
+                    master_anchor_dist,
+                    base_hz,
+                    step_hz,
+                ));
+                let entry = CacheEntry {
+                    tables: Arc::clone(&tables),
+                    last_used: tick,
+                };
+                inner.map.insert(key.clone(), entry);
+                self.publish_residency(&inner);
+                tables
+            }
+        };
+        if tables.fill(window) > 0 {
+            let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+            self.enforce_budget(&mut inner, &key);
+            self.publish_residency(&inner);
         }
-        self.stats.miss();
-        let built = Arc::new(SteeringTables::build(
-            spec,
-            anchors,
-            master_anchor_dist,
-            base_hz,
-            step_hz,
-        ));
-        let bytes = built.approx_bytes();
-        inner.map.insert(
-            key.clone(),
-            CacheEntry {
-                tables: Arc::clone(&built),
-                bytes,
-                last_used: tick,
-            },
-        );
-        self.enforce_budget(&mut inner, &key);
-        self.publish_residency(&inner);
-        built
+        tables
     }
 
     /// Evicts least-recently-used entries until resident bytes fit the
-    /// budget. The entry just inserted (`keep`) is never evicted — a
+    /// budget. The entry that just grew (`keep`) is never evicted — a
     /// single over-budget geometry stays resident so the current caller
     /// can still be served from cache; it becomes an eviction candidate
-    /// on the next insert. Evictions are reported as invalidations with
-    /// cause `capacity`.
+    /// when another entry grows. Evictions are reported as invalidations
+    /// with cause `capacity`.
     fn enforce_budget(&self, inner: &mut CacheInner, keep: &[u64]) {
         let Some(budget) = inner.byte_budget else {
             return;
         };
-        let mut resident: usize = inner.map.values().map(|e| e.bytes).sum();
+        let mut resident = inner.resident_bytes();
         let mut evicted = 0usize;
         while resident > budget && inner.map.len() > 1 {
             let victim = inner
@@ -517,7 +782,7 @@ impl SteeringCache {
                 .map(|(k, _)| k.clone());
             let Some(victim) = victim else { break };
             if let Some(entry) = inner.map.remove(&victim) {
-                resident -= entry.bytes;
+                resident = resident.saturating_sub(entry.tables.approx_bytes());
                 evicted += 1;
             }
         }
@@ -529,15 +794,14 @@ impl SteeringCache {
     /// Pushes the current entry/byte residency to the gauges; callers
     /// hold the map lock.
     fn publish_residency(&self, inner: &CacheInner) {
-        let bytes: usize = inner.map.values().map(|e| e.bytes).sum();
-        self.stats.resident(inner.map.len(), bytes);
+        self.stats.resident(inner.map.len(), inner.resident_bytes());
     }
 
     /// Caps resident steering payload bytes; `None` (the default) never
     /// evicts. Applies to every clone sharing this cache. With a budget
-    /// set, each insert evicts least-recently-used geometries until the
-    /// total fits (cause `capacity` in the telemetry), keeping venue-scale
-    /// coarse+patch working sets bounded across fleet sites.
+    /// set, each tile fill evicts least-recently-used geometries until
+    /// the total fits (cause `capacity` in the telemetry), keeping
+    /// venue-scale per-level working sets bounded across fleet sites.
     pub fn set_byte_budget(&self, budget: Option<usize>) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.byte_budget = budget;
@@ -603,16 +867,19 @@ impl SteeringCache {
     }
 }
 
-/// Everything a kernel needs to evaluate one anchor map. The reference
-/// kernel reads `corrected` directly; the fast kernels read the SoA and
-/// steering layers.
+/// Everything a kernel needs to evaluate one anchor map over a window.
+/// The reference kernel reads `corrected` directly; the fast kernels read
+/// the SoA and steering layers.
 pub struct KernelInputs<'a> {
     /// The corrected channels as produced by [`crate::correction`].
     pub corrected: &'a CorrectedChannels,
     /// The SoA re-pack of the same channels.
     pub soa: &'a SoaChannels,
-    /// The per-cell steering geometry.
+    /// The per-cell steering geometry of the parent grid.
     pub tables: &'a SteeringTables,
+    /// The window of `tables.spec()` to evaluate — the whole grid for a
+    /// dense map, a patch for a hierarchical level.
+    pub window: GridPatch,
 }
 
 /// One interchangeable implementation of the Eq. 17 per-anchor map.
@@ -620,8 +887,10 @@ pub trait LikelihoodKernel: Send + Sync + std::fmt::Debug {
     /// A short name for reports and benchmarks.
     fn name(&self) -> &'static str;
 
-    /// Evaluates anchor `i`'s likelihood map over `inputs.tables.spec()`,
-    /// splitting rows across `threads`.
+    /// Evaluates anchor `i`'s likelihood map over `inputs.window`,
+    /// splitting rows across `threads`. The map has the window's spec,
+    /// and each cell's value is the parent grid's value at that cell,
+    /// bit for bit.
     fn anchor_map(
         &self,
         inputs: &KernelInputs<'_>,
@@ -650,8 +919,7 @@ impl LikelihoodKernel for ReferenceKernel {
         threads: usize,
     ) -> Grid2D {
         let corrected = inputs.corrected;
-        let spec = inputs.tables.spec();
-        Grid2D::from_fn_par(spec, threads, |x| {
+        Grid2D::window_from_fn_par(inputs.tables.spec(), &inputs.window, threads, |x| {
             crate::likelihood::reference_cell_value(corrected, i, combining, x)
         })
     }
@@ -684,30 +952,25 @@ impl LikelihoodKernel for RecurrenceKernel {
         combining: AntennaCombining,
         threads: usize,
     ) -> Grid2D {
-        let soa = inputs.soa;
-        let tables = inputs.tables;
-        let spec = tables.spec();
-        let uniform = soa.plan.is_uniform_comb();
+        let window = inputs.window;
         let combine = combine_of(combining);
-
-        let mut out = Grid2D::zeros(spec);
+        let mut out = Grid2D::zeros(window.spec);
         let n_cells = out.data().len();
-        let nx = spec.nx.max(1);
+        let nx = window.spec.nx.max(1);
+        inputs.tables.fill(&window);
         let threads = bloc_num::par::tuned_threads(n_cells, threads, MIN_CELLS_PER_SHARD);
+        // Chunks hold whole window rows: `auto_chunk_len` counts in `nx`.
         let chunk = bloc_num::par::auto_chunk_len(n_cells, nx, threads);
         bloc_num::par::for_each_chunk_mut_named(
             "likelihood",
             out.data_mut(),
             chunk,
             threads,
-            |start, row| {
-                if uniform {
-                    // The cached seed/step phasors make this branch free
-                    // of transcendentals: pure complex multiply-adds.
-                    sweep::write_comb_cells(&tables.cell_sweep(soa, i), combine, start, row);
-                } else {
-                    sweep::write_offcomb_cells(&tables.offcomb_sweep(soa, i), combine, start, row);
-                }
+            |start, rows| {
+                let r0 = start / nx;
+                inputs
+                    .tables
+                    .sweep_rows(inputs.soa, i, combine, &window, r0, rows);
             },
         );
         out
@@ -805,6 +1068,70 @@ impl LikelihoodEngine {
         &self.cache
     }
 
+    /// Runs `f` on the kernel inputs for `window` of `spec`: one SoA
+    /// re-pack and one steering lookup, which fills the window's tiles.
+    fn with_inputs<R>(
+        &self,
+        corrected: &CorrectedChannels,
+        spec: GridSpec,
+        window: &GridPatch,
+        f: impl FnOnce(&KernelInputs<'_>) -> R,
+    ) -> R {
+        let soa = self.soa_for(corrected);
+        let tables = self.cache.window(
+            spec,
+            &corrected.anchors,
+            &corrected.master_anchor_dist,
+            soa.plan.base_hz,
+            soa.plan.step_hz,
+            window,
+        );
+        let out = f(&KernelInputs {
+            corrected,
+            soa: &soa,
+            tables: &tables,
+            window: *window,
+        });
+        self.release_soa(soa);
+        out
+    }
+
+    /// Hands `sink` each alive anchor's raw map over `inputs.window`, in
+    /// anchor order.
+    ///
+    /// With more than one thread configured, parallelism fans out across
+    /// *anchors* — whole independent maps, the coarsest unit available —
+    /// rather than intra-map row shards: each worker computes one
+    /// anchor's map serially, and `sink` then consumes them in anchor
+    /// order, so every result stays bit-identical to the serial path.
+    fn for_each_map(
+        &self,
+        inputs: &KernelInputs<'_>,
+        alive: &[usize],
+        combining: AntennaCombining,
+        mut sink: impl FnMut(usize, Grid2D),
+    ) {
+        // Each map is a full window of kernel work — one item per shard
+        // is already coarse enough to pay for itself.
+        let anchor_threads = bloc_num::par::tuned_threads(alive.len(), self.threads, 1);
+        if anchor_threads > 1 {
+            let maps =
+                bloc_num::par::map_named("likelihood.anchors", alive.len(), anchor_threads, |k| {
+                    self.kernel.anchor_map(inputs, alive[k], combining, 1)
+                });
+            for (&i, map) in alive.iter().zip(maps) {
+                sink(i, map);
+            }
+        } else {
+            for &i in alive {
+                sink(
+                    i,
+                    self.kernel.anchor_map(inputs, i, combining, self.threads),
+                );
+            }
+        }
+    }
+
     /// Per-anchor likelihood map (Eq. 17 for anchor `i`) through the
     /// engine's kernel, cache and thread pool.
     pub fn anchor_likelihood(
@@ -814,88 +1141,71 @@ impl LikelihoodEngine {
         spec: GridSpec,
         combining: AntennaCombining,
     ) -> Grid2D {
-        let soa = self.soa_for(corrected);
-        let tables = self.cache.tables(
-            spec,
-            &corrected.anchors,
-            &corrected.master_anchor_dist,
-            soa.plan.base_hz,
-            soa.plan.step_hz,
-        );
-        let inputs = KernelInputs {
-            corrected,
-            soa: &soa,
-            tables: &tables,
-        };
-        let map = self.kernel.anchor_map(&inputs, i, combining, self.threads);
-        self.release_soa(soa);
+        let map = self.with_inputs(corrected, spec, &GridPatch::whole(spec), |inputs| {
+            self.kernel.anchor_map(inputs, i, combining, self.threads)
+        });
         bloc_obs::counter("engine.cells_evaluated").add(spec.len() as u64);
         map
     }
 
+    /// The raw Eq. 17 maps of every alive anchor (one with surviving
+    /// evidence — exactly the anchors the weighted joint gives a map) over
+    /// `window` of `spec`, as `(anchor, map)` in anchor order. One SoA
+    /// re-pack and one steering lookup serve every anchor; each map's
+    /// cells equal the same cells of a whole-grid map bit for bit.
+    pub fn anchor_maps(
+        &self,
+        corrected: &CorrectedChannels,
+        spec: GridSpec,
+        window: &GridPatch,
+        combining: AntennaCombining,
+    ) -> Vec<(usize, Grid2D)> {
+        let alive = crate::likelihood::alive_anchors(corrected);
+        let mut maps = Vec::with_capacity(alive.len());
+        self.with_inputs(corrected, spec, window, |inputs| {
+            self.for_each_map(inputs, &alive, combining, |i, map| maps.push((i, map)));
+        });
+        count_cells(window, alive.len());
+        maps
+    }
+
     /// The joint likelihood (per-anchor maps normalized, degradation-
     /// weighted, summed — see [`crate::likelihood::joint_likelihood`] for
-    /// the weighting contract) with the SoA build and geometry lookup
-    /// amortized across anchors.
-    ///
-    /// With more than one thread configured, parallelism fans out across
-    /// *anchors* — whole independent maps, the coarsest unit available —
-    /// rather than intra-map row shards: each worker computes one
-    /// anchor's map serially, and the weighted sum then consumes them in
-    /// anchor order, so the result stays bit-identical to the serial
-    /// path.
+    /// the weighting contract) over the whole grid:
+    /// [`LikelihoodEngine::joint_window`] on the whole-grid window.
     pub fn joint_likelihood(
         &self,
         corrected: &CorrectedChannels,
         spec: GridSpec,
         combining: AntennaCombining,
     ) -> Grid2D {
-        let soa = self.soa_for(corrected);
-        let tables = self.cache.tables(
-            spec,
-            &corrected.anchors,
-            &corrected.master_anchor_dist,
-            soa.plan.base_hz,
-            soa.plan.step_hz,
-        );
-        let inputs = KernelInputs {
-            corrected,
-            soa: &soa,
-            tables: &tables,
-        };
-        let n = corrected.n_anchors();
-        // Only anchors with surviving evidence get maps (the weighting
-        // skips the rest), and each map is a full grid of kernel work —
-        // one item per shard is already coarse enough to pay for itself.
-        let alive: Vec<usize> = (0..n)
-            .filter(|&i| corrected.surviving_fraction(i) > 0.0)
-            .collect();
-        let anchor_threads = bloc_num::par::tuned_threads(alive.len(), self.threads, 1);
-        let joint = if anchor_threads > 1 {
-            let maps =
-                bloc_num::par::map_named("likelihood.anchors", alive.len(), anchor_threads, |k| {
-                    self.kernel.anchor_map(&inputs, alive[k], combining, 1)
-                });
-            let mut by_anchor: Vec<Option<Grid2D>> = (0..n).map(|_| None).collect();
-            for (&i, map) in alive.iter().zip(maps) {
-                by_anchor[i] = Some(map);
-            }
-            crate::likelihood::weighted_joint(corrected, spec, |i| {
-                by_anchor[i]
-                    .take()
-                    .unwrap_or_else(|| self.kernel.anchor_map(&inputs, i, combining, 1))
-            })
-        } else {
-            crate::likelihood::weighted_joint(corrected, spec, |i| {
-                self.kernel.anchor_map(&inputs, i, combining, self.threads)
-            })
-        };
-        self.release_soa(soa);
-        // One kernel pass per alive anchor: the unit every dense-vs-
-        // hierarchical reduction gate and per-round soak report counts.
-        bloc_obs::counter("engine.cells_evaluated").add((spec.len() * alive.len()) as u64);
-        joint
+        self.joint_window(corrected, spec, &GridPatch::whole(spec), combining)
     }
+
+    /// The weighted joint over `window` of `spec` — a dense joint whose
+    /// grid *is* the window — with the SoA build and geometry lookup
+    /// amortized across anchors.
+    pub fn joint_window(
+        &self,
+        corrected: &CorrectedChannels,
+        spec: GridSpec,
+        window: &GridPatch,
+        combining: AntennaCombining,
+    ) -> Grid2D {
+        let alive = crate::likelihood::alive_anchors(corrected);
+        let mut joint = crate::likelihood::WeightedJoint::new(corrected, window.spec);
+        self.with_inputs(corrected, spec, window, |inputs| {
+            self.for_each_map(inputs, &alive, combining, |i, map| joint.add(i, map));
+        });
+        count_cells(window, alive.len());
+        joint.finish()
+    }
+}
+
+/// One kernel pass per alive anchor over the window: the unit every
+/// dense-vs-hierarchical reduction gate and per-round soak report counts.
+fn count_cells(window: &GridPatch, alive: usize) {
+    bloc_obs::counter("engine.cells_evaluated").add((window.spec.len() * alive) as u64);
 }
 
 #[cfg(test)]
@@ -1020,6 +1330,23 @@ mod tests {
         assert!(Arc::ptr_eq(&big, &big2));
     }
 
+    /// Anchor `i`'s lanes at parent cell `(ix, iy)`: delta, seed and
+    /// step phasors, padding lanes included.
+    fn lanes(t: &SteeringTables, i: usize, ix: usize, iy: usize) -> (Vec<f64>, Vec<C64>, Vec<C64>) {
+        let (b, shape) = t.block(ix, iy);
+        let block = t.blocks[b].read().unwrap();
+        let a = t.lanes(&block, shape.cells(), i);
+        let nl = t.n_lanes[i];
+        let cell = shape.cell(ix, iy);
+        let r = cell * nl..(cell + 1) * nl;
+        let cx = |re: &[f64], im: &[f64]| r.clone().map(|k| C64::new(re[k], im[k])).collect();
+        (
+            a.delta[r.clone()].to_vec(),
+            cx(a.seed_re, a.seed_im),
+            cx(a.step_re, a.step_im),
+        )
+    }
+
     #[test]
     fn steering_tables_match_direct_geometry() {
         let spec = GridSpec::covering(P2::new(-0.5, -0.5), P2::new(3.0, 3.0), 0.7);
@@ -1038,31 +1365,80 @@ mod tests {
                 let cell = spec.flat(ix, iy);
                 for (i, a) in anchors.iter().enumerate() {
                     let ds = tables.cell_deltas(i, cell);
-                    let nl = tables.n_lanes[i];
                     assert_eq!(ds.len(), a.n_antennas);
+                    let (delta, seed, rot) = lanes(&tables, i, ix, iy);
                     for (j, &d) in ds.iter().enumerate() {
                         let manual = x.dist(a.antenna(j)) - x.dist(master0) - dists[i];
                         assert_eq!(d, manual, "cell ({ix},{iy}) anchor {i} ant {j}");
-                        let k = cell * nl + j;
-                        let seed = C64::new(tables.seed_re[i][k], tables.seed_im[i][k]);
-                        let rot = C64::new(tables.step_re[i][k], tables.step_im[i][k]);
-                        assert_eq!(seed, C64::cis(tau_over_c * d * base));
-                        assert_eq!(rot, C64::cis(tau_over_c * d * step));
+                        assert_eq!(seed[j], C64::cis(tau_over_c * d * base));
+                        assert_eq!(rot[j], C64::cis(tau_over_c * d * step));
                     }
                     // Padding lanes stay neutral: zero delta, unit phasor
                     // — a zero alpha annihilates them exactly.
-                    for j in a.n_antennas..nl {
-                        let k = cell * nl + j;
-                        assert_eq!(tables.delta[i][k], 0.0);
-                        assert_eq!(
-                            C64::new(tables.seed_re[i][k], tables.seed_im[i][k]),
-                            C64::new(1.0, 0.0)
-                        );
-                        assert_eq!(
-                            C64::new(tables.step_re[i][k], tables.step_im[i][k]),
-                            C64::new(1.0, 0.0)
-                        );
+                    for j in a.n_antennas..tables.n_lanes[i] {
+                        assert_eq!(delta[j], 0.0);
+                        assert_eq!(seed[j], C64::new(1.0, 0.0));
+                        assert_eq!(rot[j], C64::new(1.0, 0.0));
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn window_fills_in_any_order_equal_the_whole_build() {
+        // The corridor lattice: 442 × 137 cells is ragged against the
+        // tile side in both axes, and 3-antenna anchors leave a padding
+        // lane per cell.
+        let spec = GridSpec {
+            origin: P2::new(-0.5, -0.5),
+            resolution: 0.08,
+            nx: 442,
+            ny: 137,
+        };
+        assert!(spec.nx % TILE_W != 0 && spec.nx % BLOCK_W != 0 && spec.ny % BLOCK_H != 0);
+        let anchors = vec![
+            AnchorArray::centered(0, P2::new(17.0, -0.4), P2::new(1.0, 0.0), 3),
+            AnchorArray::centered(1, P2::new(-0.4, 5.0), P2::new(0.0, 1.0), 4),
+        ];
+        let dists = vec![0.0, anchors[1].antenna(0).dist(anchors[0].antenna(0))];
+        let (base, step) = (2.402e9, 2.0e6);
+        let whole = SteeringTables::build(spec, &anchors, &dists, base, step);
+        let tile_bytes = |nx: usize, ny: usize| 5 * 8 * nx * ny * (4 + 4);
+        assert_eq!(whole.approx_bytes(), tile_bytes(spec.nx, spec.ny));
+
+        // Overlapping patch windows in a shuffled order, then the corners
+        // and the ragged last column/row, until every tile is filled.
+        let lazy = SteeringTables::empty(spec, &anchors, &dists, base, step);
+        assert_eq!(lazy.approx_bytes(), 0);
+        let mut centres: Vec<(usize, usize)> = (0..40)
+            .map(|k| ((k * 97) % spec.nx, (k * 61) % spec.ny))
+            .collect();
+        centres.extend([(0, 0), (spec.nx - 1, 0), (0, spec.ny - 1)]);
+        centres.push((spec.nx - 1, spec.ny - 1));
+        let mut filled = 0;
+        for (k, &(cx, cy)) in centres.iter().enumerate() {
+            let half = 0.3 + 0.2 * (k % 7) as f64;
+            let patch = spec.patch(spec.cell_center(cx, cy), half);
+            filled += lazy.fill(&patch);
+            assert_eq!(lazy.fill(&patch), 0, "a filled window fills nothing");
+        }
+        filled += lazy.fill(&GridPatch::whole(spec));
+        assert_eq!(filled, lazy.tiles.len(), "every tile computed exactly once");
+        assert_eq!(lazy.approx_bytes(), whole.approx_bytes());
+        for iy in 0..spec.ny {
+            for ix in 0..spec.nx {
+                for i in 0..anchors.len() {
+                    let (a, b) = (lanes(&lazy, i, ix, iy), lanes(&whole, i, ix, iy));
+                    // Bit equality, NaN-free: compare the raw bits.
+                    let bits = |v: &(Vec<f64>, Vec<C64>, Vec<C64>)| -> Vec<u64> {
+                        v.0.iter()
+                            .copied()
+                            .chain(v.1.iter().chain(&v.2).flat_map(|c| [c.re, c.im]))
+                            .map(f64::to_bits)
+                            .collect()
+                    };
+                    assert_eq!(bits(&a), bits(&b), "cell ({ix},{iy}) anchor {i}");
                 }
             }
         }

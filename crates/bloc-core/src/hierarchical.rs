@@ -32,9 +32,16 @@
 //!    statistics — candidates from different patches rank exactly as one
 //!    dense profile would rank them.
 //!
-//! Chosen positions are snapped to parent-grid cell centres, so when the
-//! hierarchical and dense solvers agree on the winning cell the reported
-//! positions are **bit-identical**. When refinement loses every candidate
+//! Both levels read their grid's one steering table through the engine:
+//! the coarse level is the whole-grid window of the coarse grid, and each
+//! patch is a window of the fine grid
+//! ([`crate::engine::LikelihoodEngine::anchor_maps`]), so every patch cell
+//! carries the dense map's value for that cell bit for bit, and a patch
+//! that moves every round creates no cache entry — it only fills the
+//! fine-grid tiles no earlier window touched. Chosen positions are
+//! snapped to parent-grid cell centres, so when the hierarchical and
+//! dense solvers agree on the winning cell the reported positions are
+//! **bit-identical**. When refinement loses every candidate
 //! (pathological surfaces), the solver escapes to the dense fix the dense
 //! localizer itself runs rather than degrade accuracy — see
 //! [`EscapeReason`].
@@ -55,7 +62,7 @@ use bloc_num::{Grid2D, GridPatch, GridSpec, P2};
 
 use crate::correction::CorrectedChannels;
 use crate::error::LocalizeError;
-use crate::likelihood::anchor_weights;
+use crate::likelihood::{alive_anchors, anchor_weights};
 use crate::localizer::{anchor_refs, observe_fix, BlocLocalizer, Estimate};
 use crate::multipath::{record_scored, score_candidates, ScoredPeak};
 
@@ -85,8 +92,9 @@ pub struct HierarchicalConfig {
     /// already cheaper at that size).
     pub seed_escape_fraction: f64,
     /// Resident-byte budget installed on the engine's steering cache (the
-    /// hierarchy caches one geometry per level plus one per distinct
-    /// patch window; LRU eviction keeps long-running fleets bounded).
+    /// hierarchy caches one geometry per level — coarse and fine — and
+    /// patches are windows into the fine one, whose tiles fill as patches
+    /// touch them; LRU eviction keeps long-running fleets bounded).
     /// `None` leaves the cache unbounded.
     pub cache_budget_bytes: Option<usize>,
 }
@@ -187,15 +195,6 @@ struct AliveAnchor {
     /// Maximum of this anchor's likelihood over the coarse grid — the
     /// shared normalization constant for its fine patches.
     coarse_max: f64,
-}
-
-/// Anchors the weighted joint gives a map: the `anchor_weights > 0` set,
-/// which is exactly the engine's `surviving_fraction > 0` set.
-fn alive_count(corrected: &CorrectedChannels) -> usize {
-    anchor_weights(corrected)
-        .iter()
-        .filter(|&&w| w > 0.0)
-        .count()
 }
 
 /// The coarse-to-fine solver. Wraps a [`BlocLocalizer`] (whose grid is
@@ -331,13 +330,13 @@ impl HierarchicalLocalizer {
             return self.escape_to_full(data, corrected, EscapeReason::PatchTooLarge, 0);
         }
         // Patch-local normalization: the dense joint evaluated on the
-        // patch spec, so a seeded fix equals a dense fix whose grid *is*
-        // the patch.
+        // patch window of the fine grid, so a seeded fix equals a dense
+        // fix whose grid *is* the patch.
         let joint = self
             .localizer
             .engine()
-            .joint_likelihood(corrected, patch.spec, cfg.combining);
-        let alive = alive_count(corrected);
+            .joint_window(corrected, fine, &patch, cfg.combining);
+        let alive = alive_anchors(corrected).len();
         let cells = patch.spec.len() * alive;
         let Some((ax, ay, max_v)) = joint.argmax() else {
             return self.escape_to_full(data, corrected, EscapeReason::NoLocalPeak, cells);
@@ -392,20 +391,19 @@ impl HierarchicalLocalizer {
 
         // Coarse level: per-anchor maps, their maxima (the fine-patch
         // normalizers), and the weighted joint under the dense contract.
+        let weights = anchor_weights(corrected);
         let mut alive: Vec<AliveAnchor> = Vec::new();
         let mut coarse_joint = Grid2D::zeros(self.coarse);
-        for (index, &weight) in anchor_weights(corrected).iter().enumerate() {
-            if weight <= 0.0 {
-                continue;
-            }
-            let mut map = self.localizer.engine().anchor_likelihood(
-                corrected,
-                index,
-                self.coarse,
-                cfg.combining,
-            );
+        let maps = self.localizer.engine().anchor_maps(
+            corrected,
+            self.coarse,
+            &GridPatch::whole(self.coarse),
+            cfg.combining,
+        );
+        for (index, mut map) in maps {
             cells += self.coarse.len();
             let coarse_max = map.argmax().map(|(_, _, v)| v).unwrap_or(0.0);
+            let weight = weights[index];
             map.normalize_peak();
             map.scale(weight);
             coarse_joint.add_assign(&map);
@@ -435,7 +433,7 @@ impl HierarchicalLocalizer {
         let mut patches: Vec<(GridPatch, Grid2D)> = Vec::with_capacity(candidates.len());
         for c in &candidates {
             let patch = fine.patch(c.position, half);
-            let joint = self.patch_joint(corrected, patch.spec, &alive, &mut cells);
+            let joint = self.patch_joint(corrected, &patch, &alive, &mut cells);
             patches.push((patch, joint));
         }
         bloc_obs::counter("hier.candidates").add(patches.len() as u64);
@@ -501,24 +499,25 @@ impl HierarchicalLocalizer {
         })
     }
 
-    /// The weighted joint on one fine patch: each alive anchor's map is
-    /// scaled by `weight / coarse_max`, the shared cross-patch
-    /// normalization.
+    /// The weighted joint on one fine patch, a window of the fine grid:
+    /// each alive anchor's map is scaled by `weight / coarse_max`, the
+    /// shared cross-patch normalization.
     fn patch_joint(
         &self,
         corrected: &CorrectedChannels,
-        spec: GridSpec,
+        patch: &GridPatch,
         alive: &[AliveAnchor],
         cells: &mut usize,
     ) -> Grid2D {
         let cfg = self.localizer.config();
-        let mut joint = Grid2D::zeros(spec);
-        for a in alive {
-            let mut map =
-                self.localizer
-                    .engine()
-                    .anchor_likelihood(corrected, a.index, spec, cfg.combining);
-            *cells += spec.len();
+        let mut joint = Grid2D::zeros(patch.spec);
+        let maps = self
+            .localizer
+            .engine()
+            .anchor_maps(corrected, cfg.grid, patch, cfg.combining);
+        for ((index, mut map), a) in maps.into_iter().zip(alive) {
+            debug_assert_eq!(index, a.index);
+            *cells += patch.spec.len();
             if a.coarse_max > 0.0 {
                 map.scale(1.0 / a.coarse_max);
             }
@@ -558,7 +557,7 @@ impl HierarchicalLocalizer {
     ) -> Result<HierarchicalEstimate, LocalizeError> {
         record_escape(escape);
         let estimate = self.localizer.dense_fix(data, corrected)?;
-        let dense_cells = self.localizer.config().grid.len() * alive_count(corrected);
+        let dense_cells = self.localizer.config().grid.len() * alive_anchors(corrected).len();
         Ok(HierarchicalEstimate {
             estimate,
             cells_evaluated: prespent + dense_cells,

@@ -229,18 +229,47 @@ pub(crate) fn weighted_joint(
     spec: GridSpec,
     mut anchor_map: impl FnMut(usize) -> Grid2D,
 ) -> Grid2D {
-    let mut joint = Grid2D::zeros(spec);
-    let weights = anchor_weights(corrected);
-    for (i, &w) in weights.iter().enumerate() {
-        if w <= 0.0 {
-            continue;
-        }
-        let mut map = anchor_map(i);
-        map.normalize_peak();
-        map.scale(w);
-        joint.add_assign(&map);
+    let mut joint = WeightedJoint::new(corrected, spec);
+    for i in alive_anchors(corrected) {
+        joint.add(i, anchor_map(i));
     }
-    joint
+    joint.finish()
+}
+
+/// The [`weighted_joint`] sum, fed one alive anchor's raw map at a time
+/// (in anchor order), so a caller that computes maps elsewhere — the
+/// engine's anchor fan-out — applies the same weighting.
+pub(crate) struct WeightedJoint {
+    joint: Grid2D,
+    weights: Vec<f64>,
+}
+
+impl WeightedJoint {
+    pub(crate) fn new(corrected: &CorrectedChannels, spec: GridSpec) -> Self {
+        Self {
+            joint: Grid2D::zeros(spec),
+            weights: anchor_weights(corrected),
+        }
+    }
+
+    /// Adds anchor `i`'s raw map, normalized to unit peak and weighted.
+    pub(crate) fn add(&mut self, i: usize, mut map: Grid2D) {
+        map.normalize_peak();
+        map.scale(self.weights[i]);
+        self.joint.add_assign(&map);
+    }
+
+    pub(crate) fn finish(self) -> Grid2D {
+        self.joint
+    }
+}
+
+/// Anchors with surviving evidence, in order: the anchors the
+/// [`weighted_joint`] contract gives a map (`anchor_weights > 0`).
+pub(crate) fn alive_anchors(corrected: &CorrectedChannels) -> Vec<usize> {
+    (0..corrected.n_anchors())
+        .filter(|&i| corrected.surviving_fraction(i) > 0.0)
+        .collect()
 }
 
 /// The per-anchor weights of the [`weighted_joint`] contract: each

@@ -15,7 +15,8 @@ use bloc_core::engine::{BandPlan, LikelihoodEngine, SoaChannels};
 use bloc_core::likelihood::{
     anchor_likelihood_reference, joint_likelihood, joint_likelihood_reference, AntennaCombining,
 };
-use bloc_num::{Grid2D, GridSpec, P2};
+use bloc_core::{BlocConfig, BlocLocalizer, HierarchicalConfig, HierarchicalLocalizer};
+use bloc_num::{Grid2D, GridPatch, GridSpec, P2};
 use rand::{rngs::StdRng, SeedableRng};
 
 fn anchors(room: &Room) -> Vec<AnchorArray> {
@@ -435,4 +436,56 @@ fn freq_comb_and_band_plan_share_one_comb_implementation() {
     assert_eq!(replanned.freqs, via_engine.freqs);
     assert_eq!(replanned.step_hz, via_engine.step_hz);
     assert_eq!(replanned.gaps, via_engine.gaps);
+}
+
+#[test]
+fn patch_windows_equal_the_dense_map_cell_for_cell() {
+    // Hierarchical patches are windows into the fine grid: every window
+    // cell must carry the dense map's value for the same parent cell, bit
+    // for bit, for both kernels. The 8 cm lattice from −0.5 m is the one
+    // where a patch's own rounded origin moves some cell centres by an
+    // ulp, so a patch evaluated on its own spec would not pass.
+    let room = Room::new(5.0, 6.0);
+    let config = BlocConfig::for_room(&room);
+    let fine = config.grid;
+    let hier =
+        HierarchicalLocalizer::new(BlocLocalizer::new(config), HierarchicalConfig::default());
+    let seeded_margin = config.score.entropy_radius_m
+        + (config.score.peaks.dominance_radius + 1) as f64 * fine.resolution;
+    let patches = [
+        ("seeded", fine.patch(P2::new(2.2, 3.6), 1.0 + seeded_margin)),
+        (
+            "refine",
+            fine.patch(P2::new(1.3, 1.8), hier.refine_half_extent_m()),
+        ),
+    ];
+    let shifted = patches
+        .iter()
+        .flat_map(|(_, p)| (0..p.spec.nx).map(move |ix| (p, ix)))
+        .filter(|(p, ix)| p.spec.cell_center(*ix, 0).x != fine.cell_center(ix + p.x0, 0).x)
+        .count();
+    assert!(shifted > 0, "the patches must include ulp-shifted centres");
+
+    let corrected = corrected_for(&Environment::free_space(), P2::new(2.2, 3.6), 1100, None);
+    let combining = AntennaCombining::default();
+    for engine in [
+        LikelihoodEngine::recurrence(),
+        LikelihoodEngine::reference(),
+    ] {
+        let dense = engine.anchor_maps(&corrected, fine, &GridPatch::whole(fine), combining);
+        assert_eq!(dense.len(), corrected.n_anchors());
+        for (name, patch) in &patches {
+            let windowed = engine.anchor_maps(&corrected, fine, patch, combining);
+            assert_eq!(windowed.len(), dense.len());
+            for ((i, win), (j, full)) in windowed.iter().zip(&dense) {
+                assert_eq!(i, j);
+                assert_eq!(win.spec(), patch.spec);
+                assert!(
+                    win == &full.extract(patch),
+                    "{} {name} patch, anchor {i}: windowed map differs from the dense cells",
+                    engine.kernel_name()
+                );
+            }
+        }
+    }
 }
