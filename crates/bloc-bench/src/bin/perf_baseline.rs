@@ -25,16 +25,24 @@
 //! oversubscribe (production callers route through
 //! `bloc_num::par::tuned_threads` and never do), so the gate degrades to
 //! a pathology guard: threaded rows within 2× of warm serial.
+//!
+//! `BENCH_likelihood.json` also carries one `kernel_levels` row per SIMD
+//! level this build knows: the warm single-thread rate of the bare Eq. 17
+//! cell kernel at every level the host executes (each run's output must
+//! equal the scalar level's bit for bit), and `"status": "skipped"` for a
+//! level the host lacks.
 
 use std::time::Instant;
 
 use bloc_chan::sounder::{all_data_channels, SounderConfig, TONE_OFFSET_HZ};
-use bloc_core::correction::correct;
-use bloc_core::engine::LikelihoodEngine;
+use bloc_core::correction::{correct, CorrectedChannels};
+use bloc_core::engine::{BandPlan, LikelihoodEngine, SteeringTables};
 use bloc_core::likelihood::{joint_likelihood_reference, AntennaCombining};
 use bloc_core::localizer::BlocLocalizer;
 use bloc_core::{HierarchicalConfig, HierarchicalLocalizer};
-use bloc_num::P2;
+use bloc_num::simd::{SimdLevel, LEVEL_LABELS};
+use bloc_num::sweep::{self, CellSweep, Combine};
+use bloc_num::{GridSpec, C64, P2};
 use bloc_testbed::scenario::Scenario;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -47,6 +55,96 @@ fn time_best(iters: usize, mut f: impl FnMut()) -> f64 {
         best = best.min(t.elapsed().as_secs_f64());
     }
     best
+}
+
+/// Best-of-`iters` warm single-thread time of the bare Eq. 17 cell kernel
+/// over every grid cell of every anchor, at each level the host executes,
+/// on this sounding's steering geometry and channel weights laid out the
+/// way the engine lays them out (one row per absolute comb slot). Also
+/// reports whether every level's output equals the scalar level's bit for
+/// bit.
+fn kernel_level_rows(
+    corrected: &CorrectedChannels,
+    spec: GridSpec,
+    iters: usize,
+) -> (Vec<(SimdLevel, f64)>, bool) {
+    let freqs: Vec<f64> = corrected.bands.iter().map(|b| b.freq_hz).collect();
+    let plan = BandPlan::build(&freqs);
+    assert!(
+        plan.is_uniform_comb(),
+        "clean testbed sounding is on the comb"
+    );
+    let span = plan.span();
+    let gaps: Vec<u32> = (0..span).map(|r| u32::from(r > 0)).collect();
+    let geometry = SteeringTables::build(
+        spec,
+        &corrected.anchors,
+        &corrected.master_anchor_dist,
+        plan.base_hz,
+        plan.step_hz,
+    );
+    let cells = spec.nx * spec.ny;
+    let phase = std::f64::consts::TAU / bloc_num::constants::SPEED_OF_LIGHT;
+    // Per anchor: lane stride, seed re/im, step re/im, alpha re/im.
+    type Tables = (usize, [Vec<f64>; 6]);
+    let tables: Vec<Tables> = (0..corrected.n_anchors())
+        .map(|i| {
+            let nj = corrected.anchors[i].n_antennas;
+            let nl = nj.div_ceil(4) * 4;
+            let [mut sre, mut sim, mut tre, mut tim] =
+                [1.0, 0.0, 1.0, 0.0].map(|v| vec![v; cells * nl]);
+            for cell in 0..cells {
+                for (j, d) in geometry.cell_deltas(i, cell).into_iter().enumerate() {
+                    let seed = C64::cis(phase * d * plan.base_hz);
+                    let step = C64::cis(phase * d * plan.step_hz);
+                    let k = cell * nl + j;
+                    (sre[k], sim[k], tre[k], tim[k]) = (seed.re, seed.im, step.re, step.im);
+                }
+            }
+            let (mut are, mut aim) = (vec![0.0; span * nl], vec![0.0; span * nl]);
+            for (k, &b) in plan.order.iter().enumerate() {
+                let row = plan.slots[k] as usize * nl;
+                for (j, a) in corrected.bands[b].alpha[i].iter().enumerate() {
+                    (are[row + j], aim[row + j]) = (a.re, a.im);
+                }
+            }
+            (nl, [sre, sim, tre, tim, are, aim])
+        })
+        .collect();
+    let run = |level: SimdLevel, out: &mut [Vec<f64>]| {
+        for ((nl, [sre, sim, tre, tim, are, aim]), out) in tables.iter().zip(out.iter_mut()) {
+            let view = CellSweep {
+                seed_re: sre,
+                seed_im: sim,
+                step_re: tre,
+                step_im: tim,
+                alpha_re: are,
+                alpha_im: aim,
+                n_lanes: *nl,
+                gaps: &gaps,
+            };
+            sweep::write_comb_cells_at(level, &view, Combine::Hybrid, 0, out);
+        }
+    };
+    let levels = sweep::levels_to_test();
+    let mut scalar = vec![vec![0.0; cells]; tables.len()];
+    run(levels[0], &mut scalar);
+    let mut identical = true;
+    let rows = levels
+        .iter()
+        .map(|&level| {
+            let mut out = vec![vec![0.0; cells]; tables.len()];
+            run(level, &mut out);
+            identical &= out
+                .iter()
+                .flatten()
+                .zip(scalar.iter().flatten())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            let _span = bloc_obs::span("perf.kernel_level");
+            (level, time_best(iters, || run(level, &mut out)))
+        })
+        .collect();
+    (rows, identical)
 }
 
 fn main() {
@@ -69,8 +167,13 @@ fn main() {
         println!("all hierarchical floors passed");
         return;
     }
+    // The likelihood reports carry the cell kernel's level, the sounding
+    // report the 4-lane level its tone kernel runs.
     let simd_level = bloc_num::simd::active_level().label();
-    println!("=== Likelihood engine perf baseline (best of {iters}, simd {simd_level}) ===");
+    let cell_simd_level = bloc_num::simd::cell_level().label();
+    println!(
+        "=== Likelihood engine perf baseline (best of {iters}, simd {simd_level}, cell kernel {cell_simd_level}) ==="
+    );
     bloc_bench::maybe_start_trace();
     let obs_before = bloc_obs::Registry::global().snapshot();
 
@@ -154,6 +257,8 @@ fn main() {
         thread_rows.push((threads, t));
     }
 
+    let (level_rows, levels_identical) = kernel_level_rows(&corrected, spec, iters);
+
     let throughput = |secs: f64| cell_evals / secs;
     let speedup = t_reference / t_warm;
     println!(
@@ -194,6 +299,30 @@ fn main() {
         "single-thread speedup over reference: {speedup:.1}×  (host has {host_threads} core(s))"
     );
     println!("4-thread scaling over warm serial: {scaling_4t:.2}×");
+    let level_json: Vec<String> = LEVEL_LABELS
+        .iter()
+        .map(|&label| match level_rows.iter().find(|(l, _)| l.label() == label) {
+            Some((_, t)) => {
+                println!(
+                    "bare kernel, {label:<7}{:>9.1} ms  {:>12.0} cell-evals/s",
+                    t * 1e3,
+                    throughput(*t)
+                );
+                format!(
+                    "{{\"level\": \"{label}\", \"secs_per_call\": {t:.6}, \"cell_evals_per_sec\": {:.0}}}",
+                    throughput(*t)
+                )
+            }
+            None => {
+                println!("bare kernel, {label:<7}  skipped (host lacks it)");
+                format!("{{\"level\": \"{label}\", \"status\": \"skipped\"}}")
+            }
+        })
+        .collect();
+    println!(
+        "bare kernel levels bit-identical to scalar: {}",
+        if levels_identical { "PASS" } else { "FAIL" }
+    );
 
     // -- Machine-readable trajectory point.
     let thread_json: Vec<String> = thread_rows
@@ -206,10 +335,11 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"joint_likelihood\",\n  \"grid\": {{\"nx\": {}, \"ny\": {}, \"cells\": {cells}, \"resolution_m\": {}}},\n  \"anchors\": {n_anchors},\n  \"bands\": {n_bands},\n  \"iters\": {iters},\n  \"host_threads\": {host_threads},\n  \"simd_level\": \"{simd_level}\",\n  \"equivalence\": {{\"max_rel_err\": {max_rel_err:.3e}, \"tol\": {tol:.0e}, \"pass\": {equivalent}}},\n  \"reference\": {{\"secs_per_call\": {t_reference:.6}, \"cell_evals_per_sec\": {:.0}}},\n  \"recurrence_cold\": {{\"secs_per_call\": {t_cold:.6}, \"cell_evals_per_sec\": {:.0}}},\n  \"recurrence_warm\": {{\"secs_per_call\": {t_warm:.6}, \"cell_evals_per_sec\": {:.0}}},\n  \"warm_threads\": [{}],\n  \"scaling_4_threads\": {scaling_4t:.2},\n  \"speedup_single_thread\": {speedup:.2}\n}}\n",
+        "{{\n  \"bench\": \"joint_likelihood\",\n  \"grid\": {{\"nx\": {}, \"ny\": {}, \"cells\": {cells}, \"resolution_m\": {}}},\n  \"anchors\": {n_anchors},\n  \"bands\": {n_bands},\n  \"iters\": {iters},\n  \"host_threads\": {host_threads},\n  \"simd_level\": \"{cell_simd_level}\",\n  \"kernel_levels\": [{}],\n  \"equivalence\": {{\"max_rel_err\": {max_rel_err:.3e}, \"tol\": {tol:.0e}, \"pass\": {equivalent}}},\n  \"reference\": {{\"secs_per_call\": {t_reference:.6}, \"cell_evals_per_sec\": {:.0}}},\n  \"recurrence_cold\": {{\"secs_per_call\": {t_cold:.6}, \"cell_evals_per_sec\": {:.0}}},\n  \"recurrence_warm\": {{\"secs_per_call\": {t_warm:.6}, \"cell_evals_per_sec\": {:.0}}},\n  \"warm_threads\": [{}],\n  \"scaling_4_threads\": {scaling_4t:.2},\n  \"speedup_single_thread\": {speedup:.2}\n}}\n",
         spec.nx,
         spec.ny,
         spec.resolution,
+        level_json.join(", "),
         throughput(t_reference),
         throughput(t_cold),
         throughput(t_warm),
@@ -417,6 +547,10 @@ fn main() {
         eprintln!(
             "FLOOR FAILED: fast sounding diverges from reference ({snd_max_err:.3e} > {snd_tol:.0e})"
         );
+        failed = true;
+    }
+    if !levels_identical {
+        eprintln!("FLOOR FAILED: a SIMD level's bare kernel output differs from scalar");
         failed = true;
     }
     if !(t_warm.is_finite() && t_warm > 0.0 && throughput(t_warm) > 0.0) {
@@ -729,7 +863,7 @@ fn hierarchical_baseline(iters: usize, write_json: bool) -> bool {
             config.grid.resolution,
             hier.coarse_spec().len(),
             scenario.anchors.len(),
-            bloc_num::simd::active_level().label(),
+            bloc_num::simd::cell_level().label(),
             dense_cell_evals / t_dense,
             dense_cell_evals / t_hier,
             t_dense / t_hier,

@@ -59,8 +59,8 @@ impl Run {
 pub fn run_pattern(run_bits: usize, pairs: usize) -> Vec<bool> {
     let mut bits = Vec::with_capacity(run_bits * 2 * pairs);
     for _ in 0..pairs {
-        bits.extend(std::iter::repeat(false).take(run_bits));
-        bits.extend(std::iter::repeat(true).take(run_bits));
+        bits.extend(std::iter::repeat_n(false, run_bits));
+        bits.extend(std::iter::repeat_n(true, run_bits));
     }
     bits
 }
@@ -123,7 +123,7 @@ impl LocalizationPacket {
     ) -> Result<Self, BleError> {
         let desired = run_pattern(run_bits, pairs);
         assert!(
-            desired.len() % 8 == 0,
+            desired.len().is_multiple_of(8),
             "run pattern must fill whole bytes (got {} bits)",
             desired.len()
         );

@@ -516,8 +516,19 @@ impl<'a> Sounder<'a> {
             |_scratch| {},
         );
 
-        // Phase B: per-band impairments, parallel over bands.
+        // Phase B: per-band impairments, parallel over bands. The
+        // calibration phasors (one per link, in link order) and the noise
+        // amplitude divisor depend only on the config, so they are
+        // computed once per sounding.
         let n_antennas: Vec<usize> = self.anchors.iter().map(|a| a.n_antennas).collect();
+        let link_cal: Vec<C64> = n_antennas
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &na)| (0..na).map(move |j| (i, j)))
+            .chain((1..n_anchors).map(|i| (i, 0)))
+            .map(|(i, j)| C64::cis(self.cal_error(i, j)))
+            .collect();
+        let noise_div = 10f64.powf(self.config.csi_snr_db / 20.0);
         let plan = if ideal {
             None
         } else {
@@ -537,6 +548,8 @@ impl<'a> Sounder<'a> {
                     channels[slot],
                     &clean,
                     &n_antennas,
+                    &link_cal,
+                    noise_div,
                     cfo,
                     seed,
                     ideal,
@@ -566,6 +579,8 @@ impl<'a> Sounder<'a> {
 
     /// Assembles one band of a fast analytic sounding from the Phase A
     /// clean channels — the band-major half of [`Sounder::sound_analytic`].
+    /// `link_cal` holds each link's calibration phasor in link order and
+    /// `noise_div` is the configured SNR as an amplitude ratio.
     #[allow(clippy::too_many_arguments)] // internal assembly plumbing
     fn assemble_band(
         &self,
@@ -573,6 +588,8 @@ impl<'a> Sounder<'a> {
         channel: Channel,
         clean: &[Vec<[C64; 2]>],
         n_antennas: &[usize],
+        link_cal: &[C64],
+        noise_div: f64,
         cfo: f64,
         seed: u64,
         ideal: bool,
@@ -592,7 +609,6 @@ impl<'a> Sounder<'a> {
         };
         let masks = plan.map(|p| p.band_masks(slot, channel, n_antennas, link_dists));
         let cfo_rot = C64::cis(std::f64::consts::TAU * cfo_band * TONE_INTERVAL_S);
-        let snr = self.config.csi_snr_db;
 
         let mut link_idx = 0usize;
         let mut tag_to_anchor = Vec::with_capacity(n_antennas.len());
@@ -610,11 +626,11 @@ impl<'a> Sounder<'a> {
                     link_idx += 1;
                     continue;
                 }
-                let cal = C64::cis(self.cal_error(i, j));
+                let cal = link_cal[link_idx];
                 let [c0, c1] = clean[link_idx][slot];
                 let mut tones = [c0 * rot, c1 * rot * cfo_rot];
-                tones[0] = add_noise_hashed(tones[0], snr, band_seed, link_idx as u64, 0);
-                tones[1] = add_noise_hashed(tones[1], snr, band_seed, link_idx as u64, 1);
+                tones[0] = add_noise_hashed(tones[0], noise_div, band_seed, link_idx as u64, 0);
+                tones[1] = add_noise_hashed(tones[1], noise_div, band_seed, link_idx as u64, 1);
                 tones[0] *= cal;
                 tones[1] *= cal;
                 row.push(combine_tones(tones));
@@ -636,11 +652,11 @@ impl<'a> Sounder<'a> {
             let rot = C64::cis(epoch.measurement_offset(Device::Anchor(0), Device::Anchor(i)));
             // Anchors are frequency-disciplined relative to each other far
             // better than the free-running tag: no CFO on this link.
-            let cal = C64::cis(self.cal_error(i, 0));
+            let cal = link_cal[link_idx];
             let [c0, c1] = clean[link_idx][slot];
             let mut tones = [c0 * rot, c1 * rot];
-            tones[0] = add_noise_hashed(tones[0], snr, band_seed, link_idx as u64, 0);
-            tones[1] = add_noise_hashed(tones[1], snr, band_seed, link_idx as u64, 1);
+            tones[0] = add_noise_hashed(tones[0], noise_div, band_seed, link_idx as u64, 0);
+            tones[1] = add_noise_hashed(tones[1], noise_div, band_seed, link_idx as u64, 1);
             tones[0] *= cal;
             tones[1] *= cal;
             master_to_anchor.push(combine_tones(tones));
@@ -843,14 +859,15 @@ fn gaussian_sample<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
-/// Adds complex Gaussian measurement noise at `snr_db` relative to `h`'s
-/// own power, drawn from a splitmix stream keyed by (band seed, link,
-/// tone) — the fast path's replacement for the reference path's
-/// sequential draws. Keying per measurement (instead of consuming a
-/// shared stream) is what keeps soundings bit-identical across thread
-/// counts and across fault plans that skip masked entries.
-fn add_noise_hashed(h: C64, snr_db: f64, band_seed: u64, link: u64, tone: u64) -> C64 {
-    let noise_amp = h.abs() / 10f64.powf(snr_db / 20.0);
+/// Adds complex Gaussian measurement noise at the SNR whose amplitude
+/// ratio `10^(snr_db/20)` is `noise_div`, relative to `h`'s own power, drawn
+/// from a splitmix stream keyed by (band seed, link, tone) — the fast
+/// path's replacement for the reference path's sequential draws. Keying
+/// per measurement (instead of consuming a shared stream) is what keeps
+/// soundings bit-identical across thread counts and across fault plans
+/// that skip masked entries.
+fn add_noise_hashed(h: C64, noise_div: f64, band_seed: u64, link: u64, tone: u64) -> C64 {
+    let noise_amp = h.abs() / noise_div;
     let sigma = noise_amp / 2f64.sqrt();
     let key = band_seed
         ^ link.wrapping_mul(0xA24B_AED4_963E_E407)

@@ -75,7 +75,7 @@ mod tests {
     fn data_channel_count_is_prime() {
         let n = BLE_NUM_DATA_CHANNELS;
         assert!(
-            (2..n).all(|d| n % d != 0),
+            (2..n).all(|d| !n.is_multiple_of(d)),
             "37 must be prime for full hop coverage"
         );
     }

@@ -12,20 +12,27 @@
 //!
 //! * [`write_comb_cells`] — the likelihood recurrence: SIMD lanes are
 //!   **antenna rotation chains** of one (cell, anchor) pair; each cell
-//!   reduces to the Eq. 17 coherent/non-coherent combining value.
+//!   reduces to the Eq. 17 coherent/non-coherent combining value. On the
+//!   AVX-512 level one vector carries **two consecutive cells** × 4
+//!   antenna lanes (the channel-weight rows broadcast into both halves);
+//!   an odd last cell runs the one-cell AVX2 instantiation.
 //! * [`sweep_tones_into`] — the synthesis recurrence: SIMD lanes are
 //!   **four consecutive comb slots** of one propagation path; all paths
 //!   accumulate into a dense slot buffer that is scattered back to
-//!   sounding order.
+//!   sounding order. It stays 4 lanes wide on the AVX-512 level too: an
+//!   8-slot body would advance each path by `step⁸` instead of `step⁴`,
+//!   a different rounding chain, and so change the sounding's bits.
 //!
-//! Each kernel is one generic body instantiated for both [`simd`] vector
-//! implementations and runtime-dispatched ([`simd::active_level`]), so
-//! the scalar fallback and the AVX2 path are bit-identical by
-//! construction. Off-comb band sets fall back to per-band `cis` — still
-//! exact, just not recurrence-accelerated.
+//! Each kernel is one generic body instantiated for every [`simd`] vector
+//! implementation it runs on and runtime-dispatched ([`simd::cell_level`]
+//! for the cell kernel, [`simd::active_level`] for the tone kernel), so
+//! the scalar fallback, the AVX2 path and the AVX-512 path are
+//! bit-identical by construction. Off-comb band sets
+//! fall back to per-band `cis` — still exact, just not
+//! recurrence-accelerated, and scalar on every level.
 
 use crate::complex::{self, C64};
-use crate::simd::{self, Cx4, F64x4, ScalarX4, SimdLevel};
+use crate::simd::{self, CellLanes, Cx, F64x4, Level, ScalarX4, SimdLevel};
 
 /// How far (in hertz) a band may sit off the comb and still count as on
 /// it. BLE channel centres are exact megahertz multiples, so any real
@@ -202,35 +209,36 @@ pub struct CellSweep<'a> {
     pub gaps: &'a [u32],
 }
 
-/// One lane block over a dense comb (every gap after the first is one
-/// slot): two interleaved rotation chains advanced by `step²` halve the
-/// serial complex-multiply latency the pipeline must hide.
+/// One lane block of `V::CELLS` cells over a dense comb (every gap after
+/// the first is one slot): two interleaved rotation chains advanced by
+/// `step²` halve the serial complex-multiply latency the pipeline must
+/// hide.
 #[inline(always)]
-fn dense_block<V: F64x4>(
-    seed: Cx4<V>,
-    step: Cx4<V>,
+fn dense_block<V: CellLanes>(
+    seed: Cx<V>,
+    step: Cx<V>,
     alpha_re: &[f64],
     alpha_im: &[f64],
     n_lanes: usize,
     lane0: usize,
     n_bands: usize,
-) -> Cx4<V> {
+) -> Cx<V> {
     let step2 = step.mul(step);
     let mut rot_e = seed; // bands 0, 2, 4, …
     let mut rot_o = seed.mul(step); // bands 1, 3, 5, …
-    let mut acc_e = Cx4::<V>::zero();
-    let mut acc_o = Cx4::<V>::zero();
+    let mut acc_e = Cx::<V>::zero();
+    let mut acc_o = Cx::<V>::zero();
     let pairs = n_bands / 2;
     for p in 0..pairs {
         let e = (2 * p) * n_lanes + lane0;
         let o = e + n_lanes;
-        let a_e = Cx4 {
-            re: V::load(&alpha_re[e..]),
-            im: V::load(&alpha_im[e..]),
+        let a_e = Cx {
+            re: V::load_row(&alpha_re[e..]),
+            im: V::load_row(&alpha_im[e..]),
         };
-        let a_o = Cx4 {
-            re: V::load(&alpha_re[o..]),
-            im: V::load(&alpha_im[o..]),
+        let a_o = Cx {
+            re: V::load_row(&alpha_re[o..]),
+            im: V::load_row(&alpha_im[o..]),
         };
         acc_e = acc_e.add(a_e.mul(rot_e));
         acc_o = acc_o.add(a_o.mul(rot_o));
@@ -239,78 +247,93 @@ fn dense_block<V: F64x4>(
     }
     if n_bands % 2 == 1 {
         let s = (n_bands - 1) * n_lanes + lane0;
-        let a = Cx4 {
-            re: V::load(&alpha_re[s..]),
-            im: V::load(&alpha_im[s..]),
+        let a = Cx {
+            re: V::load_row(&alpha_re[s..]),
+            im: V::load_row(&alpha_im[s..]),
         };
         acc_e = acc_e.add(a.mul(rot_e));
     }
     acc_e.add(acc_o)
 }
 
-/// One lane block over a general uniform comb: single rotation chain,
-/// `gaps[k]` step multiplies per band.
+/// One lane block of `V::CELLS` cells over a general uniform comb: single
+/// rotation chain, `gaps[k]` step multiplies per band.
 #[inline(always)]
-fn gap_block<V: F64x4>(
-    seed: Cx4<V>,
-    step: Cx4<V>,
+fn gap_block<V: CellLanes>(
+    seed: Cx<V>,
+    step: Cx<V>,
     alpha_re: &[f64],
     alpha_im: &[f64],
     n_lanes: usize,
     lane0: usize,
     gaps: &[u32],
-) -> Cx4<V> {
+) -> Cx<V> {
     let mut rot = seed;
-    let mut acc = Cx4::<V>::zero();
+    let mut acc = Cx::<V>::zero();
     for (slot, &gap) in gaps.iter().enumerate() {
         for _ in 0..gap {
             rot = rot.mul(step);
         }
         let s = slot * n_lanes + lane0;
-        let a = Cx4 {
-            re: V::load(&alpha_re[s..]),
-            im: V::load(&alpha_im[s..]),
+        let a = Cx {
+            re: V::load_row(&alpha_re[s..]),
+            im: V::load_row(&alpha_im[s..]),
         };
         acc = acc.add(a.mul(rot));
     }
     acc
 }
 
+/// The Eq. 17 cell kernel, `V::CELLS` consecutive cells per vector:
+/// `out.len()` must be a multiple of `V::CELLS`.
 #[inline(always)]
-fn comb_cells_body<V: F64x4>(
+fn comb_cells_body<V: CellLanes>(
     s: &CellSweep<'_>,
     combine: Combine,
     first_cell: usize,
     out: &mut [f64],
 ) {
+    debug_assert_eq!(out.len() % V::CELLS, 0);
     let nl = s.n_lanes;
     let nb = s.gaps.len();
     let dense = s.gaps.first() == Some(&0) && s.gaps[1..].iter().all(|&g| g == 1);
-    for (k, v) in out.iter_mut().enumerate() {
-        let cell = first_cell + k;
-        let mut coh_re = 0.0;
-        let mut coh_im = 0.0;
-        let mut non = 0.0;
+    let add_cells = |acc: &mut V::Sums, sums: V::Sums| {
+        for (a, v) in acc.as_mut().iter_mut().zip(sums.as_ref()) {
+            *a += v;
+        }
+    };
+    for (k, values) in out.chunks_exact_mut(V::CELLS).enumerate() {
+        let cell = first_cell + k * V::CELLS;
+        let mut coh_re = V::Sums::default();
+        let mut coh_im = V::Sums::default();
+        let mut non = V::Sums::default();
         for lane0 in (0..nl).step_by(4) {
             let base = cell * nl + lane0;
-            let seed = Cx4 {
-                re: V::load(&s.seed_re[base..]),
-                im: V::load(&s.seed_im[base..]),
+            let seed = Cx {
+                re: V::load_cells(&s.seed_re[base..], nl),
+                im: V::load_cells(&s.seed_im[base..], nl),
             };
-            let step = Cx4 {
-                re: V::load(&s.step_re[base..]),
-                im: V::load(&s.step_im[base..]),
+            let step = Cx {
+                re: V::load_cells(&s.step_re[base..], nl),
+                im: V::load_cells(&s.step_im[base..], nl),
             };
             let acc = if dense {
                 dense_block::<V>(seed, step, s.alpha_re, s.alpha_im, nl, lane0, nb)
             } else {
                 gap_block::<V>(seed, step, s.alpha_re, s.alpha_im, nl, lane0, s.gaps)
             };
-            coh_re += acc.re.hsum();
-            coh_im += acc.im.hsum();
-            non += acc.abs().hsum();
+            add_cells(&mut coh_re, acc.re.hsum_cells());
+            add_cells(&mut coh_im, acc.im.hsum_cells());
+            add_cells(&mut non, acc.abs().hsum_cells());
         }
-        *v = combine_value(combine, coh_re, coh_im, non);
+        for (c, v) in values.iter_mut().enumerate() {
+            *v = combine_value(
+                combine,
+                coh_re.as_ref()[c],
+                coh_im.as_ref()[c],
+                non.as_ref()[c],
+            );
+        }
     }
 }
 
@@ -324,8 +347,21 @@ fn comb_cells_avx2(s: &CellSweep<'_>, combine: Combine, first_cell: usize, out: 
     comb_cells_body::<simd::AvxX4>(s, combine, first_cell, out);
 }
 
+/// Whole cell pairs on the two-cell AVX-512 vector; an odd last cell on
+/// the one-cell AVX2 instantiation of the same body.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2")]
+fn comb_cells_avx512(s: &CellSweep<'_>, combine: Combine, first_cell: usize, out: &mut [f64]) {
+    let paired = out.len() - out.len() % simd::Avx512X8::CELLS;
+    let (pairs, tail) = out.split_at_mut(paired);
+    comb_cells_body::<simd::Avx512X8>(s, combine, first_cell, pairs);
+    comb_cells_body::<simd::AvxX4>(s, combine, first_cell + paired, tail);
+}
+
 /// [`write_comb_cells`] on an explicit vector level — what the
 /// dispatch-equivalence tests drive so they never mutate process state.
+/// Sound for any `level` safe code can hold: levels only come from CPU
+/// detection ([`simd::host_levels`]).
 #[allow(unsafe_code)]
 pub fn write_comb_cells_at(
     level: SimdLevel,
@@ -335,7 +371,7 @@ pub fn write_comb_cells_at(
     out: &mut [f64],
 ) {
     assert!(
-        s.n_lanes >= 4 && s.n_lanes % 4 == 0,
+        s.n_lanes >= 4 && s.n_lanes.is_multiple_of(4),
         "lane stride must be a positive multiple of 4"
     );
     let needed = (first_cell + out.len()) * s.n_lanes;
@@ -348,23 +384,27 @@ pub fn write_comb_cells_at(
     );
     let alpha_needed = s.gaps.len() * s.n_lanes;
     assert!(s.alpha_re.len() >= alpha_needed && s.alpha_im.len() >= alpha_needed);
-    match level {
-        SimdLevel::Scalar => comb_cells_scalar(s, combine, first_cell, out),
+    match level.0 {
+        Level::Scalar => comb_cells_scalar(s, combine, first_cell, out),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `SimdLevel::Avx2` is only constructed behind a runtime
-        // `is_x86_feature_detected!("avx2")` check (see `bloc_num::simd`).
-        SimdLevel::Avx2 => unsafe { comb_cells_avx2(s, combine, first_cell, out) },
+        // SAFETY: the AVX2 level only comes from `simd::host_levels`,
+        // which constructs it behind `is_x86_feature_detected!("avx2")`.
+        Level::Avx2 => unsafe { comb_cells_avx2(s, combine, first_cell, out) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the AVX-512 level only comes from `simd::host_levels`,
+        // which constructs it behind `avx512f` and `avx2` detection.
+        Level::Avx512 => unsafe { comb_cells_avx512(s, combine, first_cell, out) },
         #[cfg(not(target_arch = "x86_64"))]
-        SimdLevel::Avx2 => comb_cells_scalar(s, combine, first_cell, out),
+        Level::Avx2 | Level::Avx512 => comb_cells_scalar(s, combine, first_cell, out),
     }
 }
 
 /// Evaluates the Eq. 17 recurrence for cells `first_cell ..
 /// first_cell + out.len()` of one anchor map, writing each cell's
 /// combined likelihood value. Lanes are antenna rotation chains; the
-/// vector path is chosen once per call via [`simd::active_level`].
+/// vector path is chosen once per call via [`simd::cell_level`].
 pub fn write_comb_cells(s: &CellSweep<'_>, combine: Combine, first_cell: usize, out: &mut [f64]) {
-    write_comb_cells_at(simd::active_level(), s, combine, first_cell, out);
+    write_comb_cells_at(simd::cell_level(), s, combine, first_cell, out);
 }
 
 /// Borrowed inputs for the off-comb fallback: per-cell relative distances
@@ -480,22 +520,22 @@ fn tone_paths_body<V: F64x4>(
         let r1 = rot0 * step;
         let r2 = r1 * step;
         let r3 = r2 * step;
-        let mut rot = Cx4::<V> {
+        let mut rot = Cx::<V> {
             re: V::load(&[rot0.re, r1.re, r2.re, r3.re]),
             im: V::load(&[rot0.im, r1.im, r2.im, r3.im]),
         };
         let s2 = step * step;
         let s4 = s2 * s2;
-        let step4 = Cx4::<V>::broadcast(s4.re, s4.im);
-        let lo4 = Cx4::<V>::broadcast(lo.re, lo.im);
-        let hi4 = Cx4::<V>::broadcast(hi.re, hi.im);
+        let step4 = Cx::<V>::broadcast(s4.re, s4.im);
+        let lo4 = Cx::<V>::broadcast(lo.re, lo.im);
+        let hi4 = Cx::<V>::broadcast(hi.re, hi.im);
         for q in 0..n_quads {
             let at = q * 4;
-            let lo_acc = Cx4 {
+            let lo_acc = Cx {
                 re: V::load(&scratch.lo_re[at..]),
                 im: V::load(&scratch.lo_im[at..]),
             };
-            let hi_acc = Cx4 {
+            let hi_acc = Cx {
                 re: V::load(&scratch.hi_re[at..]),
                 im: V::load(&scratch.hi_im[at..]),
             };
@@ -559,7 +599,8 @@ fn tone_paths_avx2(
 }
 
 /// [`sweep_tones_into`] on an explicit vector level (for the dispatch
-/// equivalence tests).
+/// equivalence tests). The AVX-512 level runs the 4-wide AVX2 body: see
+/// the module docs for why this kernel does not widen.
 #[allow(unsafe_code)]
 #[allow(clippy::too_many_arguments)]
 pub fn sweep_tones_into_at(
@@ -616,8 +657,8 @@ pub fn sweep_tones_into_at(
     }
     let n_quads = span.div_ceil(4);
     scratch.reset(n_quads * 4);
-    match level {
-        SimdLevel::Scalar => tone_paths_scalar(
+    match level.0 {
+        Level::Scalar => tone_paths_scalar(
             lengths,
             gains,
             plan.base_hz,
@@ -628,9 +669,9 @@ pub fn sweep_tones_into_at(
             n_quads,
         ),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `SimdLevel::Avx2` is only constructed behind a runtime
-        // `is_x86_feature_detected!("avx2")` check (see `bloc_num::simd`).
-        SimdLevel::Avx2 => unsafe {
+        // SAFETY: both levels only come from `simd::host_levels`, which
+        // constructs them behind `is_x86_feature_detected!("avx2")`.
+        Level::Avx2 | Level::Avx512 => unsafe {
             tone_paths_avx2(
                 lengths,
                 gains,
@@ -643,7 +684,7 @@ pub fn sweep_tones_into_at(
             )
         },
         #[cfg(not(target_arch = "x86_64"))]
-        SimdLevel::Avx2 => tone_paths_scalar(
+        Level::Avx2 | Level::Avx512 => tone_paths_scalar(
             lengths,
             gains,
             plan.base_hz,
@@ -665,17 +706,10 @@ pub fn sweep_tones_into_at(
     }
 }
 
-/// The vector levels this host can actually execute — what equivalence
-/// suites iterate over so dispatch-path tests never construct a level
-/// the CPU lacks (constructing [`SimdLevel::Avx2`] elsewhere is sound
-/// only behind the same detection).
+/// The vector levels this host can actually execute, narrowest first
+/// ([`simd::host_levels`]) — what equivalence suites iterate over.
 pub fn levels_to_test() -> Vec<SimdLevel> {
-    let mut levels = vec![SimdLevel::Scalar];
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        levels.push(SimdLevel::Avx2);
-    }
-    levels
+    simd::host_levels().to_vec()
 }
 
 /// Evaluates the two GFSK tone channels `[h(f−δ), h(f+δ)]` of every band
@@ -779,11 +813,24 @@ mod tests {
     }
 
     fn fixture(seed: u64, cells: usize, n_ant: usize, nb: usize) -> Fixture {
+        let slots: Vec<u32> = (0..nb as u32).collect();
+        fixture_on_slots(seed, cells, n_ant, &slots)
+    }
+
+    /// [`fixture`] over the ascending comb slots `slots` (first slot 0);
+    /// skipped slots make a non-dense comb the gap walk handles.
+    fn fixture_on_slots(seed: u64, cells: usize, n_ant: usize, slots: &[u32]) -> Fixture {
+        let nb = slots.len();
         let n_lanes = n_ant.div_ceil(4) * 4;
         let base_hz = 2.402e9;
         let step_hz = 2e6;
-        let freqs: Vec<f64> = (0..nb).map(|k| base_hz + step_hz * k as f64).collect();
-        let gaps: Vec<u32> = (0..nb).map(|k| u32::from(k > 0)).collect();
+        let freqs: Vec<f64> = slots
+            .iter()
+            .map(|&k| base_hz + step_hz * f64::from(k))
+            .collect();
+        let gaps: Vec<u32> = (0..nb)
+            .map(|k| if k == 0 { 0 } else { slots[k] - slots[k - 1] })
+            .collect();
         let tau_over_c = std::f64::consts::TAU / 299_792_458.0;
         let mut deltas = vec![0.0; cells * n_lanes];
         let (mut sre, mut sim) = (vec![1.0; cells * n_lanes], vec![0.0; cells * n_lanes]);
@@ -907,6 +954,76 @@ mod tests {
             match &reference {
                 None => reference = Some(bits),
                 Some(want) => assert_eq!(&bits, want, "level {level:?} diverged"),
+            }
+        }
+    }
+
+    #[test]
+    fn avx512_cell_pairs_are_bit_identical_to_scalar() {
+        // The two-cell AVX-512 path splits a call into cell pairs plus an
+        // odd tail cell, loads a pair's lanes with stride `n_lanes`, and
+        // broadcasts each channel-weight row into both cells. Every shape
+        // that exercises one of those steps must match Scalar bit for bit
+        // on every level this host runs.
+        let levels = levels_to_test();
+        if !levels.iter().any(|l| l.0 == Level::Avx512) {
+            println!("skipped (no avx512f)");
+        }
+        let dense: Vec<u32> = (0..37).collect();
+        // Dropped bands: a uniform comb with multi-slot gaps.
+        let gapped: Vec<u32> = vec![0, 1, 2, 5, 6, 7, 8, 12, 13, 15, 16, 17, 20, 21, 30, 31, 32];
+        let cases = [
+            ("dense, 4 antennas", fixture_on_slots(41, 24, 4, &dense)),
+            (
+                "dense, 5 antennas (n_lanes 8)",
+                fixture_on_slots(43, 24, 5, &dense),
+            ),
+            (
+                "dense, 8 antennas (n_lanes 8)",
+                fixture_on_slots(47, 24, 8, &dense),
+            ),
+            (
+                "dense, odd band count",
+                fixture_on_slots(53, 24, 4, &dense[..20]),
+            ),
+            ("gap comb, 4 antennas", fixture_on_slots(59, 24, 4, &gapped)),
+            (
+                "gap comb, 7 antennas (n_lanes 8)",
+                fixture_on_slots(61, 24, 7, &gapped),
+            ),
+        ];
+        // (first_cell, cells): even and odd counts from even and odd
+        // starts, the whole range, and every one-cell segment.
+        let mut ranges = vec![(0, 24), (0, 23), (1, 23), (3, 8), (5, 7), (2, 1)];
+        ranges.extend((0..24).map(|c| (c, 1)));
+        for (name, fx) in &cases {
+            let sweep = fx.cell_sweep();
+            for combine in [Combine::Coherent, Combine::Noncoherent, Combine::Hybrid] {
+                for &(first, n) in &ranges {
+                    let mut want = vec![0.0; n];
+                    write_comb_cells_at(levels[0], &sweep, combine, first, &mut want);
+                    for &level in &levels[1..] {
+                        let mut got = vec![0.0; n];
+                        write_comb_cells_at(level, &sweep, combine, first, &mut got);
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "{name}, {combine:?}, cells {first}..{}: {level:?}",
+                            first + n
+                        );
+                    }
+                }
+            }
+            // The reference pins the values themselves, not just agreement.
+            let mut out = vec![0.0; 24];
+            write_comb_cells(&sweep, Combine::Hybrid, 0, &mut out);
+            for (cell, &got) in out.iter().enumerate() {
+                let want = fx.reference(Combine::Hybrid, cell);
+                assert!(
+                    (got - want).abs() <= 1e-9 * want.abs().max(1.0),
+                    "{name} cell {cell}: {got} vs {want}"
+                );
             }
         }
     }

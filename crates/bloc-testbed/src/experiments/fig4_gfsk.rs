@@ -35,8 +35,8 @@ pub fn run(_size: &ExperimentSize) -> Fig4Result {
     // Fig. 4(b): 5-bit runs, as illustrated in the paper.
     let mut run_bits = Vec::new();
     for _ in 0..4 {
-        run_bits.extend(std::iter::repeat(false).take(5));
-        run_bits.extend(std::iter::repeat(true).take(5));
+        run_bits.extend(std::iter::repeat_n(false, 5));
+        run_bits.extend(std::iter::repeat_n(true, 5));
     }
 
     let settled_fraction = |bits: &[bool]| {
