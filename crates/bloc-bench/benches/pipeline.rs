@@ -10,7 +10,6 @@ use bloc_core::baselines::{aoa, rssi};
 use bloc_core::correction::correct;
 use bloc_core::likelihood::{anchor_likelihood, joint_likelihood, AntennaCombining};
 use bloc_core::multipath::{score_peaks, ScoreConfig};
-use bloc_core::BlocLocalizer;
 use bloc_num::P2;
 use bloc_testbed::scenario::Scenario;
 use rand::{rngs::StdRng, SeedableRng};
@@ -21,7 +20,7 @@ fn bench_pipeline(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
     let tag = P2::new(2.1, 3.2);
     let data = sounder.sound(tag, &all_data_channels(), &mut rng);
-    let localizer = BlocLocalizer::new(scenario.bloc_config());
+    let localizer = scenario.localizer();
     let corrected = correct(&data, true).expect("bench sounding is clean");
     let grid_spec = scenario.bloc_config().grid;
     let grid = joint_likelihood(&corrected, grid_spec, AntennaCombining::Hybrid);

@@ -52,9 +52,11 @@ fn main() {
         .collect();
 
     let median_with = |config: bloc_core::BlocConfig| -> f64 {
-        let localizer = BlocLocalizer::new(config);
-        // Fan localization out across all cores; clones share the
-        // localizer's steering-geometry cache.
+        // Every configuration runs on the scenario's engine, so the
+        // steering tables are built once for the whole ablation, and the
+        // workers below share them.
+        let localizer = BlocLocalizer::new(config).with_engine(scenario.engine().clone());
+        // Fan localization out across all cores.
         let errs: Vec<f64> = bloc_num::par::map_named(
             "ablation",
             soundings.len(),
@@ -163,7 +165,8 @@ fn main() {
             })
             .collect();
         for (name, b) in [("entropy on (b=0.05)", 0.05), ("entropy off (b=0)", 0.0)] {
-            let localizer = BlocLocalizer::new(base.with_score_weights(0.1, b));
+            let localizer = BlocLocalizer::new(base.with_score_weights(0.1, b))
+                .with_engine(scenario.engine().clone());
             let errs: Vec<f64> = bloc_num::par::map_named(
                 "ablation",
                 mirror_soundings.len(),

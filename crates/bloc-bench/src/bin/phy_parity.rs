@@ -8,7 +8,6 @@
 //! ```
 
 use bloc_chan::sounder::{Fidelity, SounderConfig};
-use bloc_core::BlocLocalizer;
 use bloc_num::stats;
 use bloc_testbed::dataset::sample_positions;
 use bloc_testbed::scenario::Scenario;
@@ -27,7 +26,7 @@ fn main() {
 
     let scenario = Scenario::paper_testbed(size.seed);
     let positions = sample_positions(&scenario.room, n, size.seed ^ 0x9F);
-    let localizer = BlocLocalizer::new(scenario.bloc_config());
+    let localizer = scenario.localizer();
     // Every 2nd channel keeps the 80 MHz span (Fig. 11) and halves runtime.
     let channels: Vec<_> = bloc_chan::sounder::all_data_channels()
         .into_iter()

@@ -32,7 +32,7 @@ fn random_room(seed: u64) -> Environment {
     let h = 4.0 + rng.gen::<f64>() * 4.0;
     let mut env = Environment::in_room(Room::new(w, h));
 
-    if seed % 2 == 0 {
+    if seed.is_multiple_of(2) {
         let mat =
             [Material::concrete(), Material::drywall(), Material::glass()][(seed % 3) as usize];
         env = env.with_walls(mat, &mut rng).unwrap();
@@ -54,13 +54,13 @@ fn random_room(seed: u64) -> Environment {
         };
         env.add_reflector(Reflector::new(Segment::new(a, b), mat, &mut rng));
     }
-    if seed % 3 == 0 {
+    if seed.is_multiple_of(3) {
         env.add_obstruction(Obstruction {
             blocker: Segment::new(P2::new(w * 0.4, 0.2), P2::new(w * 0.4, h - 0.2)),
             loss_db: 6.0 + rng.gen::<f64>() * 10.0,
         });
     }
-    if seed % 4 == 0 {
+    if seed.is_multiple_of(4) {
         env = env.with_second_order(true);
     }
     env

@@ -1396,7 +1396,11 @@ mod tests {
             nx: 442,
             ny: 137,
         };
-        assert!(spec.nx % TILE_W != 0 && spec.nx % BLOCK_W != 0 && spec.ny % BLOCK_H != 0);
+        assert!(
+            !spec.nx.is_multiple_of(TILE_W)
+                && !spec.nx.is_multiple_of(BLOCK_W)
+                && !spec.ny.is_multiple_of(BLOCK_H)
+        );
         let anchors = vec![
             AnchorArray::centered(0, P2::new(17.0, -0.4), P2::new(1.0, 0.0), 3),
             AnchorArray::centered(1, P2::new(-0.4, 5.0), P2::new(0.0, 1.0), 4),

@@ -31,15 +31,37 @@ pub fn rms(xs: &[f64]) -> f64 {
 }
 
 /// `p`-th percentile (0–100) with linear interpolation between order
-/// statistics; `NaN` for an empty slice. Not stable-sorted against NaNs:
-/// the caller must pass finite data.
+/// statistics; `NaN` for an empty slice. The caller must pass data
+/// without NaNs (a NaN among two or more samples panics).
+///
+/// Runs in O(n): it selects the two order statistics it interpolates
+/// between instead of sorting, and returns the same value as
+/// [`percentile_sorted`] on the sorted sample.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    if xs.is_empty() {
-        return f64::NAN;
+    if xs.len() < 2 {
+        return percentile_sorted(xs, p);
     }
+    let (lo, hi, frac) = interpolation_ranks(xs.len(), p);
     let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("percentile input must be finite"));
-    percentile_sorted(&v, p)
+    let (_, &mut lo_v, upper) = v.select_nth_unstable_by(lo, |a, b| {
+        a.partial_cmp(b).expect("percentile input must be finite")
+    });
+    // Everything above rank `lo` sits in `upper`, so the next order
+    // statistic is its minimum.
+    let hi_v = if hi == lo {
+        lo_v
+    } else {
+        upper.iter().copied().fold(f64::INFINITY, f64::min)
+    };
+    lo_v + (hi_v - lo_v) * frac
+}
+
+/// The two order statistics (`lo`, `hi`) the `p`-th percentile of `n ≥ 2`
+/// samples interpolates between, and the weight `frac` of `hi`.
+fn interpolation_ranks(n: usize, p: f64) -> (usize, usize, f64) {
+    let rank = (p.clamp(0.0, 100.0) / 100.0) * (n - 1) as f64;
+    let lo = rank.floor() as usize;
+    (lo, rank.ceil() as usize, rank - lo as f64)
 }
 
 /// Percentile on data already sorted ascending.
@@ -47,14 +69,10 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return f64::NAN;
     }
-    let n = sorted.len();
-    if n == 1 {
+    if sorted.len() == 1 {
         return sorted[0];
     }
-    let rank = (p.clamp(0.0, 100.0) / 100.0) * (n - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
+    let (lo, hi, frac) = interpolation_ranks(sorted.len(), p);
     sorted[lo] + (sorted[hi] - sorted[lo]) * frac
 }
 
@@ -316,6 +334,62 @@ mod tests {
         assert_eq!(a.count(), 100);
         assert!((a.mean() - mean(&xs)).abs() < 1e-12);
         assert!((a.std_dev() - std_dev(&xs)).abs() < 1e-10);
+    }
+
+    #[test]
+    #[should_panic(expected = "percentile input must be finite")]
+    fn percentile_panics_on_nan() {
+        percentile(&[1.0, f64::NAN, 3.0], 50.0);
+    }
+
+    #[test]
+    fn percentile_panics_on_nan_anywhere() {
+        for n in [2usize, 3, 17, 40] {
+            for at in [0, n / 2, n - 1] {
+                for p in [0.0, 50.0, 100.0] {
+                    let mut xs: Vec<f64> = (0..n).map(|i| i as f64).collect();
+                    xs[at] = f64::NAN;
+                    let r = std::panic::catch_unwind(|| percentile(&xs, p));
+                    assert!(r.is_err(), "n {n}, NaN at {at}, p {p} must panic");
+                }
+            }
+        }
+    }
+
+    /// Ranks the selection-based [`percentile`] is pinned at, plus a
+    /// random one (selector 6).
+    const PINNED_P: [f64; 6] = [0.0, 25.0, 50.0, 90.0, 99.0, 100.0];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn prop_percentile_equals_sorted_definition(
+            raw in proptest::collection::vec((-4i8..5, -50.0..50.0f64, 0u8..8), 1..301),
+            which in 0usize..7,
+            random_p in 0.0..100.0f64,
+        ) {
+            // Mostly a few repeated values (−1.0 … 1.0 in quarters, with
+            // both signed zeros), sometimes an arbitrary one.
+            let xs: Vec<f64> = raw
+                .iter()
+                .map(|&(k, x, kind)| match kind {
+                    0 => x,
+                    1 if k == 0 => -0.0,
+                    _ => k as f64 * 0.25,
+                })
+                .collect();
+            let p = PINNED_P.get(which).copied().unwrap_or(random_p);
+            let mut sorted = xs.clone();
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let want = percentile_sorted(&sorted, p);
+            let got = percentile(&xs, p);
+            let signed_zeros = xs.iter().any(|&x| x == 0.0 && x.is_sign_negative());
+            if signed_zeros {
+                prop_assert_eq!(got, want, "n {} p {}", xs.len(), p);
+            } else {
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "n {} p {}: {} vs {}", xs.len(), p, got, want);
+            }
+        }
     }
 
     proptest! {

@@ -6,7 +6,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use bloc_core::BlocLocalizer;
 use rand::{rngs::StdRng, SeedableRng};
 
 use super::ExperimentSize;
@@ -35,7 +34,7 @@ pub struct ExtFusionResult {
 pub fn run(size: &ExperimentSize) -> ExtFusionResult {
     let scenario = Scenario::paper_testbed(size.seed);
     let sounder = scenario.sounder(Default::default());
-    let localizer = BlocLocalizer::new(scenario.bloc_config());
+    let localizer = scenario.localizer();
     let positions = sample_positions(&scenario.room, size.locations, size.seed ^ 0xF0);
     let channels = bloc_chan::sounder::all_data_channels();
 

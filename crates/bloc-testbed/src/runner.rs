@@ -9,6 +9,12 @@
 //! discipline. Locations fan out across all CPU cores through
 //! [`bloc_num::par::sharded_map`]; each worker owns its stats accumulator
 //! and sounder, and results come back in dataset order by construction.
+//!
+//! Every worker localizes through the scenario's [`Scenario::localizer`],
+//! which runs on the engine the scenario owns. The deployment's steering
+//! tables are therefore built by the first sweep over a scenario (or any
+//! clone of it) and reused by every later one; only a transform that
+//! changes the anchor geometry or the frequency comb builds new ones.
 
 use std::sync::Arc;
 
@@ -156,7 +162,7 @@ impl<'a> SweepSpec<'a> {
 pub fn sweep(spec: &SweepSpec<'_>) -> Vec<SweepOutcome> {
     let n = spec.positions.len();
     let n_methods = spec.methods.len();
-    let localizer = BlocLocalizer::new(spec.scenario.bloc_config());
+    let localizer = spec.scenario.localizer();
 
     let _span = bloc_obs::span("sweep");
     bloc_obs::counter("sweep.runs").inc();
@@ -366,6 +372,72 @@ mod tests {
                 "sweep must be thread-count independent"
             );
         }
+    }
+
+    /// The full-geometry steering tables of `scenario`'s cache for the
+    /// comb `data` was sounded on (a hit once a sweep has built them).
+    fn full_geometry_tables(
+        scenario: &Scenario,
+        data: &SoundingData,
+    ) -> Arc<bloc_core::engine::SteeringTables> {
+        let corrected = bloc_core::correction::correct(data, true).expect("clean sounding");
+        let plan = bloc_core::engine::SoaChannels::build(&corrected).plan;
+        scenario.engine().cache().tables(
+            scenario.bloc_config().grid,
+            &corrected.anchors,
+            &corrected.master_anchor_dist,
+            plan.base_hz,
+            plan.step_hz,
+        )
+    }
+
+    #[test]
+    fn sweeps_reuse_the_scenario_steering_tables() {
+        fn spec_in<'a>(scenario: &'a Scenario, positions: &'a [P2], seed: u64) -> SweepSpec<'a> {
+            SweepSpec {
+                channels: bloc_chan::sounder::all_data_channels()[..9].to_vec(),
+                ..SweepSpec::standard(scenario, positions, vec![Method::Bloc], seed)
+            }
+        }
+        let fresh = |seed| Scenario::build(Clutter::WallsOnly, seed);
+        let scenario = fresh(31);
+        let first_positions = sample_positions(&scenario.room, 4, 31);
+        let second_positions = sample_positions(&scenario.room, 5, 32);
+
+        // Two back-to-back sweeps on one scenario equal the same sweeps
+        // on fresh scenarios, record for record.
+        let first = sweep(&spec_in(&scenario, &first_positions, 7));
+        let second = sweep(&spec_in(&scenario, &second_positions, 8));
+        let first_fresh = sweep(&spec_in(&fresh(31), &first_positions, 7));
+        let second_fresh = sweep(&spec_in(&fresh(31), &second_positions, 8));
+        assert_eq!(first[0].records, first_fresh[0].records);
+        assert_eq!(second[0].records, second_fresh[0].records);
+
+        // Both sweeps (and a clone of the scenario) share one entry.
+        let cache = scenario.engine().cache();
+        assert_eq!(cache.len(), 1, "one deployment, one comb: one entry");
+        assert_eq!(scenario.clone().engine().cache().len(), 1);
+        let probe = scenario.sounder(SounderConfig::default()).sound(
+            first_positions[0],
+            &bloc_chan::sounder::all_data_channels()[..9],
+            &mut StdRng::seed_from_u64(1),
+        );
+        let tables = full_geometry_tables(&scenario, &probe);
+        assert_eq!(cache.len(), 1, "the probe must hit the sweeps' entry");
+
+        // An antenna subset is another geometry: a second entry, and the
+        // full-geometry one stays resident, untouched.
+        let subset = SweepSpec {
+            transform: Some(Arc::new(|d: SoundingData| d.with_antenna_subset(2))),
+            ..spec_in(&scenario, &first_positions, 7)
+        };
+        sweep(&subset);
+        assert_eq!(cache.len(), 2);
+        assert!(Arc::ptr_eq(
+            &tables,
+            &full_geometry_tables(&scenario, &probe)
+        ));
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

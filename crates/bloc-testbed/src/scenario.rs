@@ -16,6 +16,16 @@
 //! * [`Scenario::multi_room`] — a 20 m × 14 m office floor cut into
 //!   rooms by interior concrete walls with door gaps, six anchors on
 //!   the outer walls.
+//!
+//! Each scenario owns one [`LikelihoodEngine`], built with the scenario,
+//! and [`Scenario::localizer`] runs on it. Its steering cache therefore
+//! holds the deployment's Eq. 14 tables across every sweep and
+//! localizer built from the scenario, and clones of the scenario share
+//! it. Entries are keyed by grid, anchor geometry and frequency comb, so
+//! soundings reduced to an anchor, antenna or band subset get entries of
+//! their own. The cache is bounded by the hierarchical localizer's
+//! default budget ([`HierarchicalConfig::cache_budget_bytes`]), evicting
+//! the least recently used geometry.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,6 +37,8 @@ use bloc_chan::materials::Material;
 use bloc_chan::reflector::Reflector;
 use bloc_chan::sounder::{Sounder, SounderConfig};
 use bloc_chan::{AnchorArray, Environment};
+use bloc_core::engine::LikelihoodEngine;
+use bloc_core::{BlocLocalizer, HierarchicalConfig};
 use bloc_num::P2;
 
 /// How much clutter the room carries.
@@ -49,8 +61,9 @@ pub enum Clutter {
     MultiRoomFloor,
 }
 
-/// A complete deployment: room, environment, anchors.
-#[derive(Debug, Clone)]
+/// A complete deployment: room, environment, anchors, and the likelihood
+/// engine its localizers share.
+#[derive(Clone)]
 pub struct Scenario {
     /// The room.
     pub room: Room,
@@ -62,6 +75,32 @@ pub struct Scenario {
     pub clutter: Clutter,
     /// The seed the environment was frozen from.
     pub seed: u64,
+    /// The engine [`Scenario::localizer`] runs on; clones share its
+    /// steering cache.
+    engine: LikelihoodEngine,
+}
+
+impl std::fmt::Debug for Scenario {
+    /// Everything but the engine, whose cache holds megabytes of tables.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Scenario")
+            .field("room", &self.room)
+            .field("env", &self.env)
+            .field("anchors", &self.anchors)
+            .field("clutter", &self.clutter)
+            .field("seed", &self.seed)
+            .finish_non_exhaustive()
+    }
+}
+
+/// A fresh engine for one scenario, its steering cache bounded like the
+/// hierarchical localizer's.
+fn scenario_engine() -> LikelihoodEngine {
+    let engine = LikelihoodEngine::default();
+    engine
+        .cache()
+        .set_byte_budget(HierarchicalConfig::default().cache_budget_bytes);
+    engine
 }
 
 impl Scenario {
@@ -177,6 +216,7 @@ impl Scenario {
             anchors,
             clutter,
             seed,
+            engine: scenario_engine(),
         }
     }
 
@@ -223,6 +263,7 @@ impl Scenario {
             anchors,
             clutter: Clutter::CorridorVenue,
             seed,
+            engine: scenario_engine(),
         }
     }
 
@@ -275,6 +316,7 @@ impl Scenario {
             anchors,
             clutter: Clutter::MultiRoomFloor,
             seed,
+            engine: scenario_engine(),
         }
     }
 
@@ -286,6 +328,18 @@ impl Scenario {
     /// The default BLoc pipeline configuration for this room.
     pub fn bloc_config(&self) -> bloc_core::BlocConfig {
         bloc_core::BlocConfig::for_room(&self.room)
+    }
+
+    /// The scenario's likelihood engine. A localizer built with another
+    /// configuration of the same deployment reuses its steering tables
+    /// through `BlocLocalizer::new(config).with_engine(scenario.engine().clone())`.
+    pub fn engine(&self) -> &LikelihoodEngine {
+        &self.engine
+    }
+
+    /// The default BLoc localizer for this room, on the scenario's engine.
+    pub fn localizer(&self) -> BlocLocalizer {
+        BlocLocalizer::new(self.bloc_config()).with_engine(self.engine.clone())
     }
 }
 

@@ -84,6 +84,6 @@ run env BLOC_NO_SIMD=1 cargo test -q -p bloc-num -- simd sweep
 run env BLOC_NO_SIMD=1 cargo test -q -p bloc-core --test kernel_equivalence
 run env BLOC_NO_SIMD=1 cargo test -q -p bloc-chan --test synth_equivalence
 run cargo fmt --check
-run cargo clippy -- -D warnings
+run cargo clippy --all-targets -- -D warnings
 
 echo "all checks passed"
