@@ -30,7 +30,10 @@
 //! level this build knows: the warm single-thread rate of the bare Eq. 17
 //! cell kernel at every level the host executes (each run's output must
 //! equal the scalar level's bit for bit), and `"status": "skipped"` for a
-//! level the host lacks.
+//! level the host lacks. Its `tag_batch` row times the dispatched kernel
+//! sweeping four tags of one deployment in one batched call against one
+//! at a time, interleaved in the same process; on release builds the
+//! batch must be ≥ 1.25× faster and bit-identical per tag.
 
 use std::time::Instant;
 
@@ -46,6 +49,11 @@ use bloc_num::{GridSpec, C64, P2};
 use bloc_testbed::scenario::Scenario;
 use rand::{rngs::StdRng, SeedableRng};
 
+/// Least speedup of a [`sweep::MAX_TAGS`]-tag batched kernel call over
+/// sweeping the same tags one at a time (measured 1.55× on AVX-512 and
+/// AVX2).
+const TAG_BATCH_FLOOR: f64 = 1.25;
+
 /// Best-of-N wall time of one call, seconds.
 fn time_best(iters: usize, mut f: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
@@ -57,83 +65,119 @@ fn time_best(iters: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
+/// The bare Eq. 17 cell kernel's inputs over every grid cell of every
+/// anchor, laid out the way the engine lays them out (one channel-weight
+/// row per absolute comb slot): per anchor, the lane stride, the seed and
+/// step tables of the deployment's steering geometry, and the channel
+/// weights of every tag.
+struct KernelBench {
+    cells: usize,
+    gaps: Vec<u32>,
+    anchors: Vec<AnchorBench>,
+}
+
+/// One anchor's kernel inputs: lane stride, seed re/im and step re/im
+/// tables, and every tag's alpha re/im.
+type AnchorBench = (usize, [Vec<f64>; 4], Vec<[Vec<f64>; 2]>);
+
+impl KernelBench {
+    /// Inputs for `tags`, soundings of one deployment on one comb.
+    fn build(tags: &[CorrectedChannels], spec: GridSpec) -> Self {
+        let corrected = &tags[0];
+        let freqs: Vec<f64> = corrected.bands.iter().map(|b| b.freq_hz).collect();
+        let plan = BandPlan::build(&freqs);
+        assert!(
+            plan.is_uniform_comb(),
+            "clean testbed sounding is on the comb"
+        );
+        let span = plan.span();
+        let geometry = SteeringTables::build(
+            spec,
+            &corrected.anchors,
+            &corrected.master_anchor_dist,
+            plan.base_hz,
+            plan.step_hz,
+        );
+        let cells = spec.nx * spec.ny;
+        let phase = std::f64::consts::TAU / bloc_num::constants::SPEED_OF_LIGHT;
+        let anchors = (0..corrected.n_anchors())
+            .map(|i| {
+                let nj = corrected.anchors[i].n_antennas;
+                let nl = nj.div_ceil(4) * 4;
+                let [mut sre, mut sim, mut tre, mut tim] =
+                    [1.0, 0.0, 1.0, 0.0].map(|v| vec![v; cells * nl]);
+                for cell in 0..cells {
+                    for (j, d) in geometry.cell_deltas(i, cell).into_iter().enumerate() {
+                        let seed = C64::cis(phase * d * plan.base_hz);
+                        let step = C64::cis(phase * d * plan.step_hz);
+                        let k = cell * nl + j;
+                        (sre[k], sim[k], tre[k], tim[k]) = (seed.re, seed.im, step.re, step.im);
+                    }
+                }
+                let alphas = tags
+                    .iter()
+                    .map(|tag| {
+                        let freqs: Vec<f64> = tag.bands.iter().map(|b| b.freq_hz).collect();
+                        assert_eq!(BandPlan::build(&freqs), plan, "tags share one comb");
+                        let (mut are, mut aim) = (vec![0.0; span * nl], vec![0.0; span * nl]);
+                        for (k, &b) in plan.order.iter().enumerate() {
+                            let row = plan.slots[k] as usize * nl;
+                            for (j, a) in tag.bands[b].alpha[i].iter().enumerate() {
+                                (are[row + j], aim[row + j]) = (a.re, a.im);
+                            }
+                        }
+                        [are, aim]
+                    })
+                    .collect();
+                (nl, [sre, sim, tre, tim], alphas)
+            })
+            .collect();
+        Self {
+            cells,
+            gaps: (0..span).map(|r| u32::from(r > 0)).collect(),
+            anchors,
+        }
+    }
+
+    /// Anchor `a`'s kernel view for tag `t`.
+    fn sweep(&self, a: usize, t: usize) -> CellSweep<'_> {
+        let (nl, [sre, sim, tre, tim], alphas) = &self.anchors[a];
+        let [are, aim] = &alphas[t];
+        CellSweep {
+            seed_re: sre,
+            seed_im: sim,
+            step_re: tre,
+            step_im: tim,
+            alpha_re: are,
+            alpha_im: aim,
+            n_lanes: *nl,
+            gaps: &self.gaps,
+        }
+    }
+
+    /// One output buffer per anchor.
+    fn outputs(&self) -> Vec<Vec<f64>> {
+        vec![vec![0.0; self.cells]; self.anchors.len()]
+    }
+}
+
 /// Best-of-`iters` warm single-thread time of the bare Eq. 17 cell kernel
-/// over every grid cell of every anchor, at each level the host executes,
-/// on this sounding's steering geometry and channel weights laid out the
-/// way the engine lays them out (one row per absolute comb slot). Also
-/// reports whether every level's output equals the scalar level's bit for
-/// bit.
-fn kernel_level_rows(
-    corrected: &CorrectedChannels,
-    spec: GridSpec,
-    iters: usize,
-) -> (Vec<(SimdLevel, f64)>, bool) {
-    let freqs: Vec<f64> = corrected.bands.iter().map(|b| b.freq_hz).collect();
-    let plan = BandPlan::build(&freqs);
-    assert!(
-        plan.is_uniform_comb(),
-        "clean testbed sounding is on the comb"
-    );
-    let span = plan.span();
-    let gaps: Vec<u32> = (0..span).map(|r| u32::from(r > 0)).collect();
-    let geometry = SteeringTables::build(
-        spec,
-        &corrected.anchors,
-        &corrected.master_anchor_dist,
-        plan.base_hz,
-        plan.step_hz,
-    );
-    let cells = spec.nx * spec.ny;
-    let phase = std::f64::consts::TAU / bloc_num::constants::SPEED_OF_LIGHT;
-    // Per anchor: lane stride, seed re/im, step re/im, alpha re/im.
-    type Tables = (usize, [Vec<f64>; 6]);
-    let tables: Vec<Tables> = (0..corrected.n_anchors())
-        .map(|i| {
-            let nj = corrected.anchors[i].n_antennas;
-            let nl = nj.div_ceil(4) * 4;
-            let [mut sre, mut sim, mut tre, mut tim] =
-                [1.0, 0.0, 1.0, 0.0].map(|v| vec![v; cells * nl]);
-            for cell in 0..cells {
-                for (j, d) in geometry.cell_deltas(i, cell).into_iter().enumerate() {
-                    let seed = C64::cis(phase * d * plan.base_hz);
-                    let step = C64::cis(phase * d * plan.step_hz);
-                    let k = cell * nl + j;
-                    (sre[k], sim[k], tre[k], tim[k]) = (seed.re, seed.im, step.re, step.im);
-                }
-            }
-            let (mut are, mut aim) = (vec![0.0; span * nl], vec![0.0; span * nl]);
-            for (k, &b) in plan.order.iter().enumerate() {
-                let row = plan.slots[k] as usize * nl;
-                for (j, a) in corrected.bands[b].alpha[i].iter().enumerate() {
-                    (are[row + j], aim[row + j]) = (a.re, a.im);
-                }
-            }
-            (nl, [sre, sim, tre, tim, are, aim])
-        })
-        .collect();
+/// on tag 0 at each level the host executes. Also reports whether every
+/// level's output equals the scalar level's bit for bit.
+fn kernel_level_rows(bench: &KernelBench, iters: usize) -> (Vec<(SimdLevel, f64)>, bool) {
     let run = |level: SimdLevel, out: &mut [Vec<f64>]| {
-        for ((nl, [sre, sim, tre, tim, are, aim]), out) in tables.iter().zip(out.iter_mut()) {
-            let view = CellSweep {
-                seed_re: sre,
-                seed_im: sim,
-                step_re: tre,
-                step_im: tim,
-                alpha_re: are,
-                alpha_im: aim,
-                n_lanes: *nl,
-                gaps: &gaps,
-            };
-            sweep::write_comb_cells_at(level, &view, Combine::Hybrid, 0, out);
+        for (a, out) in out.iter_mut().enumerate() {
+            sweep::write_comb_cells_at(level, &bench.sweep(a, 0), Combine::Hybrid, 0, out);
         }
     };
     let levels = sweep::levels_to_test();
-    let mut scalar = vec![vec![0.0; cells]; tables.len()];
+    let mut scalar = bench.outputs();
     run(levels[0], &mut scalar);
     let mut identical = true;
     let rows = levels
         .iter()
         .map(|&level| {
-            let mut out = vec![vec![0.0; cells]; tables.len()];
+            let mut out = bench.outputs();
             run(level, &mut out);
             identical &= out
                 .iter()
@@ -145,6 +189,43 @@ fn kernel_level_rows(
         })
         .collect();
     (rows, identical)
+}
+
+/// The tag-batch row: best-of-`iters` times of the dispatched cell kernel
+/// sweeping every tag of `bench` one at a time, and all of them in one
+/// batched call, interleaved so host drift hits both alike. Also reports
+/// whether every tag's batched output equals its single-tag output bit
+/// for bit.
+fn tag_batch_row(bench: &KernelBench, iters: usize) -> (f64, f64, bool) {
+    let n_tags = bench.anchors[0].2.len();
+    let mut single = vec![bench.outputs(); n_tags];
+    let mut batched = vec![bench.outputs(); n_tags];
+    let (mut t_single, mut t_batch) = (f64::INFINITY, f64::INFINITY);
+    let _span = bloc_obs::span("perf.tag_batch");
+    for _ in 0..iters.max(1) {
+        t_single = t_single.min(time_best(1, || {
+            for (t, outs) in single.iter_mut().enumerate() {
+                for (a, out) in outs.iter_mut().enumerate() {
+                    sweep::write_comb_cells(&bench.sweep(a, t), Combine::Hybrid, 0, out);
+                }
+            }
+        }));
+        t_batch = t_batch.min(time_best(1, || {
+            for a in 0..bench.anchors.len() {
+                let tags: Vec<CellSweep<'_>> = (0..n_tags).map(|t| bench.sweep(a, t)).collect();
+                let mut outs: Vec<&mut [f64]> =
+                    batched.iter_mut().map(|o| o[a].as_mut_slice()).collect();
+                sweep::write_comb_cells_batch(&tags, Combine::Hybrid, 0, &mut outs);
+            }
+        }));
+    }
+    let identical = single
+        .iter()
+        .flatten()
+        .flatten()
+        .zip(batched.iter().flatten().flatten())
+        .all(|(a, b)| a.to_bits() == b.to_bits());
+    (t_single, t_batch, identical)
 }
 
 fn main() {
@@ -257,7 +338,21 @@ fn main() {
         thread_rows.push((threads, t));
     }
 
-    let (level_rows, levels_identical) = kernel_level_rows(&corrected, spec, iters);
+    // The bare kernel on this sounding plus three more tags of the same
+    // deployment: the per-level rows sweep the first, the batch row all.
+    let batch_tags: Vec<CorrectedChannels> = std::iter::once(corrected.clone())
+        .chain(
+            [P2::new(1.2, 4.1), P2::new(3.6, 1.5), P2::new(4.1, 4.4)].map(|p| {
+                let data = sounder.sound(p, &all_data_channels(), &mut rng);
+                correct(&data, true).expect("clean testbed sounding")
+            }),
+        )
+        .collect();
+    assert_eq!(batch_tags.len(), sweep::MAX_TAGS);
+    let kernel_bench = KernelBench::build(&batch_tags, spec);
+    let (level_rows, levels_identical) = kernel_level_rows(&kernel_bench, iters);
+    let (t_tags_single, t_tags_batch, batch_identical) = tag_batch_row(&kernel_bench, iters);
+    let batch_ratio = t_tags_single / t_tags_batch;
 
     let throughput = |secs: f64| cell_evals / secs;
     let speedup = t_reference / t_warm;
@@ -323,6 +418,13 @@ fn main() {
         "bare kernel levels bit-identical to scalar: {}",
         if levels_identical { "PASS" } else { "FAIL" }
     );
+    let n_tags = sweep::MAX_TAGS;
+    println!(
+        "bare kernel, {n_tags} tags one at a time {:>9.1} ms, batched {:>9.1} ms ({cell_simd_level}): {batch_ratio:.2}× (floor {TAG_BATCH_FLOOR}×), batch bit-identical: {}",
+        t_tags_single * 1e3,
+        t_tags_batch * 1e3,
+        if batch_identical { "PASS" } else { "FAIL" }
+    );
 
     // -- Machine-readable trajectory point.
     let thread_json: Vec<String> = thread_rows
@@ -335,7 +437,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"joint_likelihood\",\n  \"grid\": {{\"nx\": {}, \"ny\": {}, \"cells\": {cells}, \"resolution_m\": {}}},\n  \"anchors\": {n_anchors},\n  \"bands\": {n_bands},\n  \"iters\": {iters},\n  \"host_threads\": {host_threads},\n  \"simd_level\": \"{cell_simd_level}\",\n  \"kernel_levels\": [{}],\n  \"equivalence\": {{\"max_rel_err\": {max_rel_err:.3e}, \"tol\": {tol:.0e}, \"pass\": {equivalent}}},\n  \"reference\": {{\"secs_per_call\": {t_reference:.6}, \"cell_evals_per_sec\": {:.0}}},\n  \"recurrence_cold\": {{\"secs_per_call\": {t_cold:.6}, \"cell_evals_per_sec\": {:.0}}},\n  \"recurrence_warm\": {{\"secs_per_call\": {t_warm:.6}, \"cell_evals_per_sec\": {:.0}}},\n  \"warm_threads\": [{}],\n  \"scaling_4_threads\": {scaling_4t:.2},\n  \"speedup_single_thread\": {speedup:.2}\n}}\n",
+        "{{\n  \"bench\": \"joint_likelihood\",\n  \"grid\": {{\"nx\": {}, \"ny\": {}, \"cells\": {cells}, \"resolution_m\": {}}},\n  \"anchors\": {n_anchors},\n  \"bands\": {n_bands},\n  \"iters\": {iters},\n  \"host_threads\": {host_threads},\n  \"simd_level\": \"{cell_simd_level}\",\n  \"kernel_levels\": [{}],\n  \"tag_batch\": {{\"simd_level\": \"{cell_simd_level}\", \"tags\": {n_tags}, \"single_secs\": {t_tags_single:.6}, \"batch_secs\": {t_tags_batch:.6}, \"ratio\": {batch_ratio:.2}, \"floor\": {TAG_BATCH_FLOOR}, \"bit_identical\": {batch_identical}}},\n  \"equivalence\": {{\"max_rel_err\": {max_rel_err:.3e}, \"tol\": {tol:.0e}, \"pass\": {equivalent}}},\n  \"reference\": {{\"secs_per_call\": {t_reference:.6}, \"cell_evals_per_sec\": {:.0}}},\n  \"recurrence_cold\": {{\"secs_per_call\": {t_cold:.6}, \"cell_evals_per_sec\": {:.0}}},\n  \"recurrence_warm\": {{\"secs_per_call\": {t_warm:.6}, \"cell_evals_per_sec\": {:.0}}},\n  \"warm_threads\": [{}],\n  \"scaling_4_threads\": {scaling_4t:.2},\n  \"speedup_single_thread\": {speedup:.2}\n}}\n",
         spec.nx,
         spec.ny,
         spec.resolution,
@@ -553,6 +655,10 @@ fn main() {
         eprintln!("FLOOR FAILED: a SIMD level's bare kernel output differs from scalar");
         failed = true;
     }
+    if !batch_identical {
+        eprintln!("FLOOR FAILED: a batched tag's bare kernel output differs from its own sweep");
+        failed = true;
+    }
     if !(t_warm.is_finite() && t_warm > 0.0 && throughput(t_warm) > 0.0) {
         eprintln!("FLOOR FAILED: warm throughput is not positive");
         failed = true;
@@ -566,6 +672,15 @@ fn main() {
     } else {
         if speedup < 5.0 {
             eprintln!("FLOOR FAILED: single-thread speedup {speedup:.2}× < 5× over reference");
+            failed = true;
+        }
+        // Same-process ratio: sweeping a deployment's tags in one batch
+        // (one rotation chain per cell for all of them) against one at a
+        // time, on the dispatched level.
+        if batch_ratio < TAG_BATCH_FLOOR {
+            eprintln!(
+                "FLOOR FAILED: {n_tags}-tag batch {batch_ratio:.2}× < {TAG_BATCH_FLOOR}× over single-tag sweeps ({cell_simd_level})"
+            );
             failed = true;
         }
         if snd_speedup < 4.0 {

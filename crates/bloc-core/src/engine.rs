@@ -20,10 +20,13 @@
 //!    [`RecurrenceKernel`] is the thin adapter that feeds it.
 //! 2. **SoA layout + geometry cache**: [`SoaChannels`] re-packs the
 //!    per-band `alpha[i][j]` tensor into the kernel's split re/im
-//!    lane-padded layout, and [`SteeringCache`] memoizes the per-cell
-//!    relative distances `Δ_ij(x)` (Eq. 14) and their seed/step phasors
-//!    keyed by (grid, anchor geometry) — a deployment sounds thousands of
-//!    times against the same grid, and the geometry never changes. The
+//!    lane-padded layout, and [`SteeringCache`] memoizes the seed/step
+//!    phasors of the per-cell relative distances `Δ_ij(x)` (Eq. 14) —
+//!    four arrays per block, seed and step, re and im — keyed by (grid,
+//!    anchor geometry, comb): a deployment sounds thousands of times
+//!    against the same grid, and the geometry never changes. `Δ` itself
+//!    is recomputed from the geometry where it is read (the off-comb
+//!    fallback and [`SteeringTables::cell_deltas`]). The
 //!    tables are indexed by the grid and filled lazily in small tiles;
 //!    every evaluation reads a [`GridPatch`] *window* of them — the whole
 //!    grid for a dense map, a patch for a hierarchical level — so a
@@ -34,6 +37,17 @@
 //!    [`bloc_num::par`] with work-size thresholding
 //!    ([`bloc_num::par::tuned_threads`]) so small problems never pay
 //!    spawn overhead — bit-identically for every thread count.
+//! 4. **Sounding batches**: a cell's rotation chain depends on the
+//!    geometry and the comb, never on the tag.
+//!    [`LikelihoodEngine::likelihood_batch`] groups soundings that share
+//!    a steering entry, comb walk, lane strides and alive anchors, up to
+//!    [`sweep::MAX_TAGS`] per group, and the kernel advances each chain
+//!    once for the whole group
+//!    ([`bloc_num::sweep::write_comb_cells_batch`]); only the channel
+//!    weights and accumulators are per sounding, so every sounding's
+//!    maps equal a call of its own bit for bit. The single-sounding
+//!    entries are its batch of one. The Δ array the tables no longer
+//!    store pays for the batch's extra maps in heap.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -43,7 +57,7 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use bloc_chan::AnchorArray;
 use bloc_num::constants::SPEED_OF_LIGHT;
-use bloc_num::sweep::{self, CellSweep, Combine, OffCombSweep};
+use bloc_num::sweep::{self, CellSweep, Combine, OffCombSweep, MAX_TAGS};
 use bloc_num::{Grid2D, GridPatch, GridSpec, C64, P2};
 
 use crate::correction::CorrectedChannels;
@@ -229,11 +243,10 @@ const BLOCK_H: usize = 4;
 /// One anchor's lane-padded steering tables over the cells of one block,
 /// row-major, borrowed from the block's storage.
 struct AnchorLanes<'a> {
-    /// `delta[cell·n_lanes + j]`, cell-major, lane-padded with 0.
-    delta: &'a [f64],
-    /// `e^{ι2πf_baseΔ/c}` real parts, same indexing; padding lanes hold
-    /// the neutral phasor `1 + 0ι` (finite, so a zero alpha annihilates
-    /// it exactly — garbage here could produce `0 × ∞ = NaN`).
+    /// `e^{ι2πf_baseΔ/c}` real parts, `seed_re[cell·n_lanes + j]`,
+    /// cell-major; padding lanes hold the neutral phasor `1 + 0ι` (finite,
+    /// so a zero alpha annihilates it exactly — garbage here could
+    /// produce `0 × ∞ = NaN`).
     seed_re: &'a [f64],
     /// Seed imaginary parts.
     seed_im: &'a [f64],
@@ -244,13 +257,16 @@ struct AnchorLanes<'a> {
 }
 
 /// Per-cell steering geometry for one (grid, deployment, band-comb)
-/// triple: the relative distances `Δ_ij(x) = d_ij(x) − d_00(x) −
-/// d^{i0}_{00}` of Eq. 14 for every cell and every (anchor, antenna),
-/// plus — when the surviving bands form a uniform comb — the two phasors
-/// the recurrence kernel seeds from them, `e^{ι2πf_baseΔ/c}` and
-/// `e^{ι2πsΔ/c}`. Hoisting the phasors into the cache removes every
+/// triple: for every cell and every (anchor, antenna), the two phasors
+/// the recurrence kernel seeds from the relative distance `Δ_ij(x) =
+/// d_ij(x) − d_00(x) − d^{i0}_{00}` of Eq. 14 — `e^{ι2πf_baseΔ/c}` and
+/// `e^{ι2πsΔ/c}`, each as a real and an imaginary array (four arrays per
+/// block). Hoisting the phasors into the cache removes every
 /// transcendental call from the steady-state per-sounding path: the warm
-/// kernel is pure complex multiply-adds.
+/// kernel is pure complex multiply-adds. `Δ` itself is not stored: only
+/// the off-comb fallback and [`SteeringTables::cell_deltas`] read it, and
+/// they recompute it from the geometry with the one expression the fill
+/// uses, so it is the same value bit for bit.
 ///
 /// The tables are indexed by the parent grid and filled lazily, one
 /// [`TILE_W`]×[`TILE_H`] tile at a time, the first time a window touches
@@ -270,17 +286,16 @@ pub struct SteeringTables {
     master_anchor_dist: Vec<f64>,
     base_hz: f64,
     step_hz: f64,
-    n_antennas: Vec<usize>,
     n_lanes: Vec<usize>,
     /// Lanes of the anchors before anchor `i` (its table offset in a
-    /// block, in units of `5 · block cells`); the last entry is the total.
+    /// block, in units of `4 · block cells`); the last entry is the total.
     lane_base: Vec<usize>,
     /// Fill markers, row-major over tiles; each tile is computed at most
     /// once.
     tiles: Vec<OnceLock<()>>,
-    /// Block storage, row-major over blocks: anchor `i`'s five tables
-    /// (Δ, seed re/im, step re/im, each `block cells · n_lanes[i]` long)
-    /// from offset `5 · block cells · lane_base[i]`.
+    /// Block storage, row-major over blocks: anchor `i`'s four tables
+    /// (seed re/im, step re/im, each `block cells · n_lanes[i]` long)
+    /// from offset `4 · block cells · lane_base[i]`.
     /// Empty until the block's first tile fills; tiles write under the
     /// block's write lock, the kernel reads under its read lock.
     blocks: Vec<RwLock<Vec<f64>>>,
@@ -311,7 +326,16 @@ impl BlockShape {
     fn cell(&self, ix: usize, iy: usize) -> usize {
         (iy - self.y0) * self.nx + ix - self.x0
     }
+
+    /// The grid cell `(ix, iy)` of block-local cell `cell`.
+    fn grid_cell(&self, cell: usize) -> (usize, usize) {
+        (self.x0 + cell % self.nx, self.y0 + cell / self.nx)
+    }
 }
+
+/// Tables per anchor in a storage block: seed and step phasors, real and
+/// imaginary parts.
+const TABLES_PER_ANCHOR: usize = 4;
 
 impl SteeringTables {
     /// Tables for this (grid, deployment, comb) with no tile filled yet.
@@ -325,8 +349,7 @@ impl SteeringTables {
         base_hz: f64,
         step_hz: f64,
     ) -> Self {
-        let n_antennas: Vec<usize> = anchors.iter().map(|a| a.n_antennas).collect();
-        let n_lanes: Vec<usize> = n_antennas.iter().map(|&nj| lane_stride(nj)).collect();
+        let n_lanes: Vec<usize> = anchors.iter().map(|a| lane_stride(a.n_antennas)).collect();
         let lane_base = std::iter::once(0)
             .chain(n_lanes.iter().scan(0, |sum, &nl| {
                 *sum += nl;
@@ -345,7 +368,6 @@ impl SteeringTables {
             master_anchor_dist: master_anchor_dist.to_vec(),
             base_hz,
             step_hz,
-            n_antennas,
             n_lanes,
             lane_base,
             tiles: (0..n_tiles).map(|_| OnceLock::new()).collect(),
@@ -413,34 +435,28 @@ impl SteeringTables {
         let block_cells = shape.cells();
         let total_lanes = self.lane_base.last().copied().unwrap_or(0);
         let tau_over_c = std::f64::consts::TAU / SPEED_OF_LIGHT;
-        let (master0, base_hz, step_hz) = (self.master0, self.base_hz, self.step_hz);
+        let (base_hz, step_hz) = (self.base_hz, self.step_hz);
         // A fill that panicked left only its own tile's cells half
         // written, and that tile stays unfilled, so recovering is sound.
         let mut block = self.blocks[b].write().unwrap_or_else(|e| e.into_inner());
         if block.is_empty() {
-            *block = vec![0.0; 5 * block_cells * total_lanes];
+            *block = vec![0.0; TABLES_PER_ANCHOR * block_cells * total_lanes];
         }
         let mut rest = block.as_mut_slice();
         for (i, positions) in self.antennas.iter().enumerate() {
-            let d_i0 = self.master_anchor_dist[i];
             let nl = self.n_lanes[i];
             let len = block_cells * nl;
-            let (tables, tail) = rest.split_at_mut(5 * len);
+            let (tables, tail) = rest.split_at_mut(TABLES_PER_ANCHOR * len);
             rest = tail;
-            let (delta, tables) = tables.split_at_mut(len);
             let (seed_re, tables) = tables.split_at_mut(len);
             let (seed_im, tables) = tables.split_at_mut(len);
             let (step_re, step_im) = tables.split_at_mut(len);
             for iy in y0..y1 {
                 for ix in x0..x1 {
-                    let x = spec.cell_center(ix, iy);
-                    let d_00 = x.dist(master0);
                     let cell = shape.cell(ix, iy);
-                    for (j, &p) in positions.iter().enumerate() {
-                        let d = x.dist(p) - d_00 - d_i0;
+                    for (j, d) in self.deltas_at(i, ix, iy).enumerate() {
                         let w = tau_over_c * d;
                         let k = cell * nl + j;
-                        delta[k] = d;
                         let s = C64::cis(w * base_hz);
                         let r = C64::cis(w * step_hz);
                         seed_re[k] = s.re;
@@ -455,21 +471,34 @@ impl SteeringTables {
                 }
             }
         }
-        let bytes = 5 * (x1 - x0) * (y1 - y0) * total_lanes * std::mem::size_of::<f64>();
+        let bytes =
+            TABLES_PER_ANCHOR * (x1 - x0) * (y1 - y0) * total_lanes * std::mem::size_of::<f64>();
         self.filled_bytes.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// Eq. 14's relative distances `Δ_ij` of anchor `i` at grid cell
+    /// `(ix, iy)`, one per antenna `j` — the one expression the table
+    /// fill, the off-comb fallback and [`SteeringTables::cell_deltas`]
+    /// share, so all three see the same value bit for bit.
+    fn deltas_at(&self, i: usize, ix: usize, iy: usize) -> impl Iterator<Item = f64> + '_ {
+        let x = self.spec.cell_center(ix, iy);
+        let d_00 = x.dist(self.master0);
+        let d_i0 = self.master_anchor_dist[i];
+        self.antennas[i]
+            .iter()
+            .map(move |&p| x.dist(p) - d_00 - d_i0)
     }
 
     /// Anchor `i`'s tables within the storage of a block of `cells`
     /// cells.
     fn lanes<'b>(&self, block: &'b [f64], cells: usize, i: usize) -> AnchorLanes<'b> {
         let len = cells * self.n_lanes[i];
-        let tables = &block[5 * cells * self.lane_base[i]..][..5 * len];
-        let (delta, rest) = tables.split_at(len);
-        let (seed_re, rest) = rest.split_at(len);
+        let tables =
+            &block[TABLES_PER_ANCHOR * cells * self.lane_base[i]..][..TABLES_PER_ANCHOR * len];
+        let (seed_re, rest) = tables.split_at(len);
         let (seed_im, rest) = rest.split_at(len);
         let (step_re, step_im) = rest.split_at(len);
         AnchorLanes {
-            delta,
             seed_re,
             seed_im,
             step_re,
@@ -491,35 +520,32 @@ impl SteeringTables {
     }
 
     /// The `Δ_ij` of one cell for anchor `i` (length = antennas of `i`,
-    /// indexed by `j` — padding lanes excluded); filled first if no
-    /// window has touched it yet. A copy — inspection, not a hot path.
+    /// indexed by `j` — padding lanes excluded), recomputed from the
+    /// geometry exactly as the fill computes it. Inspection, not a hot
+    /// path.
     pub fn cell_deltas(&self, i: usize, cell: usize) -> Vec<f64> {
         let nx = self.spec.nx.max(1);
-        let (ix, iy) = (cell % nx, cell / nx);
-        self.fill(&self.spec.patch(self.spec.cell_center(ix, iy), 0.0));
-        let (b, shape) = self.block(ix, iy);
-        let block = self.blocks[b].read().unwrap_or_else(|e| e.into_inner());
-        let lanes = self.lanes(&block, shape.cells(), i);
-        let k = shape.cell(ix, iy) * self.n_lanes[i];
-        lanes.delta[k..k + self.n_antennas[i]].to_vec()
+        self.deltas_at(i, cell % nx, cell / nx).collect()
     }
 
     /// Evaluates anchor `i` over whole rows of `window`, whose tiles are
-    /// filled: `out` holds window rows `r0 ..`. Each block the rows cross
-    /// is read under its read lock: one sweep-kernel call for all its
-    /// rows when the window spans the block's width, else one per row
-    /// segment, each at its block-local `first_cell`.
+    /// filled, for every sounding of a batch that shares these tables:
+    /// `outs[t]` holds sounding `t`'s window rows `r0 ..`. Each block the
+    /// rows cross is read under its read lock: one sweep-kernel call for
+    /// all its rows when the window spans the block's width, else one per
+    /// row segment, each at its block-local `first_cell`.
     fn sweep_rows(
         &self,
-        soa: &SoaChannels,
+        soas: &[&SoaChannels],
         i: usize,
         combine: Combine,
         window: &GridPatch,
         r0: usize,
-        out: &mut [f64],
+        outs: &mut [&mut [f64]],
     ) {
         let (x0, nx) = (window.x0, window.spec.nx.max(1));
-        let rows = out.len() / nx;
+        let rows = outs.first().map_or(0, |o| o.len()) / nx;
+        let n_tags = outs.len();
         let mut r = 0;
         while r < rows {
             let iy = window.y0 + r0 + r;
@@ -533,17 +559,28 @@ impl SteeringTables {
                 let at = |k: usize| (r + k) * nx + x - x0;
                 if n == shape.nx && group > 1 {
                     // The group's rows are contiguous in the block.
-                    let mut cells = [0.0; BLOCK_W * BLOCK_H];
-                    let cells = &mut cells[..group * n];
-                    self.sweep_cells(&lanes, soa, i, combine, shape.cell(x, iy), cells);
-                    for (k, row) in cells.chunks_exact(n).enumerate() {
-                        out[at(k)..at(k) + n].copy_from_slice(row);
+                    let mut cells = [[0.0; BLOCK_W * BLOCK_H]; MAX_TAGS];
+                    let mut views: [&mut [f64]; MAX_TAGS] = Default::default();
+                    for (view, c) in views.iter_mut().zip(&mut cells) {
+                        *view = &mut c[..group * n];
+                    }
+                    let first = shape.cell(x, iy);
+                    let views = &mut views[..n_tags];
+                    self.sweep_cells(&lanes, soas, i, combine, &shape, first, views);
+                    for (out, c) in outs.iter_mut().zip(&cells) {
+                        for (k, row) in c[..group * n].chunks_exact(n).enumerate() {
+                            out[at(k)..at(k) + n].copy_from_slice(row);
+                        }
                     }
                 } else {
                     for k in 0..group {
                         let first = shape.cell(x, iy + k);
-                        let row = &mut out[at(k)..at(k) + n];
-                        self.sweep_cells(&lanes, soa, i, combine, first, row);
+                        let mut views: [&mut [f64]; MAX_TAGS] = Default::default();
+                        for (view, out) in views.iter_mut().zip(outs.iter_mut()) {
+                            *view = &mut out[at(k)..at(k) + n];
+                        }
+                        let views = &mut views[..n_tags];
+                        self.sweep_cells(&lanes, soas, i, combine, &shape, first, views);
                     }
                 }
                 x += n;
@@ -552,43 +589,65 @@ impl SteeringTables {
         }
     }
 
-    /// One sweep-kernel call: anchor `i` over block cells
-    /// `first_cell .. first_cell + out.len()` of `lanes`.
+    /// One sweep-kernel call: anchor `i` over block cells `first_cell ..
+    /// first_cell + n` of `lanes` for every sounding of the batch, `n`
+    /// being the length of each `outs[t]`.
+    #[allow(clippy::too_many_arguments)]
     fn sweep_cells(
         &self,
         lanes: &AnchorLanes<'_>,
-        soa: &SoaChannels,
+        soas: &[&SoaChannels],
         i: usize,
         combine: Combine,
+        shape: &BlockShape,
         first_cell: usize,
-        out: &mut [f64],
+        outs: &mut [&mut [f64]],
     ) {
         let nl = self.n_lanes[i];
-        debug_assert_eq!(nl, soa.n_lanes[i]);
-        if soa.plan.is_uniform_comb() {
+        let Some(lead) = soas.first() else {
+            return;
+        };
+        debug_assert!(soas.iter().all(|soa| soa.n_lanes[i] == nl));
+        if lead.plan.is_uniform_comb() {
             // The cached seed/step phasors make this branch free of
-            // transcendentals: pure complex multiply-adds.
-            let view = CellSweep {
-                seed_re: lanes.seed_re,
-                seed_im: lanes.seed_im,
-                step_re: lanes.step_re,
-                step_im: lanes.step_im,
-                alpha_re: &soa.alpha_re[i],
-                alpha_im: &soa.alpha_im[i],
-                n_lanes: nl,
-                gaps: &soa.kernel_gaps,
-            };
-            sweep::write_comb_cells(&view, combine, first_cell, out);
+            // transcendentals: pure complex multiply-adds, and one
+            // rotation chain per (cell, antenna) for the whole batch.
+            let tags: [CellSweep<'_>; MAX_TAGS] = std::array::from_fn(|t| {
+                let soa = soas[t.min(soas.len() - 1)];
+                CellSweep {
+                    seed_re: lanes.seed_re,
+                    seed_im: lanes.seed_im,
+                    step_re: lanes.step_re,
+                    step_im: lanes.step_im,
+                    alpha_re: &soa.alpha_re[i],
+                    alpha_im: &soa.alpha_im[i],
+                    n_lanes: nl,
+                    gaps: &lead.kernel_gaps,
+                }
+            });
+            sweep::write_comb_cells_batch(&tags[..soas.len()], combine, first_cell, outs);
         } else {
-            let view = OffCombSweep {
-                delta: lanes.delta,
-                alpha_re: &soa.alpha_re[i],
-                alpha_im: &soa.alpha_im[i],
-                n_lanes: nl,
-                freqs: &soa.plan.freqs,
-                phase_per_hz: std::f64::consts::TAU / SPEED_OF_LIGHT,
-            };
-            sweep::write_offcomb_cells(&view, combine, first_cell, out);
+            // Off-comb: the per-band `cis` fallback, on `Δ` recomputed
+            // from the geometry (padding lanes 0, like their zero alphas).
+            let n = outs.first().map_or(0, |o| o.len());
+            let mut delta = vec![0.0; n * nl];
+            for (c, row) in delta.chunks_exact_mut(nl).enumerate() {
+                let (ix, iy) = shape.grid_cell(first_cell + c);
+                for (slot, d) in row.iter_mut().zip(self.deltas_at(i, ix, iy)) {
+                    *slot = d;
+                }
+            }
+            for (soa, out) in soas.iter().zip(outs.iter_mut()) {
+                let view = OffCombSweep {
+                    delta: &delta,
+                    alpha_re: &soa.alpha_re[i],
+                    alpha_im: &soa.alpha_im[i],
+                    n_lanes: nl,
+                    freqs: &soa.plan.freqs,
+                    phase_per_hz: std::f64::consts::TAU / SPEED_OF_LIGHT,
+                };
+                sweep::write_offcomb_cells(&view, combine, 0, out);
+            }
         }
     }
 }
@@ -867,15 +926,19 @@ impl SteeringCache {
     }
 }
 
-/// Everything a kernel needs to evaluate one anchor map over a window.
-/// The reference kernel reads `corrected` directly; the fast kernels read
-/// the SoA and steering layers.
+/// Everything a kernel needs to evaluate one anchor map over a window for
+/// a batch of 1 ..= [`sweep::MAX_TAGS`] soundings that share one steering
+/// entry (the recurrence kernel panics on any other batch size). The
+/// reference kernel reads `corrected` directly; the fast kernels read the
+/// SoA and steering layers.
 pub struct KernelInputs<'a> {
-    /// The corrected channels as produced by [`crate::correction`].
-    pub corrected: &'a CorrectedChannels,
-    /// The SoA re-pack of the same channels.
-    pub soa: &'a SoaChannels,
-    /// The per-cell steering geometry of the parent grid.
+    /// The corrected channels of every sounding in the batch, as produced
+    /// by [`crate::correction`].
+    pub corrected: &'a [&'a CorrectedChannels],
+    /// The SoA re-packs of the same channels, in the same order.
+    pub soas: &'a [&'a SoaChannels],
+    /// The per-cell steering geometry of the parent grid, shared by the
+    /// batch.
     pub tables: &'a SteeringTables,
     /// The window of `tables.spec()` to evaluate — the whole grid for a
     /// dense map, a patch for a hierarchical level.
@@ -887,9 +950,10 @@ pub trait LikelihoodKernel: Send + Sync + std::fmt::Debug {
     /// A short name for reports and benchmarks.
     fn name(&self) -> &'static str;
 
-    /// Evaluates anchor `i`'s likelihood map over `inputs.window`,
-    /// splitting rows across `threads`. The map has the window's spec,
-    /// and each cell's value is the parent grid's value at that cell,
+    /// Evaluates anchor `i`'s likelihood map over `inputs.window` for
+    /// every sounding of the batch, in batch order, splitting rows across
+    /// `threads`. Each map has the window's spec, and each cell's value
+    /// is the parent grid's value at that cell for that sounding alone,
     /// bit for bit.
     fn anchor_map(
         &self,
@@ -897,7 +961,7 @@ pub trait LikelihoodKernel: Send + Sync + std::fmt::Debug {
         i: usize,
         combining: AntennaCombining,
         threads: usize,
-    ) -> Grid2D;
+    ) -> Vec<Grid2D>;
 }
 
 /// The naive per-cell evaluation the workspace started with — one
@@ -917,21 +981,27 @@ impl LikelihoodKernel for ReferenceKernel {
         i: usize,
         combining: AntennaCombining,
         threads: usize,
-    ) -> Grid2D {
-        let corrected = inputs.corrected;
-        Grid2D::window_from_fn_par(inputs.tables.spec(), &inputs.window, threads, |x| {
-            crate::likelihood::reference_cell_value(corrected, i, combining, x)
-        })
+    ) -> Vec<Grid2D> {
+        let spec = inputs.tables.spec();
+        inputs
+            .corrected
+            .iter()
+            .map(|&corrected| {
+                Grid2D::window_from_fn_par(spec, &inputs.window, threads, |x| {
+                    crate::likelihood::reference_cell_value(corrected, i, combining, x)
+                })
+            })
+            .collect()
     }
 }
 
 /// The phasor-recurrence kernel: a thin adapter over
-/// [`bloc_num::sweep::write_comb_cells`]. Per (cell, antenna) the cached
-/// steering tables hold `e^{ι2πf_baseΔ/c}` and the comb rotation
+/// [`bloc_num::sweep::write_comb_cells_batch`]. Per (cell, antenna) the
+/// cached steering tables hold `e^{ι2πf_baseΔ/c}` and the comb rotation
 /// `e^{ι2πsΔ/c}`; the shared SIMD kernel advances every antenna's chain
-/// in 4-wide lanes across bands by complex multiplication. Off-comb band
-/// sets fall back to per-band `cis` ([`sweep::write_offcomb_cells`]) with
-/// identical combining semantics.
+/// in 4-wide lanes across bands by complex multiplication, once for the
+/// whole batch. Off-comb band sets fall back to per-band `cis`
+/// ([`sweep::write_offcomb_cells`]) with identical combining semantics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RecurrenceKernel;
 
@@ -951,30 +1021,62 @@ impl LikelihoodKernel for RecurrenceKernel {
         i: usize,
         combining: AntennaCombining,
         threads: usize,
-    ) -> Grid2D {
+    ) -> Vec<Grid2D> {
         let window = inputs.window;
         let combine = combine_of(combining);
-        let mut out = Grid2D::zeros(window.spec);
-        let n_cells = out.data().len();
+        let n_tags = inputs.soas.len();
+        assert!(
+            (1..=MAX_TAGS).contains(&n_tags) && inputs.corrected.len() == n_tags,
+            "a kernel batch holds 1..={MAX_TAGS} soundings, each with its SoA re-pack"
+        );
+        let mut maps: Vec<Grid2D> = (0..n_tags).map(|_| Grid2D::zeros(window.spec)).collect();
+        let n_cells = window.spec.len();
         let nx = window.spec.nx.max(1);
         inputs.tables.fill(&window);
         let threads = bloc_num::par::tuned_threads(n_cells, threads, MIN_CELLS_PER_SHARD);
         // Chunks hold whole window rows: `auto_chunk_len` counts in `nx`.
-        let chunk = bloc_num::par::auto_chunk_len(n_cells, nx, threads);
+        let chunk = bloc_num::par::auto_chunk_len(n_cells, nx, threads).max(1);
+        // Shard `k` is rows `k·chunk / nx ..` of every sounding's map.
+        let mut shards: Vec<[&mut [f64]; MAX_TAGS]> = (0..n_cells.div_ceil(chunk))
+            .map(|_| Default::default())
+            .collect();
+        for (t, map) in maps.iter_mut().enumerate() {
+            for (shard, rows) in shards.iter_mut().zip(map.data_mut().chunks_mut(chunk)) {
+                shard[t] = rows;
+            }
+        }
         bloc_num::par::for_each_chunk_mut_named(
             "likelihood",
-            out.data_mut(),
-            chunk,
+            &mut shards,
+            1,
             threads,
-            |start, rows| {
-                let r0 = start / nx;
-                inputs
-                    .tables
-                    .sweep_rows(inputs.soa, i, combine, &window, r0, rows);
+            |k, shard| {
+                for rows in shard {
+                    inputs.tables.sweep_rows(
+                        inputs.soas,
+                        i,
+                        combine,
+                        &window,
+                        k * chunk / nx,
+                        &mut rows[..n_tags],
+                    );
+                }
             },
         );
-        out
+        maps
     }
+}
+
+/// One sounding's share of a [`LikelihoodEngine::likelihood_batch`] call.
+#[derive(Debug, Clone)]
+pub struct SoundingMaps {
+    /// The weighted joint over the window (see
+    /// [`crate::likelihood::joint_likelihood`] for the weighting
+    /// contract).
+    pub joint: Grid2D,
+    /// The raw Eq. 17 map of every alive anchor, `(anchor, map)` in
+    /// anchor order; empty unless the call asked to keep them.
+    pub anchor_maps: Vec<(usize, Grid2D)>,
 }
 
 /// The assembled engine: a kernel choice, a thread count, and a shared
@@ -986,11 +1088,12 @@ pub struct LikelihoodEngine {
     kernel: Arc<dyn LikelihoodKernel>,
     threads: usize,
     cache: SteeringCache,
-    /// Warm-path scratch: the SoA re-pack of the previous call, reused so
-    /// steady-state soundings allocate no channel tensors. Shared (like
-    /// the cache) across clones; `take`/`put` keeps the lock out of the
-    /// compute, and a concurrent second caller simply builds fresh.
-    soa_arena: Arc<Mutex<Option<Box<SoaChannels>>>>,
+    /// Warm-path scratch: the SoA re-packs of earlier calls (at most one
+    /// batch's worth), reused so steady-state soundings allocate no
+    /// channel tensors. Shared (like the cache) across clones; `take`/
+    /// `put` keeps the lock out of the compute, and a caller that finds
+    /// the arena empty simply builds fresh.
+    soa_arena: Arc<Mutex<Vec<SoaChannels>>>,
 }
 
 impl Default for LikelihoodEngine {
@@ -1023,22 +1126,28 @@ impl LikelihoodEngine {
         }
     }
 
-    /// Takes the arena's SoA scratch (or a fresh one) rebuilt for
+    /// Takes a SoA scratch from the arena (or a fresh one) rebuilt for
     /// `corrected`.
-    fn soa_for(&self, corrected: &CorrectedChannels) -> Box<SoaChannels> {
+    fn soa_for(&self, corrected: &CorrectedChannels) -> SoaChannels {
         let taken = self
             .soa_arena
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .take();
-        let mut soa = taken.unwrap_or_else(|| Box::new(SoaChannels::empty()));
+            .pop();
+        let mut soa = taken.unwrap_or_else(SoaChannels::empty);
         soa.rebuild(corrected);
         soa
     }
 
-    /// Returns SoA scratch to the arena for the next call.
-    fn release_soa(&self, soa: Box<SoaChannels>) {
-        *self.soa_arena.lock().unwrap_or_else(|e| e.into_inner()) = Some(soa);
+    /// Returns SoA scratch to the arena for the next call, keeping at
+    /// most one batch's worth.
+    fn release_soas(&self, soas: impl IntoIterator<Item = SoaChannels>) {
+        let mut arena = self.soa_arena.lock().unwrap_or_else(|e| e.into_inner());
+        for soa in soas {
+            if arena.len() < MAX_TAGS {
+                arena.push(soa);
+            }
+        }
     }
 
     /// Replaces the kernel.
@@ -1068,48 +1177,20 @@ impl LikelihoodEngine {
         &self.cache
     }
 
-    /// Runs `f` on the kernel inputs for `window` of `spec`: one SoA
-    /// re-pack and one steering lookup, which fills the window's tiles.
-    fn with_inputs<R>(
-        &self,
-        corrected: &CorrectedChannels,
-        spec: GridSpec,
-        window: &GridPatch,
-        f: impl FnOnce(&KernelInputs<'_>) -> R,
-    ) -> R {
-        let soa = self.soa_for(corrected);
-        let tables = self.cache.window(
-            spec,
-            &corrected.anchors,
-            &corrected.master_anchor_dist,
-            soa.plan.base_hz,
-            soa.plan.step_hz,
-            window,
-        );
-        let out = f(&KernelInputs {
-            corrected,
-            soa: &soa,
-            tables: &tables,
-            window: *window,
-        });
-        self.release_soa(soa);
-        out
-    }
-
-    /// Hands `sink` each alive anchor's raw map over `inputs.window`, in
-    /// anchor order.
+    /// Hands `sink` each alive anchor's raw maps over `inputs.window` —
+    /// one per sounding of the batch, in batch order — in anchor order.
     ///
     /// With more than one thread configured, parallelism fans out across
     /// *anchors* — whole independent maps, the coarsest unit available —
     /// rather than intra-map row shards: each worker computes one
-    /// anchor's map serially, and `sink` then consumes them in anchor
+    /// anchor's maps serially, and `sink` then consumes them in anchor
     /// order, so every result stays bit-identical to the serial path.
     fn for_each_map(
         &self,
         inputs: &KernelInputs<'_>,
         alive: &[usize],
         combining: AntennaCombining,
-        mut sink: impl FnMut(usize, Grid2D),
+        mut sink: impl FnMut(usize, Vec<Grid2D>),
     ) {
         // Each map is a full window of kernel work — one item per shard
         // is already coarse enough to pay for itself.
@@ -1119,8 +1200,8 @@ impl LikelihoodEngine {
                 bloc_num::par::map_named("likelihood.anchors", alive.len(), anchor_threads, |k| {
                     self.kernel.anchor_map(inputs, alive[k], combining, 1)
                 });
-            for (&i, map) in alive.iter().zip(maps) {
-                sink(i, map);
+            for (&i, maps) in alive.iter().zip(maps) {
+                sink(i, maps);
             }
         } else {
             for &i in alive {
@@ -1141,18 +1222,154 @@ impl LikelihoodEngine {
         spec: GridSpec,
         combining: AntennaCombining,
     ) -> Grid2D {
-        let map = self.with_inputs(corrected, spec, &GridPatch::whole(spec), |inputs| {
-            self.kernel.anchor_map(inputs, i, combining, self.threads)
-        });
+        let window = GridPatch::whole(spec);
+        let soa = self.soa_for(corrected);
+        let tables = self.tables_for(corrected, &soa, spec, &window);
+        let map = self.kernel.anchor_map(
+            &KernelInputs {
+                corrected: &[corrected],
+                soas: &[&soa],
+                tables: &tables,
+                window,
+            },
+            i,
+            combining,
+            self.threads,
+        );
+        self.release_soas([soa]);
         bloc_obs::counter("engine.cells_evaluated").add(spec.len() as u64);
-        map
+        map.into_iter()
+            .next()
+            .unwrap_or_else(|| Grid2D::zeros(spec))
+    }
+
+    /// The steering lookup for `corrected`'s deployment and comb, which
+    /// fills `window`'s tiles.
+    fn tables_for(
+        &self,
+        corrected: &CorrectedChannels,
+        soa: &SoaChannels,
+        spec: GridSpec,
+        window: &GridPatch,
+    ) -> Arc<SteeringTables> {
+        self.cache.window(
+            spec,
+            &corrected.anchors,
+            &corrected.master_anchor_dist,
+            soa.plan.base_hz,
+            soa.plan.step_hz,
+            window,
+        )
+    }
+
+    /// The Eq. 17 likelihood of many corrected soundings over `window` of
+    /// `spec`: for each, in input order, the weighted joint and — when
+    /// `keep_maps` — every alive anchor's raw map.
+    ///
+    /// Soundings that share a steering entry, comb walk, lane strides and
+    /// alive-anchor set are swept together, up to
+    /// [`sweep::MAX_TAGS`] at a time, so each (cell, antenna) rotation
+    /// chain is advanced once for the group; a sounding that matches no
+    /// other runs in a group of its own. Grouping never changes a bit:
+    /// each sounding's maps and joint equal a call of its own. Each
+    /// group's anchor passes run inside `par.likelihood` regions, and
+    /// `engine.cells_evaluated` counts every sounding's cells.
+    pub fn likelihood_batch(
+        &self,
+        corrected: &[&CorrectedChannels],
+        spec: GridSpec,
+        window: &GridPatch,
+        combining: AntennaCombining,
+        keep_maps: bool,
+    ) -> Vec<SoundingMaps> {
+        let n = corrected.len();
+        let soas: Vec<SoaChannels> = corrected.iter().map(|c| self.soa_for(c)).collect();
+        let alive: Vec<Vec<usize>> = corrected
+            .iter()
+            .map(|c| crate::likelihood::alive_anchors(c))
+            .collect();
+        let mut joints: Vec<_> = corrected
+            .iter()
+            .map(|c| crate::likelihood::WeightedJoint::new(c, window.spec))
+            .collect();
+        let mut maps: Vec<Vec<(usize, Grid2D)>> = (0..n).map(|_| Vec::new()).collect();
+        // Soundings share a sweep when they read one steering entry (its
+        // cache key: grid, anchor geometry — antenna counts, hence lane
+        // strides — master distances, comb base and step) and walk the
+        // same comb slots over the same alive anchors.
+        let keys: Vec<Vec<u64>> = corrected
+            .iter()
+            .zip(&soas)
+            .map(|(c, soa)| {
+                cache_key(
+                    spec,
+                    &c.anchors,
+                    &c.master_anchor_dist,
+                    soa.plan.base_hz,
+                    soa.plan.step_hz,
+                )
+            })
+            .collect();
+        let shares_sweep = |a: usize, b: usize| {
+            keys[a] == keys[b] && soas[a].kernel_gaps == soas[b].kernel_gaps && alive[a] == alive[b]
+        };
+        let mut grouped = vec![false; n];
+        for lead in 0..n {
+            if grouped[lead] {
+                continue;
+            }
+            let mut group = [lead; MAX_TAGS];
+            let mut size = 1;
+            for (k, taken) in grouped.iter_mut().enumerate().skip(lead + 1) {
+                if size == MAX_TAGS {
+                    break;
+                }
+                if !*taken && shares_sweep(lead, k) {
+                    group[size] = k;
+                    size += 1;
+                    *taken = true;
+                }
+            }
+            let group = &group[..size];
+            let tables = self.tables_for(corrected[lead], &soas[lead], spec, window);
+            let group_corrected: [&CorrectedChannels; MAX_TAGS] =
+                std::array::from_fn(|t| corrected[group[t.min(size - 1)]]);
+            let group_soas: [&SoaChannels; MAX_TAGS] =
+                std::array::from_fn(|t| &soas[group[t.min(size - 1)]]);
+            let inputs = KernelInputs {
+                corrected: &group_corrected[..size],
+                soas: &group_soas[..size],
+                tables: &tables,
+                window: *window,
+            };
+            self.for_each_map(&inputs, &alive[lead], combining, |i, group_maps| {
+                for (&k, map) in group.iter().zip(group_maps) {
+                    joints[k].add(i, &map);
+                    if keep_maps {
+                        maps[k].push((i, map));
+                    }
+                }
+            });
+        }
+        for alive in &alive {
+            count_cells(window, alive.len());
+        }
+        self.release_soas(soas);
+        joints
+            .into_iter()
+            .zip(maps)
+            .map(|(joint, anchor_maps)| SoundingMaps {
+                joint: joint.finish(),
+                anchor_maps,
+            })
+            .collect()
     }
 
     /// The raw Eq. 17 maps of every alive anchor (one with surviving
     /// evidence — exactly the anchors the weighted joint gives a map) over
-    /// `window` of `spec`, as `(anchor, map)` in anchor order. One SoA
-    /// re-pack and one steering lookup serve every anchor; each map's
-    /// cells equal the same cells of a whole-grid map bit for bit.
+    /// `window` of `spec`, as `(anchor, map)` in anchor order: the batch
+    /// of one ([`LikelihoodEngine::likelihood_batch`]). Each map's cells
+    /// equal the same cells of a whole-grid map bit for bit.
     pub fn anchor_maps(
         &self,
         corrected: &CorrectedChannels,
@@ -1160,13 +1377,10 @@ impl LikelihoodEngine {
         window: &GridPatch,
         combining: AntennaCombining,
     ) -> Vec<(usize, Grid2D)> {
-        let alive = crate::likelihood::alive_anchors(corrected);
-        let mut maps = Vec::with_capacity(alive.len());
-        self.with_inputs(corrected, spec, window, |inputs| {
-            self.for_each_map(inputs, &alive, combining, |i, map| maps.push((i, map)));
-        });
-        count_cells(window, alive.len());
-        maps
+        self.likelihood_batch(&[corrected], spec, window, combining, true)
+            .into_iter()
+            .flat_map(|m| m.anchor_maps)
+            .collect()
     }
 
     /// The joint likelihood (per-anchor maps normalized, degradation-
@@ -1183,8 +1397,8 @@ impl LikelihoodEngine {
     }
 
     /// The weighted joint over `window` of `spec` — a dense joint whose
-    /// grid *is* the window — with the SoA build and geometry lookup
-    /// amortized across anchors.
+    /// grid *is* the window: the batch of one
+    /// ([`LikelihoodEngine::likelihood_batch`]).
     pub fn joint_window(
         &self,
         corrected: &CorrectedChannels,
@@ -1192,13 +1406,10 @@ impl LikelihoodEngine {
         window: &GridPatch,
         combining: AntennaCombining,
     ) -> Grid2D {
-        let alive = crate::likelihood::alive_anchors(corrected);
-        let mut joint = crate::likelihood::WeightedJoint::new(corrected, window.spec);
-        self.with_inputs(corrected, spec, window, |inputs| {
-            self.for_each_map(inputs, &alive, combining, |i, map| joint.add(i, map));
-        });
-        count_cells(window, alive.len());
-        joint.finish()
+        self.likelihood_batch(&[corrected], spec, window, combining, false)
+            .into_iter()
+            .next()
+            .map_or_else(|| Grid2D::zeros(window.spec), |m| m.joint)
     }
 }
 
@@ -1330,8 +1541,9 @@ mod tests {
         assert!(Arc::ptr_eq(&big, &big2));
     }
 
-    /// Anchor `i`'s lanes at parent cell `(ix, iy)`: delta, seed and
-    /// step phasors, padding lanes included.
+    /// Anchor `i`'s lanes at parent cell `(ix, iy)`: delta (through
+    /// `cell_deltas`, padded with 0), seed and step phasors, padding
+    /// lanes included.
     fn lanes(t: &SteeringTables, i: usize, ix: usize, iy: usize) -> (Vec<f64>, Vec<C64>, Vec<C64>) {
         let (b, shape) = t.block(ix, iy);
         let block = t.blocks[b].read().unwrap();
@@ -1340,11 +1552,9 @@ mod tests {
         let cell = shape.cell(ix, iy);
         let r = cell * nl..(cell + 1) * nl;
         let cx = |re: &[f64], im: &[f64]| r.clone().map(|k| C64::new(re[k], im[k])).collect();
-        (
-            a.delta[r.clone()].to_vec(),
-            cx(a.seed_re, a.seed_im),
-            cx(a.step_re, a.step_im),
-        )
+        let mut delta = t.cell_deltas(i, t.spec.flat(ix, iy));
+        delta.resize(nl, 0.0);
+        (delta, cx(a.seed_re, a.seed_im), cx(a.step_re, a.step_im))
     }
 
     #[test]
@@ -1408,7 +1618,7 @@ mod tests {
         let dists = vec![0.0, anchors[1].antenna(0).dist(anchors[0].antenna(0))];
         let (base, step) = (2.402e9, 2.0e6);
         let whole = SteeringTables::build(spec, &anchors, &dists, base, step);
-        let tile_bytes = |nx: usize, ny: usize| 5 * 8 * nx * ny * (4 + 4);
+        let tile_bytes = |nx: usize, ny: usize| 4 * 8 * nx * ny * (4 + 4);
         assert_eq!(whole.approx_bytes(), tile_bytes(spec.nx, spec.ny));
 
         // Overlapping patch windows in a shuffled order, then the corners

@@ -389,28 +389,31 @@ impl HierarchicalLocalizer {
         let fine = cfg.grid;
         let mut cells = 0usize;
 
-        // Coarse level: per-anchor maps, their maxima (the fine-patch
-        // normalizers), and the weighted joint under the dense contract.
+        // Coarse level: the weighted joint under the dense contract, and
+        // per-anchor maps for their maxima (the fine-patch normalizers).
         let weights = anchor_weights(corrected);
         let mut alive: Vec<AliveAnchor> = Vec::new();
-        let mut coarse_joint = Grid2D::zeros(self.coarse);
-        let maps = self.localizer.engine().anchor_maps(
-            corrected,
-            self.coarse,
-            &GridPatch::whole(self.coarse),
-            cfg.combining,
-        );
-        for (index, mut map) in maps {
+        let coarse = self
+            .localizer
+            .engine()
+            .likelihood_batch(
+                &[corrected],
+                self.coarse,
+                &GridPatch::whole(self.coarse),
+                cfg.combining,
+                true,
+            )
+            .pop();
+        let (coarse_joint, maps) = match coarse {
+            Some(c) => (c.joint, c.anchor_maps),
+            None => (Grid2D::zeros(self.coarse), Vec::new()),
+        };
+        for (index, map) in maps {
             cells += self.coarse.len();
-            let coarse_max = map.argmax().map(|(_, _, v)| v).unwrap_or(0.0);
-            let weight = weights[index];
-            map.normalize_peak();
-            map.scale(weight);
-            coarse_joint.add_assign(&map);
             alive.push(AliveAnchor {
                 index,
-                weight,
-                coarse_max,
+                weight: weights[index],
+                coarse_max: map.argmax().map(|(_, _, v)| v).unwrap_or(0.0),
             });
         }
         let dense_cells = fine.len() * alive.len();

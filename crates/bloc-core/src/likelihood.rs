@@ -231,7 +231,7 @@ pub(crate) fn weighted_joint(
 ) -> Grid2D {
     let mut joint = WeightedJoint::new(corrected, spec);
     for i in alive_anchors(corrected) {
-        joint.add(i, anchor_map(i));
+        joint.add(i, &anchor_map(i));
     }
     joint.finish()
 }
@@ -252,11 +252,35 @@ impl WeightedJoint {
         }
     }
 
-    /// Adds anchor `i`'s raw map, normalized to unit peak and weighted.
-    pub(crate) fn add(&mut self, i: usize, mut map: Grid2D) {
-        map.normalize_peak();
-        map.scale(self.weights[i]);
-        self.joint.add_assign(&map);
+    /// Adds anchor `i`'s raw map, normalized to unit peak and weighted:
+    /// one pass for the peak and one for `joint += (v · (1/m)) · w`
+    /// (`v · w` when the peak `m` is not positive). Each cell sees the
+    /// roundings of `normalize_peak`, `scale(w)` and `add_assign` in
+    /// that order, so the sum is theirs bit for bit.
+    pub(crate) fn add(&mut self, i: usize, map: &Grid2D) {
+        assert_eq!(
+            self.joint.spec(),
+            map.spec(),
+            "grid specs must match to combine"
+        );
+        let w = self.weights[i];
+        // `Grid2D::argmax`'s value: the largest cell by `>`, NaNs never
+        // winning, −∞ when nothing beats it.
+        let peak = map
+            .data()
+            .iter()
+            .fold(f64::NEG_INFINITY, |m, &v| if v > m { v } else { m });
+        let cells = self.joint.data_mut().iter_mut().zip(map.data());
+        if peak > 0.0 {
+            let inv = 1.0 / peak;
+            for (acc, &v) in cells {
+                *acc += (v * inv) * w;
+            }
+        } else {
+            for (acc, &v) in cells {
+                *acc += v * w;
+            }
+        }
     }
 
     pub(crate) fn finish(self) -> Grid2D {
@@ -520,6 +544,44 @@ mod tests {
         corrected.surviving = vec![0; 4];
         let joint = joint_likelihood(&corrected, grid_spec(&room), AntennaCombining::default());
         assert!(joint.data().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn fused_add_equals_normalize_scale_add_bit_for_bit() {
+        // The fused accumulate against the three-call composition it
+        // replaced, on random grids — zeros, negatives and a NaN among
+        // them — plus an all-zero map that must skip normalization.
+        let spec = GridSpec::covering(P2::new(0.0, 0.0), P2::new(1.3, 0.9), 0.1);
+        let mut corrected = free_space_corrected(P2::new(1.0, 1.0), 19);
+        corrected.surviving[1] /= 3;
+        let mut rng = StdRng::seed_from_u64(20);
+        let random = |rng: &mut StdRng, k: usize| {
+            let mut g = Grid2D::zeros(spec);
+            for (c, v) in g.data_mut().iter_mut().enumerate() {
+                *v = match (c + k) % 17 {
+                    0 => 0.0,
+                    1 => -rand::Rng::gen_range(rng, 0.0..1.0),
+                    2 if k == 3 => f64::NAN,
+                    _ => rand::Rng::gen_range(rng, 0.0..10.0),
+                };
+            }
+            g
+        };
+        let mut maps: Vec<Grid2D> = (0..4).map(|k| random(&mut rng, k)).collect();
+        maps.push(Grid2D::zeros(spec));
+        let mut fused = WeightedJoint::new(&corrected, spec);
+        let mut old = Grid2D::zeros(spec);
+        let weights = anchor_weights(&corrected);
+        for (k, map) in maps.iter().enumerate() {
+            let i = k % corrected.n_anchors();
+            fused.add(i, map);
+            let mut m = map.clone();
+            m.normalize_peak();
+            m.scale(weights[i]);
+            old.add_assign(&m);
+        }
+        let bits = |g: &Grid2D| g.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fused.finish()), bits(&old));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use bloc_chan::geometry::Room;
 use bloc_chan::sounder::SoundingData;
 use bloc_num::peaks::PeakOptions;
-use bloc_num::{Grid2D, GridSpec, P2};
+use bloc_num::{Grid2D, GridPatch, GridSpec, P2};
 
 use crate::correction::{correct, CorrectedChannels};
 use crate::engine::LikelihoodEngine;
@@ -152,16 +152,27 @@ pub(crate) fn anchor_refs(data: &SoundingData) -> Vec<P2> {
 }
 
 /// Runs one fix attempt under `span`, counted in `calls`, and records
-/// its outcome the one way every entry point (dense, multi-burst,
-/// hierarchical, seeded) shares: the attempt's wall time in
-/// `localize.latency_us`, and a failure in `localize.no_fix` plus a
-/// `localize`/`no_fix` event.
+/// its outcome the one way every entry point (dense, batched, multi-burst,
+/// hierarchical, seeded) shares: see [`observe_fix_since`].
 pub(crate) fn observe_fix<T>(
     span: &'static str,
     calls: &str,
     fix: impl FnOnce() -> Result<T, LocalizeError>,
 ) -> Result<T, LocalizeError> {
-    let start = std::time::Instant::now();
+    observe_fix_since(std::time::Instant::now(), span, calls, fix)
+}
+
+/// [`observe_fix`] for a fix whose wait began at `start` — earlier than
+/// the call when the fix is one of a batch that started together. Runs
+/// `fix` under `span`, counted in `calls`, then records the wait in
+/// `localize.latency_us`, and a failure in `localize.no_fix` plus a
+/// `localize`/`no_fix` event.
+pub(crate) fn observe_fix_since<T>(
+    start: std::time::Instant,
+    span: &'static str,
+    calls: &str,
+    fix: impl FnOnce() -> Result<T, LocalizeError>,
+) -> Result<T, LocalizeError> {
     let _span = bloc_obs::span(span);
     bloc_obs::counter(calls).inc();
     let result = fix();
@@ -233,12 +244,33 @@ impl BlocLocalizer {
 
     /// The likelihood stage under its span, with its work counters.
     fn joint_likelihood_timed(&self, corrected: &CorrectedChannels) -> Grid2D {
+        self.joint_likelihoods_timed(&[corrected])
+            .pop()
+            .unwrap_or_else(|| Grid2D::zeros(self.config.grid))
+    }
+
+    /// The likelihood stage for many corrected soundings — one batched
+    /// Eq. 17 sweep ([`LikelihoodEngine::likelihood_batch`]) under one
+    /// `likelihood` span — with each sounding's work counters. Returns
+    /// the whole-grid joints in input order.
+    fn joint_likelihoods_timed(&self, corrected: &[&CorrectedChannels]) -> Vec<Grid2D> {
         let _span = bloc_obs::span("likelihood");
-        bloc_obs::counter("likelihood.grid_cells")
-            .add((self.config.grid.nx * self.config.grid.ny) as u64);
-        bloc_obs::counter("likelihood.bands").add(corrected.bands.len() as u64);
+        let grid = self.config.grid;
+        for c in corrected {
+            bloc_obs::counter("likelihood.grid_cells").add((grid.nx * grid.ny) as u64);
+            bloc_obs::counter("likelihood.bands").add(c.bands.len() as u64);
+        }
         self.engine
-            .joint_likelihood(corrected, self.config.grid, self.config.combining)
+            .likelihood_batch(
+                corrected,
+                grid,
+                &GridPatch::whole(grid),
+                self.config.combining,
+                false,
+            )
+            .into_iter()
+            .map(|m| m.joint)
+            .collect()
     }
 
     /// Records what the masking pass absorbed on the global registry,
@@ -313,10 +345,51 @@ impl BlocLocalizer {
     /// structurally empty input, every band dropped by masking, fewer than
     /// two surviving anchors, or a peakless likelihood.
     pub fn localize(&self, data: &SoundingData) -> Result<Estimate, LocalizeError> {
-        observe_fix("localize", "localize.calls", || {
-            let corrected = self.correct_usable(data)?;
-            self.dense_fix(data, &corrected)
-        })
+        self.localize_batch(&[data])
+            .pop()
+            .unwrap_or(Err(LocalizeError::EmptySounding))
+    }
+
+    /// Full localization of many soundings against this localizer's
+    /// deployment: one result per sounding, in input order, each exactly
+    /// what [`Self::localize`] returns for it alone.
+    ///
+    /// Every sounding is corrected first, then the usable ones share one
+    /// batched Eq. 17 sweep ([`LikelihoodEngine::likelihood_batch`]), so
+    /// soundings of one deployment advance each rotation chain once per
+    /// group of up to [`bloc_num::sweep::MAX_TAGS`]. Each fix keeps its
+    /// own `localize` span, `localize.calls` increment and
+    /// `localize.latency_us` sample ([`observe_fix_since`]); the batch's
+    /// shared work (every correction and the sweep) runs inside the first
+    /// fix's span, and each latency sample runs from the batch's start to
+    /// that fix's completion — how long it waited, the last fix's being
+    /// the batch's wall time.
+    pub fn localize_batch(
+        &self,
+        soundings: &[&SoundingData],
+    ) -> Vec<Result<Estimate, LocalizeError>> {
+        let start = std::time::Instant::now();
+        let mut corrected = Vec::new();
+        let mut grids = Vec::new().into_iter();
+        soundings
+            .iter()
+            .enumerate()
+            .map(|(k, &data)| {
+                observe_fix_since(start, "localize", "localize.calls", || {
+                    if k == 0 {
+                        corrected = soundings.iter().map(|d| self.correct_usable(d)).collect();
+                        let usable: Vec<&CorrectedChannels> =
+                            corrected.iter().filter_map(|c| c.as_ref().ok()).collect();
+                        grids = self.joint_likelihoods_timed(&usable).into_iter();
+                    }
+                    let c = corrected[k].as_ref().map_err(Clone::clone)?;
+                    let grid = grids
+                        .next()
+                        .unwrap_or_else(|| Grid2D::zeros(self.config.grid));
+                    self.scored_fix(data, c, grid)
+                })
+            })
+            .collect()
     }
 
     /// The dense fix on already-corrected channels: the Eq. 17 sweep over
@@ -328,7 +401,17 @@ impl BlocLocalizer {
         data: &SoundingData,
         corrected: &CorrectedChannels,
     ) -> Result<Estimate, LocalizeError> {
-        let grid = self.joint_likelihood_timed(corrected);
+        self.scored_fix(data, corrected, self.joint_likelihood_timed(corrected))
+    }
+
+    /// Eq. 18 scoring of `corrected`'s whole-grid joint `grid` against
+    /// `data`'s anchors: the fix, or [`LocalizeError::NoPeak`].
+    fn scored_fix(
+        &self,
+        data: &SoundingData,
+        corrected: &CorrectedChannels,
+        grid: Grid2D,
+    ) -> Result<Estimate, LocalizeError> {
         let peaks = score_peaks(&grid, &anchor_refs(data), &self.config.score);
         Estimate::from_scored(peaks, grid, Self::degradation_of(corrected))
             .ok_or(LocalizeError::NoPeak)
@@ -355,8 +438,7 @@ impl BlocLocalizer {
     }
 
     fn localize_fused_impl(&self, soundings: &[SoundingData]) -> Result<Estimate, LocalizeError> {
-        let mut combined: Option<Grid2D> = None;
-        let mut anchor_refs_first: Vec<P2> = Vec::new();
+        let mut swept: Vec<(&SoundingData, CorrectedChannels)> = Vec::new();
         let mut degradation = DegradationReport::default();
         let mut surviving_total: Vec<usize> = Vec::new();
         let mut structurally_sound = 0usize;
@@ -380,27 +462,32 @@ impl BlocLocalizer {
             for (acc, &s) in surviving_total.iter_mut().zip(&corrected.surviving) {
                 *acc += s;
             }
-            if corrected.bands.is_empty() {
-                continue;
-            }
-            let grid = self.joint_likelihood_timed(&corrected);
-            match &mut combined {
-                Some(acc) => acc.add_assign(&grid),
-                None => {
-                    anchor_refs_first = anchor_refs(data);
-                    degradation.anchors_total = corrected.n_anchors();
-                    combined = Some(grid);
-                }
+            if !corrected.bands.is_empty() {
+                swept.push((data, corrected));
             }
         }
         if structurally_sound == 0 {
             return Err(LocalizeError::EmptySounding);
         }
-        let Some(grid) = combined else {
+        let Some((first, first_corrected)) = swept.first() else {
             return Err(LocalizeError::NoUsableBands {
                 total: degradation.bands_total,
                 dropped: degradation.bands_dropped,
             });
+        };
+        let anchor_refs_first = anchor_refs(first);
+        degradation.anchors_total = first_corrected.n_anchors();
+        // Every burst's joint in one batched sweep, summed in burst order.
+        let batch: Vec<&CorrectedChannels> = swept.iter().map(|(_, c)| c).collect();
+        let summed = self
+            .joint_likelihoods_timed(&batch)
+            .into_iter()
+            .reduce(|mut sum, joint| {
+                sum.add_assign(&joint);
+                sum
+            });
+        let Some(grid) = summed else {
+            return Err(LocalizeError::EmptySounding);
         };
         degradation.anchors_excluded = surviving_total
             .iter()

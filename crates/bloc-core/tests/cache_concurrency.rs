@@ -13,10 +13,14 @@ use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::thread;
 
 use bloc_chan::geometry::Room;
-use bloc_chan::AnchorArray;
-use bloc_core::engine::{SteeringCache, SteeringTables};
+use bloc_chan::sounder::{all_data_channels, Sounder, SounderConfig};
+use bloc_chan::{AnchorArray, Environment};
+use bloc_core::correction::correct;
+use bloc_core::engine::{LikelihoodEngine, SteeringCache, SteeringTables};
+use bloc_core::likelihood::AntennaCombining;
 use bloc_core::BlocConfig;
 use bloc_num::P2;
+use rand::{rngs::StdRng, SeedableRng};
 
 /// Serializes the tests of this binary around the global counters.
 fn serial() -> MutexGuard<'static, ()> {
@@ -213,4 +217,71 @@ fn concurrent_window_fills_compute_each_tile_once() {
         }
     }
     assert_eq!(cache.len(), 1);
+}
+
+#[test]
+fn racing_window_fills_feed_the_kernel_the_whole_build_bits() {
+    let _serial = serial();
+    let (room, anchors) = deployment();
+    let spec = BlocConfig::for_room(&room).grid;
+    let env = Environment::free_space();
+    let sounder = Sounder::new(&env, &anchors, SounderConfig::default());
+    let mut rng = StdRng::seed_from_u64(31);
+    let corrected = correct(
+        &sounder.sound(P2::new(2.4, 2.9), &all_data_channels(), &mut rng),
+        true,
+    )
+    .expect("sounding must correct");
+    let combining = AntennaCombining::Hybrid;
+    // Overlapping patch windows sharing tiles and storage blocks, as
+    // four tags tracked side by side would ask for them.
+    let windows: Vec<_> = [(1.8, 2.6), (2.3, 2.9), (2.0, 3.4), (2.6, 3.1)]
+        .iter()
+        .map(|&(x, y)| spec.patch(P2::new(x, y), 1.1))
+        .collect();
+
+    // Four threads fill their windows of one cold entry at once, each
+    // sweeping its window straight off the tiles the race left.
+    let racing = LikelihoodEngine::recurrence();
+    let barrier = Barrier::new(windows.len());
+    let raced: Vec<_> = thread::scope(|s| {
+        let handles: Vec<_> = windows
+            .iter()
+            .map(|w| {
+                let (racing, corrected, barrier) = (&racing, &corrected, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    racing.anchor_maps(corrected, spec, w, combining)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("filler must not panic"))
+            .collect()
+    });
+    assert_eq!(racing.cache().len(), 1, "one key, one entry");
+
+    // The kernel reads the seed and step phasors the race stored: its
+    // maps, during the race and after it, are those of a whole-grid
+    // build bit for bit.
+    let whole = LikelihoodEngine::recurrence();
+    let _ = whole.joint_likelihood(&corrected, spec, combining);
+    let bits = |maps: &[(usize, bloc_num::Grid2D)]| -> Vec<(usize, Vec<u64>)> {
+        maps.iter()
+            .map(|(i, m)| (*i, m.data().iter().map(|v| v.to_bits()).collect()))
+            .collect()
+    };
+    for (w, during) in windows.iter().zip(&raced) {
+        let expected = bits(&whole.anchor_maps(&corrected, spec, w, combining));
+        assert!(!expected.is_empty());
+        assert_eq!(bits(during), expected, "window at ({}, {})", w.x0, w.y0);
+        assert_eq!(
+            bits(&racing.anchor_maps(&corrected, spec, w, combining)),
+            expected,
+            "window at ({}, {}) after the race",
+            w.x0,
+            w.y0
+        );
+    }
 }

@@ -489,3 +489,82 @@ fn patch_windows_equal_the_dense_map_cell_for_cell() {
         }
     }
 }
+
+#[test]
+fn batched_soundings_equal_their_own_joints_bit_for_bit() {
+    // One batch mixing a clean sounding, one whose master missed whole
+    // bands (another comb walk), one with an excluded anchor (another
+    // alive set), a duplicate of the clean one, and enough further clean
+    // soundings to overflow one kernel batch: however the engine groups
+    // them, every joint and raw map must be the sounding's own.
+    let room = Room::new(5.0, 6.0);
+    let spec = spec(&room);
+    let chans = all_data_channels();
+    let envs = environments(1300);
+    let env = &envs[1].1;
+    let clean = corrected_for(env, P2::new(2.4, 3.1), 1301, None);
+    let dropped = corrected_for(
+        env,
+        P2::new(1.1, 4.2),
+        1302,
+        Some(FaultPlan {
+            seed: 13,
+            tag_loss: 0.35,
+            ..Default::default()
+        }),
+    );
+    assert!(dropped.masking.bands_dropped > 0, "bands must be dropped");
+    let excluded = corrected_for(
+        env,
+        P2::new(3.3, 1.7),
+        1303,
+        Some(FaultPlan {
+            seed: 14,
+            dropouts: vec![AnchorDropout {
+                anchor: 2,
+                bands: 0..chans.len(),
+            }],
+            ..Default::default()
+        }),
+    );
+    assert_eq!(excluded.surviving[2], 0, "anchor 2 must be excluded");
+    let more: Vec<CorrectedChannels> = (0..5)
+        .map(|k| corrected_for(env, P2::new(0.6 + 0.9 * k as f64, 2.2), 1310 + k, None))
+        .collect();
+    let batch: Vec<&CorrectedChannels> = [&clean, &dropped, &excluded, &clean]
+        .into_iter()
+        .chain(&more)
+        .collect();
+    let combining = AntennaCombining::default();
+    let bits = |g: &Grid2D| g.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let patch = spec.patch(P2::new(2.0, 2.5), 1.3);
+    for engine in [
+        LikelihoodEngine::recurrence(),
+        LikelihoodEngine::recurrence().with_threads(2),
+        LikelihoodEngine::reference(),
+    ] {
+        let name = engine.kernel_name();
+        let out = engine.likelihood_batch(&batch, spec, &GridPatch::whole(spec), combining, true);
+        assert_eq!(out.len(), batch.len());
+        for (k, (corrected, maps)) in batch.iter().zip(&out).enumerate() {
+            let alone = match name {
+                "recurrence" => joint_likelihood(corrected, spec, combining),
+                _ => engine.joint_likelihood(corrected, spec, combining),
+            };
+            assert_eq!(bits(&maps.joint), bits(&alone), "{name}: joint {k}");
+            let own = engine.anchor_maps(corrected, spec, &GridPatch::whole(spec), combining);
+            assert_eq!(maps.anchor_maps.len(), own.len(), "{name}: maps {k}");
+            for ((i, got), (j, want)) in maps.anchor_maps.iter().zip(&own) {
+                assert_eq!(i, j);
+                assert_eq!(bits(got), bits(want), "{name}: sounding {k} anchor {i}");
+            }
+        }
+        // A window batches the same way, and joints only keep no maps.
+        let windowed = engine.likelihood_batch(&batch, spec, &patch, combining, false);
+        for (k, (corrected, maps)) in batch.iter().zip(&windowed).enumerate() {
+            let alone = engine.joint_window(corrected, spec, &patch, combining);
+            assert_eq!(bits(&maps.joint), bits(&alone), "{name}: window joint {k}");
+            assert!(maps.anchor_maps.is_empty());
+        }
+    }
+}

@@ -10,12 +10,23 @@
 //! multiply-adds. [`CombPlan`] detects the comb once; the two kernels
 //! below walk it:
 //!
-//! * [`write_comb_cells`] — the likelihood recurrence: SIMD lanes are
-//!   **antenna rotation chains** of one (cell, anchor) pair; each cell
-//!   reduces to the Eq. 17 coherent/non-coherent combining value. On the
-//!   AVX-512 level one vector carries **two consecutive cells** × 4
-//!   antenna lanes (the channel-weight rows broadcast into both halves);
-//!   an odd last cell runs the one-cell AVX2 instantiation.
+//! * [`write_comb_cells_batch`] (and [`write_comb_cells`], its batch of
+//!   one) — the likelihood recurrence: SIMD lanes are **antenna rotation
+//!   chains** of one (cell, anchor) pair; each cell reduces to the Eq. 17
+//!   coherent/non-coherent combining value. On the AVX-512 level one
+//!   vector carries **two consecutive cells** × 4 antenna lanes (the
+//!   channel-weight rows broadcast into both halves); an odd last cell
+//!   runs the one-cell AVX2 instantiation. A chain `seed·stepᵏ` depends
+//!   only on the geometry and the comb, never on the tag, so one call
+//!   sweeps up to [`MAX_TAGS`] tags of one deployment: the chain (two
+//!   interleaved rotations and `step²`) is advanced once and shared, and
+//!   each tag keeps its own even/odd accumulators fed by its own channel
+//!   weights. Per band that saves the chain's complex multiply — 6 of the
+//!   14 vector ops of a one-tag sweep — for every tag after the first.
+//!   Each tag's accumulators see exactly the IEEE operations of a sweep of
+//!   its own, so a batched tag is bit-identical to a single one; the
+//!   batch size is a const generic, and the one-tag entry points are the
+//!   `T = 1` instantiation of the same body.
 //! * [`sweep_tones_into`] — the synthesis recurrence: SIMD lanes are
 //!   **four consecutive comb slots** of one propagation path; all paths
 //!   accumulate into a dense slot buffer that is scattered back to
@@ -185,10 +196,25 @@ fn combine_value(combine: Combine, coh_re: f64, coh_im: f64, non: f64) -> f64 {
     }
 }
 
+/// Most tags one cell-kernel call sweeps together.
+///
+/// A cell's rotation chain `seed·stepᵏ` depends only on the geometry and
+/// the comb, never on the tag; only the channel weights `α` are per tag.
+/// A batch therefore advances each chain once and feeds it to every
+/// tag's accumulators. Four tags fit AVX-512's 32 vector registers: 16
+/// accumulators (even/odd × re/im per tag) plus the 6-register shared
+/// chain (`rot_e`, `rot_o`, `step²`). Eight tags gain little over four
+/// and double the batch's map heap.
+pub const MAX_TAGS: usize = 4;
+
 /// Borrowed inputs for the likelihood cell kernel: one anchor's steering
 /// phasors (cell-major) and channel weights (slot-major), both padded to
 /// `n_lanes` (a multiple of 4) with neutral lanes — weight 0, phasor 1 —
 /// so padding contributes exact zeros.
+///
+/// A batch ([`write_comb_cells_batch`]) is one of these per tag, all
+/// sharing the same steering tables, lane stride and comb walk; only the
+/// weights differ.
 #[derive(Debug, Clone, Copy)]
 pub struct CellSweep<'a> {
     /// `e^{ιw·f_base}` real parts, `seed_re[cell·n_lanes + lane]`.
@@ -209,104 +235,114 @@ pub struct CellSweep<'a> {
     pub gaps: &'a [u32],
 }
 
-/// One lane block of `V::CELLS` cells over a dense comb (every gap after
-/// the first is one slot): two interleaved rotation chains advanced by
-/// `step²` halve the serial complex-multiply latency the pipeline must
-/// hide.
+/// One tag's channel weights `(re, im)`, each cut to the same length so
+/// the bounds checks of every tag's row loads fold into one.
+type Weights<'a> = (&'a [f64], &'a [f64]);
+
+/// The channel-weight row starting at `at`, broadcast into every cell of
+/// the vector.
 #[inline(always)]
-fn dense_block<V: CellLanes>(
+fn alpha_row<V: CellLanes>(w: &Weights<'_>, at: usize) -> Cx<V> {
+    Cx {
+        re: V::load_row(&w.0[at..]),
+        im: V::load_row(&w.1[at..]),
+    }
+}
+
+/// One lane block of `V::CELLS` cells over a dense comb (every gap after
+/// the first is one slot), for each of `T` tags: two interleaved rotation
+/// chains advanced by `step²` halve the serial complex-multiply latency
+/// the pipeline must hide, and every tag's even/odd accumulators read the
+/// same chains.
+#[inline(always)]
+fn dense_block<V: CellLanes, const T: usize>(
     seed: Cx<V>,
     step: Cx<V>,
-    alpha_re: &[f64],
-    alpha_im: &[f64],
+    tags: &[Weights<'_>; T],
     n_lanes: usize,
     lane0: usize,
     n_bands: usize,
-) -> Cx<V> {
+) -> [Cx<V>; T] {
     let step2 = step.mul(step);
     let mut rot_e = seed; // bands 0, 2, 4, …
     let mut rot_o = seed.mul(step); // bands 1, 3, 5, …
-    let mut acc_e = Cx::<V>::zero();
-    let mut acc_o = Cx::<V>::zero();
+    let mut acc_e = [Cx::<V>::zero(); T];
+    let mut acc_o = [Cx::<V>::zero(); T];
     let pairs = n_bands / 2;
     for p in 0..pairs {
         let e = (2 * p) * n_lanes + lane0;
         let o = e + n_lanes;
-        let a_e = Cx {
-            re: V::load_row(&alpha_re[e..]),
-            im: V::load_row(&alpha_im[e..]),
-        };
-        let a_o = Cx {
-            re: V::load_row(&alpha_re[o..]),
-            im: V::load_row(&alpha_im[o..]),
-        };
-        acc_e = acc_e.add(a_e.mul(rot_e));
-        acc_o = acc_o.add(a_o.mul(rot_o));
+        for t in 0..T {
+            acc_e[t] = acc_e[t].add(alpha_row::<V>(&tags[t], e).mul(rot_e));
+            acc_o[t] = acc_o[t].add(alpha_row::<V>(&tags[t], o).mul(rot_o));
+        }
         rot_e = rot_e.mul(step2);
         rot_o = rot_o.mul(step2);
     }
     if n_bands % 2 == 1 {
         let s = (n_bands - 1) * n_lanes + lane0;
-        let a = Cx {
-            re: V::load_row(&alpha_re[s..]),
-            im: V::load_row(&alpha_im[s..]),
-        };
-        acc_e = acc_e.add(a.mul(rot_e));
+        for t in 0..T {
+            acc_e[t] = acc_e[t].add(alpha_row::<V>(&tags[t], s).mul(rot_e));
+        }
     }
-    acc_e.add(acc_o)
+    std::array::from_fn(|t| acc_e[t].add(acc_o[t]))
 }
 
-/// One lane block of `V::CELLS` cells over a general uniform comb: single
-/// rotation chain, `gaps[k]` step multiplies per band.
+/// One lane block of `V::CELLS` cells over a general uniform comb, for
+/// each of `T` tags: one shared rotation chain, `gaps[k]` step multiplies
+/// per band.
 #[inline(always)]
-fn gap_block<V: CellLanes>(
+fn gap_block<V: CellLanes, const T: usize>(
     seed: Cx<V>,
     step: Cx<V>,
-    alpha_re: &[f64],
-    alpha_im: &[f64],
+    tags: &[Weights<'_>; T],
     n_lanes: usize,
     lane0: usize,
     gaps: &[u32],
-) -> Cx<V> {
+) -> [Cx<V>; T] {
     let mut rot = seed;
-    let mut acc = Cx::<V>::zero();
+    let mut acc = [Cx::<V>::zero(); T];
     for (slot, &gap) in gaps.iter().enumerate() {
         for _ in 0..gap {
             rot = rot.mul(step);
         }
         let s = slot * n_lanes + lane0;
-        let a = Cx {
-            re: V::load_row(&alpha_re[s..]),
-            im: V::load_row(&alpha_im[s..]),
-        };
-        acc = acc.add(a.mul(rot));
+        for t in 0..T {
+            acc[t] = acc[t].add(alpha_row::<V>(&tags[t], s).mul(rot));
+        }
     }
     acc
 }
 
-/// The Eq. 17 cell kernel, `V::CELLS` consecutive cells per vector:
-/// `out.len()` must be a multiple of `V::CELLS`.
+/// The Eq. 17 cell kernel for `T` tags, `V::CELLS` consecutive cells per
+/// vector: writes `outs[t][k]` for every `k` in `range` (whose length
+/// must be a multiple of `V::CELLS`), cell `first_cell + k`. The steering
+/// tables and comb walk are `tags[0]`'s, shared by every tag.
 #[inline(always)]
-fn comb_cells_body<V: CellLanes>(
-    s: &CellSweep<'_>,
+fn comb_cells_body<V: CellLanes, const T: usize>(
+    tags: &[CellSweep<'_>; T],
     combine: Combine,
     first_cell: usize,
-    out: &mut [f64],
+    outs: &mut [&mut [f64]; T],
+    range: std::ops::Range<usize>,
 ) {
-    debug_assert_eq!(out.len() % V::CELLS, 0);
+    debug_assert_eq!(range.len() % V::CELLS, 0);
+    let s = &tags[0];
     let nl = s.n_lanes;
     let nb = s.gaps.len();
     let dense = s.gaps.first() == Some(&0) && s.gaps[1..].iter().all(|&g| g == 1);
+    let weights: [Weights<'_>; T] =
+        std::array::from_fn(|t| (&tags[t].alpha_re[..nb * nl], &tags[t].alpha_im[..nb * nl]));
     let add_cells = |acc: &mut V::Sums, sums: V::Sums| {
         for (a, v) in acc.as_mut().iter_mut().zip(sums.as_ref()) {
             *a += v;
         }
     };
-    for (k, values) in out.chunks_exact_mut(V::CELLS).enumerate() {
-        let cell = first_cell + k * V::CELLS;
-        let mut coh_re = V::Sums::default();
-        let mut coh_im = V::Sums::default();
-        let mut non = V::Sums::default();
+    for k in range.step_by(V::CELLS) {
+        let cell = first_cell + k;
+        let mut coh_re = [V::Sums::default(); T];
+        let mut coh_im = [V::Sums::default(); T];
+        let mut non = [V::Sums::default(); T];
         for lane0 in (0..nl).step_by(4) {
             let base = cell * nl + lane0;
             let seed = Cx {
@@ -318,63 +354,124 @@ fn comb_cells_body<V: CellLanes>(
                 im: V::load_cells(&s.step_im[base..], nl),
             };
             let acc = if dense {
-                dense_block::<V>(seed, step, s.alpha_re, s.alpha_im, nl, lane0, nb)
+                dense_block::<V, T>(seed, step, &weights, nl, lane0, nb)
             } else {
-                gap_block::<V>(seed, step, s.alpha_re, s.alpha_im, nl, lane0, s.gaps)
+                gap_block::<V, T>(seed, step, &weights, nl, lane0, s.gaps)
             };
-            add_cells(&mut coh_re, acc.re.hsum_cells());
-            add_cells(&mut coh_im, acc.im.hsum_cells());
-            add_cells(&mut non, acc.abs().hsum_cells());
+            for t in 0..T {
+                add_cells(&mut coh_re[t], acc[t].re.hsum_cells());
+                add_cells(&mut coh_im[t], acc[t].im.hsum_cells());
+                add_cells(&mut non[t], acc[t].abs().hsum_cells());
+            }
         }
-        for (c, v) in values.iter_mut().enumerate() {
-            *v = combine_value(
-                combine,
-                coh_re.as_ref()[c],
-                coh_im.as_ref()[c],
-                non.as_ref()[c],
-            );
+        for t in 0..T {
+            for c in 0..V::CELLS {
+                outs[t][k + c] = combine_value(
+                    combine,
+                    coh_re[t].as_ref()[c],
+                    coh_im[t].as_ref()[c],
+                    non[t].as_ref()[c],
+                );
+            }
         }
     }
 }
 
-fn comb_cells_scalar(s: &CellSweep<'_>, combine: Combine, first_cell: usize, out: &mut [f64]) {
-    comb_cells_body::<ScalarX4>(s, combine, first_cell, out);
+fn comb_cells_scalar<const T: usize>(
+    tags: &[CellSweep<'_>; T],
+    combine: Combine,
+    first_cell: usize,
+    outs: &mut [&mut [f64]; T],
+) {
+    let n = outs[0].len();
+    comb_cells_body::<ScalarX4, T>(tags, combine, first_cell, outs, 0..n);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn comb_cells_avx2(s: &CellSweep<'_>, combine: Combine, first_cell: usize, out: &mut [f64]) {
-    comb_cells_body::<simd::AvxX4>(s, combine, first_cell, out);
+fn comb_cells_avx2<const T: usize>(
+    tags: &[CellSweep<'_>; T],
+    combine: Combine,
+    first_cell: usize,
+    outs: &mut [&mut [f64]; T],
+) {
+    let n = outs[0].len();
+    comb_cells_body::<simd::AvxX4, T>(tags, combine, first_cell, outs, 0..n);
 }
 
 /// Whole cell pairs on the two-cell AVX-512 vector; an odd last cell on
 /// the one-cell AVX2 instantiation of the same body.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx2")]
-fn comb_cells_avx512(s: &CellSweep<'_>, combine: Combine, first_cell: usize, out: &mut [f64]) {
-    let paired = out.len() - out.len() % simd::Avx512X8::CELLS;
-    let (pairs, tail) = out.split_at_mut(paired);
-    comb_cells_body::<simd::Avx512X8>(s, combine, first_cell, pairs);
-    comb_cells_body::<simd::AvxX4>(s, combine, first_cell + paired, tail);
+fn comb_cells_avx512<const T: usize>(
+    tags: &[CellSweep<'_>; T],
+    combine: Combine,
+    first_cell: usize,
+    outs: &mut [&mut [f64]; T],
+) {
+    let n = outs[0].len();
+    let paired = n - n % simd::Avx512X8::CELLS;
+    comb_cells_body::<simd::Avx512X8, T>(tags, combine, first_cell, outs, 0..paired);
+    comb_cells_body::<simd::AvxX4, T>(tags, combine, first_cell, outs, paired..n);
 }
 
-/// [`write_comb_cells`] on an explicit vector level — what the
+/// The `T`-tag kernel on `level`.
+#[allow(unsafe_code)]
+fn comb_cells_at<const T: usize>(
+    level: SimdLevel,
+    tags: &[CellSweep<'_>],
+    combine: Combine,
+    first_cell: usize,
+    outs: &mut [&mut [f64]],
+) {
+    let (Ok(tags), Ok(outs)) = (
+        <&[CellSweep<'_>; T]>::try_from(tags),
+        <&mut [&mut [f64]; T]>::try_from(outs),
+    ) else {
+        unreachable!("the caller matched the batch size");
+    };
+    match level.0 {
+        Level::Scalar => comb_cells_scalar(tags, combine, first_cell, outs),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the AVX2 level only comes from `simd::host_levels`,
+        // which constructs it behind `is_x86_feature_detected!("avx2")`.
+        Level::Avx2 => unsafe { comb_cells_avx2(tags, combine, first_cell, outs) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the AVX-512 level only comes from `simd::host_levels`,
+        // which constructs it behind `avx512f` and `avx2` detection.
+        Level::Avx512 => unsafe { comb_cells_avx512(tags, combine, first_cell, outs) },
+        #[cfg(not(target_arch = "x86_64"))]
+        Level::Avx2 | Level::Avx512 => comb_cells_scalar(tags, combine, first_cell, outs),
+    }
+}
+
+/// [`write_comb_cells_batch`] on an explicit vector level — what the
 /// dispatch-equivalence tests drive so they never mutate process state.
 /// Sound for any `level` safe code can hold: levels only come from CPU
 /// detection ([`simd::host_levels`]).
-#[allow(unsafe_code)]
-pub fn write_comb_cells_at(
+pub fn write_comb_cells_batch_at(
     level: SimdLevel,
-    s: &CellSweep<'_>,
+    tags: &[CellSweep<'_>],
     combine: Combine,
     first_cell: usize,
-    out: &mut [f64],
+    outs: &mut [&mut [f64]],
 ) {
+    assert!(
+        (1..=MAX_TAGS).contains(&tags.len()),
+        "a batch holds 1..=MAX_TAGS tags"
+    );
+    assert_eq!(outs.len(), tags.len(), "one output per tag");
+    let s = &tags[0];
+    let n = outs[0].len();
+    assert!(
+        outs.iter().all(|o| o.len() == n),
+        "every tag's output covers the same cells"
+    );
     assert!(
         s.n_lanes >= 4 && s.n_lanes.is_multiple_of(4),
         "lane stride must be a positive multiple of 4"
     );
-    let needed = (first_cell + out.len()) * s.n_lanes;
+    let needed = (first_cell + n) * s.n_lanes;
     assert!(
         s.seed_re.len() >= needed
             && s.seed_im.len() >= needed
@@ -383,20 +480,58 @@ pub fn write_comb_cells_at(
         "steering tables shorter than the requested cell range"
     );
     let alpha_needed = s.gaps.len() * s.n_lanes;
-    assert!(s.alpha_re.len() >= alpha_needed && s.alpha_im.len() >= alpha_needed);
-    match level.0 {
-        Level::Scalar => comb_cells_scalar(s, combine, first_cell, out),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the AVX2 level only comes from `simd::host_levels`,
-        // which constructs it behind `is_x86_feature_detected!("avx2")`.
-        Level::Avx2 => unsafe { comb_cells_avx2(s, combine, first_cell, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the AVX-512 level only comes from `simd::host_levels`,
-        // which constructs it behind `avx512f` and `avx2` detection.
-        Level::Avx512 => unsafe { comb_cells_avx512(s, combine, first_cell, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 | Level::Avx512 => comb_cells_scalar(s, combine, first_cell, out),
+    for t in tags {
+        assert!(
+            std::ptr::eq(t.seed_re, s.seed_re)
+                && std::ptr::eq(t.seed_im, s.seed_im)
+                && std::ptr::eq(t.step_re, s.step_re)
+                && std::ptr::eq(t.step_im, s.step_im)
+                && t.n_lanes == s.n_lanes
+                && t.gaps == s.gaps,
+            "a batch shares one set of steering tables and one comb walk"
+        );
+        assert!(t.alpha_re.len() >= alpha_needed && t.alpha_im.len() >= alpha_needed);
     }
+    match tags.len() {
+        1 => comb_cells_at::<1>(level, tags, combine, first_cell, outs),
+        2 => comb_cells_at::<2>(level, tags, combine, first_cell, outs),
+        3 => comb_cells_at::<3>(level, tags, combine, first_cell, outs),
+        _ => comb_cells_at::<MAX_TAGS>(level, tags, combine, first_cell, outs),
+    }
+}
+
+/// Evaluates the Eq. 17 recurrence for cells `first_cell ..
+/// first_cell + n` of one anchor map for up to [`MAX_TAGS`] tags at once,
+/// writing tag `t`'s combined values into `outs[t]` (each `n` long).
+/// Every tag's values are bit-identical to a [`write_comb_cells`] call
+/// of its own: its accumulators see the same IEEE operations in the same
+/// order, and the shared rotation chain is the same sequence whoever
+/// reads it. The vector path is chosen once per call via
+/// [`simd::cell_level`].
+pub fn write_comb_cells_batch(
+    tags: &[CellSweep<'_>],
+    combine: Combine,
+    first_cell: usize,
+    outs: &mut [&mut [f64]],
+) {
+    write_comb_cells_batch_at(simd::cell_level(), tags, combine, first_cell, outs);
+}
+
+/// [`write_comb_cells`] on an explicit vector level: the batch of one.
+pub fn write_comb_cells_at(
+    level: SimdLevel,
+    s: &CellSweep<'_>,
+    combine: Combine,
+    first_cell: usize,
+    out: &mut [f64],
+) {
+    write_comb_cells_batch_at(
+        level,
+        std::slice::from_ref(s),
+        combine,
+        first_cell,
+        &mut [out],
+    );
 }
 
 /// Evaluates the Eq. 17 recurrence for cells `first_cell ..
@@ -848,17 +983,9 @@ mod tests {
                 tim[k] = step_p.im;
             }
         }
-        let mut are = vec![0.0; nb * n_lanes];
-        let mut aim = vec![0.0; nb * n_lanes];
-        for s in 0..nb {
-            for j in 0..n_ant {
-                are[s * n_lanes + j] = rand_unit(seed ^ (s * 977 + j + 3) as u64) * 2.0 - 1.0;
-                aim[s * n_lanes + j] = rand_unit(seed ^ (s * 977 + j + 71) as u64) * 2.0 - 1.0;
-            }
-        }
         Fixture {
             sweep_tables: (sre, sim, tre, tim),
-            alpha: (are, aim),
+            alpha: random_alpha(seed, nb, n_ant, n_lanes),
             n_lanes,
             n_ant,
             gaps,
@@ -869,15 +996,41 @@ mod tests {
         }
     }
 
+    /// Random channel weights `(re, im)` for `nb` bands × `n_ant`
+    /// antennas, padding lanes zero.
+    fn random_alpha(seed: u64, nb: usize, n_ant: usize, n_lanes: usize) -> (Vec<f64>, Vec<f64>) {
+        let mut are = vec![0.0; nb * n_lanes];
+        let mut aim = vec![0.0; nb * n_lanes];
+        for s in 0..nb {
+            for j in 0..n_ant {
+                are[s * n_lanes + j] = rand_unit(seed ^ (s * 977 + j + 3) as u64) * 2.0 - 1.0;
+                aim[s * n_lanes + j] = rand_unit(seed ^ (s * 977 + j + 71) as u64) * 2.0 - 1.0;
+            }
+        }
+        (are, aim)
+    }
+
     impl Fixture {
         fn cell_sweep(&self) -> CellSweep<'_> {
+            self.tag_sweep(&self.alpha)
+        }
+
+        /// Another tag's channel weights over this fixture's comb and
+        /// lanes.
+        fn tag_alpha(&self, seed: u64) -> (Vec<f64>, Vec<f64>) {
+            random_alpha(seed, self.gaps.len(), self.n_ant, self.n_lanes)
+        }
+
+        /// The sweep of a tag with weights `alpha` over this fixture's
+        /// steering tables — what every tag of a batch shares.
+        fn tag_sweep<'a>(&'a self, alpha: &'a (Vec<f64>, Vec<f64>)) -> CellSweep<'a> {
             CellSweep {
                 seed_re: &self.sweep_tables.0,
                 seed_im: &self.sweep_tables.1,
                 step_re: &self.sweep_tables.2,
                 step_im: &self.sweep_tables.3,
-                alpha_re: &self.alpha.0,
-                alpha_im: &self.alpha.1,
+                alpha_re: &alpha.0,
+                alpha_im: &alpha.1,
                 n_lanes: self.n_lanes,
                 gaps: &self.gaps,
             }
@@ -1026,6 +1179,80 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn tag_batches_are_bit_identical_to_single_tags() {
+        // Every tag of a batch must read exactly its own single-tag
+        // values, on every level this host runs, for every batch size:
+        // dense and gap combs, 4/5/8 antennas (lane strides 4 and 8),
+        // even and odd cell counts from even and odd starts, all three
+        // combinings.
+        let levels = levels_to_test();
+        let dense: Vec<u32> = (0..37).collect();
+        let gapped: Vec<u32> = vec![0, 1, 2, 5, 6, 7, 8, 12, 13, 15, 16, 17, 20, 21, 30, 31, 32];
+        let ranges = [(0, 24), (0, 23), (1, 23), (3, 8), (5, 7), (2, 1)];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (k, (slots, n_ant)) in [(&dense, 4), (&dense, 5), (&dense, 8)]
+            .into_iter()
+            .chain([(&gapped, 4), (&gapped, 5), (&gapped, 8)])
+            .enumerate()
+        {
+            let fx = fixture_on_slots(71 + k as u64, 24, n_ant, slots);
+            let alphas: Vec<_> = (0..MAX_TAGS as u64)
+                .map(|t| fx.tag_alpha(1000 * (k as u64 + 1) + t))
+                .collect();
+            let tags: Vec<CellSweep<'_>> = alphas.iter().map(|a| fx.tag_sweep(a)).collect();
+            for combine in [Combine::Coherent, Combine::Noncoherent, Combine::Hybrid] {
+                for &(first, n) in &ranges {
+                    let single = |level: SimdLevel, tag: &CellSweep<'_>| {
+                        let mut out = vec![0.0; n];
+                        write_comb_cells_at(level, tag, combine, first, &mut out);
+                        bits(&out)
+                    };
+                    let scalar: Vec<_> = tags.iter().map(|t| single(levels[0], t)).collect();
+                    for &level in &levels {
+                        let at_level: Vec<_> = tags.iter().map(|t| single(level, t)).collect();
+                        assert_eq!(at_level, scalar, "single tags at {level:?}");
+                        for size in 1..=MAX_TAGS {
+                            let mut outs = vec![vec![0.0; n]; size];
+                            let mut views: Vec<&mut [f64]> =
+                                outs.iter_mut().map(|o| o.as_mut_slice()).collect();
+                            write_comb_cells_batch_at(
+                                level,
+                                &tags[..size],
+                                combine,
+                                first,
+                                &mut views,
+                            );
+                            for (t, out) in outs.iter().enumerate() {
+                                assert_eq!(
+                                    bits(out),
+                                    scalar[t],
+                                    "{n_ant} antennas, slots {slots:?}, {combine:?}, \
+                                     cells {first}..{}, {level:?}: tag {t} of {size}",
+                                    first + n
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shares one set of steering tables")]
+    fn batches_refuse_tags_on_different_tables() {
+        let (a, b) = (fixture(5, 8, 4, 37), fixture(6, 8, 4, 37));
+        let mut outs = [vec![0.0; 8], vec![0.0; 8]];
+        let [x, y] = &mut outs;
+        write_comb_cells_batch(
+            &[a.cell_sweep(), b.cell_sweep()],
+            Combine::Hybrid,
+            0,
+            &mut [x.as_mut_slice(), y.as_mut_slice()],
+        );
     }
 
     #[test]

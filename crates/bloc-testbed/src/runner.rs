@@ -10,6 +10,15 @@
 //! [`bloc_num::par::sharded_map`]; each worker owns its stats accumulator
 //! and sounder, and results come back in dataset order by construction.
 //!
+//! Locations run in batches of [`BATCH`] consecutive ones. A batch's
+//! first attempt sounds every location under its own panic guard, then
+//! localizes them together ([`BlocLocalizer::localize_batch`]), so their
+//! Eq. 17 sweeps share each cell's rotation chain. A panic is still
+//! isolated per location: if the batch's localization panics, each
+//! location is localized again alone under its own guard. Retries stay
+//! per location. Every record equals what a location-by-location sweep
+//! produces, bit for bit.
+//!
 //! Every worker localizes through the scenario's [`Scenario::localizer`],
 //! which runs on the engine the scenario owns. The deployment's steering
 //! tables are therefore built by the first sweep over a scenario (or any
@@ -24,7 +33,7 @@ use serde::{Deserialize, Serialize};
 use bloc_ble::channels::Channel;
 use bloc_chan::sounder::{SounderConfig, SoundingData};
 use bloc_core::baselines::{aoa, rssi};
-use bloc_core::{BlocLocalizer, DegradationReport, RetryPolicy};
+use bloc_core::{BlocLocalizer, DegradationReport, Estimate, LocalizeError, RetryPolicy};
 use bloc_num::P2;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -156,6 +165,10 @@ impl<'a> SweepSpec<'a> {
     }
 }
 
+/// Consecutive locations a sweep localizes as one batch: one per tag the
+/// Eq. 17 cell kernel sweeps together.
+pub const BATCH: usize = bloc_num::sweep::MAX_TAGS;
+
 /// Runs the sweep across all CPU cores. Returns one outcome per requested
 /// method, in the order requested; records are in dataset order regardless
 /// of scheduling.
@@ -163,20 +176,21 @@ pub fn sweep(spec: &SweepSpec<'_>) -> Vec<SweepOutcome> {
     let n = spec.positions.len();
     let n_methods = spec.methods.len();
     let localizer = spec.scenario.localizer();
+    let evaluate = |batch: &[&SoundingData]| evaluate_methods(&spec.methods, &localizer, batch);
 
     let _span = bloc_obs::span("sweep");
     bloc_obs::counter("sweep.runs").inc();
 
     // Per-worker state: a stats accumulator (samples hit the shared
-    // registry once, at join) and a private sounder. Work is sharded by
-    // stride and reassembled in dataset order by the executor.
-    // One location is a full sounding + localization — coarse enough
-    // that a single item justifies a worker, but tiny sweeps (a handful
-    // of locations) stay serial rather than paying spawns.
-    let threads = bloc_num::par::tuned_threads(n, bloc_num::par::max_threads(), 2);
-    let per_location: Vec<Vec<Option<Eval>>> = bloc_num::par::sharded_map_named(
+    // registry once, at join) and a private sounder. Batches are sharded
+    // by stride and reassembled in dataset order by the executor. One
+    // batch is up to four full soundings + localizations — coarse enough
+    // that a single one justifies a worker.
+    let n_batches = n.div_ceil(BATCH);
+    let threads = bloc_num::par::tuned_threads(n_batches, bloc_num::par::max_threads(), 1);
+    let per_batch: Vec<Vec<Vec<Option<Eval>>>> = bloc_num::par::sharded_map_named(
         "sweep",
-        n,
+        n_batches,
         threads,
         |_t| {
             (
@@ -184,74 +198,21 @@ pub fn sweep(spec: &SweepSpec<'_>) -> Vec<SweepOutcome> {
                 spec.scenario.sounder(spec.sounder_config),
             )
         },
-        |(stats, sounder), idx| {
-            let truth = spec.positions[idx];
-            let mut estimates: Vec<Option<Eval>> = vec![None; spec.methods.len()];
-            for attempt in 0..spec.retry.attempts() {
-                let backoff = spec.retry.delay_us(idx as u64, attempt);
-                if backoff > 0 {
-                    // The simulator records the scheduled wait instead of
-                    // sleeping it; determinism tests replay the schedule.
-                    stats.record("sweep.backoff_us", backoff);
-                }
-                // Deterministic per-(location, attempt) stream,
-                // independent of the thread count. Attempt 0 keeps
-                // the historical derivation so fault-free sweeps
-                // reproduce earlier results bit for bit.
-                let attempt_seed = (spec.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                    .wrapping_add((attempt as u64).wrapping_mul(0xA24B_AED4_963E_E407));
-                let mut rng = StdRng::seed_from_u64(attempt_seed);
-                let faulted;
-                let active = match &spec.fault_plan {
-                    Some(plan) => {
-                        faulted = sounder.clone().with_faults(plan.with_seed(attempt_seed));
-                        &faulted
-                    }
-                    None => &*sounder,
-                };
-                // One bad location must not take down the sweep —
-                // isolate it, count it, and let the retry budget
-                // (or a blank record) absorb it.
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut data = stats.time("sweep.sound_us", || {
-                        active.sound(truth, &spec.channels, &mut rng)
-                    });
-                    if let Some(transform) = &spec.transform {
-                        data = transform(data);
-                    }
-                    stats.time("sweep.location_us", || {
-                        spec.methods
-                            .iter()
-                            .map(|m| evaluate(*m, &localizer, &data))
-                            .collect::<Vec<Option<Eval>>>()
-                    })
-                }));
-                match outcome {
-                    // Estimates are replaced wholesale: each estimate's
-                    // masking summary describes *this* attempt's fault
-                    // draw, never a stale earlier one.
-                    Ok(ests) => estimates = ests,
-                    Err(_) => stats.inc("sweep.panics_caught"),
-                }
-                if estimates.iter().any(|e| e.is_some()) {
-                    if attempt > 0 {
-                        stats.inc("sweep.retry_recovered");
-                    }
-                    break;
-                }
-                if attempt + 1 < spec.retry.attempts() {
-                    stats.inc("sweep.resound_retries");
-                }
-            }
-            stats.inc("sweep.locations");
-            stats.add(
-                "sweep.estimate_failures",
-                estimates.iter().filter(|e| e.is_none()).count() as u64,
-            );
-            estimates
+        |(stats, sounder), b| {
+            let locations = b * BATCH..(b * BATCH + BATCH).min(n);
+            let sounded: Vec<Option<SoundingData>> = locations
+                .clone()
+                .map(|idx| sound_attempt(spec, stats, sounder, idx, 0))
+                .collect();
+            let first = evaluate_first_attempt(stats, &evaluate, &sounded);
+            locations
+                .zip(first)
+                .map(|(idx, first)| retry_location(spec, &evaluate, stats, sounder, idx, first))
+                .collect()
         },
         |(mut stats, _sounder)| stats.merge_into(bloc_obs::Registry::global()),
     );
+    let per_location = per_batch.into_iter().flatten();
 
     let mut per_method: Vec<Vec<LocRecord>> = vec![
         vec![
@@ -265,7 +226,7 @@ pub fn sweep(spec: &SweepSpec<'_>) -> Vec<SweepOutcome> {
         ];
         n_methods
     ];
-    for (idx, estimates) in per_location.into_iter().enumerate() {
+    for (idx, estimates) in per_location.enumerate() {
         let truth = spec.positions[idx];
         for (m, est) in estimates.into_iter().enumerate() {
             let position = est.as_ref().map(|e| e.position);
@@ -298,6 +259,148 @@ pub fn sweep(spec: &SweepSpec<'_>) -> Vec<SweepOutcome> {
         .collect()
 }
 
+/// Sounds location `idx` for `attempt` under its own panic guard: a
+/// fresh fault/noise draw, then the spec's transform. `None` (counted in
+/// `sweep.panics_caught`) when either panicked.
+fn sound_attempt(
+    spec: &SweepSpec<'_>,
+    stats: &mut LocalStats,
+    sounder: &bloc_chan::Sounder,
+    idx: usize,
+    attempt: usize,
+) -> Option<SoundingData> {
+    let backoff = spec.retry.delay_us(idx as u64, attempt);
+    if backoff > 0 {
+        // The simulator records the scheduled wait instead of sleeping
+        // it; determinism tests replay the schedule.
+        stats.record("sweep.backoff_us", backoff);
+    }
+    // Deterministic per-(location, attempt) stream, independent of the
+    // thread count and the batching. Attempt 0 keeps the historical
+    // derivation so fault-free sweeps reproduce earlier results bit for
+    // bit.
+    let attempt_seed = (spec.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .wrapping_add((attempt as u64).wrapping_mul(0xA24B_AED4_963E_E407));
+    let mut rng = StdRng::seed_from_u64(attempt_seed);
+    let faulted;
+    let active = match &spec.fault_plan {
+        Some(plan) => {
+            faulted = sounder.clone().with_faults(plan.with_seed(attempt_seed));
+            &faulted
+        }
+        None => sounder,
+    };
+    // One bad location must not take down the sweep — isolate it, count
+    // it, and let the retry budget (or a blank record) absorb it.
+    let sounded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let data = stats.time("sweep.sound_us", || {
+            active.sound(spec.positions[idx], &spec.channels, &mut rng)
+        });
+        match &spec.transform {
+            Some(transform) => transform(data),
+            None => data,
+        }
+    }));
+    if sounded.is_err() {
+        stats.inc("sweep.panics_caught");
+    }
+    sounded.ok()
+}
+
+/// Evaluates every method under test on a batch of soundings: per
+/// sounding, one output per method.
+type Evaluate<'e> = dyn Fn(&[&SoundingData]) -> Vec<Vec<Option<Eval>>> + 'e;
+
+/// `evaluate` on one location's sounding under its own panic guard;
+/// `None` (counted in `sweep.panics_caught`) when evaluation panicked.
+fn evaluate_alone(
+    stats: &mut LocalStats,
+    evaluate: &Evaluate<'_>,
+    data: &SoundingData,
+) -> Option<Vec<Option<Eval>>> {
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        stats.time("sweep.location_us", || evaluate(&[data]).pop())
+    }));
+    if outcome.is_err() {
+        stats.inc("sweep.panics_caught");
+    }
+    outcome.ok().flatten()
+}
+
+/// A batch's attempt 0: the sounded locations evaluated together, each
+/// location's `sweep.location_us` sample its share of the batch's time.
+/// A panicking batch is redone one location at a time, so the panic is
+/// charged to the location that raised it. `None` for a location whose
+/// sounding or evaluation panicked.
+fn evaluate_first_attempt(
+    stats: &mut LocalStats,
+    evaluate: &Evaluate<'_>,
+    sounded: &[Option<SoundingData>],
+) -> Vec<Option<Vec<Option<Eval>>>> {
+    let batch: Vec<&SoundingData> = sounded.iter().flatten().collect();
+    let start = std::time::Instant::now();
+    let together = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| evaluate(&batch)));
+    match together {
+        Ok(evals) => {
+            let share = start.elapsed().as_micros() as u64 / batch.len().max(1) as u64;
+            let mut evals = evals.into_iter();
+            sounded
+                .iter()
+                .map(|data| {
+                    data.as_ref()?;
+                    stats.record("sweep.location_us", share);
+                    evals.next()
+                })
+                .collect()
+        }
+        Err(_) => sounded
+            .iter()
+            .map(|data| evaluate_alone(stats, evaluate, data.as_ref()?))
+            .collect(),
+    }
+}
+
+/// Finishes location `idx` from its attempt-0 `first` evaluation: while
+/// no method has an estimate and the retry budget lasts, the location is
+/// re-sounded with a fresh fault/noise draw and evaluated alone.
+fn retry_location(
+    spec: &SweepSpec<'_>,
+    evaluate: &Evaluate<'_>,
+    stats: &mut LocalStats,
+    sounder: &bloc_chan::Sounder,
+    idx: usize,
+    first: Option<Vec<Option<Eval>>>,
+) -> Vec<Option<Eval>> {
+    let mut estimates: Vec<Option<Eval>> = first.unwrap_or_else(|| vec![None; spec.methods.len()]);
+    for attempt in 0..spec.retry.attempts() {
+        if attempt > 0 {
+            // Estimates are replaced wholesale: each estimate's masking
+            // summary describes *this* attempt's fault draw, never a
+            // stale earlier one.
+            if let Some(evals) = sound_attempt(spec, stats, sounder, idx, attempt)
+                .and_then(|data| evaluate_alone(stats, evaluate, &data))
+            {
+                estimates = evals;
+            }
+        }
+        if estimates.iter().any(|e| e.is_some()) {
+            if attempt > 0 {
+                stats.inc("sweep.retry_recovered");
+            }
+            break;
+        }
+        if attempt + 1 < spec.retry.attempts() {
+            stats.inc("sweep.resound_retries");
+        }
+    }
+    stats.inc("sweep.locations");
+    stats.add(
+        "sweep.estimate_failures",
+        estimates.iter().filter(|e| e.is_none()).count() as u64,
+    );
+    estimates
+}
+
 /// One method's output for one attempt: the (clamped) position plus the
 /// masking summary of the localize that produced it, when the method has
 /// one (the full BLoc path; baselines have no masking stage).
@@ -307,11 +410,43 @@ struct Eval {
     degradation: Option<DegradationReport>,
 }
 
-fn evaluate(method: Method, localizer: &BlocLocalizer, data: &SoundingData) -> Option<Eval> {
+/// Every method on every sounding of a batch: per sounding, one output
+/// per method in `methods` order. `Method::Bloc` localizes the batch in
+/// one [`BlocLocalizer::localize_batch`] call; the others run per
+/// sounding.
+fn evaluate_methods(
+    methods: &[Method],
+    localizer: &BlocLocalizer,
+    batch: &[&SoundingData],
+) -> Vec<Vec<Option<Eval>>> {
+    let bloc = methods
+        .contains(&Method::Bloc)
+        .then(|| localizer.localize_batch(batch));
+    batch
+        .iter()
+        .enumerate()
+        .map(|(k, data)| {
+            let fix = bloc.as_ref().map(|fixes| &fixes[k]);
+            methods
+                .iter()
+                .map(|&m| evaluate_with(m, localizer, data, fix))
+                .collect()
+        })
+        .collect()
+}
+
+/// One method's output on `data`; `Method::Bloc` reads its fix from
+/// `fix`, the sounding's [`BlocLocalizer::localize`] result.
+fn evaluate_with(
+    method: Method,
+    localizer: &BlocLocalizer,
+    data: &SoundingData,
+    fix: Option<&Result<Estimate, LocalizeError>>,
+) -> Option<Eval> {
     let (estimate, degradation) = match method {
-        Method::Bloc => match localizer.localize(data) {
-            Ok(e) => (Some(e.position), Some(e.degradation)),
-            Err(_) => (None, None),
+        Method::Bloc => match fix {
+            Some(Ok(e)) => (Some(e.position), Some(e.degradation.clone())),
+            _ => (None, None),
         },
         Method::BlocShortestDistance => (
             localizer
@@ -348,6 +483,14 @@ mod tests {
     use super::*;
     use crate::dataset::sample_positions;
     use crate::scenario::Clutter;
+
+    /// One method's output on one sounding, localized alone.
+    fn evaluate(method: Method, localizer: &BlocLocalizer, data: &SoundingData) -> Option<Eval> {
+        evaluate_methods(&[method], localizer, &[data])
+            .pop()
+            .and_then(|mut evals| evals.pop())
+            .flatten()
+    }
 
     #[test]
     fn sweep_shapes_and_determinism() {
@@ -666,6 +809,143 @@ mod tests {
             recovered_late > 0,
             "the plan must force at least one location to fix on a retry"
         );
+    }
+
+    /// The bits of every tag measurement: identifies one sounding.
+    fn fingerprint(d: &SoundingData) -> Vec<[u64; 2]> {
+        d.bands
+            .iter()
+            .flat_map(|b| b.tag_to_anchor.iter().flatten())
+            .map(|h| [h.re.to_bits(), h.im.to_bits()])
+            .collect()
+    }
+
+    #[test]
+    fn batched_sweep_equals_location_by_location_localize() {
+        // 37 locations: nine full batches and a ragged one of one, under
+        // a lossy fault plan with retries, and a transform that panics
+        // while sounding one location's first attempt. Every record must
+        // equal localizing its location alone with the same seeds.
+        let scenario = Scenario::build(Clutter::WallsOnly, 23);
+        let positions = sample_positions(&scenario.room, 37, 23);
+        let channels = bloc_chan::sounder::all_data_channels()[..6].to_vec();
+        let plan = bloc_chan::FaultPlan {
+            tag_loss: 0.8,
+            ..Default::default()
+        };
+        let methods = vec![Method::Bloc, Method::BlocArgmax];
+        let base = SweepSpec {
+            channels: channels.clone(),
+            ..SweepSpec::standard(&scenario, &positions, methods.clone(), 29)
+                .with_faults(plan.clone(), 2)
+        };
+        let sounder = scenario.sounder(base.sounder_config);
+        let sound = |idx: usize, attempt: usize| {
+            let attempt_seed = (base.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .wrapping_add((attempt as u64).wrapping_mul(0xA24B_AED4_963E_E407));
+            sounder
+                .clone()
+                .with_faults(plan.with_seed(attempt_seed))
+                .sound(
+                    positions[idx],
+                    &channels,
+                    &mut StdRng::seed_from_u64(attempt_seed),
+                )
+        };
+        let panics = fingerprint(&sound(5, 0));
+        let spec = SweepSpec {
+            transform: Some(Arc::new(move |d: SoundingData| {
+                if fingerprint(&d) == panics {
+                    panic!("injected sounding panic");
+                }
+                d
+            })),
+            ..base.clone()
+        };
+        let out = sweep(&spec);
+
+        let transform = spec.transform.clone().expect("set above");
+        let localizer = scenario.localizer();
+        let (mut transform_panics, mut late) = (0, 0);
+        for idx in 0..positions.len() {
+            let mut expected: Vec<Option<Eval>> = vec![None; methods.len()];
+            for attempt in 0..spec.retry.attempts() {
+                let data = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    transform(sound(idx, attempt))
+                }));
+                let Ok(data) = data else {
+                    transform_panics += 1;
+                    continue;
+                };
+                expected = methods
+                    .iter()
+                    .map(|&m| evaluate(m, &localizer, &data))
+                    .collect();
+                if expected.iter().any(Option::is_some) {
+                    late += usize::from(attempt > 0);
+                    break;
+                }
+            }
+            for (outcome, want) in out.iter().zip(&expected) {
+                let rec = &outcome.records[idx];
+                let what = format!("location {idx}, {:?}", outcome.method);
+                assert_eq!(rec.estimate, want.as_ref().map(|e| e.position), "{what}");
+                assert_eq!(
+                    rec.degradation,
+                    want.as_ref().and_then(|e| e.degradation.clone()),
+                    "{what}"
+                );
+            }
+        }
+        assert_eq!(transform_panics, 1, "one sounding panics");
+        assert!(late > 0, "the plan must force a fix on a retry");
+        assert!(
+            out[0].records.iter().any(|r| r.estimate.is_none()),
+            "the plan must leave a location without a fix"
+        );
+    }
+
+    #[test]
+    fn a_panicking_batch_is_redone_location_by_location() {
+        // An evaluation that panics whenever location 2 is among its
+        // soundings takes the whole batch down: every location is then
+        // evaluated alone, so only location 2 loses its estimates, the
+        // rest equal their own evaluation, and one panic is counted. A
+        // location whose sounding panicked stays blank.
+        let scenario = Scenario::build(Clutter::None, 15);
+        let positions = sample_positions(&scenario.room, 4, 15);
+        let channels = bloc_chan::sounder::all_data_channels()[..6].to_vec();
+        let sounder = scenario.sounder(SounderConfig::default());
+        let mut rng = StdRng::seed_from_u64(15);
+        let sounded: Vec<Option<SoundingData>> = positions
+            .iter()
+            .enumerate()
+            .map(|(k, &p)| (k != 1).then(|| sounder.sound(p, &channels, &mut rng)))
+            .collect();
+        let localizer = scenario.localizer();
+        let target = fingerprint(sounded[2].as_ref().expect("sounded"));
+        let evaluate_batch = |batch: &[&SoundingData]| {
+            if batch.iter().any(|d| fingerprint(d) == target) {
+                panic!("injected evaluation panic");
+            }
+            evaluate_methods(&[Method::Bloc], &localizer, batch)
+        };
+        let mut stats = LocalStats::new();
+        let first = evaluate_first_attempt(&mut stats, &evaluate_batch, &sounded);
+        assert_eq!(first.len(), 4);
+        assert!(first[1].is_none() && first[2].is_none());
+        for k in [0, 3] {
+            let data = sounded[k].as_ref().expect("sounded");
+            let alone = evaluate(Method::Bloc, &localizer, data).map(|e| e.position);
+            let got = first[k].as_ref().expect("evaluated")[0]
+                .as_ref()
+                .map(|e| e.position);
+            assert_eq!(got, alone, "location {k}");
+            assert!(got.is_some());
+        }
+        let registry = bloc_obs::Registry::new();
+        stats.merge_into(&registry);
+        assert_eq!(registry.snapshot().counters["sweep.panics_caught"], 1);
     }
 
     #[test]

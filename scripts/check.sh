@@ -83,6 +83,13 @@ echo "==> BLOC_NO_SIMD=1 scalar-fallback leg"
 run env BLOC_NO_SIMD=1 cargo test -q -p bloc-num -- simd sweep
 run env BLOC_NO_SIMD=1 cargo test -q -p bloc-core --test kernel_equivalence
 run env BLOC_NO_SIMD=1 cargo test -q -p bloc-chan --test synth_equivalence
+# Release leg: the shipped cell kernel is the release build, with its
+# `target_feature` twins inlined and every tag-batch width instantiated.
+# Re-prove its bit-identity (per level, per batch size, per tag) and the
+# engine's batched joints there, not only in the debug build above.
+echo "==> release-mode bit-identity leg"
+run cargo test --release -q -p bloc-num -- simd sweep
+run cargo test --release -q -p bloc-core --test kernel_equivalence
 run cargo fmt --check
 run cargo clippy --all-targets -- -D warnings
 
