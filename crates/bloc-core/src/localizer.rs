@@ -1,6 +1,16 @@
 //! The end-to-end BLoc localizer: sounding → correction → likelihood →
 //! multipath rejection → position.
 //!
+//! Every fix runs one loop, `locate` (in this module's `locate`
+//! submodule): Eq. 10 correction of the tag's bursts, the Eq. 17 sweep of
+//! a search level, Eq. 18 scoring of that level's windows, and widening
+//! to the next level when the level cannot be trusted.
+//! [`BlocLocalizer::localize`], [`BlocLocalizer::localize_batch`] and
+//! [`BlocLocalizer::localize_fused`] are searches that start on the whole
+//! fine grid — the dense fix is the one-level hierarchy — and
+//! [`crate::hierarchical`]'s entry points start on the coarse grid or a
+//! seeded patch.
+//!
 //! The pipeline is degradation-aware end to end: measurement holes are
 //! masked in [`crate::correction`], starved anchors are down-weighted or
 //! excluded in [`crate::likelihood`], and [`BlocLocalizer::localize`]
@@ -13,8 +23,8 @@
 
 use bloc_chan::geometry::Room;
 use bloc_chan::sounder::SoundingData;
-use bloc_num::peaks::PeakOptions;
-use bloc_num::{Grid2D, GridPatch, GridSpec, P2};
+use bloc_num::{Grid2D, GridSpec, P2};
+use std::time::Instant;
 
 use crate::correction::{correct, CorrectedChannels};
 use crate::engine::LikelihoodEngine;
@@ -22,6 +32,9 @@ use crate::error::{DegradationReport, LocalizeError};
 use crate::fallback::{fusion, prior_parts, EstimateMode, FallbackStack, FusionWeights};
 use crate::likelihood::AntennaCombining;
 use crate::multipath::{score_peaks, ScoreConfig, ScoredPeak};
+
+mod locate;
+pub(crate) use locate::Level;
 
 /// End-to-end pipeline configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -153,22 +166,12 @@ pub(crate) fn anchor_refs(data: &SoundingData) -> Vec<P2> {
 
 /// Runs one fix attempt under `span`, counted in `calls`, and records
 /// its outcome the one way every entry point (dense, batched, multi-burst,
-/// hierarchical, seeded) shares: see [`observe_fix_since`].
-pub(crate) fn observe_fix<T>(
-    span: &'static str,
-    calls: &str,
-    fix: impl FnOnce() -> Result<T, LocalizeError>,
-) -> Result<T, LocalizeError> {
-    observe_fix_since(std::time::Instant::now(), span, calls, fix)
-}
-
-/// [`observe_fix`] for a fix whose wait began at `start` — earlier than
-/// the call when the fix is one of a batch that started together. Runs
-/// `fix` under `span`, counted in `calls`, then records the wait in
+/// hierarchical, seeded) shares: the wait since `start` (earlier than the
+/// call when the fix is one of a batch that started together) in
 /// `localize.latency_us`, and a failure in `localize.no_fix` plus a
 /// `localize`/`no_fix` event.
-pub(crate) fn observe_fix_since<T>(
-    start: std::time::Instant,
+pub(crate) fn observe_fix<T>(
+    start: Instant,
     span: &'static str,
     calls: &str,
     fix: impl FnOnce() -> Result<T, LocalizeError>,
@@ -222,119 +225,10 @@ impl BlocLocalizer {
         &self.config
     }
 
-    /// Runs offset correction only (exposed for microbenchmarks).
-    ///
-    /// # Errors
-    ///
-    /// See [`crate::correction::correct`].
-    pub fn correct(&self, data: &SoundingData) -> Result<CorrectedChannels, LocalizeError> {
+    /// Eq. 10 offset correction under the `correct` span.
+    fn correct(&self, data: &SoundingData) -> Result<CorrectedChannels, LocalizeError> {
         let _span = bloc_obs::span("correct");
         correct(data, self.config.normalize_alpha)
-    }
-
-    /// Computes the joint likelihood map only.
-    ///
-    /// # Errors
-    ///
-    /// See [`crate::correction::correct`].
-    pub fn likelihood(&self, data: &SoundingData) -> Result<Grid2D, LocalizeError> {
-        let corrected = self.correct(data)?;
-        Ok(self.joint_likelihood_timed(&corrected))
-    }
-
-    /// The likelihood stage under its span, with its work counters.
-    fn joint_likelihood_timed(&self, corrected: &CorrectedChannels) -> Grid2D {
-        self.joint_likelihoods_timed(&[corrected])
-            .pop()
-            .unwrap_or_else(|| Grid2D::zeros(self.config.grid))
-    }
-
-    /// The likelihood stage for many corrected soundings — one batched
-    /// Eq. 17 sweep ([`LikelihoodEngine::likelihood_batch`]) under one
-    /// `likelihood` span — with each sounding's work counters. Returns
-    /// the whole-grid joints in input order.
-    fn joint_likelihoods_timed(&self, corrected: &[&CorrectedChannels]) -> Vec<Grid2D> {
-        let _span = bloc_obs::span("likelihood");
-        let grid = self.config.grid;
-        for c in corrected {
-            bloc_obs::counter("likelihood.grid_cells").add((grid.nx * grid.ny) as u64);
-            bloc_obs::counter("likelihood.bands").add(c.bands.len() as u64);
-        }
-        self.engine
-            .likelihood_batch(
-                corrected,
-                grid,
-                &GridPatch::whole(grid),
-                self.config.combining,
-                false,
-            )
-            .into_iter()
-            .map(|m| m.joint)
-            .collect()
-    }
-
-    /// Records what the masking pass absorbed on the global registry,
-    /// under `fault.recovered.*` — the mirror of `fault.injected.*` (which
-    /// `bloc_chan::FaultPlan` records at sounding time). Counted exactly
-    /// once per corrected sounding, so one sounding → one fix reconciles
-    /// the two families exactly, for single- and multi-burst fixes alike.
-    fn record_recovered(corrected: &CorrectedChannels) {
-        let m = &corrected.masking;
-        if m.holes_masked > 0 {
-            bloc_obs::counter("fault.recovered.holes").add(m.holes_masked as u64);
-        }
-        if m.nonfinite_masked > 0 {
-            bloc_obs::counter("fault.recovered.nonfinite").add(m.nonfinite_masked as u64);
-        }
-        if m.bands_dropped > 0 {
-            bloc_obs::counter("fault.recovered.bands_dropped").add(m.bands_dropped as u64);
-        }
-        let excluded = corrected.surviving.iter().filter(|&&s| s == 0).count();
-        if excluded > 0 {
-            bloc_obs::counter("fault.recovered.anchors_excluded").add(excluded as u64);
-        }
-    }
-
-    /// The degradation evidence carried by estimates built from
-    /// `corrected` (confidence is filled in once peaks are scored).
-    pub(crate) fn degradation_of(corrected: &CorrectedChannels) -> DegradationReport {
-        DegradationReport {
-            bands_total: corrected.masking.bands_total,
-            bands_dropped: corrected.masking.bands_dropped,
-            holes_masked: corrected.masking.holes_masked,
-            nonfinite_masked: corrected.masking.nonfinite_masked,
-            anchors_total: corrected.n_anchors(),
-            anchors_excluded: (0..corrected.n_anchors())
-                .filter(|&i| corrected.surviving[i] == 0)
-                .collect(),
-            effective_span_hz: corrected.masking.effective_span_hz,
-            confidence: 0.0,
-        }
-    }
-
-    /// Eq. 10 correction as every single-sounding fix starts: the masking
-    /// pass is recorded under `fault.recovered.*`, and channels without a
-    /// band or with fewer than two surviving anchors are refused.
-    pub(crate) fn correct_usable(
-        &self,
-        data: &SoundingData,
-    ) -> Result<CorrectedChannels, LocalizeError> {
-        let corrected = self.correct(data)?;
-        Self::record_recovered(&corrected);
-        if corrected.bands.is_empty() {
-            return Err(LocalizeError::NoUsableBands {
-                total: corrected.masking.bands_total,
-                dropped: corrected.masking.bands_dropped,
-            });
-        }
-        let usable = corrected.usable_anchors().len();
-        if usable < 2 {
-            return Err(LocalizeError::TooFewUsableAnchors {
-                usable,
-                total: corrected.n_anchors(),
-            });
-        }
-        Ok(corrected)
     }
 
     /// Full localization.
@@ -354,67 +248,34 @@ impl BlocLocalizer {
     /// deployment: one result per sounding, in input order, each exactly
     /// what [`Self::localize`] returns for it alone.
     ///
-    /// Every sounding is corrected first, then the usable ones share one
-    /// batched Eq. 17 sweep ([`LikelihoodEngine::likelihood_batch`]), so
-    /// soundings of one deployment advance each rotation chain once per
-    /// group of up to [`bloc_num::sweep::MAX_TAGS`]. Each fix keeps its
-    /// own `localize` span, `localize.calls` increment and
-    /// `localize.latency_us` sample ([`observe_fix_since`]); the batch's
-    /// shared work (every correction and the sweep) runs inside the first
-    /// fix's span, and each latency sample runs from the batch's start to
-    /// that fix's completion — how long it waited, the last fix's being
-    /// the batch's wall time.
+    /// The soundings are one search on the whole fine grid: every
+    /// sounding is corrected first, then the usable ones share one batched
+    /// Eq. 17 sweep ([`LikelihoodEngine::likelihood_batch`]), so soundings
+    /// of one deployment advance each rotation chain once per group of up
+    /// to [`bloc_num::sweep::MAX_TAGS`]. Each fix keeps its own `localize`
+    /// span, `localize.calls` increment and `localize.latency_us` sample;
+    /// the batch's work runs inside the first fix's span, and every
+    /// latency sample runs from the batch's start, so each is the batch's
+    /// wall time.
     pub fn localize_batch(
         &self,
         soundings: &[&SoundingData],
     ) -> Vec<Result<Estimate, LocalizeError>> {
-        let start = std::time::Instant::now();
-        let mut corrected = Vec::new();
-        let mut grids = Vec::new().into_iter();
-        soundings
-            .iter()
-            .enumerate()
-            .map(|(k, &data)| {
-                observe_fix_since(start, "localize", "localize.calls", || {
+        let start = Instant::now();
+        let tags: Vec<&[SoundingData]> =
+            soundings.iter().map(|&d| std::slice::from_ref(d)).collect();
+        let mut fixes = Vec::new().into_iter();
+        (0..tags.len())
+            .map(|k| {
+                observe_fix(start, "localize", "localize.calls", || {
                     if k == 0 {
-                        corrected = soundings.iter().map(|d| self.correct_usable(d)).collect();
-                        let usable: Vec<&CorrectedChannels> =
-                            corrected.iter().filter_map(|c| c.as_ref().ok()).collect();
-                        grids = self.joint_likelihoods_timed(&usable).into_iter();
+                        fixes = self.locate(&tags, Level::Whole, 0).into_iter();
                     }
-                    let c = corrected[k].as_ref().map_err(Clone::clone)?;
-                    let grid = grids
-                        .next()
-                        .unwrap_or_else(|| Grid2D::zeros(self.config.grid));
-                    self.scored_fix(data, c, grid)
+                    let fix = fixes.next().unwrap_or(Err(LocalizeError::EmptySounding));
+                    fix.map(|h| h.estimate)
                 })
             })
             .collect()
-    }
-
-    /// The dense fix on already-corrected channels: the Eq. 17 sweep over
-    /// the whole configured grid, then Eq. 18 scoring. Shared by
-    /// [`Self::localize`] and the hierarchy's dense escapes, so a dense
-    /// escape is exactly a dense fix.
-    pub(crate) fn dense_fix(
-        &self,
-        data: &SoundingData,
-        corrected: &CorrectedChannels,
-    ) -> Result<Estimate, LocalizeError> {
-        self.scored_fix(data, corrected, self.joint_likelihood_timed(corrected))
-    }
-
-    /// Eq. 18 scoring of `corrected`'s whole-grid joint `grid` against
-    /// `data`'s anchors: the fix, or [`LocalizeError::NoPeak`].
-    fn scored_fix(
-        &self,
-        data: &SoundingData,
-        corrected: &CorrectedChannels,
-        grid: Grid2D,
-    ) -> Result<Estimate, LocalizeError> {
-        let peaks = score_peaks(&grid, &anchor_refs(data), &self.config.score);
-        Estimate::from_scored(peaks, grid, Self::degradation_of(corrected))
-            .ok_or(LocalizeError::NoPeak)
     }
 
     /// Multi-burst localization: fuses several soundings of the *same*
@@ -424,86 +285,25 @@ impl BlocLocalizer {
     /// per-burst noise and per-epoch offset artifacts that survive
     /// correction. The returned [`DegradationReport`] aggregates across
     /// bursts (an anchor counts as excluded only when it survived in *no*
-    /// burst).
+    /// burst), and the fix is refused on it before anything is swept.
     ///
     /// # Errors
     ///
-    /// [`LocalizeError::EmptySounding`] when no burst was structurally
-    /// sound, otherwise the same failures as [`Self::localize`] evaluated
-    /// on the fused evidence.
+    /// When no burst was structurally sound, the first burst's correction
+    /// error ([`LocalizeError::EmptySounding`] for no bursts at all);
+    /// otherwise the same failures as [`Self::localize`] evaluated on the
+    /// fused evidence.
     pub fn localize_fused(&self, soundings: &[SoundingData]) -> Result<Estimate, LocalizeError> {
-        observe_fix("localize_fused", "localize_fused.calls", || {
-            self.localize_fused_impl(soundings)
-        })
-    }
-
-    fn localize_fused_impl(&self, soundings: &[SoundingData]) -> Result<Estimate, LocalizeError> {
-        let mut swept: Vec<(&SoundingData, CorrectedChannels)> = Vec::new();
-        let mut degradation = DegradationReport::default();
-        let mut surviving_total: Vec<usize> = Vec::new();
-        let mut structurally_sound = 0usize;
-        for data in soundings {
-            let Ok(corrected) = self.correct(data) else {
-                continue;
-            };
-            Self::record_recovered(&corrected);
-            structurally_sound += 1;
-            bloc_obs::counter("localize_fused.bursts").inc();
-            degradation.bands_total += corrected.masking.bands_total;
-            degradation.bands_dropped += corrected.masking.bands_dropped;
-            degradation.holes_masked += corrected.masking.holes_masked;
-            degradation.nonfinite_masked += corrected.masking.nonfinite_masked;
-            degradation.effective_span_hz = degradation
-                .effective_span_hz
-                .max(corrected.masking.effective_span_hz);
-            if surviving_total.len() < corrected.surviving.len() {
-                surviving_total.resize(corrected.surviving.len(), 0);
-            }
-            for (acc, &s) in surviving_total.iter_mut().zip(&corrected.surviving) {
-                *acc += s;
-            }
-            if !corrected.bands.is_empty() {
-                swept.push((data, corrected));
-            }
-        }
-        if structurally_sound == 0 {
-            return Err(LocalizeError::EmptySounding);
-        }
-        let Some((first, first_corrected)) = swept.first() else {
-            return Err(LocalizeError::NoUsableBands {
-                total: degradation.bands_total,
-                dropped: degradation.bands_dropped,
-            });
-        };
-        let anchor_refs_first = anchor_refs(first);
-        degradation.anchors_total = first_corrected.n_anchors();
-        // Every burst's joint in one batched sweep, summed in burst order.
-        let batch: Vec<&CorrectedChannels> = swept.iter().map(|(_, c)| c).collect();
-        let summed = self
-            .joint_likelihoods_timed(&batch)
-            .into_iter()
-            .reduce(|mut sum, joint| {
-                sum.add_assign(&joint);
-                sum
-            });
-        let Some(grid) = summed else {
-            return Err(LocalizeError::EmptySounding);
-        };
-        degradation.anchors_excluded = surviving_total
-            .iter()
-            .enumerate()
-            .filter(|(_, &s)| s == 0)
-            .map(|(i, _)| i)
-            .collect();
-        let usable = surviving_total.len() - degradation.anchors_excluded.len();
-        if usable < 2 {
-            return Err(LocalizeError::TooFewUsableAnchors {
-                usable,
-                total: surviving_total.len(),
-            });
-        }
-        let peaks = score_peaks(&grid, &anchor_refs_first, &self.config.score);
-        Estimate::from_scored(peaks, grid, degradation).ok_or(LocalizeError::NoPeak)
+        observe_fix(
+            Instant::now(),
+            "localize_fused",
+            "localize_fused.calls",
+            || {
+                let fix = self.locate(&[soundings], Level::Whole, 0).pop();
+                fix.unwrap_or(Err(LocalizeError::EmptySounding))
+                    .map(|h| h.estimate)
+            },
+        )
     }
 
     /// The fallback-fusion step for a CSI fix. Derives [`FusionWeights`]
@@ -552,10 +352,8 @@ impl BlocLocalizer {
         }
         let mut parts = vec![(&est.likelihood, weights.csi)];
         parts.extend(prior_parts(&fp, &counts, &weights));
-        let refined = fusion::fuse_mass(&parts).and_then(|blend| {
-            let peaks = score_peaks(&blend, &anchor_refs(data), &self.config.score);
-            Estimate::from_scored(peaks, blend, est.degradation.clone())
-        });
+        let refined = fusion::fuse_mass(&parts)
+            .and_then(|blend| self.scored(blend, data, est.degradation.clone()));
         bloc_obs::counter("fallback.refined_fixes").inc();
         FusedFix {
             estimate: refined.unwrap_or(est),
@@ -607,10 +405,9 @@ impl BlocLocalizer {
         data: &SoundingData,
         fb: &crate::fallback::FallbackEstimate,
     ) -> Estimate {
-        let peaks = score_peaks(&fb.likelihood, &anchor_refs(data), &self.config.score);
-        Estimate::from_scored(
-            peaks,
+        self.scored(
             fb.likelihood.clone(),
+            data,
             Self::synthetic_degradation(data),
         )
         .unwrap_or_else(|| Estimate {
@@ -652,25 +449,23 @@ impl BlocLocalizer {
         }
     }
 
-    /// The Fig. 12 ablations' front half: the joint likelihood of the
-    /// corrected channels and their degradation evidence, `None` when
-    /// correction fails or leaves no band.
-    fn corrected_surface(&self, data: &SoundingData) -> Option<(Grid2D, DegradationReport)> {
-        let corrected = self.correct(data).ok()?;
-        if corrected.bands.is_empty() {
-            return None;
-        }
-        let grid =
-            self.engine
-                .joint_likelihood(&corrected, self.config.grid, self.config.combining);
-        Some((grid, Self::degradation_of(&corrected)))
+    /// Eq. 18 over a whole `surface` (a fallback blend or estimate)
+    /// against `data`'s anchors: the estimate, `None` without a peak.
+    fn scored(
+        &self,
+        surface: Grid2D,
+        data: &SoundingData,
+        degradation: DegradationReport,
+    ) -> Option<Estimate> {
+        let peaks = score_peaks(&surface, &anchor_refs(data), &self.config.score);
+        Estimate::from_scored(peaks, surface, degradation)
     }
 
     /// Localization with multipath rejection replaced by the naive
     /// shortest-distance peak pick — the paper's Fig. 12 baseline. Kept on
     /// the `Option` interface: it is an ablation, not a production path.
     pub fn localize_shortest_distance(&self, data: &SoundingData) -> Option<Estimate> {
-        let (grid, degradation) = self.corrected_surface(data)?;
+        let (grid, degradation) = self.ablation_surface(data)?;
         let pick = crate::multipath::shortest_distance_peak(
             &grid,
             &anchor_refs(data),
@@ -687,7 +482,7 @@ impl BlocLocalizer {
     /// Localization by raw argmax of the joint likelihood (no peak
     /// analysis at all) — the "naive way" of §5.4, exposed for ablations.
     pub fn localize_argmax(&self, data: &SoundingData) -> Option<Estimate> {
-        let (grid, degradation) = self.corrected_surface(data)?;
+        let (grid, degradation) = self.ablation_surface(data)?;
         let (ix, iy, max) = grid.argmax()?;
         if max <= 0.0 {
             return None;
@@ -698,11 +493,6 @@ impl BlocLocalizer {
             likelihood: grid,
             degradation,
         })
-    }
-
-    /// The peak-extraction options in force (exposed for the baselines).
-    pub fn peak_options(&self) -> &PeakOptions {
-        &self.config.score.peaks
     }
 }
 

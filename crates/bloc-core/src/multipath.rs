@@ -20,7 +20,8 @@
 
 use bloc_num::entropy::negentropy;
 use bloc_num::peaks::{find_peaks, Peak, PeakOptions};
-use bloc_num::{Grid2D, P2};
+use bloc_num::{Grid2D, GridPatch, GridSpec, P2};
+use std::borrow::Borrow;
 
 /// Parameters of the multipath-rejection score.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,26 +67,101 @@ pub struct ScoredPeak {
 }
 
 /// Scores every peak of a (peak-normalized) joint likelihood and returns
-/// them sorted by score, best first.
+/// them sorted by score, best first: [`score_windows`] with the whole
+/// grid as its one window.
 ///
 /// `anchor_refs` are the positions the `d_i` distances are measured to —
 /// the anchor array centres in the standard pipeline.
 pub fn score_peaks(grid: &Grid2D, anchor_refs: &[P2], config: &ScoreConfig) -> Vec<ScoredPeak> {
+    let whole = [(GridPatch::whole(grid.spec()), grid)];
+    score_windows(&whole, grid.spec(), grid, anchor_refs, config, 0, false)
+}
+
+/// Eq. 18 over `windows` of the `parent` grid, under the `score_peaks`
+/// span — the one way a fix is scored. `p_x` is measured between
+/// `surface`'s median background and the windows' common maximum: the
+/// joint likelihood carries a diffuse non-zero floor (incoherent
+/// correlation background), and measuring above it keeps Eq. 18 in the
+/// regime the paper intends, where `p_x` separates strong and weak peaks.
+/// Each window's local maxima above the peak floor and at least `keep`
+/// cells clear of its interior border (a border that is not the
+/// parent's) are scored against `anchor_refs` and rebased onto `parent`.
+/// `merged` windows (a hierarchy's refinement patches) each keep every
+/// local maximum above the floor and the union keeps the best by score.
+/// The whole parent is the window with no interior border that rebases
+/// onto itself. Returns the peaks best first, recorded under
+/// `multipath.*`; empty when no window has a positive cell.
+pub(crate) fn score_windows<G: Borrow<Grid2D>>(
+    windows: &[(GridPatch, G)],
+    parent: GridSpec,
+    surface: &Grid2D,
+    anchor_refs: &[P2],
+    config: &ScoreConfig,
+    keep: usize,
+    merged: bool,
+) -> Vec<ScoredPeak> {
     let _span = bloc_obs::span("score_peaks");
-    // Normalize peak heights so p_x is scale-free and contrast-stretched
-    // (the grid itself is not mutated). The joint map carries a diffuse
-    // non-zero floor (incoherent correlation background); measuring p_x
-    // above the median background keeps Eq. 18 in the regime the paper
-    // intends, where p_x meaningfully separates strong and weak peaks.
-    let max_v = grid.argmax().map(|(_, _, v)| v).unwrap_or(0.0);
+    let max_v = (windows.iter())
+        .filter_map(|(_, joint)| joint.borrow().argmax().map(|(_, _, v)| v))
+        .fold(0.0f64, f64::max);
     if max_v <= 0.0 {
         return Vec::new();
     }
-    let background = bloc_num::stats::median(grid.data());
-    let peaks = find_peaks(grid, &config.peaks);
-    let scored = score_candidates(grid, &peaks, anchor_refs, config, background, max_v);
-    record_scored(&scored);
-    scored
+    let background = bloc_num::stats::median(surface.data()).min(max_v);
+    let opts = match merged {
+        true => PeakOptions {
+            min_rel_height: 0.0,
+            max_peaks: 32,
+            ..config.peaks
+        },
+        false => config.peaks,
+    };
+    let floor = config.peaks.min_rel_height * max_v;
+    let mut peaks: Vec<ScoredPeak> = Vec::new();
+    for (patch, joint) in windows {
+        let joint = joint.borrow();
+        let mut kept = find_peaks(joint, &opts);
+        kept.retain(|p| {
+            p.value >= floor && patch.interior_border_dist(&parent, p.ix, p.iy) >= keep
+        });
+        for s in score_candidates(joint, &kept, anchor_refs, config, background, max_v) {
+            let s = remap_to_parent(s, patch, parent);
+            // Overlapping patches rediscover the same cell with the same
+            // value and score (windows are complete by the border
+            // filter): keep the first sighting.
+            if !(peaks.iter()).any(|p| (p.peak.ix, p.peak.iy) == (s.peak.ix, s.peak.iy)) {
+                peaks.push(s);
+            }
+        }
+    }
+    if merged {
+        peaks.sort_by(|a, b| {
+            b.score
+                .total_cmp(&a.score)
+                .then_with(|| (a.peak.iy, a.peak.ix).cmp(&(b.peak.iy, b.peak.ix)))
+        });
+        peaks.truncate(config.peaks.max_peaks);
+    }
+    if !peaks.is_empty() {
+        record_scored(&peaks);
+    }
+    peaks
+}
+
+/// Rebases a window-local scored peak onto the parent grid, snapping the
+/// position to the parent's cell centre so agreement on the winning cell
+/// means bit-identical positions.
+fn remap_to_parent(s: ScoredPeak, patch: &GridPatch, parent: GridSpec) -> ScoredPeak {
+    let (ix, iy) = patch.to_parent(s.peak.ix, s.peak.iy);
+    ScoredPeak {
+        peak: Peak {
+            ix,
+            iy,
+            position: parent.cell_center(ix, iy),
+            value: s.peak.value,
+        },
+        ..s
+    }
 }
 
 /// The Eq. 18 scoring core with the normalization statistics made

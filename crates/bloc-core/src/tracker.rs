@@ -15,6 +15,9 @@
 
 use bloc_num::P2;
 
+use crate::hierarchical::HierarchicalConfig;
+use crate::localizer::BlocLocalizer;
+
 /// Tracker tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -418,14 +421,14 @@ impl Tracker {
 /// of dropping the time step.
 #[derive(Debug, Clone)]
 pub struct TrackingPipeline {
-    localizer: crate::localizer::BlocLocalizer,
-    hier: Option<crate::hierarchical::HierarchicalLocalizer>,
+    localizer: BlocLocalizer,
+    hier: Option<HierarchicalConfig>,
     tracker: Tracker,
 }
 
 impl TrackingPipeline {
     /// Builds a pipeline from its two halves.
-    pub fn new(localizer: crate::localizer::BlocLocalizer, config: TrackerConfig) -> Self {
+    pub fn new(localizer: BlocLocalizer, config: TrackerConfig) -> Self {
         Self {
             localizer,
             hier: None,
@@ -433,22 +436,15 @@ impl TrackingPipeline {
         }
     }
 
-    /// Enables the hierarchical coarse-to-fine solver: rounds with a live
-    /// track localize on a fine patch seeded at the track prediction
-    /// (bounded by [`Tracker::search_radius`]); rounds without one run
-    /// the full coarse→fine flow. The hierarchical localizer shares this
-    /// pipeline's engine and steering cache.
-    pub fn with_hierarchical(mut self, config: crate::hierarchical::HierarchicalConfig) -> Self {
-        self.hier = Some(crate::hierarchical::HierarchicalLocalizer::new(
-            self.localizer.clone(),
-            config,
-        ));
+    /// Enables the hierarchical coarse-to-fine solver on this pipeline's
+    /// localizer (installing the configured steering-cache budget): rounds
+    /// with a live track localize on a fine patch seeded at the track
+    /// prediction (bounded by [`Tracker::search_radius`]); rounds without
+    /// one run the full coarse→fine flow.
+    pub fn with_hierarchical(mut self, config: HierarchicalConfig) -> Self {
+        config.install_budget(&self.localizer);
+        self.hier = Some(config);
         self
-    }
-
-    /// The hierarchical solver, when enabled.
-    pub fn hierarchical(&self) -> Option<&crate::hierarchical::HierarchicalLocalizer> {
-        self.hier.as_ref()
     }
 
     /// The grid a fallback-only round (no CSI fix, so no likelihood
@@ -458,10 +454,11 @@ impl TrackingPipeline {
     /// refining a CSI fix are evaluated on that estimate's own surface
     /// instead.
     pub fn prior_grid(&self) -> bloc_num::GridSpec {
-        self.hier
-            .as_ref()
-            .map(|h| h.coarse_spec())
-            .unwrap_or(self.localizer.config().grid)
+        let fine = self.localizer.config().grid;
+        match self.hier {
+            Some(_) => crate::hierarchical::coarse_grid(fine),
+            None => fine,
+        }
     }
 
     /// Localizes one sounding the way this pipeline is configured to:
@@ -479,18 +476,13 @@ impl TrackingPipeline {
         data: &bloc_chan::sounder::SoundingData,
         dt: f64,
     ) -> Result<crate::localizer::Estimate, crate::error::LocalizeError> {
-        let Some(h) = &self.hier else {
+        let Some(hier) = &self.hier else {
             return self.localizer.localize(data);
         };
-        let seed = self
-            .tracker
-            .state()
-            .zip(self.tracker.search_radius(dt.max(0.0)));
-        let est = match seed {
-            Some((s, radius)) => h.localize_seeded(data, s.position, radius)?,
-            None => h.localize(data)?,
-        };
-        Ok(est.estimate)
+        let seed = (self.tracker.state())
+            .zip(self.tracker.search_radius(dt.max(0.0)))
+            .map(|(s, radius)| (s.position, radius));
+        Ok(hier.fix(&self.localizer, data, seed)?.estimate)
     }
 
     /// Consumes one sounding taken `dt` seconds after the previous call.
@@ -548,18 +540,13 @@ impl TrackingPipeline {
         self.tracker.coast(dt)
     }
 
-    /// The tracker half.
-    pub fn tracker(&self) -> &Tracker {
-        &self.tracker
-    }
-
     /// The current track estimate, if any fix has arrived.
     pub fn state(&self) -> Option<TrackState> {
         self.tracker.state()
     }
 
     /// The localizer half (and through it the shared likelihood engine).
-    pub fn localizer(&self) -> &crate::localizer::BlocLocalizer {
+    pub fn localizer(&self) -> &BlocLocalizer {
         &self.localizer
     }
 }

@@ -13,6 +13,26 @@ run() {
 
 if [[ "${1:-}" != "quick" ]]; then
     run cargo build --release
+    # Bit-identity pins: each benchmark workload at its 200-call minimum
+    # (seed 7, --seconds 0) must print the digest below — a fold of every
+    # fix position's bits, identical with and without SIMD and on any core
+    # count. A change that moves any fix by one bit fails here; update a
+    # pin only with a change that is meant to move fixes, and say so. Run
+    # before the host-timing gates below, so a timing flake cannot hide a
+    # digest break.
+    for pin in paper_sweep:2a9cfa0177bd4451 corridor_track:059d171bf828c003 \
+        fleet_faulted:e71e4ed493b63a4f; do
+        workload=${pin%%:*}
+        want=${pin##*:}
+        echo "==> benchmark --workload $workload --seed 7 --seconds 0 (digest $want)"
+        got=$(cargo run --release -q -p bloc-bench --bin benchmark -- \
+            --workload "$workload" --seed 7 --seconds 0 |
+            sed -n 's/.*; digest \([0-9a-f]*\)$/\1/p')
+        if [[ "$got" != "$want" ]]; then
+            echo "benchmark $workload: digest '$got', pinned $want" >&2
+            exit 1
+        fi
+    done
     # Deterministic fault-injection soak: seeded plan, 100 locations; fails
     # on any panic, unpopulated DegradationReport, or injected/recovered
     # ledger mismatch (see crates/bloc-bench/src/bin/fault_soak.rs).
