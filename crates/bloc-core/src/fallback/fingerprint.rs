@@ -4,8 +4,9 @@
 //! the 3.7 m regime of the RSSI-KNN literature) adapted to BLoc's
 //! sounding format: a survey pass records, per training position, the
 //! per-(band, anchor) mean `|ĥ|` in dB — an RSSI vector with one entry
-//! per hop per anchor. A live query extracts the same features from a
-//! possibly fault-ridden [`SoundingData`] and carries a **mask**: holes
+//! per hop per anchor. A live query reads the same features, taken from
+//! a possibly fault-ridden [`SoundingData`] into its
+//! [`FallbackEvidence`], and carries a **mask**: holes
 //! (exactly-zero rows, the workspace-wide lost-packet convention) drop
 //! out of the feature vector entirely, so the fingerprint distance is
 //! evaluated only on the evidence that survived — the database does not
@@ -19,7 +20,7 @@
 use bloc_chan::sounder::SoundingData;
 use bloc_num::{knn, P2};
 
-use super::FallbackError;
+use super::{FallbackError, FallbackEvidence};
 
 /// Weight regularizer: a zero-distance (exact duplicate) neighbour gets
 /// weight `1/EPS` — enormous but finite, so ties between duplicates
@@ -138,7 +139,7 @@ impl FingerprintDb {
     /// [`FallbackError::ShapeMismatch`] when the sounding's band/anchor
     /// shape disagrees with the database.
     pub fn insert(&mut self, position: P2, data: &SoundingData) -> Result<(), FallbackError> {
-        self.check_shape(data)?;
+        self.check_shape(data.bands.len() * data.anchors.len(), data.anchors.len())?;
         let (values, _) = Self::features_of(data);
         self.positions.push(position);
         self.features.extend_from_slice(&values);
@@ -165,9 +166,10 @@ impl FingerprintDb {
         Ok(())
     }
 
-    fn check_shape(&self, data: &SoundingData) -> Result<(), FallbackError> {
-        let got = data.bands.len() * data.anchors.len();
-        if got != self.dims() || data.anchors.len() != self.n_anchors {
+    /// Rejects a sounding of `got` feature dimensions over `anchors`
+    /// anchors that is not the database's shape.
+    fn check_shape(&self, got: usize, anchors: usize) -> Result<(), FallbackError> {
+        if got != self.dims() || anchors != self.n_anchors {
             return Err(FallbackError::ShapeMismatch {
                 expected: self.dims(),
                 got,
@@ -176,12 +178,12 @@ impl FingerprintDb {
         Ok(())
     }
 
-    /// Distance-weighted KNN query against a live sounding: feature
-    /// dimensions holed out by faults are excluded via the mask, `k` is
-    /// clamped to the database size (a too-large `k` is a sane query, not
-    /// an error), and neighbours are weighted `1/(d + ε)` — duplicate
-    /// surveyed positions therefore collapse onto their shared location
-    /// rather than dividing by zero.
+    /// Distance-weighted KNN query against a live sounding's features
+    /// (its [`FallbackEvidence`]): feature dimensions holed out by faults
+    /// are excluded via the mask, `k` is clamped to the database size (a
+    /// too-large `k` is a sane query, not an error), and neighbours are
+    /// weighted `1/(d + ε)` — duplicate surveyed positions therefore
+    /// collapse onto their shared location rather than dividing by zero.
     ///
     /// # Errors
     ///
@@ -191,29 +193,22 @@ impl FingerprintDb {
     /// query is masked (nothing to match on).
     pub fn query(
         &self,
-        data: &SoundingData,
+        evidence: &FallbackEvidence,
         k: usize,
         threads: usize,
     ) -> Result<KnnEstimate, FallbackError> {
         if self.is_empty() {
             return Err(FallbackError::EmptyDatabase);
         }
-        self.check_shape(data)?;
-        let (values, mask) = Self::features_of(data);
+        let (values, mask) = evidence.features();
+        self.check_shape(values.len(), evidence.anchors().len())?;
         let surviving_dims = mask.iter().filter(|&&m| m).count();
         if surviving_dims == 0 {
             return Err(FallbackError::NoSurvivingFeatures);
         }
         bloc_obs::counter("fallback.knn.queries").inc();
         bloc_obs::counter("fallback.knn.dims_surviving").add(surviving_dims as u64);
-        let ranked = knn::k_nearest(
-            &values,
-            &mask,
-            &self.features,
-            self.dims(),
-            k.max(1),
-            threads,
-        );
+        let ranked = knn::k_nearest(values, mask, &self.features, self.dims(), k.max(1), threads);
         if ranked.is_empty() {
             // Unreachable with surviving dims > 0 and a non-empty db,
             // but typed rather than trusted.

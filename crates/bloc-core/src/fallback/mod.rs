@@ -21,7 +21,10 @@
 //! ([`crate::runtime::SessionSupervisor`]) consults it whenever a round
 //! would otherwise defer, turning `Deferred` into
 //! [`crate::runtime::RoundOutcome::Degraded`] with explicit mode
-//! provenance and widened confidence.
+//! provenance and widened confidence. The estimators read a round's
+//! sounding through one [`FallbackEvidence`] snapshot, taken when the
+//! round's first attempt is sounded, so the sounding itself is never
+//! kept.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -31,13 +34,16 @@ pub mod packet_count;
 
 pub use fingerprint::{FingerprintDb, KnnEstimate};
 pub use fusion::{FusionPolicy, FusionWeights};
-pub use packet_count::{CountsEstimate, PacketCountModel};
+pub use packet_count::{CountTable, CountsEstimate, PacketCountModel};
 
 use std::fmt;
+use std::sync::Arc;
 
 use bloc_chan::faults::ReceptionCensus;
 use bloc_chan::sounder::SoundingData;
 use bloc_num::{Grid2D, GridSpec, P2};
+
+use packet_count::CountTableSlot;
 
 /// Why a fallback estimator could not produce an estimate. These are
 /// *evidence* problems, typed so the runtime can distinguish "fallback
@@ -171,11 +177,75 @@ pub struct FallbackEstimate {
     pub counts_anchors: Option<usize>,
 }
 
-/// The runtime's bundle of fallback estimators plus policy.
+/// What the fallback estimators read from one full-deployment sounding:
+/// its masked RSSI features ([`FingerprintDb::features_of`]), its
+/// reception census, its anchor centres and its hole count. Five heap
+/// blocks (~1.5 KB for 37 bands × 4 anchors) where the sounding holds
+/// every band's channel rows in ~400, so a session keeps the snapshot of
+/// its latest attempt-0 sounding instead of the sounding itself.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FallbackEvidence {
+    features: Vec<f64>,
+    mask: Vec<bool>,
+    census: ReceptionCensus,
+    anchors: Vec<P2>,
+    holes: usize,
+}
+
+impl FallbackEvidence {
+    /// Takes the snapshot of `data`.
+    pub fn from_sounding(data: &SoundingData) -> Self {
+        let (features, mask) = FingerprintDb::features_of(data);
+        let holes = data
+            .bands
+            .iter()
+            .flat_map(|b| b.tag_to_anchor.iter())
+            .flat_map(|row| row.iter())
+            .filter(|h| h.abs() == 0.0)
+            .count();
+        Self {
+            features,
+            mask,
+            census: ReceptionCensus::from_sounding(data),
+            anchors: data.anchors.iter().map(|a| a.center()).collect(),
+            holes,
+        }
+    }
+
+    /// Per-(band, anchor) dB features, band-major, and their survival
+    /// mask (false where no antenna of the anchor heard the band).
+    pub(crate) fn features(&self) -> (&[f64], &[bool]) {
+        (&self.features, &self.mask)
+    }
+
+    /// Per-anchor reception tallies.
+    pub(crate) fn census(&self) -> &ReceptionCensus {
+        &self.census
+    }
+
+    /// Anchor centres, in deployment order.
+    pub(crate) fn anchors(&self) -> &[P2] {
+        &self.anchors
+    }
+
+    /// Band slots sounded.
+    pub(crate) fn bands(&self) -> usize {
+        self.census.expected
+    }
+
+    /// Tag-to-anchor measurements that are exact-zero holes.
+    pub(crate) fn holes(&self) -> usize {
+        self.holes
+    }
+}
+
+/// The runtime's bundle of fallback estimators plus policy. Clones share
+/// the fingerprint survey and the packet-count table, so every tag of a
+/// fleet site reads one copy of each.
 #[derive(Debug, Clone, Default)]
 pub struct FallbackStack {
-    db: Option<FingerprintDb>,
-    counts: Option<PacketCountModel>,
+    db: Option<Arc<FingerprintDb>>,
+    counts: Option<(PacketCountModel, Arc<CountTableSlot>)>,
     /// Stack policy (public so benches can tune `k`/threads in place).
     pub config: FallbackConfig,
 }
@@ -193,24 +263,25 @@ impl FallbackStack {
 
     /// Attaches an offline-surveyed fingerprint database.
     pub fn with_fingerprints(mut self, db: FingerprintDb) -> Self {
-        self.db = Some(db);
+        self.db = Some(Arc::new(db));
         self
     }
 
     /// Attaches a packet-count reception model.
     pub fn with_counts(mut self, model: PacketCountModel) -> Self {
-        self.counts = Some(model);
+        self.counts = Some((model, Arc::default()));
         self
     }
 
-    /// The attached fingerprint database, if any.
+    /// The attached fingerprint database, if any (one allocation for the
+    /// stack and all its clones).
     pub fn fingerprints(&self) -> Option<&FingerprintDb> {
-        self.db.as_ref()
+        self.db.as_deref()
     }
 
     /// The attached packet-count model, if any.
     pub fn counts_model(&self) -> Option<&PacketCountModel> {
-        self.counts.as_ref()
+        self.counts.as_ref().map(|(model, _)| model)
     }
 
     /// True when at least one estimator is attached.
@@ -218,20 +289,20 @@ impl FallbackStack {
         self.db.is_some() || self.counts.is_some()
     }
 
-    /// Evaluates every available fallback prior against `data` on `spec`.
-    /// Estimator failures are recorded (`fallback.<est>.failed.<reason>`)
-    /// and skipped, not propagated: a prior that cannot run simply
-    /// contributes nothing.
+    /// Evaluates every available fallback prior against `evidence` on
+    /// `spec`. Estimator failures are recorded
+    /// (`fallback.<est>.failed.<reason>`) and skipped, not propagated: a
+    /// prior that cannot run simply contributes nothing.
     pub fn priors(
         &self,
-        data: &SoundingData,
+        evidence: &FallbackEvidence,
         spec: GridSpec,
     ) -> (Option<(Grid2D, KnnEstimate)>, Option<CountsEstimate>) {
         let threads = self.config.threads.max(1);
         let fp = self
             .db
             .as_ref()
-            .and_then(|db| match db.query(data, self.config.k, threads) {
+            .and_then(|db| match db.query(evidence, self.config.k, threads) {
                 Ok(est) => {
                     let sigma = est.spread_m.max(self.config.min_sigma_m);
                     let bump = fusion::gaussian_bump(spec, est.position, sigma, threads);
@@ -242,10 +313,9 @@ impl FallbackStack {
                     None
                 }
             });
-        let counts = self.counts.as_ref().and_then(|model| {
-            let census = ReceptionCensus::from_sounding(data);
-            let anchors: Vec<P2> = data.anchors.iter().map(|a| a.center()).collect();
-            match model.localize(&census, &anchors, spec, threads) {
+        let counts = self.counts.as_ref().and_then(|(model, slot)| {
+            let table = slot.get(model, spec, evidence.anchors(), threads);
+            match model.localize(evidence.census(), &table) {
                 Ok(est) => Some(est),
                 Err(e) => {
                     bloc_obs::counter(&format!("fallback.counts.failed.{}", e.reason())).inc();
@@ -264,13 +334,13 @@ impl FallbackStack {
     /// # Errors
     ///
     /// [`FallbackError::NoEstimator`] when nothing is attached or every
-    /// attached estimator failed on this sounding.
+    /// attached estimator failed on this evidence.
     pub fn estimate(
         &self,
-        data: &SoundingData,
+        evidence: &FallbackEvidence,
         spec: GridSpec,
     ) -> Result<FallbackEstimate, FallbackError> {
-        let (fp, counts) = self.priors(data, spec);
+        let (fp, counts) = self.priors(evidence, spec);
         let weights = FusionWeights::fallback_only(&self.config.policy).restrict(
             false,
             fp.is_some(),

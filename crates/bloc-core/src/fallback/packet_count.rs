@@ -15,10 +15,17 @@
 //! p_i(x) = (1 − base_loss) · (1 − p_loss(‖x − a_i‖))
 //! ```
 //!
+//! `ln p_i(x)` and `ln(1 − p_i(x))` depend only on the grid and the
+//! deployment, so a stack tabulates them once for the (grid, anchors) it
+//! is asked about ([`CountTable`]) and a round's evaluation is two
+//! multiply-adds per (cell, informative anchor).
+//!
 //! Anchors that heard *nothing* are excluded: an all-silent anchor is
 //! indistinguishable from a scheduled dropout (breaker-quarantined or
 //! blacked out), and treating its silence as range evidence would drag
 //! every estimate toward "infinitely far from that anchor".
+
+use std::sync::{Arc, Mutex, PoisonError};
 
 use bloc_chan::faults::{RangeLoss, ReceptionCensus};
 use bloc_num::{Grid2D, GridSpec, P2};
@@ -68,9 +75,31 @@ impl PacketCountModel {
             .clamp(P_CLAMP, 1.0 - P_CLAMP)
     }
 
+    /// The model's log reception probabilities over `spec` for every
+    /// anchor in `anchors` (cell centres as [`Grid2D::from_fn_par`]
+    /// evaluates them): the part of [`Self::localize`] that depends only
+    /// on the grid and the deployment, computed once and shared.
+    pub fn table(&self, spec: GridSpec, anchors: &[P2], threads: usize) -> CountTable {
+        let mut ln = Vec::with_capacity(anchors.len() * spec.len());
+        for &a in anchors {
+            let p = Grid2D::from_fn_par(spec, threads, |x| self.p_receive(x.dist(a)));
+            ln.extend(p.data().iter().map(|&pr| [pr.ln(), (1.0 - pr).ln()]));
+        }
+        CountTable {
+            model: *self,
+            spec,
+            anchors: anchors.to_vec(),
+            ln,
+        }
+    }
+
     /// Evaluates the binomial reception log-likelihood of `census` over
-    /// `spec`, exp-normalizes it into a likelihood surface, and returns
-    /// the argmax-cell estimate.
+    /// `table`'s grid, exp-normalizes it into a likelihood surface, and
+    /// returns the argmax-cell estimate. Per cell it sums, over the
+    /// anchors that heard something, `r · ln p + (n − r) · ln(1 − p)`
+    /// from the table in anchor order — the same operations as evaluating
+    /// `p_receive` in place, so the surface is bit-identical to it.
+    /// `table` must be one this model built ([`Self::table`]).
     ///
     /// # Errors
     ///
@@ -80,18 +109,20 @@ impl PacketCountModel {
     pub fn localize(
         &self,
         census: &ReceptionCensus,
-        anchors: &[P2],
-        spec: GridSpec,
-        threads: usize,
+        table: &CountTable,
     ) -> Result<CountsEstimate, FallbackError> {
+        debug_assert_eq!(table.model, *self, "a count table of another model");
         let n = census.expected;
+        let cells = table.spec.len();
         // Anchors with at least one decoded slot: silence could be a
         // scheduled dropout, so only positive tallies are evidence.
-        let informative: Vec<(P2, f64)> = anchors
+        let informative: Vec<(&[[f64; 2]], f64)> = census
+            .received
             .iter()
-            .zip(&census.received)
+            .take(table.anchors.len())
+            .enumerate()
             .filter(|&(_, &r)| r > 0)
-            .map(|(&a, &r)| (a, r as f64))
+            .map(|(i, &r)| (&table.ln[i * cells..][..cells], r as f64))
             .collect();
         if informative.is_empty() || n == 0 {
             return Err(FallbackError::NoInformativeAnchors);
@@ -100,14 +131,15 @@ impl PacketCountModel {
         bloc_obs::counter("fallback.counts.anchors_used").add(informative.len() as u64);
 
         let n_f = n as f64;
-        let mut ll = Grid2D::from_fn_par(spec, threads, |p| {
+        let mut ll = Grid2D::zeros(table.spec);
+        for (cell, v) in ll.data_mut().iter_mut().enumerate() {
             let mut acc = 0.0;
-            for &(a, r) in &informative {
-                let pr = self.p_receive(p.dist(a));
-                acc += r * pr.ln() + (n_f - r) * (1.0 - pr).ln();
+            for &(ln, r) in &informative {
+                let [ln_p, ln_q] = ln[cell];
+                acc += r * ln_p + (n_f - r) * ln_q;
             }
-            acc
-        });
+            *v = acc;
+        }
 
         // Exp-normalize: subtract the max log-likelihood before exp so
         // the surface is numerically tame, then normalize to unit mass.
@@ -115,7 +147,7 @@ impl PacketCountModel {
             Some(m) => m,
             None => return Err(FallbackError::NoInformativeAnchors),
         };
-        let position = spec.cell_center(ix, iy);
+        let position = table.spec.cell_center(ix, iy);
         for v in ll.data_mut() {
             *v = (*v - max_ll).exp();
         }
@@ -125,5 +157,50 @@ impl PacketCountModel {
             likelihood: ll,
             anchors_used: informative.len(),
         })
+    }
+}
+
+/// `ln p_i(x)` and `ln(1 − p_i(x))` of one [`PacketCountModel`] for every
+/// anchor `i` of one deployment and every cell `x` of one grid. They
+/// depend on nothing a round observes, so a [`super::FallbackStack`]
+/// keeps one and every round — and every tag sharing the stack — reads
+/// it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CountTable {
+    model: PacketCountModel,
+    spec: GridSpec,
+    anchors: Vec<P2>,
+    /// Anchor-major, cells in flat order: `[ln p, ln(1 − p)]`.
+    ln: Vec<[f64; 2]>,
+}
+
+impl CountTable {
+    fn serves(&self, model: &PacketCountModel, spec: GridSpec, anchors: &[P2]) -> bool {
+        self.model == *model && self.spec == spec && self.anchors == anchors
+    }
+}
+
+/// The [`CountTable`] one fallback stack keeps, shared by its clones. A
+/// fleet site asks for one (grid, anchors) key every round; a request for
+/// another key builds that key's table and replaces the kept one.
+#[derive(Debug, Default)]
+pub(crate) struct CountTableSlot(Mutex<Option<Arc<CountTable>>>);
+
+impl CountTableSlot {
+    /// The table of `model` over `spec` and `anchors`, built on a miss.
+    pub(crate) fn get(
+        &self,
+        model: &PacketCountModel,
+        spec: GridSpec,
+        anchors: &[P2],
+        threads: usize,
+    ) -> Arc<CountTable> {
+        // The slot holds a whole table or none, so a guard poisoned by a
+        // panicking tag elsewhere still guards a sound slot.
+        let mut slot = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        match slot.as_ref() {
+            Some(kept) if kept.serves(model, spec, anchors) => Arc::clone(kept),
+            _ => Arc::clone(slot.insert(Arc::new(model.table(spec, anchors, threads)))),
+        }
     }
 }

@@ -20,7 +20,8 @@
 //! * **Admission control** — each site admits at most `capacity`
 //!   supervised rounds per batch, oldest registration first. Tags over
 //!   capacity are **shed, not dropped**: a typed [`ShedRound`] carrying
-//!   a degraded-mode estimate from the tag's last retained sounding.
+//!   a degraded-mode estimate from the fallback evidence of the tag's
+//!   last attempt-0 sounding.
 //! * **Site-level health** — per-anchor breaker verdicts are aggregated
 //!   *across* tags; when a quorum of active tags has quarantined the
 //!   same anchor, the site declares an outage, performs exactly one
@@ -260,9 +261,7 @@ impl FleetSupervisor {
         state.tags.push(TagSlot {
             id,
             sup,
-            fallback: state.spec.fallback.clone(),
             grid: state.spec.bloc.grid,
-            last_sounding: None,
             bulkhead: BreakerState::Closed,
             opened_at: 0,
             failure_streak: 0,
@@ -444,16 +443,12 @@ impl FleetSupervisor {
                             d.charge(driver.round_latency_us(site, tag, round));
                             d
                         });
-                        let TagSlot {
-                            sup, last_sounding, ..
-                        } = &mut *task.slot;
+                        // The session keeps its attempt-0 fallback evidence
+                        // itself, even when a later attempt panics.
+                        let sup = &mut task.slot.sup;
                         let result = catch_unwind(AssertUnwindSafe(|| {
                             sup.run_round_with_deadline(dt, deadline.as_mut(), |attempt| {
-                                let data = driver.sound(site, tag, round, attempt);
-                                if attempt == 0 {
-                                    *last_sounding = Some(data.clone());
-                                }
-                                data
+                                driver.sound(site, tag, round, attempt)
                             })
                         }));
                         task.outcome = Some(match result {
@@ -467,11 +462,10 @@ impl FleetSupervisor {
                         }
                     }
                     Action::Shed(reason) => {
-                        let estimate = task
-                            .slot
-                            .last_sounding
-                            .as_ref()
-                            .and_then(|s| task.slot.fallback.estimate(s, task.slot.grid).ok());
+                        let sup = &task.slot.sup;
+                        let estimate = sup.fallback().zip(sup.fallback_evidence()).and_then(
+                            |(stack, evidence)| stack.estimate(evidence, task.slot.grid).ok(),
+                        );
                         task.outcome = Some(TagRoundOutcome::Shed(ShedRound {
                             reason: reason.clone(),
                             estimate,

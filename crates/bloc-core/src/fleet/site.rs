@@ -41,9 +41,9 @@ pub struct SiteSpec {
     pub bloc: BlocConfig,
     /// The site's anchor deployment. Anchor 0 is the master.
     pub anchors: Vec<AnchorArray>,
-    /// Degraded-mode estimators surveyed for this site; cloned into each
-    /// tag slot so shed rounds can estimate without touching shared
-    /// state.
+    /// Degraded-mode estimators surveyed for this site. Every tag's
+    /// session holds a clone, and clones share the one survey and the
+    /// packet-count table.
     pub fallback: FallbackStack,
     /// The site's shared channel-synthesis path cache (clones share
     /// storage).

@@ -10,11 +10,10 @@
 
 use std::fmt;
 
-use bloc_chan::sounder::SoundingData;
 use bloc_num::{GridSpec, P2};
 
 use crate::error::DeferReason;
-use crate::fallback::{FallbackEstimate, FallbackStack};
+use crate::fallback::FallbackEstimate;
 use crate::runtime::{BreakerState, RoundOutcome, SessionSupervisor};
 
 /// Fleet-wide tag identity (assigned at registration, never reused).
@@ -71,8 +70,8 @@ impl fmt::Display for ShedReason {
 pub struct ShedRound {
     /// Why the round was shed.
     pub reason: ShedReason,
-    /// The fallback estimate from the tag's most recent retained
-    /// sounding, when one exists and an estimator is attached.
+    /// The fallback estimate from the evidence of the tag's most recent
+    /// attempt-0 sounding, when one exists and an estimator is attached.
     pub estimate: Option<FallbackEstimate>,
 }
 
@@ -156,15 +155,12 @@ pub(crate) struct TagSlot {
     pub(crate) id: TagId,
     /// The tag's own supervised session, sharing the site's steering
     /// cache through its engine clone, with cache invalidation
-    /// site-managed.
+    /// site-managed. Its fallback stack (the site's, sharing the survey)
+    /// and the evidence of its latest attempt-0 sounding also serve the
+    /// tag's shed rounds.
     pub(crate) sup: SessionSupervisor,
-    /// Site fallback stack clone, for shed-round estimates.
-    pub(crate) fallback: FallbackStack,
-    /// The site's likelihood grid (fallback estimates are fused on it).
+    /// The site's likelihood grid (shed-round estimates are fused on it).
     pub(crate) grid: GridSpec,
-    /// Most recent attempt-0 sounding, retained so a shed round can
-    /// still produce a degraded estimate without sounding.
-    pub(crate) last_sounding: Option<SoundingData>,
     /// The tag's bulkhead: `Closed` serves, `Open` is quarantined,
     /// `HalfOpen` runs a probe round.
     pub(crate) bulkhead: BreakerState,

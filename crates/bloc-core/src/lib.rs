@@ -90,8 +90,8 @@ pub mod tracker;
 
 pub use error::{DeferReason, DegradationReport, LocalizeError};
 pub use fallback::{
-    EstimateMode, FallbackConfig, FallbackError, FallbackStack, FingerprintDb, FusionPolicy,
-    FusionWeights, PacketCountModel,
+    EstimateMode, FallbackConfig, FallbackError, FallbackEvidence, FallbackStack, FingerprintDb,
+    FusionPolicy, FusionWeights, PacketCountModel,
 };
 pub use fleet::{
     BatchReport, FleetConfig, FleetDriver, FleetSupervisor, ShedReason, ShedRound, SiteId,

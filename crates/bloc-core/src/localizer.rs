@@ -24,12 +24,15 @@
 use bloc_chan::geometry::Room;
 use bloc_chan::sounder::SoundingData;
 use bloc_num::{Grid2D, GridSpec, P2};
+use std::borrow::Borrow;
 use std::time::Instant;
 
 use crate::correction::{correct, CorrectedChannels};
 use crate::engine::LikelihoodEngine;
 use crate::error::{DegradationReport, LocalizeError};
-use crate::fallback::{fusion, prior_parts, EstimateMode, FallbackStack, FusionWeights};
+use crate::fallback::{
+    fusion, prior_parts, EstimateMode, FallbackEvidence, FallbackStack, FusionWeights,
+};
 use crate::likelihood::AntennaCombining;
 use crate::multipath::{score_peaks, ScoreConfig, ScoredPeak};
 
@@ -310,22 +313,23 @@ impl BlocLocalizer {
     /// from `est`'s [`DegradationReport`] and the breaker `open_frac`; a
     /// healthy round (or no stack, or one without estimators) keeps `est`
     /// untouched under pure-CSI weights. Otherwise the fingerprint and
-    /// packet-count priors (De et al.) are evaluated from `prior_basis`
-    /// on `est`'s own likelihood grid — the fine grid for dense fixes, the
-    /// coarse surface or the seeded patch for hierarchical ones — blended
-    /// with it by mass (convex weights), and Eq. 18 re-scores the blend
-    /// against `data`'s anchors, keeping `est`'s degradation evidence;
-    /// each refined fix counts in `fallback.refined_fixes`. A blend
-    /// without a peak keeps `est` (a prior must never turn a fix into a
-    /// no-fix). `prior_basis` is the full-deployment sounding when `data`
-    /// is an admitted-anchor subset (the fingerprint feature shape is
-    /// fixed at survey time), `data` itself otherwise.
-    pub(crate) fn fuse_fallback(
+    /// packet-count priors (De et al.) are evaluated from the evidence
+    /// `evidence` yields (called only then) on `est`'s own likelihood grid
+    /// — the fine grid for dense fixes, the coarse surface or the seeded
+    /// patch for hierarchical ones — blended with it by mass (convex
+    /// weights), and Eq. 18 re-scores the blend against `data`'s anchors,
+    /// keeping `est`'s degradation evidence; each refined fix counts in
+    /// `fallback.refined_fixes`. A blend without a peak keeps `est` (a
+    /// prior must never turn a fix into a no-fix). The evidence is the
+    /// full-deployment sounding's when `data` is an admitted-anchor subset
+    /// (the fingerprint feature shape is fixed at survey time), `data`'s
+    /// own otherwise.
+    pub(crate) fn fuse_fallback<E: Borrow<FallbackEvidence>>(
         &self,
         est: Estimate,
         data: &SoundingData,
-        prior_basis: &SoundingData,
         stack: Option<&FallbackStack>,
+        evidence: impl FnOnce() -> Option<E>,
         open_frac: f64,
     ) -> FusedFix {
         let pure_csi = |estimate| FusedFix {
@@ -341,7 +345,10 @@ impl BlocLocalizer {
         if weights.csi >= 1.0 {
             return pure_csi(est);
         }
-        let (fp, counts) = stack.priors(prior_basis, est.likelihood.spec());
+        let Some(evidence) = evidence() else {
+            return pure_csi(est);
+        };
+        let (fp, counts) = stack.priors(evidence.borrow(), est.likelihood.spec());
         let weights = weights.restrict(true, fp.is_some(), counts.is_some());
         if weights.csi >= 1.0 {
             return FusedFix {
@@ -353,7 +360,7 @@ impl BlocLocalizer {
         let mut parts = vec![(&est.likelihood, weights.csi)];
         parts.extend(prior_parts(&fp, &counts, &weights));
         let refined = fusion::fuse_mass(&parts)
-            .and_then(|blend| self.scored(blend, data, est.degradation.clone()));
+            .and_then(|blend| self.scored(blend, &anchor_refs(data), est.degradation.clone()));
         bloc_obs::counter("fallback.refined_fixes").inc();
         FusedFix {
             estimate: refined.unwrap_or(est),
@@ -382,13 +389,20 @@ impl BlocLocalizer {
         open_frac: f64,
     ) -> Result<FusedFix, LocalizeError> {
         match self.localize(data) {
-            Ok(est) => Ok(self.fuse_fallback(est, data, data, Some(stack), open_frac)),
+            Ok(est) => Ok(self.fuse_fallback(
+                est,
+                data,
+                Some(stack),
+                || Some(FallbackEvidence::from_sounding(data)),
+                open_frac,
+            )),
             Err(csi_err) => {
-                let Ok(fb) = stack.estimate(data, self.config.grid) else {
+                let evidence = FallbackEvidence::from_sounding(data);
+                let Ok(fb) = stack.estimate(&evidence, self.config.grid) else {
                     return Err(csi_err);
                 };
                 Ok(FusedFix {
-                    estimate: self.estimate_from_fallback(data, &fb),
+                    estimate: self.estimate_from_fallback(&evidence, &fb),
                     mode: fb.mode,
                     weights: fb.weights,
                 })
@@ -398,46 +412,39 @@ impl BlocLocalizer {
 
     /// Dresses a fallback-only estimate as a pipeline [`Estimate`]: peak
     /// scoring runs on the fallback likelihood (so confidence reflects
-    /// its — much broader — peak margin) and the degradation report is
-    /// reconstructed from the raw sounding.
+    /// its — much broader — peak margin) against the evidence's anchors,
+    /// and the degradation report is reconstructed from the evidence.
     pub fn estimate_from_fallback(
         &self,
-        data: &SoundingData,
+        evidence: &FallbackEvidence,
         fb: &crate::fallback::FallbackEstimate,
     ) -> Estimate {
         self.scored(
             fb.likelihood.clone(),
-            data,
-            Self::synthetic_degradation(data),
+            evidence.anchors(),
+            Self::synthetic_degradation(evidence),
         )
         .unwrap_or_else(|| Estimate {
             position: fb.position,
             peaks: Vec::new(),
             likelihood: fb.likelihood.clone(),
-            degradation: Self::synthetic_degradation(data),
+            degradation: Self::synthetic_degradation(evidence),
         })
     }
 
     /// A degradation report for a fallback-only estimate: CSI never ran,
-    /// so the report is reconstructed from the raw sounding — exact-zero
-    /// holes counted directly, anchors excluded when they decoded no tag
-    /// packet at all.
-    fn synthetic_degradation(data: &SoundingData) -> DegradationReport {
-        let census = bloc_chan::faults::ReceptionCensus::from_sounding(data);
-        let holes = data
-            .bands
-            .iter()
-            .flat_map(|b| b.tag_to_anchor.iter())
-            .flat_map(|row| row.iter())
-            .filter(|h| h.abs() == 0.0)
-            .count();
+    /// so the report is reconstructed from the sounding's evidence —
+    /// exact-zero holes counted directly, anchors excluded when they
+    /// decoded no tag packet at all.
+    fn synthetic_degradation(evidence: &FallbackEvidence) -> DegradationReport {
         DegradationReport {
-            bands_total: data.bands.len(),
-            bands_dropped: data.bands.len(),
-            holes_masked: holes,
+            bands_total: evidence.bands(),
+            bands_dropped: evidence.bands(),
+            holes_masked: evidence.holes(),
             nonfinite_masked: 0,
-            anchors_total: data.anchors.len(),
-            anchors_excluded: census
+            anchors_total: evidence.anchors().len(),
+            anchors_excluded: evidence
+                .census()
                 .received
                 .iter()
                 .enumerate()
@@ -450,14 +457,14 @@ impl BlocLocalizer {
     }
 
     /// Eq. 18 over a whole `surface` (a fallback blend or estimate)
-    /// against `data`'s anchors: the estimate, `None` without a peak.
+    /// against `anchors`: the estimate, `None` without a peak.
     fn scored(
         &self,
         surface: Grid2D,
-        data: &SoundingData,
+        anchors: &[P2],
         degradation: DegradationReport,
     ) -> Option<Estimate> {
-        let peaks = score_peaks(&surface, &anchor_refs(data), &self.config.score);
+        let peaks = score_peaks(&surface, anchors, &self.config.score);
         Estimate::from_scored(peaks, surface, degradation)
     }
 

@@ -38,7 +38,6 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use bloc_chan::faults::ReceptionCensus;
 use bloc_chan::sounder::SoundingData;
 use bloc_chan::AnchorArray;
 use bloc_num::complex::ZERO;
@@ -51,7 +50,7 @@ use bloc_obs::mode::ModeTracker;
 use bloc_obs::BoundedLedger;
 
 use crate::error::{DeferReason, LocalizeError};
-use crate::fallback::{EstimateMode, FallbackStack, FusionWeights};
+use crate::fallback::{EstimateMode, FallbackEvidence, FallbackStack, FusionWeights};
 use crate::localizer::{BlocLocalizer, Estimate};
 use crate::tracker::{FixDisposition, TrackState, TrackerConfig, TrackingPipeline};
 
@@ -431,6 +430,14 @@ pub struct SessionSupervisor {
     /// Fallback estimators consulted when a round would otherwise defer
     /// (and for prior-blending on unhealthy fixes).
     fallback: Option<FallbackStack>,
+    /// What the fallback estimators read of the latest attempt-0
+    /// sounding — refreshed whenever attempt 0 is sounded and a stack
+    /// with estimators is attached, and kept across rounds so a fleet
+    /// can estimate a shed round without sounding. It is taken from the
+    /// *full*-deployment sounding: the fingerprint feature shape is fixed
+    /// at survey time, so a quarantined anchor contributes masked holes,
+    /// not a shape change.
+    evidence: Option<FallbackEvidence>,
     /// Estimator-mode occupancy/transition bookkeeping (attached with the
     /// fallback stack so non-degraded sessions' counters stay untouched).
     mode_tracker: Option<ModeTracker>,
@@ -457,6 +464,7 @@ impl SessionSupervisor {
             last_geometry: None,
             path_cache: None,
             fallback: None,
+            evidence: None,
             mode_tracker: None,
         }
     }
@@ -499,6 +507,18 @@ impl SessionSupervisor {
     pub fn with_site_managed_caches(mut self) -> Self {
         self.site_managed_caches = true;
         self
+    }
+
+    /// The attached fallback stack, if any.
+    pub fn fallback(&self) -> Option<&FallbackStack> {
+        self.fallback.as_ref()
+    }
+
+    /// The fallback evidence of the latest attempt-0 sounding (of this
+    /// or an earlier round), when a stack with estimators is attached and
+    /// attempt 0 has been sounded at least once.
+    pub fn fallback_evidence(&self) -> Option<&FallbackEvidence> {
+        self.evidence.as_ref()
     }
 
     /// The hop monitor, if attached.
@@ -618,14 +638,9 @@ impl SessionSupervisor {
                 live: admitted.len(),
                 required: self.config.min_live_anchors,
             };
-            return self.degraded_or_defer(dt, reason, None, round, &mut sound);
+            return self.degraded_or_defer(dt, reason, false, round, &mut sound);
         }
 
-        // The fallback estimators need the *full*-deployment sounding
-        // (the fingerprint feature shape is fixed at survey time; a
-        // quarantined anchor contributes masked holes, not a shape
-        // change), so attempt 0 is kept around when a stack is attached.
-        let mut fallback_sounding: Option<SoundingData> = None;
         let mut last_failure: Option<DeferReason> = None;
         for attempt in 0..self.config.retry.attempts() {
             let delay = self.config.retry.delay_us(round, attempt);
@@ -644,10 +659,7 @@ impl SessionSupervisor {
                     return self.defer(dt, reason);
                 }
             }
-            let full = sound(attempt);
-            if attempt == 0 && self.fallback.is_some() {
-                fallback_sounding = Some(full.clone());
-            }
+            let full = self.sound_attempt(attempt, &mut sound);
             let data = if admitted.len() == full.anchors.len() {
                 full
             } else {
@@ -682,12 +694,12 @@ impl SessionSupervisor {
                         }
                     }
                     // Unhealthy fixes are refined with the stack's priors,
-                    // evaluated on the attempt-0 full-deployment sounding.
+                    // evaluated on the attempt-0 full-deployment evidence.
                     let fused = self.pipeline.localizer().fuse_fallback(
                         est,
                         &data,
-                        fallback_sounding.as_ref().unwrap_or(&data),
                         self.fallback.as_ref(),
+                        || self.evidence.as_ref(),
                         self.open_frac(),
                     );
                     if let Some(mt) = &mut self.mode_tracker {
@@ -718,46 +730,73 @@ impl SessionSupervisor {
             attempts: 0,
             last: LocalizeError::EmptySounding,
         });
-        self.degraded_or_defer(dt, reason, fallback_sounding, round, &mut sound)
+        self.degraded_or_defer(dt, reason, true, round, &mut sound)
+    }
+
+    /// The attached fallback stack, when it has an estimator to run.
+    fn estimators(&self) -> Option<&FallbackStack> {
+        self.fallback.as_ref().filter(|s| s.has_estimators())
+    }
+
+    /// Sounds `attempt` of the round. Attempt 0 refreshes the fallback
+    /// evidence first thing, so a round that fails (or panics) later
+    /// still leaves its snapshot behind.
+    fn sound_attempt<F>(&mut self, attempt: usize, sound: &mut F) -> SoundingData
+    where
+        F: FnMut(usize) -> SoundingData,
+    {
+        let data = sound(attempt);
+        if attempt == 0 && self.estimators().is_some() {
+            self.evidence = Some(FallbackEvidence::from_sounding(&data));
+        }
+        data
     }
 
     /// The defer path with a fallback stack attached: try to rescue the
-    /// round with a coarse estimate before conceding. Sounds once (the
-    /// round's attempt 0) if quorum was denied before any sounding
-    /// happened; records the observed per-anchor reception tally under
+    /// round with a coarse estimate before conceding. Sounds the round's
+    /// attempt 0 when quorum was denied before anything was `sounded`;
+    /// records the observed per-anchor reception tally under
     /// `fallback.census.*` so soaks can reconcile it against the fault
     /// plan's prediction ledger.
     fn degraded_or_defer<F>(
         &mut self,
         dt: f64,
         reason: DeferReason,
-        sounding: Option<SoundingData>,
+        sounded: bool,
         round: u64,
         sound: &mut F,
     ) -> RoundOutcome
     where
         F: FnMut(usize) -> SoundingData,
     {
-        let Some(stack) = self.fallback.as_ref().filter(|s| s.has_estimators()) else {
+        if self.estimators().is_none() {
+            return self.defer(dt, reason);
+        }
+        if !sounded {
+            self.sound_attempt(0, sound);
+        }
+        let (Some(stack), Some(evidence)) = (self.estimators(), &self.evidence) else {
             return self.defer(dt, reason);
         };
-        let data = sounding.unwrap_or_else(|| sound(0));
-        let census = ReceptionCensus::from_sounding(&data);
+        let census = evidence.census();
         bloc_obs::counter("fallback.census.received").add(census.total_received() as u64);
         bloc_obs::counter("fallback.census.expected")
-            .add((census.expected * data.anchors.len()) as u64);
+            .add((census.expected * evidence.anchors().len()) as u64);
         // CSI produced nothing, so there is no surface to match: estimate
         // on the pipeline's prior grid (coarse when hierarchical — a
         // fallback-only fix has metre-class uncertainty anyway).
         let grid = self.pipeline.prior_grid();
-        let fb = match stack.estimate(&data, grid) {
+        let fb = match stack.estimate(evidence, grid) {
             Ok(fb) => fb,
             Err(e) => {
                 bloc_obs::counter(&format!("fallback.failed.{}", e.reason())).inc();
                 return self.defer(dt, reason);
             }
         };
-        let estimate = self.pipeline.localizer().estimate_from_fallback(&data, &fb);
+        let estimate = self
+            .pipeline
+            .localizer()
+            .estimate_from_fallback(evidence, &fb);
         if let Some(mt) = &mut self.mode_tracker {
             mt.observe(fb.mode.name());
         }

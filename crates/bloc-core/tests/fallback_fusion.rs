@@ -9,17 +9,21 @@
 //! * KNN fallback edge cases (empty db, oversized k, fully-masked query,
 //!   duplicate surveyed positions) are typed errors or sane estimates —
 //!   never panics.
+//! * The packet-count likelihood read from its precomputed table is the
+//!   direct formula, bit for bit.
 
+use bloc_chan::faults::ReceptionCensus;
 use bloc_chan::geometry::Room;
 use bloc_chan::sounder::{all_data_channels, Sounder, SounderConfig, SoundingData};
 use bloc_chan::{AnchorArray, AnchorDropout, Environment, FaultPlan, RangeLoss};
-use bloc_core::fallback::{FallbackError, FallbackStack};
+use bloc_core::fallback::{CountsEstimate, FallbackError, FallbackEvidence, FallbackStack};
 use bloc_core::localizer::{BlocConfig, BlocLocalizer};
 use bloc_core::{
     DegradationReport, EstimateMode, FallbackConfig, FingerprintDb, FusionPolicy, FusionWeights,
     PacketCountModel, RoundOutcome, RuntimeConfig, SessionSupervisor,
 };
-use bloc_num::P2;
+use bloc_num::{Grid2D, GridSpec, P2};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -194,11 +198,12 @@ fn knn_edge_cases_are_typed_not_panics() {
     let chans = all_data_channels();
     let mut rng = StdRng::seed_from_u64(403);
     let data = sounder.sound(P2::new(2.0, 2.0), &chans, &mut rng);
+    let evidence = FallbackEvidence::from_sounding(&data);
 
     // Empty database → typed error.
     let empty = FingerprintDb::new(chans.len(), 4);
     assert_eq!(
-        empty.query(&data, 4, 1).unwrap_err(),
+        empty.query(&evidence, 4, 1).unwrap_err(),
         FallbackError::EmptyDatabase
     );
 
@@ -214,19 +219,19 @@ fn knn_edge_cases_are_typed_not_panics() {
         db
     };
     assert!(matches!(
-        wrong_shape.query(&data, 4, 1).unwrap_err(),
+        wrong_shape.query(&evidence, 4, 1).unwrap_err(),
         FallbackError::ShapeMismatch { .. }
     ));
 
     let mut db = survey_db(&sounder, 404);
 
     // k larger than the database clamps instead of erroring.
-    let est = db.query(&data, 10_000, 1).expect("oversized k is sane");
+    let est = db.query(&evidence, 10_000, 1).expect("oversized k is sane");
     assert_eq!(est.neighbors.len(), db.len());
     assert!(est.position.x.is_finite() && est.position.y.is_finite());
 
     // k = 0 clamps to 1.
-    let est = db.query(&data, 0, 1).expect("k=0 clamps to 1");
+    let est = db.query(&evidence, 0, 1).expect("k=0 clamps to 1");
     assert_eq!(est.neighbors.len(), 1);
 
     // Fully-masked query (every measurement an exact-zero hole) → typed.
@@ -239,7 +244,8 @@ fn knn_edge_cases_are_typed_not_panics() {
         }
     }
     assert_eq!(
-        db.query(&holed, 4, 1).unwrap_err(),
+        db.query(&FallbackEvidence::from_sounding(&holed), 4, 1)
+            .unwrap_err(),
         FallbackError::NoSurvivingFeatures
     );
 
@@ -250,7 +256,9 @@ fn knn_edge_cases_are_typed_not_panics() {
     let dup_data = sounder.sound(dup_pos, &chans, &mut rng);
     db.insert(dup_pos, &dup_data).expect("shape matches");
     db.insert(dup_pos, &dup_data).expect("shape matches");
-    let est = db.query(&dup_data, 2, 1).expect("duplicates are sane");
+    let est = db
+        .query(&FallbackEvidence::from_sounding(&dup_data), 2, 1)
+        .expect("duplicates are sane");
     assert!(
         est.position.dist(dup_pos) < 1e-6,
         "duplicate neighbors collapse onto their position: {:?}",
@@ -308,4 +316,99 @@ fn supervisor_returns_degraded_not_deferred_when_fallback_can_estimate() {
         }
     }
     assert_eq!(sup.current_mode(), Some("fallback_fused"));
+}
+
+/// The packet-count log-likelihood evaluated in place, cell by cell — the
+/// formula the precomputed [`bloc_core::fallback::CountTable`] must
+/// reproduce bit for bit.
+fn direct_counts(
+    model: &PacketCountModel,
+    census: &ReceptionCensus,
+    anchors: &[P2],
+    spec: GridSpec,
+) -> Result<CountsEstimate, FallbackError> {
+    let n = census.expected;
+    let informative: Vec<(P2, f64)> = anchors
+        .iter()
+        .zip(&census.received)
+        .filter(|&(_, &r)| r > 0)
+        .map(|(&a, &r)| (a, r as f64))
+        .collect();
+    if informative.is_empty() || n == 0 {
+        return Err(FallbackError::NoInformativeAnchors);
+    }
+    let n_f = n as f64;
+    let mut ll = Grid2D::from_fn(spec, |p| {
+        let mut acc = 0.0;
+        for &(a, r) in &informative {
+            let pr = model.p_receive(p.dist(a));
+            acc += r * pr.ln() + (n_f - r) * (1.0 - pr).ln();
+        }
+        acc
+    });
+    let (ix, iy, max_ll) = ll.argmax().ok_or(FallbackError::NoInformativeAnchors)?;
+    for v in ll.data_mut() {
+        *v = (*v - max_ll).exp();
+    }
+    ll.normalize_mass();
+    Ok(CountsEstimate {
+        position: spec.cell_center(ix, iy),
+        likelihood: ll,
+        anchors_used: informative.len(),
+    })
+}
+
+/// An estimate as bits (position, surface, anchors used).
+fn count_bits(est: &CountsEstimate) -> (u64, u64, Vec<u64>, usize) {
+    (
+        est.position.x.to_bits(),
+        est.position.y.to_bits(),
+        est.likelihood.data().iter().map(|v| v.to_bits()).collect(),
+        est.anchors_used,
+    )
+}
+
+proptest! {
+    /// The table-driven likelihood equals the direct formula bit for bit
+    /// on random grids, deployments, tallies and thread counts — with one
+    /// anchor that decoded nothing in every case, and `n == 0` (an empty
+    /// census) failing the same typed way.
+    #[test]
+    fn table_driven_counts_equal_the_direct_formula(
+        nx in 1usize..24,
+        ny in 1usize..24,
+        resolution in 0.05..0.6f64,
+        origin in (-2.0..1.0f64, -2.0..1.0f64),
+        anchors in proptest::collection::vec((-1.0..7.0f64, -1.0..7.0f64), 2..6),
+        tallies in proptest::collection::vec(0usize..64, 6),
+        expected in 0usize..40,
+        base_loss in 0.0..0.5f64,
+        threads in 1usize..4,
+    ) {
+        let spec = GridSpec { origin: P2::new(origin.0, origin.1), resolution, nx, ny };
+        let anchors: Vec<P2> = anchors.iter().map(|&(x, y)| P2::new(x, y)).collect();
+        let mut received: Vec<usize> =
+            tallies[..anchors.len()].iter().map(|t| t % (expected + 1)).collect();
+        let silent = tallies[5] % anchors.len();
+        received[silent] = 0;
+        let census = ReceptionCensus {
+            expected,
+            received,
+            master_received: vec![0; anchors.len()],
+        };
+        let model = PacketCountModel::new(base_loss, range_loss());
+        let table = model.table(spec, &anchors, threads);
+        match (model.localize(&census, &table), direct_counts(&model, &census, &anchors, spec)) {
+            (Ok(fast), Ok(direct)) => prop_assert_eq!(count_bits(&fast), count_bits(&direct)),
+            (fast, direct) => {
+                prop_assert_eq!(fast.err(), direct.err());
+            }
+        }
+        if expected == 0 {
+            prop_assert_eq!(
+                model.localize(&census, &table).err(),
+                Some(FallbackError::NoInformativeAnchors)
+            );
+        }
+    }
 }

@@ -128,7 +128,9 @@ mod tests {
         let truth = P2::new(2.3, 3.1);
         let _ = rng.gen::<u64>();
         let data = sounder.sound(truth, &channels, &mut rng);
-        let est = db.query(&data, 4, 1).expect("clean query succeeds");
+        let est = db
+            .query(&bloc_core::FallbackEvidence::from_sounding(&data), 4, 1)
+            .expect("clean query succeeds");
         assert!(
             est.position.dist(truth) < 1.5,
             "KNN is metre-class: {} m",

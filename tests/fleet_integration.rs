@@ -1,11 +1,15 @@
 //! Fleet serving integration: worker-thread determinism pin, bulkhead
-//! quarantine/probe/recovery, typed load shedding, and outcome
-//! conservation — the debug-build companion to the release `fleet_soak`
-//! gate.
+//! quarantine/probe/recovery, typed load shedding (estimated from the
+//! previous attempt-0 sounding's evidence), and outcome conservation —
+//! the debug-build companion to the release `fleet_soak` gate.
 
-use bloc_core::fleet::{FleetConfig, FleetSupervisor, SiteId, TagRoundOutcome};
+use bloc_chan::sounder::SoundingData;
+use bloc_core::fallback::FallbackEstimate;
+use bloc_core::fleet::{FleetConfig, FleetDriver, FleetSupervisor, SiteId, TagId, TagRoundOutcome};
 use bloc_core::runtime::{RetryPolicy, RuntimeConfig};
-use bloc_core::BreakerState;
+use bloc_core::{BreakerState, FallbackEvidence};
+use bloc_num::complex::ZERO;
+use bloc_testbed::fleet::FleetTestbedDriver;
 use bloc_testbed::FleetTestbed;
 
 const SEED: u64 = 0xF1EE7;
@@ -144,8 +148,8 @@ fn over_capacity_tags_shed_with_typed_reason_and_estimate() {
     }
     let driver = testbed.driver();
 
-    // Round 0 at full capacity: everyone sounds (so every tag retains a
-    // sounding to fall back on).
+    // Round 0 at full capacity: everyone sounds (so every tag keeps the
+    // fallback evidence of a sounding to fall back on).
     let report = fleet.run_batch(0.5, &driver);
     assert!(report
         .outcomes
@@ -165,7 +169,7 @@ fn over_capacity_tags_shed_with_typed_reason_and_estimate() {
                 assert_eq!(shed.reason.reason(), "site_over_capacity");
                 assert!(
                     shed.estimate.is_some(),
-                    "a shed tag with a retained sounding must still get an estimate"
+                    "a shed tag with fallback evidence must still get an estimate"
                 );
             }
             other => panic!("expected shed, got {}", other.kind()),
@@ -184,4 +188,98 @@ fn over_capacity_tags_shed_with_typed_reason_and_estimate() {
         .iter()
         .all(|e| matches!(e.outcome, TagRoundOutcome::Round(_))));
     assert_eq!(fleet.round(), 3);
+}
+
+/// The testbed driver, except that one tag's attempt 0 at one round has
+/// a dead master (every band fails the band quorum, so the round
+/// retries) and its attempt 1 there panics.
+struct PanicOnRetry<'a> {
+    inner: FleetTestbedDriver<'a>,
+    tag: TagId,
+    round: u64,
+}
+
+impl FleetDriver for PanicOnRetry<'_> {
+    fn sound(&self, site: SiteId, tag: TagId, round: u64, attempt: usize) -> SoundingData {
+        let faulty = (tag, round) == (self.tag, self.round);
+        if faulty && attempt > 0 {
+            panic!("injected tag fault: {site}/{tag} retried at round {round}");
+        }
+        let mut data = self.inner.sound(site, tag, round, attempt);
+        if faulty {
+            for band in &mut data.bands {
+                band.tag_to_anchor[0].fill(ZERO);
+            }
+        }
+        data
+    }
+}
+
+#[test]
+fn shed_round_estimates_from_the_previous_attempt_zero_sounding() {
+    let testbed = FleetTestbed::small(SEED ^ 0xE71D);
+    let specs = testbed.site_specs(Some(0.25));
+    let (stack, grid) = (specs[0].fallback.clone(), specs[0].bloc.grid);
+    let mut fleet = FleetSupervisor::new(FleetConfig {
+        runtime: RuntimeConfig {
+            retry: RetryPolicy::with_retries(1),
+            ..Default::default()
+        },
+        deadline_us: 0,
+        quarantine_rounds: 1,
+        threads: 2,
+        seed: SEED ^ 0xE71D,
+        ..Default::default()
+    });
+    let site = fleet.add_site(specs[0].clone());
+    let tags: Vec<TagId> = (0..TAGS_PER_SITE)
+        .map(|_| fleet.register_tag(site))
+        .collect();
+    let driver = PanicOnRetry {
+        inner: testbed.driver(),
+        tag: tags[1],
+        round: 1,
+    };
+
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    fleet.run_batch(0.5, &driver);
+    let report = fleet.run_batch(0.5, &driver);
+    std::panic::set_hook(hook);
+    let kinds: Vec<&str> = report.outcomes.iter().map(|e| e.outcome.kind()).collect();
+    assert_eq!(kinds, ["fix", "panicked", "fix"], "round 1");
+
+    // Round 2 admits nothing: every tag sheds — the panicked tag too, its
+    // cooldown over — and estimates from its round-1 attempt-0 sounding.
+    fleet.set_site_capacity(site, 0);
+    let report = fleet.run_batch(0.5, &driver);
+    for entry in &report.outcomes {
+        let TagRoundOutcome::Shed(shed) = &entry.outcome else {
+            panic!("{} was {}, not shed", entry.tag, entry.outcome.kind());
+        };
+        let estimate_on = |round| {
+            let data = driver.sound(site, entry.tag, round, 0);
+            stack.estimate(&FallbackEvidence::from_sounding(&data), grid)
+        };
+        let expected = estimate_on(1).expect("the fallback estimates");
+        let got = shed
+            .estimate
+            .as_ref()
+            .expect("a shed with evidence estimates");
+        assert_eq!(got.position.x.to_bits(), expected.position.x.to_bits());
+        assert_eq!(got.position.y.to_bits(), expected.position.y.to_bits());
+        let bits = |e: &FallbackEstimate| -> Vec<u64> {
+            e.likelihood.data().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(got), bits(&expected), "{}: surface bits", entry.tag);
+        assert_eq!((got.mode, got.sigma_m), (expected.mode, expected.sigma_m));
+        if entry.tag == tags[1] {
+            let stale = estimate_on(0).expect("the fallback estimates");
+            assert_ne!(
+                bits(got),
+                bits(&stale),
+                "the panicking round's attempt 0 refreshed the evidence"
+            );
+        }
+    }
 }
