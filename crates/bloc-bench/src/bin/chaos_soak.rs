@@ -35,7 +35,6 @@ use std::sync::{Arc, Mutex};
 use bloc_chan::sounder::{all_data_channels, Sounder, SoundingData};
 use bloc_chan::{AnchorArray, AnchorDropout, FaultPlan, InterferenceBurst};
 use bloc_core::runtime::{BreakerState, RoundOutcome, RuntimeConfig, SessionSupervisor};
-use bloc_core::BlocLocalizer;
 use bloc_num::{stats, P2};
 use bloc_obs::{Event, Sink};
 use bloc_testbed::scenario::Scenario;
@@ -157,7 +156,7 @@ fn main() {
     let before = registry.snapshot();
 
     // ---- Supervised path -------------------------------------------------
-    let localizer = BlocLocalizer::new(scenario.bloc_config());
+    let localizer = scenario.localizer();
     let mut sup =
         SessionSupervisor::new(localizer, scenario.anchors.len(), RuntimeConfig::default());
     let mut panics = 0usize;
@@ -201,7 +200,7 @@ fn main() {
     }
 
     // ---- Unsupervised baseline (PR 2 fixed-retry path), same draws ------
-    let unsup = BlocLocalizer::new(scenario.bloc_config());
+    let unsup = scenario.localizer();
     let mut unsup_errs: Vec<f64> = Vec::new();
     let mut unsup_failures = 0usize;
     for round in 0..rounds {

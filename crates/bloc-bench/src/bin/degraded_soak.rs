@@ -30,7 +30,7 @@
 use bloc_chan::sounder::{all_data_channels, SoundingData};
 use bloc_chan::{AnchorDropout, FaultPlan, RangeLoss};
 use bloc_core::runtime::{RoundOutcome, RuntimeConfig, SessionSupervisor};
-use bloc_core::{BlocLocalizer, FallbackConfig, FallbackStack, PacketCountModel, RetryPolicy};
+use bloc_core::{FallbackConfig, FallbackStack, PacketCountModel, RetryPolicy};
 use bloc_num::{stats, P2};
 use bloc_testbed::scenario::Scenario;
 use bloc_testbed::train_fingerprint_db;
@@ -165,7 +165,7 @@ fn main() {
         let stack = FallbackStack::new(FallbackConfig::default())
             .with_fingerprints(db.clone())
             .with_counts(PacketCountModel::new(stage.tag_loss, range));
-        let localizer = BlocLocalizer::new(scenario.bloc_config());
+        let localizer = scenario.localizer();
         let mut sup = SessionSupervisor::new(localizer, n_anchors, config).with_fallback(stack);
 
         let mut errs = Vec::new();

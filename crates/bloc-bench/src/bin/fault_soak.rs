@@ -22,7 +22,6 @@
 //! ```
 
 use bloc_chan::{AnchorDropout, FaultPlan, InterferenceBurst};
-use bloc_core::BlocLocalizer;
 use bloc_num::stats;
 use bloc_testbed::dataset::sample_positions;
 use bloc_testbed::scenario::Scenario;
@@ -42,7 +41,7 @@ fn main() {
     let scenario = Scenario::paper_testbed(size.seed);
     let positions = sample_positions(&scenario.room, n, size.seed ^ 0xFA);
     let channels = bloc_chan::sounder::all_data_channels();
-    let localizer = BlocLocalizer::new(scenario.bloc_config());
+    let localizer = scenario.localizer();
     let sounder = scenario.sounder(Default::default());
 
     // Every fault class at once. The dropout and the dead antenna are

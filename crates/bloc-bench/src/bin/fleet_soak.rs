@@ -29,13 +29,13 @@
 //!   site declares the anchor down, and recovers with hysteresis after
 //!   the window — both transitions in the (bounded) site ledger;
 //! * **ledger/obs reconciliation** — bulkhead and site ledger `total()`
-//!   match the `fleet.bulkhead.*` / `fleet.site.*` counter sums exactly;
-//! * **throughput** — supervised tag-rounds/s stays above an absolute
-//!   floor; tags/s and p50/p99 round latency land in `BENCH_fleet.json`
-//!   for the `obs_report` trend gate.
+//!   match the `fleet.bulkhead.*` / `fleet.site.*` counter sums exactly.
 //!
-//! Fully deterministic: same seed, same verdict, at any worker thread
-//! count. `scripts/check.sh` runs this at 200 tags.
+//! Tags/s and p50/p99 round latency are printed for reading, not gated:
+//! fleet serving speed is judged by the repository benchmark's
+//! `fleet_faulted` workload. Fully deterministic: same seed, same
+//! verdict, at any worker thread count. `scripts/check.sh` runs this at
+//! 200 tags.
 //!
 //! ```text
 //! cargo run --release -p bloc-bench --bin fleet_soak [tags] [--trace]
@@ -75,8 +75,6 @@ const BURST_FROM: u64 = 13;
 const BURST_TO: u64 = 15;
 /// The burst site's admission capacity — exactly its sentinels.
 const BURST_CAPACITY: usize = SENTINELS_PER_SITE;
-/// Absolute serving-throughput floor, supervised tag-rounds per second.
-const TAGS_PER_SEC_FLOOR: f64 = 20.0;
 
 /// One comparable record per (tag, round): outcome kind + exact
 /// position bits. The contamination gate compares these, nothing
@@ -388,29 +386,6 @@ fn main() {
     let probe = sounding_seed(seed, site_tags[0].0, site_tags[0].1[0], 0, 0);
     if probe == tag_seed(seed, site_tags[0].0, site_tags[0].1[0]) {
         violations.push("sounding_seed collides with tag_seed at round 0".into());
-    }
-
-    // 8. Throughput floor.
-    if tags_per_sec < TAGS_PER_SEC_FLOOR {
-        violations.push(format!(
-            "{tags_per_sec:.0} tags/s is below the {TAGS_PER_SEC_FLOOR:.0} tags/s floor"
-        ));
-    }
-
-    // ---- BENCH_fleet.json for the obs_report trend gate ------------------
-    let simd_level = bloc_num::simd::active_level().label();
-    let json = format!(
-        "{{\n  \"bench\": \"fleet_serving\",\n  \"tags\": {n_tags},\n  \"sites\": {n_sites},\n  \"rounds\": {ROUNDS},\n  \"threads\": {threads},\n  \"simd_level\": \"{simd_level}\",\n  \"fleet\": {{\"tags_per_sec\": {tags_per_sec:.1}}},\n  \"p50_round_us\": {p50_us:.1},\n  \"p99_round_us\": {p99_us:.1},\n  \"outcomes\": {{{}}}\n}}\n",
-        tally
-            .iter()
-            .map(|(k, n)| format!("\"{k}\": {n}"))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    let path = "BENCH_fleet.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("warning: could not write {path}: {e}"),
     }
 
     bloc_bench::maybe_finish_trace("fleet_soak");

@@ -1,36 +1,31 @@
 //! The observability self-audit: proves the performance observatory is
-//! cheap, honest, and regression-gated.
+//! honest.
 //!
 //! ```text
-//! cargo run --release -p bloc-bench --bin obs_report [iters]
+//! cargo run --release -p bloc-bench --bin obs_report
 //! ```
 //!
-//! Four gates (all printed, failures exit nonzero):
+//! Two gates (all printed, failures exit nonzero):
 //!
-//! 1. **Overhead** — best-of wall time of a warm likelihood + sounding
-//!    round with the global registry enabled vs disabled
-//!    ([`bloc_obs::Registry::set_enabled`]). Instrumentation must cost
-//!    ≤ 2% (enforced in release builds; debug timings are advisory).
-//! 2. **Executor coverage** — a controlled compute-bound calibration
-//!    region run through [`bloc_num::par::map_named`]: the `par.*` shard
-//!    busy histograms must account for ≥ 95% of `wall × threads`. The
-//!    *real* engine regions are printed too (busy vs wall at 1/2/4
-//!    threads) but not gated — their spawn-dominated utilization at small
-//!    grids is exactly the scaling regression the telemetry exists to
-//!    expose, not a defect of the telemetry.
-//! 3. **Trace export** — records one traced localization round, exports
+//! 1. **Executor coverage** — a controlled compute-bound calibration
+//!    region run through [`bloc_num::par::map_named`]: every shard records
+//!    one busy sample, and the `par.*` shard busy histograms must account
+//!    for ≥ 95% of `wall × threads` (a ratio within one region; enforced
+//!    in release builds, advisory in debug builds). The *real* engine
+//!    regions are printed too (busy vs wall at 1/2/4 threads) but not
+//!    gated — their spawn-dominated utilization at small grids is exactly
+//!    the scaling regression the telemetry exists to expose, not a defect
+//!    of the telemetry.
+//! 2. **Trace export** — records one traced localization round, exports
 //!    Chrome trace-event JSON, re-parses it with the same hand-rolled
 //!    parser, and checks every thread lane has balanced, name-matched
 //!    begin/end pairs.
-//! 4. **Bench trend** — appends the warm throughputs from the committed
-//!    `BENCH_*.json` files (written by `perf_baseline` moments earlier in
-//!    `scripts/check.sh`) to the append-only
-//!    `target/reports/BENCH_history.jsonl`, and fails when the current
-//!    run regresses > 15% below the best recorded run. The first recorded
-//!    run (fresh clone — `target/` is not committed) only warns.
+//!
+//! What the instrumentation costs in wall time is not gated here: the
+//! repository benchmark (`BENCHMARK.json`) runs with the registry enabled
+//! and reports `trace.overhead_pct` for its traced run.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use bloc_chan::sounder::{all_data_channels, SounderConfig};
 use bloc_core::correction::correct;
@@ -42,17 +37,6 @@ use bloc_obs::json::Json;
 use bloc_obs::{Registry, Tracer};
 use bloc_testbed::scenario::Scenario;
 use rand::{rngs::StdRng, SeedableRng};
-
-/// Best-of-N wall time of one call, seconds.
-fn time_best(iters: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters.max(1) {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
 
 /// Deterministic compute-bound work: `iters` dependent integer ops.
 fn spin(stream: usize, iters: u64) -> u64 {
@@ -73,15 +57,11 @@ fn hist(delta: &bloc_obs::RunReport, name: &str) -> (u64, u64) {
 }
 
 fn main() {
-    let iters: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(7);
     let strict = !cfg!(debug_assertions);
     let mut failures: Vec<String> = Vec::new();
-    println!("=== obs_report: instrumentation self-audit (best of {iters}) ===");
+    println!("=== obs_report: instrumentation self-audit ===");
     if !strict {
-        println!("debug build: timing gates advisory only");
+        println!("debug build: the coverage floor is advisory only");
     }
 
     // Shared fixture: the default testbed problem, same as perf_baseline.
@@ -91,47 +71,10 @@ fn main() {
     let spec = scenario.bloc_config().grid;
     let combining = AntennaCombining::Hybrid;
 
-    // ---- 1. Overhead gate ------------------------------------------------
-    // Warm engine + sounder built while ENABLED: real metric handles.
-    let round = |engine: &LikelihoodEngine, sounder: &bloc_chan::sounder::Sounder| {
-        let mut rng = StdRng::seed_from_u64(11);
-        let data = sounder.sound(tag, &channels, &mut rng);
-        let corrected = correct(&data, true).expect("clean sounding");
-        std::hint::black_box(engine.joint_likelihood(&corrected, spec, combining));
-    };
-    let engine_on = LikelihoodEngine::recurrence();
-    let sounder_on = scenario.sounder(SounderConfig::default());
-    round(&engine_on, &sounder_on); // warm caches
-    let t_on = time_best(iters, || round(&engine_on, &sounder_on));
-
-    // Disabled baseline: handles resolved in the disabled window are
-    // detached voids, so the same call sites run with recording elided.
-    Registry::global().set_enabled(false);
-    let engine_off = LikelihoodEngine::recurrence();
-    let sounder_off = scenario.sounder(SounderConfig::default());
-    round(&engine_off, &sounder_off); // warm caches
-    let t_off = time_best(iters, || round(&engine_off, &sounder_off));
-    Registry::global().set_enabled(true);
-
-    let overhead = (t_on - t_off) / t_off;
-    println!(
-        "overhead: enabled {:.3} ms, disabled {:.3} ms → {:+.2}% (gate ≤ 2%)",
-        t_on * 1e3,
-        t_off * 1e3,
-        overhead * 100.0
-    );
-    if strict && overhead > 0.02 {
-        failures.push(format!(
-            "instrumentation overhead {:.2}% exceeds 2%",
-            overhead * 100.0
-        ));
-    }
-
-    // ---- 2. Executor coverage gate --------------------------------------
+    // ---- 1. Executor coverage gate --------------------------------------
     // Calibrate at the host's *real* parallelism: oversubscribing a small
     // box (threads > cores) makes worker start/stop stagger a scheduling
-    // artifact, not a telemetry gap. Best-of-N sheds one-off jitter the
-    // same way the overhead gate does.
+    // artifact, not a telemetry gap. Best of 5 sheds one-off jitter.
     let threads = bloc_num::par::max_threads().clamp(1, 4);
     let spin_iters: u64 = 4_000_000;
     let items = threads * 8;
@@ -172,6 +115,13 @@ fn main() {
         "  {:<14} {:>7} {:>7} {:>12} {:>12} {:>10}",
         "region", "threads", "shards", "wall µs", "busy µs", "util"
     );
+    // One sounding and its joint likelihood: the round each row measures.
+    let round = |engine: &LikelihoodEngine, sounder: &bloc_chan::sounder::Sounder| {
+        let mut rng = StdRng::seed_from_u64(11);
+        let data = sounder.sound(tag, &channels, &mut rng);
+        let corrected = correct(&data, true).expect("clean sounding");
+        std::hint::black_box(engine.joint_likelihood(&corrected, spec, combining));
+    };
     for threads in [1usize, 2, 4] {
         let engine = LikelihoodEngine::recurrence().with_threads(threads);
         let sounder = scenario
@@ -196,7 +146,7 @@ fn main() {
         }
     }
 
-    // ---- 3. Trace export gate -------------------------------------------
+    // ---- 2. Trace export gate -------------------------------------------
     let tracer = Tracer::global();
     tracer.enable(bloc_obs::trace::DEFAULT_CAPACITY);
     {
@@ -244,108 +194,14 @@ fn main() {
         }
     }
 
-    // ---- 4. Bench history + trend gate ----------------------------------
-    let history_path = bloc_bench::reports_dir().join("BENCH_history.jsonl");
-    let prior = read_history(&history_path);
-    let now = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let current = [
-        (
-            "joint_likelihood",
-            "BENCH_likelihood.json",
-            bench_value(
-                "BENCH_likelihood.json",
-                "recurrence_warm",
-                "cell_evals_per_sec",
-            ),
-        ),
-        (
-            "analytic_sounding",
-            "BENCH_sounding.json",
-            bench_value("BENCH_sounding.json", "fast_warm", "measurements_per_sec"),
-        ),
-        (
-            "fleet_serving",
-            "BENCH_fleet.json",
-            bench_value("BENCH_fleet.json", "fleet", "tags_per_sec"),
-        ),
-        // Dense-equivalent throughput of the coarse-to-fine localizer on
-        // the corridor venue: regresses when the kernel slows down OR the
-        // hierarchy starts spending more cells per fix.
-        (
-            "hierarchical_localize",
-            "BENCH_hierarchical.json",
-            bench_value(
-                "BENCH_hierarchical.json",
-                "hier_warm",
-                "effective_cell_evals_per_sec",
-            ),
-        ),
-    ];
-    let mut lines = String::new();
-    println!();
-    for (bench, path, value) in current {
-        let Some(value) = value else {
-            println!("trend: {bench}: BENCH file missing or unparseable (run perf_baseline first) — skipped");
-            continue;
-        };
-        // ISSUE 8 thread-scaling and dispatch context ride along in the
-        // history line, so a future regression can be attributed (did
-        // the kernel slow down, or did scaling/dispatch change?).
-        let scaling = bench_root_num(path, "scaling_4_threads").unwrap_or(1.0);
-        let simd = bench_root_str(path, "simd_level").unwrap_or_else(|| "unknown".to_string());
-        let mut fields = vec![
-            ("ts", Json::Num(now as f64)),
-            ("bench", Json::Str(bench.to_string())),
-            ("warm_throughput", Json::Num(value)),
-            ("scaling_4_threads", Json::Num(scaling)),
-            ("simd_level", Json::Str(simd)),
-            ("overhead_pct", Json::Num(overhead * 100.0)),
-        ];
-        // The fleet bench carries its tail latency alongside throughput,
-        // so a future tags/s regression can be attributed (did serving
-        // slow uniformly, or did the p99 blow out?).
-        if let Some(p99) = bench_root_num(path, "p99_round_us") {
-            fields.push(("p99_round_us", Json::Num(p99)));
-        }
-        lines.push_str(&Json::obj(fields).render());
-        lines.push('\n');
-        match prior.get(bench).copied() {
-            None => {
-                println!("trend: {bench}: {value:.0}/s — first recorded run, trend gate warn-only")
-            }
-            Some(best) if value < 0.85 * best => {
-                println!(
-                    "trend: {bench}: {value:.0}/s vs best {best:.0}/s — REGRESSION {:.1}%",
-                    (1.0 - value / best) * 100.0
-                );
-                failures.push(format!(
-                    "{bench} throughput {value:.0}/s regressed >15% below best recorded {best:.0}/s"
-                ));
-            }
-            Some(best) => {
-                println!("trend: {bench}: {value:.0}/s vs best {best:.0}/s — within 15% gate")
-            }
-        }
-    }
-    if !lines.is_empty() {
-        use std::io::Write;
-        let appended = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&history_path)
-            .and_then(|mut f| f.write_all(lines.as_bytes()));
-        match appended {
-            Ok(()) => println!("trend: appended to {}", history_path.display()),
-            Err(e) => eprintln!("warning: could not append history: {e}"),
-        }
-    }
-
     // ---- Verdict ---------------------------------------------------------
     if failures.is_empty() {
-        println!("\nobs_report PASS: overhead, coverage, trace and trend gates all green");
+        let coverage_gate = if strict {
+            "par coverage ≥ 95%"
+        } else {
+            "par coverage (advisory in debug)"
+        };
+        println!("\nobs_report PASS: shard count, {coverage_gate} and trace export gates green");
     } else {
         for f in &failures {
             eprintln!("obs_report FAIL: {f}");
@@ -419,44 +275,4 @@ fn validate_trace(doc: &Json, spans: usize) -> Result<usize, String> {
         ));
     }
     Ok(events.len())
-}
-
-/// `warm` throughput out of a root `BENCH_*.json` file, if present.
-fn bench_value(path: &str, section: &str, field: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    Json::parse(&text).ok()?.get(section)?.get(field)?.as_f64()
-}
-
-/// A top-level numeric field of a `BENCH_*.json` file, if present.
-fn bench_root_num(path: &str, field: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    Json::parse(&text).ok()?.get(field)?.as_f64()
-}
-
-/// A top-level string field of a `BENCH_*.json` file, if present.
-fn bench_root_str(path: &str, field: &str) -> Option<String> {
-    let text = std::fs::read_to_string(path).ok()?;
-    Some(Json::parse(&text).ok()?.get(field)?.as_str()?.to_string())
-}
-
-/// Best recorded warm throughput per bench from the history log.
-fn read_history(path: &std::path::Path) -> HashMap<String, f64> {
-    let mut best: HashMap<String, f64> = HashMap::new();
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return best;
-    };
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        let Ok(doc) = Json::parse(line) else { continue };
-        let (Some(bench), Some(value)) = (
-            doc.get("bench").and_then(|b| b.as_str()),
-            doc.get("warm_throughput").and_then(|v| v.as_f64()),
-        ) else {
-            continue;
-        };
-        let slot = best.entry(bench.to_string()).or_insert(value);
-        if value > *slot {
-            *slot = value;
-        }
-    }
-    best
 }

@@ -1,11 +1,10 @@
 //! The performance baseline: verifies the fast likelihood engine and the
 //! fast channel-synthesis engine against their naive references, times
-//! every configuration at the default testbed problem, and writes the
-//! machine-readable `BENCH_likelihood.json` and `BENCH_sounding.json` so
-//! future PRs have a perf trajectory to move.
+//! every configuration at the default testbed problem in one process, and
+//! gates the ratios between those timings.
 //!
 //! ```text
-//! cargo run --release -p bloc-bench --bin perf_baseline [iters] [--trace]
+//! cargo run --release -p bloc-bench --bin perf_baseline [iters] [--hier-only] [--trace]
 //! ```
 //!
 //! With `--trace` (or `BLOC_TRACE=1`) the run also records span and
@@ -14,26 +13,30 @@
 //! loadable in Perfetto — showing the sound/correct/localize stages and
 //! the `par.*` worker lanes on a shared timeline.
 //!
-//! Exit status is nonzero when a sanity floor fails: fast/reference
-//! equivalence (always), nonzero throughput (always), and — on release
-//! builds only, debug timings are meaningless — the speedup floors:
-//! ≥ 5× single-thread over the reference likelihood, ≥ 4× over the
-//! reference sounder, a warm single-thread absolute floor of
-//! ≥ 8 M cell-evals/s for the SIMD sweep kernel, and the thread-scaling
-//! gate — ≥ 2× at 4 threads for both engines when the host actually has
-//! ≥ 4 cores. On smaller hosts the threaded rows deliberately
-//! oversubscribe (production callers route through
-//! `bloc_num::par::tuned_threads` and never do), so the gate degrades to
-//! a pathology guard: threaded rows within 2× of warm serial.
+//! No gate here reads an absolute wall time: how fast the host is is the
+//! repository benchmark's question (`BENCHMARK.json`). Exit status is
+//! nonzero when a floor fails: fast/reference equivalence and bit-identity
+//! of every SIMD level and of the tag batch (always), nonzero throughput
+//! (always), and — on release builds only, debug timings are
+//! meaningless — the same-process speedup floors: ≥ 5× single-thread
+//! over the reference likelihood, ≥ 4× over the reference sounder,
+//! ≥ 1.25× for a batch of [`sweep::MAX_TAGS`] tags over sweeping them
+//! one at a time, and the thread-scaling floor — ≥ 2× at 4 threads for
+//! both engines when the host has ≥ 4 cores. On smaller hosts the
+//! threaded rows oversubscribe (production callers route through
+//! `bloc_num::par::tuned_threads` and never do), so the scaling floor is
+//! reported as skipped and a pathology guard runs instead: threaded rows
+//! within 2× of warm serial. The closing line names every floor it
+//! skipped.
 //!
-//! `BENCH_likelihood.json` also carries one `kernel_levels` row per SIMD
-//! level this build knows: the warm single-thread rate of the bare Eq. 17
-//! cell kernel at every level the host executes (each run's output must
-//! equal the scalar level's bit for bit), and `"status": "skipped"` for a
-//! level the host lacks. Its `tag_batch` row times the dispatched kernel
-//! sweeping four tags of one deployment in one batched call against one
-//! at a time, interleaved in the same process; on release builds the
-//! batch must be ≥ 1.25× faster and bit-identical per tag.
+//! The bare cell kernel is timed at every SIMD level the host executes
+//! (each run's output must equal the scalar level's bit for bit); a level
+//! the host lacks is printed as skipped. The rates are for reading: which
+//! level the kernel dispatches to is pinned by `bloc_num::simd`'s unit
+//! tests, not by a timing.
+//!
+//! The hierarchical section (`--hier-only` runs it alone) is a pure count
+//! and equality verdict; see [`hierarchical_baseline`].
 
 use std::time::Instant;
 
@@ -239,7 +242,7 @@ fn main() {
     if args.iter().any(|a| a == "--hier-only") {
         bloc_bench::maybe_start_trace();
         let obs_before = bloc_obs::Registry::global().snapshot();
-        let failed = hierarchical_baseline(iters, false);
+        let failed = hierarchical_baseline();
         bloc_bench::emit_run_report("perf_baseline-hier", &obs_before);
         bloc_bench::maybe_finish_trace("perf_baseline-hier");
         if failed {
@@ -248,8 +251,8 @@ fn main() {
         println!("all hierarchical floors passed");
         return;
     }
-    // The likelihood reports carry the cell kernel's level, the sounding
-    // report the 4-lane level its tone kernel runs.
+    // The likelihood rows run the cell kernel's level, the sounding rows
+    // the 4-lane level its tone kernel runs.
     let simd_level = bloc_num::simd::active_level().label();
     let cell_simd_level = bloc_num::simd::cell_level().label();
     println!(
@@ -299,7 +302,7 @@ fn main() {
     );
 
     // -- Timings. Each stage under its own bloc-obs span so the run
-    // report carries the same breakdown as the JSON.
+    // report carries the same breakdown as the printed rows.
     let t_reference = {
         let _span = bloc_obs::span("perf.reference");
         time_best(iters, || {
@@ -394,26 +397,16 @@ fn main() {
         "single-thread speedup over reference: {speedup:.1}×  (host has {host_threads} core(s))"
     );
     println!("4-thread scaling over warm serial: {scaling_4t:.2}×");
-    let level_json: Vec<String> = LEVEL_LABELS
-        .iter()
-        .map(|&label| match level_rows.iter().find(|(l, _)| l.label() == label) {
-            Some((_, t)) => {
-                println!(
-                    "bare kernel, {label:<7}{:>9.1} ms  {:>12.0} cell-evals/s",
-                    t * 1e3,
-                    throughput(*t)
-                );
-                format!(
-                    "{{\"level\": \"{label}\", \"secs_per_call\": {t:.6}, \"cell_evals_per_sec\": {:.0}}}",
-                    throughput(*t)
-                )
-            }
-            None => {
-                println!("bare kernel, {label:<7}  skipped (host lacks it)");
-                format!("{{\"level\": \"{label}\", \"status\": \"skipped\"}}")
-            }
-        })
-        .collect();
+    for label in LEVEL_LABELS {
+        match level_rows.iter().find(|(l, _)| l.label() == label) {
+            Some((_, t)) => println!(
+                "bare kernel, {label:<7}{:>9.1} ms  {:>12.0} cell-evals/s",
+                t * 1e3,
+                throughput(*t)
+            ),
+            None => println!("bare kernel, {label:<7}  skipped (host lacks it)"),
+        }
+    }
     println!(
         "bare kernel levels bit-identical to scalar: {}",
         if levels_identical { "PASS" } else { "FAIL" }
@@ -425,33 +418,6 @@ fn main() {
         t_tags_batch * 1e3,
         if batch_identical { "PASS" } else { "FAIL" }
     );
-
-    // -- Machine-readable trajectory point.
-    let thread_json: Vec<String> = thread_rows
-        .iter()
-        .map(|(threads, t)| {
-            format!(
-                "{{\"threads\": {threads}, \"secs_per_call\": {t:.6}, \"cell_evals_per_sec\": {:.0}}}",
-                throughput(*t)
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"joint_likelihood\",\n  \"grid\": {{\"nx\": {}, \"ny\": {}, \"cells\": {cells}, \"resolution_m\": {}}},\n  \"anchors\": {n_anchors},\n  \"bands\": {n_bands},\n  \"iters\": {iters},\n  \"host_threads\": {host_threads},\n  \"simd_level\": \"{cell_simd_level}\",\n  \"kernel_levels\": [{}],\n  \"tag_batch\": {{\"simd_level\": \"{cell_simd_level}\", \"tags\": {n_tags}, \"single_secs\": {t_tags_single:.6}, \"batch_secs\": {t_tags_batch:.6}, \"ratio\": {batch_ratio:.2}, \"floor\": {TAG_BATCH_FLOOR}, \"bit_identical\": {batch_identical}}},\n  \"equivalence\": {{\"max_rel_err\": {max_rel_err:.3e}, \"tol\": {tol:.0e}, \"pass\": {equivalent}}},\n  \"reference\": {{\"secs_per_call\": {t_reference:.6}, \"cell_evals_per_sec\": {:.0}}},\n  \"recurrence_cold\": {{\"secs_per_call\": {t_cold:.6}, \"cell_evals_per_sec\": {:.0}}},\n  \"recurrence_warm\": {{\"secs_per_call\": {t_warm:.6}, \"cell_evals_per_sec\": {:.0}}},\n  \"warm_threads\": [{}],\n  \"scaling_4_threads\": {scaling_4t:.2},\n  \"speedup_single_thread\": {speedup:.2}\n}}\n",
-        spec.nx,
-        spec.ny,
-        spec.resolution,
-        level_json.join(", "),
-        throughput(t_reference),
-        throughput(t_cold),
-        throughput(t_warm),
-        thread_json.join(", "),
-    );
-    let path = "BENCH_likelihood.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("warning: could not write {path}: {e}"),
-    }
 
     // ===== Channel-synthesis engine (DESIGN.md §10) =====
     println!("\n=== Sounding engine perf baseline (best of {iters}) ===");
@@ -591,31 +557,8 @@ fn main() {
     println!("single-thread sounding speedup over reference: {snd_speedup:.1}×");
     println!("4-thread sounding scaling over warm serial: {snd_scaling_4t:.2}×");
 
-    let snd_thread_json: Vec<String> = snd_thread_rows
-        .iter()
-        .map(|(threads, t)| {
-            format!(
-                "{{\"threads\": {threads}, \"secs_per_sounding\": {t:.6}, \"measurements_per_sec\": {:.0}}}",
-                snd_throughput(*t)
-            )
-        })
-        .collect();
-    let snd_json = format!(
-        "{{\n  \"bench\": \"analytic_sounding\",\n  \"links\": {n_links},\n  \"bands\": {},\n  \"measurements_per_sounding\": {measurements},\n  \"iters\": {iters},\n  \"host_threads\": {host_threads},\n  \"simd_level\": \"{simd_level}\",\n  \"equivalence\": {{\"max_rel_err\": {snd_max_err:.3e}, \"tol\": {snd_tol:.0e}, \"pass\": {snd_equivalent}}},\n  \"reference\": {{\"secs_per_sounding\": {t_snd_reference:.6}, \"measurements_per_sec\": {:.0}}},\n  \"fast_cold\": {{\"secs_per_sounding\": {t_snd_cold:.6}, \"measurements_per_sec\": {:.0}}},\n  \"fast_warm\": {{\"secs_per_sounding\": {t_snd_warm:.6}, \"measurements_per_sec\": {:.0}}},\n  \"warm_threads\": [{}],\n  \"scaling_4_threads\": {snd_scaling_4t:.2},\n  \"speedup_single_thread\": {snd_speedup:.2}\n}}\n",
-        channels.len(),
-        snd_throughput(t_snd_reference),
-        snd_throughput(t_snd_cold),
-        snd_throughput(t_snd_warm),
-        snd_thread_json.join(", "),
-    );
-    let snd_path = "BENCH_sounding.json";
-    match std::fs::write(snd_path, &snd_json) {
-        Ok(()) => println!("wrote {snd_path}"),
-        Err(e) => eprintln!("warning: could not write {snd_path}: {e}"),
-    }
-
     // ===== Hierarchical coarse-to-fine localization (DESIGN.md §14) =====
-    let hier_failed = hierarchical_baseline(iters, true);
+    let hier_failed = hierarchical_baseline();
 
     // -- One end-to-end localization round, so the run report (and a
     // `--trace` timeline) carries the full §5 pipeline spans — sound,
@@ -667,8 +610,11 @@ fn main() {
         eprintln!("FLOOR FAILED: warm sounding throughput is not positive");
         failed = true;
     }
+    // Floors that did not run, named in the closing line.
+    let mut skipped: Vec<String> = Vec::new();
     if cfg!(debug_assertions) {
         println!("debug build: speedup floors not enforced (timings are unrepresentative)");
+        skipped.push("every speedup and scaling floor (debug build)".into());
     } else {
         if speedup < 5.0 {
             eprintln!("FLOOR FAILED: single-thread speedup {speedup:.2}× < 5× over reference");
@@ -689,23 +635,15 @@ fn main() {
             );
             failed = true;
         }
-        // ISSUE 8 absolute floor: the SIMD sweep kernel must hold
-        // ≥ 8 M cell-evals/s warm on one thread (the paper-testbed
-        // problem, Hybrid combining).
-        let warm_rate = throughput(t_warm);
-        if warm_rate < 8.0e6 {
-            eprintln!("FLOOR FAILED: warm single-thread rate {warm_rate:.3e} cell-evals/s < 8e6");
-            failed = true;
-        }
-        // ISSUE 8 thread-scaling gate. On a host with ≥ 4 cores the
-        // coarse-grained fan-out must buy ≥ 2× at 4 threads for both
-        // engines. On smaller hosts these rows *oversubscribe* the
-        // scheduler (production callers tune through
-        // `bloc_num::par::tuned_threads` and never request more workers
-        // than cores), so honest scaling cannot show up — the gate
-        // degrades to a pathology guard: a threaded row more than 2×
-        // slower than warm serial means real serialization (a lock on
-        // the hot path), not scheduler churn.
+        // Thread scaling. On a host with ≥ 4 cores the coarse-grained
+        // fan-out must buy ≥ 2× at 4 threads for both engines. On
+        // smaller hosts these rows *oversubscribe* the scheduler
+        // (production callers tune through `bloc_num::par::tuned_threads`
+        // and never request more workers than cores), so honest scaling
+        // cannot show up: that floor is skipped, and a pathology guard
+        // runs instead — a threaded row more than 2× slower than warm
+        // serial means real serialization (a lock on the hot path), not
+        // scheduler churn.
         if host_threads >= 4 {
             if scaling_4t < 2.0 {
                 eprintln!(
@@ -720,6 +658,10 @@ fn main() {
                 failed = true;
             }
         } else {
+            println!(
+                "4-thread scaling floor (≥ 2×): skipped ({host_threads}-core host); running the thread pathology guard (threaded rows within 2× of warm serial) instead"
+            );
+            skipped.push(format!("≥ 2× 4-thread scaling ({host_threads}-core host)"));
             type Leg<'a> = (&'a str, &'a [(usize, f64)], f64);
             let legs: [Leg; 2] = [
                 ("likelihood", &thread_rows, t_warm),
@@ -740,7 +682,14 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
-    println!("all floors passed");
+    if skipped.is_empty() {
+        println!("all floors passed");
+    } else {
+        println!(
+            "every floor that ran passed; skipped: {}",
+            skipped.join(", ")
+        );
+    }
 }
 
 /// The hierarchical coarse-to-fine baseline on the 34.3 m × 9.9 m
@@ -748,14 +697,13 @@ fn main() {
 /// cell-eval reduction gate, 2/4-thread bit-identity, the seeded-tracking
 /// ≤ 10% budget with exact `engine.cells_evaluated` counter
 /// reconciliation and no steering-cache miss or capacity eviction after
-/// the first round, and (when `write_json`) the `BENCH_hierarchical.json`
-/// trajectory point for the obs_report trend gate. Every gate here is a
-/// *cell-count or equality* verdict — deterministic in debug and release
-/// alike — so unlike the timing floors above, all of them are always
-/// enforced. Returns true when any gate failed.
-fn hierarchical_baseline(iters: usize, write_json: bool) -> bool {
+/// the first round. Every gate here is a *cell-count or equality*
+/// verdict — deterministic in debug and release alike — so unlike the
+/// timing floors above, all of them are always enforced. Returns true
+/// when any gate failed.
+fn hierarchical_baseline() -> bool {
     let mut failed = false;
-    println!("\n=== Hierarchical coarse-to-fine baseline (corridor, best of {iters}) ===");
+    println!("\n=== Hierarchical coarse-to-fine baseline (corridor) ===");
     let scenario = Scenario::corridor(2026);
     let config = scenario.bloc_config();
     let one_cell = config.grid.resolution * std::f64::consts::SQRT_2 + 1e-9;
@@ -815,32 +763,12 @@ fn hierarchical_baseline(iters: usize, write_json: bool) -> bool {
         failed = true;
     }
 
-    // -- Warm wall clock, dense vs hierarchy on the same sounding.
-    let _ = dense.localize(&soundings[0]);
-    let t_dense = time_best(iters, || {
-        std::hint::black_box(dense.localize(&soundings[0]).expect("dense corridor fix"));
-    });
-    let _ = hier.localize(&soundings[0]);
-    let t_hier = time_best(iters, || {
-        std::hint::black_box(
-            hier.localize(&soundings[0])
-                .expect("hierarchical corridor fix"),
-        );
-    });
-    println!(
-        "dense localize   {:>8.1} ms   hierarchical {:>8.1} ms → {:.1}× wall",
-        t_dense * 1e3,
-        t_hier * 1e3,
-        t_dense / t_hier
-    );
-
     // -- Thread bit-identity: the 2- and 4-thread hierarchies must
     // reproduce the 1-thread fix to the bit (same cells spent, same
     // peaks, same position).
     let base = hier
         .localize(&soundings[1])
         .expect("hierarchical corridor fix");
-    let mut t_hier_4t = t_hier;
     for threads in [2usize, 4] {
         let engine = LikelihoodEngine::recurrence().with_threads(threads);
         let h_t = HierarchicalLocalizer::new(
@@ -865,26 +793,14 @@ fn hierarchical_baseline(iters: usize, write_json: bool) -> bool {
             eprintln!("FLOOR FAILED: hierarchical fix at {threads} threads is not bit-identical");
             failed = true;
         }
-        if threads == 4 {
-            let _ = h_t.localize(&soundings[0]);
-            t_hier_4t = time_best(iters, || {
-                std::hint::black_box(
-                    h_t.localize(&soundings[0])
-                        .expect("hierarchical corridor fix"),
-                );
-            });
-        }
     }
-    let scaling_4t = t_hier / t_hier_4t;
 
     // -- Seeded tracking: a tag walking the aisle. After the first full
     // coarse→fine fix, every seeded round must stay on the fast path and
     // cost ≤ 10% of a dense sweep; and the `engine.cells_evaluated`
     // counter delta must reconcile *exactly* with the estimate's own
     // accounting. Low-noise soundings pin the steady state down (the
-    // regime the tracker's innovation gate maintains in production). The
-    // seeded rounds' mean wall time is `seeded_warm` in the BENCH file:
-    // the per-patch cost a tracked tag pays every round.
+    // regime the tracker's innovation gate maintains in production).
     let track_sounder = scenario.sounder(SounderConfig {
         csi_snr_db: 30.0,
         antenna_phase_err_std: 0.0,
@@ -893,19 +809,15 @@ fn hierarchical_baseline(iters: usize, write_json: bool) -> bool {
     let mut pos = P2::new(10.0, 4.8);
     let mut seed_pos: Option<P2> = None;
     let mut worst_fraction = 0.0f64;
-    let mut seeded_secs = 0.0f64;
-    let mut seeded_fixes = 0usize;
     for round in 0..5 {
         let data = track_sounder.sound(pos, &all_data_channels(), &mut rng);
         let before = bloc_obs::Registry::global().snapshot();
-        let t = Instant::now();
         let est = match seed_pos {
             None => hier.localize(&data).expect("first tracking fix"),
             Some(p) => hier
                 .localize_seeded(&data, p, 1.0)
                 .expect("seeded tracking fix"),
         };
-        let secs = t.elapsed().as_secs_f64();
         let delta = bloc_obs::Registry::global().snapshot().diff(&before);
         let counted = delta
             .counters
@@ -920,8 +832,6 @@ fn hierarchical_baseline(iters: usize, write_json: bool) -> bool {
             failed = true;
         }
         if round > 0 {
-            seeded_secs += secs;
-            seeded_fixes += 1;
             // A seeded patch is a window into the fine grid's one
             // steering table: moving it must never build a table or push
             // another geometry out of the cache.
@@ -948,11 +858,9 @@ fn hierarchical_baseline(iters: usize, write_json: bool) -> bool {
         seed_pos = Some(est.estimate.position);
         pos += P2::new(0.3, 0.04);
     }
-    let t_seeded = seeded_secs / seeded_fixes.max(1) as f64;
     println!(
-        "seeded tracking: worst round {:.1}% of a dense sweep (gate ≤ 10%), {:.2} ms per warm seeded fix",
-        worst_fraction * 100.0,
-        t_seeded * 1e3
+        "seeded tracking: worst round {:.1}% of a dense sweep (gate ≤ 10%)",
+        worst_fraction * 100.0
     );
     if worst_fraction > 0.10 {
         eprintln!(
@@ -960,34 +868,6 @@ fn hierarchical_baseline(iters: usize, write_json: bool) -> bool {
             worst_fraction * 100.0
         );
         failed = true;
-    }
-
-    // -- Trajectory point. `effective_cell_evals_per_sec` is the
-    // dense-equivalent throughput (dense cells the fix replaces over the
-    // hierarchy's wall time), so both a faster kernel and a smarter
-    // search move the same trend line.
-    if write_json {
-        let dense_cell_evals = (fine_cells * scenario.anchors.len()) as f64;
-        let host_threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        let json = format!(
-            "{{\n  \"bench\": \"hierarchical_localize\",\n  \"venue\": \"corridor\",\n  \"grid\": {{\"nx\": {}, \"ny\": {}, \"cells\": {fine_cells}, \"resolution_m\": {}}},\n  \"coarse_cells\": {},\n  \"anchors\": {},\n  \"iters\": {iters},\n  \"host_threads\": {host_threads},\n  \"simd_level\": \"{}\",\n  \"parity_median_m\": {parity_median:.4},\n  \"reduction_median\": {reduction_median:.2},\n  \"tracking_worst_fraction\": {worst_fraction:.4},\n  \"dense_warm\": {{\"secs_per_localize\": {t_dense:.6}, \"cell_evals_per_sec\": {:.0}}},\n  \"hier_warm\": {{\"secs_per_localize\": {t_hier:.6}, \"effective_cell_evals_per_sec\": {:.0}}},\n  \"seeded_warm\": {{\"secs_per_localize\": {t_seeded:.6}}},\n  \"scaling_4_threads\": {scaling_4t:.2},\n  \"speedup_wall\": {:.2}\n}}\n",
-            config.grid.nx,
-            config.grid.ny,
-            config.grid.resolution,
-            hier.coarse_spec().len(),
-            scenario.anchors.len(),
-            bloc_num::simd::cell_level().label(),
-            dense_cell_evals / t_dense,
-            dense_cell_evals / t_hier,
-            t_dense / t_hier,
-        );
-        let path = "BENCH_hierarchical.json";
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("warning: could not write {path}: {e}"),
-        }
     }
     failed
 }

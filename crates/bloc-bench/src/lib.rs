@@ -1,17 +1,19 @@
-//! # bloc-bench — benchmarks and figure regeneration
+//! # bloc-bench — figure regeneration, soaks and gates
 //!
-//! Two kinds of targets live here:
+//! Three kinds of binaries live here:
 //!
-//! * **Criterion benches** (`cargo bench -p bloc-bench`): wall-clock cost
-//!   of every pipeline stage — GFSK modulation, CSI extraction, framing,
-//!   offset correction, likelihood grids, peak scoring, full
-//!   localization, and sounding.
 //! * **Figure binaries** (`cargo run --release -p bloc-bench --bin figNN`):
 //!   one per paper table/figure; each reruns the corresponding
 //!   `bloc-testbed::experiments` module and prints the same series the
 //!   paper plots. `--bin all_figures` runs the lot (EXPERIMENTS.md is its
 //!   output), `--bin ablations` sweeps the design choices DESIGN.md §6
 //!   calls out.
+//! * **Soaks and gates** (`fault_soak`, `chaos_soak`, `degraded_soak`,
+//!   `fleet_soak`, `perf_baseline`, `obs_report`): the verdicts
+//!   `scripts/check.sh` runs. They gate on counts, equalities and ratios
+//!   measured within one process, never on absolute wall time.
+//! * **The repository benchmark** (`--bin benchmark`, declared by
+//!   `BENCHMARK.json`): the one place wall time is judged.
 //!
 //! Every figure binary accepts the number of evaluated locations as its
 //! first argument (or the `BLOC_LOCATIONS` environment variable); the
@@ -41,10 +43,9 @@ pub fn banner(fig: &str, size: &ExperimentSize) {
     );
 }
 
-/// The directory every bench artifact lands in (`target/reports/`),
-/// created on first use. Gitignored with the rest of `target/` — the
-/// committed perf trajectory stays in the root `BENCH_*.json` files; the
-/// per-run reports, traces and history live here.
+/// The directory every run artifact lands in (`target/reports/`),
+/// created on first use: the per-run obs reports and Chrome traces.
+/// Gitignored with the rest of `target/`.
 pub fn reports_dir() -> std::path::PathBuf {
     let dir = std::path::Path::new("target").join("reports");
     std::fs::create_dir_all(&dir).ok();

@@ -81,6 +81,21 @@ pub(crate) const COARSE_DOMINANCE_RADIUS: usize = 1;
 /// size).
 pub(crate) const SEED_ESCAPE_FRACTION: f64 = 0.35;
 
+/// Resident-byte budget a hierarchical localizer installs on its
+/// engine's steering cache: 256 MiB. The hierarchy caches one geometry
+/// per level — coarse and fine — and patches are windows into the fine
+/// one, whose tiles fill as patches touch them; LRU eviction keeps
+/// long-running fleets bounded.
+pub const CACHE_BUDGET_BYTES: usize = 256 << 20;
+
+/// Installs [`CACHE_BUDGET_BYTES`] on `localizer`'s steering cache.
+pub(crate) fn install_budget(localizer: &BlocLocalizer) {
+    localizer
+        .engine()
+        .cache()
+        .set_byte_budget(Some(CACHE_BUDGET_BYTES));
+}
+
 /// Configuration of the coarse-to-fine hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -88,32 +103,17 @@ pub struct HierarchicalConfig {
     /// Below this many fine cells the hierarchy cannot win: localize
     /// densely (recorded as [`EscapeReason::SmallGrid`]).
     pub small_grid_cells: usize,
-    /// Resident-byte budget installed on the engine's steering cache (the
-    /// hierarchy caches one geometry per level — coarse and fine — and
-    /// patches are windows into the fine one, whose tiles fill as patches
-    /// touch them; LRU eviction keeps long-running fleets bounded).
-    /// `None` leaves the cache unbounded.
-    pub cache_budget_bytes: Option<usize>,
 }
 
 impl Default for HierarchicalConfig {
     fn default() -> Self {
         Self {
             small_grid_cells: 2048,
-            cache_budget_bytes: Some(256 << 20),
         }
     }
 }
 
 impl HierarchicalConfig {
-    /// Installs [`Self::cache_budget_bytes`] on `localizer`'s steering
-    /// cache (a `None` budget leaves the cache as it is).
-    pub(crate) fn install_budget(&self, localizer: &BlocLocalizer) {
-        if let Some(budget) = self.cache_budget_bytes {
-            localizer.engine().cache().set_byte_budget(Some(budget));
-        }
-    }
-
     /// One hierarchical fix of `data` on `localizer`, under its entry
     /// point's span and counter: the seeded patch around `seed`'s
     /// `(centre, radius_m)` when given, the coarse→fine search otherwise.
@@ -237,10 +237,10 @@ pub struct HierarchicalLocalizer {
 }
 
 impl HierarchicalLocalizer {
-    /// Wraps `localizer` and installs the configured steering-cache byte
-    /// budget on its engine.
+    /// Wraps `localizer` and installs the steering-cache byte budget
+    /// ([`CACHE_BUDGET_BYTES`]) on its engine.
     pub fn new(localizer: BlocLocalizer, config: HierarchicalConfig) -> Self {
-        config.install_budget(&localizer);
+        install_budget(&localizer);
         Self { localizer, config }
     }
 

@@ -437,12 +437,13 @@ impl TrackingPipeline {
     }
 
     /// Enables the hierarchical coarse-to-fine solver on this pipeline's
-    /// localizer (installing the configured steering-cache budget): rounds
+    /// localizer (installing the steering-cache budget,
+    /// [`crate::hierarchical::CACHE_BUDGET_BYTES`]): rounds
     /// with a live track localize on a fine patch seeded at the track
     /// prediction (bounded by [`Tracker::search_radius`]); rounds without
     /// one run the full coarse→fine flow.
     pub fn with_hierarchical(mut self, config: HierarchicalConfig) -> Self {
-        config.install_budget(&self.localizer);
+        crate::hierarchical::install_budget(&self.localizer);
         self.hier = Some(config);
         self
     }

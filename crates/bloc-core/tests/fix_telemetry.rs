@@ -157,6 +157,29 @@ fn fused_fix_refuses_before_sweeping() {
     );
 }
 
+/// One dense fix in the paper testbed's room (5 m × 6 m, 8 cm grid, four
+/// 4-antenna anchors at the wall midpoints) charges exactly its 75×88
+/// grid cells once per anchor: 26,400 `engine.cells_evaluated`. A search
+/// that sweeps a cell twice, or a sweep that stops counting, fails here.
+#[test]
+fn dense_paper_room_fix_charges_26400_cells() {
+    let _guard = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    let room = Room::new(5.0, 6.0);
+    let env = Environment::free_space();
+    let anchors = anchors(&room);
+    let sounder = Sounder::new(&env, &anchors, SounderConfig::default());
+    let localizer = BlocLocalizer::new(BlocConfig::for_room(&room));
+    let grid = localizer.config().grid;
+    assert_eq!((grid.nx, grid.ny), (75, 88));
+    let mut rng = StdRng::seed_from_u64(41);
+    let data = sounder.sound(P2::new(2.1, 3.2), &all_data_channels(), &mut rng);
+
+    let before = counter("engine.cells_evaluated");
+    let est = localizer.localize(&data).expect("clean fix");
+    assert!(est.degradation.anchors_excluded.is_empty());
+    assert_eq!(counter("engine.cells_evaluated") - before, 26_400);
+}
+
 /// Every path through the search loop charges its estimate's cell ledger
 /// exactly what the engine counted: the small-grid start, the coarse→fine
 /// search, the seeded fast path, and the seeded escapes (including the

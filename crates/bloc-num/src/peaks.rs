@@ -54,6 +54,7 @@ impl Default for PeakOptions {
 /// A cell is a peak when it is strictly greater than every other cell in
 /// the square neighborhood of `dominance_radius` (ties broken towards the
 /// lexicographically smaller index so plateaus yield one peak, not many).
+/// A NaN cell is never a peak.
 pub fn find_peaks(grid: &Grid2D, opts: &PeakOptions) -> Vec<Peak> {
     let spec = grid.spec();
     let Some((_, _, max_v)) = grid.argmax() else {
@@ -69,7 +70,9 @@ pub fn find_peaks(grid: &Grid2D, opts: &PeakOptions) -> Vec<Peak> {
     for iy in 0..spec.ny {
         for ix in 0..spec.nx {
             let v = grid.get(ix, iy);
-            if v < floor {
+            // A NaN cell is never a peak: it compares false against the
+            // floor and against every neighbour.
+            if v.is_nan() || v < floor {
                 continue;
             }
             if is_dominant(grid, ix, iy, r) {
@@ -185,6 +188,21 @@ mod tests {
             },
         );
         assert_eq!(peaks.len(), 1, "a constant grid is one plateau, one peak");
+    }
+
+    #[test]
+    fn nan_cell_beside_a_peak_is_skipped() {
+        let spec = GridSpec {
+            nx: 10,
+            ny: 10,
+            ..spec()
+        };
+        let mut g = Grid2D::zeros(spec);
+        g.set(4, 4, 1.0);
+        g.set(5, 4, f64::NAN);
+        let peaks = find_peaks(&g, &PeakOptions::default());
+        assert_eq!(peaks.len(), 1);
+        assert_eq!((peaks[0].ix, peaks[0].iy, peaks[0].value), (4, 4, 1.0));
     }
 
     #[test]

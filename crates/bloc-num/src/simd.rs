@@ -529,6 +529,36 @@ mod tests {
         ]
     }
 
+    /// The cell kernel dispatches to the widest level the CPU reports —
+    /// AVX-512 with `avx512f`, else AVX2 with `avx2` — and to scalar
+    /// under `BLOC_NO_SIMD`; the other kernels' 4-lane level is at most
+    /// AVX2. Losing a dispatch level fails here on any host.
+    #[test]
+    fn cell_level_is_the_widest_host_level() {
+        let levels = host_levels();
+        assert_eq!(levels[0].label(), "scalar");
+        #[cfg(target_arch = "x86_64")]
+        let widest = match (
+            std::arch::is_x86_feature_detected!("avx2"),
+            std::arch::is_x86_feature_detected!("avx512f"),
+        ) {
+            (true, true) => "avx512",
+            (true, false) => "avx2",
+            _ => "scalar",
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let widest = "scalar";
+        assert_eq!(levels[levels.len() - 1].label(), widest);
+        let want = if std::env::var_os("BLOC_NO_SIMD").is_some() {
+            "scalar"
+        } else {
+            widest
+        };
+        assert_eq!(cell_level().label(), want);
+        let four_lane = if want == "avx512" { "avx2" } else { want };
+        assert_eq!(active_level().label(), four_lane);
+    }
+
     #[test]
     fn scalar_ops_match_plain_arithmetic() {
         let a = [1.5, -2.25, 0.5, 3.0];

@@ -24,7 +24,7 @@ use crate::metrics::ErrorStats;
 use crate::runner::{sweep, Method, SweepSpec};
 use crate::scenario::Scenario;
 use bloc_chan::{AnchorDropout, FaultPlan};
-use bloc_core::{BlocLocalizer, LocalizeError};
+use bloc_core::LocalizeError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -135,7 +135,7 @@ pub fn reconcile(
 ) -> ReconcileResult {
     let channels = bloc_chan::sounder::all_data_channels();
     let sounder = scenario.sounder(Default::default());
-    let localizer = BlocLocalizer::new(scenario.bloc_config());
+    let localizer = scenario.localizer();
     let mut out = ReconcileResult::default();
 
     for (idx, &truth) in positions.iter().enumerate() {

@@ -24,8 +24,8 @@
 //! it. Entries are keyed by grid, anchor geometry and frequency comb, so
 //! soundings reduced to an anchor, antenna or band subset get entries of
 //! their own. The cache is bounded by the hierarchical localizer's
-//! default budget ([`HierarchicalConfig::cache_budget_bytes`]), evicting
-//! the least recently used geometry.
+//! budget ([`CACHE_BUDGET_BYTES`]), evicting the least recently used
+//! geometry.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,7 +38,8 @@ use bloc_chan::reflector::Reflector;
 use bloc_chan::sounder::{Sounder, SounderConfig};
 use bloc_chan::{AnchorArray, Environment};
 use bloc_core::engine::LikelihoodEngine;
-use bloc_core::{BlocLocalizer, HierarchicalConfig};
+use bloc_core::hierarchical::CACHE_BUDGET_BYTES;
+use bloc_core::BlocLocalizer;
 use bloc_num::P2;
 
 /// How much clutter the room carries.
@@ -97,9 +98,7 @@ impl std::fmt::Debug for Scenario {
 /// hierarchical localizer's.
 fn scenario_engine() -> LikelihoodEngine {
     let engine = LikelihoodEngine::default();
-    engine
-        .cache()
-        .set_byte_budget(HierarchicalConfig::default().cache_budget_bytes);
+    engine.cache().set_byte_budget(Some(CACHE_BUDGET_BYTES));
     engine
 }
 

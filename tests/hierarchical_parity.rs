@@ -7,7 +7,7 @@
 //! hold across room geometries, in both large venues, under injected
 //! faults, and bit-identically across thread counts. The release-mode
 //! ≥ 8× reduction gate at the full 8 cm corridor resolution lives in
-//! `perf_baseline` (`BENCH_hierarchical.json`); these tests run the same
+//! `perf_baseline`'s hierarchical section; these tests run the same
 //! comparisons at debug-friendly resolutions.
 
 use bloc_chan::faults::{AnchorDropout, FaultPlan};
@@ -28,7 +28,6 @@ use rand::SeedableRng;
 fn hier_config() -> HierarchicalConfig {
     HierarchicalConfig {
         small_grid_cells: 0,
-        ..HierarchicalConfig::default()
     }
 }
 
