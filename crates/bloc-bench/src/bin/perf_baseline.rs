@@ -495,9 +495,9 @@ fn main() {
             std::hint::black_box(sounder.sound(tag, &channels, &mut rng));
         })
     };
-    // Warm: one sounder, PathSets cached — the steady-state per-sounding
-    // cost of a sweep (static links shared across locations, tag links
-    // shared across retries of one location).
+    // Warm: one sounder, static PathSets cached — the steady-state
+    // per-sounding cost of a sweep (static links shared across
+    // locations, tag links traced per sounding).
     let warm_sounder = scenario.sounder(SounderConfig::default());
     let mut rng = StdRng::seed_from_u64(seed);
     let _ = warm_sounder.sound(tag, &channels, &mut rng);

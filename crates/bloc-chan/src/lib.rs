@@ -49,4 +49,4 @@ pub use faults::{
     AnchorDropout, FaultCensus, FaultPlan, InterferenceBurst, RangeLoss, ReceptionCensus,
 };
 pub use sounder::{BandSounding, Fidelity, Sounder, SounderConfig, SoundingData};
-pub use synth::{FreqComb, LinkClass, PathCache, PathSet};
+pub use synth::{FreqComb, PathCache, PathSet};

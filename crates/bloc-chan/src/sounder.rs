@@ -26,7 +26,7 @@
 use crate::array::AnchorArray;
 use crate::environment::Environment;
 use crate::oscillator::{Device, TuningEpoch};
-use crate::synth::{splitmix, FreqComb, LinkClass, PathCache};
+use crate::synth::{splitmix, FreqComb, PathCache, PathSet};
 use bloc_ble::access_address::AccessAddress;
 use bloc_ble::channels::Channel;
 use bloc_ble::locpacket::LocalizationPacket;
@@ -236,9 +236,10 @@ impl SoundingData {
 /// fault plan injected into everything [`Sounder::sound`] produces.
 ///
 /// Analytic soundings run on the fast path: per-link
-/// [`crate::synth::PathSet`]s from a shared [`PathCache`] (clones share
-/// it, so per-retry clones and repeated soundings of a static deployment
-/// stay warm), the whole band comb swept per link by the exact phasor
+/// [`crate::synth::PathSet`]s (the static master links from a shared
+/// [`PathCache`] — clones share it, so per-retry clones and every
+/// sounding of a static deployment stay warm), the whole band comb swept
+/// per link by the exact phasor
 /// recurrence, and bands optionally sharded across threads
 /// ([`Sounder::with_threads`]) with per-band RNG streams split
 /// deterministically from the caller's seed — results are bit-identical
@@ -459,7 +460,8 @@ impl<'a> Sounder<'a> {
     /// The fast analytic sounding engine (DESIGN.md §10).
     ///
     /// Phase A (link-major): every directed link's
-    /// [`crate::synth::PathSet`] comes from the [`PathCache`] and is swept
+    /// [`crate::synth::PathSet`] — traced afresh for the tag's links, from
+    /// the [`PathCache`] for the static master links — is swept
     /// across the whole comb by the exact phasor recurrence — clean
     /// per-tone channels for all links × bands in one pass per link.
     /// Phase B (band-major): per band, oscillator offsets, CFO and noise
@@ -484,33 +486,38 @@ impl<'a> Sounder<'a> {
         // Directed link table: tag → every (anchor, antenna), then the
         // static master0 → anchor links (antenna 0), in measurement order.
         let total_antennas: usize = self.anchors.iter().map(|a| a.n_antennas).sum();
-        let mut links: Vec<(P2, P2, LinkClass)> =
-            Vec::with_capacity(total_antennas + n_anchors - 1);
+        let mut links: Vec<(P2, P2)> = Vec::with_capacity(total_antennas + n_anchors - 1);
         for anchor in self.anchors {
             for j in 0..anchor.n_antennas {
-                links.push((tag, anchor.antenna(j), LinkClass::Tag));
+                links.push((tag, anchor.antenna(j)));
             }
         }
         let master0 = self.anchors[0].antenna(0);
         for anchor in &self.anchors[1..] {
-            links.push((master0, anchor.antenna(0), LinkClass::Static));
+            links.push((master0, anchor.antenna(0)));
         }
 
         // Phase A: sweep every link across all bands × tones. Links are
-        // the coarse unit here (each is a full comb sweep), and every
-        // worker holds one tone-sweep scratch so warm sweeps allocate no
-        // accumulators.
+        // the coarse unit here (each is a full comb sweep). Every worker
+        // holds one tone-sweep scratch and one path set: tag links are
+        // traced into that set outside any lock, static links come from
+        // the shared cache, and warm sweeps allocate no accumulators.
         let link_threads = bloc_num::par::tuned_threads(links.len(), self.threads, 4);
         let clean: Vec<Vec<[C64; 2]>> = bloc_num::par::sharded_map_named(
             "sound.links",
             links.len(),
             link_threads,
-            |_t| bloc_num::sweep::ToneSweepScratch::new(),
-            |scratch, l| {
-                let (tx, rx, class) = links[l];
-                let set = self.cache.path_set(self.env, tx, rx, class);
+            |_t| (bloc_num::sweep::ToneSweepScratch::new(), PathSet::new()),
+            |(scratch, tag_set), l| {
+                let (tx, rx) = links[l];
                 let mut out = vec![[bloc_num::complex::ZERO; 2]; channels.len()];
-                set.sweep_tones_with(&comb, scratch, &mut out);
+                if l < total_antennas {
+                    self.env.path_set_into(tx, rx, tag_set);
+                    tag_set.sweep_tones_with(&comb, scratch, &mut out);
+                } else {
+                    let set = self.cache.path_set(self.env, tx, rx);
+                    set.sweep_tones_with(&comb, scratch, &mut out);
+                }
                 out
             },
             |_scratch| {},

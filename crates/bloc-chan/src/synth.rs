@@ -21,10 +21,11 @@
 //!   seed plus one step per path instead of 2 × 37 transcendentals);
 //!   off-comb frequencies fall back to per-band `cis`;
 //! * [`PathCache`] — link-level memoization keyed by (environment
-//!   revision, tx, rx): anchor↔master PathSets (§5.2 — the anchors never
-//!   move) are computed once per deployment, tag links once per location,
-//!   invalidated when the tag moves, the environment mutates, or a runtime
-//!   supervisor calls [`PathCache::invalidate`] on a geometry swap.
+//!   revision, tx, rx) of the static anchor↔master PathSets (§5.2 — the
+//!   anchors never move): computed once per deployment, invalidated when
+//!   the environment mutates or a runtime supervisor calls
+//!   [`PathCache::invalidate`] on a geometry swap. Tag links are not
+//!   cached: each sounding traces them into its worker's scratch.
 //!
 //! The naive per-band path remains in `environment.rs` as the reference
 //! implementation; `synth_equivalence.rs` pins the two together to
@@ -202,76 +203,42 @@ impl FreqComb {
     }
 }
 
-/// Which half of the cache a link lives in — the reuse rule of §5.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkClass {
-    /// Anchor↔anchor (master-response) links: the deployment is fixed, so
-    /// these survive for the life of the environment revision — across
-    /// every tag location of a sweep.
-    Static,
-    /// Tag↔anchor links: valid only while the tag stays put; a query from
-    /// a different tag position evicts all of them.
-    Tag,
-}
-
 #[derive(Debug, Default)]
 struct CacheInner {
     /// The environment revision the entries were built against.
     revision: u64,
-    static_links: HashMap<[u64; 4], Arc<PathSet>>,
-    /// The tag position `tag_links` was built for.
-    tag_pos: Option<(u64, u64)>,
-    tag_links: HashMap<[u64; 4], Arc<PathSet>>,
-    /// Running approximate payload bytes, split per class so a tag-move
-    /// eviction can subtract its share in O(1).
-    static_bytes: usize,
-    tag_bytes: usize,
+    links: HashMap<[u64; 4], Arc<PathSet>>,
+    /// Running approximate payload bytes.
+    bytes: usize,
 }
 
 impl CacheInner {
-    fn entries(&self) -> usize {
-        self.static_links.len() + self.tag_links.len()
-    }
-
-    fn bytes(&self) -> usize {
-        self.static_bytes + self.tag_bytes
-    }
-
-    fn clear_all(&mut self) -> usize {
-        let dropped = self.entries();
-        self.static_links.clear();
-        self.tag_links.clear();
-        self.tag_pos = None;
-        self.static_bytes = 0;
-        self.tag_bytes = 0;
-        dropped
-    }
-
-    fn clear_tag(&mut self) -> usize {
-        let dropped = self.tag_links.len();
-        self.tag_links.clear();
-        self.tag_bytes = 0;
+    fn clear(&mut self) -> usize {
+        let dropped = self.links.len();
+        self.links.clear();
+        self.bytes = 0;
         dropped
     }
 }
 
-/// A shared, thread-safe memo of [`PathSet`]s keyed by (environment
-/// revision, tx, rx).
+/// A shared, thread-safe memo of the static anchor↔master [`PathSet`]s,
+/// keyed by (environment revision, tx, rx).
 ///
-/// Clones share storage (`Arc`), so a [`crate::sounder::Sounder`] clone —
-/// e.g. the per-retry clone the testbed runner makes — keeps its warm
-/// cache. Entries are dropped on three events: the environment's revision
-/// changes (any mutation bumps it), a tag-class query arrives from a new
-/// tag position (drops tag links only), or a supervisor calls
-/// [`PathCache::invalidate`] after swapping geometry (the PR 4 hook
-/// pattern).
+/// The deployment is fixed (§5.2), so an entry lives as long as the
+/// environment revision — across every tag location of a sweep and every
+/// tag of a fleet site. Tag links are never stored: a tag moves between
+/// soundings and the tags of a site are sounded in parallel, so a memo of
+/// them would evict itself. Clones share storage (`Arc`), so a
+/// [`crate::sounder::Sounder`] clone — e.g. the per-retry clone the
+/// testbed runner makes — keeps its warm cache. Entries are dropped when
+/// the environment's revision changes (any mutation bumps it) or a
+/// supervisor calls [`PathCache::invalidate`] after swapping geometry.
 ///
 /// Telemetry follows the workspace cache convention
 /// ([`bloc_obs::CacheStats`]): `cache.path.{hits,misses,invalidations,
 /// invalidations.<cause>,evicted}` counters plus
 /// `cache.path.resident_{entries,bytes}` gauges; invalidation causes are
-/// `revision`, `tag_move`, `manual` and (from the runtime supervisor)
-/// `breaker`.
+/// `revision`, `manual` and, from the supervisors, `breaker` and `site`.
 #[derive(Debug, Clone)]
 pub struct PathCache {
     inner: Arc<Mutex<CacheInner>>,
@@ -302,35 +269,21 @@ impl PathCache {
         Self::default()
     }
 
-    /// The [`PathSet`] for `tx → rx` in `env`, computed on miss and
-    /// memoized under `class`'s reuse rule.
-    pub fn path_set(&self, env: &Environment, tx: P2, rx: P2, class: LinkClass) -> Arc<PathSet> {
+    /// The [`PathSet`] of the static link `tx → rx` in `env`, computed
+    /// on miss and memoized for the environment revision.
+    pub fn path_set(&self, env: &Environment, tx: P2, rx: P2) -> Arc<PathSet> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if inner.revision != env.revision() {
             // A revision-0 cache that has never stored anything is just
             // cold, not invalidated — only count the event once warm.
-            if inner.entries() > 0 || inner.revision != 0 {
-                let dropped = inner.clear_all();
+            if !inner.links.is_empty() || inner.revision != 0 {
+                let dropped = inner.clear();
                 self.stats.invalidated("revision", dropped);
             }
             inner.revision = env.revision();
         }
-        if class == LinkClass::Tag {
-            let pos = (tx.x.to_bits(), tx.y.to_bits());
-            if inner.tag_pos != Some(pos) {
-                if inner.tag_pos.is_some() {
-                    let dropped = inner.clear_tag();
-                    self.stats.invalidated("tag_move", dropped);
-                }
-                inner.tag_pos = Some(pos);
-            }
-        }
         let key = link_key(tx, rx);
-        let map = match class {
-            LinkClass::Static => &inner.static_links,
-            LinkClass::Tag => &inner.tag_links,
-        };
-        if let Some(hit) = map.get(&key) {
+        if let Some(hit) = inner.links.get(&key) {
             self.stats.hit();
             return Arc::clone(hit);
         }
@@ -338,24 +291,14 @@ impl PathCache {
         let mut set = PathSet::new();
         env.path_set_into(tx, rx, &mut set);
         let set = Arc::new(set);
-        let bytes = set.approx_bytes();
-        match class {
-            LinkClass::Static => {
-                inner.static_links.insert(key, Arc::clone(&set));
-                inner.static_bytes += bytes;
-            }
-            LinkClass::Tag => {
-                inner.tag_links.insert(key, Arc::clone(&set));
-                inner.tag_bytes += bytes;
-            }
-        }
-        self.stats.resident(inner.entries(), inner.bytes());
+        inner.bytes += set.approx_bytes();
+        inner.links.insert(key, Arc::clone(&set));
+        self.stats.resident(inner.links.len(), inner.bytes);
         set
     }
 
-    /// Drops every entry (both link classes); returns how many were
-    /// dropped. Call after swapping anchor geometry or replacing the
-    /// environment mid-session.
+    /// Drops every entry; returns how many were dropped. Call after
+    /// swapping anchor geometry or replacing the environment mid-session.
     pub fn invalidate(&self) -> usize {
         self.invalidate_with_cause("manual")
     }
@@ -365,16 +308,16 @@ impl PathCache {
     /// `breaker` on membership changes).
     pub fn invalidate_with_cause(&self, cause: &'static str) -> usize {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let dropped = inner.clear_all();
+        let dropped = inner.clear();
         self.stats.invalidated(cause, dropped);
         self.stats.resident(0, 0);
         dropped
     }
 
-    /// Number of cached link entries (both classes).
+    /// Number of cached link entries.
     pub fn len(&self) -> usize {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.entries()
+        inner.links.len()
     }
 
     /// True when nothing is cached.
@@ -511,36 +454,16 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_until_the_tag_moves() {
-        let env = test_env(6);
-        let cache = PathCache::new();
-        let anchor = P2::new(2.5, 0.0);
-        let tag_a = P2::new(1.0, 1.0);
-        let set1 = cache.path_set(&env, tag_a, anchor, LinkClass::Tag);
-        let set2 = cache.path_set(&env, tag_a, anchor, LinkClass::Tag);
-        assert!(Arc::ptr_eq(&set1, &set2), "second query must hit");
-        assert_eq!(cache.len(), 1);
-
-        // A new tag position evicts the tag class…
-        let sref = cache.path_set(&env, anchor, P2::new(0.0, 3.0), LinkClass::Static);
-        let _ = cache.path_set(&env, P2::new(2.0, 2.0), anchor, LinkClass::Tag);
-        assert_eq!(cache.len(), 2, "old tag link evicted, static retained");
-        // …but not the static class.
-        let sref2 = cache.path_set(&env, anchor, P2::new(0.0, 3.0), LinkClass::Static);
-        assert!(Arc::ptr_eq(&sref, &sref2));
-    }
-
-    #[test]
     fn cache_invalidates_on_environment_mutation() {
         let mut env = test_env(7);
         let cache = PathCache::new();
         let (tag, anchor) = (P2::new(1.0, 1.0), P2::new(2.5, 0.0));
-        let before = cache.path_set(&env, tag, anchor, LinkClass::Tag);
+        let before = cache.path_set(&env, tag, anchor);
         env.add_obstruction(crate::environment::Obstruction {
             blocker: crate::geometry::Segment::new(P2::new(1.5, 0.0), P2::new(1.5, 6.0)),
             loss_db: 20.0,
         });
-        let after = cache.path_set(&env, tag, anchor, LinkClass::Tag);
+        let after = cache.path_set(&env, tag, anchor);
         assert!(
             !Arc::ptr_eq(&before, &after),
             "mutation must bump the revision and drop the entry"
@@ -555,13 +478,8 @@ mod tests {
     fn explicit_invalidate_drops_everything() {
         let env = test_env(8);
         let cache = PathCache::new();
-        let _ = cache.path_set(&env, P2::new(1.0, 1.0), P2::new(2.5, 0.0), LinkClass::Tag);
-        let _ = cache.path_set(
-            &env,
-            P2::new(2.5, 0.0),
-            P2::new(0.0, 3.0),
-            LinkClass::Static,
-        );
+        let _ = cache.path_set(&env, P2::new(1.0, 1.0), P2::new(2.5, 0.0));
+        let _ = cache.path_set(&env, P2::new(2.5, 0.0), P2::new(0.0, 3.0));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.invalidate(), 2);
         assert!(cache.is_empty());
@@ -572,8 +490,8 @@ mod tests {
         let env = test_env(9);
         let cache = PathCache::new();
         let clone = cache.clone();
-        let a = cache.path_set(&env, P2::new(1.0, 1.0), P2::new(2.5, 0.0), LinkClass::Tag);
-        let b = clone.path_set(&env, P2::new(1.0, 1.0), P2::new(2.5, 0.0), LinkClass::Tag);
+        let a = cache.path_set(&env, P2::new(1.0, 1.0), P2::new(2.5, 0.0));
+        let b = clone.path_set(&env, P2::new(1.0, 1.0), P2::new(2.5, 0.0));
         assert!(Arc::ptr_eq(&a, &b), "clone must see the original's entries");
     }
 }

@@ -10,7 +10,6 @@
 use std::sync::{Arc, Barrier};
 use std::thread;
 
-use bloc_chan::synth::LinkClass;
 use bloc_chan::{Environment, PathCache};
 use bloc_num::P2;
 
@@ -40,7 +39,7 @@ fn warm_reads_survive_invalidation_and_trace_exactly_once() {
             s.spawn(|| {
                 for _ in 0..ROUNDS {
                     for &(tx, rx) in &links {
-                        let set = cache.path_set(&env, tx, rx, LinkClass::Static);
+                        let set = cache.path_set(&env, tx, rx);
                         assert!(!set.is_empty(), "free space always has the LOS path");
                     }
                 }
@@ -88,7 +87,7 @@ fn warm_reads_survive_invalidation_and_trace_exactly_once() {
                 let barrier = Arc::clone(&barrier);
                 s.spawn(move || {
                     barrier.wait();
-                    cache_ref.path_set(env_ref, tx, rx, LinkClass::Static)
+                    cache_ref.path_set(env_ref, tx, rx)
                 })
             })
             .collect();

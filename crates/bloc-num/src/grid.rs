@@ -6,6 +6,8 @@
 //! coordinates", §5.3). Grids are row-major, indexed `(ix, iy)` with cell
 //! centres at `origin + (ix + 0.5, iy + 0.5) · resolution`.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::point::P2;
 
 /// The geometry of a grid: where it sits in space and how fine it is.
@@ -465,6 +467,8 @@ impl Grid2D {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use proptest::prelude::*;
 

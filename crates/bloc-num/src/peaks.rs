@@ -5,6 +5,8 @@
 //! spatial likelihood and then picks the best-scoring one as the direct
 //! path. This module finds those peaks.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::grid::Grid2D;
 use crate::point::P2;
 
@@ -85,11 +87,9 @@ pub fn find_peaks(grid: &Grid2D, opts: &PeakOptions) -> Vec<Peak> {
             }
         }
     }
-    peaks.sort_by(|a, b| {
-        b.value
-            .partial_cmp(&a.value)
-            .expect("likelihoods must be finite")
-    });
+    // NaN cells never become peaks, so this is the descending numeric
+    // order; `total_cmp` keeps the sort total without a panic path.
+    peaks.sort_by(|a, b| b.value.total_cmp(&a.value));
     peaks.truncate(opts.max_peaks);
     peaks
 }
@@ -123,6 +123,8 @@ fn is_dominant(grid: &Grid2D, ix: usize, iy: usize, r: isize) -> bool {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
     use super::*;
     use crate::grid::GridSpec;
     use proptest::prelude::*;

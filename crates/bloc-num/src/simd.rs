@@ -10,7 +10,8 @@
 //! implementations:
 //!
 //! * [`ScalarX4`] — plain `[f64; 4]` element-wise arithmetic, compiled for
-//!   the baseline target (one cell);
+//!   the baseline target, plus an `fma`-enabled twin of the cell kernel
+//!   for CPUs with FMA (one cell);
 //! * [`AvxX4`] (x86-64 only) — the same operations as explicit AVX2
 //!   `__m256d` intrinsics (one cell);
 //! * [`Avx512X8`] (x86-64 only) — one AVX-512 `__m512d` holding **two
@@ -23,18 +24,23 @@
 //!
 //! Every kernel in [`crate::sweep`] is written once as a generic body and
 //! instantiated for each implementation, and every trait operation is
-//! IEEE-754 correctly rounded (`add`/`sub`/`mul`/`sqrt`) or has a fixed,
+//! IEEE-754 correctly rounded (`add`/`sub`/`mul`/`sqrt` and the fused
+//! `mul_add`/`neg_mul_add`, which round `a·b ± c` once) or has a fixed,
 //! documented reduction order ([`CellLanes::hsum_cells`]: each cell is
 //! reduced from its own four lanes). Consequently all dispatch paths
 //! produce **bit-identical** results — the equivalence suites assert
 //! this, and it is why no result in the workspace depends on which CPU
-//! ran it. Fused multiply-add is deliberately never used: FMA contracts
-//! the intermediate rounding and would break the scalar/vector identity.
+//! ran it. Fused multiply-add keeps that identity: one correctly rounded
+//! operation gives the same bits from `f64::mul_add`, `vfmadd…pd` on
+//! 256 bits and on 512 bits. The Eq. 17 cell kernel runs on the fused
+//! ops; the Eq. 2 tone kernel stays unfused (`mul` then `add`), because
+//! fusing it would round differently and change every sounding's bits.
 //!
 //! # Choosing a path
 //!
 //! [`cell_level`] picks the widest level the host supports for the Eq. 17
-//! cell kernel — AVX-512 (`avx512f` plus `avx2`), else AVX2, else scalar.
+//! cell kernel — AVX-512 (`avx512f`, `avx2` and `fma`), else AVX2 (`avx2`
+//! and `fma`), else scalar.
 //! [`active_level`] is the 4-lane level every kernel runs its one-cell
 //! vectors on — AVX2, else scalar — so it equals [`cell_level`] except on
 //! AVX-512 hosts, where it is AVX2. Both are scalar when the
@@ -54,12 +60,13 @@
 //!   level, only receive one from [`active_level`], [`cell_level`] or
 //!   [`host_levels`], and all come from [`host_levels`]'s one-time CPU
 //!   detection. The AVX2
-//!   level exists only behind `is_x86_feature_detected!("avx2")`, the
-//!   AVX-512 level only behind `avx512f` **and** `avx2` (its odd-cell tail
-//!   runs the AVX2 instantiation).
+//!   level exists only behind `is_x86_feature_detected!` for `avx2` and
+//!   `fma`, the AVX-512 level only behind `avx512f`, `avx2` **and** `fma`
+//!   (its odd-cell tail runs the AVX2 instantiation).
 //! * [`AvxX4`] and [`Avx512X8`] methods are only reachable from kernel
 //!   twins dispatched on the matching level, so a safe caller can never
-//!   execute an instruction its CPU lacks.
+//!   execute an instruction its CPU lacks. The scalar level's `fma` twin
+//!   of the cell kernel runs only behind `has_fma` detection.
 
 #![allow(unsafe_code)]
 
@@ -116,7 +123,7 @@ pub fn host_levels() -> &'static [SimdLevel] {
     LEVELS.get_or_init(|| {
         let mut levels = vec![SimdLevel(Level::Scalar)];
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
+        if std::arch::is_x86_feature_detected!("avx2") && has_fma() {
             levels.push(SimdLevel(Level::Avx2));
             if std::arch::is_x86_feature_detected!("avx512f") {
                 levels.push(SimdLevel(Level::Avx512));
@@ -124,6 +131,15 @@ pub fn host_levels() -> &'static [SimdLevel] {
         }
         levels
     })
+}
+
+/// True when the CPU executes fused multiply-add in hardware. The AVX2
+/// and AVX-512 levels exist only behind it, and the scalar level runs the
+/// cell kernel's `fma`-compiled twin when it holds; without it, the plain
+/// twin's `f64::mul_add` is a (correctly rounded, much slower) libm call.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn has_fma() -> bool {
+    std::arch::is_x86_feature_detected!("fma")
 }
 
 /// The 4-lane vector level the host should run: AVX2 when detected, else
@@ -140,7 +156,8 @@ pub fn active_level() -> SimdLevel {
 
 /// The level the Eq. 17 cell kernel dispatches to, computed once: the
 /// widest of [`host_levels`] — AVX-512, two cells per vector, on hosts
-/// with `avx512f` — or scalar when `BLOC_NO_SIMD` is set.
+/// with `avx512f`, `avx2` and `fma` — or scalar when `BLOC_NO_SIMD` is
+/// set.
 pub fn cell_level() -> SimdLevel {
     static LEVEL: std::sync::OnceLock<SimdLevel> = std::sync::OnceLock::new();
     *LEVEL.get_or_init(|| {
@@ -156,7 +173,8 @@ pub fn cell_level() -> SimdLevel {
 /// `CELLS` grid cells × 4 `f64` lanes with the operations the Eq. 17
 /// cell kernel needs — the type its generic body is instantiated over.
 ///
-/// Implementations must be IEEE-754 correctly rounded per lane and must
+/// Implementations must be IEEE-754 correctly rounded per lane (the
+/// fused ops round once, as IEEE-754 `fusedMultiplyAdd`) and must
 /// use the exact [`CellLanes::hsum_cells`] reduction order, so that any
 /// generic kernel instantiated over two implementations produces
 /// bit-identical results (the dispatch-equivalence contract of this
@@ -180,6 +198,10 @@ pub trait CellLanes: Copy {
     fn sub(self, o: Self) -> Self;
     /// Lane-wise product.
     fn mul(self, o: Self) -> Self;
+    /// Lane-wise fused `self·b + c`, rounded once.
+    fn mul_add(self, b: Self, c: Self) -> Self;
+    /// Lane-wise fused `c − self·b`, rounded once.
+    fn neg_mul_add(self, b: Self, c: Self) -> Self;
     /// Lane-wise square root.
     fn sqrt(self) -> Self;
     /// Each cell's horizontal sum with the fixed association
@@ -245,6 +267,25 @@ impl CellLanes for ScalarX4 {
         ])
     }
     #[inline(always)]
+    fn mul_add(self, b: Self, c: Self) -> Self {
+        ScalarX4([
+            self.0[0].mul_add(b.0[0], c.0[0]),
+            self.0[1].mul_add(b.0[1], c.0[1]),
+            self.0[2].mul_add(b.0[2], c.0[2]),
+            self.0[3].mul_add(b.0[3], c.0[3]),
+        ])
+    }
+    #[inline(always)]
+    fn neg_mul_add(self, b: Self, c: Self) -> Self {
+        // `−a·b` is exact, so this rounds `c − a·b` once, like `vfnmadd`.
+        ScalarX4([
+            (-self.0[0]).mul_add(b.0[0], c.0[0]),
+            (-self.0[1]).mul_add(b.0[1], c.0[1]),
+            (-self.0[2]).mul_add(b.0[2], c.0[2]),
+            (-self.0[3]).mul_add(b.0[3], c.0[3]),
+        ])
+    }
+    #[inline(always)]
     fn sqrt(self) -> Self {
         ScalarX4([
             self.0[0].sqrt(),
@@ -276,11 +317,13 @@ impl F64x4 for ScalarX4 {
 pub struct AvxX4(std::arch::x86_64::__m256d);
 
 // SAFETY CONTRACT (AVX2): every intrinsic below is only executed on hosts
-// where AVX2 was detected — callers reach `AvxX4` exclusively through
-// kernel twins dispatched on the AVX2 or AVX-512 level, and `host_levels`
-// only constructs either behind `is_x86_feature_detected!("avx2")`. The
-// methods are `#[inline(always)]` so they fold into the
-// `#[target_feature]` kernel twins.
+// where AVX2 and FMA were detected — callers reach `AvxX4` exclusively
+// through kernel twins dispatched on the AVX2 or AVX-512 level, and
+// `host_levels` only constructs either behind
+// `is_x86_feature_detected!` for `avx2` and `fma`. The methods are
+// `#[inline(always)]` so they fold into the `#[target_feature]` kernel
+// twins; only the cell-kernel twins, which enable `fma`, call the fused
+// ops.
 #[cfg(target_arch = "x86_64")]
 impl CellLanes for AvxX4 {
     const CELLS: usize = 1;
@@ -312,6 +355,16 @@ impl CellLanes for AvxX4 {
     fn mul(self, o: Self) -> Self {
         // SAFETY: see the AVX2 safety contract.
         unsafe { AvxX4(std::arch::x86_64::_mm256_mul_pd(self.0, o.0)) }
+    }
+    #[inline(always)]
+    fn mul_add(self, b: Self, c: Self) -> Self {
+        // SAFETY: see the AVX2 safety contract (the level implies `fma`).
+        unsafe { AvxX4(std::arch::x86_64::_mm256_fmadd_pd(self.0, b.0, c.0)) }
+    }
+    #[inline(always)]
+    fn neg_mul_add(self, b: Self, c: Self) -> Self {
+        // SAFETY: see the AVX2 safety contract (the level implies `fma`).
+        unsafe { AvxX4(std::arch::x86_64::_mm256_fnmadd_pd(self.0, b.0, c.0)) }
     }
     #[inline(always)]
     fn sqrt(self) -> Self {
@@ -355,11 +408,12 @@ impl F64x4 for AvxX4 {
 pub struct Avx512X8(std::arch::x86_64::__m512d);
 
 // SAFETY CONTRACT (AVX-512): every intrinsic below is only executed on
-// hosts where both AVX-512F and AVX2 were detected — callers reach
+// hosts where AVX-512F, AVX2 and FMA were detected — callers reach
 // `Avx512X8` exclusively through the kernel twin dispatched on the
 // AVX-512 level, which `host_levels` only constructs behind
-// `is_x86_feature_detected!("avx512f")` and `("avx2")`. The methods are
-// `#[inline(always)]` so they fold into that `#[target_feature]` twin.
+// `is_x86_feature_detected!` for `avx512f`, `avx2` and `fma`. The
+// methods are `#[inline(always)]` so they fold into that
+// `#[target_feature]` twin.
 #[cfg(target_arch = "x86_64")]
 impl CellLanes for Avx512X8 {
     const CELLS: usize = 2;
@@ -408,6 +462,16 @@ impl CellLanes for Avx512X8 {
     fn mul(self, o: Self) -> Self {
         // SAFETY: see the AVX-512 safety contract.
         unsafe { Avx512X8(std::arch::x86_64::_mm512_mul_pd(self.0, o.0)) }
+    }
+    #[inline(always)]
+    fn mul_add(self, b: Self, c: Self) -> Self {
+        // SAFETY: see the AVX-512 safety contract.
+        unsafe { Avx512X8(std::arch::x86_64::_mm512_fmadd_pd(self.0, b.0, c.0)) }
+    }
+    #[inline(always)]
+    fn neg_mul_add(self, b: Self, c: Self) -> Self {
+        // SAFETY: see the AVX-512 safety contract.
+        unsafe { Avx512X8(std::arch::x86_64::_mm512_fnmadd_pd(self.0, b.0, c.0)) }
     }
     #[inline(always)]
     fn sqrt(self) -> Self {
@@ -465,7 +529,8 @@ impl<V: CellLanes> Cx<V> {
     }
 
     /// Lane-wise complex product, expanded with separate multiplies and
-    /// adds (never FMA — see the module docs on bit-identity).
+    /// adds — the unfused form the Eq. 2 tone kernel runs, so soundings
+    /// keep their bits (see the module docs).
     ///
     /// Named like the [`CellLanes`] element ops rather than via
     /// `std::ops`: operator impls would force `V: Copy + …` bounds on
@@ -476,6 +541,28 @@ impl<V: CellLanes> Cx<V> {
         Cx {
             re: self.re.mul(o.re).sub(self.im.mul(o.im)),
             im: self.re.mul(o.im).add(self.im.mul(o.re)),
+        }
+    }
+
+    /// Fused lane-wise complex multiply-accumulate `self·o + acc`: four
+    /// fused ops instead of four multiplies and four adds — the Eq. 17
+    /// cell kernel's accumulation step.
+    #[inline(always)]
+    pub fn mul_add(self, o: Self, acc: Self) -> Self {
+        Cx {
+            re: self.im.neg_mul_add(o.im, self.re.mul_add(o.re, acc.re)),
+            im: self.im.mul_add(o.re, self.re.mul_add(o.im, acc.im)),
+        }
+    }
+
+    /// Fused lane-wise complex product `self·o`: two multiplies and two
+    /// fused ops instead of four multiplies and two adds — one step of
+    /// the Eq. 17 cell kernel's rotation chain.
+    #[inline(always)]
+    pub fn rotate(self, o: Self) -> Self {
+        Cx {
+            re: self.im.neg_mul_add(o.im, self.re.mul(o.re)),
+            im: self.im.mul_add(o.re, self.re.mul(o.im)),
         }
     }
 
@@ -511,7 +598,7 @@ mod tests {
         (mix(seed) >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0
     }
 
-    fn check_ops<V: F64x4>(seed: u64) -> [u64; 6] {
+    fn check_ops<V: F64x4>(seed: u64) -> [u64; 10] {
         let a: Vec<f64> = (0..4).map(|k| rand_f64(seed ^ k)).collect();
         let b: Vec<f64> = (0..4).map(|k| rand_f64(seed ^ (k + 7))).collect();
         let va = V::load(&a);
@@ -519,6 +606,8 @@ mod tests {
         let mut out = [0.0; 4];
         va.mul(vb).add(va).sub(vb).store(&mut out);
         let abs2 = va.mul(va).add(vb.mul(vb)).sqrt();
+        let mut fused = [0.0; 4];
+        va.mul_add(vb, va).neg_mul_add(vb, va).store(&mut fused);
         [
             out[0].to_bits(),
             out[1].to_bits(),
@@ -526,20 +615,186 @@ mod tests {
             out[3].to_bits(),
             va.hsum_cells()[0].to_bits(),
             abs2.hsum_cells()[0].to_bits(),
+            fused[0].to_bits(),
+            fused[1].to_bits(),
+            fused[2].to_bits(),
+            fused[3].to_bits(),
         ]
     }
 
+    /// Fused-op inputs as `(a, b, c)` lane quads, where fusing matters:
+    /// products whose low bits an unfused multiply rounds away (so
+    /// `a·b + c` and `fma(a, b, c)` differ), subnormal products and sums,
+    /// and signed zeros in every position.
+    fn fused_cases() -> Vec<[[f64; 4]; 3]> {
+        let e = f64::EPSILON;
+        let tiny = f64::MIN_POSITIVE; // 2⁻¹⁰²²
+        let sub = 5e-324; // the smallest subnormal
+        let mut cases = vec![
+            [
+                [1.0 + e, 1.0 + 2f64.powi(-30), 0.1, 3.0 + e],
+                [1.0 - e, 1.0 - 2f64.powi(-30), 10.0, 1.0 / 3.0],
+                [-1.0, -1.0, -1.0, -1.0],
+            ],
+            [
+                [tiny, 2f64.powi(-1000), sub, -tiny],
+                [0.5, 2f64.powi(-60), 3.0, 0.75],
+                [0.0, -0.0, sub, tiny],
+            ],
+            [
+                [-0.0, 0.0, -0.0, 0.0],
+                [1.0, -1.0, -2.0, 0.0],
+                [0.0, -0.0, -0.0, -0.0],
+            ],
+            [
+                [0.0, -0.0, 1.5, -2.5],
+                [-0.0, -0.0, 2.0, 4.0],
+                [0.0, 0.0, -3.0, 10.0],
+            ],
+        ];
+        cases.extend((0..64u64).map(|seed| {
+            let quad = |o: u64| std::array::from_fn(|k| rand_f64(seed ^ (k as u64 + o)));
+            [quad(0), quad(11), quad(23)]
+        }));
+        cases
+    }
+
+    /// `mul_add` then `neg_mul_add` lanes for one case, through `V`.
+    fn fused_ops<V: F64x4>([a, b, c]: &[[f64; 4]; 3]) -> [u64; 8] {
+        let (va, vb, vc) = (V::load(a), V::load(b), V::load(c));
+        let (mut fma, mut fnma) = ([0.0; 4], [0.0; 4]);
+        va.mul_add(vb, vc).store(&mut fma);
+        va.neg_mul_add(vb, vc).store(&mut fnma);
+        std::array::from_fn(|k| if k < 4 { fma[k] } else { fnma[k - 4] }.to_bits())
+    }
+
+    /// What the fused ops must return: `f64::mul_add` per lane.
+    fn fused_reference([a, b, c]: &[[f64; 4]; 3]) -> [u64; 8] {
+        std::array::from_fn(|k| {
+            let l = k % 4;
+            let a = if k < 4 { a[l] } else { -a[l] };
+            a.mul_add(b[l], c[l]).to_bits()
+        })
+    }
+
+    #[test]
+    fn fused_cases_include_inputs_where_fusing_changes_the_result() {
+        let cases = fused_cases();
+        let differ = cases
+            .iter()
+            .flat_map(|[a, b, c]| (0..4).map(move |l| (a[l], b[l], c[l])))
+            .filter(|&(a, b, c)| a.mul_add(b, c).to_bits() != (a * b + c).to_bits())
+            .count();
+        assert!(differ >= 4, "only {differ} lanes tell fused from unfused");
+        let subnormal = |v: f64| v != 0.0 && v.abs() < f64::MIN_POSITIVE;
+        assert!(cases
+            .iter()
+            .any(|[a, b, c]| (0..4).any(|l| subnormal(a[l].mul_add(b[l], c[l])))));
+    }
+
+    #[test]
+    fn scalar_fused_ops_are_f64_mul_add() {
+        for case in &fused_cases() {
+            assert_eq!(
+                fused_ops::<ScalarX4>(case),
+                fused_reference(case),
+                "{case:?}"
+            );
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_fused_ops_are_f64_mul_add() {
+        if !host_levels().iter().any(|l| l.0 == Level::Avx2) {
+            println!("skipped (no avx2 + fma)");
+            return;
+        }
+        for case in &fused_cases() {
+            assert_eq!(fused_ops::<AvxX4>(case), fused_reference(case), "{case:?}");
+        }
+    }
+
+    /// Both cells' `mul_add` then `neg_mul_add` lanes through
+    /// [`Avx512X8`], for two cases loaded as cells 0 and 1.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn avx512_fused_ops(x: &[[f64; 4]; 3], y: &[[f64; 4]; 3]) -> [u64; 16] {
+        let pair = |k: usize| [x[k], y[k]].concat();
+        let (a, b, c) = (pair(0), pair(1), pair(2));
+        let (va, vb, vc) = (
+            Avx512X8::load_cells(&a, 4),
+            Avx512X8::load_cells(&b, 4),
+            Avx512X8::load_cells(&c, 4),
+        );
+        // SAFETY: `__m512d` and `[f64; 8]` have the same size, and every
+        // bit pattern is a valid `f64`.
+        let lanes = |v: Avx512X8| unsafe { std::mem::transmute::<_, [f64; 8]>(v.0) };
+        let (fma, fnma) = (lanes(va.mul_add(vb, vc)), lanes(va.neg_mul_add(vb, vc)));
+        // Cell-major: x's eight lanes, then y's.
+        std::array::from_fn(|k| {
+            let (cell, k) = (k / 8, k % 8);
+            let l = cell * 4 + k % 4;
+            if k < 4 { fma[l] } else { fnma[l] }.to_bits()
+        })
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_fused_ops_are_f64_mul_add() {
+        if !host_levels().iter().any(|l| l.0 == Level::Avx512) {
+            println!("skipped (no avx512f + fma)");
+            return;
+        }
+        let cases = fused_cases();
+        for (x, y) in cases.iter().zip(cases.iter().rev()) {
+            // SAFETY: the AVX-512 level (avx512f + avx2 + fma) was detected above.
+            #[allow(unsafe_code)]
+            let wide = unsafe { avx512_fused_ops(x, y) };
+            assert_eq!(
+                wide,
+                [fused_reference(x), fused_reference(y)].concat()[..],
+                "{x:?} / {y:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn complex_fused_ops_match_their_expansion() {
+        let a = Cx::<ScalarX4>::broadcast(1.25, -0.5);
+        let b = Cx::<ScalarX4>::broadcast(0.75 + f64::EPSILON, 2.0);
+        let acc = Cx::<ScalarX4>::broadcast(-1.0, 3.0);
+        let lane0 = |v: Cx<ScalarX4>| (v.re.0[0].to_bits(), v.im.0[0].to_bits());
+        let (are, aim, bre, bim) = (1.25f64, -0.5f64, 0.75 + f64::EPSILON, 2.0f64);
+        assert_eq!(
+            lane0(a.mul_add(b, acc)),
+            (
+                (-aim).mul_add(bim, are.mul_add(bre, -1.0)).to_bits(),
+                aim.mul_add(bre, are.mul_add(bim, 3.0)).to_bits()
+            )
+        );
+        assert_eq!(
+            lane0(a.rotate(b)),
+            (
+                (-aim).mul_add(bim, are * bre).to_bits(),
+                aim.mul_add(bre, are * bim).to_bits()
+            )
+        );
+    }
+
     /// The cell kernel dispatches to the widest level the CPU reports —
-    /// AVX-512 with `avx512f`, else AVX2 with `avx2` — and to scalar
-    /// under `BLOC_NO_SIMD`; the other kernels' 4-lane level is at most
-    /// AVX2. Losing a dispatch level fails here on any host.
+    /// AVX-512 with `avx512f`, else AVX2 with `avx2`, both only with
+    /// `fma` — and to scalar under `BLOC_NO_SIMD`; the other kernels'
+    /// 4-lane level is at most AVX2. Losing a dispatch level fails here
+    /// on any host.
     #[test]
     fn cell_level_is_the_widest_host_level() {
         let levels = host_levels();
         assert_eq!(levels[0].label(), "scalar");
         #[cfg(target_arch = "x86_64")]
         let widest = match (
-            std::arch::is_x86_feature_detected!("avx2"),
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma"),
             std::arch::is_x86_feature_detected!("avx512f"),
         ) {
             (true, true) => "avx512",
@@ -572,7 +827,7 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_is_bit_identical_to_scalar() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
+        if !host_levels().iter().any(|l| l.0 == Level::Avx2) {
             return;
         }
         for seed in 0..256u64 {
@@ -584,14 +839,16 @@ mod tests {
         }
     }
 
-    /// Per-cell results of `(x·r + x − r)` and `hsum(sqrt(x² + r²))` for
-    /// cells loaded at `stride` against one broadcast row `r`.
+    /// Per-cell results of `(x·r + x − r)`, `hsum(sqrt(x² + r²))` and the
+    /// fused `hsum(r − (x·r + x)·r)` for cells loaded at `stride` against
+    /// one broadcast row `r`.
     fn cell_ops<V: CellLanes>(xs: &[f64], stride: usize, row: &[f64]) -> Vec<u64> {
         let x = V::load_cells(xs, stride);
         let r = V::load_row(row);
         let sums = [
             x.mul(r).add(x).sub(r).hsum_cells(),
             x.mul(x).add(r.mul(r)).sqrt().hsum_cells(),
+            x.mul_add(r, x).neg_mul_add(r, r).hsum_cells(),
         ];
         sums.iter()
             .flat_map(|s| s.as_ref().iter().map(|v| v.to_bits()))
@@ -599,7 +856,7 @@ mod tests {
     }
 
     #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f,avx2")]
+    #[target_feature(enable = "avx512f,avx2,fma")]
     fn avx512_cell_ops(xs: &[f64], stride: usize, row: &[f64]) -> Vec<u64> {
         cell_ops::<Avx512X8>(xs, stride, row)
     }
@@ -620,10 +877,10 @@ mod tests {
                 let wide = unsafe { avx512_cell_ops(&xs, stride, &row) };
                 let c0 = cell_ops::<ScalarX4>(&xs, stride, &row);
                 let c1 = cell_ops::<ScalarX4>(&xs[stride..], stride, &row);
-                // `wide` is [op0 cell0, op0 cell1, op1 cell0, op1 cell1].
+                // `wide` is [op0 cell0, op0 cell1, op1 cell0, op1 cell1, …].
                 assert_eq!(
                     wide,
-                    [c0[0], c1[0], c0[1], c1[1]],
+                    [c0[0], c1[0], c0[1], c1[1], c0[2], c1[2]],
                     "seed {seed} stride {stride}"
                 );
             }
@@ -661,10 +918,14 @@ mod tests {
             #[cfg(target_arch = "x86_64")]
             match level.0 {
                 Level::Scalar => {}
-                Level::Avx2 => assert!(std::arch::is_x86_feature_detected!("avx2")),
+                Level::Avx2 => assert!(
+                    std::arch::is_x86_feature_detected!("avx2")
+                        && std::arch::is_x86_feature_detected!("fma")
+                ),
                 Level::Avx512 => assert!(
                     std::arch::is_x86_feature_detected!("avx512f")
                         && std::arch::is_x86_feature_detected!("avx2")
+                        && std::arch::is_x86_feature_detected!("fma")
                 ),
             }
             #[cfg(not(target_arch = "x86_64"))]

@@ -21,8 +21,12 @@
 //!   sweeps up to [`MAX_TAGS`] tags of one deployment: the chain (two
 //!   interleaved rotations and `step²`) is advanced once and shared, and
 //!   each tag keeps its own even/odd accumulators fed by its own channel
-//!   weights. Per band that saves the chain's complex multiply — 6 of the
-//!   14 vector ops of a one-tag sweep — for every tag after the first.
+//!   weights. The kernel runs on fused multiply-add: a band's complex
+//!   multiply-accumulate is four fused ops (not four multiplies and four
+//!   adds) and a chain step two multiplies and two fused ops (not four
+//!   multiplies and two adds). Per band a batch saves the chain step — 4
+//!   of the 8 vector ops of a one-tag sweep — for every tag after the
+//!   first.
 //!   Each tag's accumulators see exactly the IEEE operations of a sweep of
 //!   its own, so a batched tag is bit-identical to a single one; the
 //!   batch size is a const generic, and the one-tag entry points are the
@@ -32,13 +36,15 @@
 //!   accumulate into a dense slot buffer that is scattered back to
 //!   sounding order. It stays 4 lanes wide on the AVX-512 level too: an
 //!   8-slot body would advance each path by `step⁸` instead of `step⁴`,
-//!   a different rounding chain, and so change the sounding's bits.
+//!   a different rounding chain, and so change the sounding's bits. For
+//!   the same reason it stays unfused (`Cx::mul` then `Cx::add`).
 //!
 //! Each kernel is one generic body instantiated for every [`simd`] vector
 //! implementation it runs on and runtime-dispatched ([`simd::cell_level`]
 //! for the cell kernel, [`simd::active_level`] for the tone kernel), so
 //! the scalar fallback, the AVX2 path and the AVX-512 path are
-//! bit-identical by construction. Off-comb band sets
+//! bit-identical by construction: every op, fused ones included, is one
+//! correctly rounded IEEE-754 operation. Off-comb band sets
 //! fall back to per-band `cis` — still exact, just not
 //! recurrence-accelerated, and scalar on every level.
 
@@ -263,9 +269,9 @@ fn dense_block<V: CellLanes, const T: usize>(
     lane0: usize,
     n_bands: usize,
 ) -> [Cx<V>; T] {
-    let step2 = step.mul(step);
+    let step2 = step.rotate(step);
     let mut rot_e = seed; // bands 0, 2, 4, …
-    let mut rot_o = seed.mul(step); // bands 1, 3, 5, …
+    let mut rot_o = seed.rotate(step); // bands 1, 3, 5, …
     let mut acc_e = [Cx::<V>::zero(); T];
     let mut acc_o = [Cx::<V>::zero(); T];
     let pairs = n_bands / 2;
@@ -273,16 +279,16 @@ fn dense_block<V: CellLanes, const T: usize>(
         let e = (2 * p) * n_lanes + lane0;
         let o = e + n_lanes;
         for t in 0..T {
-            acc_e[t] = acc_e[t].add(alpha_row::<V>(&tags[t], e).mul(rot_e));
-            acc_o[t] = acc_o[t].add(alpha_row::<V>(&tags[t], o).mul(rot_o));
+            acc_e[t] = alpha_row::<V>(&tags[t], e).mul_add(rot_e, acc_e[t]);
+            acc_o[t] = alpha_row::<V>(&tags[t], o).mul_add(rot_o, acc_o[t]);
         }
-        rot_e = rot_e.mul(step2);
-        rot_o = rot_o.mul(step2);
+        rot_e = rot_e.rotate(step2);
+        rot_o = rot_o.rotate(step2);
     }
     if n_bands % 2 == 1 {
         let s = (n_bands - 1) * n_lanes + lane0;
         for t in 0..T {
-            acc_e[t] = acc_e[t].add(alpha_row::<V>(&tags[t], s).mul(rot_e));
+            acc_e[t] = alpha_row::<V>(&tags[t], s).mul_add(rot_e, acc_e[t]);
         }
     }
     std::array::from_fn(|t| acc_e[t].add(acc_o[t]))
@@ -304,11 +310,11 @@ fn gap_block<V: CellLanes, const T: usize>(
     let mut acc = [Cx::<V>::zero(); T];
     for (slot, &gap) in gaps.iter().enumerate() {
         for _ in 0..gap {
-            rot = rot.mul(step);
+            rot = rot.rotate(step);
         }
         let s = slot * n_lanes + lane0;
         for t in 0..T {
-            acc[t] = acc[t].add(alpha_row::<V>(&tags[t], s).mul(rot));
+            acc[t] = alpha_row::<V>(&tags[t], s).mul_add(rot, acc[t]);
         }
     }
     acc
@@ -377,6 +383,8 @@ fn comb_cells_body<V: CellLanes, const T: usize>(
     }
 }
 
+/// The portable twin: on a CPU without FMA hardware each fused op is a
+/// correctly rounded libm `fma` call — slow, but bit-identical.
 fn comb_cells_scalar<const T: usize>(
     tags: &[CellSweep<'_>; T],
     combine: Combine,
@@ -387,8 +395,24 @@ fn comb_cells_scalar<const T: usize>(
     comb_cells_body::<ScalarX4, T>(tags, combine, first_cell, outs, 0..n);
 }
 
+/// The scalar level on a CPU with FMA: the same body compiled so each
+/// `f64::mul_add` is one `vfmadd` instruction rather than a libm call.
+/// (`fma` implies AVX, so the compiler may also vectorize the four lanes;
+/// every lane still runs the same correctly rounded ops.)
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "fma")]
+fn comb_cells_scalar_fma<const T: usize>(
+    tags: &[CellSweep<'_>; T],
+    combine: Combine,
+    first_cell: usize,
+    outs: &mut [&mut [f64]; T],
+) {
+    let n = outs[0].len();
+    comb_cells_body::<ScalarX4, T>(tags, combine, first_cell, outs, 0..n);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
 fn comb_cells_avx2<const T: usize>(
     tags: &[CellSweep<'_>; T],
     combine: Combine,
@@ -402,7 +426,7 @@ fn comb_cells_avx2<const T: usize>(
 /// Whole cell pairs on the two-cell AVX-512 vector; an odd last cell on
 /// the one-cell AVX2 instantiation of the same body.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx2")]
+#[target_feature(enable = "avx512f,avx2,fma")]
 fn comb_cells_avx512<const T: usize>(
     tags: &[CellSweep<'_>; T],
     combine: Combine,
@@ -431,14 +455,19 @@ fn comb_cells_at<const T: usize>(
         unreachable!("the caller matched the batch size");
     };
     match level.0 {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `has_fma` just detected the `fma` feature.
+        Level::Scalar if simd::has_fma() => unsafe {
+            comb_cells_scalar_fma(tags, combine, first_cell, outs)
+        },
         Level::Scalar => comb_cells_scalar(tags, combine, first_cell, outs),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the AVX2 level only comes from `simd::host_levels`,
-        // which constructs it behind `is_x86_feature_detected!("avx2")`.
+        // which constructs it behind `avx2` and `fma` detection.
         Level::Avx2 => unsafe { comb_cells_avx2(tags, combine, first_cell, outs) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the AVX-512 level only comes from `simd::host_levels`,
-        // which constructs it behind `avx512f` and `avx2` detection.
+        // which constructs it behind `avx512f`, `avx2` and `fma` detection.
         Level::Avx512 => unsafe { comb_cells_avx512(tags, combine, first_cell, outs) },
         #[cfg(not(target_arch = "x86_64"))]
         Level::Avx2 | Level::Avx512 => comb_cells_scalar(tags, combine, first_cell, outs),
@@ -1253,6 +1282,38 @@ mod tests {
             0,
             &mut [x.as_mut_slice(), y.as_mut_slice()],
         );
+    }
+
+    #[test]
+    fn scalar_twins_are_bit_identical() {
+        // The scalar level runs the `fma`-compiled twin where the CPU has
+        // FMA; the portable twin, whose fused ops are libm `fma` calls,
+        // must give the same bits — one correctly rounded op either way.
+        let dense: Vec<u32> = (0..37).collect();
+        let gapped: Vec<u32> = vec![0, 1, 2, 5, 6, 7, 8, 12, 13, 15, 16, 17, 20, 21, 30, 31, 32];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (k, slots) in [&dense, &gapped].into_iter().enumerate() {
+            let fx = fixture_on_slots(89 + k as u64, 9, 5, slots);
+            let alphas: Vec<_> = (0..MAX_TAGS as u64)
+                .map(|t| fx.tag_alpha(500 + t))
+                .collect();
+            let tags: [CellSweep<'_>; MAX_TAGS] = std::array::from_fn(|t| fx.tag_sweep(&alphas[t]));
+            for combine in [Combine::Coherent, Combine::Noncoherent, Combine::Hybrid] {
+                let mut portable = vec![vec![0.0; 8]; MAX_TAGS];
+                let mut views: Vec<&mut [f64]> =
+                    portable.iter_mut().map(|o| o.as_mut_slice()).collect();
+                let Ok(views) = <&mut [&mut [f64]; MAX_TAGS]>::try_from(views.as_mut_slice())
+                else {
+                    unreachable!("one view per tag");
+                };
+                comb_cells_scalar(&tags, combine, 1, views);
+                for (t, tag) in tags.iter().enumerate() {
+                    let mut dispatched = vec![0.0; 8];
+                    write_comb_cells_at(levels_to_test()[0], tag, combine, 1, &mut dispatched);
+                    assert_eq!(bits(&dispatched), bits(&portable[t]), "{combine:?} tag {t}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! | `cache.<name>.resident_bytes` | gauge | approximate resident bytes |
 //!
 //! Causes are short static labels chosen by the caller — the workspace
-//! uses `revision` (environment revision bump), `tag_move` (tag-position
-//! keyed entries superseded), `geometry` (deployment geometry swap),
-//! `breaker` (supervisor membership change) and `manual`.
+//! uses `revision` (environment revision bump), `geometry` (deployment
+//! geometry swap), `breaker` (supervisor membership change), `site`
+//! (fleet site outage or recovery) and `manual`.
 //!
 //! [`CacheStats`] binds the global registry — the one every production
 //! cache records to — and resolves the hot-path counter handles once at

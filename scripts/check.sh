@@ -95,9 +95,11 @@ run cargo test -q
 # dispatch (simd::tests pins that it does), and the equivalence suites
 # re-verify the sweep core, the likelihood engine and the synthesizer
 # through it. The results are bit-identical to the vectorized path by
-# construction (one generic kernel body, IEEE correctly-rounded ops, no
-# FMA), so the same tolerances apply unchanged; fix_telemetry's cell
-# counts must not move either.
+# construction (one generic kernel body, IEEE correctly-rounded ops: the
+# cell kernel's fused multiply-adds round once on every level, and the
+# tone kernel stays unfused so soundings keep their bits), so the same
+# tolerances apply unchanged; fix_telemetry's cell counts must not move
+# either.
 echo "==> BLOC_NO_SIMD=1 scalar-fallback leg"
 run env BLOC_NO_SIMD=1 cargo test -q -p bloc-num -- simd sweep
 run env BLOC_NO_SIMD=1 cargo test -q -p bloc-core --test kernel_equivalence --test fix_telemetry
