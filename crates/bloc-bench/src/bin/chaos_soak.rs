@@ -167,7 +167,7 @@ fn main() {
             // Re-deployment: retire every steering table of the old
             // geometry (full set and the quarantine-era subset) through
             // the public invalidation hook.
-            let cache = sup.pipeline().localizer().engine().cache();
+            let cache = sup.localizer().engine().cache();
             let subset: Vec<AnchorArray> = [0usize, 1, 3]
                 .iter()
                 .map(|&i| scenario.anchors[i])

@@ -351,16 +351,6 @@ impl Connection {
         }
     }
 
-    /// The channel of the next connection event, without advancing.
-    pub fn peek_channel(&self) -> Channel {
-        self.hop.peek_schedule(1)[0]
-    }
-
-    /// Number of completed connection events.
-    pub fn events_elapsed(&self) -> u64 {
-        self.hop.event_counter
-    }
-
     /// Runs one connection event in which the master sends `master_payload`
     /// and the slave responds with `slave_payload` (both plain L2CAP-style
     /// data). Sequence numbers advance as if both packets were acked.

@@ -20,9 +20,8 @@
 //!   reports how many holes it absorbed; the two totals must reconcile
 //!   exactly (the `fault_soak` binary asserts this).
 //!
-//! Lost packets materialize as **exactly-zero** measurements — the same
-//! convention `bloc_core::diagnostics` already treats as a hole
-//! (`DeadMeasurement`) and the convention the correction stage masks on.
+//! Lost packets materialize as **exactly-zero** measurements — the
+//! convention the correction stage masks on as a hole.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -157,7 +156,7 @@ pub struct FaultCensus {
     /// Measurements that received interference noise.
     pub interfered: usize,
     /// Measurements clipped by the saturating frontend. Only meaningful
-    /// on [`FaultPlan::apply_to_band`] output (clipping depends on the
+    /// on [`FaultPlan::apply_to_band_at`] output (clipping depends on the
     /// measured amplitudes); [`FaultPlan::census`] leaves it zero.
     pub clipped: usize,
 }
@@ -256,7 +255,7 @@ impl FaultPlan {
 
     /// Computes the per-band fault decisions for a sounding of
     /// `n_antennas[i]` antennas per anchor at band slot `slot` on
-    /// `channel`. This single function backs both [`Self::apply_to_band`]
+    /// `channel`. This single function backs both [`Self::apply_to_band_at`]
     /// and [`Self::census`], so injection and prediction cannot diverge.
     /// `link_dists[i]` is the tag→anchor-centre distance, needed only
     /// when [`FaultPlan::range_loss`] is set; `None` skips range loss.
@@ -329,14 +328,9 @@ impl FaultPlan {
 
     /// Injects this plan's faults into one band (at hop slot `slot`),
     /// mutating it in place, and returns the per-band census of what was
-    /// injected. Range loss (if configured) is skipped — the distances
-    /// are unknown here; use [`Self::apply_to_band_at`].
-    pub fn apply_to_band(&self, slot: usize, band: &mut BandSounding) -> FaultCensus {
-        self.apply_to_band_at(slot, band, None)
-    }
-
-    /// [`Self::apply_to_band`] with the tag→anchor-centre distances
-    /// supplied, so distance-dependent [`RangeLoss`] decisions apply too.
+    /// injected. `link_dists[i]` is the tag→anchor-centre distance, so
+    /// distance-dependent [`RangeLoss`] decisions apply; `None` skips
+    /// range loss.
     pub fn apply_to_band_at(
         &self,
         slot: usize,

@@ -469,7 +469,7 @@ impl<'a> Sounder<'a> {
     /// per-band and per-measurement splitmix streams, so the output is
     /// independent of thread count and of which measurements a fault plan
     /// masks; masked entries short-circuit to exact zeros before
-    /// [`crate::faults::FaultPlan::apply_to_band`] runs as the census
+    /// [`crate::faults::FaultPlan::apply_to_band_at`] runs as the census
     /// (and interference/clip) source of truth.
     fn sound_analytic(
         &self,

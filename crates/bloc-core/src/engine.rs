@@ -1150,12 +1150,6 @@ impl LikelihoodEngine {
         }
     }
 
-    /// Replaces the kernel.
-    pub fn with_kernel(mut self, kernel: Arc<dyn LikelihoodKernel>) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
     /// Sets how many threads grid rows are split across (clamped to ≥ 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);

@@ -279,11 +279,6 @@ impl FallbackStack {
         self.db.as_deref()
     }
 
-    /// The attached packet-count model, if any.
-    pub fn counts_model(&self) -> Option<&PacketCountModel> {
-        self.counts.as_ref().map(|(model, _)| model)
-    }
-
     /// True when at least one estimator is attached.
     pub fn has_estimators(&self) -> bool {
         self.db.is_some() || self.counts.is_some()

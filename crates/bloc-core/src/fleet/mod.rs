@@ -261,7 +261,6 @@ impl FleetSupervisor {
         state.tags.push(TagSlot {
             id,
             sup,
-            grid: state.spec.bloc.grid,
             bulkhead: BreakerState::Closed,
             opened_at: 0,
             failure_streak: 0,
@@ -304,11 +303,6 @@ impl FleetSupervisor {
         self.slot(site, tag).map(|s| s.bulkhead)
     }
 
-    /// A tag's EWMA service health in `[0, 1]`, if registered.
-    pub fn tag_health(&self, site: SiteId, tag: TagId) -> Option<f64> {
-        self.slot(site, tag).map(|s| s.health)
-    }
-
     /// Panics caught at a tag's bulkhead, if registered.
     pub fn tag_panics(&self, site: SiteId, tag: TagId) -> Option<u64> {
         self.slot(site, tag).map(|s| s.panics)
@@ -324,11 +318,6 @@ impl FleetSupervisor {
                 .map(|(i, _)| i)
                 .collect()
         })
-    }
-
-    /// A site's shared steering cache (read side), if registered.
-    pub fn steering_cache(&self, site: SiteId) -> Option<&crate::engine::SteeringCache> {
-        self.sites.get(site.0).map(|s| s.engine.cache())
     }
 
     /// The fleet's bounded bulkhead-transition ledger; `total()`
@@ -462,10 +451,7 @@ impl FleetSupervisor {
                         }
                     }
                     Action::Shed(reason) => {
-                        let sup = &task.slot.sup;
-                        let estimate = sup.fallback().zip(sup.fallback_evidence()).and_then(
-                            |(stack, evidence)| stack.estimate(evidence, task.slot.grid).ok(),
-                        );
+                        let estimate = task.slot.sup.fallback_estimate().and_then(Result::ok);
                         task.outcome = Some(TagRoundOutcome::Shed(ShedRound {
                             reason: reason.clone(),
                             estimate,

@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use bloc_num::{GridSpec, P2};
+use bloc_num::P2;
 
 use crate::error::DeferReason;
 use crate::fallback::FallbackEstimate;
@@ -71,7 +71,9 @@ pub struct ShedRound {
     /// Why the round was shed.
     pub reason: ShedReason,
     /// The fallback estimate from the evidence of the tag's most recent
-    /// attempt-0 sounding, when one exists and an estimator is attached.
+    /// attempt-0 sounding, when one exists and an estimator is attached —
+    /// the session's own fallback-only step, on the grid its degraded
+    /// rounds use, without their Eq. 18 dressing.
     pub estimate: Option<FallbackEstimate>,
 }
 
@@ -123,11 +125,6 @@ impl TagRoundOutcome {
             Self::Quarantined { .. } | Self::Panicked { .. } => None,
         }
     }
-
-    /// True when the outcome carries *some* position estimate.
-    pub fn has_estimate(&self) -> bool {
-        self.position().is_some()
-    }
 }
 
 /// One bulkhead transition, ledgered so quarantine behaviour reconciles
@@ -155,12 +152,10 @@ pub(crate) struct TagSlot {
     pub(crate) id: TagId,
     /// The tag's own supervised session, sharing the site's steering
     /// cache through its engine clone, with cache invalidation
-    /// site-managed. Its fallback stack (the site's, sharing the survey)
-    /// and the evidence of its latest attempt-0 sounding also serve the
-    /// tag's shed rounds.
+    /// site-managed. Its fallback-only estimate (the site's stack, on
+    /// the session's fallback grid, from the evidence of its latest
+    /// attempt-0 sounding) also serves the tag's shed rounds.
     pub(crate) sup: SessionSupervisor,
-    /// The site's likelihood grid (shed-round estimates are fused on it).
-    pub(crate) grid: GridSpec,
     /// The tag's bulkhead: `Closed` serves, `Open` is quarantined,
     /// `HalfOpen` runs a probe round.
     pub(crate) bulkhead: BreakerState,

@@ -27,13 +27,15 @@
 //! [`baselines`] implements the comparison systems of the paper's
 //! evaluation: AoA-combining triangulation (§8.2), the shortest-distance
 //! peak picker (§8.7), and an RSSI log-distance trilateration for context
-//! (§2.2). Around the pipeline, [`tracker`] follows moving tags with a
-//! constant-velocity Kalman filter over successive fixes, and
-//! [`diagnostics`] validates incoming soundings before compute is spent
-//! on them. The pipeline is degradation-aware: lost measurements are
-//! masked rather than propagated, failures are typed
-//! ([`error::LocalizeError`]), and every estimate carries an
-//! [`error::DegradationReport`] of what was discarded.
+//! (§2.2). Around the pipeline, [`runtime`] supervises rounds across
+//! time — anchor health, retries, the [`tracker`]'s constant-velocity
+//! Kalman filter over successive fixes, and the degraded-mode
+//! [`fallback`] estimators — and [`fleet`] serves many tags per site.
+//! The pipeline is degradation-aware: [`correction`] drops bands of a
+//! bad shape and masks lost or non-finite measurements rather than
+//! propagating them, failures are typed ([`error::LocalizeError`]), and
+//! every estimate carries an [`error::DegradationReport`] of what was
+//! discarded.
 //!
 //! ## Quickstart
 //!
@@ -76,7 +78,6 @@
 
 pub mod baselines;
 pub mod correction;
-pub mod diagnostics;
 pub mod engine;
 pub mod error;
 pub mod fallback;
@@ -102,6 +103,6 @@ pub use hierarchical::{
 };
 pub use localizer::{BlocConfig, BlocLocalizer, Estimate};
 pub use runtime::{
-    BreakerState, BreakerTransition, HopMonitor, RetryPolicy, RoundFix, RoundOutcome,
-    RuntimeConfig, SessionSupervisor,
+    BreakerState, BreakerTransition, RetryPolicy, RoundFix, RoundOutcome, RuntimeConfig,
+    SessionSupervisor,
 };

@@ -18,23 +18,25 @@
 //! degrading) when a sounding cannot support a fix. Every successful
 //! [`Estimate`] carries a [`DegradationReport`] describing what was
 //! discarded on the way.
+//!
+//! The localizer reads CSI only. Degraded-mode evidence — the
+//! fingerprint and packet-count priors of [`crate::fallback`] — enters
+//! in the supervised round ([`crate::runtime::SessionSupervisor`]),
+//! which refines an unhealthy fix on its likelihood surface and makes
+//! fallback-only estimates after its retries and quorum checks.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use bloc_chan::geometry::Room;
 use bloc_chan::sounder::SoundingData;
 use bloc_num::{Grid2D, GridSpec, P2};
-use std::borrow::Borrow;
 use std::time::Instant;
 
 use crate::correction::{correct, CorrectedChannels};
 use crate::engine::LikelihoodEngine;
 use crate::error::{DegradationReport, LocalizeError};
-use crate::fallback::{
-    fusion, prior_parts, EstimateMode, FallbackEvidence, FallbackStack, FusionWeights,
-};
 use crate::likelihood::AntennaCombining;
-use crate::multipath::{score_peaks, ScoreConfig, ScoredPeak};
+use crate::multipath::{ScoreConfig, ScoredPeak};
 
 mod locate;
 pub(crate) use locate::Level;
@@ -107,18 +109,6 @@ pub struct Estimate {
     /// What the pipeline discarded to produce this fix. `is_clean()` on a
     /// healthy sounding.
     pub degradation: DegradationReport,
-}
-
-/// A fix with degraded-mode provenance: which evidence produced it and
-/// at what convex weighting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FusedFix {
-    /// The estimate itself (pure CSI, refined, or fallback-synthesized).
-    pub estimate: Estimate,
-    /// Which evidence produced it.
-    pub mode: EstimateMode,
-    /// The convex weights actually used.
-    pub weights: FusionWeights,
 }
 
 impl Estimate {
@@ -307,165 +297,6 @@ impl BlocLocalizer {
                     .map(|h| h.estimate)
             },
         )
-    }
-
-    /// The fallback-fusion step for a CSI fix. Derives [`FusionWeights`]
-    /// from `est`'s [`DegradationReport`] and the breaker `open_frac`; a
-    /// healthy round (or no stack, or one without estimators) keeps `est`
-    /// untouched under pure-CSI weights. Otherwise the fingerprint and
-    /// packet-count priors (De et al.) are evaluated from the evidence
-    /// `evidence` yields (called only then) on `est`'s own likelihood grid
-    /// — the fine grid for dense fixes, the coarse surface or the seeded
-    /// patch for hierarchical ones — blended with it by mass (convex
-    /// weights), and Eq. 18 re-scores the blend against `data`'s anchors,
-    /// keeping `est`'s degradation evidence; each refined fix counts in
-    /// `fallback.refined_fixes`. A blend without a peak keeps `est` (a
-    /// prior must never turn a fix into a no-fix). The evidence is the
-    /// full-deployment sounding's when `data` is an admitted-anchor subset
-    /// (the fingerprint feature shape is fixed at survey time), `data`'s
-    /// own otherwise.
-    pub(crate) fn fuse_fallback<E: Borrow<FallbackEvidence>>(
-        &self,
-        est: Estimate,
-        data: &SoundingData,
-        stack: Option<&FallbackStack>,
-        evidence: impl FnOnce() -> Option<E>,
-        open_frac: f64,
-    ) -> FusedFix {
-        let pure_csi = |estimate| FusedFix {
-            estimate,
-            mode: EstimateMode::Csi,
-            weights: FusionWeights::pure_csi(),
-        };
-        let Some(stack) = stack.filter(|s| s.has_estimators()) else {
-            return pure_csi(est);
-        };
-        let weights =
-            FusionWeights::from_degradation(&est.degradation, open_frac, &stack.config.policy);
-        if weights.csi >= 1.0 {
-            return pure_csi(est);
-        }
-        let Some(evidence) = evidence() else {
-            return pure_csi(est);
-        };
-        let (fp, counts) = stack.priors(evidence.borrow(), est.likelihood.spec());
-        let weights = weights.restrict(true, fp.is_some(), counts.is_some());
-        if weights.csi >= 1.0 {
-            return FusedFix {
-                estimate: est,
-                mode: EstimateMode::Csi,
-                weights,
-            };
-        }
-        let mut parts = vec![(&est.likelihood, weights.csi)];
-        parts.extend(prior_parts(&fp, &counts, &weights));
-        let refined = fusion::fuse_mass(&parts)
-            .and_then(|blend| self.scored(blend, &anchor_refs(data), est.degradation.clone()));
-        bloc_obs::counter("fallback.refined_fixes").inc();
-        FusedFix {
-            estimate: refined.unwrap_or(est),
-            mode: EstimateMode::CsiFused,
-            weights,
-        }
-    }
-
-    /// Degradation-aware localization: runs the CSI pipeline, then the
-    /// fallback-fusion step the supervised runtime runs on every fix
-    /// (weights from the [`DegradationReport`] plus the caller's breaker
-    /// `open_frac`; priors blended only below the healthy threshold, so a
-    /// healthy round is the *identical* pure-CSI estimate). When CSI
-    /// fails outright, the stack's fallback-only estimate is dressed as
-    /// an [`Estimate`] (synthetic degradation report counting the
-    /// sounding's holes) so downstream consumers see one shape.
-    ///
-    /// # Errors
-    ///
-    /// The original [`LocalizeError`] when CSI failed *and* no fallback
-    /// estimator could produce anything either.
-    pub fn localize_with_fallback(
-        &self,
-        data: &SoundingData,
-        stack: &FallbackStack,
-        open_frac: f64,
-    ) -> Result<FusedFix, LocalizeError> {
-        match self.localize(data) {
-            Ok(est) => Ok(self.fuse_fallback(
-                est,
-                data,
-                Some(stack),
-                || Some(FallbackEvidence::from_sounding(data)),
-                open_frac,
-            )),
-            Err(csi_err) => {
-                let evidence = FallbackEvidence::from_sounding(data);
-                let Ok(fb) = stack.estimate(&evidence, self.config.grid) else {
-                    return Err(csi_err);
-                };
-                Ok(FusedFix {
-                    estimate: self.estimate_from_fallback(&evidence, &fb),
-                    mode: fb.mode,
-                    weights: fb.weights,
-                })
-            }
-        }
-    }
-
-    /// Dresses a fallback-only estimate as a pipeline [`Estimate`]: peak
-    /// scoring runs on the fallback likelihood (so confidence reflects
-    /// its — much broader — peak margin) against the evidence's anchors,
-    /// and the degradation report is reconstructed from the evidence.
-    pub fn estimate_from_fallback(
-        &self,
-        evidence: &FallbackEvidence,
-        fb: &crate::fallback::FallbackEstimate,
-    ) -> Estimate {
-        self.scored(
-            fb.likelihood.clone(),
-            evidence.anchors(),
-            Self::synthetic_degradation(evidence),
-        )
-        .unwrap_or_else(|| Estimate {
-            position: fb.position,
-            peaks: Vec::new(),
-            likelihood: fb.likelihood.clone(),
-            degradation: Self::synthetic_degradation(evidence),
-        })
-    }
-
-    /// A degradation report for a fallback-only estimate: CSI never ran,
-    /// so the report is reconstructed from the sounding's evidence —
-    /// exact-zero holes counted directly, anchors excluded when they
-    /// decoded no tag packet at all.
-    fn synthetic_degradation(evidence: &FallbackEvidence) -> DegradationReport {
-        DegradationReport {
-            bands_total: evidence.bands(),
-            bands_dropped: evidence.bands(),
-            holes_masked: evidence.holes(),
-            nonfinite_masked: 0,
-            anchors_total: evidence.anchors().len(),
-            anchors_excluded: evidence
-                .census()
-                .received
-                .iter()
-                .enumerate()
-                .filter(|(_, &r)| r == 0)
-                .map(|(i, _)| i)
-                .collect(),
-            effective_span_hz: 0.0,
-            confidence: 0.0,
-        }
-    }
-
-    /// Eq. 18 over a whole `surface` (a fallback blend or estimate)
-    /// against `anchors`: the estimate, `None` without a peak.
-    fn scored(
-        &self,
-        surface: Grid2D,
-        anchors: &[P2],
-        degradation: DegradationReport,
-    ) -> Option<Estimate> {
-        let peaks = score_peaks(&surface, anchors, &self.config.score);
-        Estimate::from_scored(peaks, surface, degradation)
     }
 
     /// Localization with multipath rejection replaced by the naive

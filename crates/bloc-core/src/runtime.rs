@@ -1,14 +1,14 @@
 //! The supervised sounding runtime: anchor health, circuit breakers,
-//! quorum admission, deterministic backoff, and hop resynchronization.
+//! quorum admission, deterministic backoff, tracking and degraded-mode
+//! fallback — everything one supervised round decides.
 //!
-//! The fault layer (PR 2) made every *single* localize honest about what
-//! it discarded, but each round still rediscovered the same faults from
-//! scratch: a flapping anchor was re-admitted every round, a desynced hop
-//! sequence silently corrupted stitching, and one corrupted fix poisoned
-//! the track. This module adds the stateful supervisor the paper's §5.2
-//! anchor-collaboration model presumes — anchors are *cooperating
-//! infrastructure* whose trustworthiness is learned across rounds, not
-//! per fix:
+//! The fault layer made every *single* localize honest about what it
+//! discarded, but each round still rediscovered the same faults from
+//! scratch: a flapping anchor was re-admitted every round, and one
+//! corrupted fix poisoned the track. This module adds the stateful
+//! supervisor the paper's §5.2 anchor-collaboration model presumes —
+//! anchors are *cooperating infrastructure* whose trustworthiness is
+//! learned across rounds, not per fix:
 //!
 //! * [`SessionSupervisor`] wraps the sound→correct→localize loop. Per
 //!   anchor it maintains an EWMA health score fed from measured link
@@ -27,10 +27,17 @@
 //!   deterministic via a seeded hash exactly like
 //!   [`bloc_chan::faults::FaultPlan`] — two runs with the same seeds
 //!   schedule identical retries.
-//! * [`HopMonitor`]: detects hop-sequence desync against
-//!   [`bloc_ble::hopping::HopSequence`] and re-synchronizes by
-//!   re-deriving the channel index from the access-address-seeded state
-//!   plus the observed event counter, instead of aborting the round.
+//! * Tracking: each fix is localized dense, or hierarchically seeded
+//!   from the live track ([`RuntimeConfig::hierarchical`]), and offered
+//!   to the innovation-gated [`crate::tracker::Tracker`]; a declined
+//!   round coasts it.
+//! * Degraded mode (with a [`FallbackStack`] attached): an unhealthy
+//!   fix is refined with the fingerprint and packet-count priors (De et
+//!   al.) on its own likelihood surface, and a round that would defer —
+//!   after every retry and quorum check — is estimated from the
+//!   fallback evidence alone on the session's one fallback grid
+//!   (coarse when hierarchical, fine otherwise), which a fleet's shed
+//!   rounds read too.
 //! * Every breaker transition lands in an inspectable ledger *and* as a
 //!   `runtime.breaker` obs event, so a soak can reconcile the two
 //!   exactly; per-anchor health is exported as `runtime.anchor_health.*`
@@ -45,14 +52,18 @@ use bloc_num::par::Deadline;
 // All runtime "randomness" (backoff jitter) is the same pure splitmix64
 // hash of seeds the fault plan uses, so reruns are bit-identical.
 use bloc_num::seed::splitmix64 as splitmix;
-use bloc_num::P2;
+use bloc_num::{Grid2D, P2};
 use bloc_obs::mode::ModeTracker;
 use bloc_obs::BoundedLedger;
 
-use crate::error::{DeferReason, LocalizeError};
-use crate::fallback::{EstimateMode, FallbackEvidence, FallbackStack, FusionWeights};
-use crate::localizer::{BlocLocalizer, Estimate};
-use crate::tracker::{FixDisposition, TrackState, TrackerConfig, TrackingPipeline};
+use crate::error::{DeferReason, DegradationReport, LocalizeError};
+use crate::fallback::{
+    fusion, prior_parts, EstimateMode, FallbackError, FallbackEstimate, FallbackEvidence,
+    FallbackStack, FusionWeights,
+};
+use crate::localizer::{anchor_refs, BlocLocalizer, Estimate};
+use crate::multipath::{score_peaks, ScoreConfig};
+use crate::tracker::{FixDisposition, TrackState, Tracker, TrackerConfig};
 
 /// Deterministic jittered exponential backoff between sounding attempts.
 ///
@@ -207,8 +218,10 @@ pub struct RuntimeConfig {
     /// `Some` localizes seeded from the live track (full coarse→fine when
     /// no track); `None` (the default) keeps the dense solver. Either way
     /// an unhealthy fix is refined with fallback priors on its own
-    /// likelihood surface, and a fallback-only round is estimated on
-    /// [`TrackingPipeline::prior_grid`].
+    /// likelihood surface, and a fallback-only estimate (a degraded
+    /// round, or a fleet's shed round) is made on the coarse grid when
+    /// `Some` — a fallback-only fix has metre-class uncertainty anyway —
+    /// and on the fine grid when `None`.
     #[cfg_attr(feature = "serde", serde(default))]
     pub hierarchical: Option<crate::hierarchical::HierarchicalConfig>,
     /// Resident capacity of the breaker-transition ledger. Older entries
@@ -344,77 +357,24 @@ impl RoundOutcome {
     }
 }
 
-/// Watches a live hop schedule for desynchronization and repairs it in
-/// closed form instead of aborting the round.
-///
-/// The monitor owns the local replica of the connection's
-/// [`bloc_ble::hopping::HopSequence`]. Each observed packet reports its
-/// (channel, event counter) pair; if the local replica disagrees, the
-/// channel index is re-derived from the sequence's access-address-seeded
-/// start and the *observed* event counter
-/// ([`bloc_ble::hopping::HopSequence::resync`]) — the schedule is a pure
-/// function of (AA, hop, counter), so one trusted counter value recovers
-/// the whole schedule.
-#[derive(Debug, Clone)]
-pub struct HopMonitor {
-    seq: bloc_ble::hopping::HopSequence,
-    desyncs: u64,
-}
-
-impl HopMonitor {
-    /// Wraps the local replica of a connection's hop sequence.
-    pub fn new(seq: bloc_ble::hopping::HopSequence) -> Self {
-        Self { seq, desyncs: 0 }
-    }
-
-    /// The channels of the next `n` connection events, advancing the
-    /// local replica (the supervisor plans a sounding round from this).
-    pub fn plan(&mut self, n: usize) -> Vec<bloc_ble::channels::Channel> {
-        (0..n).map(|_| self.seq.next_channel()).collect()
-    }
-
-    /// Checks an observed (channel, event counter) pair against the
-    /// local replica. In sync → `true`. Otherwise the replica is
-    /// re-derived from the observed event counter in closed form, the
-    /// desync is counted (`runtime.hop.resyncs`), and `false` is
-    /// returned — the round continues on the repaired schedule either
-    /// way.
-    pub fn observe(&mut self, channel: bloc_ble::channels::Channel, event: u64) -> bool {
-        let in_sync = self.seq.event_counter == event && self.seq.channel_at(event) == channel;
-        if !in_sync {
-            self.seq.resync(event);
-            self.desyncs += 1;
-            bloc_obs::counter("runtime.hop.resyncs").inc();
-        }
-        in_sync
-    }
-
-    /// Desyncs repaired so far.
-    pub fn desyncs(&self) -> u64 {
-        self.desyncs
-    }
-
-    /// The local hop replica.
-    pub fn sequence(&self) -> &bloc_ble::hopping::HopSequence {
-        &self.seq
-    }
-}
-
 /// The stateful supervisor of the sound→correct→localize loop.
 ///
 /// Owns the recovery policy across rounds: per-anchor EWMA health and
-/// circuit breakers, quorum admission, deterministic retry backoff, and
-/// the innovation-gated tracking pipeline. The caller supplies soundings
+/// circuit breakers, quorum admission, deterministic retry backoff, the
+/// localizer and innovation-gated tracker, and the degraded-mode steps
+/// of an attached fallback stack. The caller supplies soundings
 /// (one closure call per attempt, always for the *full* deployment); the
 /// supervisor decides which anchors are admitted, whether a localize is
 /// attempted, and what the track does with the result.
 #[derive(Debug)]
 pub struct SessionSupervisor {
     config: RuntimeConfig,
-    pipeline: TrackingPipeline,
+    /// Localizes every attempt: dense, or through
+    /// [`RuntimeConfig::hierarchical`] when set.
+    localizer: BlocLocalizer,
+    tracker: Tracker,
     monitors: Vec<AnchorMonitor>,
     ledger: BoundedLedger<BreakerTransition>,
-    hop: Option<HopMonitor>,
     round: u64,
     /// When true, breaker transitions do NOT invalidate the shared
     /// steering/path caches: a site-level aggregator (the fleet layer)
@@ -448,17 +408,15 @@ impl SessionSupervisor {
     /// master and is never quarantined).
     pub fn new(localizer: BlocLocalizer, n_anchors: usize, config: RuntimeConfig) -> Self {
         assert!(n_anchors > 0, "a deployment needs at least the master");
-        let mut pipeline = TrackingPipeline::new(localizer, config.tracker);
-        if let Some(hcfg) = config.hierarchical {
-            pipeline = pipeline.with_hierarchical(hcfg);
+        if config.hierarchical.is_some() {
+            crate::hierarchical::install_budget(&localizer);
         }
-        let ledger = BoundedLedger::new(config.ledger_capacity);
         Self {
-            config,
-            pipeline,
+            localizer,
+            tracker: Tracker::new(config.tracker),
             monitors: vec![AnchorMonitor::new(); n_anchors],
-            ledger,
-            hop: None,
+            ledger: BoundedLedger::new(config.ledger_capacity),
+            config,
             round: 0,
             site_managed_caches: false,
             last_geometry: None,
@@ -477,12 +435,6 @@ impl SessionSupervisor {
     pub fn with_fallback(mut self, stack: FallbackStack) -> Self {
         self.fallback = Some(stack);
         self.mode_tracker = Some(ModeTracker::new("runtime"));
-        self
-    }
-
-    /// Attaches a hop monitor (see [`HopMonitor`]).
-    pub fn with_hop_monitor(mut self, monitor: HopMonitor) -> Self {
-        self.hop = Some(monitor);
         self
     }
 
@@ -521,19 +473,21 @@ impl SessionSupervisor {
         self.evidence.as_ref()
     }
 
-    /// The hop monitor, if attached.
-    pub fn hop_monitor_mut(&mut self) -> Option<&mut HopMonitor> {
-        self.hop.as_mut()
-    }
-
     /// The supervision policy in force.
     pub fn config(&self) -> &RuntimeConfig {
         &self.config
     }
 
-    /// The tracking pipeline (localizer + gated tracker).
-    pub fn pipeline(&self) -> &TrackingPipeline {
-        &self.pipeline
+    /// The localizer every attempt runs on (and through it the shared
+    /// likelihood engine).
+    pub fn localizer(&self) -> &BlocLocalizer {
+        &self.localizer
+    }
+
+    /// The current track estimate, if any fix has arrived (and the lock
+    /// has not been dropped since).
+    pub fn track(&self) -> Option<TrackState> {
+        self.tracker.state()
     }
 
     /// Rounds run so far.
@@ -678,59 +632,128 @@ impl SessionSupervisor {
                 });
                 continue;
             }
-            match self.pipeline.localize_round(&data, dt) {
-                Ok(est) => {
-                    // The masking stage's verdict is a health observation
-                    // too: an anchor the likelihood had to exclude
-                    // entirely counts as a zero-survival round on top of
-                    // whatever the raw hole fraction said.
-                    let alpha = self.config.health_alpha;
-                    for &pos in &est.degradation.anchors_excluded {
-                        if let Some(&orig) = admitted.get(pos) {
-                            let m = &mut self.monitors[orig];
-                            m.health *= 1.0 - alpha;
-                            let health = m.health;
-                            bloc_obs::gauge(&format!("runtime.anchor_health.{orig}")).set(health);
-                        }
-                    }
-                    // Unhealthy fixes are refined with the stack's priors,
-                    // evaluated on the attempt-0 full-deployment evidence.
-                    let fused = self.pipeline.localizer().fuse_fallback(
-                        est,
-                        &data,
-                        self.fallback.as_ref(),
-                        || self.evidence.as_ref(),
-                        self.open_frac(),
-                    );
-                    if let Some(mt) = &mut self.mode_tracker {
-                        mt.observe(fused.mode.name());
-                    }
-                    let disposition = self.pipeline.offer_fix(fused.estimate.position, dt);
-                    bloc_obs::counter("runtime.rounds.fixed").inc();
-                    return RoundOutcome::Fix(Box::new(RoundFix {
-                        round,
-                        track: disposition.state(),
-                        disposition,
-                        estimate: fused.estimate,
-                        attempts: attempt + 1,
-                        admitted,
-                        mode: fused.mode,
-                        weights: fused.weights,
-                    }));
-                }
+            let est = match self.localize(&data, dt) {
+                Ok(est) => est,
                 Err(e) => {
                     last_failure = Some(DeferReason::RetriesExhausted {
                         attempts: attempt + 1,
                         last: e,
                     });
+                    continue;
+                }
+            };
+            // The masking stage's verdict is a health observation too: an
+            // anchor the likelihood had to exclude entirely counts as a
+            // zero-survival round on top of whatever the raw hole fraction
+            // said.
+            let alpha = self.config.health_alpha;
+            for &pos in &est.degradation.anchors_excluded {
+                if let Some(&orig) = admitted.get(pos) {
+                    let m = &mut self.monitors[orig];
+                    m.health *= 1.0 - alpha;
+                    let health = m.health;
+                    bloc_obs::gauge(&format!("runtime.anchor_health.{orig}")).set(health);
                 }
             }
+            let (estimate, mode, weights) = self.refine(est, &data);
+            if let Some(mt) = &mut self.mode_tracker {
+                mt.observe(mode.name());
+            }
+            let disposition = self.tracker.offer(estimate.position, dt);
+            match disposition {
+                FixDisposition::Rejected { .. } => bloc_obs::counter("track.gated").inc(),
+                FixDisposition::Reacquired(_) => bloc_obs::counter("track.reacquired").inc(),
+                FixDisposition::Accepted(_) => {}
+            }
+            bloc_obs::counter("runtime.rounds.fixed").inc();
+            return RoundOutcome::Fix(Box::new(RoundFix {
+                round,
+                track: disposition.state(),
+                disposition,
+                estimate,
+                attempts: attempt + 1,
+                admitted,
+                mode,
+                weights,
+            }));
         }
         let reason = last_failure.unwrap_or(DeferReason::RetriesExhausted {
             attempts: 0,
             last: LocalizeError::EmptySounding,
         });
         self.degraded_or_defer(dt, reason, true, round, &mut sound)
+    }
+
+    /// Localizes one attempt: dense without the hierarchy; with it,
+    /// seeded from the live track (with the gate-derived search radius
+    /// for a round `dt` seconds after the last), full coarse→fine when
+    /// there is no track.
+    fn localize(&self, data: &SoundingData, dt: f64) -> Result<Estimate, LocalizeError> {
+        let Some(hier) = &self.config.hierarchical else {
+            return self.localizer.localize(data);
+        };
+        let seed = (self.tracker.state())
+            .zip(self.tracker.search_radius(dt.max(0.0)))
+            .map(|(s, radius)| (s.position, radius));
+        Ok(hier.fix(&self.localizer, data, seed)?.estimate)
+    }
+
+    /// The fallback-fusion step for a CSI fix of `data` (the sounding of
+    /// the admitted anchors). Derives [`FusionWeights`] from `est`'s
+    /// [`DegradationReport`] and the breaker [`Self::open_frac`]; a
+    /// healthy round (or no estimators, or no evidence yet) keeps `est`
+    /// untouched under pure-CSI weights. Otherwise the priors of the
+    /// attempt-0 full-deployment evidence (the fingerprint feature shape
+    /// is fixed at survey time) are evaluated on `est`'s own likelihood
+    /// grid — the fine grid for dense fixes, the coarse surface or the
+    /// seeded patch for hierarchical ones — blended with it by mass, and
+    /// Eq. 18 re-scores the blend against `data`'s anchors, keeping
+    /// `est`'s degradation evidence; each refined fix counts in
+    /// `fallback.refined_fixes`. A blend without a peak keeps `est`: a
+    /// prior never turns a fix into a no-fix.
+    fn refine(
+        &self,
+        est: Estimate,
+        data: &SoundingData,
+    ) -> (Estimate, EstimateMode, FusionWeights) {
+        let pure_csi = |est| (est, EstimateMode::Csi, FusionWeights::pure_csi());
+        let (Some(stack), Some(evidence)) = (self.estimators(), &self.evidence) else {
+            return pure_csi(est);
+        };
+        let policy = &stack.config.policy;
+        let weights = FusionWeights::from_degradation(&est.degradation, self.open_frac(), policy);
+        if weights.csi >= 1.0 {
+            return pure_csi(est);
+        }
+        let (fp, counts) = stack.priors(evidence, est.likelihood.spec());
+        let weights = weights.restrict(true, fp.is_some(), counts.is_some());
+        if weights.csi >= 1.0 {
+            return (est, EstimateMode::Csi, weights);
+        }
+        let mut parts = vec![(&est.likelihood, weights.csi)];
+        parts.extend(prior_parts(&fp, &counts, &weights));
+        let score = &self.localizer.config().score;
+        let refined = fusion::fuse_mass(&parts)
+            .and_then(|blend| scored(blend, &anchor_refs(data), est.degradation.clone(), score));
+        bloc_obs::counter("fallback.refined_fixes").inc();
+        (refined.unwrap_or(est), EstimateMode::CsiFused, weights)
+    }
+
+    /// The fallback-only estimate of the latest attempt-0 evidence — the
+    /// one step behind a degraded round and a fleet's shed round. CSI
+    /// produced no surface to match, so it is made on the coarse
+    /// candidate-selection grid when the hierarchy is enabled (a
+    /// fallback-only fix has metre-class uncertainty anyway) and on the
+    /// fine grid otherwise. `None` without estimators or before attempt 0
+    /// was first sounded.
+    pub(crate) fn fallback_estimate(&self) -> Option<Result<FallbackEstimate, FallbackError>> {
+        let (stack, evidence) = self.estimators().zip(self.evidence.as_ref())?;
+        let fine = self.localizer.config().grid;
+        let grid = match self.config.hierarchical {
+            Some(_) => crate::hierarchical::coarse_grid(fine),
+            None => fine,
+        };
+        Some(stack.estimate(evidence, grid))
     }
 
     /// The attached fallback stack, when it has an estimator to run.
@@ -753,11 +776,12 @@ impl SessionSupervisor {
     }
 
     /// The defer path with a fallback stack attached: try to rescue the
-    /// round with a coarse estimate before conceding. Sounds the round's
-    /// attempt 0 when quorum was denied before anything was `sounded`;
-    /// records the observed per-anchor reception tally under
+    /// round with a fallback-only estimate before conceding. Sounds the
+    /// round's attempt 0 when quorum was denied before anything was
+    /// `sounded`; records the observed per-anchor reception tally under
     /// `fallback.census.*` so soaks can reconcile it against the fault
-    /// plan's prediction ledger.
+    /// plan's prediction ledger, and an estimate that fails under
+    /// `fallback.failed.<reason>`.
     fn degraded_or_defer<F>(
         &mut self,
         dt: f64,
@@ -775,34 +799,33 @@ impl SessionSupervisor {
         if !sounded {
             self.sound_attempt(0, sound);
         }
-        let (Some(stack), Some(evidence)) = (self.estimators(), &self.evidence) else {
+        let fb = self.fallback_estimate();
+        let Some(evidence) = &self.evidence else {
             return self.defer(dt, reason);
         };
         let census = evidence.census();
         bloc_obs::counter("fallback.census.received").add(census.total_received() as u64);
         bloc_obs::counter("fallback.census.expected")
             .add((census.expected * evidence.anchors().len()) as u64);
-        // CSI produced nothing, so there is no surface to match: estimate
-        // on the pipeline's prior grid (coarse when hierarchical — a
-        // fallback-only fix has metre-class uncertainty anyway).
-        let grid = self.pipeline.prior_grid();
-        let fb = match stack.estimate(evidence, grid) {
-            Ok(fb) => fb,
-            Err(e) => {
+        let fb = match fb {
+            Some(Ok(fb)) => fb,
+            Some(Err(e)) => {
                 bloc_obs::counter(&format!("fallback.failed.{}", e.reason())).inc();
                 return self.defer(dt, reason);
             }
+            None => return self.defer(dt, reason),
         };
-        let estimate = self
-            .pipeline
-            .localizer()
-            .estimate_from_fallback(evidence, &fb);
+        let estimate = dressed(&fb, evidence, &self.localizer.config().score);
         if let Some(mt) = &mut self.mode_tracker {
             mt.observe(fb.mode.name());
         }
+        bloc_obs::counter("track.degraded").inc();
         let disposition = self
-            .pipeline
-            .offer_degraded_fix(estimate.position, dt, fb.sigma_m);
+            .tracker
+            .offer_degraded(estimate.position, dt, fb.sigma_m);
+        if matches!(disposition, FixDisposition::Rejected { .. }) {
+            bloc_obs::counter("track.gated").inc();
+        }
         bloc_obs::counter("runtime.rounds.degraded").inc();
         bloc_obs::counter(&format!("runtime.degraded.{}", reason.reason())).inc();
         RoundOutcome::Degraded(Box::new(DegradedRound {
@@ -812,14 +835,14 @@ impl SessionSupervisor {
             mode: fb.mode,
             weights: fb.weights,
             sigma_m: fb.sigma_m,
-            track: self.pipeline.state(),
+            track: self.tracker.state(),
             disposition,
         }))
     }
 
     /// Coasts the tracker through a declined round and records why.
     fn defer(&mut self, dt: f64, reason: DeferReason) -> RoundOutcome {
-        self.pipeline.coast(dt);
+        self.tracker.coast(dt);
         bloc_obs::counter(&format!("runtime.deferred.{}", reason.reason())).inc();
         RoundOutcome::Deferred(reason)
     }
@@ -910,8 +933,7 @@ impl SessionSupervisor {
         let membership_changed = !(from == BreakerState::HalfOpen && to == BreakerState::Closed);
         if membership_changed && !self.site_managed_caches {
             if let Some(geometry) = &self.last_geometry {
-                self.pipeline
-                    .localizer()
+                self.localizer
                     .engine()
                     .cache()
                     .invalidate_geometry_with_cause(geometry, "breaker");
@@ -921,6 +943,47 @@ impl SessionSupervisor {
             }
         }
     }
+}
+
+/// Eq. 18 over a whole fallback `surface` (a blend or a fallback-only
+/// likelihood) against `anchors`: the estimate, `None` without a peak.
+fn scored(
+    surface: Grid2D,
+    anchors: &[P2],
+    degradation: DegradationReport,
+    score: &ScoreConfig,
+) -> Option<Estimate> {
+    let peaks = score_peaks(&surface, anchors, score);
+    Estimate::from_scored(peaks, surface, degradation)
+}
+
+/// A fallback-only estimate dressed as a pipeline [`Estimate`]: Eq. 18
+/// scores its likelihood against the evidence's anchors (so confidence
+/// is its much broader peak margin), and, CSI never having run, the
+/// degradation report is rebuilt from the evidence — every band counts
+/// as dropped, exact-zero holes are counted directly, and an anchor is
+/// excluded when it decoded no tag packet at all.
+fn dressed(fb: &FallbackEstimate, evidence: &FallbackEvidence, score: &ScoreConfig) -> Estimate {
+    let degradation = DegradationReport {
+        bands_total: evidence.bands(),
+        bands_dropped: evidence.bands(),
+        holes_masked: evidence.holes(),
+        nonfinite_masked: 0,
+        anchors_total: evidence.anchors().len(),
+        anchors_excluded: (evidence.census().received.iter().enumerate())
+            .filter(|(_, &r)| r == 0)
+            .map(|(i, _)| i)
+            .collect(),
+        effective_span_hz: 0.0,
+        confidence: 0.0,
+    };
+    let surface = fb.likelihood.clone();
+    scored(surface, evidence.anchors(), degradation.clone(), score).unwrap_or_else(|| Estimate {
+        position: fb.position,
+        peaks: Vec::new(),
+        likelihood: fb.likelihood.clone(),
+        degradation,
+    })
 }
 
 /// Per-anchor link survival of one (already subset) sounding: for each

@@ -15,9 +15,6 @@
 
 use bloc_num::P2;
 
-use crate::hierarchical::HierarchicalConfig;
-use crate::localizer::BlocLocalizer;
-
 /// Tracker tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -412,146 +409,6 @@ impl Tracker {
     }
 }
 
-/// A localizer and a tracker glued into one streaming consumer of
-/// soundings — the shape an application actually deploys. Each sounding
-/// is localized through the shared [`crate::engine::LikelihoodEngine`]
-/// (so per-deployment steering geometry is computed once for the whole
-/// track, not once per burst) and the resulting fix feeds the Kalman
-/// filter; soundings that cannot support a fix coast the filter instead
-/// of dropping the time step.
-#[derive(Debug, Clone)]
-pub struct TrackingPipeline {
-    localizer: BlocLocalizer,
-    hier: Option<HierarchicalConfig>,
-    tracker: Tracker,
-}
-
-impl TrackingPipeline {
-    /// Builds a pipeline from its two halves.
-    pub fn new(localizer: BlocLocalizer, config: TrackerConfig) -> Self {
-        Self {
-            localizer,
-            hier: None,
-            tracker: Tracker::new(config),
-        }
-    }
-
-    /// Enables the hierarchical coarse-to-fine solver on this pipeline's
-    /// localizer (installing the steering-cache budget,
-    /// [`crate::hierarchical::CACHE_BUDGET_BYTES`]): rounds
-    /// with a live track localize on a fine patch seeded at the track
-    /// prediction (bounded by [`Tracker::search_radius`]); rounds without
-    /// one run the full coarse→fine flow.
-    pub fn with_hierarchical(mut self, config: HierarchicalConfig) -> Self {
-        crate::hierarchical::install_budget(&self.localizer);
-        self.hier = Some(config);
-        self
-    }
-
-    /// The grid a fallback-only round (no CSI fix, so no likelihood
-    /// surface to match) is estimated on: the coarse candidate-selection
-    /// grid when the hierarchy is enabled — a fallback-only fix has
-    /// metre-class uncertainty anyway — the fine grid otherwise. Priors
-    /// refining a CSI fix are evaluated on that estimate's own surface
-    /// instead.
-    pub fn prior_grid(&self) -> bloc_num::GridSpec {
-        let fine = self.localizer.config().grid;
-        match self.hier {
-            Some(_) => crate::hierarchical::coarse_grid(fine),
-            None => fine,
-        }
-    }
-
-    /// Localizes one sounding the way this pipeline is configured to:
-    /// dense when the hierarchy is off; seeded from the current track
-    /// (with the gate-derived search radius for a round `dt` seconds
-    /// after the last) when a track is live; full coarse→fine otherwise.
-    /// Does **not** feed the tracker — callers on their own schedule
-    /// (the runtime supervisor) gate and offer the fix themselves.
-    ///
-    /// # Errors
-    ///
-    /// The [`crate::error::LocalizeError`] of the failed fix.
-    pub fn localize_round(
-        &self,
-        data: &bloc_chan::sounder::SoundingData,
-        dt: f64,
-    ) -> Result<crate::localizer::Estimate, crate::error::LocalizeError> {
-        let Some(hier) = &self.hier else {
-            return self.localizer.localize(data);
-        };
-        let seed = (self.tracker.state())
-            .zip(self.tracker.search_radius(dt.max(0.0)))
-            .map(|(s, radius)| (s.position, radius));
-        Ok(hier.fix(&self.localizer, data, seed)?.estimate)
-    }
-
-    /// Consumes one sounding taken `dt` seconds after the previous call.
-    /// On a successful fix the filter updates and the new state is
-    /// returned; on a localization failure the filter coasts through the
-    /// gap and the typed error is returned (with the coasted state still
-    /// available via [`Self::state`]).
-    ///
-    /// # Errors
-    ///
-    /// The [`crate::error::LocalizeError`] of the failed fix.
-    pub fn push_sounding(
-        &mut self,
-        data: &bloc_chan::sounder::SoundingData,
-        dt: f64,
-    ) -> Result<TrackState, crate::error::LocalizeError> {
-        match self.localize_round(data, dt) {
-            Ok(est) => Ok(self.offer_fix(est.position, dt).state()),
-            Err(e) => {
-                self.tracker.coast(dt);
-                Err(e)
-            }
-        }
-    }
-
-    /// Feeds one already-localized fix through the tracker's innovation
-    /// gate (see [`Tracker::offer`]), recording `track.gated` /
-    /// `track.reacquired` on the global registry. This is the entry the
-    /// runtime supervisor uses when it localizes on its own schedule.
-    pub fn offer_fix(&mut self, fix: P2, dt: f64) -> FixDisposition {
-        let disposition = self.tracker.offer(fix, dt);
-        match disposition {
-            FixDisposition::Rejected { .. } => bloc_obs::counter("track.gated").inc(),
-            FixDisposition::Reacquired(_) => bloc_obs::counter("track.reacquired").inc(),
-            FixDisposition::Accepted(_) => {}
-        }
-        disposition
-    }
-
-    /// Feeds a degraded (fallback-estimated) fix through
-    /// [`Tracker::offer_degraded`], recording `track.degraded` (and
-    /// `track.gated` on rejection) on the global registry.
-    pub fn offer_degraded_fix(&mut self, fix: P2, dt: f64, sigma_m: f64) -> FixDisposition {
-        bloc_obs::counter("track.degraded").inc();
-        let disposition = self.tracker.offer_degraded(fix, dt, sigma_m);
-        if matches!(disposition, FixDisposition::Rejected { .. }) {
-            bloc_obs::counter("track.gated").inc();
-        }
-        disposition
-    }
-
-    /// Coasts the tracker through a fix-less step (deferred round, lost
-    /// burst handled outside [`Self::push_sounding`]).
-    pub fn coast(&mut self, dt: f64) -> Option<TrackState> {
-        self.tracker.coast(dt)
-    }
-
-    /// The current track estimate, if any fix has arrived.
-    pub fn state(&self) -> Option<TrackState> {
-        self.tracker.state()
-    }
-
-    /// The localizer half (and through it the shared likelihood engine).
-    pub fn localizer(&self) -> &BlocLocalizer {
-        &self.localizer
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -783,80 +640,6 @@ mod tests {
             "horizon expiry under degraded fixes must re-anchor: {d3:?}"
         );
         assert_eq!(tracker.fixless_streak(), 0);
-    }
-
-    #[test]
-    fn pipeline_tracks_a_moving_tag_and_reuses_geometry() {
-        use crate::localizer::{BlocConfig, BlocLocalizer};
-        use bloc_chan::geometry::Room;
-        use bloc_chan::sounder::{all_data_channels, Sounder, SounderConfig};
-        use bloc_chan::{AnchorArray, Environment};
-
-        let room = Room::new(5.0, 6.0);
-        let env = Environment::free_space();
-        let anchors: Vec<AnchorArray> = room
-            .wall_midpoints()
-            .iter()
-            .zip(room.walls().iter())
-            .enumerate()
-            .map(|(i, (&m, w))| AnchorArray::centered(i, m, w.direction(), 4))
-            .collect();
-        let sounder = Sounder::new(
-            &env,
-            &anchors,
-            SounderConfig {
-                antenna_phase_err_std: 0.0,
-                ..Default::default()
-            },
-        );
-        let localizer = BlocLocalizer::new(BlocConfig::for_room(&room));
-        let mut pipeline = TrackingPipeline::new(localizer, TrackerConfig::default());
-        assert!(pipeline.state().is_none());
-
-        let mut rng = StdRng::seed_from_u64(51);
-        let v = P2::new(0.3, 0.15);
-        let mut last = None;
-        for k in 0..12 {
-            let truth = P2::new(1.2, 1.5) + v * (k as f64 * 0.5);
-            let data = sounder.sound(truth, &all_data_channels(), &mut rng);
-            last = Some(pipeline.push_sounding(&data, 0.5).unwrap());
-        }
-        let truth_final = P2::new(1.2, 1.5) + v * (11.0 * 0.5);
-        assert!(
-            last.unwrap().position.dist(truth_final) < 0.6,
-            "track {:?} vs {truth_final}",
-            last
-        );
-        // One deployment, twelve soundings: the steering geometry was
-        // built exactly once and served from the cache after that.
-        assert_eq!(pipeline.localizer().engine().cache().len(), 1);
-    }
-
-    #[test]
-    fn pipeline_coasts_through_failed_fixes() {
-        use crate::localizer::{BlocConfig, BlocLocalizer};
-        use bloc_chan::geometry::Room;
-        use bloc_chan::sounder::SoundingData;
-
-        let room = Room::new(5.0, 6.0);
-        let localizer = BlocLocalizer::new(BlocConfig::for_room(&room));
-        let mut pipeline = TrackingPipeline::new(localizer, TrackerConfig::default());
-
-        // Failure before any fix: typed error, still uninitialized.
-        let empty = SoundingData {
-            bands: Vec::new(),
-            anchors: Vec::new(),
-        };
-        assert!(pipeline.push_sounding(&empty, 0.1).is_err());
-        assert!(pipeline.state().is_none());
-
-        // Initialize by hand through the tracker half, then fail again:
-        // the filter coasts (σ grows) instead of dropping the step.
-        pipeline.tracker.push(P2::new(1.0, 1.0), 0.1);
-        let before = pipeline.state().unwrap().position_sigma;
-        assert!(pipeline.push_sounding(&empty, 0.5).is_err());
-        let after = pipeline.state().unwrap().position_sigma;
-        assert!(after > before, "coast must inflate σ: {before} → {after}");
     }
 
     #[test]

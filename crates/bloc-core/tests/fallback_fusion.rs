@@ -1,10 +1,13 @@
 //! Degraded-mode fusion contract tests.
 //!
-//! * A healthy round must be **exactly** the pure-CSI estimate — fusion
-//!   weights snap to `csi = 1` at the healthy threshold, so attaching a
-//!   fallback stack cannot perturb a cm-class fix.
+//! * A healthy supervised round must be **exactly** the pure-CSI
+//!   estimate — fusion weights snap to `csi = 1` at the healthy
+//!   threshold, so attaching a fallback stack cannot perturb a cm-class
+//!   fix.
 //! * A round whose CSI pipeline fails outright must still estimate, with
 //!   the mode provenance flagged and the CSI weight at zero.
+//! * A fleet's shed round is estimated on the grid its session's
+//!   degraded rounds use.
 //! * Fusion weights are a convex combination for every health value.
 //! * KNN fallback edge cases (empty db, oversized k, fully-masked query,
 //!   duplicate surveyed positions) are typed errors or sane estimates —
@@ -17,10 +20,12 @@ use bloc_chan::geometry::Room;
 use bloc_chan::sounder::{all_data_channels, Sounder, SounderConfig, SoundingData};
 use bloc_chan::{AnchorArray, AnchorDropout, Environment, FaultPlan, RangeLoss};
 use bloc_core::fallback::{CountsEstimate, FallbackError, FallbackEvidence, FallbackStack};
+use bloc_core::fleet::{sounding_seed, FleetConfig, FleetDriver, FleetSupervisor};
 use bloc_core::localizer::{BlocConfig, BlocLocalizer};
 use bloc_core::{
     DegradationReport, EstimateMode, FallbackConfig, FingerprintDb, FusionPolicy, FusionWeights,
-    PacketCountModel, RoundOutcome, RuntimeConfig, SessionSupervisor,
+    HierarchicalConfig, HierarchicalLocalizer, PacketCountModel, RoundOutcome, RuntimeConfig,
+    SessionSupervisor, SiteId, SiteSpec, TagId, TagRoundOutcome,
 };
 use bloc_num::{Grid2D, GridSpec, P2};
 use proptest::prelude::*;
@@ -90,20 +95,22 @@ fn healthy_round_is_exactly_pure_csi() {
     let data = sounder.sound(tag, &all_data_channels(), &mut rng);
 
     let pure = localizer.localize(&data).expect("clean sounding fixes");
-    let fused = localizer
-        .localize_with_fallback(&data, &stack, 0.0)
-        .expect("clean sounding fixes with a stack attached");
+    let mut sup = SessionSupervisor::new(localizer, anchors.len(), RuntimeConfig::default())
+        .with_fallback(stack);
+    let RoundOutcome::Fix(fix) = sup.run_round(0.5, |_| data.clone()) else {
+        panic!("a clean round with a stack attached must fix");
+    };
 
-    assert_eq!(fused.mode, EstimateMode::Csi);
-    assert_eq!(fused.weights.csi, 1.0, "healthy weights snap to pure CSI");
-    assert!(fused.weights.is_convex());
-    let drift = fused.estimate.position.dist(pure.position);
+    assert_eq!(fix.mode, EstimateMode::Csi);
+    assert_eq!(fix.weights.csi, 1.0, "healthy weights snap to pure CSI");
+    assert!(fix.weights.is_convex());
+    let drift = fix.estimate.position.dist(pure.position);
     assert!(
         drift < 0.01,
         "healthy fused fix must match pure CSI within 1 cm, drifted {drift} m"
     );
     assert_eq!(
-        fused.estimate.position, pure.position,
+        fix.estimate, pure,
         "snap-to-CSI means bit-identical, not merely close"
     );
 }
@@ -136,18 +143,102 @@ fn csi_failure_falls_back_with_provenance() {
     let data = faulted.sound(tag, &chans, &mut rng);
     assert!(localizer.localize(&data).is_err(), "CSI must fail here");
 
-    let fused = localizer
-        .localize_with_fallback(&data, &stack, 0.0)
-        .expect("fallback rescues the round");
-    assert_eq!(fused.mode, EstimateMode::FallbackFused);
-    assert_eq!(fused.weights.csi, 0.0, "no CSI evidence was used");
-    assert!(fused.weights.is_convex());
-    assert!(fused.weights.fingerprint > 0.0 && fused.weights.counts > 0.0);
-    let err = fused.estimate.position.dist(tag);
+    let mut sup = SessionSupervisor::new(localizer, anchors.len(), RuntimeConfig::default())
+        .with_fallback(stack);
+    let RoundOutcome::Degraded(degraded) = sup.run_round(0.5, |_| data.clone()) else {
+        panic!("the fallback stack rescues the round");
+    };
+    assert_eq!(degraded.mode, EstimateMode::FallbackFused);
+    assert_eq!(degraded.weights.csi, 0.0, "no CSI evidence was used");
+    assert!(degraded.weights.is_convex());
+    assert!(degraded.weights.fingerprint > 0.0 && degraded.weights.counts > 0.0);
+    let err = degraded.estimate.position.dist(tag);
     assert!(
         err < 3.7,
         "fallback estimate must stay in the RSSI-class regime: {err} m"
     );
+}
+
+/// Sounds every fleet tag at one fixed position, seeded per
+/// `(site, tag, round, attempt)`.
+struct StillTag<'a> {
+    sounder: Sounder<'a>,
+    position: P2,
+}
+
+impl FleetDriver for StillTag<'_> {
+    fn sound(&self, site: SiteId, tag: TagId, round: u64, attempt: usize) -> SoundingData {
+        let mut rng = StdRng::seed_from_u64(sounding_seed(3, site, tag, round, attempt));
+        self.sounder
+            .sound(self.position, &all_data_channels(), &mut rng)
+    }
+}
+
+#[test]
+fn hierarchical_fleet_sheds_on_the_degraded_round_grid() {
+    let room = Room::new(5.0, 6.0);
+    let env = Environment::free_space();
+    let anchors = anchors(&room);
+    let sounder = clean_sounder(&env, &anchors);
+    let bloc = BlocConfig::for_room(&room);
+    let hierarchical = RuntimeConfig {
+        hierarchical: Some(HierarchicalConfig::default()),
+        ..Default::default()
+    };
+    let coarse =
+        HierarchicalLocalizer::new(BlocLocalizer::new(bloc), HierarchicalConfig::default())
+            .coarse_spec();
+    assert_ne!(coarse, bloc.grid);
+
+    // A hierarchical session's degraded round (quorum denied every
+    // round) is estimated on the coarse grid.
+    let mut sup = SessionSupervisor::new(
+        BlocLocalizer::new(bloc),
+        anchors.len(),
+        RuntimeConfig {
+            min_live_anchors: anchors.len() + 1,
+            ..hierarchical.clone()
+        },
+    )
+    .with_fallback(stack_for(&sounder));
+    let RoundOutcome::Degraded(degraded) = sup.run_round(0.5, |attempt| {
+        let mut rng = StdRng::seed_from_u64(406 + attempt as u64);
+        sounder.sound(P2::new(2.0, 2.5), &all_data_channels(), &mut rng)
+    }) else {
+        panic!("a quorum-denied round with a stack attached degrades");
+    };
+    assert_eq!(degraded.estimate.likelihood.spec(), coarse);
+
+    // A fleet on the same template sheds a tag that has sounded: the shed
+    // estimate comes from that session's fallback-only step, on the same
+    // grid.
+    let mut fleet = FleetSupervisor::new(FleetConfig {
+        runtime: hierarchical,
+        seed: 3,
+        ..Default::default()
+    });
+    let site = fleet.add_site(SiteSpec {
+        bloc,
+        anchors: anchors.clone(),
+        fallback: stack_for(&sounder),
+        path_cache: bloc_chan::PathCache::new(),
+    });
+    fleet.register_tag(site);
+    let driver = StillTag {
+        sounder: clean_sounder(&env, &anchors),
+        position: P2::new(2.0, 2.5),
+    };
+    assert_eq!(
+        fleet.run_batch(0.5, &driver).outcomes[0].outcome.kind(),
+        "fix"
+    );
+    fleet.set_site_capacity(site, 0);
+    let report = fleet.run_batch(0.5, &driver);
+    let TagRoundOutcome::Shed(shed) = &report.outcomes[0].outcome else {
+        panic!("a site at zero capacity sheds its tag");
+    };
+    let estimate = shed.estimate.as_ref().expect("the tag has sounded");
+    assert_eq!(estimate.likelihood.spec(), coarse);
 }
 
 #[test]

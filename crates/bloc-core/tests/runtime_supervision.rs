@@ -1,18 +1,16 @@
 //! Integration suite for the supervised sounding runtime: breaker
-//! lifecycle, quorum admission, deterministic backoff, hop resync, cache
-//! hygiene across quarantine, and track-level innovation gating.
+//! lifecycle, quorum admission, deterministic backoff, cache hygiene
+//! across quarantine, tracking, and track-level innovation gating.
 
-use bloc_ble::access_address::AccessAddress;
-use bloc_ble::channels::{Channel, ChannelMap};
-use bloc_ble::hopping::{HopIncrement, HopSequence};
+use bloc_ble::channels::Channel;
 use bloc_chan::geometry::Room;
 use bloc_chan::sounder::{all_data_channels, Sounder, SounderConfig, SoundingData};
 use bloc_chan::{AnchorArray, AnchorDropout, Environment, FaultPlan, InterferenceBurst, RangeLoss};
-use bloc_core::runtime::{HopMonitor, RetryPolicy, RoundOutcome, RuntimeConfig, SessionSupervisor};
+use bloc_core::runtime::{RetryPolicy, RoundOutcome, RuntimeConfig, SessionSupervisor};
 use bloc_core::tracker::FixDisposition;
 use bloc_core::{
     BlocConfig, BlocLocalizer, BreakerState, DeferReason, EstimateMode, FallbackConfig,
-    FallbackStack, FingerprintDb, PacketCountModel,
+    FallbackStack, FingerprintDb, LocalizeError, PacketCountModel,
 };
 use bloc_num::par::Deadline;
 use bloc_num::P2;
@@ -133,7 +131,7 @@ fn healthy_rounds_fix_and_reuse_steering_tables() {
     }
     // Unchanged admission ⇒ unchanged geometry ⇒ one steering table,
     // served from the cache for every round after the first.
-    assert_eq!(sup.pipeline().localizer().engine().cache().len(), 1);
+    assert_eq!(sup.localizer().engine().cache().len(), 1);
     assert!(
         bloc_obs::counter(hits_name).get() - before >= 7,
         "rounds 2..8 must hit the steering cache"
@@ -399,7 +397,7 @@ fn interference_burst_does_not_displace_the_track() {
         });
         let track = match &out {
             RoundOutcome::Fix(fix) => fix.track.position,
-            RoundOutcome::Degraded(_) | RoundOutcome::Deferred(_) => match sup.pipeline().state() {
+            RoundOutcome::Degraded(_) | RoundOutcome::Deferred(_) => match sup.track() {
                 Some(s) => s.position,
                 None => continue,
             },
@@ -477,7 +475,7 @@ fn teleported_truth_reacquires_within_k_rounds() {
         reacquired_at < jump_round + k as u64,
         "re-acquired at round {reacquired_at}, hysteresis bound is {k} rounds after {jump_round}"
     );
-    let final_pos = sup.pipeline().state().expect("track is live").position;
+    let final_pos = sup.track().expect("track is live").position;
     assert!(
         final_pos.dist(away) < 0.8,
         "track must settle at the new truth, {:.2} m away",
@@ -535,39 +533,6 @@ fn supervision_is_identical_across_thread_counts() {
         "estimates and track states must be bit-identical across thread counts"
     );
     assert_eq!(ledger_1, ledger_8, "breaker decisions too");
-}
-
-#[test]
-fn hop_monitor_repairs_desync_in_closed_form() {
-    let aa = AccessAddress::new_data(0x8E89_BED7 ^ 0x00C0_FFEE).expect("valid AA");
-    let hop = HopIncrement::new(9).expect("valid hop");
-    let seq = HopSequence::for_connection(hop, ChannelMap::all(), aa);
-    let reference = seq.clone();
-    let mut monitor = HopMonitor::new(seq);
-
-    // Five planned events, observed in sync.
-    let plan = monitor.plan(5);
-    assert_eq!(plan.len(), 5);
-    let e = monitor.sequence().event_counter;
-    assert!(monitor.observe(reference.channel_at(e), e));
-    assert_eq!(monitor.desyncs(), 0);
-
-    // The tag skipped ahead four events (missed packets): one observed
-    // (channel, counter) pair repairs the replica without replay.
-    let ahead = e + 4;
-    assert!(!monitor.observe(reference.channel_at(ahead), ahead));
-    assert_eq!(monitor.desyncs(), 1);
-    assert_eq!(monitor.sequence().event_counter, ahead);
-    assert!(monitor.observe(reference.channel_at(ahead), ahead));
-
-    // After repair the replica's future matches an always-synced replay.
-    let mut replay = reference.clone();
-    replay.resync(ahead);
-    assert_eq!(
-        monitor.plan(6),
-        (0..6).map(|_| replay.next_channel()).collect::<Vec<_>>()
-    );
-    assert_eq!(monitor.desyncs(), 1);
 }
 
 #[test]
@@ -803,9 +768,10 @@ fn bounded_breaker_ledger_reconciles_after_eviction() {
 
 #[test]
 fn runtime_fuses_fallback_exactly_like_the_localizer() {
-    // One fallback-fusion step: a degraded round through the supervisor
-    // and the same sounding through `localize_with_fallback` must agree
-    // on the fix, its evidence mode and its fusion weights.
+    // The supervisor's fallback-fusion step keeps the arithmetic the
+    // localizer's `localize_with_fallback` had: a degraded round's fix,
+    // evidence mode and fusion weights equal, bit for bit, what that
+    // entry point returned for the same sounding (recorded constants).
     let (room, anchors) = deployment();
     let env = Environment::free_space();
     let sounder = Sounder::new(&env, &anchors, quiet());
@@ -842,11 +808,6 @@ fn runtime_fuses_fallback_exactly_like_the_localizer() {
     };
     let data = sound(&sounder, &plan, &channels, P2::new(2.4, 3.2), 61, 0, 0);
     let localizer = BlocLocalizer::new(BlocConfig::for_room(&room));
-    let direct = localizer
-        .localize_with_fallback(&data, &stack, 0.0)
-        .expect("three anchors still fix");
-    assert_eq!(direct.mode, EstimateMode::CsiFused);
-
     let mut sup = SessionSupervisor::new(localizer, anchors.len(), RuntimeConfig::default())
         .with_fallback(stack);
     let RoundOutcome::Fix(fix) = sup.run_round(0.5, |_| data.clone()) else {
@@ -854,7 +815,99 @@ fn runtime_fuses_fallback_exactly_like_the_localizer() {
     };
     assert_eq!(sup.open_frac(), 0.0, "no breaker moved in one round");
     assert_eq!(fix.attempts, 1);
-    assert_eq!(fix.mode, direct.mode);
-    assert_eq!(fix.weights, direct.weights);
-    assert_eq!(fix.estimate.position, direct.estimate.position);
+    assert_eq!(fix.mode, EstimateMode::CsiFused);
+    let bits = |v: f64| v.to_bits();
+    assert_eq!(
+        [
+            bits(fix.weights.csi),
+            bits(fix.weights.fingerprint),
+            bits(fix.weights.counts)
+        ],
+        [
+            0x3fd4_4a62_31d3_1438,
+            0x3fde_98bb_4385_d83f,
+            0x3fca_39c5_154e_2713
+        ]
+    );
+    assert_eq!(
+        [bits(fix.estimate.position.x), bits(fix.estimate.position.y)],
+        [0x3ffc_7ae1_47ae_147c, 0x4007_d70a_3d70_a3d7]
+    );
+}
+
+#[test]
+fn pipeline_tracks_a_moving_tag_and_reuses_geometry() {
+    let (room, anchors) = deployment();
+    let env = Environment::free_space();
+    let sounder = Sounder::new(&env, &anchors, quiet());
+    let localizer = BlocLocalizer::new(BlocConfig::for_room(&room));
+    let mut sup = SessionSupervisor::new(localizer, anchors.len(), RuntimeConfig::default());
+    assert!(sup.track().is_none());
+
+    let mut rng = StdRng::seed_from_u64(51);
+    let v = P2::new(0.3, 0.15);
+    for k in 0..12 {
+        let truth = P2::new(1.2, 1.5) + v * (k as f64 * 0.5);
+        let data = sounder.sound(truth, &all_data_channels(), &mut rng);
+        assert!(sup.run_round(0.5, |_| data.clone()).is_fix(), "round {k}");
+    }
+    let truth_final = P2::new(1.2, 1.5) + v * (11.0 * 0.5);
+    let track = sup.track().expect("twelve fixes make a track");
+    assert!(
+        track.position.dist(truth_final) < 0.6,
+        "track {track:?} vs {truth_final}"
+    );
+    // One deployment, twelve soundings: the steering geometry was built
+    // exactly once and served from the cache after that.
+    assert_eq!(sup.localizer().engine().cache().len(), 1);
+}
+
+#[test]
+fn pipeline_coasts_through_failed_fixes() {
+    let (room, anchors) = deployment();
+    let env = Environment::free_space();
+    let sounder = Sounder::new(&env, &anchors, quiet());
+    let channels = all_data_channels()[..12].to_vec();
+    // Every slave dark: the master's bands pass the band quorum, but a
+    // fix needs two usable anchors, so every attempt fails to localize.
+    let dark = FaultPlan {
+        dropouts: (1..anchors.len())
+            .map(|anchor| AnchorDropout {
+                anchor,
+                bands: 0..channels.len(),
+            })
+            .collect(),
+        ..Default::default()
+    };
+    let clean = FaultPlan::default();
+    let localizer = BlocLocalizer::new(BlocConfig::for_room(&room));
+    let mut sup = SessionSupervisor::new(localizer, anchors.len(), RuntimeConfig::default());
+    let truth = P2::new(2.0, 2.5);
+    let round = |sup: &mut SessionSupervisor, plan: &FaultPlan, round: u64| {
+        sup.run_round(0.5, |attempt| {
+            sound(&sounder, plan, &channels, truth, 53, round, attempt)
+        })
+    };
+
+    // Failure before any fix: a typed deferral, and still no track.
+    let out = round(&mut sup, &dark, 0);
+    assert!(
+        matches!(
+            out,
+            RoundOutcome::Deferred(DeferReason::RetriesExhausted {
+                last: LocalizeError::TooFewUsableAnchors { .. },
+                ..
+            })
+        ),
+        "{out:?}"
+    );
+    assert!(sup.track().is_none());
+
+    // A fix starts the track; failing again coasts the filter (σ grows)
+    // instead of dropping the step.
+    assert!(round(&mut sup, &clean, 1).is_fix());
+    let before = sup.track().expect("one fix").position_sigma;
+    assert!(!round(&mut sup, &dark, 2).is_estimate());
+    let after = sup.track().expect("a coast keeps the lock").position_sigma;
+    assert!(after > before, "coast must inflate σ: {before} → {after}");
 }

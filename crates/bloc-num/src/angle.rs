@@ -32,12 +32,6 @@ pub fn angle_diff(a: f64, b: f64) -> f64 {
     wrap_to_pi(a - b)
 }
 
-/// Degrees → radians.
-#[inline]
-pub fn deg_to_rad(deg: f64) -> f64 {
-    deg * PI / 180.0
-}
-
 /// Radians → degrees.
 #[inline]
 pub fn rad_to_deg(rad: f64) -> f64 {

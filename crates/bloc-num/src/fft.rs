@@ -36,13 +36,6 @@ pub fn fft(x: &[C64]) -> Vec<C64> {
     v
 }
 
-/// Convenience: inverse FFT of a slice into a new vector.
-pub fn ifft(x: &[C64]) -> Vec<C64> {
-    let mut v = x.to_vec();
-    ifft_in_place(&mut v);
-    v
-}
-
 /// Power spectrum `|X_k|²` of a signal, zero-padded to the next power of
 /// two of at least `min_len`.
 pub fn power_spectrum(x: &[C64], min_len: usize) -> Vec<f64> {

@@ -41,13 +41,6 @@ impl Ray {
             dir: P2::from_angle(theta),
         }
     }
-
-    /// Squared perpendicular distance from `p` to the ray's supporting line.
-    pub fn dist_sq_to_line(&self, p: P2) -> f64 {
-        let v = p - self.origin;
-        let t = v.cross(self.dir);
-        t * t
-    }
 }
 
 /// Least-squares intersection of a set of bearing lines: the point

@@ -11,7 +11,7 @@
 //!   Durations land in log₂ histograms named `span.<path>`.
 //! * [`counter`] / [`histogram`] — named [`metrics::Counter`]s and
 //!   log₂-bucketed [`metrics::Histogram`]s (e.g. `likelihood.grid_cells`,
-//!   `sounding.issue.dead_measurement`, `span.localize` in µs), safe to
+//!   `localize.no_fix`, `span.localize` in µs), safe to
 //!   hammer from any number of threads.
 //! * [`event::Sink`] — pluggable structured-event consumers; ships with a
 //!   stderr pretty-printer and a JSONL file sink backed by the
