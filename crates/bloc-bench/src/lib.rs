@@ -8,9 +8,10 @@
 //!   paper plots. `--bin all_figures` runs the lot (EXPERIMENTS.md is its
 //!   output), `--bin ablations` sweeps the design choices DESIGN.md §6
 //!   calls out.
-//! * **Soaks and gates** (`fault_soak`, `chaos_soak`, `degraded_soak`,
-//!   `fleet_soak`, `perf_baseline`, `obs_report`): the verdicts
-//!   `scripts/check.sh` runs. They gate on counts, equalities and ratios
+//! * **Soaks and gates** (`soak`, `perf_baseline`, `obs_report`): the
+//!   verdicts `scripts/check.sh` runs. `soak` runs the fault soaks as
+//!   rows — `fault`, `chaos`, `degraded`, `fleet` — on one
+//!   reconciliation library. They gate on counts, equalities and ratios
 //!   measured within one process, never on absolute wall time.
 //! * **The repository benchmark** (`--bin benchmark`, declared by
 //!   `BENCHMARK.json`): the one place wall time is judged.

@@ -18,7 +18,7 @@
 //!   procedure *without any measurement data* and predicts exactly which
 //!   holes the plan punches. Downstream, `bloc-core`'s masking pass
 //!   reports how many holes it absorbed; the two totals must reconcile
-//!   exactly (the `fault_soak` binary asserts this).
+//!   exactly (the `soak` binary's `fault` row asserts this).
 //!
 //! Lost packets materialize as **exactly-zero** measurements — the
 //! convention the correction stage masks on as a hole.

@@ -163,16 +163,18 @@ pub struct SoundingData {
 }
 
 impl SoundingData {
-    /// Restricts to the first `n` anchors — the anchor-count ablation
-    /// (paper Fig. 9b). Anchor 0 (the master) is always retained.
+    /// Restricts to the anchors `keep`, in that order — the anchor-count
+    /// ablation (paper Fig. 9b). Eq. 10 corrects every anchor against
+    /// the first one, so `keep` must start with anchor 0 (the master).
     ///
     /// # Panics
-    /// Panics when `n` is zero or exceeds the available anchors.
+    /// Panics when `keep` is empty, does not start with anchor 0, or
+    /// names an anchor the sounding does not have.
     pub fn with_anchor_subset(&self, keep: &[usize]) -> SoundingData {
         assert!(!keep.is_empty(), "need at least one anchor");
         assert!(
-            keep.contains(&0),
-            "anchor 0 (master) must be retained: Eq. 10 references ĥ00"
+            keep[0] == 0,
+            "anchor 0 (master) must come first: Eq. 10 references ĥ00"
         );
         let bands = self
             .bands
@@ -1113,6 +1115,18 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let data = sounder.sound(P2::new(2.0, 3.0), &all_data_channels()[..2], &mut rng);
         let _ = data.with_anchor_subset(&[1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "master")]
+    fn anchor_subset_requires_master_first() {
+        // Retained but not first, anchor 1 would silently become Eq. 10's
+        // reference and the fix would land metres off.
+        let (env, anchors) = deployment();
+        let sounder = Sounder::new(&env, &anchors, SounderConfig::default());
+        let mut rng = StdRng::seed_from_u64(7);
+        let data = sounder.sound(P2::new(2.0, 3.0), &all_data_channels()[..2], &mut rng);
+        let _ = data.with_anchor_subset(&[1, 0, 2, 3]);
     }
 
     #[test]

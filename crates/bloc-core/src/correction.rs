@@ -40,8 +40,8 @@
 //! degrades gracefully for free, and [`CorrectedChannels::surviving`]
 //! records how much evidence each anchor still carries so the joint
 //! likelihood can weight anchors accordingly. The [`MaskingSummary`]
-//! reports every masked hole; the `fault_soak` binary reconciles its
-//! totals against the injected-fault census.
+//! reports every masked hole; the `soak` binary's `fault` row reconciles
+//! its totals against the injected-fault census.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -506,7 +506,7 @@ mod tests {
 
     #[test]
     fn masked_holes_reconcile_with_injected_census() {
-        // The contract the fault_soak binary depends on: the masking pass
+        // The contract the fault soak depends on: the masking pass
         // absorbs exactly the holes the fault plan punched.
         let room = Room::new(5.0, 6.0);
         let env = Environment::free_space();

@@ -269,13 +269,13 @@ struct AnchorLanes<'a> {
 /// uses, so it is the same value bit for bit.
 ///
 /// The tables are indexed by the parent grid and filled lazily, one
-/// [`TILE_W`]×[`TILE_H`] tile at a time, the first time a window touches
-/// it ([`SteeringTables::fill`]); every cell's values are computed from
-/// `spec.cell_center(ix, iy)` exactly as a whole-grid build computes
-/// them, so the fill order never changes a bit. Storage is one
-/// [`BLOCK_W`]×[`BLOCK_H`] block at a time, allocated by the block's
-/// first tile. A fine patch is a window into its grid's one table, not a
-/// table of its own.
+/// 4×2-cell tile (`TILE_W`×`TILE_H`) at a time, the first time a window
+/// touches it ([`SteeringTables::fill`]); every cell's values are
+/// computed from `spec.cell_center(ix, iy)` exactly as a whole-grid
+/// build computes them, so the fill order never changes a bit. Storage
+/// is one 16×4-cell block (`BLOCK_W`×`BLOCK_H`) at a time, allocated by
+/// the block's first tile. A fine patch is a window into its grid's one
+/// table, not a table of its own.
 #[derive(Debug)]
 pub struct SteeringTables {
     spec: GridSpec,

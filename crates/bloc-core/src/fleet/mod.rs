@@ -32,7 +32,7 @@
 //! deadlines charge virtual costs only, and all observability and
 //! ledger writes happen single-threaded in registration order after the
 //! parallel section joins — so a batch's outcomes are bit-identical at
-//! any worker thread count. The `fleet_soak` gate holds this module to
+//! any worker thread count. The `soak fleet` gate holds this module to
 //! all of it under a full fault menu.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

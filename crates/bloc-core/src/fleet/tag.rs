@@ -4,7 +4,7 @@
 //! Every tag in a fleet batch produces exactly one [`TagRoundOutcome`] —
 //! a supervised round result, a typed shed, a quarantine skip, or a
 //! caught panic. Nothing is ever silently dropped: the fleet's
-//! conservation gate (`fleet_soak`) counts these against tags × rounds.
+//! conservation gate (`soak fleet`) counts these against tags × rounds.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 

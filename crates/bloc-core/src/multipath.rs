@@ -67,7 +67,7 @@ pub struct ScoredPeak {
 }
 
 /// Scores every peak of a (peak-normalized) joint likelihood and returns
-/// them sorted by score, best first: [`score_windows`] with the whole
+/// them sorted by score, best first: `score_windows` with the whole
 /// grid as its one window.
 ///
 /// `anchor_refs` are the positions the `d_i` distances are measured to —

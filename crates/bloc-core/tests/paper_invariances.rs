@@ -85,3 +85,40 @@ fn redrawn_oscillator_offsets_cancel_in_corrected_channels_and_fix() {
         fa.position
     );
 }
+
+/// Eq. 17 sums one term per slave anchor, and every slave is corrected
+/// against the master alone (Eq. 10), so the order the slaves are listed
+/// in cannot move the fix. Permuting them in one sounding must give the
+/// same position.
+#[test]
+fn permuting_the_slave_anchors_leaves_the_fix_in_place() {
+    let room = Room::new(6.0, 5.0);
+    let mut rng = StdRng::seed_from_u64(9);
+    let env = Environment::in_room(room)
+        .with_walls(Material::concrete(), &mut rng)
+        .unwrap();
+    let (mids, walls) = (room.wall_midpoints(), room.walls());
+    let anchors: Vec<AnchorArray> = (0..4)
+        .map(|i| AnchorArray::centered(i, mids[i], walls[i].direction(), 4))
+        .collect();
+    let sounder = Sounder::new(&env, &anchors, SounderConfig::default());
+    let channels = all_data_channels();
+    let localizer = BlocLocalizer::new(BlocConfig::for_room(&room));
+    for (k, tag) in [P2::new(1.2, 1.1), P2::new(2.3, 3.1), P2::new(4.6, 2.2)]
+        .into_iter()
+        .enumerate()
+    {
+        let data = sounder.sound(tag, &channels, &mut StdRng::seed_from_u64(k as u64));
+        let fix = localizer.localize(&data).unwrap().position;
+        for order in [[0, 3, 1, 2], [0, 2, 3, 1], [0, 3, 2, 1]] {
+            let permuted = localizer
+                .localize(&data.with_anchor_subset(&order))
+                .unwrap()
+                .position;
+            assert!(
+                fix.dist(permuted) <= 1e-9,
+                "tag {tag}, slaves {order:?}: {fix} vs {permuted}"
+            );
+        }
+    }
+}

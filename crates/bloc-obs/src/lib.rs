@@ -4,7 +4,7 @@
 //! network-restricted environments) observability layer giving the
 //! pipeline stage timings, counters, and a structured event log:
 //!
-//! * [`span`] / [`Registry::span`] — hierarchical RAII stage timers over
+//! * [`span()`] / [`Registry::span`] — hierarchical RAII stage timers over
 //!   `Instant` (monotonic). Nested spans compose a `/`-separated path:
 //!   `localize/likelihood` is the likelihood stage *as reached from*
 //!   `localize`, kept distinct from a standalone `likelihood` call.

@@ -105,7 +105,7 @@ impl Registry {
         Arc::clone(map.entry(name.to_string()).or_default())
     }
 
-    /// Opens a hierarchical timing span (see [`crate::span`]); the
+    /// Opens a hierarchical timing span (see [`crate::span()`]); the
     /// duration is recorded into `span.<path>` when the guard drops.
     pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
         SpanGuard::open(self, name)

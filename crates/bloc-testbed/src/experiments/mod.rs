@@ -6,7 +6,6 @@
 
 use serde::{Deserialize, Serialize};
 
-pub mod degradation;
 pub mod ext_fusion;
 pub mod fig10_bandwidth;
 pub mod fig11_interference;

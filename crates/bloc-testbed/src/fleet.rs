@@ -10,7 +10,7 @@
 //! are pure functions of `(fleet seed, site, tag, round, attempt)` via
 //! [`bloc_core::fleet::sounding_seed`], so a fleet batch and a solo
 //! [`bloc_core::SessionSupervisor`] replay of one tag see bit-identical
-//! measurements — the foundation of the `fleet_soak` cross-tag
+//! measurements — the foundation of the `soak fleet` cross-tag
 //! contamination gate.
 
 use rand::rngs::StdRng;

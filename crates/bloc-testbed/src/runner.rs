@@ -15,9 +15,8 @@
 //! localizes them together ([`BlocLocalizer::localize_batch`]), so their
 //! Eq. 17 sweeps share each cell's rotation chain. A panic is still
 //! isolated per location: if the batch's localization panics, each
-//! location is localized again alone under its own guard. Retries stay
-//! per location. Every record equals what a location-by-location sweep
-//! produces, bit for bit.
+//! location is localized again alone under its own guard. Every record
+//! equals what a location-by-location sweep produces, bit for bit.
 //!
 //! Every worker localizes through the scenario's [`Scenario::localizer`],
 //! which runs on the engine the scenario owns. The deployment's steering
@@ -33,7 +32,7 @@ use serde::{Deserialize, Serialize};
 use bloc_ble::channels::Channel;
 use bloc_chan::sounder::{SounderConfig, SoundingData};
 use bloc_core::baselines::{aoa, rssi};
-use bloc_core::{BlocLocalizer, DegradationReport, Estimate, LocalizeError, RetryPolicy};
+use bloc_core::{BlocLocalizer, Estimate, LocalizeError};
 use bloc_num::P2;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -80,12 +79,6 @@ pub struct LocRecord {
     pub estimate: Option<P2>,
     /// Euclidean error, metres (`NaN` when the method failed).
     pub error: f64,
-    /// The masking summary of the attempt that actually produced the
-    /// estimate (BLoc only — baselines have no masking stage). Retries
-    /// draw fresh faults, so the summary must travel with its estimate:
-    /// attempt 0's report describes attempt 0's fault draw, not the
-    /// retry's.
-    pub degradation: Option<DegradationReport>,
 }
 
 /// A method's results over the whole sweep.
@@ -119,19 +112,6 @@ pub struct SweepSpec<'a> {
     /// Optional sounding transform applied before evaluation — band
     /// subsets (Figs. 10/11), anchor subsets (9b), antenna subsets (9c).
     pub transform: Option<Arc<dyn Fn(SoundingData) -> SoundingData + Send + Sync + 'a>>,
-    /// Optional fault plan composed into the sounder. Reseeded per
-    /// location (and per retry attempt) so every sounding draws an
-    /// independent fault pattern at the plan's rates.
-    pub fault_plan: Option<bloc_chan::FaultPlan>,
-    /// Re-sounding policy per location: when no method under test
-    /// produces an estimate (or the location's evaluation panics), the
-    /// location is re-sounded with a fresh fault/noise draw under this
-    /// jittered exponential-backoff schedule — the testbed equivalent of
-    /// a tracker waiting for the next hop cycle (~25 ms at BLE's ~40 full
-    /// sweeps/s, paper §6). The schedule is a pure hash of (seed,
-    /// location, attempt), so sweeps stay bit-reproducible; the simulator
-    /// records rather than sleeps the delays (`sweep.backoff_us`).
-    pub retry: RetryPolicy,
 }
 
 impl<'a> SweepSpec<'a> {
@@ -151,17 +131,7 @@ impl<'a> SweepSpec<'a> {
             methods,
             seed,
             transform: None,
-            fault_plan: None,
-            retry: RetryPolicy::with_retries(0),
         }
-    }
-
-    /// Returns a copy with a fault plan and a retry budget (a default
-    /// backoff policy with `max_retries` retries).
-    pub fn with_faults(mut self, plan: bloc_chan::FaultPlan, max_retries: usize) -> Self {
-        self.fault_plan = Some(plan);
-        self.retry = RetryPolicy::with_retries(max_retries);
-        self
     }
 }
 
@@ -188,7 +158,7 @@ pub fn sweep(spec: &SweepSpec<'_>) -> Vec<SweepOutcome> {
     // that a single one justifies a worker.
     let n_batches = n.div_ceil(BATCH);
     let threads = bloc_num::par::tuned_threads(n_batches, bloc_num::par::max_threads(), 1);
-    let per_batch: Vec<Vec<Vec<Option<Eval>>>> = bloc_num::par::sharded_map_named(
+    let per_batch: Vec<Vec<Vec<Option<P2>>>> = bloc_num::par::sharded_map_named(
         "sweep",
         n_batches,
         threads,
@@ -201,13 +171,19 @@ pub fn sweep(spec: &SweepSpec<'_>) -> Vec<SweepOutcome> {
         |(stats, sounder), b| {
             let locations = b * BATCH..(b * BATCH + BATCH).min(n);
             let sounded: Vec<Option<SoundingData>> = locations
-                .clone()
-                .map(|idx| sound_attempt(spec, stats, sounder, idx, 0))
+                .map(|idx| sound_location(spec, stats, sounder, idx))
                 .collect();
-            let first = evaluate_first_attempt(stats, &evaluate, &sounded);
-            locations
-                .zip(first)
-                .map(|(idx, first)| retry_location(spec, &evaluate, stats, sounder, idx, first))
+            evaluate_batch(stats, &evaluate, &sounded)
+                .into_iter()
+                .map(|evals| {
+                    let estimates = evals.unwrap_or_else(|| vec![None; n_methods]);
+                    stats.inc("sweep.locations");
+                    stats.add(
+                        "sweep.estimate_failures",
+                        estimates.iter().filter(|e| e.is_none()).count() as u64,
+                    );
+                    estimates
+                })
                 .collect()
         },
         |(mut stats, _sounder)| stats.merge_into(bloc_obs::Registry::global()),
@@ -220,7 +196,6 @@ pub fn sweep(spec: &SweepSpec<'_>) -> Vec<SweepOutcome> {
                 truth: P2::ORIGIN,
                 estimate: None,
                 error: f64::NAN,
-                degradation: None,
             };
             n
         ];
@@ -228,13 +203,11 @@ pub fn sweep(spec: &SweepSpec<'_>) -> Vec<SweepOutcome> {
     ];
     for (idx, estimates) in per_location.enumerate() {
         let truth = spec.positions[idx];
-        for (m, est) in estimates.into_iter().enumerate() {
-            let position = est.as_ref().map(|e| e.position);
+        for (m, position) in estimates.into_iter().enumerate() {
             per_method[m][idx] = LocRecord {
                 truth,
                 estimate: position,
                 error: position.map(|e| e.dist(truth)).unwrap_or(f64::NAN),
-                degradation: est.and_then(|e| e.degradation),
             };
         }
     }
@@ -259,42 +232,23 @@ pub fn sweep(spec: &SweepSpec<'_>) -> Vec<SweepOutcome> {
         .collect()
 }
 
-/// Sounds location `idx` for `attempt` under its own panic guard: a
-/// fresh fault/noise draw, then the spec's transform. `None` (counted in
-/// `sweep.panics_caught`) when either panicked.
-fn sound_attempt(
+/// Sounds location `idx` under its own panic guard: its noise draw, then
+/// the spec's transform. `None` (counted in `sweep.panics_caught`) when
+/// either panicked.
+fn sound_location(
     spec: &SweepSpec<'_>,
     stats: &mut LocalStats,
     sounder: &bloc_chan::Sounder,
     idx: usize,
-    attempt: usize,
 ) -> Option<SoundingData> {
-    let backoff = spec.retry.delay_us(idx as u64, attempt);
-    if backoff > 0 {
-        // The simulator records the scheduled wait instead of sleeping
-        // it; determinism tests replay the schedule.
-        stats.record("sweep.backoff_us", backoff);
-    }
-    // Deterministic per-(location, attempt) stream, independent of the
-    // thread count and the batching. Attempt 0 keeps the historical
-    // derivation so fault-free sweeps reproduce earlier results bit for
-    // bit.
-    let attempt_seed = (spec.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add((attempt as u64).wrapping_mul(0xA24B_AED4_963E_E407));
-    let mut rng = StdRng::seed_from_u64(attempt_seed);
-    let faulted;
-    let active = match &spec.fault_plan {
-        Some(plan) => {
-            faulted = sounder.clone().with_faults(plan.with_seed(attempt_seed));
-            &faulted
-        }
-        None => sounder,
-    };
+    // Deterministic per-location stream, independent of the thread count
+    // and the batching.
+    let mut rng = StdRng::seed_from_u64(location_seed(spec.seed, idx));
     // One bad location must not take down the sweep — isolate it, count
-    // it, and let the retry budget (or a blank record) absorb it.
+    // it, and leave its record blank.
     let sounded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let data = stats.time("sweep.sound_us", || {
-            active.sound(spec.positions[idx], &spec.channels, &mut rng)
+            sounder.sound(spec.positions[idx], &spec.channels, &mut rng)
         });
         match &spec.transform {
             Some(transform) => transform(data),
@@ -307,9 +261,14 @@ fn sound_attempt(
     sounded.ok()
 }
 
+/// The noise seed of location `idx` in a sweep seeded with `seed`.
+fn location_seed(seed: u64, idx: usize) -> u64 {
+    seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
 /// Evaluates every method under test on a batch of soundings: per
 /// sounding, one output per method.
-type Evaluate<'e> = dyn Fn(&[&SoundingData]) -> Vec<Vec<Option<Eval>>> + 'e;
+type Evaluate<'e> = dyn Fn(&[&SoundingData]) -> Vec<Vec<Option<P2>>> + 'e;
 
 /// `evaluate` on one location's sounding under its own panic guard;
 /// `None` (counted in `sweep.panics_caught`) when evaluation panicked.
@@ -317,7 +276,7 @@ fn evaluate_alone(
     stats: &mut LocalStats,
     evaluate: &Evaluate<'_>,
     data: &SoundingData,
-) -> Option<Vec<Option<Eval>>> {
+) -> Option<Vec<Option<P2>>> {
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         stats.time("sweep.location_us", || evaluate(&[data]).pop())
     }));
@@ -327,16 +286,16 @@ fn evaluate_alone(
     outcome.ok().flatten()
 }
 
-/// A batch's attempt 0: the sounded locations evaluated together, each
-/// location's `sweep.location_us` sample its share of the batch's time.
-/// A panicking batch is redone one location at a time, so the panic is
-/// charged to the location that raised it. `None` for a location whose
-/// sounding or evaluation panicked.
-fn evaluate_first_attempt(
+/// A batch's sounded locations evaluated together, each location's
+/// `sweep.location_us` sample its share of the batch's time. A panicking
+/// batch is redone one location at a time, so the panic is charged to
+/// the location that raised it. `None` for a location whose sounding or
+/// evaluation panicked.
+fn evaluate_batch(
     stats: &mut LocalStats,
     evaluate: &Evaluate<'_>,
     sounded: &[Option<SoundingData>],
-) -> Vec<Option<Vec<Option<Eval>>>> {
+) -> Vec<Option<Vec<Option<P2>>>> {
     let batch: Vec<&SoundingData> = sounded.iter().flatten().collect();
     let start = std::time::Instant::now();
     let together = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| evaluate(&batch)));
@@ -360,56 +319,6 @@ fn evaluate_first_attempt(
     }
 }
 
-/// Finishes location `idx` from its attempt-0 `first` evaluation: while
-/// no method has an estimate and the retry budget lasts, the location is
-/// re-sounded with a fresh fault/noise draw and evaluated alone.
-fn retry_location(
-    spec: &SweepSpec<'_>,
-    evaluate: &Evaluate<'_>,
-    stats: &mut LocalStats,
-    sounder: &bloc_chan::Sounder,
-    idx: usize,
-    first: Option<Vec<Option<Eval>>>,
-) -> Vec<Option<Eval>> {
-    let mut estimates: Vec<Option<Eval>> = first.unwrap_or_else(|| vec![None; spec.methods.len()]);
-    for attempt in 0..spec.retry.attempts() {
-        if attempt > 0 {
-            // Estimates are replaced wholesale: each estimate's masking
-            // summary describes *this* attempt's fault draw, never a
-            // stale earlier one.
-            if let Some(evals) = sound_attempt(spec, stats, sounder, idx, attempt)
-                .and_then(|data| evaluate_alone(stats, evaluate, &data))
-            {
-                estimates = evals;
-            }
-        }
-        if estimates.iter().any(|e| e.is_some()) {
-            if attempt > 0 {
-                stats.inc("sweep.retry_recovered");
-            }
-            break;
-        }
-        if attempt + 1 < spec.retry.attempts() {
-            stats.inc("sweep.resound_retries");
-        }
-    }
-    stats.inc("sweep.locations");
-    stats.add(
-        "sweep.estimate_failures",
-        estimates.iter().filter(|e| e.is_none()).count() as u64,
-    );
-    estimates
-}
-
-/// One method's output for one attempt: the (clamped) position plus the
-/// masking summary of the localize that produced it, when the method has
-/// one (the full BLoc path; baselines have no masking stage).
-#[derive(Debug, Clone)]
-struct Eval {
-    position: P2,
-    degradation: Option<DegradationReport>,
-}
-
 /// Every method on every sounding of a batch: per sounding, one output
 /// per method in `methods` order. `Method::Bloc` localizes the batch in
 /// one [`BlocLocalizer::localize_batch`] call; the others run per
@@ -418,7 +327,7 @@ fn evaluate_methods(
     methods: &[Method],
     localizer: &BlocLocalizer,
     batch: &[&SoundingData],
-) -> Vec<Vec<Option<Eval>>> {
+) -> Vec<Vec<Option<P2>>> {
     let bloc = methods
         .contains(&Method::Bloc)
         .then(|| localizer.localize_batch(batch));
@@ -442,29 +351,23 @@ fn evaluate_with(
     localizer: &BlocLocalizer,
     data: &SoundingData,
     fix: Option<&Result<Estimate, LocalizeError>>,
-) -> Option<Eval> {
-    let (estimate, degradation) = match method {
-        Method::Bloc => match fix {
-            Some(Ok(e)) => (Some(e.position), Some(e.degradation.clone())),
-            _ => (None, None),
-        },
-        Method::BlocShortestDistance => (
-            localizer
-                .localize_shortest_distance(data)
-                .map(|e| e.position),
-            None,
-        ),
-        Method::BlocArgmax => (localizer.localize_argmax(data).map(|e| e.position), None),
-        Method::AoaBaseline => (aoa::localize(data, &aoa::AoaConfig::default()), None),
-        Method::RssiBaseline => (rssi::localize(data, &rssi::RssiConfig::default()), None),
+) -> Option<P2> {
+    let estimate = match method {
+        Method::Bloc => fix.and_then(|f| f.as_ref().ok()).map(|e| e.position),
+        Method::BlocShortestDistance => localizer
+            .localize_shortest_distance(data)
+            .map(|e| e.position),
+        Method::BlocArgmax => localizer.localize_argmax(data).map(|e| e.position),
+        Method::AoaBaseline => aoa::localize(data, &aoa::AoaConfig::default()),
+        Method::RssiBaseline => rssi::localize(data, &rssi::RssiConfig::default()),
     };
     // Every method knows the deployment region (BLoc searches only inside
     // it); clamping the open-form baselines' estimates into the same
     // region keeps the comparison fair when a degenerate triangulation
     // shoots a fix far outside the building.
     let spec = localizer.config().grid;
-    estimate.map(|p| Eval {
-        position: P2::new(
+    estimate.map(|p| {
+        P2::new(
             p.x.clamp(
                 spec.origin.x,
                 spec.origin.x + spec.nx as f64 * spec.resolution,
@@ -473,8 +376,7 @@ fn evaluate_with(
                 spec.origin.y,
                 spec.origin.y + spec.ny as f64 * spec.resolution,
             ),
-        ),
-        degradation,
+        )
     })
 }
 
@@ -485,7 +387,7 @@ mod tests {
     use crate::scenario::Clutter;
 
     /// One method's output on one sounding, localized alone.
-    fn evaluate(method: Method, localizer: &BlocLocalizer, data: &SoundingData) -> Option<Eval> {
+    fn evaluate(method: Method, localizer: &BlocLocalizer, data: &SoundingData) -> Option<P2> {
         evaluate_methods(&[method], localizer, &[data])
             .pop()
             .and_then(|mut evals| evals.pop())
@@ -657,160 +559,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn faulted_sweep_never_panics_and_mostly_fixes() {
-        // 30% hop loss plus a scheduled anchor dropout: the sweep must
-        // complete, and most locations must still produce an estimate.
-        let scenario = Scenario::build(Clutter::None, 11);
-        let positions = sample_positions(&scenario.room, 10, 11);
-        let n_chans = bloc_chan::sounder::all_data_channels().len();
-        let plan = bloc_chan::FaultPlan {
-            tag_loss: 0.3,
-            master_loss: 0.1,
-            dropouts: vec![bloc_chan::AnchorDropout {
-                anchor: 2,
-                bands: 0..n_chans / 2,
-            }],
-            ..Default::default()
-        };
-        let spec =
-            SweepSpec::standard(&scenario, &positions, vec![Method::Bloc], 11).with_faults(plan, 2);
-        let out = sweep(&spec);
-        assert_eq!(out[0].records.len(), 10);
-        assert!(
-            out[0].failures <= 2,
-            "lossy free space should still mostly fix, {} failures",
-            out[0].failures
-        );
-        assert!(out[0].stats.median < 1.0, "median {}", out[0].stats.median);
-    }
-
-    #[test]
-    fn faulted_sweep_is_deterministic() {
-        let scenario = Scenario::build(Clutter::None, 12);
-        let positions = sample_positions(&scenario.room, 6, 12);
-        let plan = bloc_chan::FaultPlan {
-            tag_loss: 0.4,
-            master_loss: 0.2,
-            ..Default::default()
-        };
-        let spec = SweepSpec {
-            channels: bloc_chan::sounder::all_data_channels()[..12].to_vec(),
-            ..SweepSpec::standard(&scenario, &positions, vec![Method::Bloc], 13)
-                .with_faults(plan, 1)
-        };
-        let a = sweep(&spec);
-        let b = sweep(&spec);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.records, y.records, "fault draws must be deterministic");
-        }
-    }
-
-    #[test]
-    fn retries_recover_master_blackouts() {
-        // A fault rate that sometimes kills every band of a sounding:
-        // with a retry budget the location recovers on a fresh draw.
-        let scenario = Scenario::build(Clutter::None, 13);
-        let positions = sample_positions(&scenario.room, 8, 13);
-        let plan = bloc_chan::FaultPlan {
-            tag_loss: 0.85,
-            ..Default::default()
-        };
-        let base = SweepSpec {
-            channels: bloc_chan::sounder::all_data_channels()[..6].to_vec(),
-            ..SweepSpec::standard(&scenario, &positions, vec![Method::Bloc], 17)
-        };
-        let registry = bloc_obs::Registry::global();
-        let no_retry = sweep(&SweepSpec {
-            retry: RetryPolicy::with_retries(0),
-            fault_plan: Some(plan.clone()),
-            ..base.clone()
-        });
-        let before = registry.snapshot();
-        let with_retry = sweep(&SweepSpec {
-            retry: RetryPolicy::with_retries(4),
-            fault_plan: Some(plan),
-            ..base
-        });
-        let run = registry.snapshot().diff(&before);
-        assert!(
-            with_retry[0].failures <= no_retry[0].failures,
-            "retries must not lose fixes ({} vs {})",
-            with_retry[0].failures,
-            no_retry[0].failures
-        );
-        if with_retry[0].failures < no_retry[0].failures {
-            assert!(
-                run.counters
-                    .get("sweep.retry_recovered")
-                    .copied()
-                    .unwrap_or(0)
-                    > 0,
-                "recoveries must be counted"
-            );
-        }
-    }
-
-    #[test]
-    fn retry_summary_comes_from_the_producing_attempt() {
-        // Regression: the retry loop draws fresh faults per attempt, so a
-        // record's masking summary must describe the attempt that actually
-        // produced its estimate — not attempt 0's stale draw. Mirror the
-        // runner's per-attempt derivation sequentially and require the
-        // (estimate, summary) pair to match the first succeeding attempt.
-        let scenario = Scenario::build(Clutter::None, 21);
-        let positions = sample_positions(&scenario.room, 8, 21);
-        let channels = bloc_chan::sounder::all_data_channels()[..6].to_vec();
-        let plan = bloc_chan::FaultPlan {
-            tag_loss: 0.85,
-            ..Default::default()
-        };
-        let spec = SweepSpec {
-            channels: channels.clone(),
-            ..SweepSpec::standard(&scenario, &positions, vec![Method::Bloc], 17)
-                .with_faults(plan.clone(), 4)
-        };
-        let out = sweep(&spec);
-
-        let sounder = scenario.sounder(spec.sounder_config);
-        let localizer = BlocLocalizer::new(scenario.bloc_config());
-        let mut recovered_late = 0;
-        for (idx, rec) in out[0].records.iter().enumerate() {
-            let mut expected: Option<(usize, Eval)> = None;
-            for attempt in 0..spec.retry.attempts() {
-                let attempt_seed = (spec.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                    .wrapping_add((attempt as u64).wrapping_mul(0xA24B_AED4_963E_E407));
-                let mut rng = StdRng::seed_from_u64(attempt_seed);
-                let data = sounder
-                    .clone()
-                    .with_faults(plan.with_seed(attempt_seed))
-                    .sound(rec.truth, &channels, &mut rng);
-                if let Some(eval) = evaluate(Method::Bloc, &localizer, &data) {
-                    expected = Some((attempt, eval));
-                    break;
-                }
-            }
-            match (&expected, &rec.estimate) {
-                (Some((attempt, eval)), Some(est)) => {
-                    assert_eq!(eval.position, *est, "location {idx}");
-                    assert_eq!(
-                        eval.degradation, rec.degradation,
-                        "location {idx}: summary must come from attempt {attempt}"
-                    );
-                    if *attempt > 0 {
-                        recovered_late += 1;
-                    }
-                }
-                (None, None) => {}
-                (e, r) => panic!("location {idx}: replay {e:?} vs sweep {r:?}"),
-            }
-        }
-        assert!(
-            recovered_late > 0,
-            "the plan must force at least one location to fix on a retry"
-        );
-    }
-
     /// The bits of every tag measurement: identifies one sounding.
     fn fingerprint(d: &SoundingData) -> Vec<[u64; 2]> {
         d.bands
@@ -822,37 +570,27 @@ mod tests {
 
     #[test]
     fn batched_sweep_equals_location_by_location_localize() {
-        // 37 locations: nine full batches and a ragged one of one, under
-        // a lossy fault plan with retries, and a transform that panics
-        // while sounding one location's first attempt. Every record must
-        // equal localizing its location alone with the same seeds.
+        // 37 locations: nine full batches and a ragged one of one, and a
+        // transform that panics while sounding one location. Every record
+        // must equal localizing its location alone with the same seed,
+        // and the panicking location's record stays blank.
         let scenario = Scenario::build(Clutter::WallsOnly, 23);
         let positions = sample_positions(&scenario.room, 37, 23);
         let channels = bloc_chan::sounder::all_data_channels()[..6].to_vec();
-        let plan = bloc_chan::FaultPlan {
-            tag_loss: 0.8,
-            ..Default::default()
-        };
         let methods = vec![Method::Bloc, Method::BlocArgmax];
         let base = SweepSpec {
             channels: channels.clone(),
             ..SweepSpec::standard(&scenario, &positions, methods.clone(), 29)
-                .with_faults(plan.clone(), 2)
         };
         let sounder = scenario.sounder(base.sounder_config);
-        let sound = |idx: usize, attempt: usize| {
-            let attempt_seed = (base.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .wrapping_add((attempt as u64).wrapping_mul(0xA24B_AED4_963E_E407));
-            sounder
-                .clone()
-                .with_faults(plan.with_seed(attempt_seed))
-                .sound(
-                    positions[idx],
-                    &channels,
-                    &mut StdRng::seed_from_u64(attempt_seed),
-                )
+        let sound = |idx: usize| {
+            sounder.sound(
+                positions[idx],
+                &channels,
+                &mut StdRng::seed_from_u64(location_seed(base.seed, idx)),
+            )
         };
-        let panics = fingerprint(&sound(5, 0));
+        let panics = fingerprint(&sound(5));
         let spec = SweepSpec {
             transform: Some(Arc::new(move |d: SoundingData| {
                 if fingerprint(&d) == panics {
@@ -866,42 +604,35 @@ mod tests {
 
         let transform = spec.transform.clone().expect("set above");
         let localizer = scenario.localizer();
-        let (mut transform_panics, mut late) = (0, 0);
+        let mut transform_panics = 0;
         for idx in 0..positions.len() {
-            let mut expected: Vec<Option<Eval>> = vec![None; methods.len()];
-            for attempt in 0..spec.retry.attempts() {
-                let data = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    transform(sound(idx, attempt))
-                }));
-                let Ok(data) = data else {
-                    transform_panics += 1;
-                    continue;
-                };
-                expected = methods
+            let data =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| transform(sound(idx))));
+            let expected: Vec<Option<P2>> = match data {
+                Ok(data) => methods
                     .iter()
                     .map(|&m| evaluate(m, &localizer, &data))
-                    .collect();
-                if expected.iter().any(Option::is_some) {
-                    late += usize::from(attempt > 0);
-                    break;
+                    .collect(),
+                Err(_) => {
+                    transform_panics += 1;
+                    vec![None; methods.len()]
                 }
-            }
+            };
             for (outcome, want) in out.iter().zip(&expected) {
-                let rec = &outcome.records[idx];
                 let what = format!("location {idx}, {:?}", outcome.method);
-                assert_eq!(rec.estimate, want.as_ref().map(|e| e.position), "{what}");
-                assert_eq!(
-                    rec.degradation,
-                    want.as_ref().and_then(|e| e.degradation.clone()),
-                    "{what}"
-                );
+                assert_eq!(outcome.records[idx].estimate, *want, "{what}");
             }
         }
         assert_eq!(transform_panics, 1, "one sounding panics");
-        assert!(late > 0, "the plan must force a fix on a retry");
+        assert!(out.iter().all(|o| o.records[5].estimate.is_none()));
         assert!(
-            out[0].records.iter().any(|r| r.estimate.is_none()),
-            "the plan must leave a location without a fix"
+            out[0]
+                .records
+                .iter()
+                .filter(|r| r.estimate.is_some())
+                .count()
+                > 30,
+            "a fault-free sweep fixes the other locations"
         );
     }
 
@@ -924,22 +655,20 @@ mod tests {
             .collect();
         let localizer = scenario.localizer();
         let target = fingerprint(sounded[2].as_ref().expect("sounded"));
-        let evaluate_batch = |batch: &[&SoundingData]| {
+        let evaluate_panicking = |batch: &[&SoundingData]| {
             if batch.iter().any(|d| fingerprint(d) == target) {
                 panic!("injected evaluation panic");
             }
             evaluate_methods(&[Method::Bloc], &localizer, batch)
         };
         let mut stats = LocalStats::new();
-        let first = evaluate_first_attempt(&mut stats, &evaluate_batch, &sounded);
-        assert_eq!(first.len(), 4);
-        assert!(first[1].is_none() && first[2].is_none());
+        let evals = evaluate_batch(&mut stats, &evaluate_panicking, &sounded);
+        assert_eq!(evals.len(), 4);
+        assert!(evals[1].is_none() && evals[2].is_none());
         for k in [0, 3] {
             let data = sounded[k].as_ref().expect("sounded");
-            let alone = evaluate(Method::Bloc, &localizer, data).map(|e| e.position);
-            let got = first[k].as_ref().expect("evaluated")[0]
-                .as_ref()
-                .map(|e| e.position);
+            let alone = evaluate(Method::Bloc, &localizer, data);
+            let got = evals[k].as_ref().expect("evaluated")[0];
             assert_eq!(got, alone, "location {k}");
             assert!(got.is_some());
         }
@@ -958,7 +687,7 @@ mod tests {
         };
         // A transform that panics on exactly one sounding: the counter is
         // shared across workers, so precisely one location takes the hit
-        // (no retries configured) and loses its estimates.
+        // and loses its estimates.
         let hits = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let hits_in = std::sync::Arc::clone(&hits);
         spec.transform = Some(Arc::new(move |d: SoundingData| {
@@ -980,8 +709,8 @@ mod tests {
                 >= 1,
             "the injected panic must be counted"
         );
-        // Exactly one location lost its estimate to the panic (no retries
-        // configured), the rest are intact.
+        // Exactly one location lost its estimate to the panic, the rest
+        // are intact.
         assert_eq!(out[0].failures, 1);
     }
 

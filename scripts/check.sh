@@ -36,36 +36,32 @@ if [[ "${1:-}" != "quick" ]]; then
             exit 1
         fi
     done
-    # Deterministic fault-injection soak: seeded plan, 100 locations; fails
-    # on any panic, unpopulated DegradationReport, or injected/recovered
-    # ledger mismatch (see crates/bloc-bench/src/bin/fault_soak.rs).
-    run cargo run --release -q -p bloc-bench --bin fault_soak 100
-    # Supervised-runtime chaos soak: 200 rounds of combined faults with two
-    # scheduled anchor blackouts and a mid-run geometry swap; fails on any
-    # panic, <90% valid rounds, breaker-ledger/obs mismatch, or the
-    # supervised track not beating the fixed-retry baseline (see
-    # crates/bloc-bench/src/bin/chaos_soak.rs).
-    run cargo run --release -q -p bloc-bench --bin chaos_soak 200
-    # Degraded-mode soak: fault ramp 0→60% tag loss × 0–3 anchor dropouts
-    # with the RSSI-fingerprint + packet-count fallback stack attached;
-    # fails on any panic, any bare Deferred round, a non-monotone or
-    # out-of-regime per-stage median falloff (sub-metre healthy → ≤ 3.7 m
-    # fallback), or a fallback.census.* counter that does not reconcile
-    # exactly with FaultPlan::predict_reception (see
-    # crates/bloc-bench/src/bin/degraded_soak.rs).
-    run cargo run --release -q -p bloc-bench --bin degraded_soak 120
-    # Fleet-serving soak: 200 tags over 4 sites under the full fault menu
-    # plus injected per-tag panics, deadline violations and a mid-run
-    # overload burst; fails on cross-tag contamination (sentinel tags not
-    # bit-identical to a solo replay), any bare dropped round, a shed
-    # without a degraded estimate, a ledger/obs mismatch, or a missed
-    # site-level outage/recovery (see
-    # crates/bloc-bench/src/bin/fleet_soak.rs). Its tags/s line is for
-    # reading; the benchmark's fleet_faulted workload judges fleet speed.
-    # The scalar leg re-proves the whole verdict — including the
+    # The fault soaks, one row each (see crates/bloc-bench/src/bin/soak/),
+    # each failing on any panic or on books that do not reconcile exactly:
+    #   fault    — bare localize under every fault class over 100
+    #              locations: every fix carries a populated
+    #              DegradationReport masking exactly its plan's census
+    #              holes, injected holes == masked holes;
+    #   chaos    — the supervised runtime for 200 rounds with two anchor
+    #              blackouts and a mid-run geometry swap: ≥ 90% valid
+    #              rounds, the breaker ledger equal to its obs events and
+    #              counters, supervised beating the fixed-retry baseline;
+    #   degraded — the fallback stack through a fault ramp to three dark
+    #              anchors (20 rounds a stage): no bare Deferred, a
+    #              monotone sub-metre → ≤ 3.7 m median falloff, the
+    #              fallback.census.* counters equal to
+    #              FaultPlan::predict_reception;
+    #   fleet    — 200 tags over 4 sites with injected panics, deadline
+    #              violations and an overload burst: sentinel tags
+    #              bit-identical to a solo replay, no bare drop, every
+    #              ledger and outcome tally equal to its counters, the
+    #              site-level outage declared and recovered. Its tags/s
+    #              line is for reading; the benchmark's fleet_faulted
+    #              workload judges fleet speed.
+    # The scalar leg re-proves the fleet verdict — including the
     # bit-identical sentinel replay — through the portable kernels.
-    run env BLOC_NO_SIMD=1 cargo run --release -q -p bloc-bench --bin fleet_soak 200
-    run cargo run --release -q -p bloc-bench --bin fleet_soak 200
+    run cargo run --release -q -p bloc-bench --bin soak
+    run env BLOC_NO_SIMD=1 cargo run --release -q -p bloc-bench --bin soak fleet
     # Hierarchical scalar leg: the coarse→fine localizer's count and
     # equality floors (parity within one fine cell of dense, ≥ 8× cell-eval
     # reduction, thread bit-identity, seeded tracking ≤ 10% of a dense
@@ -113,6 +109,8 @@ run cargo test --release -q -p bloc-num -- simd sweep
 run cargo test --release -q -p bloc-core --test kernel_equivalence
 run cargo fmt --check
 run cargo clippy --all-targets -- -D warnings
+# Rustdoc gate: no broken or private intra-doc link in any crate.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 if [[ "$(git status --porcelain 2>/dev/null || true)" != "$tree_before" ]]; then
     echo "the run changed the tree outside target/:" >&2
     git status --porcelain >&2

@@ -1,7 +1,7 @@
 //! Fleet serving integration: worker-thread determinism pin, bulkhead
 //! quarantine/probe/recovery, typed load shedding (estimated from the
 //! previous attempt-0 sounding's evidence), and outcome conservation —
-//! the debug-build companion to the release `fleet_soak` gate.
+//! the debug-build companion to the release `soak fleet` gate.
 
 use bloc_chan::sounder::SoundingData;
 use bloc_core::fallback::FallbackEstimate;
