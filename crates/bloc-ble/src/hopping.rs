@@ -141,6 +141,9 @@ impl HopSequence {
 
     /// Applies the blacklist remap of algorithm #1 to an unmapped index.
     fn map_unmapped(&self, unmapped: u8) -> Channel {
+        // Invariant, not input: `unmapped` is reduced mod 37, the data
+        // channel count.
+        #[allow(clippy::expect_used)]
         let candidate = Channel::data(unmapped).expect("mod 37 keeps index in range");
         if self.map.contains(candidate) {
             candidate

@@ -253,6 +253,8 @@ impl ConnectionParams {
     /// BLE "hops through all channels 40 times every second", §6), full
     /// channel map, hop 5.
     pub fn bloc_default() -> Self {
+        // Invariant, not input: 5 lies in the valid hop range 5..=16.
+        #[allow(clippy::expect_used)]
         Self {
             interval_units: 6, // 7.5 ms
             timeout_units: 100,

@@ -462,16 +462,10 @@ impl FaultPlan {
         total
     }
 
-    /// Records an injection census on the global `bloc-obs` registry
-    /// under `fault.injected.*`.
+    /// Records an injection census on the global `bloc-obs` registry:
+    /// `fault.injected.{holes,interfered,clipped}`.
     pub fn record(census: &FaultCensus) {
-        bloc_obs::counter("fault.injected.tag_holes").add(census.tag_holes as u64);
-        bloc_obs::counter("fault.injected.master_holes").add(census.master_holes as u64);
         bloc_obs::counter("fault.injected.holes").add(census.holes() as u64);
-        bloc_obs::counter("fault.injected.master_tag_lost_bands")
-            .add(census.master_tag_lost_bands as u64);
-        bloc_obs::counter("fault.injected.interference_bands")
-            .add(census.interference_bands as u64);
         bloc_obs::counter("fault.injected.interfered").add(census.interfered as u64);
         bloc_obs::counter("fault.injected.clipped").add(census.clipped as u64);
     }

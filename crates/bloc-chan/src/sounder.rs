@@ -314,11 +314,6 @@ impl<'a> Sounder<'a> {
         self
     }
 
-    /// The fault plan in force, if any.
-    pub fn fault_plan(&self) -> Option<&crate::faults::FaultPlan> {
-        self.faults.as_ref()
-    }
-
     /// Sounds every channel in `channels` for a tag at `tag`, drawing fresh
     /// oscillator offsets per hop (that is the whole problem!) and one tag
     /// CFO for the whole sounding. When a fault plan is composed in, its

@@ -66,8 +66,7 @@ impl fmt::Display for LocalizeError {
 impl std::error::Error for LocalizeError {}
 
 impl LocalizeError {
-    /// A short machine-readable reason (the `bloc-obs` event field /
-    /// counter suffix for this failure).
+    /// A short machine-readable reason for this failure.
     pub fn reason(&self) -> &'static str {
         match self {
             Self::EmptySounding => "empty",
@@ -152,8 +151,7 @@ impl fmt::Display for DeferReason {
 }
 
 impl DeferReason {
-    /// A short machine-readable reason (the `bloc-obs` counter suffix for
-    /// this deferral).
+    /// A short machine-readable reason for this deferral.
     pub fn reason(&self) -> &'static str {
         match self {
             Self::AnchorQuorum { .. } => "anchor_quorum",

@@ -207,7 +207,6 @@ impl FingerprintDb {
             return Err(FallbackError::NoSurvivingFeatures);
         }
         bloc_obs::counter("fallback.knn.queries").inc();
-        bloc_obs::counter("fallback.knn.dims_surviving").add(surviving_dims as u64);
         let ranked = knn::k_nearest(values, mask, &self.features, self.dims(), k.max(1), threads);
         if ranked.is_empty() {
             // Unreachable with surviving dims > 0 and a non-empty db,

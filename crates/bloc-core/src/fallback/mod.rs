@@ -90,7 +90,7 @@ impl fmt::Display for FallbackError {
 impl std::error::Error for FallbackError {}
 
 impl FallbackError {
-    /// A short machine-readable reason (the `bloc-obs` counter suffix).
+    /// A short machine-readable reason for this failure.
     pub fn reason(&self) -> &'static str {
         match self {
             Self::EmptyDatabase => "empty_database",
@@ -120,7 +120,7 @@ pub enum EstimateMode {
 }
 
 impl EstimateMode {
-    /// The mode's counter/event name.
+    /// The mode's short machine-readable name.
     pub fn name(&self) -> &'static str {
         match self {
             Self::Csi => "csi",
@@ -285,38 +285,23 @@ impl FallbackStack {
     }
 
     /// Evaluates every available fallback prior against `evidence` on
-    /// `spec`. Estimator failures are recorded
-    /// (`fallback.<est>.failed.<reason>`) and skipped, not propagated: a
-    /// prior that cannot run simply contributes nothing.
+    /// `spec`. Estimator failures are skipped, not propagated: a prior
+    /// that cannot run simply contributes nothing.
     pub fn priors(
         &self,
         evidence: &FallbackEvidence,
         spec: GridSpec,
     ) -> (Option<(Grid2D, KnnEstimate)>, Option<CountsEstimate>) {
         let threads = self.config.threads.max(1);
-        let fp = self
-            .db
-            .as_ref()
-            .and_then(|db| match db.query(evidence, self.config.k, threads) {
-                Ok(est) => {
-                    let sigma = est.spread_m.max(self.config.min_sigma_m);
-                    let bump = fusion::gaussian_bump(spec, est.position, sigma, threads);
-                    Some((bump, est))
-                }
-                Err(e) => {
-                    bloc_obs::counter(&format!("fallback.fingerprint.failed.{}", e.reason())).inc();
-                    None
-                }
-            });
+        let fp = self.db.as_ref().and_then(|db| {
+            let est = db.query(evidence, self.config.k, threads).ok()?;
+            let sigma = est.spread_m.max(self.config.min_sigma_m);
+            let bump = fusion::gaussian_bump(spec, est.position, sigma, threads);
+            Some((bump, est))
+        });
         let counts = self.counts.as_ref().and_then(|(model, slot)| {
             let table = slot.get(model, spec, evidence.anchors(), threads);
-            match model.localize(evidence.census(), &table) {
-                Ok(est) => Some(est),
-                Err(e) => {
-                    bloc_obs::counter(&format!("fallback.counts.failed.{}", e.reason())).inc();
-                    None
-                }
-            }
+            model.localize(evidence.census(), &table).ok()
         });
         (fp, counts)
     }
@@ -353,7 +338,6 @@ impl FallbackStack {
         let (ix, iy, _) = fused.argmax().ok_or(FallbackError::NoEstimator)?;
         let position = spec.cell_center(ix, iy);
         let sigma_m = fusion::grid_spread(&fused, position).max(self.config.min_sigma_m);
-        bloc_obs::counter(&format!("fallback.estimates.{}", mode.name())).inc();
         Ok(FallbackEstimate {
             position,
             mode,

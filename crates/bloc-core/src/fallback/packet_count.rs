@@ -128,7 +128,6 @@ impl PacketCountModel {
             return Err(FallbackError::NoInformativeAnchors);
         }
         bloc_obs::counter("fallback.counts.localizations").inc();
-        bloc_obs::counter("fallback.counts.anchors_used").add(informative.len() as u64);
 
         let n_f = n as f64;
         let mut ll = Grid2D::zeros(table.spec);

@@ -238,7 +238,6 @@ impl FleetSupervisor {
             capacity: self.config.site_capacity,
             anchor_down: vec![false; n_anchors],
         });
-        bloc_obs::gauge("fleet.sites").set(self.sites.len() as f64);
         id
     }
 
@@ -268,7 +267,6 @@ impl FleetSupervisor {
             health: 1.0,
             lane: format!("fleet.s{}.t{}", site.0, id.0),
         });
-        bloc_obs::gauge("fleet.tags").set(self.next_tag as f64);
         id
     }
 
@@ -346,7 +344,6 @@ impl FleetSupervisor {
     pub fn run_batch<D: FleetDriver>(&mut self, dt: f64, driver: &D) -> BatchReport {
         let round = self.round;
         self.round += 1;
-        bloc_obs::counter("fleet.batches").inc();
 
         let cfg = self.config.clone();
         let n_sites = self.sites.len();
@@ -559,8 +556,7 @@ impl FleetSupervisor {
         }
         drop(tasks);
 
-        // ── Observability: counters, events, ledgers (deterministic
-        //     order) ─────────────────────────────────────────────────
+        // ── Observability: counters and ledgers (deterministic order) ─
         for entry in &outcomes {
             bloc_obs::counter(&format!("fleet.outcomes.{}", entry.outcome.kind())).inc();
             match &entry.outcome {
@@ -570,27 +566,12 @@ impl FleetSupervisor {
                         bloc_obs::counter("fleet.shed.no_estimate").inc();
                     }
                 }
-                TagRoundOutcome::Panicked { message } => {
-                    bloc_obs::counter("fleet.panics").inc();
-                    bloc_obs::emit(
-                        bloc_obs::Event::new("fleet.panic", message.clone())
-                            .field("site", entry.site.0 as u64)
-                            .field("tag", entry.tag.0)
-                            .field("round", round),
-                    );
-                }
+                TagRoundOutcome::Panicked { .. } => bloc_obs::counter("fleet.panics").inc(),
                 _ => {}
             }
         }
         for t in pending {
             bloc_obs::counter(&format!("fleet.bulkhead.{}", t.to.name())).inc();
-            bloc_obs::emit(
-                bloc_obs::Event::new("fleet.bulkhead", t.to.name())
-                    .field("site", t.site.0 as u64)
-                    .field("tag", t.tag.0)
-                    .field("round", t.round)
-                    .field("cause", t.cause),
-            );
             self.tag_ledger.push(t);
         }
 
@@ -649,13 +630,6 @@ impl FleetSupervisor {
         for t in &site_events {
             let kind = if t.down { "outage" } else { "recovery" };
             bloc_obs::counter(&format!("fleet.site.{kind}")).inc();
-            bloc_obs::emit(
-                bloc_obs::Event::new("fleet.site", kind)
-                    .field("site", t.site.0 as u64)
-                    .field("anchor", t.anchor as u64)
-                    .field("round", t.round)
-                    .field("open_frac", t.open_frac),
-            );
             self.site_ledger.push(t.clone());
         }
 

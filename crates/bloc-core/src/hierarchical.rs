@@ -57,7 +57,6 @@ use bloc_num::{GridSpec, P2};
 
 use crate::error::LocalizeError;
 use crate::localizer::{observe_fix, BlocConfig, BlocLocalizer, Estimate, Level};
-use std::time::Instant;
 
 /// Coarsening factor of the candidate-selection grid (6 → 48 cm cells
 /// over the default 8 cm fine grid, matching the ~0.5 m lobe scale).
@@ -131,7 +130,7 @@ impl HierarchicalConfig {
             ),
             None => ("hier.localize", "hier.localize.calls", Level::Coarse),
         };
-        observe_fix(Instant::now(), span, calls, || {
+        observe_fix(span, Some(calls), || {
             let fix = localizer.locate(&[std::slice::from_ref(data)], start, self.small_grid_cells);
             fix.into_iter()
                 .next()

@@ -30,7 +30,6 @@
 use bloc_chan::geometry::Room;
 use bloc_chan::sounder::SoundingData;
 use bloc_num::{Grid2D, GridSpec, P2};
-use std::time::Instant;
 
 use crate::correction::{correct, CorrectedChannels};
 use crate::engine::LikelihoodEngine;
@@ -157,26 +156,21 @@ pub(crate) fn anchor_refs(data: &SoundingData) -> Vec<P2> {
     data.anchors.iter().map(|a| a.center()).collect()
 }
 
-/// Runs one fix attempt under `span`, counted in `calls`, and records
-/// its outcome the one way every entry point (dense, batched, multi-burst,
-/// hierarchical, seeded) shares: the wait since `start` (earlier than the
-/// call when the fix is one of a batch that started together) in
-/// `localize.latency_us`, and a failure in `localize.no_fix` plus a
-/// `localize`/`no_fix` event.
+/// Runs one fix attempt under `span`, counted in `calls` when given, and
+/// counts a failure in `localize.no_fix` — the one way every entry point
+/// (dense, batched, multi-burst, hierarchical, seeded) records a fix.
 pub(crate) fn observe_fix<T>(
-    start: Instant,
     span: &'static str,
-    calls: &str,
+    calls: Option<&str>,
     fix: impl FnOnce() -> Result<T, LocalizeError>,
 ) -> Result<T, LocalizeError> {
     let _span = bloc_obs::span(span);
-    bloc_obs::counter(calls).inc();
+    if let Some(calls) = calls {
+        bloc_obs::counter(calls).inc();
+    }
     let result = fix();
-    bloc_obs::histogram("localize.latency_us")
-        .record(start.elapsed().as_micros().min(u64::MAX as u128) as u64);
-    if let Err(e) = &result {
+    if result.is_err() {
         bloc_obs::counter("localize.no_fix").inc();
-        bloc_obs::emit(bloc_obs::Event::new("localize", "no_fix").field("reason", e.reason()));
     }
     result
 }
@@ -246,21 +240,18 @@ impl BlocLocalizer {
     /// Eq. 17 sweep ([`LikelihoodEngine::likelihood_batch`]), so soundings
     /// of one deployment advance each rotation chain once per group of up
     /// to [`bloc_num::sweep::MAX_TAGS`]. Each fix keeps its own `localize`
-    /// span, `localize.calls` increment and `localize.latency_us` sample;
-    /// the batch's work runs inside the first fix's span, and every
-    /// latency sample runs from the batch's start, so each is the batch's
-    /// wall time.
+    /// span and `localize.calls` increment; the batch's work runs inside
+    /// the first fix's span.
     pub fn localize_batch(
         &self,
         soundings: &[&SoundingData],
     ) -> Vec<Result<Estimate, LocalizeError>> {
-        let start = Instant::now();
         let tags: Vec<&[SoundingData]> =
             soundings.iter().map(|&d| std::slice::from_ref(d)).collect();
         let mut fixes = Vec::new().into_iter();
         (0..tags.len())
             .map(|k| {
-                observe_fix(start, "localize", "localize.calls", || {
+                observe_fix("localize", Some("localize.calls"), || {
                     if k == 0 {
                         fixes = self.locate(&tags, Level::Whole, 0).into_iter();
                     }
@@ -287,16 +278,11 @@ impl BlocLocalizer {
     /// otherwise the same failures as [`Self::localize`] evaluated on the
     /// fused evidence.
     pub fn localize_fused(&self, soundings: &[SoundingData]) -> Result<Estimate, LocalizeError> {
-        observe_fix(
-            Instant::now(),
-            "localize_fused",
-            "localize_fused.calls",
-            || {
-                let fix = self.locate(&[soundings], Level::Whole, 0).pop();
-                fix.unwrap_or(Err(LocalizeError::EmptySounding))
-                    .map(|h| h.estimate)
-            },
-        )
+        observe_fix("localize_fused", None, || {
+            let fix = self.locate(&[soundings], Level::Whole, 0).pop();
+            fix.unwrap_or(Err(LocalizeError::EmptySounding))
+                .map(|h| h.estimate)
+        })
     }
 
     /// Localization with multipath rejection replaced by the naive

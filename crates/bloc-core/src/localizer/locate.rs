@@ -324,7 +324,6 @@ impl BlocLocalizer {
                 }
                 windows.push((patch, joint));
             }
-            bloc_obs::counter("hier.candidates").add(windows.len() as u64);
             swept.push((windows, Some(surface)));
         }
         swept
@@ -404,10 +403,6 @@ impl BlocLocalizer {
     ) -> Vec<Vec<SoundingMaps>> {
         let _span = bloc_obs::span("likelihood");
         let bursts: Vec<&CorrectedChannels> = here.iter().flat_map(|s| &s.bursts).collect();
-        for c in &bursts {
-            bloc_obs::counter("likelihood.grid_cells").add(window.spec.len() as u64);
-            bloc_obs::counter("likelihood.bands").add(c.bands.len() as u64);
-        }
         let mut maps = (self.engine)
             .likelihood_batch(&bursts, spec, window, self.config.combining, keep_maps)
             .into_iter();
@@ -438,9 +433,6 @@ fn record_recovered(corrected: &CorrectedChannels) {
     let m = &corrected.masking;
     if m.holes_masked > 0 {
         bloc_obs::counter("fault.recovered.holes").add(m.holes_masked as u64);
-    }
-    if m.nonfinite_masked > 0 {
-        bloc_obs::counter("fault.recovered.nonfinite").add(m.nonfinite_masked as u64);
     }
     if m.bands_dropped > 0 {
         bloc_obs::counter("fault.recovered.bands_dropped").add(m.bands_dropped as u64);

@@ -89,8 +89,8 @@ pub fn score_peaks(grid: &Grid2D, anchor_refs: &[P2], config: &ScoreConfig) -> V
 /// `merged` windows (a hierarchy's refinement patches) each keep every
 /// local maximum above the floor and the union keeps the best by score.
 /// The whole parent is the window with no interior border that rebases
-/// onto itself. Returns the peaks best first, recorded under
-/// `multipath.*`; empty when no window has a positive cell.
+/// onto itself. Returns the peaks best first; empty when no window has a
+/// positive cell.
 pub(crate) fn score_windows<G: Borrow<Grid2D>>(
     windows: &[(GridPatch, G)],
     parent: GridSpec,
@@ -142,9 +142,6 @@ pub(crate) fn score_windows<G: Borrow<Grid2D>>(
         });
         peaks.truncate(config.peaks.max_peaks);
     }
-    if !peaks.is_empty() {
-        record_scored(&peaks);
-    }
     peaks
 }
 
@@ -172,9 +169,8 @@ fn remap_to_parent(s: ScoredPeak, patch: &GridPatch, parent: GridSpec) -> Scored
 /// solver scores fine-patch peaks against the *venue-global* background
 /// and maximum so candidates from different patches rank on one scale,
 /// exactly as a dense sweep would rank them. Returns the peaks sorted by
-/// score, best first; does not touch the `multipath.*` counters (callers
-/// that produce a final candidate set use [`record_scored`]).
-pub fn score_candidates(
+/// score, best first.
+fn score_candidates(
     grid: &Grid2D,
     peaks: &[Peak],
     anchor_refs: &[P2],
@@ -213,14 +209,6 @@ pub fn score_candidates(
     scored.sort_by(|x, y| y.score.total_cmp(&x.score));
     scored.retain(|s| s.score.is_finite());
     scored
-}
-
-/// Reports a final scored candidate set to the `multipath.*` counters:
-/// every candidate was scored, everything behind the winner is a rejected
-/// multipath candidate.
-pub fn record_scored(scored: &[ScoredPeak]) {
-    bloc_obs::counter("multipath.peaks_scored").add(scored.len() as u64);
-    bloc_obs::counter("multipath.peaks_rejected").add(scored.len().saturating_sub(1) as u64);
 }
 
 /// The naive §8.7 baseline: among the peaks, pick the one with the

@@ -40,8 +40,7 @@
 //!   rounds read too.
 //! * Every breaker transition lands in an inspectable ledger *and* as a
 //!   `runtime.breaker` obs event, so a soak can reconcile the two
-//!   exactly; per-anchor health is exported as `runtime.anchor_health.*`
-//!   gauges.
+//!   exactly; per-anchor health is [`SessionSupervisor::anchor_health`].
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -53,7 +52,6 @@ use bloc_num::par::Deadline;
 // hash of seeds the fault plan uses, so reruns are bit-identical.
 use bloc_num::seed::splitmix64 as splitmix;
 use bloc_num::{Grid2D, P2};
-use bloc_obs::mode::ModeTracker;
 use bloc_obs::BoundedLedger;
 
 use crate::error::{DeferReason, DegradationReport, LocalizeError};
@@ -398,9 +396,6 @@ pub struct SessionSupervisor {
     /// at survey time, so a quarantined anchor contributes masked holes,
     /// not a shape change.
     evidence: Option<FallbackEvidence>,
-    /// Estimator-mode occupancy/transition bookkeeping (attached with the
-    /// fallback stack so non-degraded sessions' counters stay untouched).
-    mode_tracker: Option<ModeTracker>,
 }
 
 impl SessionSupervisor {
@@ -423,18 +418,15 @@ impl SessionSupervisor {
             path_cache: None,
             fallback: None,
             evidence: None,
-            mode_tracker: None,
         }
     }
 
     /// Attaches a fallback stack: rounds that would defer instead return
     /// [`RoundOutcome::Degraded`] whenever a fallback estimator can still
     /// produce a position, and unhealthy native fixes are refined with
-    /// degradation-weighted priors. Also attaches a
-    /// [`bloc_obs::mode::ModeTracker`] recording `runtime.mode.*`.
+    /// degradation-weighted priors.
     pub fn with_fallback(mut self, stack: FallbackStack) -> Self {
         self.fallback = Some(stack);
-        self.mode_tracker = Some(ModeTracker::new("runtime"));
         self
     }
 
@@ -531,12 +523,6 @@ impl SessionSupervisor {
         non_closed as f64 / slaves as f64
     }
 
-    /// The estimator mode of the most recent round, when a fallback
-    /// stack (and with it the mode tracker) is attached.
-    pub fn current_mode(&self) -> Option<&str> {
-        self.mode_tracker.as_ref().and_then(|mt| mt.current())
-    }
-
     /// Original indices of anchors admitted to the next round: everything
     /// not quarantined (Open). Half-open anchors are admitted as probes.
     pub fn admitted(&self) -> Vec<usize> {
@@ -600,7 +586,6 @@ impl SessionSupervisor {
             let delay = self.config.retry.delay_us(round, attempt);
             if delay > 0 {
                 bloc_obs::counter("runtime.retries").inc();
-                bloc_obs::histogram("runtime.backoff_us").record(delay);
             }
             if let Some(d) = deadline.as_deref_mut() {
                 d.charge(delay);
@@ -649,21 +634,13 @@ impl SessionSupervisor {
             let alpha = self.config.health_alpha;
             for &pos in &est.degradation.anchors_excluded {
                 if let Some(&orig) = admitted.get(pos) {
-                    let m = &mut self.monitors[orig];
-                    m.health *= 1.0 - alpha;
-                    let health = m.health;
-                    bloc_obs::gauge(&format!("runtime.anchor_health.{orig}")).set(health);
+                    self.monitors[orig].health *= 1.0 - alpha;
                 }
             }
             let (estimate, mode, weights) = self.refine(est, &data);
-            if let Some(mt) = &mut self.mode_tracker {
-                mt.observe(mode.name());
-            }
             let disposition = self.tracker.offer(estimate.position, dt);
-            match disposition {
-                FixDisposition::Rejected { .. } => bloc_obs::counter("track.gated").inc(),
-                FixDisposition::Reacquired(_) => bloc_obs::counter("track.reacquired").inc(),
-                FixDisposition::Accepted(_) => {}
+            if matches!(disposition, FixDisposition::Rejected { .. }) {
+                bloc_obs::counter("track.gated").inc();
             }
             bloc_obs::counter("runtime.rounds.fixed").inc();
             return RoundOutcome::Fix(Box::new(RoundFix {
@@ -780,8 +757,7 @@ impl SessionSupervisor {
     /// round's attempt 0 when quorum was denied before anything was
     /// `sounded`; records the observed per-anchor reception tally under
     /// `fallback.census.*` so soaks can reconcile it against the fault
-    /// plan's prediction ledger, and an estimate that fails under
-    /// `fallback.failed.<reason>`.
+    /// plan's prediction ledger.
     fn degraded_or_defer<F>(
         &mut self,
         dt: f64,
@@ -807,19 +783,10 @@ impl SessionSupervisor {
         bloc_obs::counter("fallback.census.received").add(census.total_received() as u64);
         bloc_obs::counter("fallback.census.expected")
             .add((census.expected * evidence.anchors().len()) as u64);
-        let fb = match fb {
-            Some(Ok(fb)) => fb,
-            Some(Err(e)) => {
-                bloc_obs::counter(&format!("fallback.failed.{}", e.reason())).inc();
-                return self.defer(dt, reason);
-            }
-            None => return self.defer(dt, reason),
+        let Some(Ok(fb)) = fb else {
+            return self.defer(dt, reason);
         };
         let estimate = dressed(&fb, evidence, &self.localizer.config().score);
-        if let Some(mt) = &mut self.mode_tracker {
-            mt.observe(fb.mode.name());
-        }
-        bloc_obs::counter("track.degraded").inc();
         let disposition = self
             .tracker
             .offer_degraded(estimate.position, dt, fb.sigma_m);
@@ -827,7 +794,6 @@ impl SessionSupervisor {
             bloc_obs::counter("track.gated").inc();
         }
         bloc_obs::counter("runtime.rounds.degraded").inc();
-        bloc_obs::counter(&format!("runtime.degraded.{}", reason.reason())).inc();
         RoundOutcome::Degraded(Box::new(DegradedRound {
             round,
             reason,
@@ -840,10 +806,9 @@ impl SessionSupervisor {
         }))
     }
 
-    /// Coasts the tracker through a declined round and records why.
+    /// Coasts the tracker through a declined round.
     fn defer(&mut self, dt: f64, reason: DeferReason) -> RoundOutcome {
         self.tracker.coast(dt);
-        bloc_obs::counter(&format!("runtime.deferred.{}", reason.reason())).inc();
         RoundOutcome::Deferred(reason)
     }
 
@@ -869,7 +834,6 @@ impl SessionSupervisor {
             let m = &mut self.monitors[i];
             m.health = (1.0 - alpha) * m.health + alpha * o;
             let health = m.health;
-            bloc_obs::gauge(&format!("runtime.anchor_health.{i}")).set(health);
             match m.state {
                 BreakerState::Closed => {
                     if health < self.config.open_threshold {

@@ -293,7 +293,6 @@ impl Tracker {
         self.fixless_streak += 1;
         if self.fixless_streak >= self.config.coast_drop_after {
             self.axis = None;
-            bloc_obs::counter("track.lock_dropped").inc();
             return None;
         }
         let widen = self.fixless_streak >= self.config.coast_widen_after;
@@ -347,7 +346,6 @@ impl Tracker {
             ]);
             self.rejected_streak = 0;
             self.fixless_streak = 0;
-            bloc_obs::counter("track.lock_dropped").inc();
             return FixDisposition::Reacquired(self.state().expect("initialized above"));
         }
         let Some(ax) = self.axis.as_mut() else {

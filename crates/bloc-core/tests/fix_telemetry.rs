@@ -7,6 +7,8 @@
 //!   masked.
 //! * A hierarchical fix that fails counts one `localize.no_fix`, exactly
 //!   like a dense one.
+//! * A dense fix, a seeded hierarchical fix and a supervised round record
+//!   exactly the names something reads.
 //!
 //! These tests read counter deltas on the process-wide registry, so they
 //! live in their own test binary and serialize on one lock.
@@ -15,10 +17,11 @@ use std::sync::Mutex;
 
 use bloc_chan::geometry::Room;
 use bloc_chan::sounder::{all_data_channels, Sounder, SounderConfig};
-use bloc_chan::{AnchorArray, AnchorDropout, Environment, FaultPlan};
+use bloc_chan::{AnchorArray, AnchorDropout, Environment, FaultPlan, RangeLoss};
 use bloc_core::{
-    BlocConfig, BlocLocalizer, EscapeReason, HierarchicalConfig, HierarchicalEstimate,
-    HierarchicalLocalizer, LocalizeError,
+    BlocConfig, BlocLocalizer, EscapeReason, FallbackConfig, FallbackStack, FingerprintDb,
+    HierarchicalConfig, HierarchicalEstimate, HierarchicalLocalizer, LocalizeError,
+    PacketCountModel, RoundOutcome, RuntimeConfig, SessionSupervisor,
 };
 use bloc_num::P2;
 use rand::rngs::StdRng;
@@ -260,5 +263,152 @@ fn cell_ledger_reconciles_on_every_path() {
     assert_eq!(
         counter("engine.cells_evaluated") - before,
         (dense.config().grid.len() * alive) as u64
+    );
+}
+
+/// Asserts that `fix` records exactly the `counters` and `histograms`
+/// named in the global registry.
+fn assert_records(what: &str, counters: &[&str], histograms: &[&str], fix: impl FnOnce()) {
+    let before = bloc_obs::Registry::global().snapshot();
+    fix();
+    let run = bloc_obs::Registry::global().snapshot().diff(&before);
+    assert_eq!(
+        run.counters.keys().collect::<Vec<_>>(),
+        counters,
+        "{what}: counters"
+    );
+    assert_eq!(
+        run.histograms.keys().collect::<Vec<_>>(),
+        histograms,
+        "{what}: histograms"
+    );
+}
+
+/// Every name one fix records has a reader (a gate, a soak row, a figure
+/// binary, a reconciling test or the benchmark): a dense fix, a seeded
+/// hierarchical fix and a supervised round with a fallback stack record
+/// exactly these counters and histograms, so a name added without a
+/// reader fails here.
+#[test]
+fn each_fix_records_exactly_the_names_that_are_read() {
+    let _guard = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    let room = Room::new(5.0, 6.0);
+    let env = Environment::free_space();
+    let anchors = anchors(&room);
+    let chans = all_data_channels();
+    let sounder = Sounder::new(&env, &anchors, SounderConfig::default());
+    let tag = P2::new(2.1, 3.2);
+    let mut rng = StdRng::seed_from_u64(61);
+    let data = sounder.sound(tag, &chans, &mut rng);
+
+    let dense = BlocLocalizer::new(BlocConfig::for_room(&room));
+    assert_records(
+        "dense fix",
+        &[
+            "cache.steering.misses",
+            "engine.cells_evaluated",
+            "localize.calls",
+        ],
+        &[
+            "par.likelihood.busy_us",
+            "par.likelihood.wall_us",
+            "span.localize",
+            "span.localize/correct",
+            "span.localize/likelihood",
+            "span.localize/score_peaks",
+        ],
+        || {
+            dense.localize(&data).expect("clean fix");
+        },
+    );
+
+    let hier = HierarchicalLocalizer::new(
+        BlocLocalizer::new(BlocConfig::for_room(&room)),
+        HierarchicalConfig::default(),
+    );
+    assert_records(
+        "seeded hierarchical fix",
+        &[
+            "cache.steering.misses",
+            "engine.cells_evaluated",
+            "hier.localize.seeded",
+        ],
+        &[
+            "par.likelihood.busy_us",
+            "par.likelihood.wall_us",
+            "span.hier.localize_seeded",
+            "span.hier.localize_seeded/correct",
+            "span.hier.localize_seeded/likelihood",
+            "span.hier.localize_seeded/score_peaks",
+        ],
+        || {
+            hier.localize_seeded(&data, tag, 0.5).expect("seeded fix");
+        },
+    );
+
+    let mut db = FingerprintDb::new(chans.len(), anchors.len());
+    for yi in 0..3 {
+        for xi in 0..3 {
+            let pos = P2::new(1.0 + xi as f64 * 1.5, 1.0 + yi as f64 * 2.0);
+            db.insert(pos, &sounder.sound(pos, &chans, &mut rng))
+                .expect("survey shapes agree");
+        }
+    }
+    let stack = FallbackStack::new(FallbackConfig::default())
+        .with_fingerprints(db)
+        .with_counts(PacketCountModel::new(
+            0.0,
+            RangeLoss {
+                d0: 1.0,
+                per_m: 0.12,
+                max: 0.8,
+            },
+        ));
+    let mut sup = SessionSupervisor::new(
+        BlocLocalizer::new(BlocConfig::for_room(&room)),
+        anchors.len(),
+        RuntimeConfig::default(),
+    )
+    .with_fallback(stack);
+    let lossy = sounder
+        .clone()
+        .with_faults(FaultPlan {
+            seed: 62,
+            tag_loss: 0.3,
+            ..Default::default()
+        })
+        .sound(tag, &chans, &mut rng);
+    // The lossy fix is refined with the fallback priors.
+    assert_records(
+        "supervised round",
+        &[
+            "cache.steering.misses",
+            "engine.cells_evaluated",
+            "fallback.counts.localizations",
+            "fallback.knn.queries",
+            "fallback.refined_fixes",
+            "fault.recovered.bands_dropped",
+            "fault.recovered.holes",
+            "localize.calls",
+            "runtime.rounds",
+            "runtime.rounds.fixed",
+        ],
+        &[
+            "par.grid.fill.busy_us",
+            "par.grid.fill.wall_us",
+            "par.knn.dist.busy_us",
+            "par.knn.dist.wall_us",
+            "par.likelihood.busy_us",
+            "par.likelihood.wall_us",
+            "span.localize",
+            "span.localize/correct",
+            "span.localize/likelihood",
+            "span.localize/score_peaks",
+            "span.score_peaks",
+        ],
+        || {
+            let out = sup.run_round(0.5, |_| lossy.clone());
+            assert!(matches!(out, RoundOutcome::Fix(_)));
+        },
     );
 }

@@ -16,32 +16,25 @@
 //! # Telemetry (`par.*`)
 //!
 //! Each `*_named` entry point is a *region*: one fan-out with a stable
-//! name (`likelihood`, `sound.links`, …). While the global
-//! [`bloc_obs::Registry`] is enabled, every region records
+//! name (`likelihood`, `sound.links`, …). Every region records two
+//! histograms on the global [`bloc_obs::Registry`]:
 //!
-//! * `par.regions` / `par.chunks` / `par.items` — counters,
-//! * `par.region.wall_us`, `par.region.busy_max_us`,
-//!   `par.region.threads`, `par.shard.busy_us` — aggregate histograms
-//!   across all regions,
-//! * `par.<name>.wall_us`, `par.<name>.busy_us` — per-region-name
-//!   histograms (one busy sample per shard) so busy-vs-wall can be
-//!   compared per call site,
-//! * `par.imbalance` and `par.<name>.imbalance` — gauges holding the most
-//!   recent region's `(max − min) / max` shard-busy spread (0 = perfectly
-//!   balanced, → 1 = one worker did everything).
+//! * `par.<name>.wall_us` — one sample per region, its wall time;
+//! * `par.<name>.busy_us` — one sample per shard that ran, its busy time.
 //!
 //! Shard busy time is measured *inside* the worker, so the gap between
 //! `wall × threads` and `Σ busy` is exactly the spawn/join + scheduling
 //! overhead — the number that makes the inverted thread-scaling of the
-//! likelihood kernel diagnosable instead of mysterious. When the global
-//! [`bloc_obs::Tracer`] is also enabled, every shard additionally records
-//! `par.<name>` begin/end edges on its worker thread, which is what puts
-//! worker lanes into the exported Chrome trace.
+//! likelihood kernel diagnosable instead of mysterious. The repository
+//! benchmark reads both for its per-layer attribution and parallel
+//! utilization, and `obs_report` gates shard count and coverage on them.
+//! When the global [`bloc_obs::Tracer`] is also enabled, every shard
+//! additionally records `par.<name>` begin/end edges on its worker
+//! thread, which is what puts worker lanes into the exported Chrome
+//! trace.
 //!
 //! The unnamed entry points ([`map`], [`sharded_map`],
 //! [`for_each_chunk_mut`]) report under the reserved region name `other`.
-//! The names `region` and `shard` are reserved for the aggregate metrics
-//! and must not be used as region names.
 
 use std::time::Instant;
 
@@ -169,8 +162,7 @@ fn elapsed_us(start: Instant) -> u64 {
     start.elapsed().as_micros().min(u64::MAX as u128) as u64
 }
 
-/// One instrumented fan-out. `open` is `None` while the global registry
-/// is disabled, collapsing every telemetry touch to a branch.
+/// One instrumented fan-out.
 struct Region {
     name: &'static str,
     /// Interned `par.<name>` trace id when the tracer is recording.
@@ -179,47 +171,25 @@ struct Region {
 }
 
 impl Region {
-    fn open(name: &'static str) -> Option<Region> {
-        if !Registry::global().is_enabled() {
-            return None;
-        }
-        let trace_id = Tracer::global().intern(&format!("par.{name}"));
-        Some(Region {
+    fn open(name: &'static str) -> Region {
+        Region {
             name,
-            trace_id,
+            trace_id: Tracer::global().intern(&format!("par.{name}")),
             start: Instant::now(),
-        })
+        }
     }
 
-    /// Records the region's metrics; `busy_us` holds one entry per shard
-    /// that actually ran, `items` go to the `items_counter` counter
-    /// (`par.chunks` or `par.items`).
-    fn close(self, threads: usize, busy_us: &[u64], items: u64, items_counter: &'static str) {
+    /// Records the region's wall time and `busy_us`, one entry per shard
+    /// that actually ran.
+    fn close(self, busy_us: &[u64]) {
         let wall_us = elapsed_us(self.start);
         let reg = Registry::global();
-        reg.counter("par.regions").inc();
-        reg.counter(items_counter).add(items);
-        reg.histogram("par.region.threads").record(threads as u64);
-        reg.histogram("par.region.wall_us").record(wall_us);
         reg.histogram(&format!("par.{}.wall_us", self.name))
             .record(wall_us);
-        let shard_busy = reg.histogram("par.shard.busy_us");
-        let named_busy = reg.histogram(&format!("par.{}.busy_us", self.name));
+        let busy = reg.histogram(&format!("par.{}.busy_us", self.name));
         for &b in busy_us {
-            shard_busy.record(b);
-            named_busy.record(b);
+            busy.record(b);
         }
-        let max = busy_us.iter().copied().max().unwrap_or(0);
-        let min = busy_us.iter().copied().min().unwrap_or(0);
-        reg.histogram("par.region.busy_max_us").record(max);
-        let imbalance = if max > 0 {
-            (max - min) as f64 / max as f64
-        } else {
-            0.0
-        };
-        reg.gauge("par.imbalance").set(imbalance);
-        reg.gauge(&format!("par.{}.imbalance", self.name))
-            .set(imbalance);
     }
 }
 
@@ -260,16 +230,14 @@ pub fn for_each_chunk_mut_named<T, F>(
     let n_chunks = data.len().div_ceil(chunk_len);
     let threads = threads.max(1).min(n_chunks.max(1));
     let region = Region::open(name);
-    let trace_id = region.as_ref().and_then(|r| r.trace_id);
+    let trace_id = region.trace_id;
     if threads == 1 {
         let ((), busy) = timed_shard(trace_id, || {
             for (k, chunk) in data.chunks_mut(chunk_len).enumerate() {
                 f(k * chunk_len, chunk);
             }
         });
-        if let Some(region) = region {
-            region.close(1, &[busy], n_chunks as u64, "par.chunks");
-        }
+        region.close(&[busy]);
         return;
     }
     let mut per_thread: Vec<Vec<(usize, &mut [T])>> = (0..threads).map(|_| Vec::new()).collect();
@@ -299,9 +267,7 @@ pub fn for_each_chunk_mut_named<T, F>(
             })
             .collect()
     });
-    if let Some(region) = region {
-        region.close(threads, &busy, n_chunks as u64, "par.chunks");
-    }
+    region.close(&busy);
 }
 
 /// Splits `data` into contiguous chunks and applies `f` to each across
@@ -321,10 +287,10 @@ where
 /// threads, returning the results in index order.
 ///
 /// Each worker owns a private state built by `init(worker_index)` — a
-/// sounder, a local stats accumulator, a scratch buffer — threaded through
-/// its `work` calls and handed to `fini` when the worker's share is done
-/// (the merge-at-join point). Items are sharded by stride (worker `t`
-/// takes `t, t+threads, …`), so the item→worker mapping is deterministic.
+/// sounder, a scratch buffer — threaded through its `work` calls and
+/// handed to `fini` when the worker's share is done. Items are sharded
+/// by stride (worker `t` takes `t, t+threads, …`), so the item→worker
+/// mapping is deterministic.
 ///
 /// A panic in any worker is resumed on the calling thread after the scope
 /// joins, matching the behaviour of the hand-rolled sharding blocks this
@@ -345,7 +311,7 @@ where
 {
     let threads = threads.max(1).min(n.max(1));
     let region = Region::open(name);
-    let trace_id = region.as_ref().and_then(|r| r.trace_id);
+    let trace_id = region.trace_id;
     if threads == 1 {
         let (out, busy) = timed_shard(trace_id, || {
             let mut state = init(0);
@@ -353,9 +319,7 @@ where
             fini(state);
             out
         });
-        if let Some(region) = region {
-            region.close(1, &[busy], n as u64, "par.items");
-        }
+        region.close(&[busy]);
         return out;
     }
     let shards: Vec<(Vec<T>, u64)> = std::thread::scope(|scope| {
@@ -383,10 +347,8 @@ where
             })
             .collect()
     });
-    if let Some(region) = region {
-        let busy: Vec<u64> = shards.iter().map(|(_, b)| *b).collect();
-        region.close(threads, &busy, n as u64, "par.items");
-    }
+    let busy: Vec<u64> = shards.iter().map(|(_, b)| *b).collect();
+    region.close(&busy);
     let mut out: Vec<Option<T>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
     for (t, (shard, _)) in shards.into_iter().enumerate() {
@@ -596,19 +558,11 @@ mod tests {
         assert!(caught.is_err());
     }
 
-    /// Serializes the tests that read (or toggle) the global registry so
-    /// a concurrently running disable can't void a sibling's metrics.
-    fn telemetry_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Named regions must account their items, shard busy samples and
     /// wall time under `par.<name>.*` on the global registry, with one
     /// busy sample per shard that ran.
     #[test]
     fn named_region_records_par_metrics() {
-        let _serial = telemetry_lock();
         let reg = Registry::global();
         let before = reg.snapshot();
         let out = map_named("par-selftest", 64, 4, |i| {
@@ -617,8 +571,6 @@ mod tests {
         });
         assert_eq!(out.len(), 64);
         let delta = reg.snapshot().diff(&before);
-        assert!(delta.counters["par.regions"] >= 1);
-        assert!(delta.counters["par.items"] >= 64);
         let wall = &delta.histograms["par.par-selftest.wall_us"];
         assert_eq!(wall.count, 1);
         let busy = &delta.histograms["par.par-selftest.busy_us"];
@@ -632,7 +584,6 @@ mod tests {
     /// busy time equals (up to clock granularity) the region wall.
     #[test]
     fn inline_region_counts_one_shard() {
-        let _serial = telemetry_lock();
         let reg = Registry::global();
         let before = reg.snapshot();
         let mut data = vec![1u64; 500];
@@ -642,21 +593,6 @@ mod tests {
             }
         });
         let delta = reg.snapshot().diff(&before);
-        assert!(delta.counters["par.chunks"] >= 8);
         assert_eq!(delta.histograms["par.par-selftest-inline.busy_us"].count, 1);
-    }
-
-    /// With the global registry disabled, a named region records nothing.
-    #[test]
-    fn disabled_registry_skips_par_metrics() {
-        let _serial = telemetry_lock();
-        let reg = Registry::global();
-        reg.set_enabled(false);
-        let out = map_named("par-selftest-off", 16, 2, |i| i + 1);
-        reg.set_enabled(true);
-        assert_eq!(out[15], 16);
-        let snap = reg.snapshot();
-        assert!(!snap.histograms.contains_key("par.par-selftest-off.wall_us"));
-        assert!(!snap.histograms.contains_key("par.par-selftest-off.busy_us"));
     }
 }

@@ -1,19 +1,12 @@
 //! Structured events and pluggable sinks.
 //!
 //! Metrics ([`crate::metrics`]) answer "how many / how long"; events
-//! answer "what happened to *this* sounding". Pipeline stages emit an
-//! [`Event`] per noteworthy occurrence (a rejected measurement, a
-//! discarded multipath peak, a failed fix) and every [`Sink`] registered
-//! on the [`crate::Registry`] receives it. With no sinks attached,
-//! emission is a single relaxed atomic load — events cost nothing until
-//! someone is listening.
-
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::Path;
-use std::sync::Mutex;
-
-use crate::json::Json;
+//! answer "what happened, in which order". The supervised runtime emits
+//! a `runtime.breaker` [`Event`] per breaker transition, and every
+//! [`Sink`] registered on the [`crate::Registry`] receives it (the chaos
+//! soak reconciles them against the breaker ledger). With no sinks
+//! attached, emission is a single relaxed atomic load — events cost
+//! nothing until someone is listening.
 
 /// A typed event field value.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,25 +21,6 @@ pub enum Value {
     Str(String),
     /// Boolean.
     Bool(bool),
-}
-
-impl Value {
-    fn to_json(&self) -> Json {
-        match self {
-            Value::U64(x) => Json::Num(*x as f64),
-            Value::I64(x) => Json::Num(*x as f64),
-            Value::F64(x) => {
-                if x.is_finite() {
-                    Json::Num(*x)
-                } else {
-                    // JSON has no NaN/Inf; preserve the information as text.
-                    Json::Str(format!("{x}"))
-                }
-            }
-            Value::Str(s) => Json::Str(s.clone()),
-            Value::Bool(b) => Json::Bool(*b),
-        }
-    }
 }
 
 impl std::fmt::Display for Value {
@@ -100,9 +74,9 @@ impl From<String> for Value {
 /// One structured occurrence in the pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
-    /// Coarse category, e.g. `"sounding.rejected"` or `"localize.no_fix"`.
+    /// Coarse category, e.g. `"runtime.breaker"`.
     pub kind: &'static str,
-    /// Specific name within the category, e.g. `"dead_measurement"`.
+    /// Specific name within the category, e.g. `"open"`.
     pub name: String,
     /// Free-form key/value payload.
     pub fields: Vec<(&'static str, Value)>,
@@ -123,20 +97,6 @@ impl Event {
         self.fields.push((key, value.into()));
         self
     }
-
-    /// The event as a single-line JSON object.
-    pub fn to_json(&self) -> Json {
-        let mut obj = std::collections::BTreeMap::new();
-        obj.insert("kind".to_string(), Json::Str(self.kind.to_string()));
-        obj.insert("name".to_string(), Json::Str(self.name.clone()));
-        let fields = self
-            .fields
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_json()))
-            .collect();
-        obj.insert("fields".to_string(), Json::Obj(fields));
-        Json::Obj(obj)
-    }
 }
 
 /// A consumer of pipeline events.
@@ -146,108 +106,4 @@ impl Event {
 pub trait Sink: Send + Sync {
     /// Consumes one event.
     fn record(&self, event: &Event);
-    /// Flushes any buffered output.
-    fn flush(&self) {}
-}
-
-/// Pretty-prints events to stderr, one line each.
-#[derive(Debug, Default)]
-pub struct StderrSink;
-
-impl Sink for StderrSink {
-    fn record(&self, event: &Event) {
-        let mut line = format!("[bloc-obs] {} {}", event.kind, event.name);
-        for (k, v) in &event.fields {
-            line.push_str(&format!(" {k}={v}"));
-        }
-        eprintln!("{line}");
-    }
-}
-
-/// Appends events to a file as JSON Lines.
-pub struct JsonlSink {
-    writer: Mutex<BufWriter<File>>,
-}
-
-impl JsonlSink {
-    /// Creates (truncating) the file at `path`.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let file = File::create(path)?;
-        Ok(Self {
-            writer: Mutex::new(BufWriter::new(file)),
-        })
-    }
-}
-
-impl Sink for JsonlSink {
-    fn record(&self, event: &Event) {
-        let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        // Sink I/O failures must not take down the pipeline.
-        let _ = writeln!(w, "{}", event.to_json().render());
-    }
-
-    fn flush(&self) {
-        let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = w.flush();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn event_builder_and_json() {
-        let e = Event::new("sounding.rejected", "dead_measurement")
-            .field("anchor", 3u64)
-            .field("channel", 17u64)
-            .field("fatal", false);
-        let j = e.to_json();
-        assert_eq!(j.get("kind").unwrap().as_str(), Some("sounding.rejected"));
-        assert_eq!(j.get("name").unwrap().as_str(), Some("dead_measurement"));
-        assert_eq!(
-            j.get("fields").unwrap().get("anchor").unwrap().as_u64(),
-            Some(3)
-        );
-        // Round-trips through the parser.
-        assert_eq!(Json::parse(&j.render()).unwrap(), j);
-    }
-
-    #[test]
-    fn jsonl_sink_round_trips_through_line_parser() {
-        let dir = std::env::temp_dir().join("bloc-obs-test-sink");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("events-{}.jsonl", std::process::id()));
-        let sink = JsonlSink::create(&path).unwrap();
-        let events = [
-            Event::new("localize", "no_fix").field("peaks", 0u64),
-            Event::new("sounding.rejected", "narrow_span")
-                .field("span_mhz", 12.5)
-                .field("anchor", 1u64),
-        ];
-        for e in &events {
-            sink.record(e);
-        }
-        sink.flush();
-
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), events.len());
-        for (line, event) in lines.iter().zip(&events) {
-            let parsed = Json::parse(line).unwrap();
-            assert_eq!(parsed, event.to_json());
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn non_finite_floats_become_strings() {
-        let e = Event::new("test", "nan").field("x", f64::NAN);
-        let j = e.to_json();
-        assert_eq!(
-            j.get("fields").unwrap().get("x").unwrap().as_str(),
-            Some("NaN")
-        );
-        assert!(Json::parse(&j.render()).is_ok());
-    }
 }

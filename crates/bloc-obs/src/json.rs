@@ -291,10 +291,11 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
-        text.parse::<f64>()
+        std::str::from_utf8(&self.bytes[start..self.pos])
+            .ok()
+            .and_then(|text| text.parse::<f64>().ok())
             .map(Json::Num)
-            .map_err(|_| self.err("malformed number"))
+            .ok_or_else(|| self.err("malformed number"))
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {

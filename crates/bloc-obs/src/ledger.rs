@@ -3,8 +3,8 @@
 //!
 //! Several subsystems keep an inspectable, in-order record of their state
 //! transitions next to the monotonic counters they reconcile against: the
-//! supervised runtime's breaker ledger, [`crate::mode::ModeTracker`]'s
-//! transition history, the fleet layer's bulkhead and site-health logs.
+//! supervised runtime's breaker ledger, the fleet layer's bulkhead and
+//! site-health logs.
 //! A session serving a fleet runs indefinitely, so those `Vec`s are a
 //! slow leak. [`BoundedLedger`] is the shared fix: a fixed-capacity ring
 //! that evicts the *oldest* entries and counts what it evicted, so the
@@ -17,8 +17,6 @@
 //! Soak gates compare `total()` (not `len()`) against the obs counters;
 //! the resident window still carries the most recent transitions for
 //! diagnosis.
-
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::collections::VecDeque;
 
@@ -123,8 +121,6 @@ impl<'a, T> IntoIterator for &'a BoundedLedger<T> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-
     use super::*;
 
     #[test]

@@ -10,19 +10,16 @@
 //!   `localize`, kept distinct from a standalone `likelihood` call.
 //!   Durations land in log₂ histograms named `span.<path>`.
 //! * [`counter`] / [`histogram`] — named [`metrics::Counter`]s and
-//!   log₂-bucketed [`metrics::Histogram`]s (e.g. `likelihood.grid_cells`,
+//!   log₂-bucketed [`metrics::Histogram`]s (e.g. `engine.cells_evaluated`,
 //!   `localize.no_fix`, `span.localize` in µs), safe to
 //!   hammer from any number of threads.
-//! * [`event::Sink`] — pluggable structured-event consumers; ships with a
-//!   stderr pretty-printer and a JSONL file sink backed by the
-//!   hand-rolled [`json`] writer (serde stays out of the core tree).
+//! * [`event::Sink`] — pluggable structured-event consumers (the chaos
+//!   soak attaches one to reconcile `runtime.breaker` events).
 //! * [`report::RunReport`] — a point-in-time snapshot of every metric,
 //!   diffable across runs (`after.diff(&before)` isolates one pipeline
 //!   run), renderable as a per-stage breakdown table, and round-trippable
-//!   through JSONL.
-//! * [`local::LocalStats`] — per-worker-thread aggregation buffers for
-//!   tight parallel loops (the testbed sweep); merged into a [`Registry`]
-//!   once at thread join instead of contending per location.
+//!   through JSONL via the hand-rolled [`json`] writer (serde stays out
+//!   of the core tree).
 //! * [`trace::Tracer`] — a bounded lock-free ring of span begin/end edges
 //!   (every [`SpanGuard`] and every `bloc_num::par` shard records into it
 //!   when enabled), exported as Chrome trace-event JSON loadable in
@@ -30,9 +27,10 @@
 //! * [`cache::CacheStats`] — the `cache.<name>.{hits,misses,…}` naming
 //!   convention every shared cache in the workspace reports through, with
 //!   cause-attributed invalidations and residency gauges.
-//! * [`Registry::set_enabled`] — a whole-registry kill switch; the
-//!   `obs_report` bench gates instrumentation overhead (≤ 2%) against the
-//!   disabled baseline.
+//!
+//! Recording is always on: every name the workspace records has a reader
+//! (a gate, a soak row, a figure binary, a reconciling test or the
+//! repository benchmark).
 //!
 //! ## Attaching to the pipeline
 //!
@@ -40,7 +38,7 @@
 //! [`Registry::global`]. A typical bench/server loop:
 //!
 //! ```
-//! use bloc_obs::{event::StderrSink, Registry};
+//! use bloc_obs::Registry;
 //!
 //! let before = Registry::global().snapshot();
 //! // … run soundings through BlocLocalizer::localize …
@@ -59,14 +57,16 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod cache;
 pub mod event;
 pub mod json;
 pub mod ledger;
-pub mod local;
 pub mod metrics;
-pub mod mode;
 pub mod registry;
 pub mod report;
 pub mod span;
@@ -107,11 +107,4 @@ pub fn span(name: &'static str) -> SpanGuard<'static> {
 /// Emits a structured event to the global registry's sinks.
 pub fn emit(event: Event) {
     Registry::global().emit(event)
-}
-
-/// Turns the global registry's recording on or off (see
-/// [`Registry::set_enabled`]). The `obs_report` overhead gate runs the
-/// pipeline once in each state to price the instrumentation.
-pub fn set_enabled(on: bool) {
-    Registry::global().set_enabled(on)
 }

@@ -114,17 +114,6 @@ impl Histogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
-    /// Merges pre-aggregated bucket counts (the per-worker merge path).
-    pub(crate) fn merge(&self, buckets: &[u64; N_BUCKETS], count: u64, sum: u64) {
-        for (slot, &n) in self.buckets.iter().zip(buckets) {
-            if n > 0 {
-                slot.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(count, Ordering::Relaxed);
-        self.sum.fetch_add(sum, Ordering::Relaxed);
-    }
-
     /// A point-in-time copy of the histogram state.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {

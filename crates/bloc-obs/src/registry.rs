@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 
 use crate::event::{Event, Sink};
 use crate::metrics::{Counter, Gauge, Histogram};
@@ -19,15 +19,10 @@ use crate::span::SpanGuard;
 /// map lookup) and then increment lock-free. The common fast path —
 /// emitting with no sinks attached — is one relaxed atomic load.
 ///
-/// A registry can be switched off wholesale with
-/// [`Registry::set_enabled`]: name lookups then return detached "void"
-/// metrics that absorb increments without appearing in snapshots, spans
-/// become no-ops, and events are dropped. This is the honest baseline the
-/// `obs_report` overhead gate measures instrumentation against — the
-/// call sites still run, the recording does not. Handles resolved *while
-/// disabled* stay detached even after re-enabling; the workspace resolves
-/// hot-path handles per call or per construction, so nothing long-lived
-/// is resolved in the disabled window.
+/// A panic while a lock is held (a sink that panics in
+/// [`Sink::record`]) poisons nothing for later callers: every lock is
+/// taken through [`PoisonError::into_inner`], since each guarded map or
+/// list is valid after any partial update.
 #[derive(Default)]
 pub struct Registry {
     counters: RwLock<HashMap<String, Arc<Counter>>>,
@@ -36,13 +31,25 @@ pub struct Registry {
     sinks: Mutex<Vec<Box<dyn Sink>>>,
     /// Mirror of `sinks.len()` readable without the lock.
     n_sinks: AtomicUsize,
-    /// Inverted so `Default` (false) means enabled.
-    disabled: std::sync::atomic::AtomicBool,
-    /// Detached sinks for disabled-mode lookups, created lazily; never in
-    /// the maps, so snapshots cannot see anything recorded through them.
-    void_counter: OnceLock<Arc<Counter>>,
-    void_gauge: OnceLock<Arc<Gauge>>,
-    void_histogram: OnceLock<Arc<Histogram>>,
+}
+
+/// The named metric in `map`, created on first use.
+fn get_or_create<T: Default>(map: &RwLock<HashMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    if let Some(m) = map.read().unwrap_or_else(PoisonError::into_inner).get(name) {
+        return Arc::clone(m);
+    }
+    let mut map = map.write().unwrap_or_else(PoisonError::into_inner);
+    Arc::clone(map.entry(name.to_string()).or_default())
+}
+
+/// Every metric in `map`, read through `get`.
+fn read_all<T, V>(
+    map: &RwLock<HashMap<String, Arc<T>>>,
+    get: impl Fn(&T) -> V,
+) -> std::collections::BTreeMap<String, V> {
+    (map.read().unwrap_or_else(PoisonError::into_inner).iter())
+        .map(|(name, m)| (name.clone(), get(m)))
+        .collect()
 }
 
 impl Registry {
@@ -57,52 +64,19 @@ impl Registry {
         GLOBAL.get_or_init(Registry::new)
     }
 
-    /// Turns recording on (the default) or off. Disabling swaps every
-    /// subsequent lookup to a detached void metric and makes spans and
-    /// events no-ops; metrics already recorded stay readable.
-    pub fn set_enabled(&self, on: bool) {
-        self.disabled.store(!on, Ordering::Release);
-    }
-
-    /// True while the registry is recording.
-    pub fn is_enabled(&self) -> bool {
-        !self.disabled.load(Ordering::Relaxed)
-    }
-
     /// The counter registered under `name`, created on first use.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        if !self.is_enabled() {
-            return Arc::clone(self.void_counter.get_or_init(Default::default));
-        }
-        if let Some(c) = self.counters.read().expect("counter map").get(name) {
-            return Arc::clone(c);
-        }
-        let mut map = self.counters.write().expect("counter map");
-        Arc::clone(map.entry(name.to_string()).or_default())
+        get_or_create(&self.counters, name)
     }
 
     /// The gauge registered under `name`, created on first use (at 0.0).
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        if !self.is_enabled() {
-            return Arc::clone(self.void_gauge.get_or_init(Default::default));
-        }
-        if let Some(g) = self.gauges.read().expect("gauge map").get(name) {
-            return Arc::clone(g);
-        }
-        let mut map = self.gauges.write().expect("gauge map");
-        Arc::clone(map.entry(name.to_string()).or_default())
+        get_or_create(&self.gauges, name)
     }
 
     /// The histogram registered under `name`, created on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        if !self.is_enabled() {
-            return Arc::clone(self.void_histogram.get_or_init(Default::default));
-        }
-        if let Some(h) = self.histograms.read().expect("histogram map").get(name) {
-            return Arc::clone(h);
-        }
-        let mut map = self.histograms.write().expect("histogram map");
-        Arc::clone(map.entry(name.to_string()).or_default())
+        get_or_create(&self.histograms, name)
     }
 
     /// Opens a hierarchical timing span (see [`crate::span()`]); the
@@ -111,22 +85,22 @@ impl Registry {
         SpanGuard::open(self, name)
     }
 
+    fn sinks(&self) -> MutexGuard<'_, Vec<Box<dyn Sink>>> {
+        self.sinks.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Attaches an event sink; every subsequent [`Registry::emit`] call
     /// reaches it.
     pub fn add_sink(&self, sink: Box<dyn Sink>) {
-        let mut sinks = self.sinks.lock().expect("sink list");
+        let mut sinks = self.sinks();
         sinks.push(sink);
         self.n_sinks.store(sinks.len(), Ordering::Release);
     }
 
-    /// Removes all sinks, flushing each first. Returns how many were
-    /// detached.
+    /// Removes all sinks. Returns how many were detached.
     pub fn clear_sinks(&self) -> usize {
-        let mut sinks = self.sinks.lock().expect("sink list");
+        let mut sinks = self.sinks();
         self.n_sinks.store(0, Ordering::Release);
-        for sink in sinks.iter() {
-            sink.flush();
-        }
         let n = sinks.len();
         sinks.clear();
         n
@@ -138,69 +112,33 @@ impl Registry {
         self.n_sinks.load(Ordering::Acquire) > 0
     }
 
-    /// Delivers `event` to every attached sink (no-op without sinks or
-    /// while disabled).
+    /// Delivers `event` to every attached sink (no-op without sinks).
     pub fn emit(&self, event: Event) {
-        if !self.has_sinks() || !self.is_enabled() {
+        if !self.has_sinks() {
             return;
         }
-        let sinks = self.sinks.lock().expect("sink list");
-        for sink in sinks.iter() {
+        for sink in self.sinks().iter() {
             sink.record(&event);
-        }
-    }
-
-    /// Flushes every attached sink.
-    pub fn flush(&self) {
-        let sinks = self.sinks.lock().expect("sink list");
-        for sink in sinks.iter() {
-            sink.flush();
         }
     }
 
     /// A point-in-time [`RunReport`] of every registered metric.
     pub fn snapshot(&self) -> RunReport {
-        let counters = self
-            .counters
-            .read()
-            .expect("counter map")
-            .iter()
-            .map(|(name, c)| (name.clone(), c.get()))
-            .collect();
-        let gauges = self
-            .gauges
-            .read()
-            .expect("gauge map")
-            .iter()
-            .map(|(name, g)| (name.clone(), g.get()))
-            .collect();
-        let histograms = self
-            .histograms
-            .read()
-            .expect("histogram map")
-            .iter()
-            .map(|(name, h)| (name.clone(), h.snapshot()))
-            .collect();
         RunReport {
-            counters,
-            gauges,
-            histograms,
+            counters: read_all(&self.counters, Counter::get),
+            gauges: read_all(&self.gauges, Gauge::get),
+            histograms: read_all(&self.histograms, Histogram::snapshot),
         }
     }
 }
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let snap = self.snapshot();
         f.debug_struct("Registry")
-            .field(
-                "counters",
-                &self.counters.read().expect("counter map").len(),
-            )
-            .field("gauges", &self.gauges.read().expect("gauge map").len())
-            .field(
-                "histograms",
-                &self.histograms.read().expect("histogram map").len(),
-            )
+            .field("counters", &snap.counters.len())
+            .field("gauges", &snap.gauges.len())
+            .field("histograms", &snap.histograms.len())
             .field("sinks", &self.n_sinks.load(Ordering::Acquire))
             .finish()
     }
@@ -244,18 +182,20 @@ mod tests {
         }
     }
 
+    /// Forwards to a shared [`CountingSink`] the test keeps reading.
+    struct Fwd(Arc<CountingSink>);
+    impl Sink for Fwd {
+        fn record(&self, event: &Event) {
+            self.0.record(event);
+        }
+    }
+
     #[test]
     fn emit_reaches_sinks_and_clear_detaches() {
         let reg = Registry::new();
         assert!(!reg.has_sinks());
         reg.emit(Event::new("test", "dropped")); // no sinks: silently dropped
         let sink = Arc::new(CountingSink(AtomicU64::new(0)));
-        struct Fwd(Arc<CountingSink>);
-        impl Sink for Fwd {
-            fn record(&self, event: &Event) {
-                self.0.record(event);
-            }
-        }
         reg.add_sink(Box::new(Fwd(Arc::clone(&sink))));
         assert!(reg.has_sinks());
         reg.emit(Event::new("test", "seen"));
@@ -266,42 +206,32 @@ mod tests {
         assert_eq!(sink.0.load(Ordering::Relaxed), 2);
     }
 
+    /// A sink that panics while `emit` holds the sink list must not
+    /// poison the registry for every later caller.
     #[test]
-    fn disabled_registry_records_nothing_and_reenables() {
-        let reg = Registry::new();
-        assert!(reg.is_enabled());
-        reg.counter("kept").inc();
-        reg.set_enabled(false);
-        assert!(!reg.is_enabled());
-        reg.counter("void").add(100);
-        reg.gauge("void").set(1.0);
-        reg.histogram("void").record(5);
-        {
-            let _s = reg.span("void_span");
-        }
-        let snap = reg.snapshot();
-        assert_eq!(snap.counters.get("kept"), Some(&1));
-        assert!(!snap.counters.contains_key("void"));
-        assert!(!snap.gauges.contains_key("void"));
-        assert!(!snap.histograms.contains_key("void"));
-        assert!(!snap.histograms.contains_key("span.void_span"));
-        // Disabled-mode emits are dropped even with a sink attached.
-        let seen = Arc::new(AtomicU64::new(0));
-        struct CountFwd(Arc<AtomicU64>);
-        impl Sink for CountFwd {
+    fn a_panicking_sink_leaves_the_registry_usable() {
+        struct PanicOnce(std::sync::atomic::AtomicBool);
+        impl Sink for PanicOnce {
             fn record(&self, _event: &Event) {
-                self.0.fetch_add(1, Ordering::Relaxed);
+                if !self.0.swap(true, Ordering::Relaxed) {
+                    panic!("sink failure");
+                }
             }
         }
-        reg.add_sink(Box::new(CountFwd(Arc::clone(&seen))));
-        reg.emit(Event::new("test", "dropped"));
-        assert_eq!(seen.load(Ordering::Relaxed), 0);
-        // Re-enabling restores recording into the named metrics.
-        reg.set_enabled(true);
-        reg.counter("kept").inc();
+        let reg = Registry::new();
+        reg.add_sink(Box::new(PanicOnce(Default::default())));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            reg.emit(Event::new("test", "boom"));
+        }));
+        assert!(caught.is_err());
+        reg.emit(Event::new("test", "after"));
+        reg.counter("after").inc();
+        let sink = Arc::new(CountingSink(AtomicU64::new(0)));
+        reg.add_sink(Box::new(Fwd(Arc::clone(&sink))));
         reg.emit(Event::new("test", "seen"));
-        assert_eq!(reg.snapshot().counters["kept"], 2);
-        assert_eq!(seen.load(Ordering::Relaxed), 1);
+        assert_eq!(sink.0.load(Ordering::Relaxed), 1);
+        assert_eq!(reg.snapshot().counters["after"], 1);
+        assert_eq!(reg.clear_sinks(), 2);
     }
 
     #[test]

@@ -12,8 +12,8 @@ use crate::metrics::{HistogramSnapshot, N_BUCKETS};
 ///
 /// The canonical workflow brackets a pipeline run:
 /// `let before = reg.snapshot(); …work…; let run = reg.snapshot().diff(&before);`
-/// The diff isolates exactly the metrics accrued by that run, so two runs
-/// of the same workload produce directly comparable reports.
+/// The diff isolates exactly the counts and samples accrued by that run,
+/// so two runs of the same workload produce directly comparable reports.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunReport {
     /// Counter totals by name.
@@ -30,11 +30,11 @@ impl RunReport {
         Self::default()
     }
 
-    /// Metric-wise saturating difference `self − earlier`. Metrics absent
-    /// from `earlier` pass through unchanged; metrics that accrued
-    /// nothing in the window are dropped. Gauges are levels, not
-    /// accumulators: the diff keeps the later level and drops gauges
-    /// whose reading did not move bit-for-bit during the window.
+    /// Metric-wise saturating difference `self − earlier`. Counters and
+    /// histograms absent from `earlier` pass through unchanged; those
+    /// that accrued nothing in the window are dropped. A diff carries no
+    /// gauges: a level is not a window quantity, and a level read at the
+    /// window's end depends on whatever ran before it.
     pub fn diff(&self, earlier: &RunReport) -> RunReport {
         let counters = self
             .counters
@@ -46,14 +46,6 @@ impl RunReport {
                 )
             })
             .filter(|(_, v)| *v > 0)
-            .collect();
-        let gauges = self
-            .gauges
-            .iter()
-            .filter(|(name, &v)| {
-                earlier.gauges.get(name.as_str()).map(|p| p.to_bits()) != Some(v.to_bits())
-            })
-            .map(|(name, &v)| (name.clone(), v))
             .collect();
         let histograms = self
             .histograms
@@ -69,7 +61,7 @@ impl RunReport {
             .collect();
         RunReport {
             counters,
-            gauges,
+            gauges: BTreeMap::new(),
             histograms,
         }
     }
@@ -330,11 +322,11 @@ mod tests {
 
     fn sample_report() -> RunReport {
         let reg = Registry::new();
-        reg.counter("likelihood.grid_cells").add(4800);
-        reg.counter("sounding.issue.dead_measurement").add(3);
-        reg.gauge("runtime.anchor_health.2").set(0.8125);
-        reg.histogram("localize.latency_us").record(1500);
-        reg.histogram("localize.latency_us").record(2300);
+        reg.counter("engine.cells_evaluated").add(4800);
+        reg.counter("localize.no_fix").add(3);
+        reg.gauge("cache.steering.resident_entries").set(0.8125);
+        reg.histogram("par.likelihood.busy_us").record(1500);
+        reg.histogram("par.likelihood.busy_us").record(2300);
         reg.histogram("span.localize").record(2000);
         reg.snapshot()
     }
@@ -392,9 +384,25 @@ mod tests {
         let run = reg.snapshot().diff(&before);
         assert_eq!(run.counters.get("busy"), Some(&1));
         assert!(!run.counters.contains_key("quiet"));
-        // Gauges are levels: the later reading survives, unchanged drop.
-        assert_eq!(run.gauges.get("level.moved"), Some(&0.5));
-        assert!(!run.gauges.contains_key("level.steady"));
+        // Gauges are levels, not window quantities.
+        assert!(run.gauges.is_empty());
+    }
+
+    /// Two identical windows diff equal whatever ran before them: a
+    /// gauge written in both windows, and before only one of them,
+    /// appears in neither diff.
+    #[test]
+    fn diff_is_independent_of_earlier_history() {
+        let window = |reg: &Registry| {
+            let before = reg.snapshot();
+            reg.counter("c").inc();
+            reg.gauge("level").set(0.0);
+            reg.snapshot().diff(&before)
+        };
+        let fresh = Registry::new();
+        let primed = Registry::new();
+        primed.gauge("level").set(0.0);
+        assert_eq!(window(&fresh), window(&primed));
     }
 
     #[test]
@@ -402,11 +410,11 @@ mod tests {
         let text = sample_report().render();
         assert!(text.contains("stage timings"));
         assert!(text.contains("localize")); // span name with prefix stripped
-        assert!(text.contains("likelihood.grid_cells"));
-        assert!(text.contains("localize.latency_us"));
+        assert!(text.contains("engine.cells_evaluated"));
+        assert!(text.contains("par.likelihood.busy_us"));
         // Gauges get their own section, not a row in the stage table.
         assert!(text.contains("gauges:"));
-        assert!(text.contains("runtime.anchor_health.2"));
+        assert!(text.contains("cache.steering.resident_entries"));
     }
 
     #[test]

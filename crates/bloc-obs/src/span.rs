@@ -38,15 +38,11 @@ thread_local! {
 pub struct SpanGuard<'a> {
     registry: &'a Registry,
     name: &'static str,
-    /// Full `/`-joined path, computed at open so drop is cheap. Empty on
-    /// an inactive guard (registry disabled at open).
+    /// Full `/`-joined path, computed at open so drop is cheap.
     path: String,
     start: Instant,
     /// Stack depth at open; used to detect out-of-order drops.
     depth: usize,
-    /// False when the registry was disabled at open: no stack frame was
-    /// pushed and drop records nothing.
-    active: bool,
     /// Interned trace name when the global [`Tracer`] was recording at
     /// open; drop records the matching end edge.
     trace_id: Option<u32>,
@@ -55,17 +51,6 @@ pub struct SpanGuard<'a> {
 impl<'a> SpanGuard<'a> {
     /// Opens a span on `registry`; called via [`Registry::span`].
     pub(crate) fn open(registry: &'a Registry, name: &'static str) -> Self {
-        if !registry.is_enabled() {
-            return Self {
-                registry,
-                name,
-                path: String::new(),
-                start: Instant::now(),
-                depth: 0,
-                active: false,
-                trace_id: None,
-            };
-        }
         let (path, depth) = SPAN_STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
             stack.push(name);
@@ -78,13 +63,11 @@ impl<'a> SpanGuard<'a> {
             path,
             start: Instant::now(),
             depth,
-            active: true,
             trace_id,
         }
     }
 
-    /// The full hierarchical path of this span, e.g. `localize/likelihood`
-    /// (empty for a guard opened on a disabled registry).
+    /// The full hierarchical path of this span, e.g. `localize/likelihood`.
     pub fn path(&self) -> &str {
         &self.path
     }
@@ -92,9 +75,6 @@ impl<'a> SpanGuard<'a> {
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        if !self.active {
-            return;
-        }
         let elapsed_us = self.start.elapsed().as_micros().min(u64::MAX as u128) as u64;
         SPAN_STACK.with(|stack| {
             let mut stack = stack.borrow_mut();

@@ -1,9 +1,6 @@
 //! Contention-correctness suite for the metric layer: many threads
-//! hammering one registry must lose nothing, and the `LocalStats`
-//! buffered path must be insensitive to merge order — the property that
-//! makes the executor's merge-at-join pattern sound.
+//! hammering one registry must lose nothing.
 
-use bloc_obs::local::LocalStats;
 use bloc_obs::Registry;
 
 /// 8 writers × 20k increments with interleaved histogram samples: the
@@ -48,87 +45,4 @@ fn hammered_registry_loses_no_increment() {
         .map(|t| snap.counters[&format!("hammer.thread.{t}")])
         .sum();
     assert_eq!(per_thread_counters, threads * per_thread.div_ceil(64));
-}
-
-/// Buffered recording through `LocalStats` must agree exactly with
-/// direct recording under the same contention.
-#[test]
-fn buffered_and_direct_recording_agree_under_contention() {
-    let direct = Registry::new();
-    let buffered = Registry::new();
-    let threads = 6u64;
-    let per_thread = 5_000u64;
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let (direct, buffered) = (&direct, &buffered);
-            scope.spawn(move || {
-                let mut local = LocalStats::new();
-                for i in 0..per_thread {
-                    let v = (t * per_thread + i) % 1500;
-                    direct.counter("n").inc();
-                    direct.histogram("v").record(v);
-                    local.inc("n");
-                    local.record("v", v);
-                }
-                local.merge_into(buffered);
-            });
-        }
-    });
-    assert_eq!(direct.snapshot(), buffered.snapshot());
-}
-
-fn stats_with(entries: &[(&'static str, &[u64])]) -> LocalStats {
-    let mut s = LocalStats::new();
-    for (name, values) in entries {
-        for &v in *values {
-            s.inc("total");
-            s.record(name, v);
-        }
-    }
-    s
-}
-
-/// Merge order must not change the registry snapshot: merging A then B
-/// equals merging B then A, and pre-absorbing (A ∪ B) equals merging the
-/// two separately — associativity of the executor's join step.
-#[test]
-fn local_stats_merge_is_order_independent() {
-    let build = |which: usize| match which {
-        0 => stats_with(&[("a", &[0, 1, 5, 4096]), ("b", &[100])]),
-        1 => stats_with(&[("a", &[2, 2, 900]), ("c", &[7, 1 << 60])]),
-        _ => stats_with(&[("b", &[1, 1, 1]), ("c", &[0])]),
-    };
-
-    // Order 0,1,2 merged one at a time.
-    let forward = Registry::new();
-    for which in 0..3 {
-        build(which).merge_into(&forward);
-    }
-    // Reverse order.
-    let reverse = Registry::new();
-    for which in (0..3).rev() {
-        build(which).merge_into(&reverse);
-    }
-    // Absorb into one buffer first (both associations), then merge once.
-    let absorbed_left = Registry::new();
-    {
-        let mut acc = build(0);
-        acc.absorb(build(1));
-        acc.absorb(build(2));
-        acc.merge_into(&absorbed_left);
-    }
-    let absorbed_right = Registry::new();
-    {
-        let mut tail = build(1);
-        tail.absorb(build(2));
-        let mut acc = build(0);
-        acc.absorb(tail);
-        acc.merge_into(&absorbed_right);
-    }
-
-    let want = forward.snapshot();
-    assert_eq!(want, reverse.snapshot(), "merge order changed the snapshot");
-    assert_eq!(want, absorbed_left.snapshot(), "left association differs");
-    assert_eq!(want, absorbed_right.snapshot(), "right association differs");
-    assert_eq!(want.counters["total"], 14);
 }

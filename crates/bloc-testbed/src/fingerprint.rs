@@ -76,7 +76,6 @@ pub fn train_fingerprint_db(
         db.insert_features(*pos, row)
             .expect("survey rows always match the database shape");
     }
-    bloc_obs::counter("fallback.survey.positions").add(db.len() as u64);
     db
 }
 

@@ -7,8 +7,9 @@
 //! test consumes the *same* sounding — exactly the paper's "using the same
 //! number of antennas and the same set of channel measurements" comparison
 //! discipline. Locations fan out across all CPU cores through
-//! [`bloc_num::par::sharded_map`]; each worker owns its stats accumulator
-//! and sounder, and results come back in dataset order by construction.
+//! [`bloc_num::par::sharded_map`]; each worker owns its sounder, every
+//! worker records into the same `sweep.*` metrics (resolved once per
+//! sweep), and results come back in dataset order by construction.
 //!
 //! Locations run in batches of [`BATCH`] consecutive ones. A batch's
 //! first attempt sounds every location under its own panic guard, then
@@ -25,8 +26,9 @@
 //! changes the anchor geometry or the frequency comb builds new ones.
 
 use std::sync::Arc;
+use std::time::Instant;
 
-use bloc_obs::local::LocalStats;
+use bloc_obs::{Counter, Histogram, Registry};
 use serde::{Deserialize, Serialize};
 
 use bloc_ble::channels::Channel;
@@ -139,6 +141,27 @@ impl<'a> SweepSpec<'a> {
 /// Eq. 17 cell kernel sweeps together.
 pub const BATCH: usize = bloc_num::sweep::MAX_TAGS;
 
+/// The sweep's metrics on one registry, resolved once per sweep and
+/// shared by every worker.
+struct SweepStats {
+    /// `sweep.locations`: locations evaluated (the benchmark reconciles it).
+    locations: Arc<Counter>,
+    /// `sweep.sound_us`: one sounding's time (`all_figures` reads it).
+    sound_us: Arc<Histogram>,
+    /// `sweep.panics_caught`: soundings or evaluations that panicked.
+    panics_caught: Arc<Counter>,
+}
+
+impl SweepStats {
+    fn on(registry: &Registry) -> Self {
+        Self {
+            locations: registry.counter("sweep.locations"),
+            sound_us: registry.histogram("sweep.sound_us"),
+            panics_caught: registry.counter("sweep.panics_caught"),
+        }
+    }
+}
+
 /// Runs the sweep across all CPU cores. Returns one outcome per requested
 /// method, in the order requested; records are in dataset order regardless
 /// of scheduling.
@@ -149,44 +172,33 @@ pub fn sweep(spec: &SweepSpec<'_>) -> Vec<SweepOutcome> {
     let evaluate = |batch: &[&SoundingData]| evaluate_methods(&spec.methods, &localizer, batch);
 
     let _span = bloc_obs::span("sweep");
-    bloc_obs::counter("sweep.runs").inc();
+    let stats = SweepStats::on(Registry::global());
 
-    // Per-worker state: a stats accumulator (samples hit the shared
-    // registry once, at join) and a private sounder. Batches are sharded
-    // by stride and reassembled in dataset order by the executor. One
-    // batch is up to four full soundings + localizations — coarse enough
-    // that a single one justifies a worker.
+    // Per-worker state: a private sounder. Batches are sharded by stride
+    // and reassembled in dataset order by the executor. One batch is up
+    // to four full soundings + localizations — coarse enough that a
+    // single one justifies a worker.
     let n_batches = n.div_ceil(BATCH);
     let threads = bloc_num::par::tuned_threads(n_batches, bloc_num::par::max_threads(), 1);
     let per_batch: Vec<Vec<Vec<Option<P2>>>> = bloc_num::par::sharded_map_named(
         "sweep",
         n_batches,
         threads,
-        |_t| {
-            (
-                LocalStats::new(),
-                spec.scenario.sounder(spec.sounder_config),
-            )
-        },
-        |(stats, sounder), b| {
+        |_t| spec.scenario.sounder(spec.sounder_config),
+        |sounder, b| {
             let locations = b * BATCH..(b * BATCH + BATCH).min(n);
             let sounded: Vec<Option<SoundingData>> = locations
-                .map(|idx| sound_location(spec, stats, sounder, idx))
+                .map(|idx| sound_location(spec, &stats, sounder, idx))
                 .collect();
-            evaluate_batch(stats, &evaluate, &sounded)
+            evaluate_batch(&stats, &evaluate, &sounded)
                 .into_iter()
                 .map(|evals| {
-                    let estimates = evals.unwrap_or_else(|| vec![None; n_methods]);
-                    stats.inc("sweep.locations");
-                    stats.add(
-                        "sweep.estimate_failures",
-                        estimates.iter().filter(|e| e.is_none()).count() as u64,
-                    );
-                    estimates
+                    stats.locations.inc();
+                    evals.unwrap_or_else(|| vec![None; n_methods])
                 })
                 .collect()
         },
-        |(mut stats, _sounder)| stats.merge_into(bloc_obs::Registry::global()),
+        |_sounder| {},
     );
     let per_location = per_batch.into_iter().flatten();
 
@@ -237,7 +249,7 @@ pub fn sweep(spec: &SweepSpec<'_>) -> Vec<SweepOutcome> {
 /// either panicked.
 fn sound_location(
     spec: &SweepSpec<'_>,
-    stats: &mut LocalStats,
+    stats: &SweepStats,
     sounder: &bloc_chan::Sounder,
     idx: usize,
 ) -> Option<SoundingData> {
@@ -247,16 +259,18 @@ fn sound_location(
     // One bad location must not take down the sweep — isolate it, count
     // it, and leave its record blank.
     let sounded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let data = stats.time("sweep.sound_us", || {
-            sounder.sound(spec.positions[idx], &spec.channels, &mut rng)
-        });
+        let start = Instant::now();
+        let data = sounder.sound(spec.positions[idx], &spec.channels, &mut rng);
+        stats
+            .sound_us
+            .record(start.elapsed().as_micros().min(u64::MAX as u128) as u64);
         match &spec.transform {
             Some(transform) => transform(data),
             None => data,
         }
     }));
     if sounded.is_err() {
-        stats.inc("sweep.panics_caught");
+        stats.panics_caught.inc();
     }
     sounded.ok()
 }
@@ -273,41 +287,36 @@ type Evaluate<'e> = dyn Fn(&[&SoundingData]) -> Vec<Vec<Option<P2>>> + 'e;
 /// `evaluate` on one location's sounding under its own panic guard;
 /// `None` (counted in `sweep.panics_caught`) when evaluation panicked.
 fn evaluate_alone(
-    stats: &mut LocalStats,
+    stats: &SweepStats,
     evaluate: &Evaluate<'_>,
     data: &SoundingData,
 ) -> Option<Vec<Option<P2>>> {
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        stats.time("sweep.location_us", || evaluate(&[data]).pop())
-    }));
+    let outcome =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| evaluate(&[data]).pop()));
     if outcome.is_err() {
-        stats.inc("sweep.panics_caught");
+        stats.panics_caught.inc();
     }
     outcome.ok().flatten()
 }
 
-/// A batch's sounded locations evaluated together, each location's
-/// `sweep.location_us` sample its share of the batch's time. A panicking
-/// batch is redone one location at a time, so the panic is charged to
-/// the location that raised it. `None` for a location whose sounding or
+/// A batch's sounded locations evaluated together. A panicking batch is
+/// redone one location at a time, so the panic is charged to the
+/// location that raised it. `None` for a location whose sounding or
 /// evaluation panicked.
 fn evaluate_batch(
-    stats: &mut LocalStats,
+    stats: &SweepStats,
     evaluate: &Evaluate<'_>,
     sounded: &[Option<SoundingData>],
 ) -> Vec<Option<Vec<Option<P2>>>> {
     let batch: Vec<&SoundingData> = sounded.iter().flatten().collect();
-    let start = std::time::Instant::now();
     let together = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| evaluate(&batch)));
     match together {
         Ok(evals) => {
-            let share = start.elapsed().as_micros() as u64 / batch.len().max(1) as u64;
             let mut evals = evals.into_iter();
             sounded
                 .iter()
                 .map(|data| {
                     data.as_ref()?;
-                    stats.record("sweep.location_us", share);
                     evals.next()
                 })
                 .collect()
@@ -535,19 +544,18 @@ mod tests {
         // ≥ rather than ==: other tests in this process share the global
         // registry and may be running concurrently.
         let counter = |name: &str| run.counters.get(name).copied().unwrap_or(0);
-        assert!(counter("sweep.runs") >= 1);
         assert!(
             counter("sweep.locations") >= 5,
             "locations: {}",
             counter("sweep.locations")
         );
         assert!(counter("localize.calls") >= 5);
-        assert!(counter("likelihood.grid_cells") > 0);
+        assert!(counter("engine.cells_evaluated") > 0);
         let span = &run.histograms["span.sweep"];
         assert!(span.count >= 1);
-        let per_loc = &run.histograms["sweep.location_us"];
-        assert!(per_loc.count >= 5);
-        assert!(per_loc.sum > 0, "localizing cannot take zero time");
+        let sound = &run.histograms["sweep.sound_us"];
+        assert!(sound.count >= 5);
+        assert!(sound.sum > 0, "sounding cannot take zero time");
 
         // The report the bench bins write must survive a JSONL round trip.
         let dir = std::env::temp_dir().join("bloc-obs-sweep-test");
@@ -661,8 +669,8 @@ mod tests {
             }
             evaluate_methods(&[Method::Bloc], &localizer, batch)
         };
-        let mut stats = LocalStats::new();
-        let evals = evaluate_batch(&mut stats, &evaluate_panicking, &sounded);
+        let registry = bloc_obs::Registry::new();
+        let evals = evaluate_batch(&SweepStats::on(&registry), &evaluate_panicking, &sounded);
         assert_eq!(evals.len(), 4);
         assert!(evals[1].is_none() && evals[2].is_none());
         for k in [0, 3] {
@@ -672,8 +680,6 @@ mod tests {
             assert_eq!(got, alone, "location {k}");
             assert!(got.is_some());
         }
-        let registry = bloc_obs::Registry::new();
-        stats.merge_into(&registry);
         assert_eq!(registry.snapshot().counters["sweep.panics_caught"], 1);
     }
 
