@@ -20,7 +20,7 @@
 //! (always), and — on release builds only, debug timings are
 //! meaningless — the same-process speedup floors: ≥ 5× single-thread
 //! over the reference likelihood, ≥ 4× over the reference sounder,
-//! ≥ 1.25× for a batch of [`sweep::MAX_TAGS`] tags over sweeping them
+//! ≥ 1.1× for a batch of [`sweep::MAX_TAGS`] tags over sweeping them
 //! one at a time, and the thread-scaling floor — ≥ 2× at 4 threads for
 //! both engines when the host has ≥ 4 cores. On smaller hosts the
 //! threaded rows oversubscribe (production callers route through
@@ -42,20 +42,22 @@ use std::time::Instant;
 
 use bloc_chan::sounder::{all_data_channels, SounderConfig, TONE_OFFSET_HZ};
 use bloc_core::correction::{correct, CorrectedChannels};
-use bloc_core::engine::{BandPlan, LikelihoodEngine, SteeringTables};
+use bloc_core::engine::{LikelihoodEngine, SteeringTables};
 use bloc_core::likelihood::{joint_likelihood_reference, AntennaCombining};
 use bloc_core::localizer::BlocLocalizer;
 use bloc_core::{HierarchicalConfig, HierarchicalLocalizer};
 use bloc_num::simd::{SimdLevel, LEVEL_LABELS};
-use bloc_num::sweep::{self, CellSweep, Combine};
+use bloc_num::sweep::{self, CellSweep, Combine, Lattice, ProfilePlan, ProfileWeights};
 use bloc_num::{GridSpec, C64, P2};
 use bloc_testbed::scenario::Scenario;
 use rand::{rngs::StdRng, SeedableRng};
 
-/// Least speedup of a [`sweep::MAX_TAGS`]-tag batched kernel call over
-/// sweeping the same tags one at a time (measured 1.55× on AVX-512 and
-/// AVX2).
-const TAG_BATCH_FLOOR: f64 = 1.25;
+/// Least speedup of a [`sweep::MAX_TAGS`]-tag batched kernel call
+/// (profile builds and cell sweep) over sweeping the same tags one at a
+/// time: a batch shares each cell's lattice index, Hermite weights and
+/// carrier, and the phasor matrix. Measured 1.31–1.32× on AVX-512,
+/// best of 15; the floor keeps the same one-sixth margin below it.
+const TAG_BATCH_FLOOR: f64 = 1.1;
 
 /// Best-of-N wall time of one call, seconds.
 fn time_best(iters: usize, mut f: impl FnMut()) -> f64 {
@@ -69,93 +71,118 @@ fn time_best(iters: usize, mut f: impl FnMut()) -> f64 {
 }
 
 /// The bare Eq. 17 cell kernel's inputs over every grid cell of every
-/// anchor, laid out the way the engine lays them out (one channel-weight
-/// row per absolute comb slot): per anchor, the lane stride, the seed and
-/// step tables of the deployment's steering geometry, and the channel
-/// weights of every tag.
+/// anchor, laid out the way the engine lays them out: per anchor, the
+/// lane stride, the `Δ` and carrier tables of the deployment's steering
+/// geometry, the lattice bracketing the grid's `Δ`, and every tag's
+/// channel weights.
 struct KernelBench {
     cells: usize,
-    gaps: Vec<u32>,
+    plan: ProfilePlan,
     anchors: Vec<AnchorBench>,
 }
 
-/// One anchor's kernel inputs: lane stride, seed re/im and step re/im
-/// tables, and every tag's alpha re/im.
-type AnchorBench = (usize, [Vec<f64>; 4], Vec<[Vec<f64>; 2]>);
+/// One anchor's kernel inputs.
+struct AnchorBench {
+    n_lanes: usize,
+    /// `Δ`, carrier re, carrier im.
+    tables: [Vec<f64>; 3],
+    lattice: Lattice,
+    /// Per tag: α re/im.
+    weights: Vec<[Vec<f64>; 2]>,
+}
 
 impl KernelBench {
-    /// Inputs for `tags`, soundings of one deployment on one comb.
+    /// Inputs for `tags`, soundings of one deployment on one band set.
     fn build(tags: &[CorrectedChannels], spec: GridSpec) -> Self {
         let corrected = &tags[0];
         let freqs: Vec<f64> = corrected.bands.iter().map(|b| b.freq_hz).collect();
-        let plan = BandPlan::build(&freqs);
-        assert!(
-            plan.is_uniform_comb(),
-            "clean testbed sounding is on the comb"
-        );
-        let span = plan.span();
+        let plan = ProfilePlan::build(&freqs);
         let geometry = SteeringTables::build(
             spec,
             &corrected.anchors,
             &corrected.master_anchor_dist,
-            plan.base_hz,
-            plan.step_hz,
+            plan.carrier_hz,
         );
         let cells = spec.nx * spec.ny;
         let phase = std::f64::consts::TAU / bloc_num::constants::SPEED_OF_LIGHT;
         let anchors = (0..corrected.n_anchors())
             .map(|i| {
-                let nj = corrected.anchors[i].n_antennas;
-                let nl = nj.div_ceil(4) * 4;
-                let [mut sre, mut sim, mut tre, mut tim] =
-                    [1.0, 0.0, 1.0, 0.0].map(|v| vec![v; cells * nl]);
+                let nl = corrected.anchors[i].n_antennas.div_ceil(4) * 4;
+                let [mut delta, mut cre, mut cim] = [0.0, 1.0, 0.0].map(|v| vec![v; cells * nl]);
                 for cell in 0..cells {
-                    for (j, d) in geometry.cell_deltas(i, cell).into_iter().enumerate() {
-                        let seed = C64::cis(phase * d * plan.base_hz);
-                        let step = C64::cis(phase * d * plan.step_hz);
+                    let ds = geometry.cell_deltas(i, cell);
+                    for j in 0..nl {
+                        // Padding lanes copy antenna 0, as the engine's do.
+                        let d = ds[if j < ds.len() { j } else { 0 }];
+                        let c = C64::cis(phase * d * plan.carrier_hz);
                         let k = cell * nl + j;
-                        (sre[k], sim[k], tre[k], tim[k]) = (seed.re, seed.im, step.re, step.im);
+                        (delta[k], cre[k], cim[k]) = (d, c.re, c.im);
                     }
                 }
-                let alphas = tags
+                let lattice = Lattice::covering(plan.step_m, delta.iter().copied());
+                let weights = tags
                     .iter()
                     .map(|tag| {
                         let freqs: Vec<f64> = tag.bands.iter().map(|b| b.freq_hz).collect();
-                        assert_eq!(BandPlan::build(&freqs), plan, "tags share one comb");
-                        let (mut are, mut aim) = (vec![0.0; span * nl], vec![0.0; span * nl]);
-                        for (k, &b) in plan.order.iter().enumerate() {
-                            let row = plan.slots[k] as usize * nl;
-                            for (j, a) in tag.bands[b].alpha[i].iter().enumerate() {
-                                (are[row + j], aim[row + j]) = (a.re, a.im);
+                        assert_eq!(ProfilePlan::build(&freqs), plan, "tags share one band set");
+                        let (mut are, mut aim) =
+                            (vec![0.0; freqs.len() * nl], vec![0.0; freqs.len() * nl]);
+                        for (k, band) in tag.bands.iter().enumerate() {
+                            for (j, a) in band.alpha[i].iter().enumerate() {
+                                (are[k * nl + j], aim[k * nl + j]) = (a.re, a.im);
                             }
                         }
                         [are, aim]
                     })
                     .collect();
-                (nl, [sre, sim, tre, tim], alphas)
+                AnchorBench {
+                    n_lanes: nl,
+                    tables: [delta, cre, cim],
+                    lattice,
+                    weights,
+                }
             })
             .collect();
         Self {
             cells,
-            gaps: (0..span).map(|r| u32::from(r > 0)).collect(),
+            plan,
             anchors,
         }
     }
 
-    /// Anchor `a`'s kernel view for tag `t`.
-    fn sweep(&self, a: usize, t: usize) -> CellSweep<'_> {
-        let (nl, [sre, sim, tre, tim], alphas) = &self.anchors[a];
-        let [are, aim] = &alphas[t];
-        CellSweep {
-            seed_re: sre,
-            seed_im: sim,
-            step_re: tre,
-            step_im: tim,
-            alpha_re: are,
-            alpha_im: aim,
-            n_lanes: *nl,
-            gaps: &self.gaps,
-        }
+    /// Anchor `a`'s map for each of `tags` on `level` — what one
+    /// sounding batch costs: the tags' profiles, then the cell sweep —
+    /// into `outs` (one per tag).
+    fn run(&self, level: SimdLevel, a: usize, tags: &[usize], outs: &mut [&mut [f64]]) {
+        let bench = &self.anchors[a];
+        let len = bench.lattice.profile_len(bench.n_lanes);
+        let mut profiles = vec![0.0; tags.len() * len];
+        let weights: Vec<ProfileWeights<'_>> = tags
+            .iter()
+            .map(|&t| {
+                let [are, aim] = &bench.weights[t];
+                ProfileWeights {
+                    alpha_re: are,
+                    alpha_im: aim,
+                    n_lanes: bench.n_lanes,
+                }
+            })
+            .collect();
+        let mut views: Vec<&mut [f64]> = profiles.chunks_mut(len).collect();
+        sweep::build_profiles_at(level, &self.plan, &bench.lattice, &weights, &mut views);
+        let [delta, cre, cim] = &bench.tables;
+        let sweeps: Vec<CellSweep<'_>> = profiles
+            .chunks(len)
+            .map(|profile| CellSweep {
+                delta,
+                carrier_re: cre,
+                carrier_im: cim,
+                n_lanes: bench.n_lanes,
+                lattice: bench.lattice,
+                profile,
+            })
+            .collect();
+        sweep::write_profile_cells_batch_at(level, &sweeps, Combine::Hybrid, 0, outs);
     }
 
     /// One output buffer per anchor.
@@ -165,12 +192,13 @@ impl KernelBench {
 }
 
 /// Best-of-`iters` warm single-thread time of the bare Eq. 17 cell kernel
-/// on tag 0 at each level the host executes. Also reports whether every
-/// level's output equals the scalar level's bit for bit.
+/// (profile build and cell sweep) on tag 0 at each level the host
+/// executes. Also reports whether every level's output equals the scalar
+/// level's bit for bit.
 fn kernel_level_rows(bench: &KernelBench, iters: usize) -> (Vec<(SimdLevel, f64)>, bool) {
     let run = |level: SimdLevel, out: &mut [Vec<f64>]| {
         for (a, out) in out.iter_mut().enumerate() {
-            sweep::write_comb_cells_at(level, &bench.sweep(a, 0), Combine::Hybrid, 0, out);
+            bench.run(level, a, &[0], &mut [out]);
         }
     };
     let levels = sweep::levels_to_test();
@@ -200,25 +228,26 @@ fn kernel_level_rows(bench: &KernelBench, iters: usize) -> (Vec<(SimdLevel, f64)
 /// whether every tag's batched output equals its single-tag output bit
 /// for bit.
 fn tag_batch_row(bench: &KernelBench, iters: usize) -> (f64, f64, bool) {
-    let n_tags = bench.anchors[0].2.len();
+    let level = bloc_num::simd::cell_level();
+    let n_tags = bench.anchors[0].weights.len();
     let mut single = vec![bench.outputs(); n_tags];
     let mut batched = vec![bench.outputs(); n_tags];
     let (mut t_single, mut t_batch) = (f64::INFINITY, f64::INFINITY);
     let _span = bloc_obs::span("perf.tag_batch");
+    let all: Vec<usize> = (0..n_tags).collect();
     for _ in 0..iters.max(1) {
         t_single = t_single.min(time_best(1, || {
             for (t, outs) in single.iter_mut().enumerate() {
                 for (a, out) in outs.iter_mut().enumerate() {
-                    sweep::write_comb_cells(&bench.sweep(a, t), Combine::Hybrid, 0, out);
+                    bench.run(level, a, &[t], &mut [out]);
                 }
             }
         }));
         t_batch = t_batch.min(time_best(1, || {
             for a in 0..bench.anchors.len() {
-                let tags: Vec<CellSweep<'_>> = (0..n_tags).map(|t| bench.sweep(a, t)).collect();
                 let mut outs: Vec<&mut [f64]> =
                     batched.iter_mut().map(|o| o[a].as_mut_slice()).collect();
-                sweep::write_comb_cells_batch(&tags, Combine::Hybrid, 0, &mut outs);
+                bench.run(level, a, &all, &mut outs);
             }
         }));
     }
@@ -621,8 +650,9 @@ fn main() {
             failed = true;
         }
         // Same-process ratio: sweeping a deployment's tags in one batch
-        // (one rotation chain per cell for all of them) against one at a
-        // time, on the dispatched level.
+        // (one lattice index, weights and carrier per cell, one phasor
+        // matrix, for all of them) against one at a time, on the
+        // dispatched level.
         if batch_ratio < TAG_BATCH_FLOOR {
             eprintln!(
                 "FLOOR FAILED: {n_tags}-tag batch {batch_ratio:.2}× < {TAG_BATCH_FLOOR}× over single-tag sweeps ({cell_simd_level})"

@@ -517,7 +517,6 @@ impl<'a> Sounder<'a> {
                 }
                 out
             },
-            |_scratch| {},
         );
 
         // Phase B: per-band impairments, parallel over bands. The

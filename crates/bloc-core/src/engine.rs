@@ -1,53 +1,52 @@
-//! The fast likelihood engine: phasor-recurrence kernels, SoA channel
+//! The fast likelihood engine: the range-profile cell kernel, SoA channel
 //! layout, geometry caching and parallel grid evaluation.
 //!
 //! Everything the localizer does reduces to evaluating Eq. 17,
 //! `P_i(x) = |Σ_j Σ_k α^{f_k}_ij · e^{ι2πf_k Δ_ij(x)/c}|`, over a dense
 //! 2-D grid. The naive evaluation (kept verbatim as [`ReferenceKernel`])
 //! pays one `sin`+`cos` per (cell × antenna × band). This module layers
-//! three optimizations on top, each independently verified against the
-//! reference (see `tests/kernel_equivalence.rs`):
+//! four optimizations on top, each verified against the reference (see
+//! `tests/kernel_equivalence.rs`):
 //!
-//! 1. **Phasor recurrence**: BLE's data channels sit on a uniform 2 MHz
-//!    comb, so `f_k = f_base + n_k·s` with integer `n_k`, and
-//!    `e^{ι2πf_kΔ/c} = e^{ι2πf_baseΔ/c} · (e^{ι2πsΔ/c})^{n_k}` —
-//!    two `cis` calls per (cell, antenna) seed a complex-rotation
-//!    recurrence across all bands. The identity is *exact* (no small-angle
-//!    approximation); [`BandPlan`] detects the comb and the kernel falls
-//!    back to per-band `cis` when surviving bands don't sit on one. The
-//!    recurrence itself lives in [`bloc_num::sweep`] — one SIMD
-//!    implementation shared with the channel synthesizer — and
+//! 1. **Range profiles**: per (anchor, antenna), the band sum depends on
+//!    the cell only through the Eq. 14 relative distance `Δ_ij(x)`, so
+//!    one sounding gives each antenna a 1-D range profile. Factored as
+//!    `e^{ι2πf_cΔ/c}·E(Δ)` around the centre `f_c` of the band span, the
+//!    envelope `E` is band-limited to the half-span. Per sounding and
+//!    window, the kernel samples `E` and `h·E′` on a lattice of step `h`
+//!    over the window's `Δ` range; per cell and antenna it does one
+//!    cubic-Hermite lookup and one complex multiply by the cached
+//!    carrier `e^{ι2πf_cΔ/c}`. `h` follows from the half-span by the
+//!    Hermite remainder bound, so the error stays within
+//!    comb, a masked sub-comb or off-comb bands alike. The kernel lives
+//!    in [`bloc_num::sweep`] (one SIMD body for every level), and
 //!    [`RecurrenceKernel`] is the thin adapter that feeds it.
 //! 2. **SoA layout + geometry cache**: [`SoaChannels`] re-packs the
 //!    per-band `alpha[i][j]` tensor into the kernel's split re/im
-//!    lane-padded layout, and [`SteeringCache`] memoizes the seed/step
-//!    phasors of the per-cell relative distances `Δ_ij(x)` (Eq. 14) —
-//!    four arrays per block, seed and step, re and im — keyed by (grid,
-//!    anchor geometry, comb): a deployment sounds thousands of times
-//!    against the same grid, and the geometry never changes. `Δ` itself
-//!    is recomputed from the geometry where it is read (the off-comb
-//!    fallback and [`SteeringTables::cell_deltas`]). The
-//!    tables are indexed by the grid and filled lazily in small tiles;
-//!    every evaluation reads a [`GridPatch`] *window* of them — the whole
-//!    grid for a dense map, a patch for a hierarchical level — so a
-//!    moving patch reuses its grid's one table instead of building its
-//!    own, and its cells equal the dense map's bit for bit.
+//!    lane-padded layout, and [`SteeringCache`] memoizes each cell's relative distances
+//!    `Δ_ij(x)` (Eq. 14) and carriers — three arrays per block, `Δ` and
+//!    the carrier's re and im — keyed by (grid, anchor geometry,
+//!    carrier): a deployment sounds thousands of times against the same
+//!    grid, and the geometry never changes. The tables are indexed by
+//!    the grid and filled lazily in small tiles; every evaluation reads a
+//!    [`GridPatch`] *window* of them — the whole grid for a dense map, a
+//!    patch for a hierarchical level — so a moving patch reuses its
+//!    grid's one table instead of building its own. A lattice row's
+//!    samples depend on its index alone, so a window's cells equal the
+//!    dense map's bit for bit.
 //! 3. **Coarse parallelism**: the joint likelihood fans out across
 //!    *anchors* and single-anchor maps across row *chunks*, both through
 //!    [`bloc_num::par`] with work-size thresholding
 //!    ([`bloc_num::par::tuned_threads`]) so small problems never pay
 //!    spawn overhead — bit-identically for every thread count.
-//! 4. **Sounding batches**: a cell's rotation chain depends on the
-//!    geometry and the comb, never on the tag.
-//!    [`LikelihoodEngine::likelihood_batch`] groups soundings that share
-//!    a steering entry, comb walk, lane strides and alive anchors, up to
-//!    [`sweep::MAX_TAGS`] per group, and the kernel advances each chain
-//!    once for the whole group
-//!    ([`bloc_num::sweep::write_comb_cells_batch`]); only the channel
-//!    weights and accumulators are per sounding, so every sounding's
-//!    maps equal a call of its own bit for bit. The single-sounding
-//!    entries are its batch of one. The Δ array the tables no longer
-//!    store pays for the batch's extra maps in heap.
+//! 4. **Sounding batches**: [`LikelihoodEngine::likelihood_batch`] groups
+//!    soundings that share a steering entry, band set and alive anchors,
+//!    up to [`sweep::MAX_TAGS`] per group; the group shares each cell's
+//!    lattice index, Hermite weights and carrier, and the profile
+//!    build's phasor matrix ([`bloc_num::sweep::write_profile_cells_batch`]).
+//!    Only the profiles and accumulators are per sounding, so every
+//!    sounding's maps equal a call of its own bit for bit. The
+//!    single-sounding entries are its batch of one.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -57,16 +56,15 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use bloc_chan::AnchorArray;
 use bloc_num::constants::SPEED_OF_LIGHT;
-use bloc_num::sweep::{self, CellSweep, Combine, OffCombSweep, MAX_TAGS};
+use bloc_num::sweep::{self, CellSweep, Combine, Lattice, ProfilePlan, ProfileWeights, MAX_TAGS};
 use bloc_num::{Grid2D, GridPatch, GridSpec, C64, P2};
 
 use crate::correction::CorrectedChannels;
 use crate::likelihood::AntennaCombining;
 
-/// The frequency walk a recurrence kernel takes across surviving bands —
-/// now the workspace-wide [`bloc_num::sweep::CombPlan`]; the alias keeps
-/// the engine's public vocabulary (`order` indexes
-/// `CorrectedChannels::bands`).
+/// The comb planner of the workspace's tone kernel
+/// ([`bloc_num::sweep::CombPlan`]), under the engine's name for it: the
+/// Eq. 17 cell kernel takes any band set and needs no comb.
 pub use bloc_num::sweep::CombPlan as BandPlan;
 
 /// Rounds an antenna count up to the kernel's 4-wide lane stride.
@@ -83,39 +81,24 @@ fn combine_of(combining: AntennaCombining) -> Combine {
     }
 }
 
-/// Corrected channels re-packed for the sweep kernel: per anchor, split
-/// re/im row-major tensors padded to the 4-wide lane stride
-/// (`alpha_re[i][row·n_lanes[i] + j]`, padding lanes exactly zero so
-/// they contribute nothing). All antennas of a row sit adjacent, so the
-/// kernel advances every antenna's rotation chain in lockstep — one SIMD
-/// lane per antenna.
-///
-/// On a uniform comb whose occupied slots nearly fill its span (the BLE
-/// data comb: 37 bands over 38 slots, one hole at the skipped
-/// advertising channel), rows are laid out per **absolute comb slot**
-/// with all-zero rows at the holes. The zero rows cost one multiply-add
-/// each but let the kernel walk a gapless comb, which engages its
-/// two-chain dense recurrence — worth far more than the holes cost.
-/// Sparse survivor sets (heavy dropout) and off-comb bands keep the
-/// compact planned-order layout.
+/// Corrected channels re-packed for the profile build: per anchor, split
+/// re/im band-major tensors in the sounding's band order, padded to the
+/// 4-wide lane stride (`alpha_re[i][band·n_lanes[i] + j]`, padding lanes
+/// exactly zero so they contribute nothing). All antennas of a band sit
+/// adjacent: one SIMD lane per antenna.
 #[derive(Debug, Clone)]
 pub struct SoaChannels {
-    /// The band walk shared by every slice.
-    pub plan: BandPlan,
+    /// The band set's range-profile plan: carrier, lattice step and
+    /// per-band wavenumbers.
+    pub plan: ProfilePlan,
     /// Antennas per anchor.
     pub n_antennas: Vec<usize>,
     /// Lane stride per anchor (`n_antennas` rounded up to 4).
     n_lanes: Vec<usize>,
-    /// `alpha_re[i][row·n_lanes[i] + j]` — row-major per anchor.
+    /// `alpha_re[i][band·n_lanes[i] + j]` — band-major per anchor.
     alpha_re: Vec<Vec<f64>>,
     /// Imaginary parts, same indexing.
     alpha_im: Vec<Vec<f64>>,
-    /// True when alpha rows are absolute comb slots (holes zero-filled)
-    /// rather than planned-band order.
-    slot_rows: bool,
-    /// The slot advances handed to the kernel — `[0, 1, 1, …]` over the
-    /// span under slot layout, [`CombPlan::gaps`] otherwise.
-    kernel_gaps: Vec<u32>,
     /// Scratch for the band frequencies handed to the planner.
     freqs_scratch: Vec<f64>,
 }
@@ -125,13 +108,11 @@ impl SoaChannels {
     /// engine's scratch arena holds between calls.
     pub fn empty() -> Self {
         Self {
-            plan: BandPlan::build(&[]),
+            plan: ProfilePlan::build(&[]),
             n_antennas: Vec::new(),
             n_lanes: Vec::new(),
             alpha_re: Vec::new(),
             alpha_im: Vec::new(),
-            slot_rows: false,
-            kernel_gaps: Vec::new(),
             freqs_scratch: Vec::new(),
         }
     }
@@ -151,7 +132,7 @@ impl SoaChannels {
         self.freqs_scratch.clear();
         self.freqs_scratch
             .extend(corrected.bands.iter().map(|b| b.freq_hz));
-        self.plan = BandPlan::build(&self.freqs_scratch);
+        self.plan = ProfilePlan::build(&self.freqs_scratch);
         let nb = corrected.bands.len();
         let n = corrected.n_anchors();
         self.n_antennas.clear();
@@ -160,64 +141,45 @@ impl SoaChannels {
         self.n_lanes.clear();
         self.n_lanes
             .extend(self.n_antennas.iter().map(|&nj| lane_stride(nj)));
-        // Slot layout pays one zero row per comb hole; cap the overhead
-        // at 25% extra rows before falling back to the compact walk.
-        let span = self.plan.span();
-        self.slot_rows = self.plan.is_uniform_comb() && span <= nb + nb / 4;
-        let rows = if self.slot_rows { span } else { nb };
-        self.kernel_gaps.clear();
-        if self.slot_rows {
-            self.kernel_gaps.extend((0..rows).map(|r| u32::from(r > 0)));
-        } else {
-            self.kernel_gaps.extend_from_slice(&self.plan.gaps);
-        }
         self.alpha_re.resize_with(n, Vec::new);
         self.alpha_im.resize_with(n, Vec::new);
         for i in 0..n {
-            let nj = self.n_antennas[i];
             let nl = self.n_lanes[i];
             let re = &mut self.alpha_re[i];
             let im = &mut self.alpha_im[i];
             re.clear();
-            re.resize(rows * nl, 0.0);
+            re.resize(nb * nl, 0.0);
             im.clear();
-            im.resize(rows * nl, 0.0);
-            for (k, &b) in self.plan.order.iter().enumerate() {
-                let row = if self.slot_rows {
-                    self.plan.slots[k] as usize
-                } else {
-                    k
-                } * nl;
-                for j in 0..nj {
-                    let a = corrected.bands[b].alpha[i][j];
-                    re[row + j] = a.re;
-                    im[row + j] = a.im;
+            im.resize(nb * nl, 0.0);
+            for (k, band) in corrected.bands.iter().enumerate() {
+                for (j, a) in band.alpha[i].iter().enumerate() {
+                    re[k * nl + j] = a.re;
+                    im[k * nl + j] = a.im;
                 }
             }
         }
     }
 
-    /// The alpha tensor row holding planned band `k`.
-    fn alpha_row(&self, k: usize) -> usize {
-        if self.slot_rows {
-            self.plan.slots[k] as usize
-        } else {
-            k
+    /// Anchor `i`'s weights for the profile build.
+    fn weights(&self, i: usize) -> ProfileWeights<'_> {
+        ProfileWeights {
+            alpha_re: &self.alpha_re[i],
+            alpha_im: &self.alpha_im[i],
+            n_lanes: self.n_lanes[i],
         }
     }
 
-    /// Number of planned bands.
+    /// Number of bands.
     pub fn n_bands(&self) -> usize {
-        self.plan.freqs.len()
+        self.plan.wavenumbers.len()
     }
 
-    /// The antennas of anchor `i` at planned band `slot`, re-assembled
-    /// from the split layout (a copy — layout inspection, not a hot
-    /// path).
-    pub fn band_antennas(&self, i: usize, slot: usize) -> Vec<C64> {
+    /// The antennas of anchor `i` at band `band` (the sounding's band
+    /// order), re-assembled from the split layout (a copy — layout
+    /// inspection, not a hot path).
+    pub fn band_antennas(&self, i: usize, band: usize) -> Vec<C64> {
         let nj = self.n_antennas[i];
-        let nl = self.n_lanes[i];
-        let row = self.alpha_row(slot) * nl;
+        let row = band * self.n_lanes[i];
         (0..nj)
             .map(|j| C64::new(self.alpha_re[i][row + j], self.alpha_im[i][row + j]))
             .collect()
@@ -243,30 +205,23 @@ const BLOCK_H: usize = 4;
 /// One anchor's lane-padded steering tables over the cells of one block,
 /// row-major, borrowed from the block's storage.
 struct AnchorLanes<'a> {
-    /// `e^{ι2πf_baseΔ/c}` real parts, `seed_re[cell·n_lanes + j]`,
-    /// cell-major; padding lanes hold the neutral phasor `1 + 0ι` (finite,
-    /// so a zero alpha annihilates it exactly — garbage here could
-    /// produce `0 × ∞ = NaN`).
-    seed_re: &'a [f64],
-    /// Seed imaginary parts.
-    seed_im: &'a [f64],
-    /// `e^{ι2πsΔ/c}` (comb-step rotation) real parts, same indexing.
-    step_re: &'a [f64],
-    /// Step imaginary parts.
-    step_im: &'a [f64],
+    /// `Δ_ij`, `delta[cell·n_lanes + j]`, cell-major; a padding lane
+    /// holds antenna 0's `Δ`, so its lookup stays inside the window's
+    /// lattice (and reads the zero profile of its zero weights).
+    delta: &'a [f64],
+    /// Carrier `e^{ι2πf_cΔ/c}` real parts, same indexing.
+    carrier_re: &'a [f64],
+    /// Carrier imaginary parts.
+    carrier_im: &'a [f64],
 }
 
-/// Per-cell steering geometry for one (grid, deployment, band-comb)
-/// triple: for every cell and every (anchor, antenna), the two phasors
-/// the recurrence kernel seeds from the relative distance `Δ_ij(x) =
-/// d_ij(x) − d_00(x) − d^{i0}_{00}` of Eq. 14 — `e^{ι2πf_baseΔ/c}` and
-/// `e^{ι2πsΔ/c}`, each as a real and an imaginary array (four arrays per
-/// block). Hoisting the phasors into the cache removes every
-/// transcendental call from the steady-state per-sounding path: the warm
-/// kernel is pure complex multiply-adds. `Δ` itself is not stored: only
-/// the off-comb fallback and [`SteeringTables::cell_deltas`] read it, and
-/// they recompute it from the geometry with the one expression the fill
-/// uses, so it is the same value bit for bit.
+/// Per-cell steering geometry for one (grid, deployment, carrier)
+/// triple: for every cell and every (anchor, antenna), the relative
+/// distance `Δ_ij(x) = d_ij(x) − d_00(x) − d^{i0}_{00}` of Eq. 14 and the
+/// carrier phasor `e^{ι2πf_cΔ/c}`, as three arrays per block (`Δ`, the
+/// carrier's real and imaginary parts). Hoisting the carrier into the
+/// cache removes every transcendental call from the per-cell work: the
+/// warm kernel is a lookup and a few multiply-adds.
 ///
 /// The tables are indexed by the parent grid and filled lazily, one
 /// 4×2-cell tile (`TILE_W`×`TILE_H`) at a time, the first time a window
@@ -284,18 +239,19 @@ pub struct SteeringTables {
     /// The master anchor's first antenna, the reference of `d_00`.
     master0: P2,
     master_anchor_dist: Vec<f64>,
-    base_hz: f64,
-    step_hz: f64,
+    carrier_hz: f64,
     n_lanes: Vec<usize>,
     /// Lanes of the anchors before anchor `i` (its table offset in a
-    /// block, in units of `4 · block cells`); the last entry is the total.
+    /// block, in units of `3 · block cells`); the last entry is the total.
     lane_base: Vec<usize>,
     /// Fill markers, row-major over tiles; each tile is computed at most
     /// once.
     tiles: Vec<OnceLock<()>>,
-    /// Block storage, row-major over blocks: anchor `i`'s four tables
-    /// (seed re/im, step re/im, each `block cells · n_lanes[i]` long)
-    /// from offset `4 · block cells · lane_base[i]`.
+    /// Block storage, row-major over blocks: anchor `i`'s three tables
+    /// (`Δ`, carrier re/im, each `block cells · n_lanes[i]` long) from
+    /// offset `3 · block cells · lane_base[i]`, then each tile's `Δ`
+    /// range per anchor (`[min, max]` over its lanes, at
+    /// `3 · block cells · total lanes + 2 · (tile · anchors + i)`).
     /// Empty until the block's first tile fills; tiles write under the
     /// block's write lock, the kernel reads under its read lock.
     blocks: Vec<RwLock<Vec<f64>>>,
@@ -326,28 +282,23 @@ impl BlockShape {
     fn cell(&self, ix: usize, iy: usize) -> usize {
         (iy - self.y0) * self.nx + ix - self.x0
     }
-
-    /// The grid cell `(ix, iy)` of block-local cell `cell`.
-    fn grid_cell(&self, cell: usize) -> (usize, usize) {
-        (self.x0 + cell % self.nx, self.y0 + cell / self.nx)
-    }
 }
 
-/// Tables per anchor in a storage block: seed and step phasors, real and
+/// Tables per anchor in a storage block: `Δ` and the carrier's real and
 /// imaginary parts.
-const TABLES_PER_ANCHOR: usize = 4;
+const TABLES_PER_ANCHOR: usize = 3;
+
+/// Fill tiles per storage block.
+const TILES_PER_BLOCK: usize = (BLOCK_W / TILE_W) * (BLOCK_H / TILE_H);
 
 impl SteeringTables {
-    /// Tables for this (grid, deployment, comb) with no tile filled yet.
-    /// `base_hz` and `step_hz` are the [`BandPlan`] comb parameters (0
-    /// disables the phasor tables' usefulness but is still a valid
-    /// build).
+    /// Tables for this (grid, deployment, carrier) with no tile filled
+    /// yet. `carrier_hz` is the [`ProfilePlan`] carrier.
     pub fn empty(
         spec: GridSpec,
         anchors: &[AnchorArray],
         master_anchor_dist: &[f64],
-        base_hz: f64,
-        step_hz: f64,
+        carrier_hz: f64,
     ) -> Self {
         let n_lanes: Vec<usize> = anchors.iter().map(|a| lane_stride(a.n_antennas)).collect();
         let lane_base = std::iter::once(0)
@@ -366,8 +317,7 @@ impl SteeringTables {
                 .map(|a| a.antenna(0))
                 .unwrap_or(P2::new(0.0, 0.0)),
             master_anchor_dist: master_anchor_dist.to_vec(),
-            base_hz,
-            step_hz,
+            carrier_hz,
             n_lanes,
             lane_base,
             tiles: (0..n_tiles).map(|_| OnceLock::new()).collect(),
@@ -381,10 +331,9 @@ impl SteeringTables {
         spec: GridSpec,
         anchors: &[AnchorArray],
         master_anchor_dist: &[f64],
-        base_hz: f64,
-        step_hz: f64,
+        carrier_hz: f64,
     ) -> Self {
-        let tables = Self::empty(spec, anchors, master_anchor_dist, base_hz, step_hz);
+        let tables = Self::empty(spec, anchors, master_anchor_dist, carrier_hz);
         tables.fill(&GridPatch::whole(spec));
         tables
     }
@@ -424,8 +373,13 @@ impl SteeringTables {
         (by * self.spec.nx.div_ceil(BLOCK_W) + bx, shape)
     }
 
+    /// The slot of fill tile `(tx, ty)` among its block's tiles.
+    fn tile_in_block(&self, tx: usize, ty: usize) -> usize {
+        (ty % (BLOCK_H / TILE_H)) * (BLOCK_W / TILE_W) + tx % (BLOCK_W / TILE_W)
+    }
+
     /// The one place that pays the per-cell distance arithmetic and
-    /// phasor seeding: tile `(tx, ty)`, written into its block under the
+    /// carrier phasors: tile `(tx, ty)`, written into its block under the
     /// block's write lock.
     fn compute_tile(&self, tx: usize, ty: usize) {
         let spec = self.spec;
@@ -434,42 +388,52 @@ impl SteeringTables {
         let (b, shape) = self.block(x0, y0);
         let block_cells = shape.cells();
         let total_lanes = self.lane_base.last().copied().unwrap_or(0);
-        let tau_over_c = std::f64::consts::TAU / SPEED_OF_LIGHT;
-        let (base_hz, step_hz) = (self.base_hz, self.step_hz);
+        let phase_per_m = std::f64::consts::TAU / SPEED_OF_LIGHT * self.carrier_hz;
         // A fill that panicked left only its own tile's cells half
         // written, and that tile stays unfilled, so recovering is sound.
         let mut block = self.blocks[b].write().unwrap_or_else(|e| e.into_inner());
+        let tables_len = TABLES_PER_ANCHOR * block_cells * total_lanes;
         if block.is_empty() {
-            *block = vec![0.0; TABLES_PER_ANCHOR * block_cells * total_lanes];
+            *block = vec![0.0; tables_len + 2 * TILES_PER_BLOCK * self.antennas.len()];
         }
-        let mut rest = block.as_mut_slice();
+        let (mut rest, ranges) = block.split_at_mut(tables_len);
+        let tile = self.tile_in_block(tx, ty);
         for (i, positions) in self.antennas.iter().enumerate() {
             let nl = self.n_lanes[i];
             let len = block_cells * nl;
             let (tables, tail) = rest.split_at_mut(TABLES_PER_ANCHOR * len);
             rest = tail;
-            let (seed_re, tables) = tables.split_at_mut(len);
-            let (seed_im, tables) = tables.split_at_mut(len);
-            let (step_re, step_im) = tables.split_at_mut(len);
+            let (delta, tables) = tables.split_at_mut(len);
+            let (carrier_re, carrier_im) = tables.split_at_mut(len);
             for iy in y0..y1 {
                 for ix in x0..x1 {
                     let cell = shape.cell(ix, iy);
                     for (j, d) in self.deltas_at(i, ix, iy).enumerate() {
-                        let w = tau_over_c * d;
                         let k = cell * nl + j;
-                        let s = C64::cis(w * base_hz);
-                        let r = C64::cis(w * step_hz);
-                        seed_re[k] = s.re;
-                        seed_im[k] = s.im;
-                        step_re[k] = r.re;
-                        step_im[k] = r.im;
+                        let c = C64::cis(phase_per_m * d);
+                        (delta[k], carrier_re[k], carrier_im[k]) = (d, c.re, c.im);
                     }
-                    for k in cell * nl + positions.len()..(cell + 1) * nl {
-                        seed_re[k] = 1.0;
-                        step_re[k] = 1.0;
+                    // Padding lanes copy antenna 0 (a lane with no
+                    // antenna at all keeps Δ = 0 and the unit carrier).
+                    let lane0 = cell * nl;
+                    for k in lane0 + positions.len()..lane0 + nl {
+                        (delta[k], carrier_re[k], carrier_im[k]) = if positions.is_empty() {
+                            (0.0, 1.0, 0.0)
+                        } else {
+                            (delta[lane0], carrier_re[lane0], carrier_im[lane0])
+                        };
                     }
                 }
             }
+            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+            for iy in y0..y1 {
+                let first = shape.cell(x0, iy) * nl;
+                for &d in &delta[first..first + (x1 - x0) * nl] {
+                    (lo, hi) = (lo.min(d), hi.max(d));
+                }
+            }
+            let at = 2 * (tile * self.antennas.len() + i);
+            (ranges[at], ranges[at + 1]) = (lo, hi);
         }
         let bytes =
             TABLES_PER_ANCHOR * (x1 - x0) * (y1 - y0) * total_lanes * std::mem::size_of::<f64>();
@@ -478,8 +442,8 @@ impl SteeringTables {
 
     /// Eq. 14's relative distances `Δ_ij` of anchor `i` at grid cell
     /// `(ix, iy)`, one per antenna `j` — the one expression the table
-    /// fill, the off-comb fallback and [`SteeringTables::cell_deltas`]
-    /// share, so all three see the same value bit for bit.
+    /// fill and [`SteeringTables::cell_deltas`] share, so both see the
+    /// same value bit for bit.
     fn deltas_at(&self, i: usize, ix: usize, iy: usize) -> impl Iterator<Item = f64> + '_ {
         let x = self.spec.cell_center(ix, iy);
         let d_00 = x.dist(self.master0);
@@ -495,14 +459,12 @@ impl SteeringTables {
         let len = cells * self.n_lanes[i];
         let tables =
             &block[TABLES_PER_ANCHOR * cells * self.lane_base[i]..][..TABLES_PER_ANCHOR * len];
-        let (seed_re, rest) = tables.split_at(len);
-        let (seed_im, rest) = rest.split_at(len);
-        let (step_re, step_im) = rest.split_at(len);
+        let (delta, rest) = tables.split_at(len);
+        let (carrier_re, carrier_im) = rest.split_at(len);
         AnchorLanes {
-            seed_re,
-            seed_im,
-            step_re,
-            step_im,
+            delta,
+            carrier_re,
+            carrier_im,
         }
     }
 
@@ -528,35 +490,92 @@ impl SteeringTables {
         self.deltas_at(i, cell % nx, cell / nx).collect()
     }
 
+    /// Calls `f` with anchor `i`'s lanes and the block-local cell range
+    /// of every block segment of window row `r` (whose tiles are filled),
+    /// each under its block's read lock.
+    fn for_each_segment(
+        &self,
+        i: usize,
+        window: &GridPatch,
+        r: usize,
+        mut f: impl FnMut(&AnchorLanes<'_>, &BlockShape, usize, usize),
+    ) {
+        let iy = window.y0 + r;
+        let mut x = window.x0;
+        while x < window.x0 + window.spec.nx {
+            let (b, shape) = self.block(x, iy);
+            let n = (shape.x0 + shape.nx - x).min(window.x0 + window.spec.nx - x);
+            let block = self.blocks[b].read().unwrap_or_else(|e| e.into_inner());
+            f(&self.lanes(&block, shape.cells(), i), &shape, x, n);
+            x += n;
+        }
+    }
+
+    /// The lattice of step `step_m` that brackets every `Δ` anchor `i`'s
+    /// lanes take over `window`, whose tiles are filled: the union of the
+    /// `Δ` ranges the fill recorded for each tile the window touches.
+    fn lattice(&self, i: usize, window: &GridPatch, step_m: f64) -> Lattice {
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        if !window.spec.is_empty() {
+            let (tx0, ty0) = (window.x0 / TILE_W, window.y0 / TILE_H);
+            let tx1 = (window.x0 + window.spec.nx - 1) / TILE_W;
+            let ty1 = (window.y0 + window.spec.ny - 1) / TILE_H;
+            let (per_x, per_y) = (BLOCK_W / TILE_W, BLOCK_H / TILE_H);
+            for by in ty0 / per_y..=ty1 / per_y {
+                for bx in tx0 / per_x..=tx1 / per_x {
+                    let (b, shape) = self.block(bx * BLOCK_W, by * BLOCK_H);
+                    let block = self.blocks[b].read().unwrap_or_else(|e| e.into_inner());
+                    let ranges = &block
+                        [TABLES_PER_ANCHOR * shape.cells() * self.lane_base[self.antennas.len()]..];
+                    for ty in (by * per_y).max(ty0)..=((by + 1) * per_y - 1).min(ty1) {
+                        for tx in (bx * per_x).max(tx0)..=((bx + 1) * per_x - 1).min(tx1) {
+                            let at = 2 * (self.tile_in_block(tx, ty) * self.antennas.len() + i);
+                            (lo, hi) = (lo.min(ranges[at]), hi.max(ranges[at + 1]));
+                        }
+                    }
+                }
+            }
+        }
+        // The row index is monotone in `Δ`, so the extremes bracket all.
+        Lattice::covering(step_m, [lo, hi])
+    }
+
     /// Evaluates anchor `i` over whole rows of `window`, whose tiles are
     /// filled, for every sounding of a batch that shares these tables:
-    /// `outs[t]` holds sounding `t`'s window rows `r0 ..`. Each block the
-    /// rows cross is read under its read lock: one sweep-kernel call for
-    /// all its rows when the window spans the block's width, else one per
-    /// row segment, each at its block-local `first_cell`.
+    /// `outs[t]` holds sounding `t`'s window rows `r0 ..`, read from its
+    /// profile `profiles[t]` over `lattice`. Each block the rows cross is
+    /// read under its read lock: one sweep-kernel call for all its rows
+    /// when the window spans the block's width, else one per row segment,
+    /// each at its block-local `first_cell`.
+    #[allow(clippy::too_many_arguments)]
     fn sweep_rows(
         &self,
-        soas: &[&SoaChannels],
+        profiles: &[&[f64]],
+        lattice: Lattice,
         i: usize,
         combine: Combine,
         window: &GridPatch,
         r0: usize,
         outs: &mut [&mut [f64]],
     ) {
-        let (x0, nx) = (window.x0, window.spec.nx.max(1));
+        let nx = window.spec.nx.max(1);
         let rows = outs.first().map_or(0, |o| o.len()) / nx;
         let n_tags = outs.len();
         let mut r = 0;
         while r < rows {
             let iy = window.y0 + r0 + r;
             let group = (BLOCK_H - iy % BLOCK_H).min(rows - r);
-            let mut x = x0;
-            while x < x0 + nx {
-                let (b, shape) = self.block(x, iy);
-                let n = (shape.x0 + shape.nx - x).min(x0 + nx - x);
-                let block = self.blocks[b].read().unwrap_or_else(|e| e.into_inner());
-                let lanes = self.lanes(&block, shape.cells(), i);
-                let at = |k: usize| (r + k) * nx + x - x0;
+            self.for_each_segment(i, window, r0 + r, |lanes, shape, x, n| {
+                let tags: [CellSweep<'_>; MAX_TAGS] = std::array::from_fn(|t| CellSweep {
+                    delta: lanes.delta,
+                    carrier_re: lanes.carrier_re,
+                    carrier_im: lanes.carrier_im,
+                    n_lanes: self.n_lanes[i],
+                    lattice,
+                    profile: profiles[t.min(n_tags - 1)],
+                });
+                let tags = &tags[..n_tags];
+                let at = |k: usize| (r + k) * nx + x - window.x0;
                 if n == shape.nx && group > 1 {
                     // The group's rows are contiguous in the block.
                     let mut cells = [[0.0; BLOCK_W * BLOCK_H]; MAX_TAGS];
@@ -565,8 +584,7 @@ impl SteeringTables {
                         *view = &mut c[..group * n];
                     }
                     let first = shape.cell(x, iy);
-                    let views = &mut views[..n_tags];
-                    self.sweep_cells(&lanes, soas, i, combine, &shape, first, views);
+                    sweep::write_profile_cells_batch(tags, combine, first, &mut views[..n_tags]);
                     for (out, c) in outs.iter_mut().zip(&cells) {
                         for (k, row) in c[..group * n].chunks_exact(n).enumerate() {
                             out[at(k)..at(k) + n].copy_from_slice(row);
@@ -579,75 +597,16 @@ impl SteeringTables {
                         for (view, out) in views.iter_mut().zip(outs.iter_mut()) {
                             *view = &mut out[at(k)..at(k) + n];
                         }
-                        let views = &mut views[..n_tags];
-                        self.sweep_cells(&lanes, soas, i, combine, &shape, first, views);
+                        sweep::write_profile_cells_batch(
+                            tags,
+                            combine,
+                            first,
+                            &mut views[..n_tags],
+                        );
                     }
                 }
-                x += n;
-            }
-            r += group;
-        }
-    }
-
-    /// One sweep-kernel call: anchor `i` over block cells `first_cell ..
-    /// first_cell + n` of `lanes` for every sounding of the batch, `n`
-    /// being the length of each `outs[t]`.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_cells(
-        &self,
-        lanes: &AnchorLanes<'_>,
-        soas: &[&SoaChannels],
-        i: usize,
-        combine: Combine,
-        shape: &BlockShape,
-        first_cell: usize,
-        outs: &mut [&mut [f64]],
-    ) {
-        let nl = self.n_lanes[i];
-        let Some(lead) = soas.first() else {
-            return;
-        };
-        debug_assert!(soas.iter().all(|soa| soa.n_lanes[i] == nl));
-        if lead.plan.is_uniform_comb() {
-            // The cached seed/step phasors make this branch free of
-            // transcendentals: pure complex multiply-adds, and one
-            // rotation chain per (cell, antenna) for the whole batch.
-            let tags: [CellSweep<'_>; MAX_TAGS] = std::array::from_fn(|t| {
-                let soa = soas[t.min(soas.len() - 1)];
-                CellSweep {
-                    seed_re: lanes.seed_re,
-                    seed_im: lanes.seed_im,
-                    step_re: lanes.step_re,
-                    step_im: lanes.step_im,
-                    alpha_re: &soa.alpha_re[i],
-                    alpha_im: &soa.alpha_im[i],
-                    n_lanes: nl,
-                    gaps: &lead.kernel_gaps,
-                }
             });
-            sweep::write_comb_cells_batch(&tags[..soas.len()], combine, first_cell, outs);
-        } else {
-            // Off-comb: the per-band `cis` fallback, on `Δ` recomputed
-            // from the geometry (padding lanes 0, like their zero alphas).
-            let n = outs.first().map_or(0, |o| o.len());
-            let mut delta = vec![0.0; n * nl];
-            for (c, row) in delta.chunks_exact_mut(nl).enumerate() {
-                let (ix, iy) = shape.grid_cell(first_cell + c);
-                for (slot, d) in row.iter_mut().zip(self.deltas_at(i, ix, iy)) {
-                    *slot = d;
-                }
-            }
-            for (soa, out) in soas.iter().zip(outs.iter_mut()) {
-                let view = OffCombSweep {
-                    delta: &delta,
-                    alpha_re: &soa.alpha_re[i],
-                    alpha_im: &soa.alpha_im[i],
-                    n_lanes: nl,
-                    freqs: &soa.plan.freqs,
-                    phase_per_hz: std::f64::consts::TAU / SPEED_OF_LIGHT,
-                };
-                sweep::write_offcomb_cells(&view, combine, 0, out);
-            }
+            r += group;
         }
     }
 }
@@ -713,12 +672,10 @@ fn cache_key(
     spec: GridSpec,
     anchors: &[AnchorArray],
     master_anchor_dist: &[f64],
-    base_hz: f64,
-    step_hz: f64,
+    carrier_hz: f64,
 ) -> Vec<u64> {
-    let mut key = Vec::with_capacity(8 + anchors.len() * 7 + master_anchor_dist.len());
-    push_f64(&mut key, base_hz);
-    push_f64(&mut key, step_hz);
+    let mut key = Vec::with_capacity(6 + anchors.len() * 6 + master_anchor_dist.len());
+    push_f64(&mut key, carrier_hz);
     push_f64(&mut key, spec.origin.x);
     push_f64(&mut key, spec.origin.y);
     push_f64(&mut key, spec.resolution);
@@ -732,8 +689,8 @@ fn cache_key(
 }
 
 /// Offset of the anchor-geometry segment inside a cache key (after the
-/// two comb frequencies and the five grid-spec words).
-const KEY_ANCHOR_OFFSET: usize = 7;
+/// carrier frequency and the five grid-spec words).
+const KEY_ANCHOR_OFFSET: usize = 6;
 
 /// The anchor-geometry words of a cache key: 6 per anchor, exactly as
 /// [`cache_key`] lays them out. [`SteeringCache::invalidate_geometry`]
@@ -757,21 +714,20 @@ impl SteeringCache {
         Self::default()
     }
 
-    /// The tables for this (grid, deployment, comb) with every tile
+    /// The tables for this (grid, deployment, carrier) with every tile
     /// filled — [`SteeringCache::window`] over the whole grid.
     pub fn tables(
         &self,
         spec: GridSpec,
         anchors: &[AnchorArray],
         master_anchor_dist: &[f64],
-        base_hz: f64,
-        step_hz: f64,
+        carrier_hz: f64,
     ) -> Arc<SteeringTables> {
         let whole = GridPatch::whole(spec);
-        self.window(spec, anchors, master_anchor_dist, base_hz, step_hz, &whole)
+        self.window(spec, anchors, master_anchor_dist, carrier_hz, &whole)
     }
 
-    /// The tables for this (grid, deployment, comb) with at least the
+    /// The tables for this (grid, deployment, carrier) with at least the
     /// tiles under `window` (a window of `spec`) filled. The first lookup
     /// of a key inserts it empty (one miss); concurrent callers share
     /// that one entry, and each tile is computed once, by whichever
@@ -781,11 +737,10 @@ impl SteeringCache {
         spec: GridSpec,
         anchors: &[AnchorArray],
         master_anchor_dist: &[f64],
-        base_hz: f64,
-        step_hz: f64,
+        carrier_hz: f64,
         window: &GridPatch,
     ) -> Arc<SteeringTables> {
-        let key = cache_key(spec, anchors, master_anchor_dist, base_hz, step_hz);
+        let key = cache_key(spec, anchors, master_anchor_dist, carrier_hz);
         let tables = {
             let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
             inner.tick += 1;
@@ -800,8 +755,7 @@ impl SteeringCache {
                     spec,
                     anchors,
                     master_anchor_dist,
-                    base_hz,
-                    step_hz,
+                    carrier_hz,
                 ));
                 let entry = CacheEntry {
                     tables: Arc::clone(&tables),
@@ -895,7 +849,7 @@ impl SteeringCache {
         cause: &'static str,
     ) -> usize {
         let fp = anchor_fingerprint(anchors);
-        // Every key for an n-anchor deployment has 7 + 6n + n words
+        // Every key for an n-anchor deployment has 6 + 6n + n words
         // (master distances trail the geometry), so length + segment
         // equality is an exact match, not a prefix heuristic.
         let expect_len = KEY_ANCHOR_OFFSET + fp.len() + anchors.len();
@@ -928,9 +882,9 @@ impl SteeringCache {
 
 /// Everything a kernel needs to evaluate one anchor map over a window for
 /// a batch of 1 ..= [`sweep::MAX_TAGS`] soundings that share one steering
-/// entry (the recurrence kernel panics on any other batch size). The
-/// reference kernel reads `corrected` directly; the fast kernels read the
-/// SoA and steering layers.
+/// entry and band set (the recurrence kernel panics on any other batch
+/// size). The reference kernel reads `corrected` directly; the fast
+/// kernel reads the SoA and steering layers.
 pub struct KernelInputs<'a> {
     /// The corrected channels of every sounding in the batch, as produced
     /// by [`crate::correction`].
@@ -995,19 +949,19 @@ impl LikelihoodKernel for ReferenceKernel {
     }
 }
 
-/// The phasor-recurrence kernel: a thin adapter over
-/// [`bloc_num::sweep::write_comb_cells_batch`]. Per (cell, antenna) the
-/// cached steering tables hold `e^{ι2πf_baseΔ/c}` and the comb rotation
-/// `e^{ι2πsΔ/c}`; the shared SIMD kernel advances every antenna's chain
-/// in 4-wide lanes across bands by complex multiplication, once for the
-/// whole batch. Off-comb band sets fall back to per-band `cis`
-/// ([`sweep::write_offcomb_cells`]) with identical combining semantics.
+/// The range-profile kernel: a thin adapter over
+/// [`bloc_num::sweep`]. Per anchor map it brackets the window's `Δ` with
+/// a [`Lattice`], builds every sounding's profile over it
+/// ([`sweep::build_profiles`] — the phasor matrix is a rotation
+/// recurrence along `Δ`, shared by the batch), then sweeps the window's
+/// rows ([`sweep::write_profile_cells_batch`]): one Hermite lookup per
+/// (cell, antenna) and one complex multiply by the cached carrier.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RecurrenceKernel;
 
 /// Minimum cells per shard before an anchor map fans out: one cell costs
-/// ~150 ns warm, so this keeps each spawn amortized to well under a
-/// percent.
+/// tens of nanoseconds warm, so this keeps each shard at ~100 µs or more
+/// and each spawn amortized to well under a percent.
 const MIN_CELLS_PER_SHARD: usize = 4096;
 
 impl LikelihoodKernel for RecurrenceKernel {
@@ -1032,7 +986,30 @@ impl LikelihoodKernel for RecurrenceKernel {
         let mut maps: Vec<Grid2D> = (0..n_tags).map(|_| Grid2D::zeros(window.spec)).collect();
         let n_cells = window.spec.len();
         let nx = window.spec.nx.max(1);
-        inputs.tables.fill(&window);
+        let tables = inputs.tables;
+        tables.fill(&window);
+        let plan = &inputs.soas[0].plan;
+        assert!(
+            inputs.soas.iter().all(|soa| &soa.plan == plan),
+            "a kernel batch shares one band set"
+        );
+        let lattice = tables.lattice(i, &window, plan.step_m);
+        let len = lattice.profile_len(tables.n_lanes[i]);
+        let mut buffer = PROFILES.take();
+        buffer.resize(n_tags * len, 0.0);
+        let weights: [ProfileWeights<'_>; MAX_TAGS] =
+            std::array::from_fn(|t| inputs.soas[t.min(n_tags - 1)].weights(i));
+        let mut views: [&mut [f64]; MAX_TAGS] = Default::default();
+        for (view, profile) in views.iter_mut().zip(buffer.chunks_mut(len)) {
+            *view = profile;
+        }
+        sweep::build_profiles(plan, &lattice, &weights[..n_tags], &mut views[..n_tags]);
+        let mut profiles: [&[f64]; MAX_TAGS] = [&[]; MAX_TAGS];
+        for (view, profile) in profiles.iter_mut().zip(buffer.chunks(len)) {
+            *view = profile;
+        }
+        let profiles = &profiles[..n_tags];
+
         let threads = bloc_num::par::tuned_threads(n_cells, threads, MIN_CELLS_PER_SHARD);
         // Chunks hold whole window rows: `auto_chunk_len` counts in `nx`.
         let chunk = bloc_num::par::auto_chunk_len(n_cells, nx, threads).max(1);
@@ -1052,8 +1029,9 @@ impl LikelihoodKernel for RecurrenceKernel {
             threads,
             |k, shard| {
                 for rows in shard {
-                    inputs.tables.sweep_rows(
-                        inputs.soas,
+                    tables.sweep_rows(
+                        profiles,
+                        lattice,
                         i,
                         combine,
                         &window,
@@ -1063,8 +1041,15 @@ impl LikelihoodKernel for RecurrenceKernel {
                 }
             },
         );
+        PROFILES.set(buffer);
         maps
     }
+}
+
+thread_local! {
+    /// The profile buffer of this thread's last anchor map, kept so a
+    /// warm map allocates no profile storage.
+    static PROFILES: std::cell::Cell<Vec<f64>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
 /// One sounding's share of a [`LikelihoodEngine::likelihood_batch`] call.
@@ -1250,8 +1235,7 @@ impl LikelihoodEngine {
             spec,
             &corrected.anchors,
             &corrected.master_anchor_dist,
-            soa.plan.base_hz,
-            soa.plan.step_hz,
+            soa.plan.carrier_hz,
             window,
         )
     }
@@ -1260,10 +1244,10 @@ impl LikelihoodEngine {
     /// `spec`: for each, in input order, the weighted joint and — when
     /// `keep_maps` — every alive anchor's raw map.
     ///
-    /// Soundings that share a steering entry, comb walk, lane strides and
+    /// Soundings that share a steering entry, band set, lane strides and
     /// alive-anchor set are swept together, up to
-    /// [`sweep::MAX_TAGS`] at a time, so each (cell, antenna) rotation
-    /// chain is advanced once for the group; a sounding that matches no
+    /// [`sweep::MAX_TAGS`] at a time, so each (cell, antenna) lookup
+    /// index and weights are computed once for the group; a sounding that matches no
     /// other runs in a group of its own. Grouping never changes a bit:
     /// each sounding's maps and joint equal a call of its own. Each
     /// group's anchor passes run inside `par.likelihood` regions, and
@@ -1289,23 +1273,15 @@ impl LikelihoodEngine {
         let mut maps: Vec<Vec<(usize, Grid2D)>> = (0..n).map(|_| Vec::new()).collect();
         // Soundings share a sweep when they read one steering entry (its
         // cache key: grid, anchor geometry — antenna counts, hence lane
-        // strides — master distances, comb base and step) and walk the
-        // same comb slots over the same alive anchors.
+        // strides — master distances, carrier) and sound the same bands
+        // over the same alive anchors.
         let keys: Vec<Vec<u64>> = corrected
             .iter()
             .zip(&soas)
-            .map(|(c, soa)| {
-                cache_key(
-                    spec,
-                    &c.anchors,
-                    &c.master_anchor_dist,
-                    soa.plan.base_hz,
-                    soa.plan.step_hz,
-                )
-            })
+            .map(|(c, soa)| cache_key(spec, &c.anchors, &c.master_anchor_dist, soa.plan.carrier_hz))
             .collect();
         let shares_sweep = |a: usize, b: usize| {
-            keys[a] == keys[b] && soas[a].kernel_gaps == soas[b].kernel_gaps && alive[a] == alive[b]
+            keys[a] == keys[b] && soas[a].plan == soas[b].plan && alive[a] == alive[b]
         };
         let mut grouped = vec![false; n];
         for lead in 0..n {
@@ -1470,27 +1446,27 @@ mod tests {
             AnchorArray::centered(1, P2::new(0.0, 1.0), P2::new(0.0, 1.0), 4),
         ];
         let dists = vec![0.0, anchors[1].antenna(0).dist(anchors[0].antenna(0))];
-        let (base, step) = (2.402e9, 2.0e6);
+        let carrier = 2.441e9;
         let cache = SteeringCache::new();
-        let a = cache.tables(spec, &anchors, &dists, base, step);
-        let b = cache.tables(spec, &anchors, &dists, base, step);
+        let a = cache.tables(spec, &anchors, &dists, carrier);
+        let b = cache.tables(spec, &anchors, &dists, carrier);
         assert!(Arc::ptr_eq(&a, &b), "second lookup must hit the cache");
         assert_eq!(cache.len(), 1);
 
         // A different grid is a different deployment entry.
         let spec2 = GridSpec::covering(P2::new(0.0, 0.0), P2::new(2.0, 2.0), 0.25);
-        let c = cache.tables(spec2, &anchors, &dists, base, step);
+        let c = cache.tables(spec2, &anchors, &dists, carrier);
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(cache.len(), 2);
 
-        // A different comb (phasor tables differ) is its own entry too.
-        let e = cache.tables(spec, &anchors, &dists, base + 2.0e6, step);
+        // A different carrier (phasor tables differ) is its own entry too.
+        let e = cache.tables(spec, &anchors, &dists, carrier + 2.0e6);
         assert!(!Arc::ptr_eq(&a, &e));
         assert_eq!(cache.len(), 3);
 
         // Clones share the map.
         let clone = cache.clone();
-        let d = clone.tables(spec, &anchors, &dists, base, step);
+        let d = clone.tables(spec, &anchors, &dists, carrier);
         assert!(Arc::ptr_eq(&a, &d));
     }
 
@@ -1501,26 +1477,26 @@ mod tests {
             AnchorArray::centered(1, P2::new(0.0, 1.0), P2::new(0.0, 1.0), 4),
         ];
         let dists = vec![0.0, anchors[1].antenna(0).dist(anchors[0].antenna(0))];
-        let (base, step) = (2.402e9, 2.0e6);
+        let carrier = 2.441e9;
         let spec_at = |res: f64| GridSpec::covering(P2::new(0.0, 0.0), P2::new(2.0, 2.0), res);
 
         let cache = SteeringCache::new();
         assert_eq!(cache.byte_budget(), None);
-        let a = cache.tables(spec_at(0.5), &anchors, &dists, base, step);
-        let b = cache.tables(spec_at(0.4), &anchors, &dists, base, step);
+        let a = cache.tables(spec_at(0.5), &anchors, &dists, carrier);
+        let b = cache.tables(spec_at(0.4), &anchors, &dists, carrier);
         assert_eq!(cache.len(), 2);
         // Size the budget so `a` plus the upcoming 0.25 m entry fit, but
         // all three do not.
         let c_bytes =
-            SteeringTables::build(spec_at(0.25), &anchors, &dists, base, step).approx_bytes();
+            SteeringTables::build(spec_at(0.25), &anchors, &dists, carrier).approx_bytes();
         cache.set_byte_budget(Some(a.approx_bytes() + c_bytes));
         // Touch `a` so the 0.4 m entry is the least recently used, then
         // insert a third: `b` must be the eviction victim.
-        let a2 = cache.tables(spec_at(0.5), &anchors, &dists, base, step);
+        let a2 = cache.tables(spec_at(0.5), &anchors, &dists, carrier);
         assert!(Arc::ptr_eq(&a, &a2));
-        let _c = cache.tables(spec_at(0.25), &anchors, &dists, base, step);
+        let _c = cache.tables(spec_at(0.25), &anchors, &dists, carrier);
         assert_eq!(cache.len(), 2);
-        let b2 = cache.tables(spec_at(0.4), &anchors, &dists, base, step);
+        let b2 = cache.tables(spec_at(0.4), &anchors, &dists, carrier);
         assert!(
             !Arc::ptr_eq(&b, &b2),
             "evicted entry must be rebuilt, not served stale"
@@ -1529,26 +1505,26 @@ mod tests {
         // A single entry larger than the budget stays resident: the cache
         // never evicts below one geometry.
         cache.set_byte_budget(Some(1));
-        let big = cache.tables(spec_at(0.1), &anchors, &dists, base, step);
+        let big = cache.tables(spec_at(0.1), &anchors, &dists, carrier);
         assert_eq!(cache.len(), 1);
-        let big2 = cache.tables(spec_at(0.1), &anchors, &dists, base, step);
+        let big2 = cache.tables(spec_at(0.1), &anchors, &dists, carrier);
         assert!(Arc::ptr_eq(&big, &big2));
     }
 
-    /// Anchor `i`'s lanes at parent cell `(ix, iy)`: delta (through
-    /// `cell_deltas`, padded with 0), seed and step phasors, padding
-    /// lanes included.
-    fn lanes(t: &SteeringTables, i: usize, ix: usize, iy: usize) -> (Vec<f64>, Vec<C64>, Vec<C64>) {
+    /// Anchor `i`'s lanes at parent cell `(ix, iy)`: `Δ` and carrier
+    /// phasors, padding lanes included.
+    fn lanes(t: &SteeringTables, i: usize, ix: usize, iy: usize) -> (Vec<f64>, Vec<C64>) {
         let (b, shape) = t.block(ix, iy);
         let block = t.blocks[b].read().unwrap();
         let a = t.lanes(&block, shape.cells(), i);
         let nl = t.n_lanes[i];
         let cell = shape.cell(ix, iy);
         let r = cell * nl..(cell + 1) * nl;
-        let cx = |re: &[f64], im: &[f64]| r.clone().map(|k| C64::new(re[k], im[k])).collect();
-        let mut delta = t.cell_deltas(i, t.spec.flat(ix, iy));
-        delta.resize(nl, 0.0);
-        (delta, cx(a.seed_re, a.seed_im), cx(a.step_re, a.step_im))
+        let carrier = r
+            .clone()
+            .map(|k| C64::new(a.carrier_re[k], a.carrier_im[k]))
+            .collect();
+        (a.delta[r].to_vec(), carrier)
     }
 
     #[test]
@@ -1560,8 +1536,8 @@ mod tests {
         ];
         let master0 = anchors[0].antenna(0);
         let dists = vec![0.0, anchors[1].antenna(0).dist(master0)];
-        let (base, step) = (2.402e9, 2.0e6);
-        let tables = SteeringTables::build(spec, &anchors, &dists, base, step);
+        let carrier = 2.441e9;
+        let tables = SteeringTables::build(spec, &anchors, &dists, carrier);
         let tau_over_c = std::f64::consts::TAU / SPEED_OF_LIGHT;
         for iy in 0..spec.ny {
             for ix in 0..spec.nx {
@@ -1570,19 +1546,19 @@ mod tests {
                 for (i, a) in anchors.iter().enumerate() {
                     let ds = tables.cell_deltas(i, cell);
                     assert_eq!(ds.len(), a.n_antennas);
-                    let (delta, seed, rot) = lanes(&tables, i, ix, iy);
+                    let (delta, phasor) = lanes(&tables, i, ix, iy);
                     for (j, &d) in ds.iter().enumerate() {
                         let manual = x.dist(a.antenna(j)) - x.dist(master0) - dists[i];
                         assert_eq!(d, manual, "cell ({ix},{iy}) anchor {i} ant {j}");
-                        assert_eq!(seed[j], C64::cis(tau_over_c * d * base));
-                        assert_eq!(rot[j], C64::cis(tau_over_c * d * step));
+                        assert_eq!(delta[j], d);
+                        assert_eq!(phasor[j], C64::cis(tau_over_c * carrier * d));
                     }
-                    // Padding lanes stay neutral: zero delta, unit phasor
-                    // — a zero alpha annihilates them exactly.
+                    // Padding lanes copy antenna 0: their lookups stay
+                    // inside the window's lattice, and a zero alpha
+                    // annihilates them exactly.
                     for j in a.n_antennas..tables.n_lanes[i] {
-                        assert_eq!(delta[j], 0.0);
-                        assert_eq!(seed[j], C64::new(1.0, 0.0));
-                        assert_eq!(rot[j], C64::new(1.0, 0.0));
+                        assert_eq!(delta[j], delta[0]);
+                        assert_eq!(phasor[j], phasor[0]);
                     }
                 }
             }
@@ -1610,14 +1586,14 @@ mod tests {
             AnchorArray::centered(1, P2::new(-0.4, 5.0), P2::new(0.0, 1.0), 4),
         ];
         let dists = vec![0.0, anchors[1].antenna(0).dist(anchors[0].antenna(0))];
-        let (base, step) = (2.402e9, 2.0e6);
-        let whole = SteeringTables::build(spec, &anchors, &dists, base, step);
-        let tile_bytes = |nx: usize, ny: usize| 4 * 8 * nx * ny * (4 + 4);
+        let carrier = 2.441e9;
+        let whole = SteeringTables::build(spec, &anchors, &dists, carrier);
+        let tile_bytes = |nx: usize, ny: usize| 3 * 8 * nx * ny * (4 + 4);
         assert_eq!(whole.approx_bytes(), tile_bytes(spec.nx, spec.ny));
 
         // Overlapping patch windows in a shuffled order, then the corners
         // and the ragged last column/row, until every tile is filled.
-        let lazy = SteeringTables::empty(spec, &anchors, &dists, base, step);
+        let lazy = SteeringTables::empty(spec, &anchors, &dists, carrier);
         assert_eq!(lazy.approx_bytes(), 0);
         let mut centres: Vec<(usize, usize)> = (0..40)
             .map(|k| ((k * 97) % spec.nx, (k * 61) % spec.ny))
@@ -1639,10 +1615,10 @@ mod tests {
                 for i in 0..anchors.len() {
                     let (a, b) = (lanes(&lazy, i, ix, iy), lanes(&whole, i, ix, iy));
                     // Bit equality, NaN-free: compare the raw bits.
-                    let bits = |v: &(Vec<f64>, Vec<C64>, Vec<C64>)| -> Vec<u64> {
+                    let bits = |v: &(Vec<f64>, Vec<C64>)| -> Vec<u64> {
                         v.0.iter()
                             .copied()
-                            .chain(v.1.iter().chain(&v.2).flat_map(|c| [c.re, c.im]))
+                            .chain(v.1.iter().flat_map(|c| [c.re, c.im]))
                             .map(f64::to_bits)
                             .collect()
                     };

@@ -238,7 +238,7 @@ impl BlocLocalizer {
     /// The soundings are one search on the whole fine grid: every
     /// sounding is corrected first, then the usable ones share one batched
     /// Eq. 17 sweep ([`LikelihoodEngine::likelihood_batch`]), so soundings
-    /// of one deployment advance each rotation chain once per group of up
+    /// of one deployment share each cell's lattice lookup per group of up
     /// to [`bloc_num::sweep::MAX_TAGS`]. Each fix keeps its own `localize`
     /// span and `localize.calls` increment; the batch's work runs inside
     /// the first fix's span.

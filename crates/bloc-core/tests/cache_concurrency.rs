@@ -50,8 +50,7 @@ fn warm_reads_survive_invalidation_and_rebuild_exactly_once() {
         .iter()
         .map(|a| a.center().dist(anchors[0].center()))
         .collect();
-    let base_hz = 2.402e9;
-    let step_hz = 2.0e6;
+    let carrier_hz = 2.441e9;
 
     let hits0 = bloc_obs::counter("cache.steering.hits").get();
     let miss0 = bloc_obs::counter("cache.steering.misses").get();
@@ -68,7 +67,7 @@ fn warm_reads_survive_invalidation_and_rebuild_exactly_once() {
         for _ in 0..READERS {
             s.spawn(|| {
                 for _ in 0..READS {
-                    let t = cache.tables(spec, &anchors, &master, base_hz, step_hz);
+                    let t = cache.tables(spec, &anchors, &master, carrier_hz);
                     assert_eq!(t.spec(), spec, "steering table must match its key");
                     assert!(t.approx_bytes() > 0, "table must be fully built");
                 }
@@ -117,7 +116,7 @@ fn warm_reads_survive_invalidation_and_rebuild_exactly_once() {
                 let barrier = Arc::clone(&barrier);
                 s.spawn(move || {
                     barrier.wait();
-                    cache_ref.tables(spec, anchors_ref, master_ref, base_hz, step_hz)
+                    cache_ref.tables(spec, anchors_ref, master_ref, carrier_hz)
                 })
             })
             .collect();
@@ -148,7 +147,7 @@ fn concurrent_window_fills_compute_each_tile_once() {
         .iter()
         .map(|a| a.center().dist(anchors[0].center()))
         .collect();
-    let (base_hz, step_hz) = (2.402e9, 2.0e6);
+    let carrier_hz = 2.441e9;
     // Four overlapping patch windows of one key, as four tags tracked
     // side by side would ask for them.
     let windows: Vec<_> = [(1.8, 2.6), (2.3, 2.9), (2.0, 3.4), (2.6, 3.1)]
@@ -165,7 +164,7 @@ fn concurrent_window_fills_compute_each_tile_once() {
                 let (cache, anchors, master, barrier) = (&cache, &anchors, &master, &barrier);
                 s.spawn(move || {
                     barrier.wait();
-                    cache.window(spec, anchors, master, base_hz, step_hz, w)
+                    cache.window(spec, anchors, master, carrier_hz, w)
                 })
             })
             .collect();
@@ -187,7 +186,7 @@ fn concurrent_window_fills_compute_each_tile_once() {
     // The same windows filled one after another compute each tile of
     // their union exactly once; the racing fill must have computed
     // exactly as many bytes — a tile computed twice would count twice.
-    let serial_fill = SteeringTables::empty(spec, &anchors, &master, base_hz, step_hz);
+    let serial_fill = SteeringTables::empty(spec, &anchors, &master, carrier_hz);
     let tiles: usize = windows.iter().map(|w| serial_fill.fill(w)).sum();
     assert!(tiles > 0);
     assert_eq!(
@@ -198,7 +197,7 @@ fn concurrent_window_fills_compute_each_tile_once() {
     assert!(tables[0].approx_bytes() > 0);
 
     // And the racing fill's values are the whole-grid build's.
-    let whole = SteeringTables::build(spec, &anchors, &master, base_hz, step_hz);
+    let whole = SteeringTables::build(spec, &anchors, &master, carrier_hz);
     for w in &windows {
         for iy in w.y0..w.y0 + w.spec.ny {
             for ix in w.x0..w.x0 + w.spec.nx {

@@ -16,6 +16,7 @@ use bloc_core::likelihood::{
     anchor_likelihood_reference, joint_likelihood, joint_likelihood_reference, AntennaCombining,
 };
 use bloc_core::{BlocConfig, BlocLocalizer, HierarchicalConfig, HierarchicalLocalizer};
+use bloc_num::sweep::PROFILE_TOLERANCE;
 use bloc_num::{Grid2D, GridPatch, GridSpec, P2};
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -168,12 +169,12 @@ fn recurrence_matches_reference_under_fault_degradation() {
         let fast = engine.joint_likelihood(&corrected, spec, AntennaCombining::default());
         let reference = joint_likelihood_reference(&corrected, spec, AntennaCombining::default());
         assert_grids_close(&fast, &reference, 1e-9, &format!("fault plan {p}"));
-        // Masking dropped whole bands: the surviving set is a sub-comb,
-        // and the plan must still recognize it as uniform (exact path).
+        // Masking dropped whole bands: the surviving sub-comb is planned
+        // to the same remainder bound as the whole comb.
         let soa = SoaChannels::build(&corrected);
         assert!(
-            soa.plan.is_uniform_comb() || corrected.bands.len() <= 1,
-            "surviving bands of plan {p} should still form a comb"
+            soa.plan.remainder_bound() <= PROFILE_TOLERANCE * (1.0 + 1e-12),
+            "surviving bands of plan {p} must keep the profile's error bound"
         );
     }
 }
@@ -240,17 +241,20 @@ fn soa_layout_round_trips_the_alpha_tensor() {
     let corrected = corrected_for(&Environment::free_space(), P2::new(1.1, 1.2), 700, None);
     let soa = SoaChannels::build(&corrected);
     assert_eq!(soa.n_bands(), corrected.bands.len());
-    // Plan frequencies ascend and enumerate the original bands.
-    assert!(soa.plan.freqs.windows(2).all(|w| w[0] <= w[1]));
+    // The plan centres the carrier on the band span, on a 10 MHz grid.
+    let freqs = corrected.bands.iter().map(|b| b.freq_hz);
+    let (lo, hi) = (
+        freqs.clone().fold(f64::INFINITY, f64::min),
+        freqs.fold(0.0, f64::max),
+    );
+    assert!((soa.plan.carrier_hz - 0.5 * (lo + hi)).abs() <= 5e6);
+    assert_eq!(soa.plan.carrier_hz % 10e6, 0.0);
     for i in 0..corrected.n_anchors() {
-        for (slot, &b) in soa.plan.order.iter().enumerate() {
-            let slice = soa.band_antennas(i, slot);
+        for (b, band) in corrected.bands.iter().enumerate() {
+            let slice = soa.band_antennas(i, b);
             assert_eq!(slice.len(), corrected.anchors[i].n_antennas);
             for (j, &a) in slice.iter().enumerate() {
-                assert_eq!(
-                    a, corrected.bands[b].alpha[i][j],
-                    "anchor {i} antenna {j} slot {slot}"
-                );
+                assert_eq!(a, band.alpha[i][j], "anchor {i} antenna {j} band {b}");
             }
         }
     }
@@ -261,15 +265,16 @@ fn off_comb_bands_fall_back_and_still_match_reference() {
     let room = Room::new(5.0, 6.0);
     let spec = spec(&room);
     let mut corrected = corrected_for(&Environment::free_space(), P2::new(2.8, 1.7), 800, None);
-    // Push one band half a channel off the comb: the exact recurrence no
-    // longer exists and BandPlan must refuse it…
+    // Push one band half a channel off the comb: no comb recurrence
+    // exists for this band set…
     corrected.bands[10].freq_hz += 1.0e6;
-    let soa = SoaChannels::build(&corrected);
+    let freqs: Vec<f64> = corrected.bands.iter().map(|b| b.freq_hz).collect();
     assert!(
-        !soa.plan.is_uniform_comb(),
-        "off-comb band must disable the recurrence"
+        !BandPlan::build(&freqs).is_uniform_comb(),
+        "off-comb band must break the comb"
     );
-    // …while the engine's per-band fallback still matches the reference.
+    // …while the range profile, which takes any band set, still matches
+    // the reference.
     let fast = LikelihoodEngine::recurrence().joint_likelihood(
         &corrected,
         spec,
@@ -293,20 +298,18 @@ fn localizer_clones_share_one_steering_cache() {
         1,
         "clone must reuse the cached geometry"
     );
-    let plan = SoaChannels::build(&corrected).plan;
+    let carrier = SoaChannels::build(&corrected).plan.carrier_hz;
     let a = engine.cache().tables(
         spec,
         &corrected.anchors,
         &corrected.master_anchor_dist,
-        plan.base_hz,
-        plan.step_hz,
+        carrier,
     );
     let b = clone.cache().tables(
         spec,
         &corrected.anchors,
         &corrected.master_anchor_dist,
-        plan.base_hz,
-        plan.step_hz,
+        carrier,
     );
     assert!(Arc::ptr_eq(&a, &b));
 }
@@ -325,15 +328,15 @@ fn band_plan_handles_the_full_ble_data_comb() {
 
 #[test]
 fn simd_dispatch_paths_are_bit_identical_on_degraded_inputs() {
-    // ISSUE 8: every compiled kernel backend (scalar always, AVX2 when
-    // the host has it) must produce byte-for-byte identical sweeps, not
-    // merely close ones — including on FaultPlan-degraded alpha tensors
-    // whose dead antennas and dropped bands exercise the zero-weight
-    // lanes. The backends share one generic body over IEEE
-    // correctly-rounded ops, so this is exact, and `BLOC_NO_SIMD=1`
-    // (which forces the scalar level at dispatch) can never change a
-    // result.
-    use bloc_num::sweep::{self, CellSweep, Combine};
+    // ISSUE 8: every compiled kernel backend (scalar always, AVX2 and
+    // AVX-512 when the host has them) must produce byte-for-byte
+    // identical profiles and sweeps, not merely close ones — including on
+    // FaultPlan-degraded alpha tensors whose dead antennas and dropped
+    // bands exercise the zero-weight lanes. The backends share one
+    // generic body over exact or IEEE correctly-rounded ops, so this is
+    // exact, and `BLOC_NO_SIMD=1` (which forces the scalar level at
+    // dispatch) can never change a result.
+    use bloc_num::sweep::{self, CellSweep, Combine, Lattice, ProfilePlan, ProfileWeights};
 
     let levels = sweep::levels_to_test();
     let corrected = corrected_for(
@@ -351,63 +354,77 @@ fn simd_dispatch_paths_are_bit_identical_on_degraded_inputs() {
             ..Default::default()
         }),
     );
-    let soa = SoaChannels::build(&corrected);
-    assert!(soa.plan.is_uniform_comb(), "degraded comb stays uniform");
+    assert!(corrected.masking.bands_dropped > 0, "bands must be dropped");
+    let freqs: Vec<f64> = corrected.bands.iter().map(|b| b.freq_hz).collect();
+    let plan = ProfilePlan::build(&freqs);
     let n_cells = 64usize;
     const C: f64 = 299_792_458.0;
     for i in 0..corrected.n_anchors() {
         let nj = corrected.anchors[i].n_antennas;
         let nl = nj.div_ceil(4).max(1) * 4;
-        let nb = soa.plan.freqs.len();
+        let nb = freqs.len();
         // Synthetic but deterministic per-(cell, antenna) path deltas:
         // the kernel is the unit under test here, not the steering
         // geometry (the engine-level equivalence tests cover that).
-        let mut seed_re = vec![1.0; n_cells * nl];
-        let mut seed_im = vec![0.0; n_cells * nl];
-        let mut step_re = vec![1.0; n_cells * nl];
-        let mut step_im = vec![0.0; n_cells * nl];
+        let mut delta = vec![0.0; n_cells * nl];
+        let mut carrier_re = vec![1.0; n_cells * nl];
+        let mut carrier_im = vec![0.0; n_cells * nl];
         for cell in 0..n_cells {
-            for j in 0..nj {
-                let delta = 0.31 + 0.073 * cell as f64 + 0.0117 * j as f64;
-                let ws = std::f64::consts::TAU * soa.plan.base_hz * delta / C;
-                let wd = std::f64::consts::TAU * soa.plan.step_hz * delta / C;
-                seed_re[cell * nl + j] = ws.cos();
-                seed_im[cell * nl + j] = ws.sin();
-                step_re[cell * nl + j] = wd.cos();
-                step_im[cell * nl + j] = wd.sin();
+            for j in 0..nl {
+                let d = 0.31 + 0.073 * cell as f64 + 0.0117 * j.min(nj - 1) as f64;
+                let w = std::f64::consts::TAU * plan.carrier_hz * d / C;
+                let k = cell * nl + j;
+                (delta[k], carrier_re[k], carrier_im[k]) = (d, w.cos(), w.sin());
             }
         }
-        // Degraded alpha tensor in slot-major padded layout, straight
+        // Degraded alpha tensor in band-major padded layout, straight
         // from the corrected sounding (dead lanes stay exactly zero).
         let mut alpha_re = vec![0.0; nb * nl];
         let mut alpha_im = vec![0.0; nb * nl];
-        for (slot, &b) in soa.plan.order.iter().enumerate() {
-            for (j, &a) in corrected.bands[b].alpha[i].iter().enumerate() {
-                alpha_re[slot * nl + j] = a.re;
-                alpha_im[slot * nl + j] = a.im;
+        for (k, band) in corrected.bands.iter().enumerate() {
+            for (j, &a) in band.alpha[i].iter().enumerate() {
+                alpha_re[k * nl + j] = a.re;
+                alpha_im[k * nl + j] = a.im;
             }
         }
-        let s = CellSweep {
-            seed_re: &seed_re,
-            seed_im: &seed_im,
-            step_re: &step_re,
-            step_im: &step_im,
+        let weights = ProfileWeights {
             alpha_re: &alpha_re,
             alpha_im: &alpha_im,
             n_lanes: nl,
-            gaps: &soa.plan.gaps,
         };
+        let lattice = Lattice::covering(plan.step_m, delta.iter().copied());
+        let profile_at = |level| {
+            let mut profile = vec![0.0; lattice.profile_len(nl)];
+            sweep::build_profiles_at(level, &plan, &lattice, &[weights], &mut [&mut profile]);
+            profile
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let profile = profile_at(levels[0]);
+        let s = CellSweep {
+            delta: &delta,
+            carrier_re: &carrier_re,
+            carrier_im: &carrier_im,
+            n_lanes: nl,
+            lattice,
+            profile: &profile,
+        };
+        for &level in &levels[1..] {
+            assert_eq!(
+                bits(&profile_at(level)),
+                bits(&profile),
+                "anchor {i}: {level:?} profile"
+            );
+        }
         for combine in [Combine::Coherent, Combine::Noncoherent, Combine::Hybrid] {
             let mut baseline = vec![0.0; n_cells];
-            sweep::write_comb_cells_at(levels[0], &s, combine, 0, &mut baseline);
+            sweep::write_profile_cells_at(levels[0], &s, combine, 0, &mut baseline);
             assert!(baseline.iter().all(|v| v.is_finite() && *v >= 0.0));
             for &level in &levels[1..] {
                 let mut out = vec![0.0; n_cells];
-                sweep::write_comb_cells_at(level, &s, combine, 0, &mut out);
-                let a: Vec<u64> = baseline.iter().map(|v| v.to_bits()).collect();
-                let b: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+                sweep::write_profile_cells_at(level, &s, combine, 0, &mut out);
                 assert_eq!(
-                    a, b,
+                    bits(&baseline),
+                    bits(&out),
                     "anchor {i} {combine:?}: {level:?} diverged from {:?}",
                     levels[0]
                 );

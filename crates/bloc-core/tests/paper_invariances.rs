@@ -7,12 +7,19 @@
 //! every one of those offsets cancels. Two soundings of one tag that
 //! differ only in those draws must therefore correct to the same
 //! `α^f_ij`, and localize to the same fix.
+//!
+//! Free-space peak value (§5.3): with no multipath and no noise, every
+//! phasor of anchor `i`'s coherent Eq. 17 sum lines up at the tag, so the
+//! map's value there is `Σ_jk |α^{f_k}_ij|`, the Cauchy–Schwarz maximum.
+//! That oracle needs neither kernel, so it checks both.
 
 use bloc_chan::geometry::Room;
 use bloc_chan::materials::Material;
 use bloc_chan::sounder::{all_data_channels, SounderConfig};
 use bloc_chan::{AnchorArray, Environment, Sounder};
 use bloc_core::correction::correct;
+use bloc_core::engine::LikelihoodEngine;
+use bloc_core::likelihood::AntennaCombining;
 use bloc_core::localizer::{BlocConfig, BlocLocalizer};
 use bloc_num::P2;
 use rand::{rngs::StdRng, SeedableRng};
@@ -119,6 +126,63 @@ fn permuting_the_slave_anchors_leaves_the_fix_in_place() {
                 fix.dist(permuted) <= 1e-9,
                 "tag {tag}, slaves {order:?}: {fix} vs {permuted}"
             );
+        }
+    }
+}
+
+/// With no multipath and no noise, a tag on a cell centre puts every
+/// term of anchor `i`'s coherent Eq. 17 sum in phase at its own cell, so
+/// the map's value there is `Σ_jk |α^{f_k}_ij|` and no cell exceeds it —
+/// for the range-profile kernel and the reference kernel alike.
+#[test]
+fn free_space_coherent_peak_is_the_sum_of_channel_magnitudes() {
+    let room = Room::new(6.0, 5.0);
+    let env = Environment::free_space();
+    let (mids, walls) = (room.wall_midpoints(), room.walls());
+    let anchors: Vec<AnchorArray> = (0..4)
+        .map(|i| AnchorArray::centered(i, mids[i], walls[i].direction(), 4))
+        .collect();
+    let config = SounderConfig {
+        csi_snr_db: f64::INFINITY,
+        antenna_phase_err_std: 0.0,
+        ..Default::default()
+    };
+    let sounder = Sounder::new(&env, &anchors, config);
+    let spec = BlocConfig::for_room(&room).grid;
+    for (k, (ix, iy)) in [(20, 30), (47, 18), (61, 52)].into_iter().enumerate() {
+        let tag = spec.cell_center(ix, iy);
+        let data = sounder.sound(
+            tag,
+            &all_data_channels(),
+            &mut StdRng::seed_from_u64(k as u64),
+        );
+        let corrected = correct(&data, true).unwrap();
+        for engine in [
+            LikelihoodEngine::recurrence(),
+            LikelihoodEngine::reference(),
+        ] {
+            for i in 0..corrected.n_anchors() {
+                let sum: f64 = corrected
+                    .bands
+                    .iter()
+                    .flat_map(|b| b.alpha[i].iter())
+                    .map(|a| a.abs())
+                    .sum();
+                let map = engine.anchor_likelihood(&corrected, i, spec, AntennaCombining::Coherent);
+                let peak = map.get(ix, iy);
+                assert!(
+                    (peak - sum).abs() <= 1e-9 * sum,
+                    "{} tag {tag} anchor {i}: peak {peak} vs Σ|α| {sum}",
+                    engine.kernel_name()
+                );
+                let (mx, my, _) = map.argmax().unwrap();
+                assert_eq!(
+                    (mx, my),
+                    (ix, iy),
+                    "{} tag {tag} anchor {i}: the maximum is elsewhere",
+                    engine.kernel_name()
+                );
+            }
         }
     }
 }

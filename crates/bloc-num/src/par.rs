@@ -288,26 +288,24 @@ where
 ///
 /// Each worker owns a private state built by `init(worker_index)` — a
 /// sounder, a scratch buffer — threaded through its `work` calls and
-/// handed to `fini` when the worker's share is done. Items are sharded
+/// dropped when the worker's share is done. Items are sharded
 /// by stride (worker `t` takes `t, t+threads, …`), so the item→worker
 /// mapping is deterministic.
 ///
 /// A panic in any worker is resumed on the calling thread after the scope
 /// joins, matching the behaviour of the hand-rolled sharding blocks this
 /// replaces.
-pub fn sharded_map_named<S, T, I, W, F>(
+pub fn sharded_map_named<S, T, I, W>(
     name: &'static str,
     n: usize,
     threads: usize,
     init: I,
     work: W,
-    fini: F,
 ) -> Vec<T>
 where
     T: Send,
     I: Fn(usize) -> S + Sync,
     W: Fn(&mut S, usize) -> T + Sync,
-    F: Fn(S) + Sync,
 {
     let threads = threads.max(1).min(n.max(1));
     let region = Region::open(name);
@@ -315,26 +313,22 @@ where
     if threads == 1 {
         let (out, busy) = timed_shard(trace_id, || {
             let mut state = init(0);
-            let out: Vec<T> = (0..n).map(|i| work(&mut state, i)).collect();
-            fini(state);
-            out
+            (0..n).map(|i| work(&mut state, i)).collect::<Vec<T>>()
         });
         region.close(&[busy]);
         return out;
     }
     let shards: Vec<(Vec<T>, u64)> = std::thread::scope(|scope| {
-        let (init, work, fini) = (&init, &work, &fini);
+        let (init, work) = (&init, &work);
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 scope.spawn(move || {
                     timed_shard(trace_id, || {
                         let mut state = init(t);
-                        let out: Vec<T> = (t..n)
+                        (t..n)
                             .step_by(threads)
                             .map(|i| work(&mut state, i))
-                            .collect();
-                        fini(state);
-                        out
+                            .collect::<Vec<T>>()
                     })
                 })
             })
@@ -363,14 +357,13 @@ where
 /// Evaluates `work` for every index in `0..n` across `threads` scoped
 /// threads with per-worker state; telemetry lands under the `other`
 /// region (see [`sharded_map_named`]).
-pub fn sharded_map<S, T, I, W, F>(n: usize, threads: usize, init: I, work: W, fini: F) -> Vec<T>
+pub fn sharded_map<S, T, I, W>(n: usize, threads: usize, init: I, work: W) -> Vec<T>
 where
     T: Send,
     I: Fn(usize) -> S + Sync,
     W: Fn(&mut S, usize) -> T + Sync,
-    F: Fn(S) + Sync,
 {
-    sharded_map_named(UNNAMED, n, threads, init, work, fini)
+    sharded_map_named(UNNAMED, n, threads, init, work)
 }
 
 /// Stateless [`sharded_map_named`]: maps `f` over `0..n` in parallel,
@@ -380,7 +373,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    sharded_map_named(name, n, threads, |_| (), |(), i| f(i), |()| ())
+    sharded_map_named(name, n, threads, |_| (), |(), i| f(i))
 }
 
 /// Stateless [`sharded_map`]: maps `f` over `0..n` in parallel, results in
@@ -513,9 +506,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_state_init_and_fini_run_per_worker() {
+    fn sharded_state_init_runs_per_worker() {
         let inits = AtomicUsize::new(0);
-        let finis = AtomicUsize::new(0);
         let out = sharded_map(
             10,
             3,
@@ -524,12 +516,8 @@ mod tests {
                 t
             },
             |state, i| (*state, i),
-            |_| {
-                finis.fetch_add(1, Ordering::SeqCst);
-            },
         );
         assert_eq!(inits.load(Ordering::SeqCst), 3);
-        assert_eq!(finis.load(Ordering::SeqCst), 3);
         // Strided assignment: item i ran on worker i % 3.
         for (i, (t, idx)) in out.into_iter().enumerate() {
             assert_eq!(idx, i);

@@ -1,8 +1,8 @@
 //! Hand-rolled `f64` SIMD with a runtime-dispatched scalar twin.
 //!
-//! The workspace's two hot loops — the Eq. 17 likelihood recurrence in
+//! The workspace's two hot loops — the Eq. 17 range-profile kernel of
 //! `bloc-core` and the Eq. 2 channel sweep in `bloc-chan` — are both
-//! complex phasor multiply-add chains over structure-of-arrays data. This
+//! complex phasor multiply-adds over structure-of-arrays data. This
 //! module gives them one vector substrate with **no** external
 //! dependencies. The [`CellLanes`] operations trait describes a vector of
 //! `CELLS` grid cells × 4 lanes; [`F64x4`] adds the plain 4-lane loads
@@ -15,16 +15,18 @@
 //! * [`AvxX4`] (x86-64 only) — the same operations as explicit AVX2
 //!   `__m256d` intrinsics (one cell);
 //! * [`Avx512X8`] (x86-64 only) — one AVX-512 `__m512d` holding **two
-//!   consecutive grid cells × 4 lanes**, with each 4-lane row operand
-//!   broadcast into both 256-bit halves. Only the Eq. 17 cell kernel runs
-//!   on it; the Eq. 2 tone kernel stays 4 lanes wide (see
-//!   [`crate::sweep`]).
+//!   consecutive grid cells × 4 lanes** (or eight lattice rows in the
+//!   profile build), with each 4-lane row operand broadcast into both
+//!   256-bit halves. Only the Eq. 17 kernels run on it; the Eq. 2 tone
+//!   kernel stays 4 lanes wide (see [`crate::sweep`]).
 //!
 //! # Bit-identical dispatch
 //!
 //! Every kernel in [`crate::sweep`] is written once as a generic body and
 //! instantiated for each implementation, and every trait operation is
-//! IEEE-754 correctly rounded (`add`/`sub`/`mul`/`sqrt` and the fused
+//! exact (`floor`, the clamped `index`, and the loads, stores and
+//! transposes of `gather_rows`/`store_records`), IEEE-754 correctly
+//! rounded (`add`/`sub`/`mul`/`sqrt` and the fused
 //! `mul_add`/`neg_mul_add`, which round `a·b ± c` once) or has a fixed,
 //! documented reduction order ([`CellLanes::hsum_cells`]: each cell is
 //! reduced from its own four lanes). Consequently all dispatch paths
@@ -184,6 +186,9 @@ pub trait CellLanes: Copy {
     const CELLS: usize;
     /// One horizontal sum per cell (`[f64; CELLS]`).
     type Sums: Copy + Default + AsRef<[f64]> + AsMut<[f64]>;
+    /// Clamped gather indices, one per lane, with the bound they were
+    /// clamped to ([`CellLanes::index`]).
+    type Index: Copy;
     /// All lanes set to `v`.
     fn splat(v: f64) -> Self;
     /// Loads cell `c`'s four lanes from `s[c·stride ..][..4]` (panics if
@@ -204,6 +209,25 @@ pub trait CellLanes: Copy {
     fn neg_mul_add(self, b: Self, c: Self) -> Self;
     /// Lane-wise square root.
     fn sqrt(self) -> Self;
+    /// Lane-wise `⌊self⌋` (exact).
+    fn floor(self) -> Self;
+    /// Lanes holding exact non-negative integers as gather indices, each
+    /// clamped to `0..=max` (a NaN lane reads 0), so a gather through
+    /// them stays inside any slice longer than `max`. Panics unless `max`
+    /// fits an `i32`.
+    fn index(self, max: usize) -> Self::Index;
+    /// The eight consecutive values `s[idx .. idx + 8]` of every lane,
+    /// transposed: `out[v]` holds each lane's value `v`. Panics unless
+    /// `s.len()` reaches 8 past the `max` the indices were clamped to.
+    fn gather_rows(s: &[f64], idx: Self::Index) -> [Self; 8];
+    /// Stores cell `c`'s four lanes to `out[c·stride ..][..4]` (panics if
+    /// `out` is shorter).
+    fn store_cells(self, out: &mut [f64], stride: usize);
+    /// Stores four vectors as records, one per lane in cell-major order:
+    /// `out[4·l + k]` is lane `l` of `q[k]` (panics if `out` is shorter
+    /// than `16·CELLS`) — the transpose of [`CellLanes::gather_rows`]'s
+    /// first four values.
+    fn store_records(q: [Self; 4], out: &mut [f64]);
     /// Each cell's horizontal sum with the fixed association
     /// `(l0 + l2) + (l1 + l3)` — the order a 256-bit high/low fold
     /// produces naturally, adopted by every implementation so all paths
@@ -227,6 +251,7 @@ pub struct ScalarX4([f64; 4]);
 impl CellLanes for ScalarX4 {
     const CELLS: usize = 1;
     type Sums = [f64; 1];
+    type Index = [usize; 4];
     #[inline(always)]
     fn splat(v: f64) -> Self {
         ScalarX4([v; 4])
@@ -295,6 +320,36 @@ impl CellLanes for ScalarX4 {
         ])
     }
     #[inline(always)]
+    fn floor(self) -> Self {
+        ScalarX4(self.0.map(f64::floor))
+    }
+    #[inline(always)]
+    fn index(self, max: usize) -> [usize; 4] {
+        assert!(max <= i32::MAX as usize);
+        let hi = max as f64;
+        // The `maxpd`/`minpd` operand order: a NaN lane takes the second
+        // operand, 0.
+        self.0.map(|x| {
+            let x = if x > 0.0 { x } else { 0.0 };
+            (if x < hi { x } else { hi }) as usize
+        })
+    }
+    #[inline(always)]
+    fn gather_rows(s: &[f64], idx: [usize; 4]) -> [Self; 8] {
+        let rows = idx.map(|i| &s[i..i + 8]);
+        std::array::from_fn(|v| ScalarX4(rows.map(|r| r[v])))
+    }
+    #[inline(always)]
+    fn store_cells(self, out: &mut [f64], _stride: usize) {
+        self.store(out);
+    }
+    #[inline(always)]
+    fn store_records(q: [Self; 4], out: &mut [f64]) {
+        for (l, record) in out[..16].chunks_exact_mut(4).enumerate() {
+            record.copy_from_slice(&[q[0].0[l], q[1].0[l], q[2].0[l], q[3].0[l]]);
+        }
+    }
+    #[inline(always)]
     fn hsum_cells(self) -> [f64; 1] {
         [(self.0[0] + self.0[2]) + (self.0[1] + self.0[3])]
     }
@@ -328,6 +383,7 @@ pub struct AvxX4(std::arch::x86_64::__m256d);
 impl CellLanes for AvxX4 {
     const CELLS: usize = 1;
     type Sums = [f64; 1];
+    type Index = (std::arch::x86_64::__m128i, usize);
     #[inline(always)]
     fn splat(v: f64) -> Self {
         // SAFETY: see the AVX2 safety contract above.
@@ -372,6 +428,80 @@ impl CellLanes for AvxX4 {
         unsafe { AvxX4(std::arch::x86_64::_mm256_sqrt_pd(self.0)) }
     }
     #[inline(always)]
+    fn floor(self) -> Self {
+        // SAFETY: see the AVX2 safety contract.
+        unsafe { AvxX4(std::arch::x86_64::_mm256_floor_pd(self.0)) }
+    }
+    #[inline(always)]
+    fn index(self, max: usize) -> Self::Index {
+        assert!(max <= i32::MAX as usize);
+        // SAFETY: see the AVX2 safety contract.
+        unsafe {
+            use std::arch::x86_64::*;
+            let x = _mm256_max_pd(self.0, _mm256_setzero_pd());
+            let x = _mm256_min_pd(x, _mm256_set1_pd(max as f64));
+            (_mm256_cvttpd_epi32(x), max)
+        }
+    }
+    #[inline(always)]
+    fn gather_rows(s: &[f64], (idx, max): Self::Index) -> [Self; 8] {
+        assert!(s.len() >= max + 8);
+        // SAFETY: every lane of `idx` is in `0..=max` (`index` clamped
+        // it), so each lane's eight reads end inside `s` (checked above);
+        // see the AVX2 safety contract. No closures: a closure body would
+        // not inherit the caller's target features.
+        unsafe {
+            use std::arch::x86_64::*;
+            let mut at = [0i32; 4];
+            _mm_storeu_si128(at.as_mut_ptr().cast(), idx);
+            let p = s.as_ptr();
+            let (p0, p1) = (p.add(at[0] as usize), p.add(at[1] as usize));
+            let (p2, p3) = (p.add(at[2] as usize), p.add(at[3] as usize));
+            // Two 4×4 transposes: values 0–3, then 4–7.
+            let lo = transpose4(
+                _mm256_loadu_pd(p0),
+                _mm256_loadu_pd(p1),
+                _mm256_loadu_pd(p2),
+                _mm256_loadu_pd(p3),
+            );
+            let hi = transpose4(
+                _mm256_loadu_pd(p0.add(4)),
+                _mm256_loadu_pd(p1.add(4)),
+                _mm256_loadu_pd(p2.add(4)),
+                _mm256_loadu_pd(p3.add(4)),
+            );
+            [
+                AvxX4(lo[0]),
+                AvxX4(lo[1]),
+                AvxX4(lo[2]),
+                AvxX4(lo[3]),
+                AvxX4(hi[0]),
+                AvxX4(hi[1]),
+                AvxX4(hi[2]),
+                AvxX4(hi[3]),
+            ]
+        }
+    }
+    #[inline(always)]
+    fn store_cells(self, out: &mut [f64], _stride: usize) {
+        self.store(out);
+    }
+    #[inline(always)]
+    fn store_records(q: [Self; 4], out: &mut [f64]) {
+        let out = &mut out[..16];
+        // SAFETY: see the AVX2 safety contract; the four stores end
+        // inside `out` (sliced above).
+        unsafe {
+            use std::arch::x86_64::*;
+            let r = transpose4(q[0].0, q[1].0, q[2].0, q[3].0);
+            let p = out.as_mut_ptr();
+            _mm256_storeu_pd(p, r[0]);
+            _mm256_storeu_pd(p.add(4), r[1]);
+            _mm256_storeu_pd(p.add(8), r[2]);
+            _mm256_storeu_pd(p.add(12), r[3]);
+        }
+    }
+    #[inline(always)]
     fn hsum_cells(self) -> [f64; 1] {
         // SAFETY: see the AVX2 safety contract.
         unsafe {
@@ -401,6 +531,34 @@ impl F64x4 for AvxX4 {
     }
 }
 
+/// The 4×4 transpose of rows `a`–`d`: result `v` holds each row's value
+/// `v`.
+///
+/// # Safety
+///
+/// AVX must be available (the AVX2 safety contract).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn transpose4(
+    a: std::arch::x86_64::__m256d,
+    b: std::arch::x86_64::__m256d,
+    c: std::arch::x86_64::__m256d,
+    d: std::arch::x86_64::__m256d,
+) -> [std::arch::x86_64::__m256d; 4] {
+    use std::arch::x86_64::*;
+    // SAFETY: the caller guarantees AVX.
+    unsafe {
+        let (t0, t1) = (_mm256_unpacklo_pd(a, b), _mm256_unpackhi_pd(a, b));
+        let (t2, t3) = (_mm256_unpacklo_pd(c, d), _mm256_unpackhi_pd(c, d));
+        [
+            _mm256_permute2f128_pd::<0x20>(t0, t2),
+            _mm256_permute2f128_pd::<0x20>(t1, t3),
+            _mm256_permute2f128_pd::<0x31>(t0, t2),
+            _mm256_permute2f128_pd::<0x31>(t1, t3),
+        ]
+    }
+}
+
 /// The AVX-512 implementation: one `__m512d` holds two consecutive grid
 /// cells × 4 lanes (cell 0 in the low 256-bit half).
 #[cfg(target_arch = "x86_64")]
@@ -418,6 +576,7 @@ pub struct Avx512X8(std::arch::x86_64::__m512d);
 impl CellLanes for Avx512X8 {
     const CELLS: usize = 2;
     type Sums = [f64; 2];
+    type Index = (std::arch::x86_64::__m256i, usize);
     #[inline(always)]
     fn splat(v: f64) -> Self {
         // SAFETY: see the AVX-512 safety contract above.
@@ -477,6 +636,139 @@ impl CellLanes for Avx512X8 {
     fn sqrt(self) -> Self {
         // SAFETY: see the AVX-512 safety contract.
         unsafe { Avx512X8(std::arch::x86_64::_mm512_sqrt_pd(self.0)) }
+    }
+    #[inline(always)]
+    fn floor(self) -> Self {
+        // SAFETY: see the AVX-512 safety contract. Rounding control:
+        // toward −∞, no precision exception.
+        unsafe {
+            use std::arch::x86_64::*;
+            Avx512X8(_mm512_roundscale_pd::<
+                { _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC },
+            >(self.0))
+        }
+    }
+    #[inline(always)]
+    fn index(self, max: usize) -> Self::Index {
+        assert!(max <= i32::MAX as usize);
+        // SAFETY: see the AVX-512 safety contract.
+        unsafe {
+            use std::arch::x86_64::*;
+            let x = _mm512_max_pd(self.0, _mm512_setzero_pd());
+            let x = _mm512_min_pd(x, _mm512_set1_pd(max as f64));
+            (_mm512_cvttpd_epi32(x), max)
+        }
+    }
+    #[inline(always)]
+    fn gather_rows(s: &[f64], (idx, max): Self::Index) -> [Self; 8] {
+        assert!(s.len() >= max + 8);
+        // SAFETY: every lane of `idx` is in `0..=max` (`index` clamped
+        // it), so each lane's eight reads end inside `s` (checked above);
+        // see the AVX-512 safety contract. No closures: a closure body
+        // would not inherit the caller's target features.
+        unsafe {
+            use std::arch::x86_64::*;
+            let mut at = [0i32; 8];
+            _mm256_storeu_si256(at.as_mut_ptr().cast(), idx);
+            let p = s.as_ptr();
+            let l0 = _mm512_loadu_pd(p.add(at[0] as usize));
+            let l1 = _mm512_loadu_pd(p.add(at[1] as usize));
+            let l2 = _mm512_loadu_pd(p.add(at[2] as usize));
+            let l3 = _mm512_loadu_pd(p.add(at[3] as usize));
+            let l4 = _mm512_loadu_pd(p.add(at[4] as usize));
+            let l5 = _mm512_loadu_pd(p.add(at[5] as usize));
+            let l6 = _mm512_loadu_pd(p.add(at[6] as usize));
+            let l7 = _mm512_loadu_pd(p.add(at[7] as usize));
+            // An 8×8 transpose: pairs of lanes, then 128-bit quarters
+            // within halves, then 256-bit halves.
+            let (t0, t1) = (_mm512_unpacklo_pd(l0, l1), _mm512_unpackhi_pd(l0, l1));
+            let (t2, t3) = (_mm512_unpacklo_pd(l2, l3), _mm512_unpackhi_pd(l2, l3));
+            let (t4, t5) = (_mm512_unpacklo_pd(l4, l5), _mm512_unpackhi_pd(l4, l5));
+            let (t6, t7) = (_mm512_unpacklo_pd(l6, l7), _mm512_unpackhi_pd(l6, l7));
+            let even = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
+            let odd = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
+            // u0: values 0 and 4 of lanes 0–3; u1: 2 and 6; u2: 1 and 5;
+            // u3: 3 and 7 — and u4–u7 the same for lanes 4–7.
+            let (u0, u1) = (
+                _mm512_permutex2var_pd(t0, even, t2),
+                _mm512_permutex2var_pd(t0, odd, t2),
+            );
+            let (u2, u3) = (
+                _mm512_permutex2var_pd(t1, even, t3),
+                _mm512_permutex2var_pd(t1, odd, t3),
+            );
+            let (u4, u5) = (
+                _mm512_permutex2var_pd(t4, even, t6),
+                _mm512_permutex2var_pd(t4, odd, t6),
+            );
+            let (u6, u7) = (
+                _mm512_permutex2var_pd(t5, even, t7),
+                _mm512_permutex2var_pd(t5, odd, t7),
+            );
+            const LO: i32 = 0b01_00_01_00;
+            const HI: i32 = 0b11_10_11_10;
+            [
+                Avx512X8(_mm512_shuffle_f64x2::<LO>(u0, u4)),
+                Avx512X8(_mm512_shuffle_f64x2::<LO>(u2, u6)),
+                Avx512X8(_mm512_shuffle_f64x2::<LO>(u1, u5)),
+                Avx512X8(_mm512_shuffle_f64x2::<LO>(u3, u7)),
+                Avx512X8(_mm512_shuffle_f64x2::<HI>(u0, u4)),
+                Avx512X8(_mm512_shuffle_f64x2::<HI>(u2, u6)),
+                Avx512X8(_mm512_shuffle_f64x2::<HI>(u1, u5)),
+                Avx512X8(_mm512_shuffle_f64x2::<HI>(u3, u7)),
+            ]
+        }
+    }
+    #[inline(always)]
+    fn store_cells(self, out: &mut [f64], stride: usize) {
+        assert!(out.len() >= stride + 4);
+        // SAFETY: both 4-lane writes end inside `out` (checked above);
+        // see the AVX-512 safety contract.
+        unsafe {
+            use std::arch::x86_64::*;
+            let p = out.as_mut_ptr();
+            if stride == 4 {
+                _mm512_storeu_pd(p, self.0);
+            } else {
+                _mm256_storeu_pd(p, _mm512_castpd512_pd256(self.0));
+                _mm256_storeu_pd(p.add(stride), _mm512_extractf64x4_pd::<1>(self.0));
+            }
+        }
+    }
+    #[inline(always)]
+    fn store_records(q: [Self; 4], out: &mut [f64]) {
+        let out = &mut out[..32];
+        // SAFETY: see the AVX-512 safety contract; the four stores end
+        // inside `out` (sliced above).
+        unsafe {
+            use std::arch::x86_64::*;
+            let (t0, t1) = (
+                _mm512_unpacklo_pd(q[0].0, q[1].0),
+                _mm512_unpackhi_pd(q[0].0, q[1].0),
+            );
+            let (t2, t3) = (
+                _mm512_unpacklo_pd(q[2].0, q[3].0),
+                _mm512_unpackhi_pd(q[2].0, q[3].0),
+            );
+            // x: quarters 0 and 1 of t0 and t2, interleaved; x2: 2 and 3.
+            let front = _mm512_setr_epi64(0, 1, 8, 9, 2, 3, 10, 11);
+            let back = _mm512_setr_epi64(4, 5, 12, 13, 6, 7, 14, 15);
+            let (x, y) = (
+                _mm512_permutex2var_pd(t0, front, t2),
+                _mm512_permutex2var_pd(t1, front, t3),
+            );
+            let (x2, y2) = (
+                _mm512_permutex2var_pd(t0, back, t2),
+                _mm512_permutex2var_pd(t1, back, t3),
+            );
+            const LO: i32 = 0b01_00_01_00;
+            const HI: i32 = 0b11_10_11_10;
+            let p = out.as_mut_ptr();
+            _mm512_storeu_pd(p, _mm512_shuffle_f64x2::<LO>(x, y));
+            _mm512_storeu_pd(p.add(8), _mm512_shuffle_f64x2::<HI>(x, y));
+            _mm512_storeu_pd(p.add(16), _mm512_shuffle_f64x2::<LO>(x2, y2));
+            _mm512_storeu_pd(p.add(24), _mm512_shuffle_f64x2::<HI>(x2, y2));
+        }
     }
     #[inline(always)]
     fn hsum_cells(self) -> [f64; 2] {
@@ -556,8 +848,8 @@ impl<V: CellLanes> Cx<V> {
     }
 
     /// Fused lane-wise complex product `self·o`: two multiplies and two
-    /// fused ops instead of four multiplies and two adds — one step of
-    /// the Eq. 17 cell kernel's rotation chain.
+    /// fused ops instead of four multiplies and two adds — the Eq. 17
+    /// cell kernel's carrier product and the profile's phasor rotation.
     #[inline(always)]
     pub fn rotate(self, o: Self) -> Self {
         Cx {
@@ -883,6 +1175,94 @@ mod tests {
                     [c0[0], c1[0], c0[1], c1[1], c0[2], c1[2]],
                     "seed {seed} stride {stride}"
                 );
+            }
+        }
+    }
+
+    /// `floor`, the clamped `index` (NaN, negative and past-the-end lanes
+    /// included), `gather_rows` and `store_records` through `V`, over
+    /// `CELLS` cells of `xs`, as bits.
+    fn lookup_ops<V: CellLanes>(xs: &[f64], table: &[f64]) -> Vec<u64> {
+        let x = V::load_cells(xs, 4);
+        let idx = x.mul(V::splat(3.0)).floor().index(table.len() - 8);
+        let rows = V::gather_rows(table, idx);
+        let mut records = vec![0.0; 16 * V::CELLS];
+        V::store_records([rows[0], rows[3], rows[5], rows[7]], &mut records);
+        let mut out = records;
+        for v in rows.iter().chain([x.floor()].iter()) {
+            let mut lanes = vec![0.0; 4 * V::CELLS];
+            v.store_cells(&mut lanes, 4);
+            out.extend(lanes);
+        }
+        out.into_iter().map(f64::to_bits).collect()
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    fn avx2_lookup_ops(xs: &[f64], table: &[f64]) -> Vec<u64> {
+        lookup_ops::<AvxX4>(xs, table)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn avx512_lookup_ops(xs: &[f64], table: &[f64]) -> Vec<u64> {
+        lookup_ops::<Avx512X8>(xs, table)
+    }
+
+    #[test]
+    fn lookup_ops_are_exact_and_bit_identical_on_every_level() {
+        let table: Vec<f64> = (0..64).map(|k| rand_f64(k ^ 0x55)).collect();
+        let mut cases: Vec<[f64; 8]> = vec![[f64::NAN, -4.0, -0.1, 0.0, 2.9, 3.2, 19.0, 1e300]];
+        cases.extend(
+            (0..64u64).map(|seed| std::array::from_fn(|k| rand_f64(seed ^ k as u64) * 12.0 + 8.0)),
+        );
+        for xs in &cases {
+            let scalar: Vec<u64> = [&xs[..4], &xs[4..]]
+                .iter()
+                .flat_map(|half| lookup_ops::<ScalarX4>(half, &table))
+                .collect();
+            // The scalar level reads exactly what plain indexing reads.
+            let idx = ScalarX4::load(&xs[..4])
+                .mul(ScalarX4::splat(3.0))
+                .floor()
+                .index(56);
+            for (l, &i) in idx.iter().enumerate() {
+                let want = (xs[l] * 3.0).floor();
+                let want = if want > 0.0 {
+                    want.min(56.0) as usize
+                } else {
+                    0
+                };
+                assert_eq!(i, want, "lane {l} of {xs:?}");
+            }
+            #[cfg(target_arch = "x86_64")]
+            for level in host_levels() {
+                // SAFETY: each twin runs only on a level detected for it.
+                #[allow(unsafe_code)]
+                let got = match level.0 {
+                    Level::Scalar => continue,
+                    Level::Avx2 => [&xs[..4], &xs[4..]]
+                        .iter()
+                        .flat_map(|half| unsafe { avx2_lookup_ops(half, &table) })
+                        .collect::<Vec<u64>>(),
+                    Level::Avx512 => unsafe { avx512_lookup_ops(xs, &table) },
+                };
+                if level.0 == Level::Avx2 {
+                    assert_eq!(got, scalar, "{level:?} on {xs:?}");
+                } else {
+                    // Two cells per vector: each output block holds both
+                    // cells' lanes where the scalar run holds one's.
+                    let half = scalar.len() / 2;
+                    let (c0, c1) = scalar.split_at(half);
+                    let mut want = Vec::new();
+                    want.extend_from_slice(&c0[..16]);
+                    want.extend_from_slice(&c1[..16]);
+                    for b in 0..9 {
+                        want.extend_from_slice(&c0[16 + 4 * b..20 + 4 * b]);
+                        want.extend_from_slice(&c1[16 + 4 * b..20 + 4 * b]);
+                    }
+                    assert_eq!(got, want, "{level:?} on {xs:?}");
+                }
             }
         }
     }

@@ -1,54 +1,59 @@
-//! The unified phasor-sweep core shared by the likelihood engine
-//! (`bloc-core`, paper Eq. 17) and the channel-synthesis engine
-//! (`bloc-chan`, paper Eq. 2).
+//! The two phasor-sum kernels of the workspace: the likelihood engine's
+//! (`bloc-core`, paper Eq. 17) and the channel-synthesis engine's
+//! (`bloc-chan`, paper Eq. 2). Both sum phasors whose phase is **linear
+//! in frequency** (`φ(f) = w·f` with `w = ±2πd/c`) over one sounding's
+//! bands.
 //!
-//! Both hot loops in the workspace are the same computation: a phase that
-//! is **linear in frequency** (`φ(f) = w·f` with `w = ±2πd/c`) evaluated
-//! over one sounding's band comb. On BLE's uniform 2 MHz comb the phasor
-//! at band `k` follows from band `k−1` by one exact complex rotation, so
-//! the whole sweep costs two `cis` calls (seed + step) and then pure
-//! multiply-adds. [`CombPlan`] detects the comb once; the two kernels
-//! below walk it:
-//!
-//! * [`write_comb_cells_batch`] (and [`write_comb_cells`], its batch of
-//!   one) — the likelihood recurrence: SIMD lanes are **antenna rotation
-//!   chains** of one (cell, anchor) pair; each cell reduces to the Eq. 17
-//!   coherent/non-coherent combining value. On the AVX-512 level one
-//!   vector carries **two consecutive cells** × 4 antenna lanes (the
-//!   channel-weight rows broadcast into both halves); an odd last cell
-//!   runs the one-cell AVX2 instantiation. A chain `seed·stepᵏ` depends
-//!   only on the geometry and the comb, never on the tag, so one call
-//!   sweeps up to [`MAX_TAGS`] tags of one deployment: the chain (two
-//!   interleaved rotations and `step²`) is advanced once and shared, and
-//!   each tag keeps its own even/odd accumulators fed by its own channel
-//!   weights. The kernel runs on fused multiply-add: a band's complex
-//!   multiply-accumulate is four fused ops (not four multiplies and four
-//!   adds) and a chain step two multiplies and two fused ops (not four
-//!   multiplies and two adds). Per band a batch saves the chain step — 4
-//!   of the 8 vector ops of a one-tag sweep — for every tag after the
-//!   first.
-//!   Each tag's accumulators see exactly the IEEE operations of a sweep of
-//!   its own, so a batched tag is bit-identical to a single one; the
-//!   batch size is a const generic, and the one-tag entry points are the
-//!   `T = 1` instantiation of the same body.
-//! * [`sweep_tones_into`] — the synthesis recurrence: SIMD lanes are
-//!   **four consecutive comb slots** of one propagation path; all paths
+//! * The Eq. 17 cell kernel is a **range-profile lookup**. Per antenna,
+//!   Eq. 17's band sum `S(Δ) = Σ_k α_k e^{iω_kΔ}` (`ω_k = 2πf_k/c`)
+//!   depends on the cell only through the Eq. 14 relative distance `Δ`.
+//!   Factored as `S(Δ) = e^{iω_cΔ}·E(Δ)` around the centre `f_c` of the
+//!   band span (on a 10 MHz grid, [`ProfilePlan`]), the carrier
+//!   `e^{iω_cΔ}` is geometry only — the steering tables cache it per
+//!   cell, beside `Δ` — and the
+//!   envelope `E(Δ) = Σ_k α_k e^{i(ω_k−ω_c)Δ}` is band-limited to the
+//!   half-span, so it varies on a metre scale. Per sounding,
+//!   [`build_profiles`] samples `E` and `h·E′` on a lattice of step `h`
+//!   over the window's `Δ` range ([`Lattice`]): `E` is a small complex
+//!   GEMM of a phasor matrix `e^{i(ω_k−ω_c)Δ_m}` (one rotation per band
+//!   along `Δ`, re-seeded exactly every 256 rows) times each antenna's
+//!   `α`, with the accumulators in registers, and `h·E′` a sixth-order
+//!   central difference of the `E` samples. Per cell and antenna,
+//!   [`write_profile_cells_batch`] then computes one lattice index and
+//!   the four cubic-Hermite weights, gathers `E` and `h·E′` at the two
+//!   bracketing rows, and multiplies by the cached carrier; the lanes
+//!   reduce to the Eq. 17 combining value. `h` is not a setting: it
+//!   follows from the half-span by the Hermite remainder bound
+//!   `(h·ω_max)⁴/384·Σ|α|` held to [`PROFILE_TOLERANCE`]. The lattice
+//!   works for any band set: a comb, a masked sub-comb or off-comb bands.
+//!   SIMD lanes are antennas; on the AVX-512 level one vector carries
+//!   **two consecutive cells** × 4 antenna lanes, and an odd last cell
+//!   runs the one-cell AVX2 instantiation. One call sweeps up to
+//!   [`MAX_TAGS`] tags of one deployment and band set: the index, the
+//!   weights, the carrier and the phasor matrix are shared, and each tag
+//!   gathers from its own profile.
+//! * [`sweep_tones_into`] — the synthesis recurrence. On BLE's uniform
+//!   2 MHz comb ([`CombPlan`]) the phasor at band `k` follows from band
+//!   `k−1` by one exact complex rotation. SIMD lanes are **four
+//!   consecutive comb slots** of one propagation path; all paths
 //!   accumulate into a dense slot buffer that is scattered back to
 //!   sounding order. It stays 4 lanes wide on the AVX-512 level too: an
 //!   8-slot body would advance each path by `step⁸` instead of `step⁴`,
 //!   a different rounding chain, and so change the sounding's bits. For
 //!   the same reason it stays unfused (`Cx::mul` then `Cx::add`).
+//!   Off-comb band sets fall back to per-band `cis`.
 //!
 //! Each kernel is one generic body instantiated for every [`simd`] vector
 //! implementation it runs on and runtime-dispatched ([`simd::cell_level`]
-//! for the cell kernel, [`simd::active_level`] for the tone kernel), so
-//! the scalar fallback, the AVX2 path and the AVX-512 path are
-//! bit-identical by construction: every op, fused ones included, is one
-//! correctly rounded IEEE-754 operation. Off-comb band sets
-//! fall back to per-band `cis` — still exact, just not
-//! recurrence-accelerated, and scalar on every level.
+//! for the cell kernel and the profile build, [`simd::active_level`] for
+//! the tone kernel), so the scalar fallback, the AVX2 path and the
+//! AVX-512 path are bit-identical by construction: every op — fused ones,
+//! `floor` and the gathers included — is exact or one correctly rounded
+//! IEEE-754 operation, and the profile's phasor rotation runs 4 rows wide
+//! on every level.
 
 use crate::complex::{self, C64};
+use crate::constants::SPEED_OF_LIGHT;
 use crate::simd::{self, CellLanes, Cx, F64x4, Level, ScalarX4, SimdLevel};
 
 /// How far (in hertz) a band may sit off the comb and still count as on
@@ -56,15 +61,13 @@ use crate::simd::{self, CellLanes, Cx, F64x4, Level, ScalarX4, SimdLevel};
 /// deviation is a unit-test fabrication, not measurement noise.
 pub const COMB_TOLERANCE_HZ: f64 = 1.0;
 
-/// The frequency walk a recurrence kernel takes across surviving bands —
-/// the one comb detector shared by the likelihood engine (`BandPlan`'s
-/// former role) and the channel synthesizer (`FreqComb`'s former role).
+/// The frequency walk the tone kernel takes across a sounding's bands.
 ///
 /// Bands are visited in ascending frequency. When every band offset from
 /// the lowest frequency is an integer multiple of one comb spacing (BLE:
 /// 2 MHz), `gaps[k]` holds how many comb slots to advance from band
 /// `k−1` to band `k` (first entry 0) and the rotation recurrence is
-/// exact. Otherwise `step_hz` is 0 and kernels fall back to per-band
+/// exact. Otherwise `step_hz` is 0 and the kernel falls back to per-band
 /// `cis`. Degenerate inputs (zero or one distinct frequency) are valid
 /// but not a comb: the fallback handles them exactly.
 #[derive(Debug, Clone, PartialEq)]
@@ -202,130 +205,354 @@ fn combine_value(combine: Combine, coh_re: f64, coh_im: f64, non: f64) -> f64 {
     }
 }
 
+/// The Hermite remainder a range profile is held to, per unit `Σ|α|`:
+/// the lattice step `h` of a band set is the largest with
+/// `(h·ω_max)⁴/384 ≤ PROFILE_TOLERANCE`, `ω_max` the largest
+/// `|ω_k − ω_c|` — 3.1 cm on the BLE data comb. Per antenna, the
+/// cubic-Hermite profile then stays within this fraction of `Σ_k|α_k|`
+/// of the exact band sum: the likelihood engine's 1e-9 equivalence
+/// budget. The bound is loose; measured errors sit about ten times
+/// below it.
+pub const PROFILE_TOLERANCE: f64 = 1e-9;
+
+/// The longest lattice step, metres: the step of a band set without
+/// span (one frequency), whose envelope is constant.
+const MAX_STEP_M: f64 = 1.0;
+
+/// The grid the carrier sits on, hertz. The carrier keys the steering
+/// tables, so a sounding that lost an edge band keeps its deployment's
+/// tables instead of building another entry (the BLE data comb's span
+/// centre, 2441 MHz, and its neighbours all take 2440 MHz); the lattice
+/// step then covers the band furthest from the carrier.
+const CARRIER_GRID_HZ: f64 = 10e6;
+
+/// Lattice rows per block: the lattice starts and ends on block
+/// boundaries, and the profile build computes one block of phasors at a
+/// time for every band.
+const ROW_BLOCK: usize = 8;
+
+/// Lattice rows per exact phasor seed: the first row block of every
+/// seed block of this many rows takes its phasors from `cis` (then
+/// seven single-row rotations), and each later row block rotates the
+/// previous one by eight rows. So a row's phasors depend on its index
+/// alone, never on where a window's lattice starts, and a patch's
+/// profile rows equal the dense map's bit for bit. 32 block rotations
+/// cost about 32 ulp of phase; a lattice starting mid-block advances up
+/// to 31 of them before its first row.
+const SEED_ROWS: usize = 256;
+
+/// The range-profile plan of one band set: the carrier, the lattice step
+/// and each band's baseband wavenumber.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProfilePlan {
+    /// The carrier `f_c`, hertz: the centre of the band span, on a
+    /// 10 MHz grid.
+    pub carrier_hz: f64,
+    /// The lattice step `h`, metres (see [`PROFILE_TOLERANCE`]).
+    pub step_m: f64,
+    /// `ω_k − ω_c = 2π(f_k − f_c)/c` per band, in the caller's band
+    /// order, radians per metre.
+    pub wavenumbers: Vec<f64>,
+}
+
+impl ProfilePlan {
+    /// Plans the profile of bands with the given centre frequencies (in
+    /// their stored order; any order, spacing or count).
+    pub fn build(freqs: &[f64]) -> Self {
+        let lo = freqs.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = freqs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let carrier_hz = if lo <= hi {
+            (0.5 * (lo + hi) / CARRIER_GRID_HZ).round() * CARRIER_GRID_HZ
+        } else {
+            0.0
+        };
+        let per_hz = std::f64::consts::TAU / SPEED_OF_LIGHT;
+        let wavenumbers: Vec<f64> = freqs.iter().map(|&f| per_hz * (f - carrier_hz)).collect();
+        let w_max = wavenumbers.iter().fold(0.0f64, |m, w| m.max(w.abs()));
+        let step_m = ((384.0 * PROFILE_TOLERANCE).sqrt().sqrt() / w_max).min(MAX_STEP_M);
+        Self {
+            carrier_hz,
+            step_m,
+            wavenumbers,
+        }
+    }
+
+    /// The Hermite remainder bound `(h·ω_max)⁴/384` of this plan, per
+    /// unit `Σ|α|`: at most [`PROFILE_TOLERANCE`].
+    pub fn remainder_bound(&self) -> f64 {
+        let w_max = self.wavenumbers.iter().fold(0.0f64, |m, w| m.max(w.abs()));
+        (self.step_m * w_max).powi(4) / 384.0
+    }
+}
+
+/// The lattice rows one window reads: row `r` samples the profile at
+/// `Δ = (first_row + r)·h`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Lattice {
+    /// The global index of row 0 (an integer, a multiple of the row
+    /// block).
+    pub first_row: f64,
+    /// Rows per antenna lane (a positive multiple of the row block).
+    pub rows: usize,
+    /// The step `h`, metres.
+    pub step_m: f64,
+    /// `1/h`: a cell at `Δ` reads rows `⌊Δ·(1/h)⌋` and the next.
+    pub inv_step: f64,
+}
+
+impl Lattice {
+    /// The smallest lattice of step `step_m` whose rows bracket every
+    /// finite `Δ` of `deltas`, computing each row index exactly as the
+    /// cell kernel does. No `Δ` at all gives one row block at 0.
+    pub fn covering(step_m: f64, deltas: impl IntoIterator<Item = f64>) -> Self {
+        let inv_step = 1.0 / step_m;
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for d in deltas {
+            let m = (d * inv_step).floor();
+            if m.is_finite() {
+                lo = lo.min(m);
+                hi = hi.max(m);
+            }
+        }
+        if lo > hi {
+            (lo, hi) = (0.0, 0.0);
+        }
+        let block = ROW_BLOCK as f64;
+        let first_row = (lo / block).floor() * block;
+        // The top row's cells also read the row above it.
+        let rows = ((hi - first_row) as usize + 2).next_multiple_of(ROW_BLOCK);
+        Self {
+            first_row,
+            rows,
+            step_m,
+            inv_step,
+        }
+    }
+
+    /// Length of one tag's profile of `n_lanes` lanes over this lattice:
+    /// a record of four samples (`E` re/im, `h·E′` re/im) per lane and
+    /// row, `profile[4·(lane·rows + row) + sample]`, so the two rows a
+    /// cell reads are eight consecutive values.
+    pub fn profile_len(&self, n_lanes: usize) -> usize {
+        4 * n_lanes * self.rows
+    }
+}
+
 /// Most tags one cell-kernel call sweeps together.
 ///
-/// A cell's rotation chain `seed·stepᵏ` depends only on the geometry and
-/// the comb, never on the tag; only the channel weights `α` are per tag.
-/// A batch therefore advances each chain once and feeds it to every
-/// tag's accumulators. Four tags fit AVX-512's 32 vector registers: 16
-/// accumulators (even/odd × re/im per tag) plus the 6-register shared
-/// chain (`rot_e`, `rot_o`, `step²`). Eight tags gain little over four
-/// and double the batch's map heap.
+/// A tag batch shares everything but the gathers: the lattice index and
+/// the Hermite weights of each (cell, antenna), its cached carrier, and
+/// the profile build's phasor matrix. Each tag gathers from its own
+/// profile and keeps its own accumulators.
 pub const MAX_TAGS: usize = 4;
 
-/// Borrowed inputs for the likelihood cell kernel: one anchor's steering
-/// phasors (cell-major) and channel weights (slot-major), both padded to
-/// `n_lanes` (a multiple of 4) with neutral lanes — weight 0, phasor 1 —
-/// so padding contributes exact zeros.
-///
-/// A batch ([`write_comb_cells_batch`]) is one of these per tag, all
-/// sharing the same steering tables, lane stride and comb walk; only the
-/// weights differ.
+/// One tag's channel weights `α` for [`build_profiles`], band-major in
+/// the plan's band order, padded to `n_lanes` lanes (a multiple of 4)
+/// with zeros.
 #[derive(Debug, Clone, Copy)]
-pub struct CellSweep<'a> {
-    /// `e^{ιw·f_base}` real parts, `seed_re[cell·n_lanes + lane]`.
-    pub seed_re: &'a [f64],
-    /// Seed imaginary parts, same indexing.
-    pub seed_im: &'a [f64],
-    /// Comb-step rotation real parts, same indexing.
-    pub step_re: &'a [f64],
-    /// Step imaginary parts, same indexing.
-    pub step_im: &'a [f64],
-    /// Channel weights `α`, `alpha_re[slot·n_lanes + lane]`.
+pub struct ProfileWeights<'a> {
+    /// `α` real parts, `alpha_re[band·n_lanes + lane]`.
     pub alpha_re: &'a [f64],
-    /// Weight imaginary parts, same indexing.
+    /// `α` imaginary parts, same indexing.
     pub alpha_im: &'a [f64],
     /// Lane stride — antennas rounded up to a multiple of 4.
     pub n_lanes: usize,
-    /// Comb-slot advances per planned band ([`CombPlan::gaps`]).
-    pub gaps: &'a [u32],
 }
 
-/// One tag's channel weights `(re, im)`, each cut to the same length so
-/// the bounds checks of every tag's row loads fold into one.
-type Weights<'a> = (&'a [f64], &'a [f64]);
+/// The central-difference weights of `h·E′(Δ_m)` from the envelope
+/// samples at rows `m ± 1`, `m ± 2`, `m ± 3` (sixth order). On an
+/// envelope band-limited to `ω_max` the truncation error is about
+/// `(h·ω_max)⁷/140·Σ|α|` — 4e-14·Σ|α| at [`PROFILE_TOLERANCE`] — so the
+/// derivative samples cost a few adds per row instead of a second GEMM.
+const DIFF: [f64; 3] = [3.0 / 4.0, -3.0 / 20.0, 1.0 / 60.0];
 
-/// The channel-weight row starting at `at`, broadcast into every cell of
-/// the vector.
+/// Envelope rows computed beyond each end of a lattice, for the
+/// central differences of its first and last rows.
+const GUARD: usize = ROW_BLOCK;
+
+/// Scratch per band in [`profile_body`]: the current row block's
+/// phasors (eight real parts, eight imaginary), the eight-row rotation
+/// and the one-row rotation (real, imaginary each).
+const BAND_SCRATCH: usize = 2 * ROW_BLOCK + 4;
+
+/// Writes the phasors of wavenumber `w` at the row block starting at row
+/// `m` (a multiple of the row block) and its rotations into `band`: the
+/// block rotated from the exact seed block of `m`'s seed row.
 #[inline(always)]
-fn alpha_row<V: CellLanes>(w: &Weights<'_>, at: usize) -> Cx<V> {
-    Cx {
-        re: V::load_row(&w.0[at..]),
-        im: V::load_row(&w.1[at..]),
+fn seed_block<V: CellLanes>(w: f64, step_m: f64, m: f64, band: &mut [f64]) {
+    let s = C64::cis(w * step_m);
+    let s2 = s * s;
+    let s4 = s2 * s2;
+    let s8 = s4 * s4;
+    band[2 * ROW_BLOCK..].copy_from_slice(&[s8.re, s8.im, s.re, s.im]);
+    let seed_row = (m / SEED_ROWS as f64).floor() * SEED_ROWS as f64;
+    reseed_block(w, step_m, seed_row, band);
+    for _ in 0..((m - seed_row) as usize) / ROW_BLOCK {
+        advance_block::<V>(band);
     }
 }
 
-/// One lane block of `V::CELLS` cells over a dense comb (every gap after
-/// the first is one slot), for each of `T` tags: two interleaved rotation
-/// chains advanced by `step²` halve the serial complex-multiply latency
-/// the pipeline must hide, and every tag's even/odd accumulators read the
-/// same chains.
+/// Writes the exact phasor block at seed row `m` into `band`, from one
+/// `cis` and seven one-row rotations.
 #[inline(always)]
-fn dense_block<V: CellLanes, const T: usize>(
-    seed: Cx<V>,
-    step: Cx<V>,
-    tags: &[Weights<'_>; T],
-    n_lanes: usize,
-    lane0: usize,
-    n_bands: usize,
-) -> [Cx<V>; T] {
-    let step2 = step.rotate(step);
-    let mut rot_e = seed; // bands 0, 2, 4, …
-    let mut rot_o = seed.rotate(step); // bands 1, 3, 5, …
-    let mut acc_e = [Cx::<V>::zero(); T];
-    let mut acc_o = [Cx::<V>::zero(); T];
-    let pairs = n_bands / 2;
-    for p in 0..pairs {
-        let e = (2 * p) * n_lanes + lane0;
-        let o = e + n_lanes;
-        for t in 0..T {
-            acc_e[t] = alpha_row::<V>(&tags[t], e).mul_add(rot_e, acc_e[t]);
-            acc_o[t] = alpha_row::<V>(&tags[t], o).mul_add(rot_o, acc_o[t]);
-        }
-        rot_e = rot_e.rotate(step2);
-        rot_o = rot_o.rotate(step2);
+fn reseed_block(w: f64, step_m: f64, m: f64, band: &mut [f64]) {
+    let s = C64::new(band[2 * ROW_BLOCK + 2], band[2 * ROW_BLOCK + 3]);
+    let mut p = C64::cis(w * (m * step_m));
+    for r in 0..ROW_BLOCK {
+        (band[r], band[ROW_BLOCK + r]) = (p.re, p.im);
+        p *= s;
     }
-    if n_bands % 2 == 1 {
-        let s = (n_bands - 1) * n_lanes + lane0;
-        for t in 0..T {
-            acc_e[t] = alpha_row::<V>(&tags[t], s).mul_add(rot_e, acc_e[t]);
-        }
-    }
-    std::array::from_fn(|t| acc_e[t].add(acc_o[t]))
 }
 
-/// One lane block of `V::CELLS` cells over a general uniform comb, for
-/// each of `T` tags: one shared rotation chain, `gaps[k]` step multiplies
-/// per band.
+/// Rotates a band's phasor block by eight rows, `4·V::CELLS` rows per
+/// vector — the same lane-wise op at every width.
 #[inline(always)]
-fn gap_block<V: CellLanes, const T: usize>(
-    seed: Cx<V>,
-    step: Cx<V>,
-    tags: &[Weights<'_>; T],
-    n_lanes: usize,
-    lane0: usize,
-    gaps: &[u32],
-) -> [Cx<V>; T] {
-    let mut rot = seed;
-    let mut acc = [Cx::<V>::zero(); T];
-    for (slot, &gap) in gaps.iter().enumerate() {
-        for _ in 0..gap {
-            rot = rot.rotate(step);
+fn advance_block<V: CellLanes>(band: &mut [f64]) {
+    let step = Cx::<V>::broadcast(band[2 * ROW_BLOCK], band[2 * ROW_BLOCK + 1]);
+    for half in (0..ROW_BLOCK).step_by(4 * V::CELLS) {
+        let p = Cx {
+            re: V::load_cells(&band[half..], 4),
+            im: V::load_cells(&band[ROW_BLOCK + half..], 4),
         }
-        let s = slot * n_lanes + lane0;
-        for t in 0..T {
-            acc[t] = alpha_row::<V>(&tags[t], s).mul_add(rot, acc[t]);
+        .rotate(step);
+        p.re.store_cells(&mut band[half..], 4);
+        p.im.store_cells(&mut band[ROW_BLOCK + half..], 4);
+    }
+}
+
+/// `h·E′` at samples `c .. c + 4·V::CELLS` of one envelope part, from
+/// the samples three either side.
+#[inline(always)]
+fn central_difference<V: CellLanes>(part: &[f64], c: usize, diff: &[V; 3]) -> V {
+    let d = diff[2].mul(V::load_cells(&part[c + 3..], 4).sub(V::load_cells(&part[c - 3..], 4)));
+    let d = diff[1].mul_add(
+        V::load_cells(&part[c + 2..], 4).sub(V::load_cells(&part[c - 2..], 4)),
+        d,
+    );
+    diff[0].mul_add(
+        V::load_cells(&part[c + 1..], 4).sub(V::load_cells(&part[c - 1..], 4)),
+        d,
+    )
+}
+
+/// Builds the profile of every tag over `lat`. First the envelope at
+/// every row from one guard block below the lattice to one above, one
+/// row block at a time: for each tag and each 4-antenna group, the GEMM
+/// of the block's phasors (every band) with `α`, `4·V::CELLS` rows per
+/// vector with the eight accumulators (`E` of the group) in registers;
+/// then every band's phasors rotate to the next block. Then, per tag and
+/// antenna, the central differences `h·E′` and the records.
+#[inline(always)]
+fn profile_body<V: CellLanes, const T: usize>(
+    plan: &ProfilePlan,
+    lat: &Lattice,
+    tags: &[ProfileWeights<'_>; T],
+    outs: &mut [&mut [f64]; T],
+    scratch: &mut [f64],
+) {
+    let nb = plan.wavenumbers.len();
+    let nl = tags[0].n_lanes;
+    let rows = lat.rows;
+    let span = rows + 2 * GUARD;
+    // Envelope samples of tag `t`, lane `j`, part `c` (re, im) at
+    // `envelope[((t·nl + j)·2 + c)·span + GUARD + r]` for lattice row `r`.
+    let (phasors, envelope) = scratch.split_at_mut(nb * BAND_SCRATCH);
+    let first = lat.first_row - GUARD as f64;
+    for (band, &w) in phasors
+        .chunks_exact_mut(BAND_SCRATCH)
+        .zip(&plan.wavenumbers)
+    {
+        seed_block::<V>(w, lat.step_m, first, band);
+    }
+    for rb in 0..span / ROW_BLOCK {
+        for (t, w) in tags.iter().enumerate() {
+            let weights = [w.alpha_re, w.alpha_im].map(|v| &v[..nb * nl]);
+            for lane0 in (0..nl).step_by(4) {
+                for half in (0..ROW_BLOCK).step_by(4 * V::CELLS) {
+                    let mut e = [Cx::<V>::zero(); 4];
+                    for (k, band) in phasors.chunks_exact(BAND_SCRATCH).enumerate() {
+                        let p = Cx {
+                            re: V::load_cells(&band[half..], 4),
+                            im: V::load_cells(&band[ROW_BLOCK + half..], 4),
+                        };
+                        let row = k * nl + lane0;
+                        let [are, aim] = weights.map(|v| &v[row..row + 4]);
+                        for j in 0..4 {
+                            e[j] = Cx::<V>::broadcast(are[j], aim[j]).mul_add(p, e[j]);
+                        }
+                    }
+                    for (j, e) in e.iter().enumerate() {
+                        let at = ((t * nl + lane0 + j) * 2) * span + rb * ROW_BLOCK + half;
+                        e.re.store_cells(&mut envelope[at..], 4);
+                        e.im.store_cells(&mut envelope[at + span..], 4);
+                    }
+                }
+            }
+        }
+        let next = first + ((rb + 1) * ROW_BLOCK) as f64;
+        let reseed = (next as i64).rem_euclid(SEED_ROWS as i64) == 0;
+        for (band, &w) in phasors
+            .chunks_exact_mut(BAND_SCRATCH)
+            .zip(&plan.wavenumbers)
+        {
+            if reseed {
+                reseed_block(w, lat.step_m, next, band);
+            } else {
+                advance_block::<V>(band);
+            }
         }
     }
-    acc
+    let diff = DIFF.map(V::splat);
+    for (t, out) in outs.iter_mut().enumerate() {
+        for lane in 0..nl {
+            let at = (t * nl + lane) * 2 * span + GUARD;
+            let (re, im) = envelope[at - GUARD..at - GUARD + 2 * span].split_at(span);
+            for r in (0..rows).step_by(4 * V::CELLS) {
+                let c = r + GUARD;
+                let record = [
+                    V::load_cells(&re[c..], 4),
+                    V::load_cells(&im[c..], 4),
+                    central_difference(re, c, &diff),
+                    central_difference(im, c, &diff),
+                ];
+                V::store_records(record, &mut out[(lane * rows + r) * 4..]);
+            }
+        }
+    }
+}
+
+/// One tag's inputs to the Eq. 17 cell kernel: one anchor's steering
+/// tables (cell-major, lane-padded) and the tag's range profile over
+/// `lattice`.
+///
+/// A batch ([`write_profile_cells_batch`]) is one of these per tag, all
+/// sharing the same steering tables and lattice; only the profiles
+/// differ.
+#[derive(Debug, Clone, Copy)]
+pub struct CellSweep<'a> {
+    /// The Eq. 14 relative distances `Δ`, metres,
+    /// `delta[cell·n_lanes + lane]`; a padding lane holds a real lane's
+    /// `Δ`, so it reads inside the lattice (and its zero profile).
+    pub delta: &'a [f64],
+    /// Carrier `e^{iω_cΔ}` real parts, same indexing.
+    pub carrier_re: &'a [f64],
+    /// Carrier imaginary parts, same indexing.
+    pub carrier_im: &'a [f64],
+    /// Lane stride — antennas rounded up to a multiple of 4.
+    pub n_lanes: usize,
+    /// The rows the profile holds; they bracket every `Δ` of the cells
+    /// swept.
+    pub lattice: Lattice,
+    /// The tag's profile ([`build_profiles`]).
+    pub profile: &'a [f64],
 }
 
 /// The Eq. 17 cell kernel for `T` tags, `V::CELLS` consecutive cells per
 /// vector: writes `outs[t][k]` for every `k` in `range` (whose length
 /// must be a multiple of `V::CELLS`), cell `first_cell + k`. The steering
-/// tables and comb walk are `tags[0]`'s, shared by every tag.
+/// tables and lattice are `tags[0]`'s, shared by every tag.
 #[inline(always)]
-fn comb_cells_body<V: CellLanes, const T: usize>(
+fn cells_body<V: CellLanes, const T: usize>(
     tags: &[CellSweep<'_>; T],
     combine: Combine,
     first_cell: usize,
@@ -335,10 +562,12 @@ fn comb_cells_body<V: CellLanes, const T: usize>(
     debug_assert_eq!(range.len() % V::CELLS, 0);
     let s = &tags[0];
     let nl = s.n_lanes;
-    let nb = s.gaps.len();
-    let dense = s.gaps.first() == Some(&0) && s.gaps[1..].iter().all(|&g| g == 1);
-    let weights: [Weights<'_>; T] =
-        std::array::from_fn(|t| (&tags[t].alpha_re[..nb * nl], &tags[t].alpha_im[..nb * nl]));
+    let lat = s.lattice;
+    let len = lat.profile_len(nl);
+    let profiles: [&[f64]; T] = std::array::from_fn(|t| &tags[t].profile[..len]);
+    let inv_step = V::splat(lat.inv_step);
+    let lane_rows = V::load_row(&[0.0, 1.0, 2.0, 3.0].map(|l| l * lat.rows as f64));
+    let (one, two, three, four) = (V::splat(1.0), V::splat(2.0), V::splat(3.0), V::splat(4.0));
     let add_cells = |acc: &mut V::Sums, sums: V::Sums| {
         for (a, v) in acc.as_mut().iter_mut().zip(sums.as_ref()) {
             *a += v;
@@ -351,23 +580,37 @@ fn comb_cells_body<V: CellLanes, const T: usize>(
         let mut non = [V::Sums::default(); T];
         for lane0 in (0..nl).step_by(4) {
             let base = cell * nl + lane0;
-            let seed = Cx {
-                re: V::load_cells(&s.seed_re[base..], nl),
-                im: V::load_cells(&s.seed_im[base..], nl),
+            let carrier = Cx {
+                re: V::load_cells(&s.carrier_re[base..], nl),
+                im: V::load_cells(&s.carrier_im[base..], nl),
             };
-            let step = Cx {
-                re: V::load_cells(&s.step_re[base..], nl),
-                im: V::load_cells(&s.step_im[base..], nl),
-            };
-            let acc = if dense {
-                dense_block::<V, T>(seed, step, &weights, nl, lane0, nb)
-            } else {
-                gap_block::<V, T>(seed, step, &weights, nl, lane0, s.gaps)
-            };
-            for t in 0..T {
-                add_cells(&mut coh_re[t], acc[t].re.hsum_cells());
-                add_cells(&mut coh_im[t], acc[t].im.hsum_cells());
-                add_cells(&mut non[t], acc[t].abs().hsum_cells());
+            let u = V::load_cells(&s.delta[base..], nl).mul(inv_step);
+            let m = u.floor();
+            let t = u.sub(m);
+            // Lane `j` reads the records of rows `m` and `m + 1` from
+            // `profile[4·(j·rows + m − first_row) ..][..8]`.
+            let first = V::splat(lat.first_row - (lane0 * lat.rows) as f64);
+            let idx = four.mul(m.sub(first).add(lane_rows)).index(len - 8);
+            // Cubic Hermite basis on [row m, row m + 1].
+            let (s1, t2) = (one.sub(t), t.mul(t));
+            let s2 = s1.mul(s1);
+            let w00 = s2.mul(two.mul_add(t, one));
+            let w10 = t.mul(s2);
+            let w01 = t2.mul(two.neg_mul_add(t, three));
+            let w11 = t2.mul(t.sub(one));
+            for tag in 0..T {
+                let [er0, ei0, dr0, di0, er1, ei1, dr1, di1] = V::gather_rows(profiles[tag], idx);
+                let interp = |e0: V, d0: V, e1: V, d1: V| {
+                    w11.mul_add(d1, w01.mul_add(e1, w10.mul_add(d0, w00.mul(e0))))
+                };
+                let envelope = Cx {
+                    re: interp(er0, dr0, er1, dr1),
+                    im: interp(ei0, di0, ei1, di1),
+                };
+                let sig = envelope.rotate(carrier);
+                add_cells(&mut coh_re[tag], sig.re.hsum_cells());
+                add_cells(&mut coh_im[tag], sig.im.hsum_cells());
+                add_cells(&mut non[tag], sig.abs().hsum_cells());
             }
         }
         for t in 0..T {
@@ -383,51 +626,98 @@ fn comb_cells_body<V: CellLanes, const T: usize>(
     }
 }
 
-/// The portable twin: on a CPU without FMA hardware each fused op is a
+/// The portable twins: on a CPU without FMA hardware each fused op is a
 /// correctly rounded libm `fma` call — slow, but bit-identical.
-fn comb_cells_scalar<const T: usize>(
+fn profiles_scalar<const T: usize>(
+    plan: &ProfilePlan,
+    lat: &Lattice,
+    tags: &[ProfileWeights<'_>; T],
+    outs: &mut [&mut [f64]; T],
+    scratch: &mut [f64],
+) {
+    profile_body::<ScalarX4, T>(plan, lat, tags, outs, scratch);
+}
+
+fn cells_scalar<const T: usize>(
     tags: &[CellSweep<'_>; T],
     combine: Combine,
     first_cell: usize,
     outs: &mut [&mut [f64]; T],
 ) {
     let n = outs[0].len();
-    comb_cells_body::<ScalarX4, T>(tags, combine, first_cell, outs, 0..n);
+    cells_body::<ScalarX4, T>(tags, combine, first_cell, outs, 0..n);
 }
 
-/// The scalar level on a CPU with FMA: the same body compiled so each
+/// The scalar level on a CPU with FMA: the same bodies compiled so each
 /// `f64::mul_add` is one `vfmadd` instruction rather than a libm call.
 /// (`fma` implies AVX, so the compiler may also vectorize the four lanes;
 /// every lane still runs the same correctly rounded ops.)
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "fma")]
-fn comb_cells_scalar_fma<const T: usize>(
+fn profiles_scalar_fma<const T: usize>(
+    plan: &ProfilePlan,
+    lat: &Lattice,
+    tags: &[ProfileWeights<'_>; T],
+    outs: &mut [&mut [f64]; T],
+    scratch: &mut [f64],
+) {
+    profile_body::<ScalarX4, T>(plan, lat, tags, outs, scratch);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+fn cells_scalar_fma<const T: usize>(
     tags: &[CellSweep<'_>; T],
     combine: Combine,
     first_cell: usize,
     outs: &mut [&mut [f64]; T],
 ) {
     let n = outs[0].len();
-    comb_cells_body::<ScalarX4, T>(tags, combine, first_cell, outs, 0..n);
+    cells_body::<ScalarX4, T>(tags, combine, first_cell, outs, 0..n);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-fn comb_cells_avx2<const T: usize>(
+fn profiles_avx2<const T: usize>(
+    plan: &ProfilePlan,
+    lat: &Lattice,
+    tags: &[ProfileWeights<'_>; T],
+    outs: &mut [&mut [f64]; T],
+    scratch: &mut [f64],
+) {
+    profile_body::<simd::AvxX4, T>(plan, lat, tags, outs, scratch);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn cells_avx2<const T: usize>(
     tags: &[CellSweep<'_>; T],
     combine: Combine,
     first_cell: usize,
     outs: &mut [&mut [f64]; T],
 ) {
     let n = outs[0].len();
-    comb_cells_body::<simd::AvxX4, T>(tags, combine, first_cell, outs, 0..n);
+    cells_body::<simd::AvxX4, T>(tags, combine, first_cell, outs, 0..n);
+}
+
+/// Eight lattice rows per vector.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+fn profiles_avx512<const T: usize>(
+    plan: &ProfilePlan,
+    lat: &Lattice,
+    tags: &[ProfileWeights<'_>; T],
+    outs: &mut [&mut [f64]; T],
+    scratch: &mut [f64],
+) {
+    profile_body::<simd::Avx512X8, T>(plan, lat, tags, outs, scratch);
 }
 
 /// Whole cell pairs on the two-cell AVX-512 vector; an odd last cell on
 /// the one-cell AVX2 instantiation of the same body.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx2,fma")]
-fn comb_cells_avx512<const T: usize>(
+fn cells_avx512<const T: usize>(
     tags: &[CellSweep<'_>; T],
     combine: Combine,
     first_cell: usize,
@@ -435,50 +725,159 @@ fn comb_cells_avx512<const T: usize>(
 ) {
     let n = outs[0].len();
     let paired = n - n % simd::Avx512X8::CELLS;
-    comb_cells_body::<simd::Avx512X8, T>(tags, combine, first_cell, outs, 0..paired);
-    comb_cells_body::<simd::AvxX4, T>(tags, combine, first_cell, outs, paired..n);
+    cells_body::<simd::Avx512X8, T>(tags, combine, first_cell, outs, 0..paired);
+    cells_body::<simd::AvxX4, T>(tags, combine, first_cell, outs, paired..n);
 }
 
-/// The `T`-tag kernel on `level`.
+/// `T`-tag views of a batch the caller sized.
+fn batch_of<'s, 'o, A, B, const T: usize>(
+    tags: &'s [A],
+    outs: &'o mut [B],
+) -> (&'s [A; T], &'o mut [B; T]) {
+    let (Ok(tags), Ok(outs)) = (<&[A; T]>::try_from(tags), <&mut [B; T]>::try_from(outs)) else {
+        unreachable!("the caller matched the batch size");
+    };
+    (tags, outs)
+}
+
+/// The `T`-tag profile build on `level`.
 #[allow(unsafe_code)]
-fn comb_cells_at<const T: usize>(
+fn profiles_at<const T: usize>(
+    level: SimdLevel,
+    plan: &ProfilePlan,
+    lat: &Lattice,
+    tags: &[ProfileWeights<'_>],
+    outs: &mut [&mut [f64]],
+) {
+    let (tags, outs) = batch_of::<_, _, T>(tags, outs);
+    let mut scratch = PROFILE_SCRATCH.take();
+    scratch.clear();
+    let span = lat.rows + 2 * GUARD;
+    scratch.resize(
+        plan.wavenumbers.len() * BAND_SCRATCH + T * tags[0].n_lanes * 2 * span,
+        0.0,
+    );
+    let s = &mut scratch[..];
+    match level.0 {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `has_fma` just detected the `fma` feature.
+        Level::Scalar if simd::has_fma() => unsafe {
+            profiles_scalar_fma(plan, lat, tags, outs, s)
+        },
+        Level::Scalar => profiles_scalar(plan, lat, tags, outs, s),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the AVX2 level only comes from `simd::host_levels`,
+        // which constructs it behind `avx2` and `fma` detection.
+        Level::Avx2 => unsafe { profiles_avx2(plan, lat, tags, outs, s) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the AVX-512 level only comes from `simd::host_levels`,
+        // which constructs it behind `avx512f`, `avx2` and `fma` detection.
+        Level::Avx512 => unsafe { profiles_avx512(plan, lat, tags, outs, s) },
+        #[cfg(not(target_arch = "x86_64"))]
+        Level::Avx2 | Level::Avx512 => profiles_scalar(plan, lat, tags, outs, s),
+    }
+    PROFILE_SCRATCH.set(scratch);
+}
+
+thread_local! {
+    /// The phasor blocks and envelope samples of this thread's last
+    /// profile build, kept so a warm build allocates nothing.
+    static PROFILE_SCRATCH: std::cell::Cell<Vec<f64>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
+/// [`build_profiles`] on an explicit vector level — what the
+/// dispatch-equivalence tests drive so they never mutate process state.
+/// Sound for any `level` safe code can hold: levels only come from CPU
+/// detection ([`simd::host_levels`]).
+pub fn build_profiles_at(
+    level: SimdLevel,
+    plan: &ProfilePlan,
+    lattice: &Lattice,
+    tags: &[ProfileWeights<'_>],
+    outs: &mut [&mut [f64]],
+) {
+    assert!(
+        (1..=MAX_TAGS).contains(&tags.len()),
+        "a batch holds 1..=MAX_TAGS tags"
+    );
+    assert_eq!(outs.len(), tags.len(), "one profile per tag");
+    let nl = tags[0].n_lanes;
+    assert!(
+        nl >= 4 && nl.is_multiple_of(4),
+        "lane stride must be a positive multiple of 4"
+    );
+    assert!(
+        lattice.rows >= ROW_BLOCK
+            && lattice.rows.is_multiple_of(ROW_BLOCK)
+            && (lattice.first_row / ROW_BLOCK as f64).fract() == 0.0,
+        "a lattice spans whole row blocks"
+    );
+    let weights = plan.wavenumbers.len() * nl;
+    for (w, out) in tags.iter().zip(outs.iter()) {
+        assert!(
+            w.n_lanes == nl && w.alpha_re.len() >= weights && w.alpha_im.len() >= weights,
+            "every tag weights every band of the plan on one lane stride"
+        );
+        assert!(out.len() >= lattice.profile_len(nl), "profile too short");
+    }
+    match tags.len() {
+        1 => profiles_at::<1>(level, plan, lattice, tags, outs),
+        2 => profiles_at::<2>(level, plan, lattice, tags, outs),
+        3 => profiles_at::<3>(level, plan, lattice, tags, outs),
+        _ => profiles_at::<MAX_TAGS>(level, plan, lattice, tags, outs),
+    }
+}
+
+/// Samples each tag's envelope `E` and `h·E′` at every row of `lattice`
+/// for every lane, into `outs[t]` (at least
+/// [`Lattice::profile_len`] long). A row's samples depend only on its
+/// index, the plan and the tag's weights, so any window's lattice holds
+/// the same bits at the rows it shares with another's. The vector path
+/// is chosen once per call via [`simd::cell_level`].
+pub fn build_profiles(
+    plan: &ProfilePlan,
+    lattice: &Lattice,
+    tags: &[ProfileWeights<'_>],
+    outs: &mut [&mut [f64]],
+) {
+    build_profiles_at(simd::cell_level(), plan, lattice, tags, outs);
+}
+
+/// The `T`-tag cell kernel on `level`.
+#[allow(unsafe_code)]
+fn cells_at<const T: usize>(
     level: SimdLevel,
     tags: &[CellSweep<'_>],
     combine: Combine,
     first_cell: usize,
     outs: &mut [&mut [f64]],
 ) {
-    let (Ok(tags), Ok(outs)) = (
-        <&[CellSweep<'_>; T]>::try_from(tags),
-        <&mut [&mut [f64]; T]>::try_from(outs),
-    ) else {
-        unreachable!("the caller matched the batch size");
-    };
+    let (tags, outs) = batch_of::<_, _, T>(tags, outs);
     match level.0 {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `has_fma` just detected the `fma` feature.
         Level::Scalar if simd::has_fma() => unsafe {
-            comb_cells_scalar_fma(tags, combine, first_cell, outs)
+            cells_scalar_fma(tags, combine, first_cell, outs)
         },
-        Level::Scalar => comb_cells_scalar(tags, combine, first_cell, outs),
+        Level::Scalar => cells_scalar(tags, combine, first_cell, outs),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the AVX2 level only comes from `simd::host_levels`,
         // which constructs it behind `avx2` and `fma` detection.
-        Level::Avx2 => unsafe { comb_cells_avx2(tags, combine, first_cell, outs) },
+        Level::Avx2 => unsafe { cells_avx2(tags, combine, first_cell, outs) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the AVX-512 level only comes from `simd::host_levels`,
         // which constructs it behind `avx512f`, `avx2` and `fma` detection.
-        Level::Avx512 => unsafe { comb_cells_avx512(tags, combine, first_cell, outs) },
+        Level::Avx512 => unsafe { cells_avx512(tags, combine, first_cell, outs) },
         #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 | Level::Avx512 => comb_cells_scalar(tags, combine, first_cell, outs),
+        Level::Avx2 | Level::Avx512 => cells_scalar(tags, combine, first_cell, outs),
     }
 }
 
-/// [`write_comb_cells_batch`] on an explicit vector level — what the
+/// [`write_profile_cells_batch`] on an explicit vector level — what the
 /// dispatch-equivalence tests drive so they never mutate process state.
 /// Sound for any `level` safe code can hold: levels only come from CPU
 /// detection ([`simd::host_levels`]).
-pub fn write_comb_cells_batch_at(
+pub fn write_profile_cells_batch_at(
     level: SimdLevel,
     tags: &[CellSweep<'_>],
     combine: Combine,
@@ -502,59 +901,58 @@ pub fn write_comb_cells_batch_at(
     );
     let needed = (first_cell + n) * s.n_lanes;
     assert!(
-        s.seed_re.len() >= needed
-            && s.seed_im.len() >= needed
-            && s.step_re.len() >= needed
-            && s.step_im.len() >= needed,
+        s.delta.len() >= needed && s.carrier_re.len() >= needed && s.carrier_im.len() >= needed,
         "steering tables shorter than the requested cell range"
     );
-    let alpha_needed = s.gaps.len() * s.n_lanes;
+    assert!(s.lattice.rows >= 2, "a lattice brackets its cells");
     for t in tags {
         assert!(
-            std::ptr::eq(t.seed_re, s.seed_re)
-                && std::ptr::eq(t.seed_im, s.seed_im)
-                && std::ptr::eq(t.step_re, s.step_re)
-                && std::ptr::eq(t.step_im, s.step_im)
+            std::ptr::eq(t.delta, s.delta)
+                && std::ptr::eq(t.carrier_re, s.carrier_re)
+                && std::ptr::eq(t.carrier_im, s.carrier_im)
                 && t.n_lanes == s.n_lanes
-                && t.gaps == s.gaps,
-            "a batch shares one set of steering tables and one comb walk"
+                && t.lattice == s.lattice,
+            "a batch shares one set of steering tables and one lattice"
         );
-        assert!(t.alpha_re.len() >= alpha_needed && t.alpha_im.len() >= alpha_needed);
+        assert!(
+            t.profile.len() >= s.lattice.profile_len(s.n_lanes),
+            "profile shorter than its lattice"
+        );
     }
     match tags.len() {
-        1 => comb_cells_at::<1>(level, tags, combine, first_cell, outs),
-        2 => comb_cells_at::<2>(level, tags, combine, first_cell, outs),
-        3 => comb_cells_at::<3>(level, tags, combine, first_cell, outs),
-        _ => comb_cells_at::<MAX_TAGS>(level, tags, combine, first_cell, outs),
+        1 => cells_at::<1>(level, tags, combine, first_cell, outs),
+        2 => cells_at::<2>(level, tags, combine, first_cell, outs),
+        3 => cells_at::<3>(level, tags, combine, first_cell, outs),
+        _ => cells_at::<MAX_TAGS>(level, tags, combine, first_cell, outs),
     }
 }
 
-/// Evaluates the Eq. 17 recurrence for cells `first_cell ..
-/// first_cell + n` of one anchor map for up to [`MAX_TAGS`] tags at once,
-/// writing tag `t`'s combined values into `outs[t]` (each `n` long).
-/// Every tag's values are bit-identical to a [`write_comb_cells`] call
-/// of its own: its accumulators see the same IEEE operations in the same
-/// order, and the shared rotation chain is the same sequence whoever
-/// reads it. The vector path is chosen once per call via
+/// Evaluates Eq. 17 for cells `first_cell .. first_cell + n` of one
+/// anchor map for up to [`MAX_TAGS`] tags at once, writing tag `t`'s
+/// combined values into `outs[t]` (each `n` long). Every tag's values are
+/// bit-identical to a [`write_profile_cells`] call of its own: the shared
+/// index, weights and carrier are the same values whoever reads them,
+/// and each tag's accumulators see the same IEEE operations in the same
+/// order. The vector path is chosen once per call via
 /// [`simd::cell_level`].
-pub fn write_comb_cells_batch(
+pub fn write_profile_cells_batch(
     tags: &[CellSweep<'_>],
     combine: Combine,
     first_cell: usize,
     outs: &mut [&mut [f64]],
 ) {
-    write_comb_cells_batch_at(simd::cell_level(), tags, combine, first_cell, outs);
+    write_profile_cells_batch_at(simd::cell_level(), tags, combine, first_cell, outs);
 }
 
-/// [`write_comb_cells`] on an explicit vector level: the batch of one.
-pub fn write_comb_cells_at(
+/// [`write_profile_cells`] on an explicit vector level: the batch of one.
+pub fn write_profile_cells_at(
     level: SimdLevel,
     s: &CellSweep<'_>,
     combine: Combine,
     first_cell: usize,
     out: &mut [f64],
 ) {
-    write_comb_cells_batch_at(
+    write_profile_cells_batch_at(
         level,
         std::slice::from_ref(s),
         combine,
@@ -563,68 +961,17 @@ pub fn write_comb_cells_at(
     );
 }
 
-/// Evaluates the Eq. 17 recurrence for cells `first_cell ..
-/// first_cell + out.len()` of one anchor map, writing each cell's
-/// combined likelihood value. Lanes are antenna rotation chains; the
-/// vector path is chosen once per call via [`simd::cell_level`].
-pub fn write_comb_cells(s: &CellSweep<'_>, combine: Combine, first_cell: usize, out: &mut [f64]) {
-    write_comb_cells_at(simd::cell_level(), s, combine, first_cell, out);
-}
-
-/// Borrowed inputs for the off-comb fallback: per-cell relative distances
-/// instead of phasor tables (the phase is rebuilt per band with `cis` —
-/// exact for any frequency set, just not recurrence-accelerated).
-#[derive(Debug, Clone, Copy)]
-pub struct OffCombSweep<'a> {
-    /// Relative distances, `delta[cell·n_lanes + lane]`, metres; padding
-    /// lanes hold 0.
-    pub delta: &'a [f64],
-    /// Channel weights `α`, `alpha_re[slot·n_lanes + lane]`; padding
-    /// lanes hold 0.
-    pub alpha_re: &'a [f64],
-    /// Weight imaginary parts, same indexing.
-    pub alpha_im: &'a [f64],
-    /// Lane stride — antennas rounded up to a multiple of 4.
-    pub n_lanes: usize,
-    /// Band frequencies in plan order, hertz.
-    pub freqs: &'a [f64],
-    /// Phase slope per (metre · hertz): `±2π/c`.
-    pub phase_per_hz: f64,
-}
-
-/// Evaluates the off-comb per-band-`cis` fallback over a cell range with
-/// the same combining semantics as [`write_comb_cells`]. Scalar on every
-/// dispatch level (the transcendental dominates, not the arithmetic).
-pub fn write_offcomb_cells(
-    s: &OffCombSweep<'_>,
+/// Evaluates Eq. 17 for cells `first_cell .. first_cell + out.len()` of
+/// one anchor map, writing each cell's combined likelihood value. Lanes
+/// are antennas; the vector path is chosen once per call via
+/// [`simd::cell_level`].
+pub fn write_profile_cells(
+    s: &CellSweep<'_>,
     combine: Combine,
     first_cell: usize,
     out: &mut [f64],
 ) {
-    let nl = s.n_lanes;
-    debug_assert!(s.alpha_re.len() >= s.freqs.len() * nl);
-    let mut acc = vec![complex::ZERO; nl];
-    for (k, v) in out.iter_mut().enumerate() {
-        let cell = first_cell + k;
-        let deltas = &s.delta[cell * nl..(cell + 1) * nl];
-        for a in acc.iter_mut() {
-            *a = complex::ZERO;
-        }
-        for (slot, &f) in s.freqs.iter().enumerate() {
-            let row = slot * nl;
-            for (j, &d) in deltas.iter().enumerate() {
-                let a = C64::new(s.alpha_re[row + j], s.alpha_im[row + j]);
-                acc[j] += a * C64::cis(s.phase_per_hz * d * f);
-            }
-        }
-        let mut coh = complex::ZERO;
-        let mut non = 0.0;
-        for &a in &acc {
-            coh += a;
-            non += (a.re * a.re + a.im * a.im).sqrt();
-        }
-        *v = combine_value(combine, coh.re, coh.im, non);
-    }
+    write_profile_cells_at(simd::cell_level(), s, combine, first_cell, out);
 }
 
 /// Reusable dense slot accumulators for [`sweep_tones_into`] — hold them
@@ -961,67 +1308,89 @@ mod tests {
         assert!(!CombPlan::build(&[2.44e9, 2.44e9]).is_uniform_comb());
     }
 
+    /// Frequencies of comb slots `slots` above 2402 MHz, 2 MHz apart.
+    fn comb(slots: &[u32]) -> Vec<f64> {
+        slots
+            .iter()
+            .map(|&k| 2.402e9 + 2e6 * f64::from(k))
+            .collect()
+    }
+
+    /// The 37 BLE data channels: 2404–2424 and 2428–2478 MHz.
+    fn data_channels() -> Vec<f64> {
+        comb(&(1..=38).filter(|&k| k != 12).collect::<Vec<_>>())
+    }
+
+    /// A masked sub-comb of the data channels: every band whose slot is
+    /// not a multiple of 3 or 7, so holes of one and two slots.
+    fn masked_comb() -> Vec<f64> {
+        comb(
+            &(1..=38)
+                .filter(|&k| k != 12 && k % 3 != 0 && k % 7 != 0)
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    /// Bands on no comb: irregular spacing across the ISM band.
+    fn off_comb() -> Vec<f64> {
+        (0..19)
+            .map(|k| 2.4021e9 + 4.13e6 * k as f64 + 0.37e6 * ((k * k) % 5) as f64)
+            .collect()
+    }
+
+    /// A span wider than BLE's: 2.40–2.50 GHz every 2.5 MHz.
+    fn wide_span() -> Vec<f64> {
+        (0..41).map(|k| 2.4e9 + 2.5e6 * k as f64).collect()
+    }
+
     /// A randomized likelihood fixture: `cells` cells × `n_ant` antennas
-    /// over the BLE comb, with the reference value computed per cell by
-    /// naive per-band `cis`.
+    /// at random `Δ` over the bands `freqs`, with their steering tables,
+    /// lattice and one tag's channel weights.
     struct Fixture {
-        sweep_tables: (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>),
-        alpha: (Vec<f64>, Vec<f64>),
-        n_lanes: usize,
-        n_ant: usize,
-        gaps: Vec<u32>,
         freqs: Vec<f64>,
-        deltas: Vec<f64>,
-        base_hz: f64,
-        step_hz: f64,
+        plan: ProfilePlan,
+        n_ant: usize,
+        n_lanes: usize,
+        delta: Vec<f64>,
+        carrier: (Vec<f64>, Vec<f64>),
+        lattice: Lattice,
+        alpha: (Vec<f64>, Vec<f64>),
     }
 
     fn fixture(seed: u64, cells: usize, n_ant: usize, nb: usize) -> Fixture {
         let slots: Vec<u32> = (0..nb as u32).collect();
-        fixture_on_slots(seed, cells, n_ant, &slots)
+        fixture_on(seed, cells, n_ant, &comb(&slots))
     }
 
-    /// [`fixture`] over the ascending comb slots `slots` (first slot 0);
-    /// skipped slots make a non-dense comb the gap walk handles.
-    fn fixture_on_slots(seed: u64, cells: usize, n_ant: usize, slots: &[u32]) -> Fixture {
-        let nb = slots.len();
+    /// [`fixture`] over the bands `freqs`.
+    fn fixture_on(seed: u64, cells: usize, n_ant: usize, freqs: &[f64]) -> Fixture {
+        let plan = ProfilePlan::build(freqs);
         let n_lanes = n_ant.div_ceil(4) * 4;
-        let base_hz = 2.402e9;
-        let step_hz = 2e6;
-        let freqs: Vec<f64> = slots
-            .iter()
-            .map(|&k| base_hz + step_hz * f64::from(k))
-            .collect();
-        let gaps: Vec<u32> = (0..nb)
-            .map(|k| if k == 0 { 0 } else { slots[k] - slots[k - 1] })
-            .collect();
-        let tau_over_c = std::f64::consts::TAU / 299_792_458.0;
-        let mut deltas = vec![0.0; cells * n_lanes];
-        let (mut sre, mut sim) = (vec![1.0; cells * n_lanes], vec![0.0; cells * n_lanes]);
-        let (mut tre, mut tim) = (vec![1.0; cells * n_lanes], vec![0.0; cells * n_lanes]);
+        let tau_over_c = std::f64::consts::TAU / SPEED_OF_LIGHT;
+        let mut delta = vec![0.0; cells * n_lanes];
+        let (mut cre, mut cim) = (vec![1.0; cells * n_lanes], vec![0.0; cells * n_lanes]);
         for c in 0..cells {
-            for j in 0..n_ant {
-                let d = rand_unit(seed ^ (c * 131 + j) as u64) * 20.0 - 10.0;
+            for j in 0..n_lanes {
+                // Padding lanes copy lane 0, as the engine's tables do.
                 let k = c * n_lanes + j;
-                deltas[k] = d;
-                let seed_p = C64::cis(tau_over_c * d * base_hz);
-                let step_p = C64::cis(tau_over_c * d * step_hz);
-                sre[k] = seed_p.re;
-                sim[k] = seed_p.im;
-                tre[k] = step_p.re;
-                tim[k] = step_p.im;
+                delta[k] = if j < n_ant {
+                    rand_unit(seed ^ (c * 131 + j) as u64) * 20.0 - 10.0
+                } else {
+                    delta[c * n_lanes]
+                };
+                let p = C64::cis(tau_over_c * delta[k] * plan.carrier_hz);
+                (cre[k], cim[k]) = (p.re, p.im);
             }
         }
         Fixture {
-            sweep_tables: (sre, sim, tre, tim),
-            alpha: random_alpha(seed, nb, n_ant, n_lanes),
-            n_lanes,
+            lattice: Lattice::covering(plan.step_m, delta.iter().copied()),
+            alpha: random_alpha(seed, freqs.len(), n_ant, n_lanes),
+            freqs: freqs.to_vec(),
+            plan,
             n_ant,
-            gaps,
-            freqs,
-            deltas,
-            base_hz,
-            step_hz,
+            n_lanes,
+            delta,
+            carrier: (cre, cim),
         }
     }
 
@@ -1039,47 +1408,62 @@ mod tests {
         (are, aim)
     }
 
+    type Alpha = (Vec<f64>, Vec<f64>);
+
     impl Fixture {
-        fn cell_sweep(&self) -> CellSweep<'_> {
-            self.tag_sweep(&self.alpha)
-        }
-
-        /// Another tag's channel weights over this fixture's comb and
+        /// Another tag's channel weights over this fixture's bands and
         /// lanes.
-        fn tag_alpha(&self, seed: u64) -> (Vec<f64>, Vec<f64>) {
-            random_alpha(seed, self.gaps.len(), self.n_ant, self.n_lanes)
+        fn tag_alpha(&self, seed: u64) -> Alpha {
+            random_alpha(seed, self.freqs.len(), self.n_ant, self.n_lanes)
         }
 
-        /// The sweep of a tag with weights `alpha` over this fixture's
-        /// steering tables — what every tag of a batch shares.
-        fn tag_sweep<'a>(&'a self, alpha: &'a (Vec<f64>, Vec<f64>)) -> CellSweep<'a> {
-            CellSweep {
-                seed_re: &self.sweep_tables.0,
-                seed_im: &self.sweep_tables.1,
-                step_re: &self.sweep_tables.2,
-                step_im: &self.sweep_tables.3,
+        /// The profile of a tag with weights `alpha`, built on `level`.
+        fn profile_at(&self, level: SimdLevel, alpha: &Alpha) -> Vec<f64> {
+            let w = ProfileWeights {
                 alpha_re: &alpha.0,
                 alpha_im: &alpha.1,
                 n_lanes: self.n_lanes,
-                gaps: &self.gaps,
+            };
+            let mut out = vec![f64::NAN; self.lattice.profile_len(self.n_lanes)];
+            build_profiles_at(level, &self.plan, &self.lattice, &[w], &mut [&mut out]);
+            out
+        }
+
+        /// The profile of this fixture's own tag.
+        fn profile(&self) -> Vec<f64> {
+            self.profile_at(levels_to_test()[0], &self.alpha)
+        }
+
+        /// The sweep of a tag with profile `profile` over this fixture's
+        /// steering tables — what every tag of a batch shares.
+        fn sweep<'a>(&'a self, profile: &'a [f64]) -> CellSweep<'a> {
+            CellSweep {
+                delta: &self.delta,
+                carrier_re: &self.carrier.0,
+                carrier_im: &self.carrier.1,
+                n_lanes: self.n_lanes,
+                lattice: self.lattice,
+                profile,
             }
+        }
+
+        /// Antenna `j`'s exact band sum `Σ_k α_k e^{iω_kΔ}` at `Δ = d`.
+        fn band_sum(&self, alpha: &Alpha, j: usize, d: f64) -> C64 {
+            let tau_over_c = std::f64::consts::TAU / SPEED_OF_LIGHT;
+            let mut acc = complex::ZERO;
+            for (s, &f) in self.freqs.iter().enumerate() {
+                let a = C64::new(alpha.0[s * self.n_lanes + j], alpha.1[s * self.n_lanes + j]);
+                acc += a * C64::cis(tau_over_c * d * f);
+            }
+            acc
         }
 
         /// Naive per-(cell, antenna, band) `cis` reference.
         fn reference(&self, combine: Combine, cell: usize) -> f64 {
-            let tau_over_c = std::f64::consts::TAU / 299_792_458.0;
             let mut coh = complex::ZERO;
             let mut non = 0.0;
             for j in 0..self.n_ant {
-                let d = self.deltas[cell * self.n_lanes + j];
-                let mut acc = complex::ZERO;
-                for (s, &f) in self.freqs.iter().enumerate() {
-                    let a = C64::new(
-                        self.alpha.0[s * self.n_lanes + j],
-                        self.alpha.1[s * self.n_lanes + j],
-                    );
-                    acc += a * C64::cis(tau_over_c * d * f);
-                }
+                let acc = self.band_sum(&self.alpha, j, self.delta[cell * self.n_lanes + j]);
                 coh += acc;
                 non += acc.abs();
             }
@@ -1089,22 +1473,52 @@ mod tests {
                 Combine::Hybrid => coh.abs() + 0.5 * non,
             }
         }
+
+        /// How far the profile may put a cell's combined value from the
+        /// reference: the Hermite remainder per antenna (the hybrid
+        /// combining counts it 1.5 times) plus rounding.
+        fn tolerance(&self) -> f64 {
+            let sum: f64 = self
+                .alpha
+                .0
+                .iter()
+                .zip(&self.alpha.1)
+                .map(|(&re, &im)| C64::new(re, im).abs())
+                .sum();
+            (1.5 * self.plan.remainder_bound() + 1e-13) * sum
+        }
+
+        fn assert_matches_reference(
+            &self,
+            combine: Combine,
+            first: usize,
+            out: &[f64],
+            what: &str,
+        ) {
+            for (k, &got) in out.iter().enumerate() {
+                let want = self.reference(combine, first + k);
+                assert!(
+                    (got - want).abs() <= self.tolerance(),
+                    "{what} cell {} {combine:?}: {got} vs {want}",
+                    first + k
+                );
+            }
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
     fn comb_cells_match_reference_for_all_combinings() {
         let fx = fixture(11, 40, 4, 37);
-        let sweep = fx.cell_sweep();
+        let profile = fx.profile();
+        let sweep = fx.sweep(&profile);
         for combine in [Combine::Coherent, Combine::Noncoherent, Combine::Hybrid] {
             let mut out = vec![0.0; 40];
-            write_comb_cells(&sweep, combine, 0, &mut out);
-            for (cell, &got) in out.iter().enumerate() {
-                let want = fx.reference(combine, cell);
-                assert!(
-                    (got - want).abs() <= 1e-9 * want.abs().max(1.0),
-                    "cell {cell} {combine:?}: {got} vs {want}"
-                );
-            }
+            write_profile_cells(&sweep, combine, 0, &mut out);
+            fx.assert_matches_reference(combine, 0, &out, "comb");
         }
     }
 
@@ -1112,82 +1526,225 @@ mod tests {
     fn comb_cells_handle_non_multiple_of_four_antennas() {
         for n_ant in [1, 2, 3, 5, 6] {
             let fx = fixture(n_ant as u64 * 7 + 1, 12, n_ant, 21);
+            let profile = fx.profile();
             let mut out = vec![0.0; 12];
-            write_comb_cells(&fx.cell_sweep(), Combine::Hybrid, 0, &mut out);
-            for (cell, &got) in out.iter().enumerate() {
-                let want = fx.reference(Combine::Hybrid, cell);
+            write_profile_cells(&fx.sweep(&profile), Combine::Hybrid, 0, &mut out);
+            fx.assert_matches_reference(Combine::Hybrid, 0, &out, &format!("{n_ant} antennas"));
+        }
+    }
+
+    #[test]
+    fn offcomb_cells_match_reference() {
+        assert!(!CombPlan::build(&off_comb()).is_uniform_comb());
+        let fx = fixture_on(31, 20, 4, &off_comb());
+        let profile = fx.profile();
+        let mut out = vec![0.0; 20];
+        write_profile_cells(&fx.sweep(&profile), Combine::Hybrid, 0, &mut out);
+        fx.assert_matches_reference(Combine::Hybrid, 0, &out, "off-comb");
+    }
+
+    #[test]
+    fn profile_error_is_within_the_remainder_bound() {
+        // Random α and Δ on four band sets. The lattice samples must be
+        // the exact envelope and its scaled derivative; the cubic Hermite
+        // interpolant between them must stay within the remainder bound
+        // `(h·ω_max)⁴/384·Σ|α|` that set `h`, and so must the kernel's
+        // value of every cell.
+        let tau_over_c = std::f64::consts::TAU / SPEED_OF_LIGHT;
+        for (name, freqs) in [
+            ("data channels", data_channels()),
+            ("masked sub-comb", masked_comb()),
+            ("off-comb", off_comb()),
+            ("wider span", wide_span()),
+        ] {
+            let fx = fixture_on(97, 400, 1, &freqs);
+            let (plan, lat) = (&fx.plan, fx.lattice);
+            assert!(plan.remainder_bound() <= PROFILE_TOLERANCE * (1.0 + 1e-12));
+            let profile = fx.profile();
+            let sum: f64 = (0..freqs.len())
+                .map(|s| C64::new(fx.alpha.0[s * 4], fx.alpha.1[s * 4]).abs())
+                .sum();
+            let sample = |r: usize| {
+                let at = |q: usize| profile[4 * r + q];
+                (C64::new(at(0), at(1)), C64::new(at(2), at(3)))
+            };
+            // The samples: `E` and `h·E′` at `Δ_m = m·h`.
+            for r in 0..lat.rows {
+                let d = (lat.first_row + r as f64) * lat.step_m;
+                let (mut e, mut de) = (complex::ZERO, complex::ZERO);
+                for (s, &w) in plan.wavenumbers.iter().enumerate() {
+                    let a = C64::new(fx.alpha.0[s * 4], fx.alpha.1[s * 4]);
+                    let p = a * C64::cis(w * d);
+                    e += p;
+                    de += C64::new(0.0, w * lat.step_m) * p;
+                }
+                let (got_e, got_de) = sample(r);
+                assert!((got_e - e).abs() <= 1e-12 * sum, "{name} row {r}: E");
+                assert!((got_de - de).abs() <= 1e-12 * sum, "{name} row {r}: hE′");
+            }
+            // The interpolant, complex, against the exact band sum.
+            let bound = plan.remainder_bound() * sum;
+            let mut worst = 0.0f64;
+            for (cell, &d) in fx.delta.iter().step_by(4).enumerate() {
+                let u = d * lat.inv_step;
+                let m = u.floor();
+                let t = u - m;
+                let r = (m - lat.first_row) as usize;
+                let ((e0, d0), (e1, d1)) = (sample(r), sample(r + 1));
+                let (s, t2) = (1.0 - t, t * t);
+                let envelope = e0 * (s * s * (1.0 + 2.0 * t))
+                    + d0 * (t * s * s)
+                    + e1 * (t2 * (3.0 - 2.0 * t))
+                    + d1 * (t2 * (t - 1.0));
+                let got = C64::cis(tau_over_c * d * plan.carrier_hz) * envelope;
+                let err = (got - fx.band_sum(&fx.alpha, 0, d)).abs();
+                worst = worst.max(err);
                 assert!(
-                    (got - want).abs() <= 1e-9 * want.abs().max(1.0),
-                    "n_ant {n_ant} cell {cell}: {got} vs {want}"
+                    err <= bound + 1e-13 * sum,
+                    "{name} cell {cell}: {err:e} > {bound:e}"
                 );
+            }
+            // The kernel, through the magnitude it returns.
+            let mut out = vec![0.0; 400];
+            write_profile_cells(&fx.sweep(&profile), Combine::Coherent, 0, &mut out);
+            for (cell, &got) in out.iter().enumerate() {
+                let want = fx.band_sum(&fx.alpha, 0, fx.delta[cell * 4]).abs();
+                assert!(
+                    (got - want).abs() <= bound + 1e-13 * sum,
+                    "{name} kernel cell {cell}"
+                );
+            }
+            println!(
+                "{name}: h = {:.2} cm, max error {:.2e} of the bound {:.2e}·Σ|α|",
+                100.0 * plan.step_m,
+                worst / bound,
+                plan.remainder_bound()
+            );
+        }
+    }
+
+    #[test]
+    fn lattices_bracket_their_deltas_on_row_blocks() {
+        let lat = Lattice::covering(0.02, [-0.3, 1.234, 0.5]);
+        assert_eq!(lat.first_row, -16.0);
+        assert_eq!(lat.rows % ROW_BLOCK, 0);
+        for d in [-0.3, 1.234, 0.5] {
+            let m = (d * lat.inv_step).floor();
+            assert!(m >= lat.first_row && m + 1.0 < lat.first_row + lat.rows as f64);
+        }
+        let empty = Lattice::covering(0.02, [f64::NAN]);
+        assert_eq!((empty.first_row, empty.rows), (0.0, ROW_BLOCK));
+        // One frequency has no envelope to sample finely.
+        assert_eq!(ProfilePlan::build(&[2.44e9]).step_m, MAX_STEP_M);
+    }
+
+    #[test]
+    fn profile_rows_do_not_depend_on_the_window() {
+        // A row's samples depend on its index alone: a lattice starting
+        // mid seed block holds the bits of one starting on a seed row.
+        let fx = fixture(3, 8, 4, 37);
+        let wide = Lattice::covering(fx.plan.step_m, [-2.0, 2.0]);
+        let narrow = Lattice::covering(fx.plan.step_m, [0.1, 0.9]);
+        assert_ne!(
+            wide.first_row.rem_euclid(SEED_ROWS as f64),
+            narrow.first_row.rem_euclid(SEED_ROWS as f64)
+        );
+        let build = |lat: &Lattice| {
+            let fx = Fixture {
+                lattice: *lat,
+                ..fixture(3, 8, 4, 37)
+            };
+            (fx.profile(), lat.rows)
+        };
+        let ((w, wr), (n, nr)) = (build(&wide), build(&narrow));
+        let shift = (narrow.first_row - wide.first_row) as usize;
+        for lane in 0..fx.n_lanes {
+            for r in 0..nr {
+                for q in 0..4 {
+                    assert_eq!(
+                        n[4 * (lane * nr + r) + q].to_bits(),
+                        w[4 * (lane * wr + shift + r) + q].to_bits(),
+                        "lane {lane} row {r} sample {q}"
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn dispatch_paths_are_bit_identical() {
-        let levels = levels_to_test();
         let fx = fixture(23, 64, 4, 37);
-        let mut reference: Option<Vec<u64>> = None;
-        for &level in &levels {
+        let mut reference: Option<(Vec<u64>, Vec<u64>)> = None;
+        for &level in &levels_to_test() {
+            let profile = fx.profile_at(level, &fx.alpha);
             let mut out = vec![0.0; 64];
-            write_comb_cells_at(level, &fx.cell_sweep(), Combine::Hybrid, 0, &mut out);
-            let bits: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+            write_profile_cells_at(level, &fx.sweep(&profile), Combine::Hybrid, 0, &mut out);
+            let got = (bits(&profile), bits(&out));
             match &reference {
-                None => reference = Some(bits),
-                Some(want) => assert_eq!(&bits, want, "level {level:?} diverged"),
+                None => reference = Some(got),
+                Some(want) => assert_eq!(&got, want, "level {level:?} diverged"),
             }
         }
+    }
+
+    /// Every shape a two-cell vector or a tag batch must get right: band
+    /// sets (the data comb, a masked sub-comb, off-comb bands) × lane
+    /// strides 4 and 8.
+    fn cases() -> Vec<(String, Fixture)> {
+        let mut cases = Vec::new();
+        for (k, (name, freqs)) in [
+            ("dense", comb(&(0..37).collect::<Vec<_>>())),
+            ("dense, odd band count", comb(&(0..20).collect::<Vec<_>>())),
+            ("masked sub-comb", masked_comb()),
+            ("off-comb", off_comb()),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            for (a, n_ant) in [4, 5, 8, 7].into_iter().enumerate() {
+                if (k + a) % 2 == 0 {
+                    cases.push((
+                        format!("{name}, {n_ant} antennas"),
+                        fixture_on(41 + (4 * k + a) as u64, 24, n_ant, &freqs),
+                    ));
+                }
+            }
+        }
+        cases
     }
 
     #[test]
     fn avx512_cell_pairs_are_bit_identical_to_scalar() {
         // The two-cell AVX-512 path splits a call into cell pairs plus an
-        // odd tail cell, loads a pair's lanes with stride `n_lanes`, and
-        // broadcasts each channel-weight row into both cells. Every shape
-        // that exercises one of those steps must match Scalar bit for bit
-        // on every level this host runs.
+        // odd tail cell, loads and gathers a pair's lanes with stride
+        // `n_lanes`, and builds profiles eight rows per vector. Every
+        // shape that exercises one of those steps must match Scalar bit
+        // for bit on every level this host runs.
         let levels = levels_to_test();
         if !levels.iter().any(|l| l.0 == Level::Avx512) {
             println!("skipped (no avx512f)");
         }
-        let dense: Vec<u32> = (0..37).collect();
-        // Dropped bands: a uniform comb with multi-slot gaps.
-        let gapped: Vec<u32> = vec![0, 1, 2, 5, 6, 7, 8, 12, 13, 15, 16, 17, 20, 21, 30, 31, 32];
-        let cases = [
-            ("dense, 4 antennas", fixture_on_slots(41, 24, 4, &dense)),
-            (
-                "dense, 5 antennas (n_lanes 8)",
-                fixture_on_slots(43, 24, 5, &dense),
-            ),
-            (
-                "dense, 8 antennas (n_lanes 8)",
-                fixture_on_slots(47, 24, 8, &dense),
-            ),
-            (
-                "dense, odd band count",
-                fixture_on_slots(53, 24, 4, &dense[..20]),
-            ),
-            ("gap comb, 4 antennas", fixture_on_slots(59, 24, 4, &gapped)),
-            (
-                "gap comb, 7 antennas (n_lanes 8)",
-                fixture_on_slots(61, 24, 7, &gapped),
-            ),
-        ];
         // (first_cell, cells): even and odd counts from even and odd
         // starts, the whole range, and every one-cell segment.
         let mut ranges = vec![(0, 24), (0, 23), (1, 23), (3, 8), (5, 7), (2, 1)];
         ranges.extend((0..24).map(|c| (c, 1)));
-        for (name, fx) in &cases {
-            let sweep = fx.cell_sweep();
+        for (name, fx) in &cases() {
+            let profile = fx.profile();
+            for &level in &levels[1..] {
+                assert_eq!(
+                    bits(&fx.profile_at(level, &fx.alpha)),
+                    bits(&profile),
+                    "{name}: {level:?} profile"
+                );
+            }
+            let sweep = fx.sweep(&profile);
             for combine in [Combine::Coherent, Combine::Noncoherent, Combine::Hybrid] {
                 for &(first, n) in &ranges {
                     let mut want = vec![0.0; n];
-                    write_comb_cells_at(levels[0], &sweep, combine, first, &mut want);
+                    write_profile_cells_at(levels[0], &sweep, combine, first, &mut want);
                     for &level in &levels[1..] {
                         let mut got = vec![0.0; n];
-                        write_comb_cells_at(level, &sweep, combine, first, &mut got);
-                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        write_profile_cells_at(level, &sweep, combine, first, &mut got);
                         assert_eq!(
                             bits(&got),
                             bits(&want),
@@ -1199,44 +1756,55 @@ mod tests {
             }
             // The reference pins the values themselves, not just agreement.
             let mut out = vec![0.0; 24];
-            write_comb_cells(&sweep, Combine::Hybrid, 0, &mut out);
-            for (cell, &got) in out.iter().enumerate() {
-                let want = fx.reference(Combine::Hybrid, cell);
-                assert!(
-                    (got - want).abs() <= 1e-9 * want.abs().max(1.0),
-                    "{name} cell {cell}: {got} vs {want}"
-                );
-            }
+            write_profile_cells(&sweep, Combine::Hybrid, 0, &mut out);
+            fx.assert_matches_reference(Combine::Hybrid, 0, &out, name);
         }
     }
 
     #[test]
     fn tag_batches_are_bit_identical_to_single_tags() {
         // Every tag of a batch must read exactly its own single-tag
-        // values, on every level this host runs, for every batch size:
-        // dense and gap combs, 4/5/8 antennas (lane strides 4 and 8),
-        // even and odd cell counts from even and odd starts, all three
-        // combinings.
+        // values, and build exactly its own profile, on every level this
+        // host runs, for every batch size: the data comb, a masked
+        // sub-comb and off-comb bands, lane strides 4 and 8, even and odd
+        // cell counts from even and odd starts, all three combinings.
         let levels = levels_to_test();
-        let dense: Vec<u32> = (0..37).collect();
-        let gapped: Vec<u32> = vec![0, 1, 2, 5, 6, 7, 8, 12, 13, 15, 16, 17, 20, 21, 30, 31, 32];
         let ranges = [(0, 24), (0, 23), (1, 23), (3, 8), (5, 7), (2, 1)];
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for (k, (slots, n_ant)) in [(&dense, 4), (&dense, 5), (&dense, 8)]
-            .into_iter()
-            .chain([(&gapped, 4), (&gapped, 5), (&gapped, 8)])
-            .enumerate()
-        {
-            let fx = fixture_on_slots(71 + k as u64, 24, n_ant, slots);
-            let alphas: Vec<_> = (0..MAX_TAGS as u64)
+        for (k, (name, fx)) in cases().iter().enumerate() {
+            let alphas: Vec<Alpha> = (0..MAX_TAGS as u64)
                 .map(|t| fx.tag_alpha(1000 * (k as u64 + 1) + t))
                 .collect();
-            let tags: Vec<CellSweep<'_>> = alphas.iter().map(|a| fx.tag_sweep(a)).collect();
+            let weights: Vec<ProfileWeights<'_>> = alphas
+                .iter()
+                .map(|a| ProfileWeights {
+                    alpha_re: &a.0,
+                    alpha_im: &a.1,
+                    n_lanes: fx.n_lanes,
+                })
+                .collect();
+            let profiles: Vec<Vec<f64>> =
+                alphas.iter().map(|a| fx.profile_at(levels[0], a)).collect();
+            for &level in &levels {
+                for size in 1..=MAX_TAGS {
+                    let mut built = vec![vec![0.0; fx.lattice.profile_len(fx.n_lanes)]; size];
+                    let mut views: Vec<&mut [f64]> =
+                        built.iter_mut().map(|o| o.as_mut_slice()).collect();
+                    build_profiles_at(level, &fx.plan, &fx.lattice, &weights[..size], &mut views);
+                    for (t, p) in built.iter().enumerate() {
+                        assert_eq!(
+                            bits(p),
+                            bits(&profiles[t]),
+                            "{name}, {level:?}: profile {t} of {size}"
+                        );
+                    }
+                }
+            }
+            let tags: Vec<CellSweep<'_>> = profiles.iter().map(|p| fx.sweep(p)).collect();
             for combine in [Combine::Coherent, Combine::Noncoherent, Combine::Hybrid] {
                 for &(first, n) in &ranges {
                     let single = |level: SimdLevel, tag: &CellSweep<'_>| {
                         let mut out = vec![0.0; n];
-                        write_comb_cells_at(level, tag, combine, first, &mut out);
+                        write_profile_cells_at(level, tag, combine, first, &mut out);
                         bits(&out)
                     };
                     let scalar: Vec<_> = tags.iter().map(|t| single(levels[0], t)).collect();
@@ -1247,7 +1815,7 @@ mod tests {
                             let mut outs = vec![vec![0.0; n]; size];
                             let mut views: Vec<&mut [f64]> =
                                 outs.iter_mut().map(|o| o.as_mut_slice()).collect();
-                            write_comb_cells_batch_at(
+                            write_profile_cells_batch_at(
                                 level,
                                 &tags[..size],
                                 combine,
@@ -1258,8 +1826,7 @@ mod tests {
                                 assert_eq!(
                                     bits(out),
                                     scalar[t],
-                                    "{n_ant} antennas, slots {slots:?}, {combine:?}, \
-                                     cells {first}..{}, {level:?}: tag {t} of {size}",
+                                    "{name}, {combine:?}, cells {first}..{}, {level:?}: tag {t} of {size}",
                                     first + n
                                 );
                             }
@@ -1274,10 +1841,11 @@ mod tests {
     #[should_panic(expected = "shares one set of steering tables")]
     fn batches_refuse_tags_on_different_tables() {
         let (a, b) = (fixture(5, 8, 4, 37), fixture(6, 8, 4, 37));
+        let (pa, pb) = (a.profile(), b.profile());
         let mut outs = [vec![0.0; 8], vec![0.0; 8]];
         let [x, y] = &mut outs;
-        write_comb_cells_batch(
-            &[a.cell_sweep(), b.cell_sweep()],
+        write_profile_cells_batch(
+            &[a.sweep(&pa), b.sweep(&pb)],
             Combine::Hybrid,
             0,
             &mut [x.as_mut_slice(), y.as_mut_slice()],
@@ -1286,57 +1854,46 @@ mod tests {
 
     #[test]
     fn scalar_twins_are_bit_identical() {
-        // The scalar level runs the `fma`-compiled twin where the CPU has
-        // FMA; the portable twin, whose fused ops are libm `fma` calls,
+        // The scalar level runs the `fma`-compiled twins where the CPU has
+        // FMA; the portable twins, whose fused ops are libm `fma` calls,
         // must give the same bits — one correctly rounded op either way.
-        let dense: Vec<u32> = (0..37).collect();
-        let gapped: Vec<u32> = vec![0, 1, 2, 5, 6, 7, 8, 12, 13, 15, 16, 17, 20, 21, 30, 31, 32];
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for (k, slots) in [&dense, &gapped].into_iter().enumerate() {
-            let fx = fixture_on_slots(89 + k as u64, 9, 5, slots);
-            let alphas: Vec<_> = (0..MAX_TAGS as u64)
+        for (k, freqs) in [data_channels(), off_comb()].iter().enumerate() {
+            let fx = fixture_on(89 + k as u64, 9, 5, freqs);
+            let alphas: Vec<Alpha> = (0..MAX_TAGS as u64)
                 .map(|t| fx.tag_alpha(500 + t))
                 .collect();
-            let tags: [CellSweep<'_>; MAX_TAGS] = std::array::from_fn(|t| fx.tag_sweep(&alphas[t]));
+            let dispatched: Vec<Vec<f64>> = alphas
+                .iter()
+                .map(|a| fx.profile_at(levels_to_test()[0], a))
+                .collect();
+            let weights: [ProfileWeights<'_>; MAX_TAGS] = std::array::from_fn(|t| ProfileWeights {
+                alpha_re: &alphas[t].0,
+                alpha_im: &alphas[t].1,
+                n_lanes: fx.n_lanes,
+            });
+            let mut portable = vec![vec![0.0; fx.lattice.profile_len(fx.n_lanes)]; MAX_TAGS];
+            let mut views: Vec<&mut [f64]> =
+                portable.iter_mut().map(|o| o.as_mut_slice()).collect();
+            let (_, views) = batch_of::<_, _, MAX_TAGS>(&weights, &mut views);
+            let span = fx.lattice.rows + 2 * GUARD;
+            let mut scratch =
+                vec![0.0; fx.freqs.len() * BAND_SCRATCH + MAX_TAGS * fx.n_lanes * 2 * span];
+            profiles_scalar(&fx.plan, &fx.lattice, &weights, views, &mut scratch);
+            assert_eq!(portable, dispatched, "profiles");
+            let tags: [CellSweep<'_>; MAX_TAGS] = std::array::from_fn(|t| fx.sweep(&dispatched[t]));
             for combine in [Combine::Coherent, Combine::Noncoherent, Combine::Hybrid] {
                 let mut portable = vec![vec![0.0; 8]; MAX_TAGS];
                 let mut views: Vec<&mut [f64]> =
                     portable.iter_mut().map(|o| o.as_mut_slice()).collect();
-                let Ok(views) = <&mut [&mut [f64]; MAX_TAGS]>::try_from(views.as_mut_slice())
-                else {
-                    unreachable!("one view per tag");
-                };
-                comb_cells_scalar(&tags, combine, 1, views);
+                let (_, views) = batch_of::<_, _, MAX_TAGS>(&tags, &mut views);
+                cells_scalar(&tags, combine, 1, views);
                 for (t, tag) in tags.iter().enumerate() {
                     let mut dispatched = vec![0.0; 8];
-                    write_comb_cells_at(levels_to_test()[0], tag, combine, 1, &mut dispatched);
+                    write_profile_cells_at(levels_to_test()[0], tag, combine, 1, &mut dispatched);
                     assert_eq!(bits(&dispatched), bits(&portable[t]), "{combine:?} tag {t}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn offcomb_cells_match_reference() {
-        let fx = fixture(31, 20, 4, 15);
-        let off = OffCombSweep {
-            delta: &fx.deltas,
-            alpha_re: &fx.alpha.0,
-            alpha_im: &fx.alpha.1,
-            n_lanes: fx.n_lanes,
-            freqs: &fx.freqs,
-            phase_per_hz: std::f64::consts::TAU / 299_792_458.0,
-        };
-        let mut out = vec![0.0; 20];
-        write_offcomb_cells(&off, Combine::Hybrid, 0, &mut out);
-        for (cell, &got) in out.iter().enumerate() {
-            let want = fx.reference(Combine::Hybrid, cell);
-            assert!(
-                (got - want).abs() <= 1e-9 * want.abs().max(1.0),
-                "cell {cell}: {got} vs {want}"
-            );
-        }
-        let _ = fx.base_hz + fx.step_hz; // fields exercised elsewhere
     }
 
     fn tone_reference(

@@ -14,7 +14,7 @@
 //! Locations run in batches of [`BATCH`] consecutive ones. A batch's
 //! first attempt sounds every location under its own panic guard, then
 //! localizes them together ([`BlocLocalizer::localize_batch`]), so their
-//! Eq. 17 sweeps share each cell's rotation chain. A panic is still
+//! Eq. 17 sweeps share each cell's lattice lookup. A panic is still
 //! isolated per location: if the batch's localization panics, each
 //! location is localized again alone under its own guard. Every record
 //! equals what a location-by-location sweep produces, bit for bit.
@@ -198,7 +198,6 @@ pub fn sweep(spec: &SweepSpec<'_>) -> Vec<SweepOutcome> {
                 })
                 .collect()
         },
-        |_sounder| {},
     );
     let per_location = per_batch.into_iter().flatten();
 
@@ -429,7 +428,7 @@ mod tests {
     }
 
     /// The full-geometry steering tables of `scenario`'s cache for the
-    /// comb `data` was sounded on (a hit once a sweep has built them).
+    /// carrier of the bands `data` was sounded on (a hit once a sweep has built them).
     fn full_geometry_tables(
         scenario: &Scenario,
         data: &SoundingData,
@@ -440,8 +439,7 @@ mod tests {
             scenario.bloc_config().grid,
             &corrected.anchors,
             &corrected.master_anchor_dist,
-            plan.base_hz,
-            plan.step_hz,
+            plan.carrier_hz,
         )
     }
 
