@@ -11,14 +11,12 @@
 //!    region run through [`bloc_num::par::map_named`]: every shard records
 //!    one busy sample, and the `par.*` shard busy histograms must account
 //!    for ≥ 95% of `wall × threads` (a ratio within one region; enforced
-//!    in release builds, advisory in debug builds). The *real* engine
-//!    regions are printed too (busy vs wall at 1/2/4 threads) but not
-//!    gated — their spawn-dominated utilization at small grids is exactly
-//!    the scaling regression the telemetry exists to expose, not a defect
-//!    of the telemetry.
-//! 2. **Trace export** — records one traced localization round, exports
-//!    Chrome trace-event JSON, re-parses it with the same hand-rolled
-//!    parser, and checks every thread lane has balanced, name-matched
+//!    in release builds, advisory in debug builds).
+//! 2. **Trace export** — records two traced fixes run side by side on a
+//!    2-thread `par::map_named` region (the one level the workspace
+//!    parallelizes at: whole fixes), exports Chrome trace-event JSON,
+//!    re-parses it with the same hand-rolled parser, and checks there are
+//!    at least two thread lanes, each with balanced, name-matched
 //!    begin/end pairs.
 //!
 //! What the instrumentation costs in wall time is not gated here: the
@@ -28,9 +26,6 @@
 use std::collections::HashMap;
 
 use bloc_chan::sounder::{all_data_channels, SounderConfig};
-use bloc_core::correction::correct;
-use bloc_core::engine::LikelihoodEngine;
-use bloc_core::likelihood::AntennaCombining;
 use bloc_core::localizer::BlocLocalizer;
 use bloc_num::P2;
 use bloc_obs::json::Json;
@@ -68,8 +63,6 @@ fn main() {
     let scenario = Scenario::paper_testbed(2018);
     let channels = all_data_channels();
     let tag = P2::new(2.1, 3.2);
-    let spec = scenario.bloc_config().grid;
-    let combining = AntennaCombining::Hybrid;
 
     // ---- 1. Executor coverage gate --------------------------------------
     // Calibrate at the host's *real* parallelism: oversubscribing a small
@@ -109,54 +102,18 @@ fn main() {
         ));
     }
 
-    // ---- Engine breakdown (diagnosis, not a gate) -----------------------
-    println!("\nreal engine regions, busy vs wall (spawn/join overhead made visible):");
-    println!(
-        "  {:<14} {:>7} {:>7} {:>12} {:>12} {:>10}",
-        "region", "threads", "shards", "wall µs", "busy µs", "util"
-    );
-    // One sounding and its joint likelihood: the round each row measures.
-    let round = |engine: &LikelihoodEngine, sounder: &bloc_chan::sounder::Sounder| {
-        let mut rng = StdRng::seed_from_u64(11);
-        let data = sounder.sound(tag, &channels, &mut rng);
-        let corrected = correct(&data, true).expect("clean sounding");
-        std::hint::black_box(engine.joint_likelihood(&corrected, spec, combining));
-    };
-    for threads in [1usize, 2, 4] {
-        let engine = LikelihoodEngine::recurrence().with_threads(threads);
-        let sounder = scenario
-            .sounder(SounderConfig::default())
-            .with_threads(threads);
-        // Warm everything, then measure one steady-state round.
-        round(&engine, &sounder);
-        let before = Registry::global().snapshot();
-        round(&engine, &sounder);
-        let delta = Registry::global().snapshot().diff(&before);
-        for region in ["likelihood", "sound.links", "sound.bands"] {
-            let (wall, _) = hist(&delta, &format!("par.{region}.wall_us"));
-            let (busy, shards) = hist(&delta, &format!("par.{region}.busy_us"));
-            // A round may enter the same region several times (one
-            // likelihood fan-out per anchor); wall is summed across them,
-            // so utilization is Σbusy / (Σwall × threads).
-            let util = busy as f64 / (wall as f64 * threads as f64).max(1.0);
-            println!(
-                "  {region:<14} {threads:>7} {shards:>7} {wall:>12} {busy:>12} {:>9.0}%",
-                util * 100.0
-            );
-        }
-    }
-
     // ---- 2. Trace export gate -------------------------------------------
     let tracer = Tracer::global();
     tracer.enable(bloc_obs::trace::DEFAULT_CAPACITY);
     {
-        let sounder = scenario.sounder(SounderConfig::default()).with_threads(2);
-        let localizer = BlocLocalizer::new(scenario.bloc_config())
-            .with_engine(LikelihoodEngine::recurrence().with_threads(2));
-        let mut rng = StdRng::seed_from_u64(13);
-        let data = sounder.sound(tag, &channels, &mut rng);
-        let est = localizer.localize(&data).expect("traced round must fix");
-        std::hint::black_box(est);
+        let sounder = scenario.sounder(SounderConfig::default());
+        let localizer = BlocLocalizer::new(scenario.bloc_config());
+        let fixes = bloc_num::par::map_named("fixes", 2, 2, |k| {
+            let mut rng = StdRng::seed_from_u64(13 + k as u64);
+            let data = sounder.sound(tag, &channels, &mut rng);
+            localizer.localize(&data).expect("traced fix")
+        });
+        std::hint::black_box(fixes);
     }
     tracer.disable();
     let trace_path = bloc_bench::reports_dir().join("obs_report-trace.json");
@@ -175,7 +132,7 @@ fn main() {
             }
             if stats.threads < 2 {
                 failures.push(format!(
-                    "traced 2-thread round produced {} thread lane(s); worker shards missing",
+                    "traced 2-thread fixes produced {} thread lane(s); worker shards missing",
                     stats.threads
                 ));
             }

@@ -10,24 +10,19 @@
 //! With `--trace` (or `BLOC_TRACE=1`) the run also records span and
 //! executor-shard edges into the bounded trace ring and exports
 //! `target/reports/perf_baseline-trace.json` — Chrome trace-event JSON,
-//! loadable in Perfetto — showing the sound/correct/localize stages and
-//! the `par.*` worker lanes on a shared timeline.
+//! loadable in Perfetto — showing each timed stage and the hierarchical
+//! section's localize spans on one timeline.
 //!
 //! No gate here reads an absolute wall time: how fast the host is is the
 //! repository benchmark's question (`BENCHMARK.json`). Exit status is
 //! nonzero when a floor fails: fast/reference equivalence and bit-identity
 //! of every SIMD level and of the tag batch (always), nonzero throughput
 //! (always), and — on release builds only, debug timings are
-//! meaningless — the same-process speedup floors: ≥ 5× single-thread
-//! over the reference likelihood, ≥ 4× over the reference sounder,
-//! ≥ 1.1× for a batch of [`sweep::MAX_TAGS`] tags over sweeping them
-//! one at a time, and the thread-scaling floor — ≥ 2× at 4 threads for
-//! both engines when the host has ≥ 4 cores. On smaller hosts the
-//! threaded rows oversubscribe (production callers route through
-//! `bloc_num::par::tuned_threads` and never do), so the scaling floor is
-//! reported as skipped and a pathology guard runs instead: threaded rows
-//! within 2× of warm serial. The closing line names every floor it
-//! skipped.
+//! meaningless — the same-process speedup floors: ≥ 5× over the
+//! reference likelihood, ≥ 4× over the reference sounder, and ≥ 1.1× for
+//! a batch of [`sweep::MAX_TAGS`] tags over sweeping them one at a time.
+//! Every row runs on one thread, as a fix does. The closing line names
+//! every floor it skipped.
 //!
 //! The bare cell kernel is timed at every SIMD level the host executes
 //! (each run's output must equal the scalar level's bit for bit); a level
@@ -312,7 +307,7 @@ fn main() {
     // -- Equivalence gate: the fast engine must reproduce the naive
     // reference before any of its timings mean anything.
     let reference_grid = joint_likelihood_reference(&corrected, spec, combining);
-    let fast_grid = LikelihoodEngine::recurrence().joint_likelihood(&corrected, spec, combining);
+    let fast_grid = LikelihoodEngine::default().joint_likelihood(&corrected, spec, combining);
     let peak = reference_grid
         .data()
         .iter()
@@ -343,13 +338,13 @@ fn main() {
     let t_cold = {
         let _span = bloc_obs::span("perf.recurrence_cold");
         time_best(iters, || {
-            let engine = LikelihoodEngine::recurrence();
+            let engine = LikelihoodEngine::default();
             std::hint::black_box(engine.joint_likelihood(&corrected, spec, combining));
         })
     };
     // Warm: one engine, geometry cached — the steady-state per-sounding
     // cost every tracker/sweep call pays.
-    let warm_engine = LikelihoodEngine::recurrence();
+    let warm_engine = LikelihoodEngine::default();
     let _ = warm_engine.joint_likelihood(&corrected, spec, combining);
     let t_warm = {
         let _span = bloc_obs::span("perf.recurrence_warm");
@@ -357,19 +352,6 @@ fn main() {
             std::hint::black_box(warm_engine.joint_likelihood(&corrected, spec, combining));
         })
     };
-    let mut thread_rows = Vec::new();
-    for threads in [2usize, 4] {
-        let engine = LikelihoodEngine::recurrence().with_threads(threads);
-        let _ = engine.joint_likelihood(&corrected, spec, combining);
-        let t = {
-            let _span = bloc_obs::span("perf.recurrence_threads");
-            time_best(iters, || {
-                std::hint::black_box(engine.joint_likelihood(&corrected, spec, combining));
-            })
-        };
-        thread_rows.push((threads, t));
-    }
-
     // The bare kernel on this sounding plus three more tags of the same
     // deployment: the per-level rows sweep the first, the batch row all.
     let batch_tags: Vec<CorrectedChannels> = std::iter::once(corrected.clone())
@@ -403,29 +385,7 @@ fn main() {
         t_warm * 1e3,
         throughput(t_warm)
     );
-    for (threads, t) in &thread_rows {
-        println!(
-            "warm, {threads} threads   {:>9.1} ms  {:>12.0} cell-evals/s",
-            t * 1e3,
-            throughput(*t)
-        );
-    }
-    let host_threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    // Warm serial time over warm 4-thread time: the thread-scaling
-    // figure the release gate enforces (≥ 2× when the host has ≥ 4
-    // cores; on smaller hosts `tuned_threads` clamps the fan-out, so
-    // the ratio only proves threads are not a pessimization).
-    let scaling_4t = thread_rows
-        .iter()
-        .find(|(n, _)| *n == 4)
-        .map(|(_, t)| t_warm / t)
-        .unwrap_or(1.0);
-    println!(
-        "single-thread speedup over reference: {speedup:.1}×  (host has {host_threads} core(s))"
-    );
-    println!("4-thread scaling over warm serial: {scaling_4t:.2}×");
+    println!("single-thread speedup over reference: {speedup:.1}×");
     for label in LEVEL_LABELS {
         match level_rows.iter().find(|(l, _)| l.label() == label) {
             Some((_, t)) => println!(
@@ -537,23 +497,6 @@ fn main() {
             std::hint::black_box(warm_sounder.sound(tag, &channels, &mut rng));
         })
     };
-    let mut snd_thread_rows = Vec::new();
-    for threads in [2usize, 4] {
-        let sounder = scenario
-            .sounder(SounderConfig::default())
-            .with_threads(threads);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let _ = sounder.sound(tag, &channels, &mut rng);
-        let t = {
-            let _span = bloc_obs::span("perf.sound_threads");
-            time_best(iters, || {
-                let mut rng = StdRng::seed_from_u64(seed);
-                std::hint::black_box(sounder.sound(tag, &channels, &mut rng));
-            })
-        };
-        snd_thread_rows.push((threads, t));
-    }
-
     let snd_throughput = |secs: f64| measurements / secs;
     let snd_speedup = t_snd_reference / t_snd_warm;
     println!(
@@ -571,42 +514,10 @@ fn main() {
         t_snd_warm * 1e3,
         snd_throughput(t_snd_warm)
     );
-    for (threads, t) in &snd_thread_rows {
-        println!(
-            "warm, {threads} threads   {:>9.2} ms  {:>12.0} measurements/s",
-            t * 1e3,
-            snd_throughput(*t)
-        );
-    }
-    let snd_scaling_4t = snd_thread_rows
-        .iter()
-        .find(|(n, _)| *n == 4)
-        .map(|(_, t)| t_snd_warm / t)
-        .unwrap_or(1.0);
     println!("single-thread sounding speedup over reference: {snd_speedup:.1}×");
-    println!("4-thread sounding scaling over warm serial: {snd_scaling_4t:.2}×");
 
     // ===== Hierarchical coarse-to-fine localization (DESIGN.md §14) =====
     let hier_failed = hierarchical_baseline();
-
-    // -- One end-to-end localization round, so the run report (and a
-    // `--trace` timeline) carries the full §5 pipeline spans — sound,
-    // localize/correct, localize/likelihood, localize/score_peaks — on
-    // top of the kernel microbench spans above.
-    {
-        let e2e_sounder = scenario.sounder(SounderConfig::default()).with_threads(2);
-        let localizer = BlocLocalizer::new(scenario.bloc_config())
-            .with_engine(LikelihoodEngine::recurrence().with_threads(2));
-        let mut rng = StdRng::seed_from_u64(27);
-        let e2e_data = e2e_sounder.sound(tag, &channels, &mut rng);
-        match localizer.localize(&e2e_data) {
-            Ok(est) => {
-                std::hint::black_box(&est);
-                println!("end-to-end round: localized (full pipeline spans recorded)");
-            }
-            Err(e) => eprintln!("warning: end-to-end round produced no fix: {e:?}"),
-        }
-    }
 
     bloc_bench::emit_run_report("perf_baseline", &obs_before);
     bloc_bench::maybe_finish_trace("perf_baseline");
@@ -643,7 +554,7 @@ fn main() {
     let mut skipped: Vec<String> = Vec::new();
     if cfg!(debug_assertions) {
         println!("debug build: speedup floors not enforced (timings are unrepresentative)");
-        skipped.push("every speedup and scaling floor (debug build)".into());
+        skipped.push("every speedup floor (debug build)".into());
     } else {
         if speedup < 5.0 {
             eprintln!("FLOOR FAILED: single-thread speedup {speedup:.2}× < 5× over reference");
@@ -665,49 +576,6 @@ fn main() {
             );
             failed = true;
         }
-        // Thread scaling. On a host with ≥ 4 cores the coarse-grained
-        // fan-out must buy ≥ 2× at 4 threads for both engines. On
-        // smaller hosts these rows *oversubscribe* the scheduler
-        // (production callers tune through `bloc_num::par::tuned_threads`
-        // and never request more workers than cores), so honest scaling
-        // cannot show up: that floor is skipped, and a pathology guard
-        // runs instead — a threaded row more than 2× slower than warm
-        // serial means real serialization (a lock on the hot path), not
-        // scheduler churn.
-        if host_threads >= 4 {
-            if scaling_4t < 2.0 {
-                eprintln!(
-                    "FLOOR FAILED: likelihood 4-thread scaling {scaling_4t:.2}× < 2× on a {host_threads}-core host"
-                );
-                failed = true;
-            }
-            if snd_scaling_4t < 2.0 {
-                eprintln!(
-                    "FLOOR FAILED: sounding 4-thread scaling {snd_scaling_4t:.2}× < 2× on a {host_threads}-core host"
-                );
-                failed = true;
-            }
-        } else {
-            println!(
-                "4-thread scaling floor (≥ 2×): skipped ({host_threads}-core host); running the thread pathology guard (threaded rows within 2× of warm serial) instead"
-            );
-            skipped.push(format!("≥ 2× 4-thread scaling ({host_threads}-core host)"));
-            type Leg<'a> = (&'a str, &'a [(usize, f64)], f64);
-            let legs: [Leg; 2] = [
-                ("likelihood", &thread_rows, t_warm),
-                ("sounding", &snd_thread_rows, t_snd_warm),
-            ];
-            for (what, rows, serial) in legs {
-                for (threads, t) in rows {
-                    if *t > serial * 2.0 {
-                        eprintln!(
-                            "FLOOR FAILED: {what} at {threads} threads ({t:.6}s) more than 2× warm serial ({serial:.6}s) on a {host_threads}-core host — hot path serialized?"
-                        );
-                        failed = true;
-                    }
-                }
-            }
-        }
     }
     if failed {
         std::process::exit(1);
@@ -724,7 +592,7 @@ fn main() {
 
 /// The hierarchical coarse-to-fine baseline on the 34.3 m × 9.9 m
 /// corridor venue: dense-vs-hierarchy accuracy parity and the ≥ 8×
-/// cell-eval reduction gate, 2/4-thread bit-identity, the seeded-tracking
+/// cell-eval reduction gate, the seeded-tracking
 /// ≤ 10% budget with exact `engine.cells_evaluated` counter
 /// reconciliation and no steering-cache miss or capacity eviction after
 /// the first round. Every gate here is a *cell-count or equality*
@@ -738,7 +606,7 @@ fn hierarchical_baseline() -> bool {
     let config = scenario.bloc_config();
     let one_cell = config.grid.resolution * std::f64::consts::SQRT_2 + 1e-9;
     let fine_cells = config.grid.nx * config.grid.ny;
-    let dense = BlocLocalizer::new(config).with_engine(LikelihoodEngine::recurrence());
+    let dense = BlocLocalizer::new(config);
     let hier = HierarchicalLocalizer::new(dense.clone(), HierarchicalConfig::default());
     println!(
         "corridor {:.1} m × {:.1} m: fine {}×{} = {fine_cells} cells, {} coarse cells, {} anchors",
@@ -791,38 +659,6 @@ fn hierarchical_baseline() -> bool {
     if reduction_median < 8.0 {
         eprintln!("FLOOR FAILED: hierarchical cell-eval reduction {reduction_median:.1}× < 8×");
         failed = true;
-    }
-
-    // -- Thread bit-identity: the 2- and 4-thread hierarchies must
-    // reproduce the 1-thread fix to the bit (same cells spent, same
-    // peaks, same position).
-    let base = hier
-        .localize(&soundings[1])
-        .expect("hierarchical corridor fix");
-    for threads in [2usize, 4] {
-        let engine = LikelihoodEngine::recurrence().with_threads(threads);
-        let h_t = HierarchicalLocalizer::new(
-            BlocLocalizer::new(config).with_engine(engine),
-            HierarchicalConfig::default(),
-        );
-        let est = h_t
-            .localize(&soundings[1])
-            .expect("hierarchical corridor fix");
-        let identical = est.estimate.position == base.estimate.position
-            && est.estimate.peaks == base.estimate.peaks
-            && est.cells_evaluated == base.cells_evaluated;
-        println!(
-            "threads {threads}: {}",
-            if identical {
-                "bit-identical to serial"
-            } else {
-                "DIVERGED from serial"
-            }
-        );
-        if !identical {
-            eprintln!("FLOOR FAILED: hierarchical fix at {threads} threads is not bit-identical");
-            failed = true;
-        }
     }
 
     // -- Seeded tracking: a tag walking the aisle. After the first full

@@ -241,18 +241,16 @@ impl SoundingData {
 /// [`crate::synth::PathSet`]s (the static master links from a shared
 /// [`PathCache`] — clones share it, so per-retry clones and every
 /// sounding of a static deployment stay warm), the whole band comb swept
-/// per link by the exact phasor
-/// recurrence, and bands optionally sharded across threads
-/// ([`Sounder::with_threads`]) with per-band RNG streams split
-/// deterministically from the caller's seed — results are bit-identical
-/// for any thread count.
+/// per link by the exact phasor recurrence, and each band assembled from
+/// its own RNG stream, split deterministically from the caller's seed.
+/// A sounding runs on the calling thread; callers that sound many tags
+/// fan out across soundings.
 #[derive(Debug, Clone)]
 pub struct Sounder<'a> {
     env: &'a Environment,
     anchors: &'a [AnchorArray],
     config: SounderConfig,
     faults: Option<crate::faults::FaultPlan>,
-    threads: usize,
     cache: PathCache,
 }
 
@@ -271,7 +269,6 @@ impl<'a> Sounder<'a> {
             anchors,
             config,
             faults: None,
-            threads: 1,
             cache: PathCache::new(),
         }
     }
@@ -279,16 +276,6 @@ impl<'a> Sounder<'a> {
     /// The configuration in force.
     pub fn config(&self) -> &SounderConfig {
         &self.config
-    }
-
-    /// Shards analytic sounding work (links, then bands) across up to
-    /// `threads` worker threads on the shared `bloc_num::par` executor.
-    /// Output is bit-identical regardless of the count; `1` (the default)
-    /// runs inline with no spawn overhead — the right setting inside an
-    /// already-parallel location sweep.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Replaces the sounder's path cache with `cache`, sharing its
@@ -464,8 +451,8 @@ impl<'a> Sounder<'a> {
     /// Phase B (band-major): per band, oscillator offsets, CFO and noise
     /// are applied as phasors. All randomness derives from `seed` via
     /// per-band and per-measurement splitmix streams, so the output is
-    /// independent of thread count and of which measurements a fault plan
-    /// masks; masked entries short-circuit to exact zeros before
+    /// independent of which measurements a fault plan masks; masked
+    /// entries short-circuit to exact zeros before
     /// [`crate::faults::FaultPlan::apply_to_band_at`] runs as the census
     /// (and interference/clip) source of truth.
     fn sound_analytic(
@@ -494,32 +481,30 @@ impl<'a> Sounder<'a> {
             links.push((master0, anchor.antenna(0)));
         }
 
-        // Phase A: sweep every link across all bands × tones. Links are
-        // the coarse unit here (each is a full comb sweep). Every worker
-        // holds one tone-sweep scratch and one path set: tag links are
-        // traced into that set outside any lock, static links come from
-        // the shared cache, and warm sweeps allocate no accumulators.
-        let link_threads = bloc_num::par::tuned_threads(links.len(), self.threads, 4);
-        let clean: Vec<Vec<[C64; 2]>> = bloc_num::par::sharded_map_named(
-            "sound.links",
-            links.len(),
-            link_threads,
-            |_t| (bloc_num::sweep::ToneSweepScratch::new(), PathSet::new()),
-            |(scratch, tag_set), l| {
-                let (tx, rx) = links[l];
+        // Phase A: sweep every link across all bands × tones, each a full
+        // comb sweep. One tone-sweep scratch and one path set serve every
+        // link: tag links are traced into that set outside any lock,
+        // static links come from the shared cache, and warm sweeps
+        // allocate no accumulators.
+        let mut scratch = bloc_num::sweep::ToneSweepScratch::new();
+        let mut tag_set = PathSet::new();
+        let clean: Vec<Vec<[C64; 2]>> = links
+            .iter()
+            .enumerate()
+            .map(|(l, &(tx, rx))| {
                 let mut out = vec![[bloc_num::complex::ZERO; 2]; channels.len()];
                 if l < total_antennas {
-                    self.env.path_set_into(tx, rx, tag_set);
-                    tag_set.sweep_tones_with(&comb, scratch, &mut out);
+                    self.env.path_set_into(tx, rx, &mut tag_set);
+                    tag_set.sweep_tones_with(&comb, &mut scratch, &mut out);
                 } else {
                     let set = self.cache.path_set(self.env, tx, rx);
-                    set.sweep_tones_with(&comb, scratch, &mut out);
+                    set.sweep_tones_with(&comb, &mut scratch, &mut out);
                 }
                 out
-            },
-        );
+            })
+            .collect();
 
-        // Phase B: per-band impairments, parallel over bands. The
+        // Phase B: per-band impairments, band by band. The
         // calibration phasors (one per link, in link order) and the noise
         // amplitude divisor depend only on the config, so they are
         // computed once per sounding.
@@ -541,14 +526,13 @@ impl<'a> Sounder<'a> {
         let dists = plan
             .filter(|p| p.range_loss.is_some())
             .map(|_| crate::faults::link_distances(self.anchors, tag));
-        // One band's assembly covers every link's noise draws — a few
-        // bands per shard already amortizes the spawn.
-        let band_threads = bloc_num::par::tuned_threads(channels.len(), self.threads, 8);
-        let mut bands =
-            bloc_num::par::map_named("sound.bands", channels.len(), band_threads, |slot| {
+        let mut bands: Vec<BandSounding> = channels
+            .iter()
+            .enumerate()
+            .map(|(slot, &channel)| {
                 self.assemble_band(
                     slot,
-                    channels[slot],
+                    channel,
                     &clean,
                     &n_antennas,
                     &link_cal,
@@ -559,7 +543,8 @@ impl<'a> Sounder<'a> {
                     plan,
                     dists.as_deref(),
                 )
-            });
+            })
+            .collect();
 
         let mut census = crate::faults::FaultCensus::default();
         if !ideal {
@@ -604,8 +589,8 @@ impl<'a> Sounder<'a> {
             (TuningEpoch::zero(n_antennas.len()), 0.0)
         } else {
             // One private, deterministically-seeded stream per band: the
-            // per-hop retune draws don't depend on which thread runs them
-            // or on how many bands precede them.
+            // per-hop retune draws don't depend on how many bands precede
+            // them.
             let mut brng = rand::rngs::StdRng::seed_from_u64(band_seed);
             let cfo_band = cfo + self.config.tag_cfo_jitter_hz * gaussian_sample(&mut brng);
             (TuningEpoch::draw(n_antennas.len(), &mut brng), cfo_band)
@@ -867,8 +852,7 @@ fn gaussian_sample<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// from a splitmix stream keyed by (band seed, link, tone) — the fast
 /// path's replacement for the reference path's sequential draws. Keying
 /// per measurement (instead of consuming a shared stream) is what keeps
-/// soundings bit-identical across thread counts and across fault plans
-/// that skip masked entries.
+/// soundings bit-identical across fault plans that skip masked entries.
 fn add_noise_hashed(h: C64, noise_div: f64, band_seed: u64, link: u64, tone: u64) -> C64 {
     let noise_amp = h.abs() / noise_div;
     let sigma = noise_amp / 2f64.sqrt();

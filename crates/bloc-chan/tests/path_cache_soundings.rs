@@ -29,9 +29,8 @@ fn soundings_from_two_threads_leave_exact_path_cache_counts() {
         .collect();
     let channels = all_data_channels();
     let cache = PathCache::new();
-    let sounder = Sounder::new(&env, &anchors, SounderConfig::default())
-        .with_threads(2)
-        .with_path_cache(cache.clone());
+    let sounder =
+        Sounder::new(&env, &anchors, SounderConfig::default()).with_path_cache(cache.clone());
 
     let counter = |name: &str| bloc_obs::counter(&format!("cache.path.{name}")).get();
     let names = ["hits", "misses", "invalidations", "evicted"];

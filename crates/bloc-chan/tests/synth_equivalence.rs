@@ -12,7 +12,8 @@
 //!    census must be byte-identical to the reference engine's census and
 //!    to the plan's data-free replay, with masked entries exactly zero.
 //! 3. **Parallel determinism** — `sound()` must be bit-identical across
-//!    1/2/4 worker threads and across cold/warm path caches.
+//!    worker-thread counts (soundings fanned out on one shared sounder)
+//!    and across cold/warm path caches.
 
 use bloc_chan::environment::Obstruction;
 use bloc_chan::geometry::{Room, Segment};
@@ -237,31 +238,33 @@ fn degraded_census_is_byte_identical_across_engines_and_replay() {
 
 #[test]
 fn parallel_sounding_is_bit_identical_across_thread_counts() {
+    // Soundings fan out across worker threads on one shared sounder (and
+    // so one path cache): any worker count gives every sounding the bits
+    // a fresh sounder gives it alone.
     let env = random_room(4);
     let anchors = anchors_for(&env);
     let plan = degraded_plan();
     let channels = all_data_channels();
-    let tag = P2::new(2.2, 1.8);
-
-    let sound_with = |threads: usize| {
-        let sounder = Sounder::new(&env, &anchors, SounderConfig::default())
-            .with_faults(plan.clone())
-            .with_threads(threads);
-        let mut rng = StdRng::seed_from_u64(42);
-        sounder.sound(tag, &channels, &mut rng)
+    let tags = [P2::new(2.2, 1.8), P2::new(1.1, 2.6), P2::new(3.0, 0.9)];
+    let sound_at = |sounder: &Sounder, k: usize| {
+        let mut rng = StdRng::seed_from_u64(42 + k as u64);
+        sounder.sound(tags[k], &channels, &mut rng)
     };
-
-    let one = sound_with(1);
-    let two = sound_with(2);
-    let four = sound_with(4);
-    assert_eq!(one, two, "2 threads must be bit-identical to sequential");
-    assert_eq!(one, four, "4 threads must be bit-identical to sequential");
-
-    // Spot-check true bit-identity (PartialEq on f64 admits 0.0 == -0.0).
-    let a = one.bands[17].tag_to_anchor_tones[1][2][1];
-    let b = four.bands[17].tag_to_anchor_tones[1][2][1];
-    assert_eq!(a.re.to_bits(), b.re.to_bits());
-    assert_eq!(a.im.to_bits(), b.im.to_bits());
+    let sounder =
+        || Sounder::new(&env, &anchors, SounderConfig::default()).with_faults(plan.clone());
+    let alone: Vec<_> = (0..tags.len()).map(|k| sound_at(&sounder(), k)).collect();
+    for threads in [2, 4] {
+        let shared = sounder();
+        let fanned = bloc_num::par::map_named("test.soundings", tags.len(), threads, |k| {
+            sound_at(&shared, k)
+        });
+        assert_eq!(fanned, alone, "{threads} worker threads changed a sounding");
+        // Spot-check true bit-identity (PartialEq on f64 admits 0.0 == -0.0).
+        let a = alone[0].bands[17].tag_to_anchor_tones[1][2][1];
+        let b = fanned[0].bands[17].tag_to_anchor_tones[1][2][1];
+        assert_eq!(a.re.to_bits(), b.re.to_bits());
+        assert_eq!(a.im.to_bits(), b.im.to_bits());
+    }
 }
 
 #[test]

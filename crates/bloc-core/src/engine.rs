@@ -1,11 +1,12 @@
 //! The fast likelihood engine: the range-profile cell kernel, SoA channel
-//! layout, geometry caching and parallel grid evaluation.
+//! layout and geometry caching.
 //!
 //! Everything the localizer does reduces to evaluating Eq. 17,
 //! `P_i(x) = |Σ_j Σ_k α^{f_k}_ij · e^{ι2πf_k Δ_ij(x)/c}|`, over a dense
-//! 2-D grid. The naive evaluation (kept verbatim as [`ReferenceKernel`])
-//! pays one `sin`+`cos` per (cell × antenna × band). This module layers
-//! four optimizations on top, each verified against the reference (see
+//! 2-D grid. The naive evaluation (kept verbatim as
+//! [`crate::likelihood::anchor_likelihood_reference`]) pays one
+//! `sin`+`cos` per (cell × antenna × band). This module layers three
+//! optimizations on top, each verified against the reference (see
 //! `tests/kernel_equivalence.rs`):
 //!
 //! 1. **Range profiles**: per (anchor, antenna), the band sum depends on
@@ -18,9 +19,10 @@
 //!    cubic-Hermite lookup and one complex multiply by the cached
 //!    carrier `e^{ι2πf_cΔ/c}`. `h` follows from the half-span by the
 //!    Hermite remainder bound, so the error stays within
-//!    comb, a masked sub-comb or off-comb bands alike. The kernel lives
-//!    in [`bloc_num::sweep`] (one SIMD body for every level), and
-//!    [`RecurrenceKernel`] is the thin adapter that feeds it.
+//!    [`bloc_num::sweep::PROFILE_TOLERANCE`] for a uniform comb, a masked
+//!    sub-comb or off-comb bands alike. The kernel lives in
+//!    [`bloc_num::sweep`] (one SIMD body for every level); this module
+//!    feeds it.
 //! 2. **SoA layout + geometry cache**: [`SoaChannels`] re-packs the
 //!    per-band `alpha[i][j]` tensor into the kernel's split re/im
 //!    lane-padded layout, and [`SteeringCache`] memoizes each cell's relative distances
@@ -34,12 +36,7 @@
 //!    grid's one table instead of building its own. A lattice row's
 //!    samples depend on its index alone, so a window's cells equal the
 //!    dense map's bit for bit.
-//! 3. **Coarse parallelism**: the joint likelihood fans out across
-//!    *anchors* and single-anchor maps across row *chunks*, both through
-//!    [`bloc_num::par`] with work-size thresholding
-//!    ([`bloc_num::par::tuned_threads`]) so small problems never pay
-//!    spawn overhead — bit-identically for every thread count.
-//! 4. **Sounding batches**: [`LikelihoodEngine::likelihood_batch`] groups
+//! 3. **Sounding batches**: [`LikelihoodEngine::likelihood_batch`] groups
 //!    soundings that share a steering entry, band set and alive anchors,
 //!    up to [`sweep::MAX_TAGS`] per group; the group shares each cell's
 //!    lattice index, Hermite weights and carrier, and the profile
@@ -47,6 +44,11 @@
 //!    Only the profiles and accumulators are per sounding, so every
 //!    sounding's maps equal a call of its own bit for bit. The
 //!    single-sounding entries are its batch of one.
+//!
+//! A fix runs on the calling thread. Parallelism lives one level up, over
+//! whole units of work: the sweep runner fans out over locations and the
+//! fleet over tags, each worker running its fixes serially on a clone of
+//! the engine (clones share the steering cache).
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -61,11 +63,6 @@ use bloc_num::{Grid2D, GridPatch, GridSpec, C64, P2};
 
 use crate::correction::CorrectedChannels;
 use crate::likelihood::AntennaCombining;
-
-/// The comb planner of the workspace's tone kernel
-/// ([`bloc_num::sweep::CombPlan`]), under the engine's name for it: the
-/// Eq. 17 cell kernel takes any band set and needs no comb.
-pub use bloc_num::sweep::CombPlan as BandPlan;
 
 /// Rounds an antenna count up to the kernel's 4-wide lane stride.
 #[inline]
@@ -540,9 +537,9 @@ impl SteeringTables {
         Lattice::covering(step_m, [lo, hi])
     }
 
-    /// Evaluates anchor `i` over whole rows of `window`, whose tiles are
+    /// Evaluates anchor `i` over the rows of `window`, whose tiles are
     /// filled, for every sounding of a batch that shares these tables:
-    /// `outs[t]` holds sounding `t`'s window rows `r0 ..`, read from its
+    /// `outs[t]` holds sounding `t`'s window map, read from its
     /// profile `profiles[t]` over `lattice`. Each block the rows cross is
     /// read under its read lock: one sweep-kernel call for all its rows
     /// when the window spans the block's width, else one per row segment,
@@ -555,7 +552,6 @@ impl SteeringTables {
         i: usize,
         combine: Combine,
         window: &GridPatch,
-        r0: usize,
         outs: &mut [&mut [f64]],
     ) {
         let nx = window.spec.nx.max(1);
@@ -563,9 +559,9 @@ impl SteeringTables {
         let n_tags = outs.len();
         let mut r = 0;
         while r < rows {
-            let iy = window.y0 + r0 + r;
+            let iy = window.y0 + r;
             let group = (BLOCK_H - iy % BLOCK_H).min(rows - r);
-            self.for_each_segment(i, window, r0 + r, |lanes, shape, x, n| {
+            self.for_each_segment(i, window, r, |lanes, shape, x, n| {
                 let tags: [CellSweep<'_>; MAX_TAGS] = std::array::from_fn(|t| CellSweep {
                     delta: lanes.delta,
                     carrier_re: lanes.carrier_re,
@@ -619,7 +615,8 @@ impl SteeringTables {
 /// An entry is created empty and its tiles fill as windows touch them,
 /// outside the cache-wide lock: a corridor-size fill for one key never
 /// stalls another key's lookup. Entries grow after insert, so the
-/// resident-byte gauge and the LRU budget are charged as tiles fill.
+/// resident-byte gauge and the LRU budget ([`CACHE_BUDGET_BYTES`]) are
+/// charged as tiles fill.
 ///
 /// Telemetry follows the workspace cache convention
 /// ([`bloc_obs::CacheStats`]): `cache.steering.{hits,misses,
@@ -631,6 +628,13 @@ pub struct SteeringCache {
     stats: bloc_obs::CacheStats,
 }
 
+/// Resident-byte budget of every [`SteeringCache`]: 256 MiB. A
+/// hierarchical localizer caches one geometry per level — coarse and fine
+/// — and patches are windows into the fine one, whose tiles fill as
+/// patches touch them; LRU eviction keeps long-running fleets and
+/// many-scenario sweeps bounded.
+pub const CACHE_BUDGET_BYTES: usize = 256 << 20;
+
 /// One resident steering geometry plus the last access tick the LRU
 /// budget orders by; its size is read live from the tables.
 #[derive(Debug)]
@@ -639,14 +643,25 @@ struct CacheEntry {
     last_used: u64,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct CacheInner {
     map: HashMap<Vec<u64>, CacheEntry>,
     /// Monotone access clock; bumped on every lookup so eviction can
     /// order entries by recency without timestamps.
     tick: u64,
-    /// Resident-byte ceiling; `None` (the default) never evicts.
-    byte_budget: Option<usize>,
+    /// Resident-byte ceiling: [`CACHE_BUDGET_BYTES`], except in the
+    /// eviction unit test.
+    byte_budget: usize,
+}
+
+impl Default for CacheInner {
+    fn default() -> Self {
+        Self {
+            map: HashMap::new(),
+            tick: 0,
+            byte_budget: CACHE_BUDGET_BYTES,
+        }
+    }
 }
 
 impl CacheInner {
@@ -781,9 +796,7 @@ impl SteeringCache {
     /// when another entry grows. Evictions are reported as invalidations
     /// with cause `capacity`.
     fn enforce_budget(&self, inner: &mut CacheInner, keep: &[u64]) {
-        let Some(budget) = inner.byte_budget else {
-            return;
-        };
+        let budget = inner.byte_budget;
         let mut resident = inner.resident_bytes();
         let mut evicted = 0usize;
         while resident > budget && inner.map.len() > 1 {
@@ -810,22 +823,17 @@ impl SteeringCache {
         self.stats.resident(inner.map.len(), inner.resident_bytes());
     }
 
-    /// Caps resident steering payload bytes; `None` (the default) never
-    /// evicts. Applies to every clone sharing this cache. With a budget
-    /// set, each tile fill evicts least-recently-used geometries until
-    /// the total fits (cause `capacity` in the telemetry), keeping
-    /// venue-scale per-level working sets bounded across fleet sites.
-    pub fn set_byte_budget(&self, budget: Option<usize>) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.byte_budget = budget;
-    }
-
-    /// The configured resident-byte ceiling, if any.
-    pub fn byte_budget(&self) -> Option<usize> {
-        self.inner
+    /// An empty cache that evicts above `budget` bytes instead of
+    /// [`CACHE_BUDGET_BYTES`].
+    #[cfg(test)]
+    fn with_budget(budget: usize) -> Self {
+        let cache = Self::new();
+        cache
+            .inner
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .byte_budget
+            .byte_budget = budget;
+        cache
     }
 
     /// Drops every cached deployment built for exactly this anchor
@@ -880,170 +888,67 @@ impl SteeringCache {
     }
 }
 
-/// Everything a kernel needs to evaluate one anchor map over a window for
-/// a batch of 1 ..= [`sweep::MAX_TAGS`] soundings that share one steering
-/// entry and band set (the recurrence kernel panics on any other batch
-/// size). The reference kernel reads `corrected` directly; the fast
-/// kernel reads the SoA and steering layers.
-pub struct KernelInputs<'a> {
-    /// The corrected channels of every sounding in the batch, as produced
-    /// by [`crate::correction`].
-    pub corrected: &'a [&'a CorrectedChannels],
-    /// The SoA re-packs of the same channels, in the same order.
-    pub soas: &'a [&'a SoaChannels],
-    /// The per-cell steering geometry of the parent grid, shared by the
-    /// batch.
-    pub tables: &'a SteeringTables,
-    /// The window of `tables.spec()` to evaluate — the whole grid for a
-    /// dense map, a patch for a hierarchical level.
-    pub window: GridPatch,
-}
-
-/// One interchangeable implementation of the Eq. 17 per-anchor map.
-pub trait LikelihoodKernel: Send + Sync + std::fmt::Debug {
-    /// A short name for reports and benchmarks.
-    fn name(&self) -> &'static str;
-
-    /// Evaluates anchor `i`'s likelihood map over `inputs.window` for
-    /// every sounding of the batch, in batch order, splitting rows across
-    /// `threads`. Each map has the window's spec, and each cell's value
-    /// is the parent grid's value at that cell for that sounding alone,
-    /// bit for bit.
-    fn anchor_map(
-        &self,
-        inputs: &KernelInputs<'_>,
-        i: usize,
-        combining: AntennaCombining,
-        threads: usize,
-    ) -> Vec<Grid2D>;
-}
-
-/// The naive per-cell evaluation the workspace started with — one
-/// `cis` per (cell, antenna, band), distances recomputed per cell. Kept
-/// as ground truth for the equivalence suite and the perf baseline.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReferenceKernel;
-
-impl LikelihoodKernel for ReferenceKernel {
-    fn name(&self) -> &'static str {
-        "reference"
-    }
-
-    fn anchor_map(
-        &self,
-        inputs: &KernelInputs<'_>,
-        i: usize,
-        combining: AntennaCombining,
-        threads: usize,
-    ) -> Vec<Grid2D> {
-        let spec = inputs.tables.spec();
-        inputs
-            .corrected
-            .iter()
-            .map(|&corrected| {
-                Grid2D::window_from_fn_par(spec, &inputs.window, threads, |x| {
-                    crate::likelihood::reference_cell_value(corrected, i, combining, x)
-                })
-            })
-            .collect()
-    }
-}
-
-/// The range-profile kernel: a thin adapter over
-/// [`bloc_num::sweep`]. Per anchor map it brackets the window's `Δ` with
-/// a [`Lattice`], builds every sounding's profile over it
+/// Anchor `i`'s raw Eq. 17 maps over `window` of `tables`' grid, one per
+/// sounding of a batch of 1 ..= [`sweep::MAX_TAGS`] that share the tables
+/// and band set (panics on any other batch). It brackets the window's `Δ`
+/// with a [`Lattice`], builds every sounding's profile over it
 /// ([`sweep::build_profiles`] — the phasor matrix is a rotation
 /// recurrence along `Δ`, shared by the batch), then sweeps the window's
 /// rows ([`sweep::write_profile_cells_batch`]): one Hermite lookup per
-/// (cell, antenna) and one complex multiply by the cached carrier.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RecurrenceKernel;
-
-/// Minimum cells per shard before an anchor map fans out: one cell costs
-/// tens of nanoseconds warm, so this keeps each shard at ~100 µs or more
-/// and each spawn amortized to well under a percent.
-const MIN_CELLS_PER_SHARD: usize = 4096;
-
-impl LikelihoodKernel for RecurrenceKernel {
-    fn name(&self) -> &'static str {
-        "recurrence"
+/// (cell, antenna) and one complex multiply by the cached carrier. Each
+/// cell's value is the parent grid's value at that cell for that
+/// sounding alone, bit for bit. The row sweep is one `par.likelihood`
+/// region of one shard.
+fn sweep_anchor(
+    soas: &[&SoaChannels],
+    tables: &SteeringTables,
+    window: GridPatch,
+    i: usize,
+    combining: AntennaCombining,
+) -> Vec<Grid2D> {
+    let n_tags = soas.len();
+    assert!(
+        (1..=MAX_TAGS).contains(&n_tags),
+        "a kernel batch holds 1..={MAX_TAGS} soundings"
+    );
+    let mut maps: Vec<Grid2D> = (0..n_tags).map(|_| Grid2D::zeros(window.spec)).collect();
+    tables.fill(&window);
+    let plan = &soas[0].plan;
+    assert!(
+        soas.iter().all(|soa| &soa.plan == plan),
+        "a kernel batch shares one band set"
+    );
+    let lattice = tables.lattice(i, &window, plan.step_m);
+    let len = lattice.profile_len(tables.n_lanes[i]);
+    let mut buffer = PROFILES.take();
+    buffer.resize(n_tags * len, 0.0);
+    let weights: [ProfileWeights<'_>; MAX_TAGS] =
+        std::array::from_fn(|t| soas[t.min(n_tags - 1)].weights(i));
+    let mut views: [&mut [f64]; MAX_TAGS] = Default::default();
+    for (view, profile) in views.iter_mut().zip(buffer.chunks_mut(len)) {
+        *view = profile;
     }
-
-    fn anchor_map(
-        &self,
-        inputs: &KernelInputs<'_>,
-        i: usize,
-        combining: AntennaCombining,
-        threads: usize,
-    ) -> Vec<Grid2D> {
-        let window = inputs.window;
-        let combine = combine_of(combining);
-        let n_tags = inputs.soas.len();
-        assert!(
-            (1..=MAX_TAGS).contains(&n_tags) && inputs.corrected.len() == n_tags,
-            "a kernel batch holds 1..={MAX_TAGS} soundings, each with its SoA re-pack"
-        );
-        let mut maps: Vec<Grid2D> = (0..n_tags).map(|_| Grid2D::zeros(window.spec)).collect();
-        let n_cells = window.spec.len();
-        let nx = window.spec.nx.max(1);
-        let tables = inputs.tables;
-        tables.fill(&window);
-        let plan = &inputs.soas[0].plan;
-        assert!(
-            inputs.soas.iter().all(|soa| &soa.plan == plan),
-            "a kernel batch shares one band set"
-        );
-        let lattice = tables.lattice(i, &window, plan.step_m);
-        let len = lattice.profile_len(tables.n_lanes[i]);
-        let mut buffer = PROFILES.take();
-        buffer.resize(n_tags * len, 0.0);
-        let weights: [ProfileWeights<'_>; MAX_TAGS] =
-            std::array::from_fn(|t| inputs.soas[t.min(n_tags - 1)].weights(i));
-        let mut views: [&mut [f64]; MAX_TAGS] = Default::default();
-        for (view, profile) in views.iter_mut().zip(buffer.chunks_mut(len)) {
-            *view = profile;
-        }
-        sweep::build_profiles(plan, &lattice, &weights[..n_tags], &mut views[..n_tags]);
-        let mut profiles: [&[f64]; MAX_TAGS] = [&[]; MAX_TAGS];
-        for (view, profile) in profiles.iter_mut().zip(buffer.chunks(len)) {
-            *view = profile;
-        }
-        let profiles = &profiles[..n_tags];
-
-        let threads = bloc_num::par::tuned_threads(n_cells, threads, MIN_CELLS_PER_SHARD);
-        // Chunks hold whole window rows: `auto_chunk_len` counts in `nx`.
-        let chunk = bloc_num::par::auto_chunk_len(n_cells, nx, threads).max(1);
-        // Shard `k` is rows `k·chunk / nx ..` of every sounding's map.
-        let mut shards: Vec<[&mut [f64]; MAX_TAGS]> = (0..n_cells.div_ceil(chunk))
-            .map(|_| Default::default())
-            .collect();
-        for (t, map) in maps.iter_mut().enumerate() {
-            for (shard, rows) in shards.iter_mut().zip(map.data_mut().chunks_mut(chunk)) {
-                shard[t] = rows;
-            }
-        }
-        bloc_num::par::for_each_chunk_mut_named(
-            "likelihood",
-            &mut shards,
-            1,
-            threads,
-            |k, shard| {
-                for rows in shard {
-                    tables.sweep_rows(
-                        profiles,
-                        lattice,
-                        i,
-                        combine,
-                        &window,
-                        k * chunk / nx,
-                        &mut rows[..n_tags],
-                    );
-                }
-            },
-        );
-        PROFILES.set(buffer);
-        maps
+    sweep::build_profiles(plan, &lattice, &weights[..n_tags], &mut views[..n_tags]);
+    let mut profiles: [&[f64]; MAX_TAGS] = [&[]; MAX_TAGS];
+    for (view, profile) in profiles.iter_mut().zip(buffer.chunks(len)) {
+        *view = profile;
     }
+    let profiles = &profiles[..n_tags];
+    let mut outs: [&mut [f64]; MAX_TAGS] = Default::default();
+    for (out, map) in outs.iter_mut().zip(&mut maps) {
+        *out = map.data_mut();
+    }
+    let combine = combine_of(combining);
+    // One chunk holding every sounding's map: the region's one shard.
+    bloc_num::par::for_each_chunk_mut_named(
+        "likelihood",
+        &mut outs[..n_tags],
+        n_tags,
+        1,
+        |_, outs| tables.sweep_rows(profiles, lattice, i, combine, &window, outs),
+    );
+    PROFILES.set(buffer);
+    maps
 }
 
 thread_local! {
@@ -1064,14 +969,11 @@ pub struct SoundingMaps {
     pub anchor_maps: Vec<(usize, Grid2D)>,
 }
 
-/// The assembled engine: a kernel choice, a thread count, and a shared
-/// [`SteeringCache`]. Cloning shares the cache (and the kernel), so a
-/// localizer cloned per worker still computes each deployment's geometry
-/// once.
-#[derive(Debug, Clone)]
+/// The assembled engine: the range-profile kernel and a shared
+/// [`SteeringCache`]. Cloning shares the cache, so a localizer cloned per
+/// worker still computes each deployment's geometry once.
+#[derive(Debug, Clone, Default)]
 pub struct LikelihoodEngine {
-    kernel: Arc<dyn LikelihoodKernel>,
-    threads: usize,
     cache: SteeringCache,
     /// Warm-path scratch: the SoA re-packs of earlier calls (at most one
     /// batch's worth), reused so steady-state soundings allocate no
@@ -1081,36 +983,7 @@ pub struct LikelihoodEngine {
     soa_arena: Arc<Mutex<Vec<SoaChannels>>>,
 }
 
-impl Default for LikelihoodEngine {
-    /// Recurrence kernel, single-threaded: the fastest configuration that
-    /// composes safely with callers that already parallelize across
-    /// soundings (the sweep runner, the ablations).
-    fn default() -> Self {
-        Self::recurrence()
-    }
-}
-
 impl LikelihoodEngine {
-    /// A single-threaded engine on the phasor-recurrence kernel.
-    pub fn recurrence() -> Self {
-        Self {
-            kernel: Arc::new(RecurrenceKernel),
-            threads: 1,
-            cache: SteeringCache::new(),
-            soa_arena: Arc::default(),
-        }
-    }
-
-    /// A single-threaded engine on the naive reference kernel.
-    pub fn reference() -> Self {
-        Self {
-            kernel: Arc::new(ReferenceKernel),
-            threads: 1,
-            cache: SteeringCache::new(),
-            soa_arena: Arc::default(),
-        }
-    }
-
     /// Takes a SoA scratch from the arena (or a fresh one) rebuilt for
     /// `corrected`.
     fn soa_for(&self, corrected: &CorrectedChannels) -> SoaChannels {
@@ -1135,65 +1008,13 @@ impl LikelihoodEngine {
         }
     }
 
-    /// Sets how many threads grid rows are split across (clamped to ≥ 1).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The configured thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The active kernel's name.
-    pub fn kernel_name(&self) -> &'static str {
-        self.kernel.name()
-    }
-
     /// The shared steering cache (exposed for inspection/tests).
     pub fn cache(&self) -> &SteeringCache {
         &self.cache
     }
 
-    /// Hands `sink` each alive anchor's raw maps over `inputs.window` —
-    /// one per sounding of the batch, in batch order — in anchor order.
-    ///
-    /// With more than one thread configured, parallelism fans out across
-    /// *anchors* — whole independent maps, the coarsest unit available —
-    /// rather than intra-map row shards: each worker computes one
-    /// anchor's maps serially, and `sink` then consumes them in anchor
-    /// order, so every result stays bit-identical to the serial path.
-    fn for_each_map(
-        &self,
-        inputs: &KernelInputs<'_>,
-        alive: &[usize],
-        combining: AntennaCombining,
-        mut sink: impl FnMut(usize, Vec<Grid2D>),
-    ) {
-        // Each map is a full window of kernel work — one item per shard
-        // is already coarse enough to pay for itself.
-        let anchor_threads = bloc_num::par::tuned_threads(alive.len(), self.threads, 1);
-        if anchor_threads > 1 {
-            let maps =
-                bloc_num::par::map_named("likelihood.anchors", alive.len(), anchor_threads, |k| {
-                    self.kernel.anchor_map(inputs, alive[k], combining, 1)
-                });
-            for (&i, maps) in alive.iter().zip(maps) {
-                sink(i, maps);
-            }
-        } else {
-            for &i in alive {
-                sink(
-                    i,
-                    self.kernel.anchor_map(inputs, i, combining, self.threads),
-                );
-            }
-        }
-    }
-
     /// Per-anchor likelihood map (Eq. 17 for anchor `i`) through the
-    /// engine's kernel, cache and thread pool.
+    /// engine's kernel and cache.
     pub fn anchor_likelihood(
         &self,
         corrected: &CorrectedChannels,
@@ -1204,17 +1025,7 @@ impl LikelihoodEngine {
         let window = GridPatch::whole(spec);
         let soa = self.soa_for(corrected);
         let tables = self.tables_for(corrected, &soa, spec, &window);
-        let map = self.kernel.anchor_map(
-            &KernelInputs {
-                corrected: &[corrected],
-                soas: &[&soa],
-                tables: &tables,
-                window,
-            },
-            i,
-            combining,
-            self.threads,
-        );
+        let map = sweep_anchor(&[&soa], &tables, window, i, combining);
         self.release_soas([soa]);
         bloc_obs::counter("engine.cells_evaluated").add(spec.len() as u64);
         map.into_iter()
@@ -1302,24 +1113,17 @@ impl LikelihoodEngine {
             }
             let group = &group[..size];
             let tables = self.tables_for(corrected[lead], &soas[lead], spec, window);
-            let group_corrected: [&CorrectedChannels; MAX_TAGS] =
-                std::array::from_fn(|t| corrected[group[t.min(size - 1)]]);
             let group_soas: [&SoaChannels; MAX_TAGS] =
                 std::array::from_fn(|t| &soas[group[t.min(size - 1)]]);
-            let inputs = KernelInputs {
-                corrected: &group_corrected[..size],
-                soas: &group_soas[..size],
-                tables: &tables,
-                window: *window,
-            };
-            self.for_each_map(&inputs, &alive[lead], combining, |i, group_maps| {
+            for &i in &alive[lead] {
+                let group_maps = sweep_anchor(&group_soas[..size], &tables, *window, i, combining);
                 for (&k, map) in group.iter().zip(group_maps) {
                     joints[k].add(i, &map);
                     if keep_maps {
                         maps[k].push((i, map));
                     }
                 }
-            });
+            }
         }
         for alive in &alive {
             count_cells(window, alive.len());
@@ -1395,50 +1199,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn band_plan_detects_the_ble_comb() {
-        // 2402, 2404, …: ascending 2 MHz comb.
-        let freqs: Vec<f64> = (0..10).map(|k| 2.402e9 + 2e6 * k as f64).collect();
-        let plan = BandPlan::build(&freqs);
-        assert!(plan.is_uniform_comb());
-        assert_eq!(plan.base_hz, 2.402e9);
-        assert_eq!(plan.step_hz, 2e6);
-        assert_eq!(plan.gaps[0], 0);
-        assert!(plan.gaps[1..].iter().all(|&g| g == 1));
-    }
-
-    #[test]
-    fn band_plan_sorts_and_handles_gaps() {
-        // Shuffled order with a missing channel: gaps reflect the holes.
-        let freqs = [2.410e9, 2.402e9, 2.416e9];
-        let plan = BandPlan::build(&freqs);
-        assert_eq!(plan.order, vec![1, 0, 2]);
-        // Sorted gaps are 8 and 6 MHz: the candidate step is 6 MHz, which
-        // does not divide 8 MHz, so no exact recurrence exists from these
-        // gaps alone — BandPlan must fall back rather than mis-plan.
-        assert!(!plan.is_uniform_comb());
-        assert!(!BandPlan::build(&[2.402e9, 2.410e9, 2.416e9]).is_uniform_comb());
-    }
-
-    #[test]
-    fn band_plan_uniform_with_adjacent_pair_present() {
-        // As long as one adjacent pair exists, the 2 MHz step is found
-        // and wider holes become multi-slot gaps.
-        let freqs = [2.402e9, 2.404e9, 2.412e9];
-        let plan = BandPlan::build(&freqs);
-        assert!(plan.is_uniform_comb());
-        assert_eq!(plan.gaps, vec![0, 1, 4]);
-    }
-
-    #[test]
-    fn band_plan_degenerate_sizes() {
-        assert!(!BandPlan::build(&[]).is_uniform_comb());
-        let one = BandPlan::build(&[2.44e9]);
-        assert!(!one.is_uniform_comb());
-        assert_eq!(one.gaps, vec![0]);
-        assert_eq!(one.base_hz, 2.44e9);
-    }
-
-    #[test]
     fn steering_cache_returns_the_same_tables() {
         let spec = GridSpec::covering(P2::new(0.0, 0.0), P2::new(2.0, 2.0), 0.5);
         let anchors = vec![
@@ -1480,16 +1240,14 @@ mod tests {
         let carrier = 2.441e9;
         let spec_at = |res: f64| GridSpec::covering(P2::new(0.0, 0.0), P2::new(2.0, 2.0), res);
 
-        let cache = SteeringCache::new();
-        assert_eq!(cache.byte_budget(), None);
+        // Size the budget so the 0.5 m entry plus the 0.25 m one fit,
+        // but all three do not.
+        let bytes =
+            |res| SteeringTables::build(spec_at(res), &anchors, &dists, carrier).approx_bytes();
+        let cache = SteeringCache::with_budget(bytes(0.5) + bytes(0.25));
         let a = cache.tables(spec_at(0.5), &anchors, &dists, carrier);
         let b = cache.tables(spec_at(0.4), &anchors, &dists, carrier);
         assert_eq!(cache.len(), 2);
-        // Size the budget so `a` plus the upcoming 0.25 m entry fit, but
-        // all three do not.
-        let c_bytes =
-            SteeringTables::build(spec_at(0.25), &anchors, &dists, carrier).approx_bytes();
-        cache.set_byte_budget(Some(a.approx_bytes() + c_bytes));
         // Touch `a` so the 0.4 m entry is the least recently used, then
         // insert a third: `b` must be the eviction victim.
         let a2 = cache.tables(spec_at(0.5), &anchors, &dists, carrier);
@@ -1504,11 +1262,16 @@ mod tests {
 
         // A single entry larger than the budget stays resident: the cache
         // never evicts below one geometry.
-        cache.set_byte_budget(Some(1));
+        let cache = SteeringCache::with_budget(1);
         let big = cache.tables(spec_at(0.1), &anchors, &dists, carrier);
         assert_eq!(cache.len(), 1);
         let big2 = cache.tables(spec_at(0.1), &anchors, &dists, carrier);
         assert!(Arc::ptr_eq(&big, &big2));
+        // The built-in budget holds every workload's geometries.
+        assert_eq!(
+            SteeringCache::new().inner.lock().unwrap().byte_budget,
+            CACHE_BUDGET_BYTES
+        );
     }
 
     /// Anchor `i`'s lanes at parent cell `(ix, iy)`: `Δ` and carrier

@@ -65,19 +65,6 @@ impl fmt::Display for LocalizeError {
 
 impl std::error::Error for LocalizeError {}
 
-impl LocalizeError {
-    /// A short machine-readable reason for this failure.
-    pub fn reason(&self) -> &'static str {
-        match self {
-            Self::EmptySounding => "empty",
-            Self::NoAnchors => "no_anchors",
-            Self::NoUsableBands { .. } => "no_usable_bands",
-            Self::TooFewUsableAnchors { .. } => "too_few_usable_anchors",
-            Self::NoPeak => "no_peak",
-        }
-    }
-}
-
 /// Why the runtime supervisor declined to attempt (or accept) a localize
 /// this round. A deferral is not a failure: it is the supervisor's typed
 /// statement that conditions were below its admission policy and the
@@ -146,18 +133,6 @@ impl fmt::Display for DeferReason {
                 f,
                 "round deadline exceeded: {spent_us} µs spent of a {budget_us} µs budget"
             ),
-        }
-    }
-}
-
-impl DeferReason {
-    /// A short machine-readable reason for this deferral.
-    pub fn reason(&self) -> &'static str {
-        match self {
-            Self::AnchorQuorum { .. } => "anchor_quorum",
-            Self::BandQuorum { .. } => "band_quorum",
-            Self::RetriesExhausted { .. } => "retries_exhausted",
-            Self::DeadlineExceeded { .. } => "deadline",
         }
     }
 }
@@ -235,51 +210,6 @@ impl DegradationReport {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
-
-    #[test]
-    fn display_and_reason_cover_every_variant() {
-        let variants = [
-            LocalizeError::EmptySounding,
-            LocalizeError::NoAnchors,
-            LocalizeError::NoUsableBands {
-                total: 37,
-                dropped: 37,
-            },
-            LocalizeError::TooFewUsableAnchors {
-                usable: 1,
-                total: 4,
-            },
-            LocalizeError::NoPeak,
-        ];
-        let mut reasons = std::collections::HashSet::new();
-        for v in &variants {
-            assert!(!v.to_string().is_empty());
-            assert!(reasons.insert(v.reason()), "reasons must be distinct");
-        }
-    }
-
-    #[test]
-    fn defer_display_and_reason_cover_every_variant() {
-        let variants = [
-            DeferReason::AnchorQuorum {
-                live: 2,
-                required: 3,
-            },
-            DeferReason::BandQuorum {
-                surviving: 5,
-                required: 10,
-            },
-            DeferReason::RetriesExhausted {
-                attempts: 4,
-                last: LocalizeError::NoPeak,
-            },
-        ];
-        let mut reasons = std::collections::HashSet::new();
-        for v in &variants {
-            assert!(!v.to_string().is_empty());
-            assert!(reasons.insert(v.reason()), "reasons must be distinct");
-        }
-    }
 
     #[test]
     fn clean_report_is_clean() {

@@ -12,8 +12,8 @@
 //! evaluated only on the evidence that survived — the database does not
 //! need to model the fault process at all.
 //!
-//! Matching runs on [`bloc_num::knn`] (deterministic, thread-count
-//! independent); the estimate is the distance-weighted mean of the `k`
+//! Matching runs on [`bloc_num::knn`] (deterministic: ties break on row
+//! index); the estimate is the distance-weighted mean of the `k`
 //! nearest surveyed positions, with the weighted spread reported as the
 //! estimate's intrinsic uncertainty.
 
@@ -195,7 +195,6 @@ impl FingerprintDb {
         &self,
         evidence: &FallbackEvidence,
         k: usize,
-        threads: usize,
     ) -> Result<KnnEstimate, FallbackError> {
         if self.is_empty() {
             return Err(FallbackError::EmptyDatabase);
@@ -207,7 +206,7 @@ impl FingerprintDb {
             return Err(FallbackError::NoSurvivingFeatures);
         }
         bloc_obs::counter("fallback.knn.queries").inc();
-        let ranked = knn::k_nearest(values, mask, &self.features, self.dims(), k.max(1), threads);
+        let ranked = knn::k_nearest(values, mask, &self.features, self.dims(), k.max(1));
         if ranked.is_empty() {
             // Unreachable with surviving dims > 0 and a non-empty db,
             // but typed rather than trusted.

@@ -168,12 +168,10 @@ pub fn fuse_mass(parts: &[(&Grid2D, f64)]) -> Option<Grid2D> {
 /// An isotropic Gaussian bump over the grid — turns a point estimate
 /// (e.g. a KNN position with its spread) into a spatial prior the fusion
 /// sum can consume.
-pub fn gaussian_bump(spec: GridSpec, center: P2, sigma_m: f64, threads: usize) -> Grid2D {
+pub fn gaussian_bump(spec: GridSpec, center: P2, sigma_m: f64) -> Grid2D {
     let sigma = sigma_m.max(spec.resolution.max(1e-3));
     let inv_two_sq = 1.0 / (2.0 * sigma * sigma);
-    let mut g = Grid2D::from_fn_par(spec, threads, move |p| {
-        (-p.dist_sq(center) * inv_two_sq).exp()
-    });
+    let mut g = Grid2D::from_fn(spec, |p| (-p.dist_sq(center) * inv_two_sq).exp());
     g.normalize_mass();
     g
 }

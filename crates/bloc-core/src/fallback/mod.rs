@@ -89,19 +89,6 @@ impl fmt::Display for FallbackError {
 
 impl std::error::Error for FallbackError {}
 
-impl FallbackError {
-    /// A short machine-readable reason for this failure.
-    pub fn reason(&self) -> &'static str {
-        match self {
-            Self::EmptyDatabase => "empty_database",
-            Self::ShapeMismatch { .. } => "shape_mismatch",
-            Self::NoSurvivingFeatures => "no_surviving_features",
-            Self::NoInformativeAnchors => "no_informative_anchors",
-            Self::NoEstimator => "no_estimator",
-        }
-    }
-}
-
 /// Which evidence produced an estimate — the provenance every degraded
 /// fix must carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,19 +106,6 @@ pub enum EstimateMode {
     FallbackFused,
 }
 
-impl EstimateMode {
-    /// The mode's short machine-readable name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::Csi => "csi",
-            Self::CsiFused => "csi_fused",
-            Self::Fingerprint => "fingerprint",
-            Self::Counts => "counts",
-            Self::FallbackFused => "fallback_fused",
-        }
-    }
-}
-
 /// Policy knobs for the fallback stack.
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -143,8 +117,6 @@ pub struct FallbackConfig {
     /// Floor on the reported uncertainty of any fallback estimate, metres
     /// — metre-class estimators must not report cm-class confidence.
     pub min_sigma_m: f64,
-    /// Worker threads for grid evaluation and KNN distance fan-out.
-    pub threads: usize,
 }
 
 impl Default for FallbackConfig {
@@ -153,7 +125,6 @@ impl Default for FallbackConfig {
             k: 4,
             policy: FusionPolicy::default(),
             min_sigma_m: 0.35,
-            threads: 1,
         }
     }
 }
@@ -246,7 +217,7 @@ impl FallbackEvidence {
 pub struct FallbackStack {
     db: Option<Arc<FingerprintDb>>,
     counts: Option<(PacketCountModel, Arc<CountTableSlot>)>,
-    /// Stack policy (public so benches can tune `k`/threads in place).
+    /// Stack policy (public so benches can tune `k` in place).
     pub config: FallbackConfig,
 }
 
@@ -292,15 +263,14 @@ impl FallbackStack {
         evidence: &FallbackEvidence,
         spec: GridSpec,
     ) -> (Option<(Grid2D, KnnEstimate)>, Option<CountsEstimate>) {
-        let threads = self.config.threads.max(1);
         let fp = self.db.as_ref().and_then(|db| {
-            let est = db.query(evidence, self.config.k, threads).ok()?;
+            let est = db.query(evidence, self.config.k).ok()?;
             let sigma = est.spread_m.max(self.config.min_sigma_m);
-            let bump = fusion::gaussian_bump(spec, est.position, sigma, threads);
+            let bump = fusion::gaussian_bump(spec, est.position, sigma);
             Some((bump, est))
         });
         let counts = self.counts.as_ref().and_then(|(model, slot)| {
-            let table = slot.get(model, spec, evidence.anchors(), threads);
+            let table = slot.get(model, spec, evidence.anchors());
             model.localize(evidence.census(), &table).ok()
         });
         (fp, counts)

@@ -76,13 +76,13 @@ impl PacketCountModel {
     }
 
     /// The model's log reception probabilities over `spec` for every
-    /// anchor in `anchors` (cell centres as [`Grid2D::from_fn_par`]
+    /// anchor in `anchors` (cell centres as [`Grid2D::from_fn`]
     /// evaluates them): the part of [`Self::localize`] that depends only
     /// on the grid and the deployment, computed once and shared.
-    pub fn table(&self, spec: GridSpec, anchors: &[P2], threads: usize) -> CountTable {
+    pub fn table(&self, spec: GridSpec, anchors: &[P2]) -> CountTable {
         let mut ln = Vec::with_capacity(anchors.len() * spec.len());
         for &a in anchors {
-            let p = Grid2D::from_fn_par(spec, threads, |x| self.p_receive(x.dist(a)));
+            let p = Grid2D::from_fn(spec, |x| self.p_receive(x.dist(a)));
             ln.extend(p.data().iter().map(|&pr| [pr.ln(), (1.0 - pr).ln()]));
         }
         CountTable {
@@ -192,14 +192,13 @@ impl CountTableSlot {
         model: &PacketCountModel,
         spec: GridSpec,
         anchors: &[P2],
-        threads: usize,
     ) -> Arc<CountTable> {
         // The slot holds a whole table or none, so a guard poisoned by a
         // panicking tag elsewhere still guards a sound slot.
         let mut slot = self.0.lock().unwrap_or_else(PoisonError::into_inner);
         match slot.as_ref() {
             Some(kept) if kept.serves(model, spec, anchors) => Arc::clone(kept),
-            _ => Arc::clone(slot.insert(Arc::new(model.table(spec, anchors, threads)))),
+            _ => Arc::clone(slot.insert(Arc::new(model.table(spec, anchors)))),
         }
     }
 }

@@ -80,21 +80,6 @@ pub(crate) const COARSE_DOMINANCE_RADIUS: usize = 1;
 /// size).
 pub(crate) const SEED_ESCAPE_FRACTION: f64 = 0.35;
 
-/// Resident-byte budget a hierarchical localizer installs on its
-/// engine's steering cache: 256 MiB. The hierarchy caches one geometry
-/// per level — coarse and fine — and patches are windows into the fine
-/// one, whose tiles fill as patches touch them; LRU eviction keeps
-/// long-running fleets bounded.
-pub const CACHE_BUDGET_BYTES: usize = 256 << 20;
-
-/// Installs [`CACHE_BUDGET_BYTES`] on `localizer`'s steering cache.
-pub(crate) fn install_budget(localizer: &BlocLocalizer) {
-    localizer
-        .engine()
-        .cache()
-        .set_byte_budget(Some(CACHE_BUDGET_BYTES));
-}
-
 /// Configuration of the coarse-to-fine hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -236,10 +221,8 @@ pub struct HierarchicalLocalizer {
 }
 
 impl HierarchicalLocalizer {
-    /// Wraps `localizer` and installs the steering-cache byte budget
-    /// ([`CACHE_BUDGET_BYTES`]) on its engine.
+    /// Wraps `localizer`.
     pub fn new(localizer: BlocLocalizer, config: HierarchicalConfig) -> Self {
-        install_budget(&localizer);
         Self { localizer, config }
     }
 

@@ -78,8 +78,8 @@ pub fn reference_cell_value(
 }
 
 /// The per-anchor likelihood map computed by the naive reference path —
-/// the original single-threaded implementation, kept verbatim as the
-/// equivalence baseline for [`crate::engine`].
+/// the original implementation, kept verbatim as the equivalence
+/// baseline for [`crate::engine`].
 pub fn anchor_likelihood_reference(
     corrected: &CorrectedChannels,
     i: usize,
@@ -103,7 +103,7 @@ pub fn anchor_likelihood(
     spec: GridSpec,
     combining: AntennaCombining,
 ) -> Grid2D {
-    crate::engine::LikelihoodEngine::recurrence().anchor_likelihood(corrected, i, spec, combining)
+    crate::engine::LikelihoodEngine::default().anchor_likelihood(corrected, i, spec, combining)
 }
 
 /// The angle-only likelihood of anchor `i` (paper Eq. 15 / Fig. 6a),
@@ -202,7 +202,7 @@ pub fn joint_likelihood(
     spec: GridSpec,
     combining: AntennaCombining,
 ) -> Grid2D {
-    crate::engine::LikelihoodEngine::recurrence().joint_likelihood(corrected, spec, combining)
+    crate::engine::LikelihoodEngine::default().joint_likelihood(corrected, spec, combining)
 }
 
 /// The joint likelihood computed through the naive reference path —

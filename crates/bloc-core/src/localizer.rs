@@ -196,7 +196,7 @@ impl BlocLocalizer {
         }
     }
 
-    /// Replaces the likelihood engine (kernel choice, thread count).
+    /// Replaces the likelihood engine (and with it the steering cache).
     pub fn with_engine(mut self, engine: LikelihoodEngine) -> Self {
         self.engine = engine;
         self

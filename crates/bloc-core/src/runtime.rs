@@ -403,9 +403,6 @@ impl SessionSupervisor {
     /// master and is never quarantined).
     pub fn new(localizer: BlocLocalizer, n_anchors: usize, config: RuntimeConfig) -> Self {
         assert!(n_anchors > 0, "a deployment needs at least the master");
-        if config.hierarchical.is_some() {
-            crate::hierarchical::install_budget(&localizer);
-        }
         Self {
             localizer,
             tracker: Tracker::new(config.tracker),

@@ -71,7 +71,7 @@ fn warm_joint_likelihood_allocates_only_outputs() {
     )
     .expect("sounding must correct");
     let spec = GridSpec::covering(P2::new(-0.5, -0.5), P2::new(5.5, 6.5), 0.25);
-    let engine = LikelihoodEngine::recurrence();
+    let engine = LikelihoodEngine::default();
 
     // Two cold calls: populate the steering cache and the SoA arena.
     let cold = allocations_during(|| {

@@ -241,7 +241,7 @@ fn racing_window_fills_feed_the_kernel_the_whole_build_bits() {
 
     // Four threads fill their windows of one cold entry at once, each
     // sweeping its window straight off the tiles the race left.
-    let racing = LikelihoodEngine::recurrence();
+    let racing = LikelihoodEngine::default();
     let barrier = Barrier::new(windows.len());
     let raced: Vec<_> = thread::scope(|s| {
         let handles: Vec<_> = windows
@@ -264,7 +264,7 @@ fn racing_window_fills_feed_the_kernel_the_whole_build_bits() {
     // The kernel reads the seed and step phasors the race stored: its
     // maps, during the race and after it, are those of a whole-grid
     // build bit for bit.
-    let whole = LikelihoodEngine::recurrence();
+    let whole = LikelihoodEngine::default();
     let _ = whole.joint_likelihood(&corrected, spec, combining);
     let bits = |maps: &[(usize, bloc_num::Grid2D)]| -> Vec<(usize, Vec<u64>)> {
         maps.iter()

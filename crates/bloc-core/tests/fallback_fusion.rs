@@ -294,7 +294,7 @@ fn knn_edge_cases_are_typed_not_panics() {
     // Empty database → typed error.
     let empty = FingerprintDb::new(chans.len(), 4);
     assert_eq!(
-        empty.query(&evidence, 4, 1).unwrap_err(),
+        empty.query(&evidence, 4).unwrap_err(),
         FallbackError::EmptyDatabase
     );
 
@@ -310,19 +310,19 @@ fn knn_edge_cases_are_typed_not_panics() {
         db
     };
     assert!(matches!(
-        wrong_shape.query(&evidence, 4, 1).unwrap_err(),
+        wrong_shape.query(&evidence, 4).unwrap_err(),
         FallbackError::ShapeMismatch { .. }
     ));
 
     let mut db = survey_db(&sounder, 404);
 
     // k larger than the database clamps instead of erroring.
-    let est = db.query(&evidence, 10_000, 1).expect("oversized k is sane");
+    let est = db.query(&evidence, 10_000).expect("oversized k is sane");
     assert_eq!(est.neighbors.len(), db.len());
     assert!(est.position.x.is_finite() && est.position.y.is_finite());
 
     // k = 0 clamps to 1.
-    let est = db.query(&evidence, 0, 1).expect("k=0 clamps to 1");
+    let est = db.query(&evidence, 0).expect("k=0 clamps to 1");
     assert_eq!(est.neighbors.len(), 1);
 
     // Fully-masked query (every measurement an exact-zero hole) → typed.
@@ -335,7 +335,7 @@ fn knn_edge_cases_are_typed_not_panics() {
         }
     }
     assert_eq!(
-        db.query(&FallbackEvidence::from_sounding(&holed), 4, 1)
+        db.query(&FallbackEvidence::from_sounding(&holed), 4)
             .unwrap_err(),
         FallbackError::NoSurvivingFeatures
     );
@@ -348,7 +348,7 @@ fn knn_edge_cases_are_typed_not_panics() {
     db.insert(dup_pos, &dup_data).expect("shape matches");
     db.insert(dup_pos, &dup_data).expect("shape matches");
     let est = db
-        .query(&FallbackEvidence::from_sounding(&dup_data), 2, 1)
+        .query(&FallbackEvidence::from_sounding(&dup_data), 2)
         .expect("duplicates are sane");
     assert!(
         est.position.dist(dup_pos) < 1e-6,
@@ -463,7 +463,7 @@ fn count_bits(est: &CountsEstimate) -> (u64, u64, Vec<u64>, usize) {
 
 proptest! {
     /// The table-driven likelihood equals the direct formula bit for bit
-    /// on random grids, deployments, tallies and thread counts — with one
+    /// on random grids, deployments and tallies — with one
     /// anchor that decoded nothing in every case, and `n == 0` (an empty
     /// census) failing the same typed way.
     #[test]
@@ -476,7 +476,6 @@ proptest! {
         tallies in proptest::collection::vec(0usize..64, 6),
         expected in 0usize..40,
         base_loss in 0.0..0.5f64,
-        threads in 1usize..4,
     ) {
         let spec = GridSpec { origin: P2::new(origin.0, origin.1), resolution, nx, ny };
         let anchors: Vec<P2> = anchors.iter().map(|&(x, y)| P2::new(x, y)).collect();
@@ -490,7 +489,7 @@ proptest! {
             master_received: vec![0; anchors.len()],
         };
         let model = PacketCountModel::new(base_loss, range_loss());
-        let table = model.table(spec, &anchors, threads);
+        let table = model.table(spec, &anchors);
         match (model.localize(&census, &table), direct_counts(&model, &census, &anchors, spec)) {
             (Ok(fast), Ok(direct)) => prop_assert_eq!(count_bits(&fast), count_bits(&direct)),
             (fast, direct) => {

@@ -183,6 +183,48 @@ fn dense_paper_room_fix_charges_26400_cells() {
     assert_eq!(counter("engine.cells_evaluated") - before, 26_400);
 }
 
+/// A dense fix sweeps each alive anchor once, inside one
+/// `par.likelihood` region: four regions for the paper room's four
+/// anchors. A 4-tag batch shares each anchor's sweep, so it runs four
+/// regions too. The benchmark divides the regions' summed wall time by
+/// their count for `engine.us_per_call`, so a region split or merged
+/// here moves that figure.
+#[test]
+fn likelihood_regions_run_once_per_alive_anchor() {
+    let _guard = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    let room = Room::new(5.0, 6.0);
+    let env = Environment::free_space();
+    let anchors = anchors(&room);
+    let chans = all_data_channels();
+    let sounder = Sounder::new(&env, &anchors, SounderConfig::default());
+    let localizer = BlocLocalizer::new(BlocConfig::for_room(&room));
+    let mut rng = StdRng::seed_from_u64(43);
+    let tags = [(2.1, 3.2), (1.2, 4.1), (3.6, 1.5), (4.1, 4.4)];
+    let soundings: Vec<_> = tags
+        .iter()
+        .map(|&(x, y)| sounder.sound(P2::new(x, y), &chans, &mut rng))
+        .collect();
+    let regions = |fix: &dyn Fn()| {
+        let before = bloc_obs::Registry::global().snapshot();
+        fix();
+        let run = bloc_obs::Registry::global().snapshot().diff(&before);
+        run.histograms["par.likelihood.wall_us"].count
+    };
+
+    let dense = regions(&|| {
+        let est = localizer.localize(&soundings[0]).expect("clean fix");
+        assert!(est.degradation.anchors_excluded.is_empty());
+    });
+    assert_eq!(dense, 4, "one region per alive anchor");
+    let batch = regions(&|| {
+        let batch: Vec<_> = soundings.iter().collect();
+        for fix in localizer.localize_batch(&batch) {
+            fix.expect("clean fix");
+        }
+    });
+    assert_eq!(batch, 4, "a 4-tag batch shares each anchor's region");
+}
+
 /// Every path through the search loop charges its estimate's cell ledger
 /// exactly what the engine counted: the small-grid start, the coarse→fine
 /// search, the seeded fast path, and the seeded escapes (including the
@@ -394,10 +436,6 @@ fn each_fix_records_exactly_the_names_that_are_read() {
             "runtime.rounds.fixed",
         ],
         &[
-            "par.grid.fill.busy_us",
-            "par.grid.fill.wall_us",
-            "par.knn.dist.busy_us",
-            "par.knn.dist.wall_us",
             "par.likelihood.busy_us",
             "par.likelihood.wall_us",
             "span.localize",

@@ -1,8 +1,8 @@
-//! Equivalence suite for the fast likelihood engine (ISSUE 3): every
-//! layer — phasor recurrence, SoA channel layout, cached steering
-//! geometry, parallel row evaluation — must reproduce the naive reference
-//! implementation to ≤ 1e-9 relative error on randomized soundings,
-//! including degraded ones, and thread count must never change a result.
+//! Equivalence suite for the fast likelihood engine: every layer — range
+//! profiles, SoA channel layout, cached steering geometry, windows and
+//! sounding batches — must reproduce the naive reference implementation
+//! to ≤ 1e-9 relative error on randomized soundings, including degraded
+//! ones, and a window or batch must never change a cell's bits.
 
 use std::sync::Arc;
 
@@ -11,12 +11,12 @@ use bloc_chan::materials::Material;
 use bloc_chan::sounder::{all_data_channels, Sounder, SounderConfig};
 use bloc_chan::{AnchorArray, AnchorDropout, Environment, FaultPlan};
 use bloc_core::correction::{correct, CorrectedChannels};
-use bloc_core::engine::{BandPlan, LikelihoodEngine, SoaChannels};
+use bloc_core::engine::{LikelihoodEngine, SoaChannels};
 use bloc_core::likelihood::{
     anchor_likelihood_reference, joint_likelihood, joint_likelihood_reference, AntennaCombining,
 };
 use bloc_core::{BlocConfig, BlocLocalizer, HierarchicalConfig, HierarchicalLocalizer};
-use bloc_num::sweep::PROFILE_TOLERANCE;
+use bloc_num::sweep::{CombPlan, PROFILE_TOLERANCE};
 use bloc_num::{Grid2D, GridPatch, GridSpec, P2};
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -93,7 +93,7 @@ fn environments(seed: u64) -> Vec<(&'static str, Environment)> {
 fn recurrence_matches_reference_on_randomized_soundings() {
     let room = Room::new(5.0, 6.0);
     let spec = spec(&room);
-    let engine = LikelihoodEngine::recurrence();
+    let engine = LikelihoodEngine::default();
     let tags = [P2::new(1.3, 1.8), P2::new(3.7, 4.4), P2::new(2.5, 0.6)];
     for (name, env) in environments(100) {
         for (t, &tag) in tags.iter().enumerate() {
@@ -130,7 +130,7 @@ fn recurrence_matches_reference_on_randomized_soundings() {
 fn recurrence_matches_reference_under_fault_degradation() {
     let room = Room::new(5.0, 6.0);
     let spec = spec(&room);
-    let engine = LikelihoodEngine::recurrence();
+    let engine = LikelihoodEngine::default();
     let chans = all_data_channels();
     let plans = [
         FaultPlan {
@@ -181,47 +181,38 @@ fn recurrence_matches_reference_under_fault_degradation() {
 
 #[test]
 fn thread_count_never_changes_the_result() {
+    // Fixes fan out across worker threads on one engine (clones share the
+    // steering cache, whose tiles the workers race to fill): any worker
+    // count gives every sounding the bits it gets alone.
     let room = Room::new(5.0, 6.0);
     let spec = spec(&room);
-    let corrected = corrected_for(
-        &environments(42).pop().expect("environments").1,
+    let env = environments(42).pop().expect("environments").1;
+    let tags = [
         P2::new(3.1, 2.2),
-        400,
-        None,
-    );
-    let single = LikelihoodEngine::recurrence().joint_likelihood(
-        &corrected,
-        spec,
-        AntennaCombining::default(),
-    );
-    let (ix1, iy1, _) = single.argmax().expect("peak");
-    for threads in [2, 4, 8] {
-        let multi = LikelihoodEngine::recurrence()
-            .with_threads(threads)
-            .joint_likelihood(&corrected, spec, AntennaCombining::default());
-        // Bit-identical, not merely close: the row split assigns cells,
-        // never reorders per-cell arithmetic.
+        P2::new(1.4, 4.7),
+        P2::new(2.6, 0.9),
+        P2::new(4.2, 3.8),
+    ];
+    let soundings: Vec<CorrectedChannels> = (0..tags.len())
+        .map(|k| corrected_for(&env, tags[k], 400 + k as u64, None))
+        .collect();
+    let joint = |engine: &LikelihoodEngine, k: usize| {
+        let g = engine.joint_likelihood(&soundings[k], spec, AntennaCombining::default());
+        g.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+    };
+    let alone: Vec<_> = (0..tags.len())
+        .map(|k| joint(&LikelihoodEngine::default(), k))
+        .collect();
+    for threads in [2, 4] {
+        let engine = LikelihoodEngine::default();
+        let fanned = bloc_num::par::map_named("test.fixes", tags.len(), threads, |k| {
+            joint(&engine.clone(), k)
+        });
         assert_eq!(
-            single.data(),
-            multi.data(),
-            "threads={threads} changed cell values"
+            fanned, alone,
+            "{threads} worker threads changed cell values"
         );
-        let (ix, iy, _) = multi.argmax().expect("peak");
-        assert_eq!((ix, iy), (ix1, iy1), "threads={threads} moved the argmax");
     }
-}
-
-#[test]
-fn reference_kernel_engine_reproduces_free_functions_exactly() {
-    // The engine wrapping of the reference kernel changes no arithmetic:
-    // bit-identical to the free reference functions.
-    let room = Room::new(5.0, 6.0);
-    let spec = spec(&room);
-    let corrected = corrected_for(&Environment::free_space(), P2::new(1.9, 4.2), 500, None);
-    let engine = LikelihoodEngine::reference();
-    let via_engine = engine.joint_likelihood(&corrected, spec, AntennaCombining::default());
-    let via_free = joint_likelihood_reference(&corrected, spec, AntennaCombining::default());
-    assert_eq!(via_engine.data(), via_free.data());
 }
 
 #[test]
@@ -270,16 +261,13 @@ fn off_comb_bands_fall_back_and_still_match_reference() {
     corrected.bands[10].freq_hz += 1.0e6;
     let freqs: Vec<f64> = corrected.bands.iter().map(|b| b.freq_hz).collect();
     assert!(
-        !BandPlan::build(&freqs).is_uniform_comb(),
+        !CombPlan::build(&freqs).is_uniform_comb(),
         "off-comb band must break the comb"
     );
     // …while the range profile, which takes any band set, still matches
     // the reference.
-    let fast = LikelihoodEngine::recurrence().joint_likelihood(
-        &corrected,
-        spec,
-        AntennaCombining::default(),
-    );
+    let fast =
+        LikelihoodEngine::default().joint_likelihood(&corrected, spec, AntennaCombining::default());
     let reference = joint_likelihood_reference(&corrected, spec, AntennaCombining::default());
     assert_grids_close(&fast, &reference, 1e-9, "off-comb fallback");
 }
@@ -288,7 +276,7 @@ fn off_comb_bands_fall_back_and_still_match_reference() {
 fn localizer_clones_share_one_steering_cache() {
     let room = Room::new(5.0, 6.0);
     let corrected = corrected_for(&Environment::free_space(), P2::new(2.0, 2.0), 900, None);
-    let engine = LikelihoodEngine::recurrence();
+    let engine = LikelihoodEngine::default();
     let clone = engine.clone();
     let spec = spec(&room);
     let _ = engine.joint_likelihood(&corrected, spec, AntennaCombining::default());
@@ -320,7 +308,7 @@ fn band_plan_handles_the_full_ble_data_comb() {
     // the advertising gaps folded in.
     let corrected = corrected_for(&Environment::free_space(), P2::new(1.0, 5.0), 1000, None);
     let freqs: Vec<f64> = corrected.bands.iter().map(|b| b.freq_hz).collect();
-    let plan = BandPlan::build(&freqs);
+    let plan = CombPlan::build(&freqs);
     assert!(plan.is_uniform_comb());
     assert_eq!(plan.gaps.len(), freqs.len());
     assert_eq!(plan.step_hz, 2.0e6);
@@ -328,7 +316,7 @@ fn band_plan_handles_the_full_ble_data_comb() {
 
 #[test]
 fn simd_dispatch_paths_are_bit_identical_on_degraded_inputs() {
-    // ISSUE 8: every compiled kernel backend (scalar always, AVX2 and
+    // Every compiled kernel backend (scalar always, AVX2 and
     // AVX-512 when the host has them) must produce byte-for-byte
     // identical profiles and sweeps, not merely close ones — including on
     // FaultPlan-degraded alpha tensors whose dead antennas and dropped
@@ -435,21 +423,20 @@ fn simd_dispatch_paths_are_bit_identical_on_degraded_inputs() {
 
 #[test]
 fn freq_comb_and_band_plan_share_one_comb_implementation() {
-    // ISSUE 8 unification: the likelihood engine's `BandPlan` and the
-    // synthesizer's `FreqComb` are the *same* `bloc_num::sweep::CombPlan`
-    // — identical ordering, base, step and slot assignment from one
-    // shared comb detector, no drift possible between the two engines.
+    // The synthesizer's `FreqComb` plans with the workspace's one comb
+    // detector (`bloc_num::sweep::CombPlan`): identical ordering, base,
+    // step and slot assignment for the same band set.
     let channels = all_data_channels();
     let freqs: Vec<f64> = channels.iter().map(|c| c.freq_hz()).collect();
     let via_synth = bloc_chan::FreqComb::for_channels(&channels);
-    let via_engine = BandPlan::build(&freqs);
+    let via_engine = CombPlan::build(&freqs);
     assert_eq!(via_synth.plan(), &via_engine);
     assert!(via_engine.is_uniform_comb());
     // Scrambled input order plans the same comb (order is per-input).
     let mut shuffled = freqs.clone();
     shuffled.reverse();
     shuffled.swap(3, 17);
-    let replanned = BandPlan::build(&shuffled);
+    let replanned = CombPlan::build(&shuffled);
     assert_eq!(replanned.freqs, via_engine.freqs);
     assert_eq!(replanned.step_hz, via_engine.step_hz);
     assert_eq!(replanned.gaps, via_engine.gaps);
@@ -459,7 +446,7 @@ fn freq_comb_and_band_plan_share_one_comb_implementation() {
 fn patch_windows_equal_the_dense_map_cell_for_cell() {
     // Hierarchical patches are windows into the fine grid: every window
     // cell must carry the dense map's value for the same parent cell, bit
-    // for bit, for both kernels. The 8 cm lattice from −0.5 m is the one
+    // for bit. The 8 cm lattice from −0.5 m is the one
     // where a patch's own rounded origin moves some cell centres by an
     // ulp, so a patch evaluated on its own spec would not pass.
     let room = Room::new(5.0, 6.0);
@@ -485,24 +472,19 @@ fn patch_windows_equal_the_dense_map_cell_for_cell() {
 
     let corrected = corrected_for(&Environment::free_space(), P2::new(2.2, 3.6), 1100, None);
     let combining = AntennaCombining::default();
-    for engine in [
-        LikelihoodEngine::recurrence(),
-        LikelihoodEngine::reference(),
-    ] {
-        let dense = engine.anchor_maps(&corrected, fine, &GridPatch::whole(fine), combining);
-        assert_eq!(dense.len(), corrected.n_anchors());
-        for (name, patch) in &patches {
-            let windowed = engine.anchor_maps(&corrected, fine, patch, combining);
-            assert_eq!(windowed.len(), dense.len());
-            for ((i, win), (j, full)) in windowed.iter().zip(&dense) {
-                assert_eq!(i, j);
-                assert_eq!(win.spec(), patch.spec);
-                assert!(
-                    win == &full.extract(patch),
-                    "{} {name} patch, anchor {i}: windowed map differs from the dense cells",
-                    engine.kernel_name()
-                );
-            }
+    let engine = LikelihoodEngine::default();
+    let dense = engine.anchor_maps(&corrected, fine, &GridPatch::whole(fine), combining);
+    assert_eq!(dense.len(), corrected.n_anchors());
+    for (name, patch) in &patches {
+        let windowed = engine.anchor_maps(&corrected, fine, patch, combining);
+        assert_eq!(windowed.len(), dense.len());
+        for ((i, win), (j, full)) in windowed.iter().zip(&dense) {
+            assert_eq!(i, j);
+            assert_eq!(win.spec(), patch.spec);
+            assert!(
+                win == &full.extract(patch),
+                "{name} patch, anchor {i}: windowed map differs from the dense cells"
+            );
         }
     }
 }
@@ -555,33 +537,24 @@ fn batched_soundings_equal_their_own_joints_bit_for_bit() {
     let combining = AntennaCombining::default();
     let bits = |g: &Grid2D| g.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     let patch = spec.patch(P2::new(2.0, 2.5), 1.3);
-    for engine in [
-        LikelihoodEngine::recurrence(),
-        LikelihoodEngine::recurrence().with_threads(2),
-        LikelihoodEngine::reference(),
-    ] {
-        let name = engine.kernel_name();
-        let out = engine.likelihood_batch(&batch, spec, &GridPatch::whole(spec), combining, true);
-        assert_eq!(out.len(), batch.len());
-        for (k, (corrected, maps)) in batch.iter().zip(&out).enumerate() {
-            let alone = match name {
-                "recurrence" => joint_likelihood(corrected, spec, combining),
-                _ => engine.joint_likelihood(corrected, spec, combining),
-            };
-            assert_eq!(bits(&maps.joint), bits(&alone), "{name}: joint {k}");
-            let own = engine.anchor_maps(corrected, spec, &GridPatch::whole(spec), combining);
-            assert_eq!(maps.anchor_maps.len(), own.len(), "{name}: maps {k}");
-            for ((i, got), (j, want)) in maps.anchor_maps.iter().zip(&own) {
-                assert_eq!(i, j);
-                assert_eq!(bits(got), bits(want), "{name}: sounding {k} anchor {i}");
-            }
+    let engine = LikelihoodEngine::default();
+    let out = engine.likelihood_batch(&batch, spec, &GridPatch::whole(spec), combining, true);
+    assert_eq!(out.len(), batch.len());
+    for (k, (corrected, maps)) in batch.iter().zip(&out).enumerate() {
+        let alone = joint_likelihood(corrected, spec, combining);
+        assert_eq!(bits(&maps.joint), bits(&alone), "joint {k}");
+        let own = engine.anchor_maps(corrected, spec, &GridPatch::whole(spec), combining);
+        assert_eq!(maps.anchor_maps.len(), own.len(), "maps {k}");
+        for ((i, got), (j, want)) in maps.anchor_maps.iter().zip(&own) {
+            assert_eq!(i, j);
+            assert_eq!(bits(got), bits(want), "sounding {k} anchor {i}");
         }
-        // A window batches the same way, and joints only keep no maps.
-        let windowed = engine.likelihood_batch(&batch, spec, &patch, combining, false);
-        for (k, (corrected, maps)) in batch.iter().zip(&windowed).enumerate() {
-            let alone = engine.joint_window(corrected, spec, &patch, combining);
-            assert_eq!(bits(&maps.joint), bits(&alone), "{name}: window joint {k}");
-            assert!(maps.anchor_maps.is_empty());
-        }
+    }
+    // A window batches the same way, and joints only keep no maps.
+    let windowed = engine.likelihood_batch(&batch, spec, &patch, combining, false);
+    for (k, (corrected, maps)) in batch.iter().zip(&windowed).enumerate() {
+        let alone = engine.joint_window(corrected, spec, &patch, combining);
+        assert_eq!(bits(&maps.joint), bits(&alone), "window joint {k}");
+        assert!(maps.anchor_maps.is_empty());
     }
 }

@@ -19,7 +19,7 @@ use bloc_chan::sounder::{all_data_channels, SounderConfig};
 use bloc_chan::{AnchorArray, Environment, Sounder};
 use bloc_core::correction::correct;
 use bloc_core::engine::LikelihoodEngine;
-use bloc_core::likelihood::AntennaCombining;
+use bloc_core::likelihood::{anchor_likelihood_reference, AntennaCombining};
 use bloc_core::localizer::{BlocConfig, BlocLocalizer};
 use bloc_num::P2;
 use rand::{rngs::StdRng, SeedableRng};
@@ -157,30 +157,35 @@ fn free_space_coherent_peak_is_the_sum_of_channel_magnitudes() {
             &mut StdRng::seed_from_u64(k as u64),
         );
         let corrected = correct(&data, true).unwrap();
-        for engine in [
-            LikelihoodEngine::recurrence(),
-            LikelihoodEngine::reference(),
-        ] {
-            for i in 0..corrected.n_anchors() {
-                let sum: f64 = corrected
-                    .bands
-                    .iter()
-                    .flat_map(|b| b.alpha[i].iter())
-                    .map(|a| a.abs())
-                    .sum();
-                let map = engine.anchor_likelihood(&corrected, i, spec, AntennaCombining::Coherent);
+        let engine = LikelihoodEngine::default();
+        let coherent = AntennaCombining::Coherent;
+        for i in 0..corrected.n_anchors() {
+            let sum: f64 = corrected
+                .bands
+                .iter()
+                .flat_map(|b| b.alpha[i].iter())
+                .map(|a| a.abs())
+                .sum();
+            for (name, map) in [
+                (
+                    "range profile",
+                    engine.anchor_likelihood(&corrected, i, spec, coherent),
+                ),
+                (
+                    "reference",
+                    anchor_likelihood_reference(&corrected, i, spec, coherent),
+                ),
+            ] {
                 let peak = map.get(ix, iy);
                 assert!(
                     (peak - sum).abs() <= 1e-9 * sum,
-                    "{} tag {tag} anchor {i}: peak {peak} vs Σ|α| {sum}",
-                    engine.kernel_name()
+                    "{name} tag {tag} anchor {i}: peak {peak} vs Σ|α| {sum}"
                 );
                 let (mx, my, _) = map.argmax().unwrap();
                 assert_eq!(
                     (mx, my),
                     (ix, iy),
-                    "{} tag {tag} anchor {i}: the maximum is elsewhere",
-                    engine.kernel_name()
+                    "{name} tag {tag} anchor {i}: the maximum is elsewhere"
                 );
             }
         }

@@ -485,6 +485,10 @@ fn teleported_truth_reacquires_within_k_rounds() {
 
 #[test]
 fn supervision_is_identical_across_thread_counts() {
+    // Sessions fan out across worker threads, each its own supervisor on
+    // a clone of one localizer (clones share the steering cache): any
+    // worker count gives every session the estimates, track states and
+    // breaker decisions it gets alone.
     let (room, anchors) = deployment();
     let env = Environment::free_space();
     let sounder = Sounder::new(&env, &anchors, quiet());
@@ -497,10 +501,8 @@ fn supervision_is_identical_across_thread_counts() {
         }],
         ..Default::default()
     };
-
-    let run = |threads: usize| {
-        let localizer = BlocLocalizer::new(BlocConfig::for_room(&room))
-            .with_engine(bloc_core::engine::LikelihoodEngine::default().with_threads(threads));
+    let truths = [P2::new(2.2, 2.8), P2::new(1.1, 4.3), P2::new(3.7, 1.6)];
+    let session = |localizer: BlocLocalizer, k: usize| {
         let mut sup = SessionSupervisor::new(localizer, anchors.len(), RuntimeConfig::default());
         let mut tracks = Vec::new();
         for round in 0..10u64 {
@@ -514,8 +516,8 @@ fn supervision_is_identical_across_thread_counts() {
                     &sounder,
                     plan,
                     &channels,
-                    P2::new(2.2, 2.8),
-                    71,
+                    truths[k],
+                    71 + k as u64,
                     round,
                     attempt,
                 )
@@ -526,13 +528,16 @@ fn supervision_is_identical_across_thread_counts() {
         }
         (tracks, sup.breaker_ledger().to_vec())
     };
-    let (tracks_1, ledger_1) = run(1);
-    let (tracks_8, ledger_8) = run(8);
-    assert_eq!(
-        tracks_1, tracks_8,
-        "estimates and track states must be bit-identical across thread counts"
-    );
-    assert_eq!(ledger_1, ledger_8, "breaker decisions too");
+    let alone: Vec<_> = (0..truths.len())
+        .map(|k| session(BlocLocalizer::new(BlocConfig::for_room(&room)), k))
+        .collect();
+    for threads in [2, 4] {
+        let shared = BlocLocalizer::new(BlocConfig::for_room(&room));
+        let fanned = bloc_num::par::map_named("test.sessions", truths.len(), threads, |k| {
+            session(shared.clone(), k)
+        });
+        assert_eq!(fanned, alone, "{threads} worker threads changed a session");
+    }
 }
 
 #[test]

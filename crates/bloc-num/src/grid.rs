@@ -239,57 +239,6 @@ impl Grid2D {
         g
     }
 
-    /// Builds a grid by evaluating `f` at every cell centre, splitting the
-    /// rows across `threads` scoped threads (see [`crate::par`]).
-    ///
-    /// Unlike [`Self::from_fn`] the closure must be `Fn + Sync` so it can
-    /// be shared across workers. Cell values are a pure function of the
-    /// cell centre, so the result is bit-identical for every thread count;
-    /// `threads <= 1` runs inline with no spawn overhead.
-    ///
-    /// The thread count is tuned down ([`crate::par::tuned_threads`])
-    /// when the grid is too small to amortize spawns, and rows are
-    /// grouped into multi-row chunks ([`crate::par::auto_chunk_len`]) so
-    /// large grids hand each worker a few coarse pieces instead of one
-    /// row at a time.
-    pub fn from_fn_par(spec: GridSpec, threads: usize, f: impl Fn(P2) -> f64 + Sync) -> Self {
-        Self::window_from_fn_par(spec, &GridPatch::whole(spec), threads, f)
-    }
-
-    /// [`Self::from_fn_par`] over `window` of `parent`: a `window.spec`
-    /// grid whose cell `(ix, iy)` holds `f` at the **parent** cell centre
-    /// `parent.cell_center(ix + x0, iy + y0)`. A window's values therefore
-    /// equal the same cells of the whole-parent grid bit for bit — the
-    /// patch's own `spec.cell_center` rounds its shifted origin and can
-    /// differ from the parent centre in the last bit.
-    pub fn window_from_fn_par(
-        parent: GridSpec,
-        window: &GridPatch,
-        threads: usize,
-        f: impl Fn(P2) -> f64 + Sync,
-    ) -> Self {
-        let mut g = Self::zeros(window.spec);
-        let nx = window.spec.nx.max(1);
-        // A cell evaluation is ~a few hundred ns worst case; 4096 cells
-        // per shard keeps the spawn cost under a percent.
-        let threads = crate::par::tuned_threads(g.data.len(), threads, 4096);
-        let chunk = crate::par::auto_chunk_len(g.data.len(), nx, threads);
-        crate::par::for_each_chunk_mut_named(
-            "grid.fill",
-            &mut g.data,
-            chunk,
-            threads,
-            |start, row| {
-                for (off, v) in row.iter_mut().enumerate() {
-                    let idx = start + off;
-                    let (px, py) = window.to_parent(idx % nx, idx / nx);
-                    *v = f(parent.cell_center(px, py));
-                }
-            },
-        );
-        g
-    }
-
     /// The grid geometry.
     #[inline]
     pub fn spec(&self) -> GridSpec {
@@ -515,22 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn from_fn_par_matches_from_fn_for_any_thread_count() {
-        let s = GridSpec {
-            origin: P2::new(-1.0, 0.5),
-            resolution: 0.21,
-            nx: 13,
-            ny: 9,
-        };
-        let f = |p: P2| (p.x * 1.7).sin() * (p.y * 0.9).cos() + p.x;
-        let seq = Grid2D::from_fn(s, f);
-        for threads in [1, 2, 3, 8] {
-            let par = Grid2D::from_fn_par(s, threads, f);
-            assert_eq!(seq, par, "threads = {threads} must be bit-identical");
-        }
-    }
-
-    #[test]
     fn add_and_normalize() {
         let s = spec_3x2();
         let mut a = Grid2D::from_fn(s, |_| 1.0);
@@ -725,37 +658,6 @@ mod tests {
                 assert_eq!(sub.get(ix, iy), g.get(px, py));
             }
         }
-    }
-
-    #[test]
-    fn window_fill_reads_parent_centres_exactly() {
-        // The 8 cm lattice from −0.5 m: a patch's own origin rounds, so
-        // `patch.spec.cell_center` misses some parent centres in the last
-        // bit; the window fill must not.
-        let s = GridSpec {
-            origin: P2::new(-0.5, -0.5),
-            resolution: 0.08,
-            nx: 61,
-            ny: 37,
-        };
-        let f = |p: P2| p.x * 1e3 + p.y;
-        let dense = Grid2D::from_fn(s, f);
-        let mut shifted = 0;
-        for (cx, cy) in [(7, 5), (30, 18), (58, 35)] {
-            let patch = s.patch(s.cell_center(cx, cy), 0.9);
-            for threads in [1, 3] {
-                let win = Grid2D::window_from_fn_par(s, &patch, threads, f);
-                assert_eq!(win, dense.extract(&patch), "threads = {threads}");
-            }
-            shifted += (0..patch.spec.nx)
-                .filter(|&ix| patch.spec.cell_center(ix, 0).x != s.cell_center(ix + patch.x0, 0).x)
-                .count();
-        }
-        assert!(shifted > 0, "the lattice must exercise a rounded origin");
-        assert_eq!(
-            Grid2D::window_from_fn_par(s, &GridPatch::whole(s), 2, f),
-            dense
-        );
     }
 
     proptest! {

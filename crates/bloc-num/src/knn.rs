@@ -1,4 +1,4 @@
-//! Masked K-nearest-neighbour kernels on the [`crate::par`] executor.
+//! Masked K-nearest-neighbour kernels.
 //!
 //! The fingerprint fallback (`bloc_core::fallback`) matches a live,
 //! possibly hole-ridden feature vector against an offline database. The
@@ -7,14 +7,10 @@
 //! on exactly the evidence it still has (an RMS over the surviving
 //! dimensions keeps distances comparable across different mask sizes).
 //!
-//! Distances are pure per-row functions, computed via
-//! [`crate::par::map_named`] under the `knn.dist` region — results are
-//! bit-identical for any thread count — and the selection sort is fully
+//! Distances are pure per-row functions, and the selection sort is fully
 //! deterministic: ties break on `(distance, row index)` via `total_cmp`.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-
-use crate::par;
 
 /// One ranked database row.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,8 +48,7 @@ pub fn masked_rms_distance(query: &[f64], mask: &[bool], row: &[f64]) -> Option<
 /// must be a multiple of `dims`) to `query` under the masked RMS
 /// distance, nearest first. `k` is clamped to the number of rows; ties
 /// and NaN-free ordering are deterministic (`total_cmp`, then row
-/// index), and the distance pass runs on the `par` executor (`knn.dist`
-/// region) with bit-identical results for any `threads`.
+/// index).
 ///
 /// Returns an empty vector when the matrix is empty, `k == 0`, or the
 /// mask blanks every dimension — callers decide whether that is a typed
@@ -64,7 +59,6 @@ pub fn k_nearest(
     rows: &[f64],
     dims: usize,
     k: usize,
-    threads: usize,
 ) -> Vec<Neighbor> {
     assert!(dims > 0, "feature dimensionality must be positive");
     assert_eq!(
@@ -79,13 +73,12 @@ pub fn k_nearest(
         return Vec::new();
     }
 
-    let dists = par::map_named("knn.dist", n_rows, threads, |r| {
-        masked_rms_distance(query, mask, &rows[r * dims..(r + 1) * dims])
-    });
-    let mut ranked: Vec<Neighbor> = dists
-        .into_iter()
+    let mut ranked: Vec<Neighbor> = rows
+        .chunks_exact(dims)
         .enumerate()
-        .filter_map(|(index, d)| d.map(|dist| Neighbor { index, dist }))
+        .filter_map(|(index, row)| {
+            masked_rms_distance(query, mask, row).map(|dist| Neighbor { index, dist })
+        })
         .collect();
     ranked.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.index.cmp(&b.index)));
     ranked.truncate(k.min(n_rows));
@@ -101,7 +94,7 @@ mod tests {
     #[test]
     fn full_mask_matches_euclidean_rms() {
         let rows = [0.0, 0.0, 3.0, 4.0, 1.0, 1.0];
-        let got = k_nearest(&[0.0, 0.0], &[true, true], &rows, 2, 3, 1);
+        let got = k_nearest(&[0.0, 0.0], &[true, true], &rows, 2, 3);
         assert_eq!(got.len(), 3);
         assert_eq!(got[0].index, 0);
         assert_eq!(got[1].index, 2);
@@ -113,7 +106,7 @@ mod tests {
     fn mask_excludes_dimensions() {
         // Row 1 is far on dim 0 but identical on dim 1.
         let rows = [0.0, 5.0, 100.0, 5.0];
-        let got = k_nearest(&[0.0, 5.0], &[false, true], &rows, 2, 2, 1);
+        let got = k_nearest(&[0.0, 5.0], &[false, true], &rows, 2, 2);
         assert_eq!(got[0].dist, 0.0);
         assert_eq!(got[1].dist, 0.0, "masked dim must not contribute");
     }
@@ -121,47 +114,27 @@ mod tests {
     #[test]
     fn all_masked_query_returns_empty() {
         let rows = [1.0, 2.0];
-        assert!(k_nearest(&[0.0, 0.0], &[false, false], &rows, 2, 1, 1).is_empty());
+        assert!(k_nearest(&[0.0, 0.0], &[false, false], &rows, 2, 1).is_empty());
     }
 
     #[test]
     fn k_clamps_to_database_size() {
         let rows = [1.0, 2.0];
-        assert_eq!(
-            k_nearest(&[0.0, 0.0], &[true, true], &rows, 2, 99, 1).len(),
-            1
-        );
+        assert_eq!(k_nearest(&[0.0, 0.0], &[true, true], &rows, 2, 99).len(), 1);
     }
 
     #[test]
     fn empty_database_returns_empty() {
-        assert!(k_nearest(&[0.0], &[true], &[], 1, 3, 1).is_empty());
+        assert!(k_nearest(&[0.0], &[true], &[], 1, 3).is_empty());
     }
 
     #[test]
     fn duplicate_rows_tie_break_on_index() {
         let rows = [7.0, 7.0, 7.0];
-        let got = k_nearest(&[7.0], &[true], &rows, 1, 3, 1);
+        let got = k_nearest(&[7.0], &[true], &rows, 1, 3);
         assert_eq!(
             got.iter().map(|n| n.index).collect::<Vec<_>>(),
             vec![0, 1, 2]
         );
-    }
-
-    #[test]
-    fn thread_count_does_not_change_ranking() {
-        let dims = 8;
-        let n = 257;
-        let rows: Vec<f64> = (0..n * dims)
-            .map(|i| ((i as f64) * 0.37).sin() * 3.0)
-            .collect();
-        let query: Vec<f64> = (0..dims).map(|i| (i as f64) * 0.1).collect();
-        let mut mask = vec![true; dims];
-        mask[3] = false;
-        let one = k_nearest(&query, &mask, &rows, dims, 12, 1);
-        for t in [2, 4] {
-            let multi = k_nearest(&query, &mask, &rows, dims, 12, t);
-            assert_eq!(one, multi, "ranking must be identical at {t} threads");
-        }
     }
 }

@@ -1,10 +1,12 @@
 //! A small shared parallel executor over `std::thread::scope`.
 //!
-//! Every CPU-bound fan-out in the workspace — likelihood grid rows, the
-//! testbed location sweep, the ablation batteries — used to hand-roll its
-//! own `std::thread::scope` sharding. This module centralizes the pattern:
-//! deterministic work splitting with no work queue, no channels and no
-//! dependencies (consistent with the vendored-shim constraint).
+//! The workspace parallelizes at one level: across whole units of work —
+//! the testbed's locations (`sweep`), a fleet's tags (`fleet.tags`), a
+//! fingerprint survey's positions (`fingerprint.survey`), the ablation
+//! batteries. A single fix runs on one thread. This module is the one
+//! fan-out they share: deterministic work splitting with no work queue,
+//! no channels and no dependencies (consistent with the vendored-shim
+//! constraint).
 //!
 //! Determinism contract: the *assignment* of work items to threads is a
 //! pure function of `(n, threads)`, and results are reassembled in item
@@ -15,26 +17,24 @@
 //!
 //! # Telemetry (`par.*`)
 //!
-//! Each `*_named` entry point is a *region*: one fan-out with a stable
-//! name (`likelihood`, `sound.links`, …). Every region records two
-//! histograms on the global [`bloc_obs::Registry`]:
+//! Each entry point is a *region*: one fan-out with a stable name
+//! (`sweep`, `fleet.tags`, …). Every region records two histograms on
+//! the global [`bloc_obs::Registry`]:
 //!
 //! * `par.<name>.wall_us` — one sample per region, its wall time;
 //! * `par.<name>.busy_us` — one sample per shard that ran, its busy time.
 //!
 //! Shard busy time is measured *inside* the worker, so the gap between
 //! `wall × threads` and `Σ busy` is exactly the spawn/join + scheduling
-//! overhead — the number that makes the inverted thread-scaling of the
-//! likelihood kernel diagnosable instead of mysterious. The repository
-//! benchmark reads both for its per-layer attribution and parallel
-//! utilization, and `obs_report` gates shard count and coverage on them.
+//! overhead. The repository benchmark reads both for its per-layer
+//! attribution and parallel utilization, and `obs_report` gates shard
+//! count and coverage on them. The likelihood engine's row sweep is a
+//! one-shard `likelihood` region, so the benchmark can time the Eq. 17
+//! kernel from `par.likelihood.wall_us`.
 //! When the global [`bloc_obs::Tracer`] is also enabled, every shard
 //! additionally records `par.<name>` begin/end edges on its worker
 //! thread, which is what puts worker lanes into the exported Chrome
 //! trace.
-//!
-//! The unnamed entry points ([`map`], [`sharded_map`],
-//! [`for_each_chunk_mut`]) report under the reserved region name `other`.
 
 use std::time::Instant;
 
@@ -56,9 +56,7 @@ pub fn max_threads() -> usize {
 /// carry at least that much arithmetic to pay for itself.
 ///
 /// An explicit request above [`max_threads`] is honored, not clamped —
-/// oversubscription is the caller's call (the observability gates rely
-/// on a requested `N`-thread round producing `N` worker lanes even on a
-/// smaller host).
+/// oversubscription is the caller's call.
 ///
 /// Thread-count-*dependent* results are the caller's bug, not this
 /// function's: every executor in this module is deterministic per thread
@@ -68,23 +66,6 @@ pub fn tuned_threads(items: usize, requested: usize, min_items_per_shard: usize)
     let cap = items / min_items_per_shard.max(1);
     requested.max(1).min(cap.max(1))
 }
-
-/// Picks a chunk length (in multiples of `unit`) so a chunked fan-out
-/// over `total` elements yields roughly three chunks per worker — enough
-/// slack for round-robin balancing without per-chunk overhead dominating.
-pub fn auto_chunk_len(total: usize, unit: usize, threads: usize) -> usize {
-    let unit = unit.max(1);
-    if threads <= 1 {
-        return total.max(unit);
-    }
-    let n_units = total.div_ceil(unit);
-    let target_chunks = threads * 3;
-    let units_per_chunk = n_units.div_ceil(target_chunks).max(1);
-    units_per_chunk * unit
-}
-
-/// Region name used by the unnamed entry points.
-const UNNAMED: &str = "other";
 
 /// A per-unit-of-work time budget, counted in microseconds.
 ///
@@ -207,11 +188,9 @@ fn timed_shard<R>(trace_id: Option<u32>, body: impl FnOnce() -> R) -> (R, u64) {
     (out, busy)
 }
 
-/// [`for_each_chunk_mut`] with a region name for the `par.*` telemetry.
-///
 /// Splits `data` into contiguous chunks of `chunk_len` elements and applies
 /// `f(start_offset, chunk)` to every chunk, distributing chunks round-robin
-/// across `threads` scoped threads.
+/// across `threads` scoped threads; telemetry lands under `par.<name>.*`.
 ///
 /// With `threads <= 1` (or a single chunk) everything runs inline on the
 /// caller's thread — no spawn overhead, and the zero-thread case needs no
@@ -270,21 +249,9 @@ pub fn for_each_chunk_mut_named<T, F>(
     region.close(&busy);
 }
 
-/// Splits `data` into contiguous chunks and applies `f` to each across
-/// `threads` scoped threads; telemetry lands under the `other` region
-/// (see [`for_each_chunk_mut_named`]).
-pub fn for_each_chunk_mut<T, F>(data: &mut [T], chunk_len: usize, threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    for_each_chunk_mut_named(UNNAMED, data, chunk_len, threads, f)
-}
-
-/// [`sharded_map`] with a region name for the `par.*` telemetry.
-///
 /// Evaluates `work` for every index in `0..n` across `threads` scoped
-/// threads, returning the results in index order.
+/// threads, returning the results in index order; telemetry lands under
+/// `par.<name>.*`.
 ///
 /// Each worker owns a private state built by `init(worker_index)` — a
 /// sounder, a scratch buffer — threaded through its `work` calls and
@@ -354,18 +321,6 @@ where
     out.into_iter().flatten().collect()
 }
 
-/// Evaluates `work` for every index in `0..n` across `threads` scoped
-/// threads with per-worker state; telemetry lands under the `other`
-/// region (see [`sharded_map_named`]).
-pub fn sharded_map<S, T, I, W>(n: usize, threads: usize, init: I, work: W) -> Vec<T>
-where
-    T: Send,
-    I: Fn(usize) -> S + Sync,
-    W: Fn(&mut S, usize) -> T + Sync,
-{
-    sharded_map_named(UNNAMED, n, threads, init, work)
-}
-
 /// Stateless [`sharded_map_named`]: maps `f` over `0..n` in parallel,
 /// results in index order, telemetry under `par.<name>.*`.
 pub fn map_named<T, F>(name: &'static str, n: usize, threads: usize, f: F) -> Vec<T>
@@ -374,16 +329,6 @@ where
     F: Fn(usize) -> T + Sync,
 {
     sharded_map_named(name, n, threads, |_| (), |(), i| f(i))
-}
-
-/// Stateless [`sharded_map`]: maps `f` over `0..n` in parallel, results in
-/// index order.
-pub fn map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    map_named(UNNAMED, n, threads, f)
 }
 
 #[cfg(test)]
@@ -443,39 +388,24 @@ mod tests {
     }
 
     #[test]
-    fn auto_chunk_len_respects_unit_and_covers_total() {
-        for (total, unit, threads) in [(6600, 66, 4), (100, 10, 1), (7, 3, 2), (0, 5, 4)] {
-            let len = auto_chunk_len(total, unit, threads);
-            assert!(len >= unit.min(len.max(1)));
-            assert_eq!(len % unit, 0, "chunk len {len} not a multiple of {unit}");
-            if threads > 1 && total > 0 {
-                let chunks = total.div_ceil(len);
-                assert!(chunks <= threads * 3 + threads, "too many chunks: {chunks}");
-            }
-        }
-        // Serial calls get one chunk.
-        assert!(auto_chunk_len(500, 10, 1) >= 500);
-    }
-
-    #[test]
     fn map_preserves_index_order() {
         for threads in [1, 2, 3, 7] {
-            let out = map(23, threads, |i| i * i);
+            let out = map_named("par-unit", 23, threads, |i| i * i);
             assert_eq!(out, (0..23).map(|i| i * i).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn map_handles_empty_and_tiny() {
-        assert!(map(0, 4, |i| i).is_empty());
-        assert_eq!(map(1, 8, |i| i + 1), vec![1]);
+        assert!(map_named("par-unit", 0, 4, |i| i).is_empty());
+        assert_eq!(map_named("par-unit", 1, 8, |i| i + 1), vec![1]);
     }
 
     #[test]
     fn chunks_cover_every_element_exactly_once() {
         for threads in [1, 2, 5] {
             let mut data = vec![0u32; 103];
-            for_each_chunk_mut(&mut data, 10, threads, |start, chunk| {
+            for_each_chunk_mut_named("par-unit", &mut data, 10, threads, |start, chunk| {
                 for (off, v) in chunk.iter_mut().enumerate() {
                     *v += (start + off) as u32 + 1;
                 }
@@ -493,7 +423,7 @@ mod tests {
     #[test]
     fn chunk_starts_match_offsets() {
         let mut data = vec![0usize; 25];
-        for_each_chunk_mut(&mut data, 4, 3, |start, chunk| {
+        for_each_chunk_mut_named("par-unit", &mut data, 4, 3, |start, chunk| {
             assert!(chunk.len() <= 4);
             assert_eq!(start % 4, 0);
             for v in chunk.iter_mut() {
@@ -508,7 +438,8 @@ mod tests {
     #[test]
     fn sharded_state_init_runs_per_worker() {
         let inits = AtomicUsize::new(0);
-        let out = sharded_map(
+        let out = sharded_map_named(
+            "par-unit",
             10,
             3,
             |t| {
@@ -527,16 +458,17 @@ mod tests {
 
     #[test]
     fn results_are_thread_count_independent() {
-        let reference = map(57, 1, |i| (i as f64 * 0.37).sin());
+        let f = |i: usize| (i as f64 * 0.37).sin();
+        let reference = map_named("par-unit", 57, 1, f);
         for threads in [2, 4, 9] {
-            assert_eq!(map(57, threads, |i| (i as f64 * 0.37).sin()), reference);
+            assert_eq!(map_named("par-unit", 57, threads, f), reference);
         }
     }
 
     #[test]
     fn worker_panic_propagates() {
         let caught = std::panic::catch_unwind(|| {
-            map(8, 2, |i| {
+            map_named("par-unit", 8, 2, |i| {
                 if i == 5 {
                     panic!("boom");
                 }

@@ -128,7 +128,7 @@ mod tests {
         let _ = rng.gen::<u64>();
         let data = sounder.sound(truth, &channels, &mut rng);
         let est = db
-            .query(&bloc_core::FallbackEvidence::from_sounding(&data), 4, 1)
+            .query(&bloc_core::FallbackEvidence::from_sounding(&data), 4)
             .expect("clean query succeeds");
         assert!(
             est.position.dist(truth) < 1.5,

@@ -7,9 +7,10 @@
 //! test consumes the *same* sounding — exactly the paper's "using the same
 //! number of antennas and the same set of channel measurements" comparison
 //! discipline. Locations fan out across all CPU cores through
-//! [`bloc_num::par::sharded_map`]; each worker owns its sounder, every
-//! worker records into the same `sweep.*` metrics (resolved once per
-//! sweep), and results come back in dataset order by construction.
+//! [`bloc_num::par::sharded_map_named`] (the `sweep` region); each worker
+//! owns its sounder and runs its fixes on its own thread, every worker
+//! records into the same `sweep.*` metrics (resolved once per sweep), and
+//! results come back in dataset order by construction.
 //!
 //! Locations run in batches of [`BATCH`] consecutive ones. A batch's
 //! first attempt sounds every location under its own panic guard, then

@@ -23,9 +23,9 @@
 //! localizer built from the scenario, and clones of the scenario share
 //! it. Entries are keyed by grid, anchor geometry and frequency comb, so
 //! soundings reduced to an anchor, antenna or band subset get entries of
-//! their own. The cache is bounded by the hierarchical localizer's
-//! budget ([`CACHE_BUDGET_BYTES`]), evicting the least recently used
-//! geometry.
+//! their own. The cache is bounded by its built-in budget
+//! ([`bloc_core::engine::CACHE_BUDGET_BYTES`]), evicting the least
+//! recently used geometry.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,7 +38,6 @@ use bloc_chan::reflector::Reflector;
 use bloc_chan::sounder::{Sounder, SounderConfig};
 use bloc_chan::{AnchorArray, Environment};
 use bloc_core::engine::LikelihoodEngine;
-use bloc_core::hierarchical::CACHE_BUDGET_BYTES;
 use bloc_core::BlocLocalizer;
 use bloc_num::P2;
 
@@ -92,14 +91,6 @@ impl std::fmt::Debug for Scenario {
             .field("seed", &self.seed)
             .finish_non_exhaustive()
     }
-}
-
-/// A fresh engine for one scenario, its steering cache bounded like the
-/// hierarchical localizer's.
-fn scenario_engine() -> LikelihoodEngine {
-    let engine = LikelihoodEngine::default();
-    engine.cache().set_byte_budget(Some(CACHE_BUDGET_BYTES));
-    engine
 }
 
 impl Scenario {
@@ -215,7 +206,7 @@ impl Scenario {
             anchors,
             clutter,
             seed,
-            engine: scenario_engine(),
+            engine: LikelihoodEngine::default(),
         }
     }
 
@@ -262,7 +253,7 @@ impl Scenario {
             anchors,
             clutter: Clutter::CorridorVenue,
             seed,
-            engine: scenario_engine(),
+            engine: LikelihoodEngine::default(),
         }
     }
 
@@ -315,7 +306,7 @@ impl Scenario {
             anchors,
             clutter: Clutter::MultiRoomFloor,
             seed,
-            engine: scenario_engine(),
+            engine: LikelihoodEngine::default(),
         }
     }
 

@@ -64,8 +64,8 @@ if [[ "${1:-}" != "quick" ]]; then
     run env BLOC_NO_SIMD=1 cargo run --release -q -p bloc-bench --bin soak fleet
     # Hierarchical scalar leg: the coarse→fine localizer's count and
     # equality floors (parity within one fine cell of dense, ≥ 8× cell-eval
-    # reduction, thread bit-identity, seeded tracking ≤ 10% of a dense
-    # sweep with an exact cell ledger and no steering-cache miss)
+    # reduction, seeded tracking ≤ 10% of a dense sweep with an exact cell
+    # ledger and no steering-cache miss)
     # re-proven through the portable sweep kernel; --hier-only runs just
     # that section.
     run env BLOC_NO_SIMD=1 cargo run --release -q -p bloc-bench --bin perf_baseline -- --hier-only
@@ -73,16 +73,16 @@ if [[ "${1:-}" != "quick" ]]; then
     # level and the tag batch (bit-identical) and the fast
     # channel-synthesis engine (≤ 1e-12) against their references, and
     # enforces ratio floors timed in the same process — ≥ 5× likelihood
-    # and ≥ 4× sounding single thread over the references, ≥ 1.1× for a
-    # 4-tag batch, and ≥ 2× at 4 threads on hosts with ≥ 4 cores (on
-    # smaller hosts that floor prints "skipped" and a pathology guard
-    # runs). Also runs the hierarchical floors on the dispatched kernel.
+    # and ≥ 4× sounding over the references and ≥ 1.1× for a 4-tag
+    # batch, every row on one thread as a fix runs. Also runs the
+    # hierarchical floors on the dispatched kernel.
     # Best-of-15 keeps the ratios stable on noisy shared hosts (see
     # crates/bloc-bench/src/bin/perf_baseline.rs).
     run cargo run --release -q -p bloc-bench --bin perf_baseline 15
     # Observability gate: one busy sample per shard and par.* shard
     # telemetry covering ≥ 95% of a calibrated parallel region, and the
-    # Chrome-trace export re-parsed and balance-checked (see
+    # Chrome trace of two fixes on two worker threads re-parsed and
+    # balance-checked (see
     # crates/bloc-bench/src/bin/obs_report.rs).
     run cargo run --release -q -p bloc-bench --bin obs_report
 fi

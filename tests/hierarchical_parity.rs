@@ -5,7 +5,8 @@
 //! and *exactly* on it when the coarse argmax is unambiguous (clean
 //! rooms) — while evaluating several times fewer cells. The contract must
 //! hold across room geometries, in both large venues, under injected
-//! faults, and bit-identically across thread counts. The release-mode
+//! faults, and bit-identically however many worker threads run fixes. The
+//! release-mode
 //! ≥ 8× reduction gate at the full 8 cm corridor resolution lives in
 //! `perf_baseline`'s hierarchical section; these tests run the same
 //! comparisons at debug-friendly resolutions.
@@ -15,7 +16,6 @@ use bloc_chan::geometry::Room;
 use bloc_chan::materials::Material;
 use bloc_chan::sounder::{all_data_channels, Sounder, SounderConfig};
 use bloc_chan::Environment;
-use bloc_core::engine::LikelihoodEngine;
 use bloc_core::{BlocConfig, BlocLocalizer, HierarchicalConfig, HierarchicalLocalizer};
 use bloc_num::P2;
 use bloc_testbed::scenario::{standard_anchors, Scenario};
@@ -32,10 +32,9 @@ fn hier_config() -> HierarchicalConfig {
 }
 
 /// A dense localizer and a hierarchy sharing its engine (and therefore
-/// its steering cache), both on `threads` threads.
-fn pair(config: BlocConfig, threads: usize) -> (BlocLocalizer, HierarchicalLocalizer) {
-    let engine = LikelihoodEngine::default().with_threads(threads);
-    let dense = BlocLocalizer::new(config).with_engine(engine);
+/// its steering cache).
+fn pair(config: BlocConfig) -> (BlocLocalizer, HierarchicalLocalizer) {
+    let dense = BlocLocalizer::new(config);
     let hier = HierarchicalLocalizer::new(dense.clone(), hier_config());
     (dense, hier)
 }
@@ -56,7 +55,7 @@ fn randomized_rooms_match_dense_within_one_cell() {
         let anchors = standard_anchors(&room);
         let sounder = Sounder::new(&env, &anchors, SounderConfig::default());
         let config = BlocConfig::for_room(&room).with_resolution(0.12);
-        let (dense, hier) = pair(config, 1);
+        let (dense, hier) = pair(config);
 
         for tag in [
             P2::new(room.width * 0.3, room.height * 0.4),
@@ -97,7 +96,7 @@ fn clean_room_is_bit_identical_to_dense() {
     };
     let sounder = Sounder::new(&env, &anchors, sounder_config);
     let config = BlocConfig::for_room(&room).with_resolution(0.12);
-    let (dense, hier) = pair(config, 1);
+    let (dense, hier) = pair(config);
 
     for tag in [P2::new(1.7, 1.2), P2::new(5.1, 3.3)] {
         let data = sounder.sound(tag, &all_data_channels(), &mut rng);
@@ -115,7 +114,7 @@ fn clean_room_is_bit_identical_to_dense() {
 fn corridor_matches_dense_and_is_cheaper() {
     let s = Scenario::corridor(11);
     let config = s.bloc_config().with_resolution(0.16);
-    let (dense, hier) = pair(config, 1);
+    let (dense, hier) = pair(config);
     let sounder = s.sounder(SounderConfig::default());
     let mut rng = StdRng::seed_from_u64(42);
 
@@ -143,7 +142,7 @@ fn corridor_matches_dense_and_is_cheaper() {
 fn multi_room_matches_dense_through_interior_walls() {
     let s = Scenario::multi_room(5);
     let config = s.bloc_config().with_resolution(0.16);
-    let (dense, hier) = pair(config, 1);
+    let (dense, hier) = pair(config);
     let sounder = s.sounder(SounderConfig::default());
     let mut rng = StdRng::seed_from_u64(23);
 
@@ -171,7 +170,7 @@ fn faulted_soundings_keep_parity_and_degradation() {
     // fine cell.
     let s = Scenario::paper_testbed(31);
     let config = s.bloc_config();
-    let (dense, hier) = pair(config, 1);
+    let (dense, hier) = pair(config);
     let plan = FaultPlan {
         seed: 9,
         tag_loss: 0.2,
@@ -210,28 +209,26 @@ fn faulted_soundings_keep_parity_and_degradation() {
 
 #[test]
 fn fix_is_bit_identical_across_thread_counts() {
+    // Fixes fan out across worker threads on one hierarchy, whose fine
+    // grid's lazily filled steering table the workers race to fill: any
+    // worker count gives every fix the bits it gets alone.
     let s = Scenario::corridor(7);
     let config = s.bloc_config().with_resolution(0.24);
     let sounder = s.sounder(SounderConfig::default());
     let mut rng = StdRng::seed_from_u64(3);
-    let data = sounder.sound(P2::new(12.0, 4.0), &all_data_channels(), &mut rng);
-
-    let fixes: Vec<_> = [1usize, 2, 4]
+    let data: Vec<_> = [P2::new(12.0, 4.0), P2::new(5.5, 6.5), P2::new(27.0, 3.0)]
         .iter()
-        .map(|&t| {
-            let (_, hier) = pair(config, t);
-            hier.localize(&data).expect("hierarchical fix")
-        })
+        .map(|&tag| sounder.sound(tag, &all_data_channels(), &mut rng))
         .collect();
-    for (i, f) in fixes.iter().enumerate().skip(1) {
-        assert_eq!(
-            f.estimate.position,
-            fixes[0].estimate.position,
-            "threads={} position differs",
-            [1usize, 2, 4][i]
-        );
-        assert_eq!(f.estimate.peaks, fixes[0].estimate.peaks);
-        assert_eq!(f.cells_evaluated, fixes[0].cells_evaluated);
+    let fix = |hier: &HierarchicalLocalizer, k: usize| {
+        let h = hier.localize(&data[k]).expect("hierarchical fix");
+        (h.estimate.position, h.estimate.peaks, h.cells_evaluated)
+    };
+    let alone: Vec<_> = (0..data.len()).map(|k| fix(&pair(config).1, k)).collect();
+    for threads in [2, 4] {
+        let (_, hier) = pair(config);
+        let fanned = bloc_num::par::map_named("test.fixes", data.len(), threads, |k| fix(&hier, k));
+        assert_eq!(fanned, alone, "{threads} worker threads changed a fix");
     }
 }
 
@@ -242,7 +239,7 @@ fn seeded_rounds_stay_below_a_tenth_of_dense() {
     // on the fast path (no escapes).
     let s = Scenario::corridor(19);
     let config = s.bloc_config().with_resolution(0.16);
-    let (_, hier) = pair(config, 1);
+    let (_, hier) = pair(config);
     // Low-noise soundings keep per-round fix error to a few cells, so the
     // tracker-style seed radius (fix error + motion) genuinely contains
     // the next peak — the steady state the 10% budget is specified for.
