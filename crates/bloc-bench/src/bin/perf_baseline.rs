@@ -7,8 +7,8 @@
 //! cargo run --release -p bloc-bench --bin perf_baseline [iters] [--hier-only] [--trace]
 //! ```
 //!
-//! With `--trace` (or `BLOC_TRACE=1`) the run also records span and
-//! executor-shard edges into the bounded trace ring and exports
+//! With `--trace` the run also records span and executor-shard edges
+//! into the bounded trace ring and exports
 //! `target/reports/perf_baseline-trace.json` — Chrome trace-event JSON,
 //! loadable in Perfetto — showing each timed stage and the hierarchical
 //! section's localize spans on one timeline.

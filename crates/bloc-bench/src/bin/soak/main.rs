@@ -20,9 +20,9 @@
 //! cargo run --release -p bloc-bench --bin soak [fault|chaos|degraded|fleet]... [--trace]
 //! ```
 //!
-//! With no row named, all four run. With `--trace` (or `BLOC_TRACE=1`)
-//! the run exports `target/reports/soak-trace.json`, a Perfetto-loadable
-//! timeline of the rows (spans + `par.*` worker shards).
+//! With no row named, all four run. With `--trace` the run exports
+//! `target/reports/soak-trace.json`, a Perfetto-loadable timeline of the
+//! rows (spans + `par.*` worker shards).
 
 mod chaos;
 mod degraded;

@@ -17,17 +17,15 @@
 //!   `BENCHMARK.json`): the one place wall time is judged.
 //!
 //! Every figure binary accepts the number of evaluated locations as its
-//! first argument (or the `BLOC_LOCATIONS` environment variable); the
-//! default is the paper's 1700.
+//! first argument; the default is the paper's 1700.
 
 use bloc_testbed::experiments::ExperimentSize;
 
-/// Resolves the experiment size from argv\[1\] or `BLOC_LOCATIONS`,
-/// defaulting to the paper's 1700 locations.
+/// Resolves the experiment size from argv\[1\], defaulting to the
+/// paper's 1700 locations.
 pub fn size_from_args() -> ExperimentSize {
     let n = std::env::args()
         .nth(1)
-        .or_else(|| std::env::var("BLOC_LOCATIONS").ok())
         .and_then(|s| s.parse().ok())
         .unwrap_or(bloc_testbed::dataset::PAPER_DATASET_SIZE);
     ExperimentSize {
@@ -54,14 +52,13 @@ pub fn reports_dir() -> std::path::PathBuf {
 }
 
 /// True when the invocation asked for a Chrome-trace timeline: any
-/// `--trace` argument, or a non-empty `BLOC_TRACE` environment variable.
-pub fn trace_requested() -> bool {
+/// `--trace` argument.
+pub(crate) fn trace_requested() -> bool {
     std::env::args().any(|a| a == "--trace")
-        || std::env::var("BLOC_TRACE").is_ok_and(|v| !v.is_empty())
 }
 
 /// Switches the global [`bloc_obs::Tracer`] on (default ring capacity)
-/// when [`trace_requested`] — call once, before the timed work.
+/// when `trace_requested` — call once, before the timed work.
 pub fn maybe_start_trace() {
     if trace_requested() {
         bloc_obs::Tracer::global().enable(bloc_obs::trace::DEFAULT_CAPACITY);
@@ -134,8 +131,6 @@ mod tests {
     #[test]
     fn default_size_is_paper_scale() {
         // argv of the test harness has no numeric argv[1]
-        if std::env::var("BLOC_LOCATIONS").is_err() {
-            assert_eq!(size_from_args().locations, 1700);
-        }
+        assert_eq!(size_from_args().locations, 1700);
     }
 }

@@ -11,7 +11,7 @@ use crate::error::BleError;
 use rand::Rng;
 
 /// The fixed advertising-channel access address.
-pub const ADVERTISING_AA: u32 = 0x8E89_BED6;
+pub(crate) const ADVERTISING_AA: u32 = 0x8E89_BED6;
 
 /// A validated access address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -19,20 +19,18 @@ pub const ADVERTISING_AA: u32 = 0x8E89_BED6;
 pub struct AccessAddress(u32);
 
 impl AccessAddress {
-    /// The advertising access address (always valid on advertising
-    /// channels).
-    pub const ADVERTISING: AccessAddress = AccessAddress(ADVERTISING_AA);
-
     /// Validates a data-channel access address against the spec rules (see
     /// [`validate`]).
-    pub fn new_data(aa: u32) -> Result<Self, BleError> {
+    #[cfg(test)]
+    pub(crate) fn new_data(aa: u32) -> Result<Self, BleError> {
         validate(aa)?;
         Ok(Self(aa))
     }
 
     /// The raw 32-bit value.
+    #[cfg(test)]
     #[inline]
-    pub fn value(self) -> u32 {
+    pub(crate) fn value(self) -> u32 {
         self.0
     }
 
@@ -43,7 +41,7 @@ impl AccessAddress {
 
     /// Parses 4 on-air bytes (no validity check — receivers must accept
     /// whatever the initiator chose; validity is enforced at generation).
-    pub fn from_bytes(bytes: [u8; 4]) -> Self {
+    pub(crate) fn from_bytes(bytes: [u8; 4]) -> Self {
         Self(u32::from_le_bytes(bytes))
     }
 
@@ -77,7 +75,7 @@ impl AccessAddress {
 /// 3. the four octets not all equal;
 /// 4. no more than 24 bit transitions overall;
 /// 5. at least two transitions in the six most significant bits.
-pub fn validate(aa: u32) -> Result<(), BleError> {
+pub(crate) fn validate(aa: u32) -> Result<(), BleError> {
     let err = || BleError::InvalidAccessAddress(aa);
 
     if aa == ADVERTISING_AA || (aa ^ ADVERTISING_AA).count_ones() < 2 {

@@ -25,9 +25,6 @@ use bloc_num::constants::{BLE_CHANNEL_WIDTH_HZ, BLE_NUM_CHANNELS, BLE_NUM_DATA_C
 pub struct Channel(u8);
 
 impl Channel {
-    /// The three advertising channels.
-    pub const ADV: [Channel; 3] = [Channel(37), Channel(38), Channel(39)];
-
     /// Builds a channel from a link-layer index, validating range.
     pub fn new(index: u8) -> Result<Self, BleError> {
         if (index as usize) < BLE_NUM_CHANNELS {
@@ -54,13 +51,13 @@ impl Channel {
 
     /// True for the three advertising channels 37..=39.
     #[inline]
-    pub fn is_advertising(self) -> bool {
+    pub(crate) fn is_advertising(self) -> bool {
         self.0 >= 37
     }
 
     /// True for data channels 0..=36.
     #[inline]
-    pub fn is_data(self) -> bool {
+    pub(crate) fn is_data(self) -> bool {
         !self.is_advertising()
     }
 
@@ -102,7 +99,8 @@ impl Channel {
     }
 
     /// All 40 channels in link-layer order.
-    pub fn all() -> impl Iterator<Item = Channel> {
+    #[cfg(test)]
+    pub(crate) fn all() -> impl Iterator<Item = Channel> {
         (0..BLE_NUM_CHANNELS as u8).map(Channel)
     }
 }
@@ -120,7 +118,7 @@ pub struct ChannelMap {
 
 impl ChannelMap {
     /// All 37 data channels enabled.
-    pub fn all() -> Self {
+    pub(crate) fn all() -> Self {
         Self {
             mask: (1u64 << BLE_NUM_DATA_CHANNELS) - 1,
         }
@@ -148,7 +146,8 @@ impl ChannelMap {
 
     /// Keeps every `stride`-th data channel starting at `offset` — the
     /// subsampling pattern of the paper's Fig. 11 experiment.
-    pub fn subsampled(stride: usize, offset: usize) -> Result<Self, BleError> {
+    #[cfg(test)]
+    pub(crate) fn subsampled(stride: usize, offset: usize) -> Result<Self, BleError> {
         let chans: Vec<u8> = (0..BLE_NUM_DATA_CHANNELS)
             .filter(|c| c % stride == offset % stride)
             .map(|c| c as u8)
@@ -170,12 +169,13 @@ impl ChannelMap {
 
     /// Enabled channels in ascending link-layer order — the remap table of
     /// channel-selection algorithm #1.
-    pub fn used_channels(self) -> Vec<Channel> {
+    pub(crate) fn used_channels(self) -> Vec<Channel> {
         Channel::all_data().filter(|c| self.contains(*c)).collect()
     }
 
     /// Disables a channel. Errors if that would leave fewer than 2 enabled.
-    pub fn blacklist(&mut self, c: Channel) -> Result<(), BleError> {
+    #[cfg(test)]
+    pub(crate) fn blacklist(&mut self, c: Channel) -> Result<(), BleError> {
         if !c.is_data() {
             return Err(BleError::InvalidChannel(c.index()));
         }
@@ -188,7 +188,7 @@ impl ChannelMap {
     }
 
     /// Raw 37-bit mask (bit *i* = data channel *i* enabled).
-    pub fn mask(self) -> u64 {
+    pub(crate) fn mask(self) -> u64 {
         self.mask
     }
 }

@@ -1,16 +1,15 @@
-//! LL Control PDUs: the in-connection procedures BLoc's deployment
-//! exercises.
+//! LL Control PDUs: the wire format of the in-connection procedures BLoc's
+//! deployment exercises.
 //!
 //! Two procedures matter for the paper's experiments: **channel map
 //! updates** (`LL_CHANNEL_MAP_IND`) — how the interference-avoidance
-//! blacklisting of §8.6 actually reaches the hop engine, synchronized to a
-//! connection-event *instant* so master and slave switch maps on the same
-//! event — and **termination** (`LL_TERMINATE_IND`). Control PDUs travel
-//! as data-channel PDUs with `LLID = 0b11`.
+//! blacklisting of §8.6 reaches the peer, naming the connection-event
+//! *instant* at which master and slave switch maps — and **termination**
+//! (`LL_TERMINATE_IND`). Control PDUs travel as data-channel PDUs with
+//! `LLID = 0b11`.
 
 use crate::channels::ChannelMap;
 use crate::error::BleError;
-use crate::pdu::{DataPdu, Llid};
 
 /// A link-layer control PDU (the subset this stack implements).
 #[derive(Debug, Clone, PartialEq)]
@@ -88,22 +87,6 @@ impl ControlPdu {
             }),
         }
     }
-
-    /// Wraps this control payload in a data-channel PDU (`LLID = 0b11`).
-    pub fn to_data_pdu(&self, nesn: bool, sn: bool) -> DataPdu {
-        DataPdu {
-            llid: Llid::Control,
-            nesn,
-            sn,
-            md: false,
-            payload: self.encode(),
-        }
-    }
-
-    /// Extracts a control PDU from a data-channel PDU, if it is one.
-    pub fn from_data_pdu(pdu: &DataPdu) -> Option<Result<Self, BleError>> {
-        (pdu.llid == Llid::Control).then(|| Self::decode(&pdu.payload))
-    }
 }
 
 #[cfg(test)]
@@ -124,34 +107,6 @@ mod tests {
     fn terminate_roundtrip() {
         let pdu = ControlPdu::TerminateInd { error_code: 0x13 };
         assert_eq!(ControlPdu::decode(&pdu.encode()).unwrap(), pdu);
-    }
-
-    #[test]
-    fn travels_inside_data_pdu() {
-        let ctrl = ControlPdu::ChannelMapInd {
-            map: ChannelMap::all(),
-            instant: 7,
-        };
-        let data = ctrl.to_data_pdu(true, false);
-        assert_eq!(data.llid, Llid::Control);
-        let bytes = data.encode().unwrap();
-        let back = DataPdu::decode(&bytes).unwrap();
-        let parsed = ControlPdu::from_data_pdu(&back)
-            .expect("is control")
-            .unwrap();
-        assert_eq!(parsed, ctrl);
-    }
-
-    #[test]
-    fn non_control_pdu_is_none() {
-        let data = DataPdu {
-            llid: Llid::DataStart,
-            nesn: false,
-            sn: false,
-            md: false,
-            payload: vec![1],
-        };
-        assert!(ControlPdu::from_data_pdu(&data).is_none());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! framing layer.
 
 /// The BLE CRC-24 polynomial (without the x²⁴ term).
-pub const POLY: u32 = 0x00065B;
+pub(crate) const POLY: u32 = 0x00065B;
 
 /// CRC init value for advertising channel PDUs.
 pub const ADV_CRC_INIT: u32 = 0x555555;
@@ -15,7 +15,7 @@ pub const ADV_CRC_INIT: u32 = 0x555555;
 /// Computes the CRC-24 of `data` starting from `init` (24 significant
 /// bits). Bits of each byte are processed LSB-first, matching the
 /// transmission order.
-pub fn crc24(init: u32, data: &[u8]) -> u32 {
+pub(crate) fn crc24(init: u32, data: &[u8]) -> u32 {
     let mut state = init & 0xFF_FFFF;
     for &byte in data {
         for j in 0..8 {
@@ -32,7 +32,7 @@ pub fn crc24(init: u32, data: &[u8]) -> u32 {
 
 /// Serializes a CRC value into its 3 on-air bytes (least-significant byte
 /// first, matching BLE's LSB-first transmission).
-pub fn crc_to_bytes(crc: u32) -> [u8; 3] {
+pub(crate) fn crc_to_bytes(crc: u32) -> [u8; 3] {
     [
         (crc & 0xFF) as u8,
         ((crc >> 8) & 0xFF) as u8,
@@ -41,7 +41,7 @@ pub fn crc_to_bytes(crc: u32) -> [u8; 3] {
 }
 
 /// Parses the 3 on-air CRC bytes back into a value.
-pub fn crc_from_bytes(bytes: [u8; 3]) -> u32 {
+pub(crate) fn crc_from_bytes(bytes: [u8; 3]) -> u32 {
     bytes[0] as u32 | (bytes[1] as u32) << 8 | (bytes[2] as u32) << 16
 }
 

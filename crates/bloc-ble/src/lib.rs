@@ -19,13 +19,11 @@
 //! * [`packet`] — whole air-interface frames (preamble → CRC) to/from bits.
 //! * [`link`] — a master/slave connection state machine producing the
 //!   per-connection-event channel schedule BLoc sounds on.
-//! * [`control`] — LL control procedures: instant-synchronized channel-map
+//! * [`control`] — the wire format of the LL control PDUs for channel-map
 //!   updates (the §8.6 blacklisting path) and termination.
 //! * [`locpacket`] — BLoc's localization payloads: long 0-runs then long
 //!   1-runs (paper §4), including pre-whitening compensation so the runs
 //!   survive on air.
-//! * [`beacon`] — advertising-data structures and the iBeacon/Eddystone
-//!   payloads of the commercial tags BLoc targets (paper §1).
 //!
 //! Everything is synchronous, allocation-light, and deterministic — in the
 //! spirit of `smoltcp`'s "simplicity and robustness" design goals.
@@ -38,7 +36,6 @@
 )]
 
 pub mod access_address;
-pub mod beacon;
 pub mod channels;
 pub mod control;
 pub mod crc;

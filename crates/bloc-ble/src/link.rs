@@ -9,7 +9,6 @@
 
 use crate::access_address::AccessAddress;
 use crate::channels::{Channel, ChannelMap};
-use crate::control::ControlPdu;
 use crate::error::BleError;
 use crate::hopping::{HopIncrement, HopSequence};
 use crate::locpacket::LocalizationPacket;
@@ -35,10 +34,6 @@ pub enum LinkState {
     Standby,
     /// Broadcasting ADV_IND on the advertising channels.
     Advertising,
-    /// Actively scanning: issuing SCAN_REQ to advertisers and collecting
-    /// SCAN_RSP payloads (how a deployment inventories the tags around
-    /// it before picking one to localize).
-    Scanning,
     /// Listening for a specific advertiser to connect to.
     Initiating {
         /// The advertiser being pursued.
@@ -93,62 +88,6 @@ impl LinkLayer {
             }),
             _ => Err(BleError::InvalidState("advertise")),
         }
-    }
-
-    /// Enters the active-scanning state.
-    pub fn start_scanning(&mut self) -> Result<(), BleError> {
-        match self.state {
-            LinkState::Standby => {
-                self.state = LinkState::Scanning;
-                Ok(())
-            }
-            _ => Err(BleError::InvalidState("start_scanning")),
-        }
-    }
-
-    /// Scanner's reaction to an overheard ADV_IND: issue a SCAN_REQ to the
-    /// advertiser (active scanning).
-    pub fn scan_request(&self, adv: &AdvPdu) -> Result<AdvPdu, BleError> {
-        if self.state != LinkState::Scanning {
-            return Err(BleError::InvalidState("scan_request"));
-        }
-        if adv.pdu_type != AdvPduType::AdvInd && adv.pdu_type != AdvPduType::AdvScanInd {
-            return Err(BleError::UnknownPduType(adv.pdu_type.code()));
-        }
-        Ok(AdvPdu {
-            pdu_type: AdvPduType::ScanReq,
-            tx_add: false,
-            rx_add: false,
-            // SCAN_REQ carries ScanA then AdvA; we model the scanner's
-            // address field and keep the target in the payload.
-            address: self.address,
-            payload: adv.address.0.to_vec(),
-        })
-    }
-
-    /// Advertiser's reaction to a SCAN_REQ addressed to it: a SCAN_RSP
-    /// with the scan-response payload (e.g. a beacon's extra AD data).
-    pub fn scan_response(
-        &self,
-        req: &AdvPdu,
-        rsp_payload: Vec<u8>,
-    ) -> Result<Option<AdvPdu>, BleError> {
-        if self.state != LinkState::Advertising {
-            return Err(BleError::InvalidState("scan_response"));
-        }
-        if req.pdu_type != AdvPduType::ScanReq {
-            return Err(BleError::UnknownPduType(req.pdu_type.code()));
-        }
-        if req.payload != self.address.0 {
-            return Ok(None); // addressed to someone else
-        }
-        Ok(Some(AdvPdu {
-            pdu_type: AdvPduType::ScanRsp,
-            tx_add: false,
-            rx_add: false,
-            address: self.address,
-            payload: rsp_payload,
-        }))
     }
 
     /// Enters the initiating state, pursuing `peer` (master-anchor side).
@@ -214,24 +153,6 @@ impl LinkLayer {
         self.state = LinkState::Connected { role: Role::Slave };
         Connection::new(ll_data, Role::Slave)
     }
-
-    /// Overhearing anchors build a connection *follower* from the observed
-    /// CONNECT_IND without being a party to it (paper §3: slave anchors
-    /// "passively listen for communication between the tag and the
-    /// anchor"). The follower tracks channels but never transmits.
-    pub fn follow_connection(pdu: &AdvPdu) -> Result<Connection, BleError> {
-        if pdu.pdu_type != AdvPduType::ConnectInd {
-            return Err(BleError::UnknownPduType(pdu.pdu_type.code()));
-        }
-        let ll_data = ConnectInd::decode(&pdu.payload)?;
-        // Followers are bookkept as slaves; they only ever observe.
-        Connection::new(ll_data, Role::Slave)
-    }
-
-    /// Tears the link down to standby.
-    pub fn disconnect(&mut self) {
-        self.state = LinkState::Standby;
-    }
 }
 
 /// Parameters the initiator chooses for a connection.
@@ -291,8 +212,6 @@ pub struct Connection {
     hop: HopSequence,
     sn: bool,
     nesn: bool,
-    /// A channel-map update awaiting its instant.
-    pending_map: Option<(ChannelMap, u64)>,
 }
 
 impl Connection {
@@ -304,53 +223,7 @@ impl Connection {
             hop,
             sn: false,
             nesn: false,
-            pending_map: None,
         })
-    }
-
-    /// Initiates an instant-synchronized channel-map update (the
-    /// `LL_CHANNEL_MAP_IND` procedure): returns the control PDU to send to
-    /// the peer and arms the local switch. The instant must lie in the
-    /// future.
-    pub fn schedule_channel_map(
-        &mut self,
-        map: ChannelMap,
-        instant: u64,
-    ) -> Result<ControlPdu, BleError> {
-        if instant <= self.hop.event_counter {
-            return Err(BleError::InvalidState(
-                "schedule_channel_map: instant in the past",
-            ));
-        }
-        self.pending_map = Some((map, instant));
-        Ok(ControlPdu::ChannelMapInd {
-            map,
-            instant: instant as u16,
-        })
-    }
-
-    /// Peer side: arms the switch from a received `LL_CHANNEL_MAP_IND`.
-    pub fn on_channel_map_ind(&mut self, pdu: &ControlPdu) -> Result<(), BleError> {
-        match pdu {
-            ControlPdu::ChannelMapInd { map, instant } => {
-                self.pending_map = Some((*map, *instant as u64));
-                Ok(())
-            }
-            _ => Err(BleError::InvalidState(
-                "on_channel_map_ind: not a map update",
-            )),
-        }
-    }
-
-    /// Applies a pending map whose instant has arrived (called at the top
-    /// of every connection event).
-    fn apply_pending_map(&mut self) {
-        if let Some((map, instant)) = self.pending_map {
-            if self.hop.event_counter >= instant {
-                self.hop.set_channel_map(map);
-                self.pending_map = None;
-            }
-        }
     }
 
     /// Runs one connection event in which the master sends `master_payload`
@@ -361,7 +234,6 @@ impl Connection {
         master_payload: Vec<u8>,
         slave_payload: Vec<u8>,
     ) -> Result<ConnectionEvent, BleError> {
-        self.apply_pending_map();
         let channel = self.hop.next_channel();
         let event = self.hop.event_counter - 1;
 
@@ -403,7 +275,6 @@ impl Connection {
         run_bits: usize,
         pairs: usize,
     ) -> Result<(ConnectionEvent, LocalizationPacket, LocalizationPacket), BleError> {
-        self.apply_pending_map();
         let channel = self.hop.next_channel();
         let event = self.hop.event_counter - 1;
 
@@ -510,26 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn follower_tracks_the_same_schedule() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let mut tag = LinkLayer::new(tag_addr());
-        let mut master = LinkLayer::new(anchor_addr());
-        tag.start_advertising().unwrap();
-        master.start_initiating(tag_addr()).unwrap();
-        let adv = tag.advertise().unwrap();
-        let (mut mconn, connect_ind) = master
-            .on_adv_ind(&adv, &ConnectionParams::bloc_default(), &mut rng)
-            .unwrap()
-            .unwrap();
-        let mut follower = LinkLayer::follow_connection(&connect_ind).unwrap();
-        for _ in 0..20 {
-            let ev = mconn.advance_event(vec![], vec![]).unwrap();
-            let fv = follower.advance_event(vec![], vec![]).unwrap();
-            assert_eq!(ev.channel, fv.channel);
-        }
-    }
-
-    #[test]
     fn adv_from_wrong_peer_ignored() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut master = LinkLayer::new(anchor_addr());
@@ -591,104 +442,5 @@ mod tests {
             let ev = m.advance_event(vec![], vec![]).unwrap();
             assert!(restricted.contains(ev.channel));
         }
-    }
-
-    #[test]
-    fn active_scanning_roundtrip() {
-        // Scanner inventories an advertising beacon: ADV_IND → SCAN_REQ →
-        // SCAN_RSP carrying extra data.
-        let mut tag = LinkLayer::new(tag_addr());
-        let mut scanner = LinkLayer::new(anchor_addr());
-        tag.start_advertising().unwrap();
-        scanner.start_scanning().unwrap();
-
-        let adv = tag.advertise().unwrap();
-        let req = scanner.scan_request(&adv).unwrap();
-        assert_eq!(req.pdu_type, AdvPduType::ScanReq);
-        let rsp = tag
-            .scan_response(&req, b"BLoc tag v1".to_vec())
-            .unwrap()
-            .unwrap();
-        assert_eq!(rsp.pdu_type, AdvPduType::ScanRsp);
-        assert_eq!(rsp.address, tag_addr());
-        assert_eq!(rsp.payload, b"BLoc tag v1");
-    }
-
-    #[test]
-    fn scan_request_for_other_device_ignored() {
-        let mut tag = LinkLayer::new(tag_addr());
-        tag.start_advertising().unwrap();
-        let req = AdvPdu {
-            pdu_type: AdvPduType::ScanReq,
-            tx_add: false,
-            rx_add: false,
-            address: anchor_addr(),
-            payload: vec![9; 6], // someone else's AdvA
-        };
-        assert_eq!(tag.scan_response(&req, vec![]).unwrap(), None);
-    }
-
-    #[test]
-    fn scanning_state_transitions_enforced() {
-        let mut dev = LinkLayer::new(tag_addr());
-        assert!(
-            dev.scan_request(&AdvPdu {
-                pdu_type: AdvPduType::AdvInd,
-                tx_add: false,
-                rx_add: false,
-                address: anchor_addr(),
-                payload: vec![],
-            })
-            .is_err(),
-            "standby device cannot scan"
-        );
-        dev.start_scanning().unwrap();
-        assert!(dev.start_scanning().is_err(), "double start must fail");
-    }
-
-    #[test]
-    fn channel_map_update_honors_instant() {
-        // The LL_CHANNEL_MAP_IND procedure: both sides switch maps on the
-        // same connection event, never before the instant.
-        let (mut m, mut t) = establish();
-        let restricted = ChannelMap::subsampled(3, 0).unwrap();
-        // Burn a few events first.
-        for _ in 0..4 {
-            m.advance_event(vec![], vec![]).unwrap();
-            t.advance_event(vec![], vec![]).unwrap();
-        }
-        let pdu = m.schedule_channel_map(restricted, 10).unwrap();
-        t.on_channel_map_ind(&pdu).unwrap();
-
-        for _ in 4..20 {
-            let me = m.advance_event(vec![], vec![]).unwrap();
-            let te = t.advance_event(vec![], vec![]).unwrap();
-            assert_eq!(me.channel, te.channel, "sides must stay in lockstep");
-            if me.event >= 10 {
-                assert!(
-                    restricted.contains(me.channel),
-                    "event {} must use the new map",
-                    me.event
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn past_instant_rejected() {
-        let (mut m, _) = establish();
-        for _ in 0..5 {
-            m.advance_event(vec![], vec![]).unwrap();
-        }
-        assert!(m.schedule_channel_map(ChannelMap::all(), 3).is_err());
-    }
-
-    #[test]
-    fn disconnect_returns_to_standby() {
-        let mut dev = LinkLayer::new(tag_addr());
-        dev.start_advertising().unwrap();
-        dev.disconnect();
-        assert_eq!(dev.state, LinkState::Standby);
-        dev.start_advertising().unwrap(); // allowed again
     }
 }

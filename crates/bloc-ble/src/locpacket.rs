@@ -22,10 +22,6 @@ use crate::packet::Frame;
 use crate::pdu::{DataPdu, Llid};
 use crate::whitening::whitening_stream;
 
-/// Default run length in bits. The paper's throughput discussion (§6) needs
-/// 8 µs per tone ⇒ 8 bits at 1 Mb/s; Fig. 4(b) illustrates with 5-bit runs.
-pub const DEFAULT_RUN_BITS: usize = 8;
-
 /// How many bits at each end of a run are discarded while the Gaussian
 /// filter settles (the filter spans ±1–2 symbols; see `bloc-phy::pulse`).
 pub const SETTLE_BITS: usize = 2;
@@ -46,7 +42,7 @@ pub struct Run {
 impl Run {
     /// The sub-range of this run usable for CSI measurement after
     /// discarding `settle` bits at each end; `None` if nothing remains.
-    pub fn stable_window(&self, settle: usize) -> Option<(usize, usize)> {
+    pub(crate) fn stable_window(&self, settle: usize) -> Option<(usize, usize)> {
         if self.len <= 2 * settle {
             return None;
         }
@@ -56,7 +52,7 @@ impl Run {
 
 /// The desired on-air payload bit pattern: `pairs` repetitions of
 /// (`run_bits` zeros, `run_bits` ones).
-pub fn run_pattern(run_bits: usize, pairs: usize) -> Vec<bool> {
+pub(crate) fn run_pattern(run_bits: usize, pairs: usize) -> Vec<bool> {
     let mut bits = Vec::with_capacity(run_bits * 2 * pairs);
     for _ in 0..pairs {
         bits.extend(std::iter::repeat_n(false, run_bits));
@@ -66,7 +62,7 @@ pub fn run_pattern(run_bits: usize, pairs: usize) -> Vec<bool> {
 }
 
 /// Finds all runs of at least `min_run` equal bits in a bit sequence.
-pub fn find_runs(bits: &[bool], min_run: usize) -> Vec<Run> {
+pub(crate) fn find_runs(bits: &[bool], min_run: usize) -> Vec<Run> {
     let mut runs = Vec::new();
     let mut i = 0;
     while i < bits.len() {
@@ -101,7 +97,7 @@ pub struct LocalizationPacket {
 
 /// On-air bit offset of the PDU payload: preamble (8) + access address (32)
 /// + data PDU header (16).
-pub const PAYLOAD_BIT_OFFSET: usize = 8 + 32 + 16;
+pub(crate) const PAYLOAD_BIT_OFFSET: usize = 8 + 32 + 16;
 
 /// Whitening-stream bit offset of the PDU payload (whitening starts at the
 /// PDU header).

@@ -35,7 +35,7 @@ impl Frame {
 
     /// Serializes to on-air bytes for transmission on `channel`:
     /// preamble, access address, whitened PDU, whitened CRC.
-    pub fn encode(&self, channel: Channel) -> Vec<u8> {
+    pub(crate) fn encode(&self, channel: Channel) -> Vec<u8> {
         let crc = crc24(self.crc_init, &self.pdu);
         let mut scrambled = self.pdu.clone();
         scrambled.extend_from_slice(&crc_to_bytes(crc));
@@ -50,7 +50,7 @@ impl Frame {
 
     /// Serializes to the on-air bit sequence (LSB-first per byte) — the
     /// input of the GFSK modulator.
-    pub fn encode_bits(&self, channel: Channel) -> Vec<bool> {
+    pub(crate) fn encode_bits(&self, channel: Channel) -> Vec<bool> {
         bytes_to_bits(&self.encode(channel))
     }
 
@@ -58,7 +58,7 @@ impl Frame {
     /// CRC. The expected access address must be known (BLE receivers
     /// correlate against it; BLoc anchors overhear using the address from
     /// the observed `CONNECT_IND`).
-    pub fn decode(bytes: &[u8], channel: Channel, crc_init: u32) -> Result<Self, BleError> {
+    pub(crate) fn decode(bytes: &[u8], channel: Channel, crc_init: u32) -> Result<Self, BleError> {
         if bytes.len() < 5 + 2 + 3 {
             return Err(BleError::Truncated {
                 expected: 10,
@@ -99,13 +99,14 @@ impl Frame {
         })
     }
 
-    /// Parses an on-air bit sequence (inverse of [`Self::encode_bits`]).
+    /// Parses an on-air bit sequence (inverse of `Self::encode_bits`).
     pub fn decode_bits(bits: &[bool], channel: Channel, crc_init: u32) -> Result<Self, BleError> {
         Self::decode(&bits_to_bytes(bits), channel, crc_init)
     }
 
     /// The number of on-air bits this frame occupies.
-    pub fn air_bits(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn air_bits(&self) -> usize {
         (1 + 4 + self.pdu.len() + 3) * 8
     }
 }
@@ -123,7 +124,7 @@ pub fn bytes_to_bits(bytes: &[u8]) -> Vec<bool> {
 
 /// Packs bits (LSB-first per byte) back into bytes; trailing bits that do
 /// not fill a byte are dropped.
-pub fn bits_to_bytes(bits: &[bool]) -> Vec<u8> {
+pub(crate) fn bits_to_bytes(bits: &[bool]) -> Vec<u8> {
     bits.chunks_exact(8)
         .map(|chunk| {
             chunk

@@ -204,7 +204,8 @@ pub struct DataPdu {
 impl DataPdu {
     /// An empty PDU (LLID = continuation, no payload) — what a device sends
     /// to keep the connection event alive.
-    pub fn empty(nesn: bool, sn: bool) -> Self {
+    #[cfg(test)]
+    pub(crate) fn empty(nesn: bool, sn: bool) -> Self {
         Self {
             llid: Llid::DataContinuation,
             nesn,

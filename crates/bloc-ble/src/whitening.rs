@@ -5,7 +5,7 @@
 //! it, and (b) BLoc's localization packets must contain long runs of 0s and
 //! 1s *on air* (paper §4) — which means the payload handed to the link layer
 //! must be **pre-whitened** so the scrambler's XOR cancels
-//! ([`crate::locpacket`] does this using [`whitening_stream`]).
+//! ([`crate::locpacket`] does this using `whitening_stream`).
 //!
 //! The register is seeded with the link-layer channel index with bit 6
 //! forced to 1 (so the seed is never all-zero). The implementation uses the
@@ -17,7 +17,7 @@ use crate::channels::Channel;
 
 /// The whitening LFSR, usable as a streaming scrambler/descrambler.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Whitener {
+pub(crate) struct Whitener {
     lfsr: u8,
 }
 
@@ -31,7 +31,7 @@ impl Whitener {
 
     /// Produces the next whitening bit.
     #[inline]
-    pub fn next_bit(&mut self) -> bool {
+    pub(crate) fn next_bit(&mut self) -> bool {
         let out = self.lfsr & 1 == 1;
         if out {
             self.lfsr ^= 0x88;
@@ -42,7 +42,7 @@ impl Whitener {
 
     /// Whitens (or de-whitens — the operation is an involution) a byte,
     /// LSB-first as bits go on air.
-    pub fn process_byte(&mut self, byte: u8) -> u8 {
+    pub(crate) fn process_byte(&mut self, byte: u8) -> u8 {
         let mut out = byte;
         for i in 0..8 {
             if self.next_bit() {
@@ -53,23 +53,16 @@ impl Whitener {
     }
 
     /// Whitens a byte slice in place.
-    pub fn process(&mut self, data: &mut [u8]) {
+    pub(crate) fn process(&mut self, data: &mut [u8]) {
         for b in data {
             *b = self.process_byte(*b);
-        }
-    }
-
-    /// Skips `n` whitening bits (used when pre-whitening a payload that
-    /// starts after the PDU header in the scrambled region).
-    pub fn skip_bits(&mut self, n: usize) {
-        for _ in 0..n {
-            self.next_bit();
         }
     }
 }
 
 /// Convenience: returns a whitened copy of `data` for `channel`.
-pub fn whiten(channel: Channel, data: &[u8]) -> Vec<u8> {
+#[cfg(test)]
+pub(crate) fn whiten(channel: Channel, data: &[u8]) -> Vec<u8> {
     let mut v = data.to_vec();
     Whitener::new(channel).process(&mut v);
     v
@@ -78,7 +71,7 @@ pub fn whiten(channel: Channel, data: &[u8]) -> Vec<u8> {
 /// The first `n_bits` of the whitening stream for `channel`, as booleans in
 /// on-air order. [`crate::locpacket`] XORs desired on-air bits with this to
 /// compute the payload to transmit.
-pub fn whitening_stream(channel: Channel, n_bits: usize) -> Vec<bool> {
+pub(crate) fn whitening_stream(channel: Channel, n_bits: usize) -> Vec<bool> {
     let mut w = Whitener::new(channel);
     (0..n_bits).map(|_| w.next_bit()).collect()
 }
@@ -127,17 +120,6 @@ mod tests {
         assert_eq!(&s[..127], &s[127..254]);
         // ...and not with any shorter period that divides nicely.
         assert_ne!(&s[..63], &s[63..126]);
-    }
-
-    #[test]
-    fn skip_bits_matches_streaming() {
-        let mut a = Whitener::new(ch(5));
-        a.skip_bits(13);
-        let mut b = Whitener::new(ch(5));
-        for _ in 0..13 {
-            b.next_bit();
-        }
-        assert_eq!(a, b);
     }
 
     #[test]

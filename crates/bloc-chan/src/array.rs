@@ -13,7 +13,7 @@ use bloc_num::P2;
 
 /// Half-wavelength spacing at the BLE mid-band (2.44 GHz), metres — the
 /// classic unambiguous AoA spacing.
-pub fn half_wavelength_spacing() -> f64 {
+pub(crate) fn half_wavelength_spacing() -> f64 {
     wavelength(2.44e9) / 2.0
 }
 
@@ -89,7 +89,7 @@ impl AnchorArray {
     ///
     /// # Panics
     /// Panics when `n` is zero or exceeds the current count.
-    pub fn truncated(&self, n: usize) -> Self {
+    pub(crate) fn truncated(&self, n: usize) -> Self {
         assert!(
             n > 0 && n <= self.n_antennas,
             "cannot truncate {} antennas to {n}",

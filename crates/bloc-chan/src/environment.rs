@@ -64,7 +64,7 @@ pub struct Path {
 impl Path {
     /// The channel contribution of this path at frequency `f_hz`:
     /// `(A/d)·coeff·e^{−ι2πdf/c}` (paper Eq. 1 with A = |coeff|).
-    pub fn channel_at(&self, f_hz: f64) -> C64 {
+    pub(crate) fn channel_at(&self, f_hz: f64) -> C64 {
         let phase = -std::f64::consts::TAU * self.length * f_hz / SPEED_OF_LIGHT;
         self.coeff * C64::cis(phase) / self.length.max(1e-3)
     }
@@ -92,7 +92,6 @@ pub struct Environment {
     pub room: Option<Room>,
     reflectors: Vec<Reflector>,
     obstructions: Vec<Obstruction>,
-    second_order: bool,
     /// Snapshot identity for path-geometry caching; bumped by every
     /// mutation, excluded from equality and serialization.
     #[cfg_attr(feature = "serde", serde(skip, default = "next_revision"))]
@@ -106,7 +105,6 @@ impl PartialEq for Environment {
         self.room == other.room
             && self.reflectors == other.reflectors
             && self.obstructions == other.obstructions
-            && self.second_order == other.second_order
     }
 }
 
@@ -117,7 +115,6 @@ impl Environment {
             room: None,
             reflectors: Vec::new(),
             obstructions: Vec::new(),
-            second_order: false,
             revision: next_revision(),
         }
     }
@@ -128,20 +125,8 @@ impl Environment {
             room: Some(room),
             reflectors: Vec::new(),
             obstructions: Vec::new(),
-            second_order: false,
             revision: next_revision(),
         }
-    }
-
-    /// Enables second-order (double-bounce) specular reflections via the
-    /// image-of-image construction. Off by default: first-order paths plus
-    /// scatter dominate indoor responses, and the standard testbed is
-    /// calibrated without them — this is the knob for denser-multipath
-    /// studies.
-    pub fn with_second_order(mut self, enabled: bool) -> Self {
-        self.second_order = enabled;
-        self.revision = next_revision();
-        self
     }
 
     /// Makes the room's four walls reflectors of the given material,
@@ -183,14 +168,13 @@ impl Environment {
     /// [`crate::synth::PathCache`] entries built against an older revision
     /// are stale by construction. Clones keep their revision (same
     /// content), fresh builds and mutations take a new one.
-    pub fn revision(&self) -> u64 {
+    pub(crate) fn revision(&self) -> u64 {
         self.revision
     }
 
     /// An exact upper bound on the number of paths any `(tx, rx)` query
     /// can produce: LOS, plus each reflector's specular bounce and scatter
-    /// points, plus the R·(R−1) ordered double bounces when second order
-    /// is on. Queries whose specular geometry misses a face produce
+    /// points. Queries whose specular geometry misses a face produce
     /// fewer — sizing buffers from this bound means the hot path never
     /// reallocates.
     pub fn path_capacity(&self) -> usize {
@@ -199,13 +183,7 @@ impl Environment {
             .iter()
             .map(|r| 1 + r.scatterer_count())
             .sum();
-        let second = if self.second_order {
-            let n = self.reflectors.len();
-            n * n.saturating_sub(1)
-        } else {
-            0
-        };
-        1 + first_order + second
+        1 + first_order
     }
 
     /// All propagation paths from `tx` to `rx`: the LOS path (attenuated by
@@ -232,8 +210,8 @@ impl Environment {
     }
 
     /// The single source of truth for path enumeration: LOS (obstruction
-    /// losses applied), then every reflector's sub-paths, then optional
-    /// double bounces, each handed to `f` in deterministic order.
+    /// losses applied), then every reflector's sub-paths, each handed to
+    /// `f` in deterministic order.
     fn for_each_path(&self, tx: P2, rx: P2, f: &mut impl FnMut(Path)) {
         // LOS with obstruction losses.
         let mut los_amp = 1.0;
@@ -256,48 +234,6 @@ impl Environment {
                     is_los: false,
                 })
             });
-        }
-
-        if self.second_order {
-            self.for_each_double_bounce(tx, rx, f);
-        }
-    }
-
-    /// Visits specular double-bounce paths (tx → face A → face B → rx)
-    /// via the image-of-image construction: mirror tx across A, mirror the
-    /// image across B, demand the B-bounce point exists, then the A-bounce
-    /// point on the segment from tx's image toward it.
-    fn for_each_double_bounce(&self, tx: P2, rx: P2, f: &mut impl FnMut(Path)) {
-        for (ia, ra) in self.reflectors.iter().enumerate() {
-            let image_a = ra.face.mirror(tx);
-            for (ib, rb) in self.reflectors.iter().enumerate() {
-                if ia == ib {
-                    continue;
-                }
-                let image_ab = rb.face.mirror(image_a);
-                // Bounce point on B: intersection of image_ab → rx with B.
-                let Some(qb) = rb.face.specular_point(image_a, rx) else {
-                    continue;
-                };
-                // Bounce point on A: intersection of tx's image path —
-                // equivalently, of image_a → qb traced back — with A.
-                let Some(qa) = ra.face.specular_point(tx, qb) else {
-                    continue;
-                };
-                let length = tx.dist(qa) + qa.dist(qb) + qb.dist(rx);
-                debug_assert!((length - image_ab.dist(rx)).abs() < 1e-6);
-                let amp = (1.0 - ra.material.scatter_fraction)
-                    * ra.material.amplitude_factor()
-                    * (1.0 - rb.material.scatter_fraction)
-                    * rb.material.amplitude_factor();
-                if amp > 1e-4 {
-                    f(Path {
-                        length,
-                        coeff: C64::real(amp),
-                        is_los: false,
-                    });
-                }
-            }
         }
     }
 
@@ -328,35 +264,28 @@ mod tests {
     #[test]
     fn path_capacity_bounds_every_query_exactly() {
         // The capacity must be reached by an all-specular query and never
-        // exceeded, with and without second-order bounces.
+        // exceeded.
         let mut rng = StdRng::seed_from_u64(13);
-        for second in [false, true] {
-            let mut env = Environment::in_room(Room::new(5.0, 6.0))
-                .with_second_order(second)
-                .with_walls(Material::metal(), &mut rng)
-                .unwrap();
-            env.add_obstruction(Obstruction {
-                blocker: Segment::new(P2::new(2.0, 0.0), P2::new(2.0, 6.0)),
-                loss_db: 10.0,
-            });
-            let cap = env.path_capacity();
-            let mut max_seen = 0;
-            for (tx, rx) in [
-                (P2::new(1.0, 1.0), P2::new(4.0, 5.0)),
-                (P2::new(2.5, 3.0), P2::new(2.6, 3.1)),
-                (P2::new(0.2, 0.2), P2::new(4.8, 5.8)),
-            ] {
-                let n = env.paths(tx, rx).len();
-                assert!(n <= cap, "paths {n} must fit capacity {cap}");
-                max_seen = max_seen.max(n);
-            }
-            // Interior points see all four specular walls: the bound is
-            // tight for first order; double bounces may geometrically
-            // miss, so only the ≤ holds there.
-            if !second {
-                assert_eq!(max_seen, cap, "first-order bound must be exact");
-            }
+        let mut env = Environment::in_room(Room::new(5.0, 6.0))
+            .with_walls(Material::metal(), &mut rng)
+            .unwrap();
+        env.add_obstruction(Obstruction {
+            blocker: Segment::new(P2::new(2.0, 0.0), P2::new(2.0, 6.0)),
+            loss_db: 10.0,
+        });
+        let cap = env.path_capacity();
+        let mut max_seen = 0;
+        for (tx, rx) in [
+            (P2::new(1.0, 1.0), P2::new(4.0, 5.0)),
+            (P2::new(2.5, 3.0), P2::new(2.6, 3.1)),
+            (P2::new(0.2, 0.2), P2::new(4.8, 5.8)),
+        ] {
+            let n = env.paths(tx, rx).len();
+            assert!(n <= cap, "paths {n} must fit capacity {cap}");
+            max_seen = max_seen.max(n);
         }
+        // Interior points see all four specular walls: the bound is tight.
+        assert_eq!(max_seen, cap, "the path bound must be exact");
     }
 
     #[test]
@@ -507,45 +436,6 @@ mod tests {
         let a = env.channel(P2::new(1.0, 2.0), P2::new(4.0, 3.0), 2.44e9);
         let b = env.channel(P2::new(1.0, 2.0), P2::new(4.0, 3.0), 2.44e9);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn second_order_bounces_in_a_corridor() {
-        // Two parallel mirrors: the double bounce off (bottom, top) from
-        // tx to rx has the image-of-image length.
-        let mut rng = StdRng::seed_from_u64(10);
-        let mut env = Environment::in_room(Room::new(10.0, 2.0)).with_second_order(true);
-        let bottom = Segment::new(P2::new(0.0, 0.0), P2::new(10.0, 0.0));
-        let top = Segment::new(P2::new(0.0, 2.0), P2::new(10.0, 2.0));
-        env.add_reflector(Reflector::new(bottom, Material::ideal_mirror(), &mut rng));
-        env.add_reflector(Reflector::new(top, Material::ideal_mirror(), &mut rng));
-
-        let tx = P2::new(1.0, 1.0);
-        let rx = P2::new(9.0, 1.0);
-        let paths = env.paths(tx, rx);
-        // LOS + 2 single bounces + 2 double bounces (bottom→top, top→bottom).
-        assert_eq!(paths.len(), 5, "paths: {paths:?}");
-        // Double-bounce length: image of tx across bottom (1,-1), image of
-        // that across top (1,5); distance to rx = √(64 + 16) = √80.
-        let expect = 80f64.sqrt();
-        let found = paths.iter().any(|p| (p.length - expect).abs() < 1e-9);
-        assert!(found, "double-bounce length {expect} missing: {paths:?}");
-    }
-
-    #[test]
-    fn second_order_off_by_default() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let base = Environment::in_room(Room::new(5.0, 6.0))
-            .with_walls(Material::metal(), &mut rng)
-            .unwrap();
-        let mut rng = StdRng::seed_from_u64(11);
-        let second = Environment::in_room(Room::new(5.0, 6.0))
-            .with_walls(Material::metal(), &mut rng)
-            .unwrap()
-            .with_second_order(true);
-        let tx = P2::new(1.0, 1.0);
-        let rx = P2::new(4.0, 5.0);
-        assert!(second.paths(tx, rx).len() > base.paths(tx, rx).len());
     }
 
     #[test]

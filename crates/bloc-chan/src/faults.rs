@@ -63,7 +63,7 @@ pub struct InterferenceBurst {
 
 impl InterferenceBurst {
     /// Whether this burst covers `channel`.
-    pub fn covers(&self, channel: Channel) -> bool {
+    pub(crate) fn covers(&self, channel: Channel) -> bool {
         let f = channel.freq_index();
         f >= usize::from(self.freq_lo) && f <= usize::from(self.freq_hi)
     }
@@ -78,7 +78,7 @@ impl InterferenceBurst {
 ///
 /// Range loss needs the tag→anchor distances, which only the sounder
 /// knows. [`FaultPlan::census`] (no tag position) therefore cannot
-/// predict it — use [`FaultPlan::census_at`] with the true tag position
+/// predict it — use `FaultPlan::census_at` with the true tag position
 /// for exact reconciliation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -93,7 +93,7 @@ pub struct RangeLoss {
 
 impl RangeLoss {
     /// Loss probability contributed by range `d` (metres).
-    pub fn p_loss(&self, d: f64) -> f64 {
+    pub(crate) fn p_loss(&self, d: f64) -> f64 {
         (self.per_m * (d - self.d0).max(0.0)).clamp(0.0, self.max)
     }
 
@@ -134,7 +134,7 @@ pub struct FaultPlan {
     /// Optional distance-dependent tag-packet loss (the De/Vasisht
     /// reception-probability regime). Only the sounder can apply it (it
     /// knows the tag→anchor distances); [`FaultPlan::census`] without a
-    /// tag position ignores it — see [`FaultPlan::census_at`].
+    /// tag position ignores it — see `FaultPlan::census_at`.
     pub range_loss: Option<RangeLoss>,
 }
 
@@ -156,7 +156,7 @@ pub struct FaultCensus {
     /// Measurements that received interference noise.
     pub interfered: usize,
     /// Measurements clipped by the saturating frontend. Only meaningful
-    /// on [`FaultPlan::apply_to_band_at`] output (clipping depends on the
+    /// on `FaultPlan::apply_to_band_at` output (clipping depends on the
     /// measured amplitudes); [`FaultPlan::census`] leaves it zero.
     pub clipped: usize,
 }
@@ -169,7 +169,7 @@ impl FaultCensus {
     }
 
     /// Accumulates another census (per-band → per-sounding totals).
-    pub fn absorb(&mut self, other: &FaultCensus) {
+    pub(crate) fn absorb(&mut self, other: &FaultCensus) {
         self.tag_holes += other.tag_holes;
         self.master_holes += other.master_holes;
         self.master_tag_lost_bands += other.master_tag_lost_bands;
@@ -209,17 +209,6 @@ impl FaultPlan {
             seed,
             ..self.clone()
         }
-    }
-
-    /// The plan reseeded for sounding round `round`: the same fault mix,
-    /// but fresh (and still fully deterministic) loss decisions. Rounds
-    /// decorrelate — a link lost in round `r` is not automatically lost
-    /// in `r + 1` — yet any round can be replayed in isolation, e.g.
-    /// `plan.for_round(r).census(…)` predicts round `r`'s injection.
-    pub fn for_round(&self, round: u64) -> FaultPlan {
-        self.with_seed(splitmix(
-            self.seed ^ round.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        ))
     }
 
     /// True when the plan can inject nothing.
@@ -331,7 +320,7 @@ impl FaultPlan {
     /// injected. `link_dists[i]` is the tag→anchor-centre distance, so
     /// distance-dependent [`RangeLoss`] decisions apply; `None` skips
     /// range loss.
-    pub fn apply_to_band_at(
+    pub(crate) fn apply_to_band_at(
         &self,
         slot: usize,
         band: &mut BandSounding,
@@ -425,7 +414,7 @@ impl FaultPlan {
     /// interference hits this plan injects into a sounding of `channels`
     /// (in hop order) measured by `anchors`. `clipped` stays zero —
     /// clipping depends on the measured amplitudes. [`RangeLoss`] is
-    /// ignored (the tag position is unknown); use [`Self::census_at`].
+    /// ignored (the tag position is unknown); use `Self::census_at`.
     pub fn census(&self, channels: &[Channel], anchors: &[AnchorArray]) -> FaultCensus {
         self.census_at(channels, anchors, None)
     }
@@ -433,7 +422,7 @@ impl FaultPlan {
     /// [`Self::census`] with an optional true tag position, so
     /// distance-dependent [`RangeLoss`] holes are predicted too. With
     /// `tag = None` this is exactly [`Self::census`].
-    pub fn census_at(
+    pub(crate) fn census_at(
         &self,
         channels: &[Channel],
         anchors: &[AnchorArray],
@@ -550,14 +539,6 @@ impl ReceptionCensus {
             received,
             master_received,
         }
-    }
-
-    /// Total tag packets lost across all anchors.
-    pub fn lost(&self) -> usize {
-        self.received
-            .iter()
-            .map(|&r| self.expected.saturating_sub(r))
-            .sum()
     }
 
     /// Total tag packets received across all anchors.

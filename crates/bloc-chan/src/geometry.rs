@@ -22,12 +22,12 @@ impl Segment {
     }
 
     /// Segment length, metres.
-    pub fn length(&self) -> f64 {
+    pub(crate) fn length(&self) -> f64 {
         self.a.dist(self.b)
     }
 
     /// The point at parameter `t ∈ [0, 1]` along the segment.
-    pub fn point_at(&self, t: f64) -> P2 {
+    pub(crate) fn point_at(&self, t: f64) -> P2 {
         self.a.lerp(self.b, t)
     }
 
@@ -38,7 +38,7 @@ impl Segment {
 
     /// Mirror image of point `p` across this segment's supporting line —
     /// the image-source construction for specular reflection.
-    pub fn mirror(&self, p: P2) -> P2 {
+    pub(crate) fn mirror(&self, p: P2) -> P2 {
         let d = self.direction();
         let v = p - self.a;
         let along = d * v.dot(d);
@@ -64,7 +64,7 @@ impl Segment {
 
     /// True when the open segment `from → to` crosses this segment
     /// (used for obstruction tests; touching endpoints do not count).
-    pub fn crosses(&self, from: P2, to: P2) -> bool {
+    pub(crate) fn crosses(&self, from: P2, to: P2) -> bool {
         match self.line_intersection_params(from, to) {
             Some((t, u)) => (1e-9..1.0 - 1e-9).contains(&t) && (1e-9..1.0 - 1e-9).contains(&u),
             None => false,
@@ -74,7 +74,7 @@ impl Segment {
     /// The specular reflection point on this segment for a transmitter at
     /// `tx` and receiver at `rx`, if the specular geometry lands on the
     /// segment: the intersection of `image(tx) → rx` with the segment.
-    pub fn specular_point(&self, tx: P2, rx: P2) -> Option<P2> {
+    pub(crate) fn specular_point(&self, tx: P2, rx: P2) -> Option<P2> {
         let image = self.mirror(tx);
         let (t, u) = self.line_intersection_params(image, rx)?;
         if (0.0..=1.0).contains(&t) && (0.0..=1.0).contains(&u) {
@@ -133,7 +133,8 @@ impl Room {
     }
 
     /// True when `p` lies inside (or on the boundary of) the room.
-    pub fn contains(&self, p: P2) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, p: P2) -> bool {
         (0.0..=self.width).contains(&p.x) && (0.0..=self.height).contains(&p.y)
     }
 

@@ -26,7 +26,7 @@ pub struct Material {
 
 impl Material {
     /// Amplitude factor corresponding to the reflection loss.
-    pub fn amplitude_factor(&self) -> f64 {
+    pub(crate) fn amplitude_factor(&self) -> f64 {
         10f64.powf(-self.reflection_loss_db / 20.0)
     }
 

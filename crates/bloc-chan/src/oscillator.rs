@@ -17,7 +17,7 @@ use rand::Rng;
 /// A device identifier in the deployment: the tag or one of the anchors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum Device {
+pub(crate) enum Device {
     /// The target BLE tag.
     Tag,
     /// Anchor `i` (anchor 0 is the master).
@@ -28,14 +28,14 @@ pub enum Device {
 /// hop). Regenerated on every retune.
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct TuningEpoch {
+pub(crate) struct TuningEpoch {
     tag_phase: f64,
     anchor_phases: Vec<f64>,
 }
 
 impl TuningEpoch {
     /// Draws fresh offsets for the tag and `n_anchors` anchors.
-    pub fn draw<R: Rng + ?Sized>(n_anchors: usize, rng: &mut R) -> Self {
+    pub(crate) fn draw<R: Rng + ?Sized>(n_anchors: usize, rng: &mut R) -> Self {
         let mut draw = || rng.gen::<f64>() * std::f64::consts::TAU;
         Self {
             tag_phase: draw(),
@@ -44,7 +44,7 @@ impl TuningEpoch {
     }
 
     /// An epoch with all offsets zero (ideal hardware, for testing).
-    pub fn zero(n_anchors: usize) -> Self {
+    pub(crate) fn zero(n_anchors: usize) -> Self {
         Self {
             tag_phase: 0.0,
             anchor_phases: vec![0.0; n_anchors],
@@ -55,7 +55,7 @@ impl TuningEpoch {
     ///
     /// # Panics
     /// Panics for an anchor index outside the deployment.
-    pub fn phase(&self, device: Device) -> f64 {
+    pub(crate) fn phase(&self, device: Device) -> f64 {
         match device {
             Device::Tag => self.tag_phase,
             Device::Anchor(i) => self.anchor_phases[i],
@@ -64,13 +64,8 @@ impl TuningEpoch {
 
     /// The measurement offset applied to a channel measured at receiver
     /// `rx` for a transmission from `tx`: `φ_tx − φ_rx` (paper Eqs. 7–9).
-    pub fn measurement_offset(&self, tx: Device, rx: Device) -> f64 {
+    pub(crate) fn measurement_offset(&self, tx: Device, rx: Device) -> f64 {
         self.phase(tx) - self.phase(rx)
-    }
-
-    /// Number of anchors covered.
-    pub fn n_anchors(&self) -> usize {
-        self.anchor_phases.len()
     }
 }
 

@@ -19,9 +19,10 @@ use bloc_num::{C64, P2};
 use rand::Rng;
 
 /// One propagation sub-path contributed by a reflector (or by LOS).
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct SubPath {
+pub(crate) struct SubPath {
     /// Total geometric length, metres.
     pub length: f64,
     /// Complex gain *excluding* the 1/d spreading factor and the
@@ -86,13 +87,14 @@ impl Reflector {
     }
 
     /// Number of scatter points.
-    pub fn scatterer_count(&self) -> usize {
+    pub(crate) fn scatterer_count(&self) -> usize {
         self.scatterers.len()
     }
 
     /// The sub-paths from `tx` to `rx` via this reflector: the specular
     /// bounce (if it lands on the face) plus every scatter point.
-    pub fn sub_paths(&self, tx: P2, rx: P2) -> Vec<SubPath> {
+    #[cfg(test)]
+    pub(crate) fn sub_paths(&self, tx: P2, rx: P2) -> Vec<SubPath> {
         let mut out = Vec::with_capacity(1 + self.scatterers.len());
         self.for_each_sub_path(tx, rx, &mut |length, coeff| {
             out.push(SubPath { length, coeff })
@@ -103,9 +105,9 @@ impl Reflector {
     /// Visits every sub-path from `tx` to `rx` via this reflector — the
     /// specular bounce (when the geometry allows) then every scatter
     /// point, as `(length, coeff)` pairs — without allocating. This is
-    /// the walk behind [`Reflector::sub_paths`] and the fast engine's
-    /// geometry phase; both see exactly the same paths.
-    pub fn for_each_sub_path(&self, tx: P2, rx: P2, f: &mut impl FnMut(f64, C64)) {
+    /// the walk behind the environment's path enumeration and the fast
+    /// engine's geometry phase; both see exactly the same paths.
+    pub(crate) fn for_each_sub_path(&self, tx: P2, rx: P2, f: &mut impl FnMut(f64, C64)) {
         if let Some(sp) = self.face.specular_point(tx, rx) {
             let length = tx.dist(sp) + sp.dist(rx);
             let amp = (1.0 - self.material.scatter_fraction) * self.material.amplitude_factor();

@@ -273,11 +273,6 @@ impl<'a> Sounder<'a> {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &SounderConfig {
-        &self.config
-    }
-
     /// Replaces the sounder's path cache with `cache`, sharing its
     /// storage — the hook a session supervisor uses to own invalidation
     /// across geometry swaps (the PR 4 cache-invalidation pattern).
@@ -376,29 +371,6 @@ impl<'a> Sounder<'a> {
             },
             census,
         )
-    }
-
-    /// One supervised sounding round: the composed fault plan (if any) is
-    /// reseeded deterministically for `round` via
-    /// [`crate::faults::FaultPlan::for_round`], so loss patterns vary
-    /// across rounds while every round stays independently replayable —
-    /// `plan.for_round(round).census(…)` predicts this call's injection
-    /// exactly. Returns the sounding and its injected-fault census.
-    pub fn sound_round<R: Rng + ?Sized>(
-        &self,
-        round: u64,
-        tag: P2,
-        channels: &[Channel],
-        rng: &mut R,
-    ) -> (SoundingData, crate::faults::FaultCensus) {
-        match &self.faults {
-            Some(plan) => {
-                let mut per_round = self.clone();
-                per_round.faults = Some(plan.for_round(round));
-                per_round.sound_censused(tag, channels, rng)
-            }
-            None => self.sound_censused(tag, channels, rng),
-        }
     }
 
     /// Sounds with **zeroed** oscillator offsets and zero CFO — ideal
@@ -887,17 +859,6 @@ pub fn all_data_channels() -> Vec<Channel> {
     Channel::all_data().collect()
 }
 
-/// The channels of `n` consecutive connection events under a hop sequence —
-/// what a real BLoc deployment sounds, in the order it sounds them.
-pub fn hop_schedule(hop: bloc_ble::hopping::HopIncrement, n: usize) -> Vec<Channel> {
-    // Invariant, not input: the full channel map always maps channel 0.
-    #[allow(clippy::expect_used)]
-    let mut seq =
-        bloc_ble::hopping::HopSequence::new(hop, bloc_ble::channels::ChannelMap::all(), 0)
-            .expect("full map, channel 0");
-    (0..n).map(|_| seq.next_channel()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -939,34 +900,6 @@ mod tests {
             assert_eq!(b.master_to_anchor[0], bloc_num::complex::ONE);
             assert_eq!(b.tag_to_master0(), b.tag_to_anchor[0][0]);
         }
-    }
-
-    #[test]
-    fn sound_round_census_is_predictable_and_rounds_decorrelate() {
-        let (env, anchors) = deployment();
-        let channels = all_data_channels();
-        let plan = crate::faults::FaultPlan {
-            tag_loss: 0.4,
-            ..crate::faults::FaultPlan::default()
-        }
-        .with_seed(0xBEEF);
-        let sounder =
-            Sounder::new(&env, &anchors, SounderConfig::default()).with_faults(plan.clone());
-
-        let mut rng = StdRng::seed_from_u64(7);
-        let (_, census_a) = sounder.sound_round(3, P2::new(2.0, 3.0), &channels, &mut rng);
-        // Replayable without data: the reseeded plan's census predicts it.
-        assert_eq!(census_a, plan.for_round(3).census(&channels, &anchors));
-
-        // Same round, same injection; different round, different pattern.
-        let mut rng2 = StdRng::seed_from_u64(7);
-        let (_, census_b) = sounder.sound_round(3, P2::new(2.0, 3.0), &channels, &mut rng2);
-        assert_eq!(census_a, census_b);
-        assert_ne!(
-            plan.for_round(3).census(&channels, &anchors),
-            plan.for_round(4).census(&channels, &anchors),
-            "rounds must decorrelate"
-        );
     }
 
     #[test]
@@ -1130,14 +1063,6 @@ mod tests {
         let sub = data.with_bands_where(|b| b.channel.freq_index() % 2 == 0);
         assert!(sub.bands.len() < data.bands.len());
         assert!(sub.bands.iter().all(|b| b.channel.freq_index() % 2 == 0));
-    }
-
-    #[test]
-    fn hop_schedule_covers_everything() {
-        let hop = bloc_ble::hopping::HopIncrement::new(7).unwrap();
-        let sched = hop_schedule(hop, 37);
-        let set: std::collections::HashSet<u8> = sched.iter().map(|c| c.index()).collect();
-        assert_eq!(set.len(), 37);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! [`crate::environment::Environment::channel`] (paper Eq. 2) rebuilds the
 //! full path list — LOS obstruction tests, every reflector's specular +
-//! scatter sub-paths, O(R²) double bounces — for **every frequency
+//! scatter sub-paths — for **every frequency
 //! query**, even though the geometry is frequency-independent. This module
 //! mirrors the `bloc_core::engine` kernel architecture on the sounding
 //! side (DESIGN.md §10):
@@ -24,7 +24,7 @@
 //!   revision, tx, rx) of the static anchor↔master PathSets (§5.2 — the
 //!   anchors never move): computed once per deployment, invalidated when
 //!   the environment mutates or a runtime supervisor calls
-//!   [`PathCache::invalidate`] on a geometry swap. Tag links are not
+//!   [`PathCache::invalidate_with_cause`] on a geometry swap. Tag links are not
 //!   cached: each sounding traces them into its worker's scratch.
 //!
 //! The naive per-band path remains in `environment.rs` as the reference
@@ -74,7 +74,7 @@ impl PathSet {
 
     /// Approximate heap footprint of the path arrays; feeds the
     /// `cache.path.resident_bytes` gauge.
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         self.lengths.len() * (8 + std::mem::size_of::<C64>())
     }
 
@@ -91,15 +91,15 @@ impl PathSet {
     }
 
     /// Appends one path, folding the spreading loss into the stored gain
-    /// (same `max(d, 1 mm)` guard as [`crate::environment::Path::channel_at`]).
-    pub(crate) fn push(&mut self, length: f64, coeff: C64) {
+    /// (same `max(d, 1 mm)` guard as `crate::environment::Path::channel_at`).
+    pub fn push(&mut self, length: f64, coeff: C64) {
         self.lengths.push(length);
         self.gains.push(coeff / length.max(1e-3));
     }
 
     /// The channel at a single frequency — per-band `cis` evaluation,
     /// algebraically identical to summing
-    /// [`crate::environment::Path::channel_at`] over the path list.
+    /// `crate::environment::Path::channel_at` over the path list.
     pub fn channel_at(&self, f_hz: f64) -> C64 {
         let w = -std::f64::consts::TAU * f_hz / SPEED_OF_LIGHT;
         let mut h = complex::ZERO;
@@ -112,7 +112,7 @@ impl PathSet {
     /// Evaluates the two GFSK tone channels `[h(f−δ), h(f+δ)]` for every
     /// band of `comb` in a single pass, writing into `out` (indexed in
     /// the comb's original sounding order; `out.len()` must equal
-    /// [`FreqComb::n_bands`]).
+    /// `FreqComb::n_bands`).
     ///
     /// On a uniform comb the shared SIMD kernel
     /// ([`bloc_num::sweep::sweep_tones_into`]) costs three `cis` calls
@@ -122,16 +122,7 @@ impl PathSet {
     /// fixed rotation applied symmetrically. Off-comb inputs fall back to
     /// per-band `cis`.
     ///
-    /// This convenience form allocates the dense accumulators per call;
-    /// warm paths should hold a [`ToneSweepScratch`] and use
-    /// [`PathSet::sweep_tones_with`].
-    pub fn sweep_tones(&self, comb: &FreqComb, out: &mut [[C64; 2]]) {
-        let mut scratch = ToneSweepScratch::new();
-        self.sweep_tones_with(comb, &mut scratch, out);
-    }
-
-    /// [`PathSet::sweep_tones`] with caller-held scratch — the warm-path
-    /// form: steady-state sweeps allocate nothing.
+    /// The caller holds the scratch: steady-state sweeps allocate nothing.
     pub fn sweep_tones_with(
         &self,
         comb: &FreqComb,
@@ -183,23 +174,13 @@ impl FreqComb {
     }
 
     /// Number of bands planned.
-    pub fn n_bands(&self) -> usize {
+    pub(crate) fn n_bands(&self) -> usize {
         self.plan.n_bands()
-    }
-
-    /// True when the exact rotation recurrence applies.
-    pub fn is_uniform(&self) -> bool {
-        self.plan.is_uniform_comb()
     }
 
     /// The underlying comb walk.
     pub fn plan(&self) -> &CombPlan {
         &self.plan
-    }
-
-    /// The ± GFSK tone offset, hertz.
-    pub fn tone_offset_hz(&self) -> f64 {
-        self.tone_offset_hz
     }
 }
 
@@ -232,7 +213,8 @@ impl CacheInner {
 /// [`crate::sounder::Sounder`] clone — e.g. the per-retry clone the
 /// testbed runner makes — keeps its warm cache. Entries are dropped when
 /// the environment's revision changes (any mutation bumps it) or a
-/// supervisor calls [`PathCache::invalidate`] after swapping geometry.
+/// supervisor calls [`PathCache::invalidate_with_cause`] after swapping
+/// geometry.
 ///
 /// Telemetry follows the workspace cache convention
 /// ([`bloc_obs::CacheStats`]): `cache.path.{hits,misses,invalidations,
@@ -297,15 +279,11 @@ impl PathCache {
         set
     }
 
-    /// Drops every entry; returns how many were dropped. Call after
-    /// swapping anchor geometry or replacing the environment mid-session.
-    pub fn invalidate(&self) -> usize {
-        self.invalidate_with_cause("manual")
-    }
-
-    /// [`PathCache::invalidate`] with the event attributed to `cause` in
+    /// Drops every entry, attributing the event to `cause` in
     /// `cache.path.invalidations.<cause>` (the runtime supervisor passes
-    /// `breaker` on membership changes).
+    /// `breaker` on membership changes); returns how many were dropped.
+    /// Call after swapping anchor geometry or replacing the environment
+    /// mid-session.
     pub fn invalidate_with_cause(&self, cause: &'static str) -> usize {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let dropped = inner.clear();
@@ -382,9 +360,12 @@ mod tests {
         env.path_set_into(tx, rx, &mut set);
         let freqs = ble_freqs();
         let comb = FreqComb::build(&freqs, 250e3);
-        assert!(comb.is_uniform(), "BLE data channels are a uniform comb");
+        assert!(
+            comb.plan().is_uniform_comb(),
+            "BLE data channels are a uniform comb"
+        );
         let mut out = vec![[complex::ZERO; 2]; freqs.len()];
-        set.sweep_tones(&comb, &mut out);
+        set.sweep_tones_with(&comb, &mut ToneSweepScratch::new(), &mut out);
         let scale: f64 = out.iter().flatten().map(|h| h.abs()).fold(0.0f64, f64::max);
         for (k, &f) in freqs.iter().enumerate() {
             for (t, sign) in [(0usize, -1.0), (1usize, 1.0)] {
@@ -407,9 +388,9 @@ mod tests {
         // An irrational-ish spacing: no uniform comb exists.
         let freqs = [2.402e9, 2.402e9 + 1.37e6, 2.402e9 + 3.91e6];
         let comb = FreqComb::build(&freqs, 250e3);
-        assert!(!comb.is_uniform());
+        assert!(!comb.plan().is_uniform_comb());
         let mut out = vec![[complex::ZERO; 2]; freqs.len()];
-        set.sweep_tones(&comb, &mut out);
+        set.sweep_tones_with(&comb, &mut ToneSweepScratch::new(), &mut out);
         for (k, &f) in freqs.iter().enumerate() {
             let reference = set.channel_at(f - 250e3);
             assert!((out[k][0] - reference).abs() <= 1e-12 * reference.abs().max(1e-12));
@@ -424,9 +405,9 @@ mod tests {
         env.path_set_into(P2::new(2.0, 2.0), P2::new(0.5, 4.0), &mut set);
         let freqs = [2.426e9, 2.402e9, 2.480e9, 2.402e9, 2.404e9];
         let comb = FreqComb::build(&freqs, 250e3);
-        assert!(comb.is_uniform());
+        assert!(comb.plan().is_uniform_comb());
         let mut out = vec![[complex::ZERO; 2]; freqs.len()];
-        set.sweep_tones(&comb, &mut out);
+        set.sweep_tones_with(&comb, &mut ToneSweepScratch::new(), &mut out);
         for (k, &f) in freqs.iter().enumerate() {
             let reference = set.channel_at(f + 250e3);
             assert!(
@@ -445,7 +426,7 @@ mod tests {
         for freqs in [vec![], vec![2.44e9], vec![2.44e9, 2.44e9]] {
             let comb = FreqComb::build(&freqs, 250e3);
             let mut out = vec![[complex::ZERO; 2]; freqs.len()];
-            set.sweep_tones(&comb, &mut out);
+            set.sweep_tones_with(&comb, &mut ToneSweepScratch::new(), &mut out);
             for (k, &f) in freqs.iter().enumerate() {
                 let reference = set.channel_at(f - 250e3);
                 assert!((out[k][0] - reference).abs() <= 1e-9 * reference.abs().max(1e-12));
@@ -481,7 +462,7 @@ mod tests {
         let _ = cache.path_set(&env, P2::new(1.0, 1.0), P2::new(2.5, 0.0));
         let _ = cache.path_set(&env, P2::new(2.5, 0.0), P2::new(0.0, 3.0));
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.invalidate(), 2);
+        assert_eq!(cache.invalidate_with_cause("manual"), 2);
         assert!(cache.is_empty());
     }
 

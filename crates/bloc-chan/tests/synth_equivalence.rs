@@ -3,11 +3,10 @@
 //! Three families, mirroring the kernel-equivalence suite of `bloc-core`:
 //!
 //! 1. **Fast vs reference synthesis** — the comb-sweep phasor recurrence
-//!    ([`bloc_chan::PathSet::sweep_tones`]) and the cached per-band path
+//!    ([`bloc_chan::PathSet::sweep_tones_with`]) and the cached per-band path
 //!    ([`bloc_chan::PathSet::channel_at`]) must match the reference
 //!    [`bloc_chan::Environment::channel`] to ≤ 1e-12 relative error on
-//!    randomized rooms — walls on/off, obstructions on/off, second-order
-//!    bounces on/off.
+//!    randomized rooms — walls on/off, obstructions on/off.
 //! 2. **Fault composition** — a [`FaultPlan`]-degraded fast sounding's
 //!    census must be byte-identical to the reference engine's census and
 //!    to the plan's data-free replay, with masked entries exactly zero.
@@ -21,12 +20,13 @@ use bloc_chan::materials::Material;
 use bloc_chan::reflector::Reflector;
 use bloc_chan::sounder::{all_data_channels, SounderConfig, TONE_OFFSET_HZ};
 use bloc_chan::{AnchorArray, Environment, FaultPlan, FreqComb, InterferenceBurst, Sounder};
+use bloc_num::sweep::ToneSweepScratch;
 use bloc_num::{C64, P2};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Builds a randomized room from `seed`: random dimensions, 1–3 random
 /// free-standing reflectors of random materials, optional obstruction,
-/// optional walls, optional second-order bounces.
+/// optional walls.
 fn random_room(seed: u64) -> Environment {
     let mut rng = StdRng::seed_from_u64(seed);
     let w = 4.0 + rng.gen::<f64>() * 4.0;
@@ -61,9 +61,6 @@ fn random_room(seed: u64) -> Environment {
             loss_db: 6.0 + rng.gen::<f64>() * 10.0,
         });
     }
-    if seed.is_multiple_of(4) {
-        env = env.with_second_order(true);
-    }
     env
 }
 
@@ -87,7 +84,10 @@ fn rel_err(got: C64, want: C64, scale: f64) -> f64 {
 fn fast_synthesis_matches_reference_on_randomized_rooms() {
     let channels = all_data_channels();
     let comb = FreqComb::for_channels(&channels);
-    assert!(comb.is_uniform(), "the 37 data channels form a 2 MHz comb");
+    assert!(
+        comb.plan().is_uniform_comb(),
+        "the 37 data channels form a 2 MHz comb"
+    );
 
     for seed in 0..10u64 {
         let env = random_room(seed);
@@ -107,7 +107,7 @@ fn fast_synthesis_matches_reference_on_randomized_rooms() {
         assert!(set.len() <= env.path_capacity(), "capacity hint is exact");
 
         let mut out = vec![[bloc_num::complex::ZERO; 2]; channels.len()];
-        set.sweep_tones(&comb, &mut out);
+        set.sweep_tones_with(&comb, &mut ToneSweepScratch::new(), &mut out);
 
         // Scale: the largest reference tone magnitude over the sweep.
         let mut scale = 0.0f64;

@@ -65,7 +65,7 @@ impl Default for AoaConfig {
 /// One anchor's angle estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct Bearing {
+pub(crate) struct Bearing {
     /// The anchor that produced it.
     pub anchor_id: usize,
     /// `sin θ` of the strongest spectrum peak (θ from boresight).
@@ -78,7 +78,7 @@ pub struct Bearing {
 
 /// The Bartlett angle spectrum of anchor `i`: `spectrum[q]` is the
 /// likelihood of arrival from `sin θ = −1 + 2q/(n−1)`, summed over bands.
-pub fn angle_spectrum(data: &SoundingData, i: usize, config: &AoaConfig) -> Vec<f64> {
+pub(crate) fn angle_spectrum(data: &SoundingData, i: usize, config: &AoaConfig) -> Vec<f64> {
     let anchor = &data.anchors[i];
     let n = config.n_angles.max(2);
     let mut spectrum = vec![0.0; n];
@@ -150,7 +150,7 @@ fn pseudo_range(data: &SoundingData, i: usize, sin_theta: f64) -> f64 {
 
 /// The baseline's chosen bearing for anchor `i`, per the configured
 /// direct-path selection rule.
-pub fn best_bearing(data: &SoundingData, i: usize, config: &AoaConfig) -> Option<Bearing> {
+pub(crate) fn best_bearing(data: &SoundingData, i: usize, config: &AoaConfig) -> Option<Bearing> {
     let spectrum = angle_spectrum(data, i, config);
     let n = spectrum.len();
     let peaks = spectrum_peaks(&spectrum, config.min_rel_peak);

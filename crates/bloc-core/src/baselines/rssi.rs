@@ -36,7 +36,7 @@ impl Default for RssiConfig {
 }
 
 /// The estimated range from anchor `i`, metres.
-pub fn estimate_range(data: &SoundingData, i: usize, config: &RssiConfig) -> Option<f64> {
+pub(crate) fn estimate_range(data: &SoundingData, i: usize, config: &RssiConfig) -> Option<f64> {
     let mut sum = 0.0;
     let mut count = 0usize;
     for band in &data.bands {

@@ -47,7 +47,7 @@
 
 use bloc_chan::sounder::{BandSounding, SoundingData};
 use bloc_chan::AnchorArray;
-use bloc_num::{C64, P2};
+use bloc_num::C64;
 
 use crate::error::LocalizeError;
 
@@ -111,7 +111,8 @@ impl CorrectedChannels {
     }
 
     /// Indices of anchors with at least one surviving measurement.
-    pub fn usable_anchors(&self) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn usable_anchors(&self) -> Vec<usize> {
         (0..self.n_anchors())
             .filter(|&i| self.surviving[i] > 0)
             .collect()
@@ -120,7 +121,7 @@ impl CorrectedChannels {
     /// The fraction of anchor `i`'s possible `(band, antenna)` entries
     /// that survived masking, in `[0, 1]` (1 when nothing was masked; 0
     /// for a dead anchor or when no band survived).
-    pub fn surviving_fraction(&self, i: usize) -> f64 {
+    pub(crate) fn surviving_fraction(&self, i: usize) -> f64 {
         let possible = self.bands.len() * self.anchors[i].n_antennas;
         if possible == 0 {
             0.0
@@ -134,7 +135,8 @@ impl CorrectedChannels {
     /// `Δ_ij(x) = d_ij(x) − d_00(x) − d^{i0}_{00}` whose phase
     /// `−2πfΔ/c` a corrected channel would carry if the tag were at `x`
     /// (Eq. 14).
-    pub fn relative_distance(&self, i: usize, j: usize, x: P2) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn relative_distance(&self, i: usize, j: usize, x: bloc_num::P2) -> f64 {
         let d_ij = x.dist(self.anchors[i].antenna(j));
         let d_00 = x.dist(self.anchors[0].antenna(0));
         d_ij - d_00 - self.master_anchor_dist[i]
@@ -318,6 +320,7 @@ mod tests {
     use bloc_num::angle::unwrap;
     use bloc_num::constants::SPEED_OF_LIGHT;
     use bloc_num::linalg::linear_fit;
+    use bloc_num::P2;
     use proptest::prelude::*;
     use rand::{rngs::StdRng, SeedableRng};
 

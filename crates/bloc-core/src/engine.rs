@@ -103,7 +103,7 @@ pub struct SoaChannels {
 impl SoaChannels {
     /// An empty re-pack, ready for [`SoaChannels::rebuild`] — what the
     /// engine's scratch arena holds between calls.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self {
             plan: ProfilePlan::build(&[]),
             n_antennas: Vec::new(),
@@ -125,7 +125,7 @@ impl SoaChannels {
     /// [`SoaChannels::build`] into `self`, reusing the tensor buffers —
     /// the warm-path entry: after the first sounding of a deployment no
     /// per-call tensor allocation remains.
-    pub fn rebuild(&mut self, corrected: &CorrectedChannels) {
+    pub(crate) fn rebuild(&mut self, corrected: &CorrectedChannels) {
         self.freqs_scratch.clear();
         self.freqs_scratch
             .extend(corrected.bands.iter().map(|b| b.freq_hz));
@@ -167,19 +167,9 @@ impl SoaChannels {
     }
 
     /// Number of bands.
-    pub fn n_bands(&self) -> usize {
+    #[cfg(test)]
+    fn n_bands(&self) -> usize {
         self.plan.wavenumbers.len()
-    }
-
-    /// The antennas of anchor `i` at band `band` (the sounding's band
-    /// order), re-assembled from the split layout (a copy — layout
-    /// inspection, not a hot path).
-    pub fn band_antennas(&self, i: usize, band: usize) -> Vec<C64> {
-        let nj = self.n_antennas[i];
-        let row = band * self.n_lanes[i];
-        (0..nj)
-            .map(|j| C64::new(self.alpha_re[i][row + j], self.alpha_im[i][row + j]))
-            .collect()
     }
 }
 
@@ -615,7 +605,7 @@ impl SteeringTables {
 /// An entry is created empty and its tiles fill as windows touch them,
 /// outside the cache-wide lock: a corridor-size fill for one key never
 /// stalls another key's lookup. Entries grow after insert, so the
-/// resident-byte gauge and the LRU budget ([`CACHE_BUDGET_BYTES`]) are
+/// resident-byte gauge and the LRU budget (`CACHE_BUDGET_BYTES`) are
 /// charged as tiles fill.
 ///
 /// Telemetry follows the workspace cache convention
@@ -633,7 +623,7 @@ pub struct SteeringCache {
 /// — and patches are windows into the fine one, whose tiles fill as
 /// patches touch them; LRU eviction keeps long-running fleets and
 /// many-scenario sweeps bounded.
-pub const CACHE_BUDGET_BYTES: usize = 256 << 20;
+pub(crate) const CACHE_BUDGET_BYTES: usize = 256 << 20;
 
 /// One resident steering geometry plus the last access tick the LRU
 /// budget orders by; its size is read live from the tables.
@@ -882,7 +872,7 @@ impl SteeringCache {
             .len()
     }
 
-    /// True when nothing is cached yet.
+    /// True when no deployment is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -1159,31 +1149,19 @@ impl LikelihoodEngine {
 
     /// The joint likelihood (per-anchor maps normalized, degradation-
     /// weighted, summed — see [`crate::likelihood::joint_likelihood`] for
-    /// the weighting contract) over the whole grid:
-    /// [`LikelihoodEngine::joint_window`] on the whole-grid window.
+    /// the weighting contract) over the whole grid: the batch of one
+    /// ([`LikelihoodEngine::likelihood_batch`]) on the whole-grid window.
     pub fn joint_likelihood(
         &self,
         corrected: &CorrectedChannels,
         spec: GridSpec,
         combining: AntennaCombining,
     ) -> Grid2D {
-        self.joint_window(corrected, spec, &GridPatch::whole(spec), combining)
-    }
-
-    /// The weighted joint over `window` of `spec` — a dense joint whose
-    /// grid *is* the window: the batch of one
-    /// ([`LikelihoodEngine::likelihood_batch`]).
-    pub fn joint_window(
-        &self,
-        corrected: &CorrectedChannels,
-        spec: GridSpec,
-        window: &GridPatch,
-        combining: AntennaCombining,
-    ) -> Grid2D {
-        self.likelihood_batch(&[corrected], spec, window, combining, false)
+        let whole = GridPatch::whole(spec);
+        self.likelihood_batch(&[corrected], spec, &whole, combining, false)
             .into_iter()
             .next()
-            .map_or_else(|| Grid2D::zeros(window.spec), |m| m.joint)
+            .map_or_else(|| Grid2D::zeros(whole.spec), |m| m.joint)
     }
 }
 
@@ -1197,6 +1175,47 @@ fn count_cells(window: &GridPatch, alive: usize) {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
+
+    #[test]
+    fn soa_layout_round_trips_the_alpha_tensor() {
+        use bloc_chan::sounder::{all_data_channels, Sounder, SounderConfig};
+        use rand::SeedableRng;
+        let room = bloc_chan::geometry::Room::new(5.0, 6.0);
+        let (mids, walls) = (room.wall_midpoints(), room.walls());
+        let anchors: Vec<AnchorArray> = (0..4)
+            .map(|i| AnchorArray::centered(i, mids[i], walls[i].direction(), 4))
+            .collect();
+        let env = bloc_chan::Environment::free_space();
+        let sounder = Sounder::new(&env, &anchors, SounderConfig::default());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(700);
+        let sounding = sounder.sound(P2::new(1.1, 1.2), &all_data_channels(), &mut rng);
+        let corrected = crate::correction::correct(&sounding, true).unwrap();
+        let soa = SoaChannels::build(&corrected);
+        assert_eq!(soa.n_bands(), corrected.bands.len());
+        // The plan centres the carrier on the band span, on a 10 MHz grid.
+        let freqs = corrected.bands.iter().map(|b| b.freq_hz);
+        let (lo, hi) = (
+            freqs.clone().fold(f64::INFINITY, f64::min),
+            freqs.fold(0.0, f64::max),
+        );
+        assert!((soa.plan.carrier_hz - 0.5 * (lo + hi)).abs() <= 5e6);
+        assert_eq!(soa.plan.carrier_hz % 10e6, 0.0);
+        for i in 0..corrected.n_anchors() {
+            assert_eq!(soa.n_antennas[i], corrected.anchors[i].n_antennas);
+            let lanes = soa.n_lanes[i];
+            for (b, band) in corrected.bands.iter().enumerate() {
+                for j in 0..lanes {
+                    let a = C64::new(
+                        soa.alpha_re[i][b * lanes + j],
+                        soa.alpha_im[i][b * lanes + j],
+                    );
+                    // Padding lanes are exact zeros; real lanes carry α.
+                    let want = band.alpha[i].get(j).copied().unwrap_or(C64::new(0.0, 0.0));
+                    assert_eq!(a, want, "anchor {i} lane {j} band {b}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn steering_cache_returns_the_same_tables() {

@@ -164,7 +164,7 @@ pub struct DegradationReport {
     /// relative-distance resolution).
     pub effective_span_hz: f64,
     /// Peak-margin confidence of the chosen estimate, `[0, 1]` (the
-    /// [`crate::Estimate::confidence`] value at estimation time).
+    /// `crate::Estimate::confidence` value at estimation time).
     pub confidence: f64,
 }
 
@@ -179,12 +179,12 @@ impl DegradationReport {
     }
 
     /// Bands that actually fed the likelihood.
-    pub fn bands_used(&self) -> usize {
+    pub(crate) fn bands_used(&self) -> usize {
         self.bands_total - self.bands_dropped
     }
 
     /// Anchors that actually fed the likelihood.
-    pub fn anchors_used(&self) -> usize {
+    pub(crate) fn anchors_used(&self) -> usize {
         self.anchors_total - self.anchors_excluded.len()
     }
 

@@ -86,7 +86,7 @@ impl FingerprintDb {
     }
 
     /// Feature dimensionality (`bands × anchors`).
-    pub fn dims(&self) -> usize {
+    pub(crate) fn dims(&self) -> usize {
         self.n_bands * self.n_anchors
     }
 

@@ -56,7 +56,7 @@ impl FusionWeights {
 
     /// Fallback-only weights (no usable CSI this round): the non-CSI
     /// split from `policy`.
-    pub fn fallback_only(policy: &FusionPolicy) -> Self {
+    pub(crate) fn fallback_only(policy: &FusionPolicy) -> Self {
         let fp = policy.fingerprint_affinity.clamp(0.0, 1.0);
         Self {
             csi: 0.0,
@@ -129,14 +129,6 @@ impl FusionWeights {
             counts: w.counts / total,
         }
     }
-
-    /// True when the weights form a convex combination: each in `[0, 1]`
-    /// and summing to 1 within floating tolerance.
-    pub fn is_convex(&self) -> bool {
-        let parts = [self.csi, self.fingerprint, self.counts];
-        parts.iter().all(|&w| (0.0..=1.0 + 1e-12).contains(&w))
-            && (parts.iter().sum::<f64>() - 1.0).abs() < 1e-9
-    }
 }
 
 /// Fuses likelihood surfaces as a weighted sum of mass-normalized grids.
@@ -144,7 +136,7 @@ impl FusionWeights {
 /// — the callers construct everything on one spec); zero-weight and
 /// zero-mass grids contribute nothing. Returns `None` when no grid
 /// contributes.
-pub fn fuse_mass(parts: &[(&Grid2D, f64)]) -> Option<Grid2D> {
+pub(crate) fn fuse_mass(parts: &[(&Grid2D, f64)]) -> Option<Grid2D> {
     let spec = parts.first().map(|(g, _)| g.spec())?;
     let mut out = Grid2D::zeros(spec);
     let mut contributed = false;
@@ -168,7 +160,7 @@ pub fn fuse_mass(parts: &[(&Grid2D, f64)]) -> Option<Grid2D> {
 /// An isotropic Gaussian bump over the grid — turns a point estimate
 /// (e.g. a KNN position with its spread) into a spatial prior the fusion
 /// sum can consume.
-pub fn gaussian_bump(spec: GridSpec, center: P2, sigma_m: f64) -> Grid2D {
+pub(crate) fn gaussian_bump(spec: GridSpec, center: P2, sigma_m: f64) -> Grid2D {
     let sigma = sigma_m.max(spec.resolution.max(1e-3));
     let inv_two_sq = 1.0 / (2.0 * sigma * sigma);
     let mut g = Grid2D::from_fn(spec, |p| (-p.dist_sq(center) * inv_two_sq).exp());
@@ -178,7 +170,7 @@ pub fn gaussian_bump(spec: GridSpec, center: P2, sigma_m: f64) -> Grid2D {
 
 /// Mass-weighted RMS distance of a likelihood surface about `center` —
 /// the spatial spread backing a fused estimate's reported sigma.
-pub fn grid_spread(grid: &Grid2D, center: P2) -> f64 {
+pub(crate) fn grid_spread(grid: &Grid2D, center: P2) -> f64 {
     let spec = grid.spec();
     let mass = grid.sum();
     if mass <= 0.0 || !mass.is_finite() {

@@ -185,7 +185,7 @@ impl FallbackEvidence {
 
     /// Per-(band, anchor) dB features, band-major, and their survival
     /// mask (false where no antenna of the anchor heard the band).
-    pub(crate) fn features(&self) -> (&[f64], &[bool]) {
+    pub fn features(&self) -> (&[f64], &[bool]) {
         (&self.features, &self.mask)
     }
 
@@ -251,14 +251,14 @@ impl FallbackStack {
     }
 
     /// True when at least one estimator is attached.
-    pub fn has_estimators(&self) -> bool {
+    pub(crate) fn has_estimators(&self) -> bool {
         self.db.is_some() || self.counts.is_some()
     }
 
     /// Evaluates every available fallback prior against `evidence` on
     /// `spec`. Estimator failures are skipped, not propagated: a prior
     /// that cannot run simply contributes nothing.
-    pub fn priors(
+    pub(crate) fn priors(
         &self,
         evidence: &FallbackEvidence,
         spec: GridSpec,

@@ -187,12 +187,7 @@ pub(crate) struct CountTableSlot(Mutex<Option<Arc<CountTable>>>);
 
 impl CountTableSlot {
     /// The table of `model` over `spec` and `anchors`, built on a miss.
-    pub(crate) fn get(
-        &self,
-        model: &PacketCountModel,
-        spec: GridSpec,
-        anchors: &[P2],
-    ) -> Arc<CountTable> {
+    pub fn get(&self, model: &PacketCountModel, spec: GridSpec, anchors: &[P2]) -> Arc<CountTable> {
         // The slot holds a whole table or none, so a guard poisoned by a
         // panicking tag elsewhere still guards a sound slot.
         let mut slot = self.0.lock().unwrap_or_else(PoisonError::into_inner);

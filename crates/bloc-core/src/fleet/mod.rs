@@ -281,16 +281,6 @@ impl FleetSupervisor {
         self.round
     }
 
-    /// Registered sites.
-    pub fn n_sites(&self) -> usize {
-        self.sites.len()
-    }
-
-    /// Tags registered under `site`.
-    pub fn n_tags(&self, site: SiteId) -> usize {
-        self.sites.get(site.0).map_or(0, |s| s.tags.len())
-    }
-
     /// The supervised session behind a tag (read side), if registered.
     pub fn session(&self, site: SiteId, tag: TagId) -> Option<&SessionSupervisor> {
         self.slot(site, tag).map(|s| &s.sup)

@@ -46,7 +46,7 @@ pub enum AntennaCombining {
 /// (antenna, band). This is the ground truth every fast kernel in
 /// [`crate::engine`] is verified against — change it only if the physics
 /// changes.
-pub fn reference_cell_value(
+pub(crate) fn reference_cell_value(
     corrected: &CorrectedChannels,
     i: usize,
     combining: AntennaCombining,
@@ -245,7 +245,7 @@ pub(crate) struct WeightedJoint {
 }
 
 impl WeightedJoint {
-    pub(crate) fn new(corrected: &CorrectedChannels, spec: GridSpec) -> Self {
+    pub fn new(corrected: &CorrectedChannels, spec: GridSpec) -> Self {
         Self {
             joint: Grid2D::zeros(spec),
             weights: anchor_weights(corrected),
@@ -257,7 +257,7 @@ impl WeightedJoint {
     /// (`v · w` when the peak `m` is not positive). Each cell sees the
     /// roundings of `normalize_peak`, `scale(w)` and `add_assign` in
     /// that order, so the sum is theirs bit for bit.
-    pub(crate) fn add(&mut self, i: usize, map: &Grid2D) {
+    pub fn add(&mut self, i: usize, map: &Grid2D) {
         assert_eq!(
             self.joint.spec(),
             map.spec(),

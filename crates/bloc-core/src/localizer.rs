@@ -68,7 +68,7 @@ impl BlocConfig {
     }
 
     /// A configuration covering an arbitrary region at 8 cm resolution.
-    pub fn for_region(origin: P2, extent: P2) -> Self {
+    pub(crate) fn for_region(origin: P2, extent: P2) -> Self {
         Self {
             grid: GridSpec::covering(origin, extent, 0.08),
             score: ScoreConfig::default(),
@@ -117,7 +117,7 @@ impl Estimate {
     /// the chosen peak dominated. A single-peak profile is fully
     /// confident. Returns 0 when produced by a decider that keeps no peak
     /// list (`localize_shortest_distance` / `localize_argmax`).
-    pub fn confidence(&self) -> f64 {
+    pub(crate) fn confidence(&self) -> f64 {
         match self.peaks.as_slice() {
             [] => 0.0,
             [_] => 1.0,

@@ -72,7 +72,11 @@ pub struct ScoredPeak {
 ///
 /// `anchor_refs` are the positions the `d_i` distances are measured to —
 /// the anchor array centres in the standard pipeline.
-pub fn score_peaks(grid: &Grid2D, anchor_refs: &[P2], config: &ScoreConfig) -> Vec<ScoredPeak> {
+pub(crate) fn score_peaks(
+    grid: &Grid2D,
+    anchor_refs: &[P2],
+    config: &ScoreConfig,
+) -> Vec<ScoredPeak> {
     let whole = [(GridPatch::whole(grid.spec()), grid)];
     score_windows(&whole, grid.spec(), grid, anchor_refs, config, 0, false)
 }
@@ -214,7 +218,7 @@ fn score_candidates(
 /// The naive §8.7 baseline: among the peaks, pick the one with the
 /// smallest summed anchor distance ("just picks the shortest distance path
 /// as the direct path"), ignoring likelihood and entropy.
-pub fn shortest_distance_peak(
+pub(crate) fn shortest_distance_peak(
     grid: &Grid2D,
     anchor_refs: &[P2],
     peaks: &PeakOptions,

@@ -40,7 +40,7 @@
 //!   rounds read too.
 //! * Every breaker transition lands in an inspectable ledger *and* as a
 //!   `runtime.breaker` obs event, so a soak can reconcile the two
-//!   exactly; per-anchor health is [`SessionSupervisor::anchor_health`].
+//!   exactly, with the anchor's EWMA health at the move.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -116,7 +116,7 @@ impl RetryPolicy {
     /// scheduled sounding) has no delay; retry `k` waits
     /// `base · 2^(k−1)`, capped at `max_delay_us`, scaled by the
     /// deterministic jitter factor.
-    pub fn delay_us(&self, round: u64, attempt: usize) -> u64 {
+    pub(crate) fn delay_us(&self, round: u64, attempt: usize) -> u64 {
         if attempt == 0 {
             return 0;
         }
@@ -334,11 +334,6 @@ pub enum RoundOutcome {
 }
 
 impl RoundOutcome {
-    /// True for [`RoundOutcome::Fix`].
-    pub fn is_fix(&self) -> bool {
-        matches!(self, Self::Fix(_))
-    }
-
     /// True whenever the round produced *some* position estimate —
     /// native or degraded.
     pub fn is_estimate(&self) -> bool {
@@ -455,18 +450,6 @@ impl SessionSupervisor {
         self.fallback.as_ref()
     }
 
-    /// The fallback evidence of the latest attempt-0 sounding (of this
-    /// or an earlier round), when a stack with estimators is attached and
-    /// attempt 0 has been sounded at least once.
-    pub fn fallback_evidence(&self) -> Option<&FallbackEvidence> {
-        self.evidence.as_ref()
-    }
-
-    /// The supervision policy in force.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.config
-    }
-
     /// The localizer every attempt runs on (and through it the shared
     /// likelihood engine).
     pub fn localizer(&self) -> &BlocLocalizer {
@@ -477,16 +460,6 @@ impl SessionSupervisor {
     /// has not been dropped since).
     pub fn track(&self) -> Option<TrackState> {
         self.tracker.state()
-    }
-
-    /// Rounds run so far.
-    pub fn rounds(&self) -> u64 {
-        self.round
-    }
-
-    /// Current EWMA health of anchor `i`, `[0, 1]`.
-    pub fn anchor_health(&self, i: usize) -> f64 {
-        self.monitors[i].health
     }
 
     /// Current breaker state of anchor `i`.
@@ -951,7 +924,7 @@ fn dressed(fb: &FallbackEstimate, evidence: &FallbackEvidence, score: &ScoreConf
 /// anchor, the fraction of its measurements — tag rows plus the
 /// master→anchor response — that are present (nonzero, the exact-zero
 /// hole convention shared with [`bloc_chan::faults`]) and finite.
-pub fn anchor_survival(data: &SoundingData) -> Vec<f64> {
+pub(crate) fn anchor_survival(data: &SoundingData) -> Vec<f64> {
     let n = data.anchors.len();
     let mut present = vec![0usize; n];
     let mut total = vec![0usize; n];
@@ -981,7 +954,7 @@ pub fn anchor_survival(data: &SoundingData) -> Vec<f64> {
 /// Bands of one sounding whose master tag measurement `ĥ00` survived —
 /// the masking stage's primary drop criterion (Eq. 10 is undefined on a
 /// band without it), counted before paying for a localize.
-pub fn surviving_bands(data: &SoundingData) -> usize {
+pub(crate) fn surviving_bands(data: &SoundingData) -> usize {
     data.bands
         .iter()
         .filter(|b| {
@@ -992,4 +965,69 @@ pub fn surviving_bands(data: &SoundingData) -> usize {
                 && b.tag_to_master0().im.is_finite()
         })
         .count()
+}
+
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+    use super::*;
+
+    /// Drives the breakers with per-anchor survival fractions, as a round's
+    /// masking stage reports them: the EWMA health stays near 1 on clean
+    /// rounds, is below the open threshold when a breaker opens, recovers
+    /// past the close threshold once the anchor is readmitted, and keeps
+    /// tracking the master, which is never quarantined.
+    #[test]
+    fn health_tracks_survival_behind_every_breaker_move() {
+        let room = bloc_chan::geometry::Room::new(5.0, 6.0);
+        let localizer = BlocLocalizer::new(crate::BlocConfig::for_room(&room));
+        let config = RuntimeConfig::default();
+        let mut sup = SessionSupervisor::new(localizer, 4, config.clone());
+        let all = [0, 1, 2, 3];
+        for round in 0..8 {
+            sup.observe_round(round, &all, &[1.0; 4]);
+        }
+        assert!(sup.monitors.iter().all(|m| m.health > 0.95));
+        assert!(sup.ledger.is_empty(), "no breaker should move");
+
+        // Anchor 2 and the master go dark until anchor 2 is quarantined.
+        let mut round = 8;
+        while sup.monitors[2].state == BreakerState::Closed {
+            sup.observe_round(round, &all, &[0.0, 1.0, 0.0, 1.0]);
+            round += 1;
+            assert!(round < 20, "a dark anchor must be quarantined");
+        }
+        assert_eq!(sup.monitors[2].state, BreakerState::Open);
+        assert!(sup.monitors[2].health < config.open_threshold);
+        assert_eq!(sup.monitors[0].state, BreakerState::Closed);
+        assert!(
+            sup.monitors[0].health < 0.5,
+            "the master's health still reflects reality"
+        );
+
+        // Clean rounds: the cooldown ends, the probe closes the breaker.
+        while sup.monitors[2].state != BreakerState::Closed {
+            sup.tick_cooldowns(round);
+            let admitted: Vec<usize> = (0..4)
+                .filter(|&i| sup.monitors[i].state != BreakerState::Open)
+                .collect();
+            sup.observe_round(round, &admitted, &vec![1.0; admitted.len()]);
+            round += 1;
+            assert!(round < 40, "a recovered anchor must be readmitted");
+        }
+        for _ in 0..4 {
+            sup.observe_round(round, &all, &[1.0; 4]);
+            round += 1;
+        }
+        assert!(sup.monitors[2].health > config.close_threshold);
+        let moves: Vec<_> = sup.ledger.iter().map(|t| (t.anchor, t.to)).collect();
+        assert_eq!(
+            moves,
+            [
+                (2, BreakerState::Open),
+                (2, BreakerState::HalfOpen),
+                (2, BreakerState::Closed)
+            ]
+        );
+    }
 }

@@ -25,7 +25,7 @@ pub struct TrackerConfig {
     /// Measurement noise standard deviation of a BLoc fix, metres.
     /// BLoc's ~0.9 m median error ⇒ ~0.8–1.0 m is the right magnitude.
     pub fix_sigma_m: f64,
-    /// Innovation gate in Mahalanobis σ units (see [`Tracker::offer`]):
+    /// Innovation gate in Mahalanobis σ units (see `Tracker::offer`):
     /// a fix whose normalized innovation exceeds the velocity-scaled
     /// bound is rejected instead of updating the filter. `INFINITY`
     /// disables gating.
@@ -94,7 +94,7 @@ pub struct Tracker {
     fixless_streak: usize,
 }
 
-/// What [`Tracker::offer`] did with one fix.
+/// What `Tracker::offer` did with one fix.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FixDisposition {
     /// The fix passed the innovation gate (or initialized the filter)
@@ -118,7 +118,7 @@ pub enum FixDisposition {
 
 impl FixDisposition {
     /// The track state after this disposition, whatever it was.
-    pub fn state(&self) -> TrackState {
+    pub(crate) fn state(&self) -> TrackState {
         match *self {
             Self::Accepted(s) | Self::Reacquired(s) => s,
             Self::Rejected { state, .. } => state,
@@ -192,11 +192,6 @@ impl Tracker {
         }
     }
 
-    /// True until the first fix arrives.
-    pub fn is_initializing(&self) -> bool {
-        self.axis.is_none()
-    }
-
     /// Feeds one fix taken `dt` seconds after the previous call (use the
     /// hop/burst period; must be positive). Returns the filtered state.
     pub fn push(&mut self, fix: P2, dt: f64) -> TrackState {
@@ -230,7 +225,7 @@ impl Tracker {
     /// rejections re-initialize it at the latest fix (hysteresis: a tag
     /// that truly teleported re-acquires within K rounds instead of
     /// being gated forever).
-    pub fn offer(&mut self, fix: P2, dt: f64) -> FixDisposition {
+    pub(crate) fn offer(&mut self, fix: P2, dt: f64) -> FixDisposition {
         assert!(dt > 0.0, "time step must be positive");
         let Some(ax) = &mut self.axis else {
             self.rejected_streak = 0;
@@ -276,11 +271,6 @@ impl Tracker {
         }
     }
 
-    /// Consecutive gate rejections so far (resets on accept/re-acquire).
-    pub fn rejected_streak(&self) -> usize {
-        self.rejected_streak
-    }
-
     /// Advances time without a fix (the tag's burst was lost): predict
     /// only, bounded by the coasting horizon — beyond
     /// `coast_widen_after` consecutive fix-less rounds each coast also
@@ -318,7 +308,7 @@ impl Tracker {
     /// horizon keeps counting, and once it expires the track re-anchors
     /// on the degraded fix with the wide sigma (reported as
     /// [`FixDisposition::Reacquired`]: velocity is forgotten).
-    pub fn offer_degraded(&mut self, fix: P2, dt: f64, sigma_m: f64) -> FixDisposition {
+    pub(crate) fn offer_degraded(&mut self, fix: P2, dt: f64, sigma_m: f64) -> FixDisposition {
         assert!(dt > 0.0, "time step must be positive");
         let sigma = if sigma_m.is_finite() {
             sigma_m.max(self.config.fix_sigma_m)
@@ -379,7 +369,8 @@ impl Tracker {
 
     /// Consecutive rounds without an accepted native fix (the coasting
     /// horizon state; resets on accepted/re-acquired native fixes).
-    pub fn fixless_streak(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn fixless_streak(&self) -> usize {
         self.fixless_streak
     }
 
@@ -391,13 +382,13 @@ impl Tracker {
     /// `position_sigma`, so the radius grows with every fix-less round
     /// exactly as the gate does. `None` before the first fix (or after a
     /// dropped lock) — there is nothing to seed from.
-    pub fn search_radius(&self, dt: f64) -> Option<f64> {
+    pub(crate) fn search_radius(&self, dt: f64) -> Option<f64> {
         let s = self.state()?;
         Some(self.config.gate_sigma * s.position_sigma + s.velocity.norm() * dt.max(0.0))
     }
 
     /// The current estimate, if initialized.
-    pub fn state(&self) -> Option<TrackState> {
+    pub(crate) fn state(&self) -> Option<TrackState> {
         let ax = self.axis.as_ref()?;
         Some(TrackState {
             position: P2::new(ax[0].p, ax[1].p),
@@ -536,10 +527,10 @@ mod tests {
     #[test]
     fn coast_before_init_is_none() {
         let mut tracker = Tracker::new(TrackerConfig::default());
-        assert!(tracker.is_initializing());
+        assert!(tracker.axis.is_none());
         assert!(tracker.coast(0.1).is_none());
         tracker.push(P2::new(1.0, 2.0), 0.1);
-        assert!(!tracker.is_initializing());
+        assert!(tracker.axis.is_some());
     }
 
     #[test]
@@ -580,7 +571,7 @@ mod tests {
 
         // The 6th consecutive coast hits the drop horizon.
         assert!(tracker.coast(0.1).is_none(), "lock must drop at horizon");
-        assert!(tracker.is_initializing());
+        assert!(tracker.axis.is_none());
 
         // A fresh fix re-initializes and resets the streak.
         tracker.push(P2::new(2.0, 2.0), 0.1);

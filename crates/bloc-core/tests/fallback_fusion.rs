@@ -32,6 +32,14 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// True when the weights form a convex combination: each in `[0, 1]` and
+/// summing to 1 within floating tolerance.
+fn is_convex(w: &FusionWeights) -> bool {
+    let parts = [w.csi, w.fingerprint, w.counts];
+    parts.iter().all(|&w| (0.0..=1.0 + 1e-12).contains(&w))
+        && (parts.iter().sum::<f64>() - 1.0).abs() < 1e-9
+}
+
 fn anchors(room: &Room) -> Vec<AnchorArray> {
     room.wall_midpoints()
         .iter()
@@ -103,7 +111,7 @@ fn healthy_round_is_exactly_pure_csi() {
 
     assert_eq!(fix.mode, EstimateMode::Csi);
     assert_eq!(fix.weights.csi, 1.0, "healthy weights snap to pure CSI");
-    assert!(fix.weights.is_convex());
+    assert!(is_convex(&fix.weights));
     let drift = fix.estimate.position.dist(pure.position);
     assert!(
         drift < 0.01,
@@ -150,7 +158,7 @@ fn csi_failure_falls_back_with_provenance() {
     };
     assert_eq!(degraded.mode, EstimateMode::FallbackFused);
     assert_eq!(degraded.weights.csi, 0.0, "no CSI evidence was used");
-    assert!(degraded.weights.is_convex());
+    assert!(is_convex(&degraded.weights));
     assert!(degraded.weights.fingerprint > 0.0 && degraded.weights.counts > 0.0);
     let err = degraded.estimate.position.dist(tag);
     assert!(
@@ -256,7 +264,7 @@ fn fusion_weights_are_convex_for_every_health() {
                 };
                 let w = FusionWeights::from_degradation(&report, open_frac, &policy);
                 assert!(
-                    w.is_convex(),
+                    is_convex(&w),
                     "weights must stay convex: {w:?} (dropped {bands_dropped}, \
                      excluded {n_excluded}, open {open_frac})"
                 );
@@ -269,7 +277,7 @@ fn fusion_weights_are_convex_for_every_health() {
                 // Every availability restriction stays convex too.
                 for mask in 1..8u8 {
                     let r = w.restrict(mask & 1 != 0, mask & 2 != 0, mask & 4 != 0);
-                    assert!(r.is_convex(), "restricted weights not convex: {r:?}");
+                    assert!(is_convex(&r), "restricted weights not convex: {r:?}");
                 }
             }
         }
@@ -277,7 +285,7 @@ fn fusion_weights_are_convex_for_every_health() {
     // Nothing available: all-zero, flagged non-convex (callers must not fuse).
     let none = FusionWeights::pure_csi().restrict(false, false, false);
     assert_eq!(none.csi + none.fingerprint + none.counts, 0.0);
-    assert!(!none.is_convex());
+    assert!(!is_convex(&none));
 }
 
 #[test]
@@ -390,7 +398,7 @@ fn supervisor_returns_degraded_not_deferred_when_fallback_can_estimate() {
                     EstimateMode::Fingerprint | EstimateMode::Counts | EstimateMode::FallbackFused
                 ));
                 assert_eq!(d.weights.csi, 0.0);
-                assert!(d.weights.is_convex());
+                assert!(is_convex(&d.weights));
                 assert!(d.sigma_m >= 0.35, "fallback sigma respects the floor");
                 assert!(
                     d.estimate.position.dist(tag) < 3.7,

@@ -228,30 +228,6 @@ fn public_free_functions_route_through_the_fast_path() {
 }
 
 #[test]
-fn soa_layout_round_trips_the_alpha_tensor() {
-    let corrected = corrected_for(&Environment::free_space(), P2::new(1.1, 1.2), 700, None);
-    let soa = SoaChannels::build(&corrected);
-    assert_eq!(soa.n_bands(), corrected.bands.len());
-    // The plan centres the carrier on the band span, on a 10 MHz grid.
-    let freqs = corrected.bands.iter().map(|b| b.freq_hz);
-    let (lo, hi) = (
-        freqs.clone().fold(f64::INFINITY, f64::min),
-        freqs.fold(0.0, f64::max),
-    );
-    assert!((soa.plan.carrier_hz - 0.5 * (lo + hi)).abs() <= 5e6);
-    assert_eq!(soa.plan.carrier_hz % 10e6, 0.0);
-    for i in 0..corrected.n_anchors() {
-        for (b, band) in corrected.bands.iter().enumerate() {
-            let slice = soa.band_antennas(i, b);
-            assert_eq!(slice.len(), corrected.anchors[i].n_antennas);
-            for (j, &a) in slice.iter().enumerate() {
-                assert_eq!(a, band.alpha[i][j], "anchor {i} antenna {j} band {b}");
-            }
-        }
-    }
-}
-
-#[test]
 fn off_comb_bands_fall_back_and_still_match_reference() {
     let room = Room::new(5.0, 6.0);
     let spec = spec(&room);
@@ -553,8 +529,9 @@ fn batched_soundings_equal_their_own_joints_bit_for_bit() {
     // A window batches the same way, and joints only keep no maps.
     let windowed = engine.likelihood_batch(&batch, spec, &patch, combining, false);
     for (k, (corrected, maps)) in batch.iter().zip(&windowed).enumerate() {
-        let alone = engine.joint_window(corrected, spec, &patch, combining);
-        assert_eq!(bits(&maps.joint), bits(&alone), "window joint {k}");
+        let alone = engine.likelihood_batch(&[*corrected], spec, &patch, combining, false);
+        let alone = &alone[0].joint;
+        assert_eq!(bits(&maps.joint), bits(alone), "window joint {k}");
         assert!(maps.anchor_maps.is_empty());
     }
 }

@@ -12,16 +12,22 @@
 //! phasor of anchor `i`'s coherent Eq. 17 sum lines up at the tag, so the
 //! map's value there is `Σ_jk |α^{f_k}_ij|`, the Cauchy–Schwarz maximum.
 //! That oracle needs neither kernel, so it checks both.
+//!
+//! Rigid motion (§5): Eqs. 10–18 read only distances and the angles
+//! between anchor axes and bearings, so moving the whole scene — walls,
+//! anchors, tags and search grid — by one translation or rotation moves
+//! every fix by the same transform.
 
-use bloc_chan::geometry::Room;
+use bloc_chan::geometry::{Room, Segment};
 use bloc_chan::materials::Material;
+use bloc_chan::reflector::Reflector;
 use bloc_chan::sounder::{all_data_channels, SounderConfig};
 use bloc_chan::{AnchorArray, Environment, Sounder};
 use bloc_core::correction::correct;
 use bloc_core::engine::LikelihoodEngine;
 use bloc_core::likelihood::{anchor_likelihood_reference, AntennaCombining};
 use bloc_core::localizer::{BlocConfig, BlocLocalizer};
-use bloc_num::P2;
+use bloc_num::{GridSpec, P2};
 use rand::{rngs::StdRng, SeedableRng};
 
 #[test]
@@ -189,5 +195,69 @@ fn free_space_coherent_peak_is_the_sum_of_channel_magnitudes() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn rigid_motion_moves_the_fix_with_the_scene() {
+    // A 6 × 5 m room of concrete walls, anchors at the wall midpoints, and
+    // a search grid with a 0.5 m margin, all built through `place`.
+    let room = Room::new(6.0, 5.0);
+    let tags = [P2::new(1.2, 1.1), P2::new(2.3, 3.1), P2::new(4.6, 2.2)];
+    let fixes = |place: &dyn Fn(P2) -> P2, turn: &dyn Fn(P2) -> P2, grid: GridSpec| {
+        let mut env = Environment::free_space();
+        let mut rng = StdRng::seed_from_u64(11);
+        for wall in room.walls() {
+            let face = Segment::new(place(wall.a), place(wall.b));
+            env.add_reflector(Reflector::new(face, Material::concrete(), &mut rng));
+        }
+        let (mids, walls) = (room.wall_midpoints(), room.walls());
+        let anchors: Vec<AnchorArray> = (0..4)
+            .map(|i| AnchorArray::centered(i, place(mids[i]), turn(walls[i].direction()), 4))
+            .collect();
+        let sounder = Sounder::new(&env, &anchors, SounderConfig::default());
+        let mut config = BlocConfig::for_room(&room);
+        config.grid = grid;
+        let localizer = BlocLocalizer::new(config);
+        tags.iter()
+            .enumerate()
+            .map(|(k, &tag)| {
+                let mut rng = StdRng::seed_from_u64(100 + k as u64);
+                let data = sounder.sound(place(tag), &all_data_channels(), &mut rng);
+                localizer.localize(&data).unwrap().position
+            })
+            .collect::<Vec<P2>>()
+    };
+    let grid = |origin: P2, extent: P2| GridSpec::covering(origin, extent, 0.08);
+    let same = |p: P2| p;
+    let base = fixes(&same, &same, grid(P2::new(-0.5, -0.5), P2::new(7.0, 6.0)));
+
+    let quarter = |p: P2| P2::new(-p.y, p.x);
+    let unturn = |p: P2| P2::new(p.y, -p.x);
+    for shift in [P2::new(3.7, -2.1), P2::new(-41.3, 17.9)] {
+        let moved = fixes(
+            &|p: P2| p + shift,
+            &same,
+            grid(P2::new(-0.5, -0.5) + shift, P2::new(7.0, 6.0)),
+        );
+        for ((m, b), tag) in moved.iter().zip(&base).zip(&tags) {
+            let back = *m - shift;
+            assert!(
+                back.dist(*b) <= 0.08,
+                "shift {shift} tag {tag}: {back} vs {b}"
+            );
+        }
+    }
+    let turned = fixes(
+        &quarter,
+        &quarter,
+        grid(P2::new(-5.5, -0.5), P2::new(6.0, 7.0)),
+    );
+    for ((t, b), tag) in turned.iter().zip(&base).zip(&tags) {
+        let back = unturn(*t);
+        assert!(
+            back.dist(*b) <= 0.08,
+            "quarter turn tag {tag}: {back} vs {b}"
+        );
     }
 }

@@ -138,7 +138,6 @@ fn healthy_rounds_fix_and_reuse_steering_tables() {
     );
     assert!(sup.breaker_ledger().is_empty(), "no breaker should move");
     for i in 0..anchors.len() {
-        assert!(sup.anchor_health(i) > 0.95, "anchor {i} health");
         assert_eq!(sup.breaker_state(i), BreakerState::Closed);
     }
 }
@@ -173,7 +172,7 @@ fn chronically_bad_anchor_is_quarantined_probed_and_readmitted() {
             sound(&sounder, plan, &channels, truth, 43, round, attempt)
         });
         assert!(
-            out.is_fix(),
+            matches!(out, RoundOutcome::Fix(_)),
             "three healthy anchors keep fixing (round {round})"
         );
         if open_round.is_none() && sup.breaker_state(2) == BreakerState::Open {
@@ -182,7 +181,6 @@ fn chronically_bad_anchor_is_quarantined_probed_and_readmitted() {
                 !sup.admitted().contains(&2),
                 "an open breaker excludes its anchor"
             );
-            assert!(sup.anchor_health(2) < config.open_threshold);
         }
     }
 
@@ -216,7 +214,6 @@ fn chronically_bad_anchor_is_quarantined_probed_and_readmitted() {
         (BreakerState::HalfOpen, BreakerState::Closed)
     );
     assert_eq!(sup.breaker_state(2), BreakerState::Closed);
-    assert!(sup.anchor_health(2) > config.close_threshold);
     assert_eq!(sup.admitted(), vec![0, 1, 2, 3]);
 
     // Quarantine and probe each retired a geometry from the steering
@@ -273,11 +270,6 @@ fn master_is_never_quarantined() {
     assert!(
         sup.breaker_ledger().iter().all(|t| t.anchor != 0),
         "the master never enters the ledger"
-    );
-    assert!(
-        sup.anchor_health(0) < 0.5,
-        "health still reflects reality: {}",
-        sup.anchor_health(0)
     );
 }
 
@@ -573,7 +565,10 @@ fn breaker_transitions_invalidate_the_sounder_path_cache() {
         let out = sup.run_round(0.5, |attempt| {
             sound(&sounder, plan, &channels, truth, 47, round, attempt)
         });
-        assert!(out.is_fix(), "three healthy anchors keep fixing");
+        assert!(
+            matches!(out, RoundOutcome::Fix(_)),
+            "three healthy anchors keep fixing"
+        );
     }
 
     // The full quarantine story played out (open → probe → readmit)…
@@ -689,7 +684,7 @@ fn deadline_exhaustion_defers_with_typed_reason() {
         )
     });
     assert!(
-        out.is_fix(),
+        matches!(out, RoundOutcome::Fix(_)),
         "deadline deferrals must not poison the session"
     );
 }
@@ -854,7 +849,10 @@ fn pipeline_tracks_a_moving_tag_and_reuses_geometry() {
     for k in 0..12 {
         let truth = P2::new(1.2, 1.5) + v * (k as f64 * 0.5);
         let data = sounder.sound(truth, &all_data_channels(), &mut rng);
-        assert!(sup.run_round(0.5, |_| data.clone()).is_fix(), "round {k}");
+        assert!(
+            matches!(sup.run_round(0.5, |_| data.clone()), RoundOutcome::Fix(_)),
+            "round {k}"
+        );
     }
     let truth_final = P2::new(1.2, 1.5) + v * (11.0 * 0.5);
     let track = sup.track().expect("twelve fixes make a track");
@@ -910,7 +908,7 @@ fn pipeline_coasts_through_failed_fixes() {
 
     // A fix starts the track; failing again coasts the filter (σ grows)
     // instead of dropping the step.
-    assert!(round(&mut sup, &clean, 1).is_fix());
+    assert!(matches!(round(&mut sup, &clean, 1), RoundOutcome::Fix(_)));
     let before = sup.track().expect("one fix").position_sigma;
     assert!(!round(&mut sup, &dark, 2).is_estimate());
     let after = sup.track().expect("a coast keeps the lock").position_sigma;

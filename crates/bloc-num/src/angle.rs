@@ -8,28 +8,16 @@
 use std::f64::consts::PI;
 
 /// Two π, for readability in phase arithmetic.
-pub const TAU: f64 = 2.0 * PI;
+pub(crate) const TAU: f64 = 2.0 * PI;
 
 /// Wraps an angle to `(−π, π]`.
-#[inline]
-pub fn wrap_to_pi(theta: f64) -> f64 {
+#[cfg(test)]
+fn wrap_to_pi(theta: f64) -> f64 {
     let mut t = theta.rem_euclid(TAU);
     if t > PI {
         t -= TAU;
     }
     t
-}
-
-/// Wraps an angle to `[0, 2π)`.
-#[inline]
-pub fn wrap_to_tau(theta: f64) -> f64 {
-    theta.rem_euclid(TAU)
-}
-
-/// Smallest signed difference `a − b` wrapped to `(−π, π]`.
-#[inline]
-pub fn angle_diff(a: f64, b: f64) -> f64 {
-    wrap_to_pi(a - b)
 }
 
 /// Radians → degrees.
@@ -44,7 +32,7 @@ pub fn rad_to_deg(rad: f64) -> f64 {
 /// This mirrors the classic `unwrap` of numerical environments and is what
 /// lets us display the *linear* phase-versus-frequency trend of corrected
 /// channels (paper Fig. 8b) without modular jumps.
-pub fn unwrap_in_place(phases: &mut [f64]) {
+pub(crate) fn unwrap_in_place(phases: &mut [f64]) {
     let mut offset = 0.0;
     for i in 1..phases.len() {
         let raw = phases[i] + offset;
@@ -111,13 +99,6 @@ mod tests {
         assert!((wrap_to_pi(3.0 * PI) - PI).abs() < 1e-12);
         assert!((wrap_to_pi(-3.0 * PI) - PI).abs() < 1e-12);
         assert!((wrap_to_pi(0.5) - 0.5).abs() < 1e-15);
-        assert!((wrap_to_tau(-0.5) - (TAU - 0.5)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn diff_is_shortest_arc() {
-        assert!((angle_diff(0.1, TAU - 0.1) - 0.2).abs() < 1e-12);
-        assert!((angle_diff(TAU - 0.1, 0.1) + 0.2).abs() < 1e-12);
     }
 
     #[test]

@@ -27,8 +27,6 @@ pub struct C64 {
 pub const ZERO: C64 = C64 { re: 0.0, im: 0.0 };
 /// The multiplicative identity.
 pub const ONE: C64 = C64 { re: 1.0, im: 0.0 };
-/// The imaginary unit ι.
-pub const I: C64 = C64 { re: 0.0, im: 1.0 };
 
 impl C64 {
     /// Builds a complex number from rectangular components.
@@ -84,23 +82,11 @@ impl C64 {
         self.im.atan2(self.re)
     }
 
-    /// Polar decomposition `(|z|, ∠z)`.
-    #[inline]
-    pub fn to_polar(self) -> (f64, f64) {
-        (self.abs(), self.arg())
-    }
-
-    /// Complex exponential `e^z`.
-    #[inline]
-    pub fn exp(self) -> Self {
-        Self::from_polar(self.re.exp(), self.im)
-    }
-
     /// Multiplicative inverse `1/z`.
     ///
     /// Returns a non-finite value for `z = 0`, mirroring `f64` division.
     #[inline]
-    pub fn inv(self) -> Self {
+    pub(crate) fn inv(self) -> Self {
         let n = self.norm_sq();
         Self::new(self.re / n, -self.im / n)
     }
@@ -126,14 +112,6 @@ impl C64 {
     #[inline]
     pub fn is_finite(self) -> bool {
         self.re.is_finite() && self.im.is_finite()
-    }
-
-    /// Fused multiply-accumulate: `self + a·b`.
-    ///
-    /// Used in the inner correlation loops to keep the arithmetic explicit.
-    #[inline]
-    pub fn mul_add(self, a: Self, b: Self) -> Self {
-        self + a * b
     }
 }
 
@@ -295,14 +273,6 @@ mod tests {
     }
 
     #[test]
-    fn polar_roundtrip() {
-        let z = C64::from_polar(2.5, 0.7);
-        let (r, t) = z.to_polar();
-        assert!(close(r, 2.5));
-        assert!(close(t, 0.7));
-    }
-
-    #[test]
     fn cis_is_unit_phasor() {
         for k in 0..16 {
             let th = k as f64 * PI / 8.0 - PI;
@@ -318,12 +288,6 @@ mod tests {
         let p = z * z.conj();
         assert!(close(p.im, 0.0));
         assert!(close(p.re, 9.0));
-    }
-
-    #[test]
-    fn exp_of_imaginary_is_cis() {
-        let th = 0.456;
-        assert!(cclose((I * th).exp(), C64::cis(th)));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 /// Shannon entropy (nats) of a non-negative weight vector, normalizing it
 /// to a probability distribution first. Returns 0 for an empty or all-zero
 /// input.
-pub fn shannon(weights: &[f64]) -> f64 {
+pub(crate) fn shannon(weights: &[f64]) -> f64 {
     let total: f64 = weights.iter().filter(|w| w.is_finite() && **w > 0.0).sum();
     if total <= 0.0 {
         return 0.0;

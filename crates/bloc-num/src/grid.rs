@@ -177,14 +177,6 @@ impl GridPatch {
         (ix + self.x0, iy + self.y0)
     }
 
-    /// Maps parent cell indices into the patch, when covered.
-    #[inline]
-    pub fn from_parent(&self, ix: usize, iy: usize) -> Option<(usize, usize)> {
-        let jx = ix.checked_sub(self.x0)?;
-        let jy = iy.checked_sub(self.y0)?;
-        (jx < self.spec.nx && jy < self.spec.ny).then_some((jx, jy))
-    }
-
     /// Distance (in cells) from patch-local `(ix, iy)` to the nearest patch
     /// border that is *interior* to `parent` — i.e. a border created by the
     /// windowing, not one the parent grid shares. `usize::MAX` when every
@@ -249,12 +241,6 @@ impl Grid2D {
     #[inline]
     pub fn get(&self, ix: usize, iy: usize) -> f64 {
         self.data[self.spec.flat(ix, iy)]
-    }
-
-    /// Mutable cell access.
-    #[inline]
-    pub fn get_mut(&mut self, ix: usize, iy: usize) -> &mut f64 {
-        &mut self.data[self.spec.flat(ix, iy)]
     }
 
     /// Sets a cell value.
@@ -338,35 +324,6 @@ impl Grid2D {
         }
     }
 
-    /// Bilinearly interpolated value at world point `p`. Points outside
-    /// the grid (or within half a cell of the border) clamp to the nearest
-    /// cell centre. `None` only when the grid is empty.
-    pub fn bilinear(&self, p: P2) -> Option<f64> {
-        if self.spec.is_empty() {
-            return None;
-        }
-        let fx = (p.x - self.spec.origin.x) / self.spec.resolution - 0.5;
-        let fy = (p.y - self.spec.origin.y) / self.spec.resolution - 0.5;
-        let fx = fx.clamp(0.0, (self.spec.nx - 1) as f64);
-        let fy = fy.clamp(0.0, (self.spec.ny - 1) as f64);
-        let x0 = fx.floor() as usize;
-        let y0 = fy.floor() as usize;
-        let x1 = (x0 + 1).min(self.spec.nx - 1);
-        let y1 = (y0 + 1).min(self.spec.ny - 1);
-        let tx = fx - x0 as f64;
-        let ty = fy - y0 as f64;
-        let v00 = self.get(x0, y0);
-        let v10 = self.get(x1, y0);
-        let v01 = self.get(x0, y1);
-        let v11 = self.get(x1, y1);
-        Some(
-            v00 * (1.0 - tx) * (1.0 - ty)
-                + v10 * tx * (1.0 - ty)
-                + v01 * (1.0 - tx) * ty
-                + v11 * tx * ty,
-        )
-    }
-
     /// Copies the values under `patch` (a window of this grid's own spec)
     /// into a patch-shaped grid.
     ///
@@ -420,6 +377,14 @@ mod tests {
 
     use super::*;
     use proptest::prelude::*;
+
+    /// Maps parent cell indices into the patch, when covered: the inverse
+    /// of [`GridPatch::to_parent`].
+    fn from_parent(p: &GridPatch, ix: usize, iy: usize) -> Option<(usize, usize)> {
+        let jx = ix.checked_sub(p.x0)?;
+        let jy = iy.checked_sub(p.y0)?;
+        (jx < p.spec.nx && jy < p.spec.ny).then_some((jx, jy))
+    }
 
     fn spec_3x2() -> GridSpec {
         GridSpec {
@@ -511,27 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn bilinear_matches_cells_and_interpolates() {
-        let s = GridSpec {
-            origin: P2::ORIGIN,
-            resolution: 1.0,
-            nx: 3,
-            ny: 3,
-        };
-        let g = Grid2D::from_fn(s, |p| p.x + 10.0 * p.y);
-        // At a cell centre, bilinear equals the cell value.
-        let c = s.cell_center(1, 1);
-        assert!((g.bilinear(c).unwrap() - g.get(1, 1)).abs() < 1e-12);
-        // Midway between two centres: the average.
-        let mid = s.cell_center(0, 1).midpoint(s.cell_center(1, 1));
-        let expect = (g.get(0, 1) + g.get(1, 1)) / 2.0;
-        assert!((g.bilinear(mid).unwrap() - expect).abs() < 1e-12);
-        // Outside clamps rather than extrapolating.
-        let out = g.bilinear(P2::new(-5.0, -5.0)).unwrap();
-        assert!((out - g.get(0, 0)).abs() < 1e-12);
-    }
-
-    #[test]
     fn coarsen_covers_and_maps_indices_odd_sizes() {
         // 13×9 at 0.21 m coarsened by 4 → 4×3 cells of 0.84 m covering at
         // least the fine extent, with fine (ix, iy) inside coarse
@@ -586,15 +530,15 @@ mod tests {
         for iy in 0..p.spec.ny {
             for ix in 0..p.spec.nx {
                 let (px, py) = p.to_parent(ix, iy);
-                assert_eq!(p.from_parent(px, py), Some((ix, iy)));
+                assert_eq!(from_parent(&p, px, py), Some((ix, iy)));
                 let a = p.spec.cell_center(ix, iy);
                 let b = s.cell_center(px, py);
                 assert!(a.dist(b) < 1e-10, "{a} vs {b}");
             }
         }
         // The centre cell maps back to the requested parent cell.
-        assert_eq!(p.from_parent(40, 50), Some((5, 5)));
-        assert_eq!(p.from_parent(0, 0), None);
+        assert_eq!(from_parent(&p, 40, 50), Some((5, 5)));
+        assert_eq!(from_parent(&p, 0, 0), None);
     }
 
     #[test]
@@ -670,25 +614,14 @@ mod tests {
             prop_assert!(p.spec.nx >= 1 && p.spec.ny >= 1);
             prop_assert!(p.x0 + p.spec.nx <= s.nx && p.y0 + p.spec.ny <= s.ny);
             // The requested centre cell is always covered.
-            prop_assert!(p.from_parent(cx, cy).is_some());
+            prop_assert!(from_parent(&p, cx, cy).is_some());
             for iy in 0..p.spec.ny {
                 for ix in 0..p.spec.nx {
                     let (px, py) = p.to_parent(ix, iy);
-                    prop_assert_eq!(p.from_parent(px, py), Some((ix, iy)));
+                    prop_assert_eq!(from_parent(&p, px, py), Some((ix, iy)));
                     prop_assert!(p.spec.cell_center(ix, iy).dist(s.cell_center(px, py)) < 1e-9);
                 }
             }
-        }
-
-        #[test]
-        fn prop_bilinear_within_cell_bounds(x in 0.0..2.9f64, y in 0.0..2.9f64) {
-            let s = GridSpec { origin: P2::ORIGIN, resolution: 1.0, nx: 3, ny: 3 };
-            let g = Grid2D::from_fn(s, |p| (p.x * 1.3).sin() + (p.y * 0.7).cos());
-            let v = g.bilinear(P2::new(x, y)).unwrap();
-            let lo = g.data().iter().cloned().fold(f64::INFINITY, f64::min);
-            let hi = g.data().iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            // Bilinear interpolation never over/undershoots the data range.
-            prop_assert!(v >= lo - 1e-12 && v <= hi + 1e-12);
         }
 
         #[test]

@@ -25,7 +25,7 @@ pub struct Neighbor {
 /// mean square of `query[d] - row[d]` over the dimensions where
 /// `mask[d]` is true. Returns `None` when no dimension survives (an
 /// all-masked query matches nothing). Slices must share one length.
-pub fn masked_rms_distance(query: &[f64], mask: &[bool], row: &[f64]) -> Option<f64> {
+pub(crate) fn masked_rms_distance(query: &[f64], mask: &[bool], row: &[f64]) -> Option<f64> {
     debug_assert_eq!(query.len(), mask.len());
     debug_assert_eq!(query.len(), row.len());
     let mut sum = 0.0;

@@ -12,7 +12,7 @@ use crate::point::P2;
 ///
 /// Returns `None` when the matrix is singular (determinant below 1e-12 of
 /// its scale).
-pub fn solve2(a: f64, b: f64, c: f64, d: f64, rhs: P2) -> Option<P2> {
+pub(crate) fn solve2(a: f64, b: f64, c: f64, d: f64, rhs: P2) -> Option<P2> {
     let det = a * d - b * c;
     let scale = (a.abs() + b.abs() + c.abs() + d.abs()).max(1e-300);
     if det.abs() < 1e-12 * scale * scale {
@@ -35,7 +35,8 @@ pub struct Ray {
 
 impl Ray {
     /// Builds a ray from an origin and an angle from the +x axis.
-    pub fn from_angle(origin: P2, theta: f64) -> Self {
+    #[cfg(test)]
+    fn from_angle(origin: P2, theta: f64) -> Self {
         Self {
             origin,
             dir: P2::from_angle(theta),
@@ -80,7 +81,7 @@ pub fn intersect_bearings(rays: &[(Ray, f64)]) -> Option<P2> {
 ///
 /// Returns the updated point, or `None` when the normal equations are
 /// singular (e.g. collinear anchors with the point on the line).
-pub fn trilaterate_step(p: P2, anchors_ranges: &[(P2, f64)]) -> Option<P2> {
+pub(crate) fn trilaterate_step(p: P2, anchors_ranges: &[(P2, f64)]) -> Option<P2> {
     // Normal equations JᵀJ Δ = −Jᵀr with J row i = (p − a_i)ᵀ/‖p − a_i‖.
     let (mut a, mut b, mut d) = (0.0, 0.0, 0.0);
     let mut g = P2::ORIGIN;
@@ -98,7 +99,7 @@ pub fn trilaterate_step(p: P2, anchors_ranges: &[(P2, f64)]) -> Option<P2> {
     Some(p + delta)
 }
 
-/// Full trilateration: iterates [`trilaterate_step`] from an initial guess
+/// Full trilateration: iterates `trilaterate_step` from an initial guess
 /// until the update falls below `tol` metres or `max_iter` is reached.
 pub fn trilaterate(
     initial: P2,

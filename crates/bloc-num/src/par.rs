@@ -71,17 +71,11 @@ pub fn tuned_threads(items: usize, requested: usize, min_items_per_shard: usize)
 ///
 /// Work submitted to a batch (a fleet round, a sweep item) carries a
 /// deadline so one slow or stalled unit defers *itself* instead of
-/// stalling the batch. Two cost sources feed the same budget:
-///
-/// * **Charged (virtual) cost** — [`Deadline::charge`] adds declared
-///   microseconds: scheduled backoff delays, driver-injected latencies,
-///   modelled I/O. Virtual cost is a pure function of the caller's
-///   inputs, so deadline verdicts built on it alone are deterministic
-///   and bit-identical across runs and thread counts.
-/// * **Wall-clock cost** — opt-in via [`Deadline::with_wall_clock`]:
-///   elapsed real time since arming also counts. Useful in genuinely
-///   latency-bound services, but wall verdicts depend on host load, so
-///   replayable soaks leave it off.
+/// stalling the batch. The budget is spent by charged (virtual) cost:
+/// [`Deadline::charge`] adds declared microseconds — scheduled backoff
+/// delays, driver-injected latencies, modelled I/O. Virtual cost is a
+/// pure function of the caller's inputs, so deadline verdicts are
+/// deterministic and bit-identical across runs and thread counts.
 ///
 /// The deadline never interrupts anything: callers poll
 /// [`Deadline::exceeded`] at their natural yield points (between retry
@@ -91,25 +85,16 @@ pub fn tuned_threads(items: usize, requested: usize, min_items_per_shard: usize)
 pub struct Deadline {
     budget_us: u64,
     charged_us: u64,
-    armed: Option<Instant>,
 }
 
 impl Deadline {
-    /// A deadline with `budget_us` of budget and no wall-clock
-    /// accounting (virtual charges only — fully deterministic).
+    /// A deadline with `budget_us` of budget, spent by virtual charges
+    /// only (fully deterministic).
     pub fn budget(budget_us: u64) -> Self {
         Self {
             budget_us,
             charged_us: 0,
-            armed: None,
         }
-    }
-
-    /// Also counts wall-clock time elapsed from this call against the
-    /// budget (verdicts become host-load-dependent).
-    pub fn with_wall_clock(mut self) -> Self {
-        self.armed = Some(Instant::now());
-        self
     }
 
     /// Adds `us` of declared (virtual) cost to the spent side.
@@ -122,15 +107,9 @@ impl Deadline {
         self.budget_us
     }
 
-    /// Total cost so far: virtual charges plus wall time when armed, µs.
+    /// Total cost charged so far, µs.
     pub fn spent_us(&self) -> u64 {
-        let wall = self.armed.map(elapsed_us).unwrap_or(0);
-        self.charged_us.saturating_add(wall)
-    }
-
-    /// Budget remaining, µs (0 when exceeded).
-    pub fn remaining_us(&self) -> u64 {
-        self.budget_us.saturating_sub(self.spent_us())
+        self.charged_us
     }
 
     /// True once the spent cost exceeds the budget.
@@ -360,7 +339,6 @@ mod tests {
     fn deadline_virtual_charges_are_deterministic() {
         let mut d = Deadline::budget(1_000);
         assert!(!d.exceeded());
-        assert_eq!(d.remaining_us(), 1_000);
         d.charge(400);
         d.charge(600);
         // Exactly at the budget is not exceeded (the budget is the
@@ -369,22 +347,17 @@ mod tests {
         assert_eq!(d.spent_us(), 1_000);
         d.charge(1);
         assert!(d.exceeded());
-        assert_eq!(d.remaining_us(), 0);
         // Saturation, not overflow.
         d.charge(u64::MAX);
         assert!(d.exceeded());
     }
 
     #[test]
-    fn deadline_wall_clock_is_opt_in() {
-        // Without arming, sleeping costs nothing.
+    fn deadline_ignores_wall_time() {
+        // Only charges spend the budget: sleeping costs nothing.
         let d = Deadline::budget(1);
         std::thread::sleep(std::time::Duration::from_millis(2));
         assert!(!d.exceeded());
-        // Armed, real time counts.
-        let d = Deadline::budget(1).with_wall_clock();
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        assert!(d.exceeded());
     }
 
     #[test]

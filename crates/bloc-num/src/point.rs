@@ -84,8 +84,8 @@ impl P2 {
     }
 
     /// Angle of the vector from the +x axis, radians in (−π, π].
-    #[inline]
-    pub fn angle(self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn angle(self) -> f64 {
         self.y.atan2(self.x)
     }
 

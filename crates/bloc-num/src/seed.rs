@@ -15,11 +15,11 @@
 
 /// Golden-ratio increment used to decorrelate coordinate axes before
 /// finalizing (the canonical splitmix64 gamma).
-pub const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+pub(crate) const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Second odd multiplier for a further independent axis (shared with the
 /// retry jitter's attempt axis).
-pub const GAMMA2: u64 = 0xA24B_AED4_963E_E407;
+pub(crate) const GAMMA2: u64 = 0xA24B_AED4_963E_E407;
 
 /// Third odd multiplier (round axis of [`stream_seed`]).
 pub const GAMMA3: u64 = 0xD6E8_FEB8_6659_FD93;

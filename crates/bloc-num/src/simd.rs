@@ -4,17 +4,17 @@
 //! `bloc-core` and the Eq. 2 channel sweep in `bloc-chan` — are both
 //! complex phasor multiply-adds over structure-of-arrays data. This
 //! module gives them one vector substrate with **no** external
-//! dependencies. The [`CellLanes`] operations trait describes a vector of
-//! `CELLS` grid cells × 4 lanes; [`F64x4`] adds the plain 4-lane loads
+//! dependencies. The `CellLanes` operations trait describes a vector of
+//! `CELLS` grid cells × 4 lanes; `F64x4` adds the plain 4-lane loads
 //! and stores of its one-cell implementations. There are three
 //! implementations:
 //!
-//! * [`ScalarX4`] — plain `[f64; 4]` element-wise arithmetic, compiled for
+//! * `ScalarX4` — plain `[f64; 4]` element-wise arithmetic, compiled for
 //!   the baseline target, plus an `fma`-enabled twin of the cell kernel
 //!   for CPUs with FMA (one cell);
-//! * [`AvxX4`] (x86-64 only) — the same operations as explicit AVX2
+//! * `AvxX4` (x86-64 only) — the same operations as explicit AVX2
 //!   `__m256d` intrinsics (one cell);
-//! * [`Avx512X8`] (x86-64 only) — one AVX-512 `__m512d` holding **two
+//! * `Avx512X8` (x86-64 only) — one AVX-512 `__m512d` holding **two
 //!   consecutive grid cells × 4 lanes** (or eight lattice rows in the
 //!   profile build), with each 4-lane row operand broadcast into both
 //!   256-bit halves. Only the Eq. 17 kernels run on it; the Eq. 2 tone
@@ -28,7 +28,7 @@
 //! transposes of `gather_rows`/`store_records`), IEEE-754 correctly
 //! rounded (`add`/`sub`/`mul`/`sqrt` and the fused
 //! `mul_add`/`neg_mul_add`, which round `a·b ± c` once) or has a fixed,
-//! documented reduction order ([`CellLanes::hsum_cells`]: each cell is
+//! documented reduction order (`CellLanes::hsum_cells`: each cell is
 //! reduced from its own four lanes). Consequently all dispatch paths
 //! produce **bit-identical** results — the equivalence suites assert
 //! this, and it is why no result in the workspace depends on which CPU
@@ -49,7 +49,7 @@
 //! `BLOC_NO_SIMD` environment variable is set (any value); the scalar leg
 //! CI runs under exactly that switch. Kernels that need an explicit path
 //! (the equivalence tests) take a [`SimdLevel`] argument from
-//! [`host_levels`] instead of consulting the global, so tests never
+//! `host_levels` instead of consulting the global, so tests never
 //! mutate process state.
 //!
 //! # Safety
@@ -60,12 +60,12 @@
 //!
 //! * [`SimdLevel`] is opaque — code outside this crate cannot name a
 //!   level, only receive one from [`active_level`], [`cell_level`] or
-//!   [`host_levels`], and all come from [`host_levels`]'s one-time CPU
+//!   `host_levels`, and all come from `host_levels`'s one-time CPU
 //!   detection. The AVX2
 //!   level exists only behind `is_x86_feature_detected!` for `avx2` and
 //!   `fma`, the AVX-512 level only behind `avx512f`, `avx2` **and** `fma`
 //!   (its odd-cell tail runs the AVX2 instantiation).
-//! * [`AvxX4`] and [`Avx512X8`] methods are only reachable from kernel
+//! * `AvxX4` and `Avx512X8` methods are only reachable from kernel
 //!   twins dispatched on the matching level, so a safe caller can never
 //!   execute an instruction its CPU lacks. The scalar level's `fma` twin
 //!   of the cell kernel runs only behind `has_fma` detection.
@@ -157,7 +157,7 @@ pub fn active_level() -> SimdLevel {
 }
 
 /// The level the Eq. 17 cell kernel dispatches to, computed once: the
-/// widest of [`host_levels`] — AVX-512, two cells per vector, on hosts
+/// widest of `host_levels` — AVX-512, two cells per vector, on hosts
 /// with `avx512f`, `avx2` and `fma` — or scalar when `BLOC_NO_SIMD` is
 /// set.
 pub fn cell_level() -> SimdLevel {
@@ -181,7 +181,7 @@ pub fn cell_level() -> SimdLevel {
 /// generic kernel instantiated over two implementations produces
 /// bit-identical results (the dispatch-equivalence contract of this
 /// module).
-pub trait CellLanes: Copy {
+pub(crate) trait CellLanes: Copy {
     /// Grid cells one vector holds, four lanes each.
     const CELLS: usize;
     /// One horizontal sum per cell (`[f64; CELLS]`).
@@ -237,7 +237,7 @@ pub trait CellLanes: Copy {
 
 /// A one-cell [`CellLanes`]: four plain lanes with contiguous loads and
 /// stores — what the Eq. 2 tone kernel runs on.
-pub trait F64x4: CellLanes<Sums = [f64; 1]> {
+pub(crate) trait F64x4: CellLanes<Sums = [f64; 1]> {
     /// Loads lanes from `s[0..4]` (panics if shorter).
     fn load(s: &[f64]) -> Self;
     /// Stores lanes into `out[0..4]` (panics if shorter).
@@ -246,7 +246,7 @@ pub trait F64x4: CellLanes<Sums = [f64; 1]> {
 
 /// The scalar fallback: `[f64; 4]` element-wise arithmetic.
 #[derive(Debug, Clone, Copy)]
-pub struct ScalarX4([f64; 4]);
+pub(crate) struct ScalarX4([f64; 4]);
 
 impl CellLanes for ScalarX4 {
     const CELLS: usize = 1;
@@ -369,7 +369,7 @@ impl F64x4 for ScalarX4 {
 /// The AVX2 implementation: one `__m256d` per value.
 #[cfg(target_arch = "x86_64")]
 #[derive(Debug, Clone, Copy)]
-pub struct AvxX4(std::arch::x86_64::__m256d);
+pub(crate) struct AvxX4(std::arch::x86_64::__m256d);
 
 // SAFETY CONTRACT (AVX2): every intrinsic below is only executed on hosts
 // where AVX2 and FMA were detected — callers reach `AvxX4` exclusively
@@ -563,7 +563,7 @@ unsafe fn transpose4(
 /// cells × 4 lanes (cell 0 in the low 256-bit half).
 #[cfg(target_arch = "x86_64")]
 #[derive(Debug, Clone, Copy)]
-pub struct Avx512X8(std::arch::x86_64::__m512d);
+pub(crate) struct Avx512X8(std::arch::x86_64::__m512d);
 
 // SAFETY CONTRACT (AVX-512): every intrinsic below is only executed on
 // hosts where AVX-512F, AVX2 and FMA were detected — callers reach
@@ -794,7 +794,7 @@ impl CellLanes for Avx512X8 {
 /// A complex value in split (structure-of-arrays) form over the lanes of
 /// one vector.
 #[derive(Debug, Clone, Copy)]
-pub struct Cx<V: CellLanes> {
+pub(crate) struct Cx<V: CellLanes> {
     /// Real lanes.
     pub re: V,
     /// Imaginary lanes.
@@ -804,7 +804,7 @@ pub struct Cx<V: CellLanes> {
 impl<V: CellLanes> Cx<V> {
     /// All lanes zero.
     #[inline(always)]
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         Cx {
             re: V::splat(0.0),
             im: V::splat(0.0),
@@ -813,7 +813,7 @@ impl<V: CellLanes> Cx<V> {
 
     /// One complex value broadcast across all lanes.
     #[inline(always)]
-    pub fn broadcast(re: f64, im: f64) -> Self {
+    pub(crate) fn broadcast(re: f64, im: f64) -> Self {
         Cx {
             re: V::splat(re),
             im: V::splat(im),
@@ -829,7 +829,7 @@ impl<V: CellLanes> Cx<V> {
     /// every generic kernel signature for no call-site gain.
     #[allow(clippy::should_implement_trait)]
     #[inline(always)]
-    pub fn mul(self, o: Self) -> Self {
+    pub(crate) fn mul(self, o: Self) -> Self {
         Cx {
             re: self.re.mul(o.re).sub(self.im.mul(o.im)),
             im: self.re.mul(o.im).add(self.im.mul(o.re)),
@@ -840,7 +840,7 @@ impl<V: CellLanes> Cx<V> {
     /// fused ops instead of four multiplies and four adds — the Eq. 17
     /// cell kernel's accumulation step.
     #[inline(always)]
-    pub fn mul_add(self, o: Self, acc: Self) -> Self {
+    pub(crate) fn mul_add(self, o: Self, acc: Self) -> Self {
         Cx {
             re: self.im.neg_mul_add(o.im, self.re.mul_add(o.re, acc.re)),
             im: self.im.mul_add(o.re, self.re.mul_add(o.im, acc.im)),
@@ -851,7 +851,7 @@ impl<V: CellLanes> Cx<V> {
     /// fused ops instead of four multiplies and two adds — the Eq. 17
     /// cell kernel's carrier product and the profile's phasor rotation.
     #[inline(always)]
-    pub fn rotate(self, o: Self) -> Self {
+    pub(crate) fn rotate(self, o: Self) -> Self {
         Cx {
             re: self.im.neg_mul_add(o.im, self.re.mul(o.re)),
             im: self.im.mul_add(o.re, self.re.mul(o.im)),

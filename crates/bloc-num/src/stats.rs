@@ -22,21 +22,13 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     (xs.iter().map(|&x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
-/// Root-mean-square of a sample (used for the Fig. 13 per-cell RMSE map).
-pub fn rms(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return f64::NAN;
-    }
-    (xs.iter().map(|&x| x * x).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
 /// `p`-th percentile (0–100) with linear interpolation between order
 /// statistics; `NaN` for an empty slice. The caller must pass data
 /// without NaNs (a NaN among two or more samples panics).
 ///
 /// Runs in O(n): it selects the two order statistics it interpolates
 /// between instead of sorting, and returns the same value as
-/// [`percentile_sorted`] on the sorted sample.
+/// `percentile_sorted` on the sorted sample.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
     if xs.len() < 2 {
         return percentile_sorted(xs, p);
@@ -65,7 +57,7 @@ fn interpolation_ranks(n: usize, p: f64) -> (usize, usize, f64) {
 }
 
 /// Percentile on data already sorted ascending.
-pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return f64::NAN;
     }
@@ -118,46 +110,12 @@ impl Ecdf {
     }
 
     /// `P(X ≤ x)`.
-    pub fn eval(&self, x: f64) -> f64 {
+    pub(crate) fn eval(&self, x: f64) -> f64 {
         if self.sorted.is_empty() {
             return f64::NAN;
         }
         let idx = self.sorted.partition_point(|&v| v <= x);
         idx as f64 / self.sorted.len() as f64
-    }
-
-    /// Quantile function: the smallest sample value `v` with
-    /// `P(X ≤ v) ≥ q` (`q` in `(0, 1]`).
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return f64::NAN;
-        }
-        let n = self.sorted.len();
-        let k = ((q * n as f64).ceil() as usize).clamp(1, n);
-        self.sorted[k - 1]
-    }
-
-    /// Median via interpolated percentile (matches [`median`]).
-    pub fn median(&self) -> f64 {
-        percentile_sorted(&self.sorted, 50.0)
-    }
-
-    /// Interpolated percentile (0–100).
-    pub fn percentile(&self, p: f64) -> f64 {
-        percentile_sorted(&self.sorted, p)
-    }
-
-    /// All step points of the ECDF, ready to print as a figure series.
-    pub fn points(&self) -> Vec<CdfPoint> {
-        let n = self.sorted.len() as f64;
-        self.sorted
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| CdfPoint {
-                value: v,
-                probability: (i + 1) as f64 / n,
-            })
-            .collect()
     }
 
     /// Samples the ECDF at `bins` evenly-spaced values across `[lo, hi]` —
@@ -177,75 +135,6 @@ impl Ecdf {
     /// Immutable view of the sorted sample.
     pub fn sorted_values(&self) -> &[f64] {
         &self.sorted
-    }
-}
-
-/// Online accumulator for mean/variance (Welford) — used by the parallel
-/// sweep runner to aggregate errors without storing every sample twice.
-#[derive(Debug, Clone, Copy, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// A fresh, empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feeds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Running mean (`NaN` when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.mean
-        }
-    }
-
-    /// Running population variance (`NaN` when empty).
-    pub fn variance(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Running population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let d = other.mean - self.mean;
-        self.m2 += other.m2 + d * d * (self.n as f64 * other.n as f64) / n as f64;
-        self.mean += d * other.n as f64 / n as f64;
-        self.n = n;
     }
 }
 
@@ -274,7 +163,6 @@ mod tests {
         assert!(mean(&[]).is_nan());
         assert!(median(&[]).is_nan());
         assert!(std_dev(&[]).is_nan());
-        assert!(rms(&[]).is_nan());
     }
 
     #[test]
@@ -283,20 +171,6 @@ mod tests {
         assert_eq!(e.eval(0.5), 0.0);
         assert_eq!(e.eval(2.0), 0.5);
         assert_eq!(e.eval(10.0), 1.0);
-        assert_eq!(e.quantile(0.5), 2.0);
-        assert_eq!(e.quantile(1.0), 4.0);
-    }
-
-    #[test]
-    fn ecdf_points_monotone() {
-        let e = Ecdf::new(vec![3.0, 1.0, 2.0]);
-        let pts = e.points();
-        assert_eq!(pts.len(), 3);
-        for w in pts.windows(2) {
-            assert!(w[1].value >= w[0].value);
-            assert!(w[1].probability > w[0].probability);
-        }
-        assert_eq!(pts.last().unwrap().probability, 1.0);
     }
 
     #[test]
@@ -306,34 +180,6 @@ mod tests {
         assert_eq!(c.len(), 7);
         assert_eq!(c[0].probability, 0.0);
         assert_eq!(c.last().unwrap().probability, 1.0);
-    }
-
-    #[test]
-    fn welford_matches_batch() {
-        let xs = [1.0, 2.0, 3.5, -1.0, 0.25];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        assert!((w.mean() - mean(&xs)).abs() < 1e-12);
-        assert!((w.std_dev() - std_dev(&xs)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn welford_merge_matches_single_pass() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 5.0).collect();
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 100);
-        assert!((a.mean() - mean(&xs)).abs() < 1e-12);
-        assert!((a.std_dev() - std_dev(&xs)).abs() < 1e-10);
     }
 
     #[test]
@@ -410,17 +256,5 @@ mod tests {
             prop_assert!(e.eval(lo) <= e.eval(hi) + 1e-12);
         }
 
-        #[test]
-        fn prop_welford_merge_any_split(xs in proptest::collection::vec(-50.0..50.0f64, 2..60),
-                                        split in 0usize..60) {
-            let split = split.min(xs.len());
-            let mut a = Welford::new();
-            let mut b = Welford::new();
-            for &x in &xs[..split] { a.push(x); }
-            for &x in &xs[split..] { b.push(x); }
-            a.merge(&b);
-            prop_assert!((a.mean() - mean(&xs)).abs() < 1e-9);
-            prop_assert!((a.variance() - std_dev(&xs).powi(2)).abs() < 1e-7);
-        }
     }
 }

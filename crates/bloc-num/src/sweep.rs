@@ -59,7 +59,7 @@ use crate::simd::{self, CellLanes, Cx, F64x4, Level, ScalarX4, SimdLevel};
 /// How far (in hertz) a band may sit off the comb and still count as on
 /// it. BLE channel centres are exact megahertz multiples, so any real
 /// deviation is a unit-test fabrication, not measurement noise.
-pub const COMB_TOLERANCE_HZ: f64 = 1.0;
+pub(crate) const COMB_TOLERANCE_HZ: f64 = 1.0;
 
 /// The frequency walk the tone kernel takes across a sounding's bands.
 ///
@@ -163,19 +163,11 @@ impl CombPlan {
     }
 
     /// Total comb slots spanned (highest slot + 1); 0 when off-comb.
-    pub fn span(&self) -> usize {
+    pub(crate) fn span(&self) -> usize {
         if !self.is_uniform_comb() {
             return 0;
         }
         self.slots.last().map_or(0, |&s| s as usize + 1)
-    }
-
-    /// True when every planned band advances exactly one comb slot (the
-    /// BLE 37-channel case): the dense kernels skip the gap loop.
-    pub fn is_dense(&self) -> bool {
-        self.is_uniform_comb()
-            && self.gaps.first() == Some(&0)
-            && self.gaps[1..].iter().all(|&g| g == 1)
     }
 }
 
@@ -788,7 +780,7 @@ thread_local! {
 /// [`build_profiles`] on an explicit vector level — what the
 /// dispatch-equivalence tests drive so they never mutate process state.
 /// Sound for any `level` safe code can hold: levels only come from CPU
-/// detection ([`simd::host_levels`]).
+/// detection (`simd::host_levels`).
 pub fn build_profiles_at(
     level: SimdLevel,
     plan: &ProfilePlan,
@@ -876,7 +868,7 @@ fn cells_at<const T: usize>(
 /// [`write_profile_cells_batch`] on an explicit vector level — what the
 /// dispatch-equivalence tests drive so they never mutate process state.
 /// Sound for any `level` safe code can hold: levels only come from CPU
-/// detection ([`simd::host_levels`]).
+/// detection (`simd::host_levels`).
 pub fn write_profile_cells_batch_at(
     level: SimdLevel,
     tags: &[CellSweep<'_>],
@@ -1114,7 +1106,7 @@ fn tone_paths_avx2(
 /// the module docs for why this kernel does not widen.
 #[allow(unsafe_code)]
 #[allow(clippy::too_many_arguments)]
-pub fn sweep_tones_into_at(
+pub(crate) fn sweep_tones_into_at(
     level: SimdLevel,
     plan: &CombPlan,
     tone_offset_hz: f64,
@@ -1218,7 +1210,7 @@ pub fn sweep_tones_into_at(
 }
 
 /// The vector levels this host can actually execute, narrowest first
-/// ([`simd::host_levels`]) — what equivalence suites iterate over.
+/// (`simd::host_levels`) — what equivalence suites iterate over.
 pub fn levels_to_test() -> Vec<SimdLevel> {
     simd::host_levels().to_vec()
 }
@@ -1270,7 +1262,6 @@ mod tests {
         let freqs: Vec<f64> = (0..10).map(|k| 2.402e9 + 2e6 * k as f64).collect();
         let plan = CombPlan::build(&freqs);
         assert!(plan.is_uniform_comb());
-        assert!(plan.is_dense());
         assert_eq!(plan.base_hz, 2.402e9);
         assert_eq!(plan.step_hz, 2e6);
         assert_eq!(plan.gaps[0], 0);
@@ -1291,7 +1282,6 @@ mod tests {
     fn comb_plan_multi_slot_gaps() {
         let plan = CombPlan::build(&[2.402e9, 2.404e9, 2.412e9]);
         assert!(plan.is_uniform_comb());
-        assert!(!plan.is_dense());
         assert_eq!(plan.gaps, vec![0, 1, 4]);
         assert_eq!(plan.slots, vec![0, 1, 5]);
         assert_eq!(plan.span(), 6);

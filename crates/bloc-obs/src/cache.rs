@@ -58,11 +58,6 @@ impl CacheStats {
         }
     }
 
-    /// The cache's name segment.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// One lookup served from the cache.
     pub fn hit(&self) {
         self.hits.inc();

@@ -83,11 +83,6 @@ impl<T> BoundedLedger<T> {
         self.capacity
     }
 
-    /// The most recently pushed entry, if any is still resident.
-    pub fn last(&self) -> Option<&T> {
-        self.items.back()
-    }
-
     /// The `i`-th resident entry (0 = oldest resident), if present.
     pub fn get(&self, i: usize) -> Option<&T> {
         self.items.get(i)
@@ -145,7 +140,7 @@ mod tests {
         assert_eq!(l.evicted(), 7);
         assert_eq!(l.total(), 10);
         assert_eq!(l.iter().copied().collect::<Vec<_>>(), vec![7, 8, 9]);
-        assert_eq!(l.last(), Some(&9));
+        assert_eq!(l.items.back(), Some(&9));
     }
 
     #[test]
@@ -156,6 +151,6 @@ mod tests {
         assert_eq!(l.capacity(), 1);
         assert_eq!(l.len(), 1);
         assert_eq!(l.total(), 2);
-        assert_eq!(l.last(), Some(&"b"));
+        assert_eq!(l.items.back(), Some(&"b"));
     }
 }

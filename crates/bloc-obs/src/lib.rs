@@ -4,13 +4,13 @@
 //! network-restricted environments) observability layer giving the
 //! pipeline stage timings, counters, and a structured event log:
 //!
-//! * [`span()`] / [`Registry::span`] — hierarchical RAII stage timers over
+//! * `span()` / `Registry::span` — hierarchical RAII stage timers over
 //!   `Instant` (monotonic). Nested spans compose a `/`-separated path:
 //!   `localize/likelihood` is the likelihood stage *as reached from*
 //!   `localize`, kept distinct from a standalone `likelihood` call.
 //!   Durations land in log₂ histograms named `span.<path>`.
-//! * [`counter`] / [`histogram`] — named [`metrics::Counter`]s and
-//!   log₂-bucketed [`metrics::Histogram`]s (e.g. `engine.cells_evaluated`,
+//! * [`counter`] / [`Registry::histogram`] — named [`metrics::Counter`]s
+//!   and log₂-bucketed [`metrics::Histogram`]s (e.g. `engine.cells_evaluated`,
 //!   `localize.no_fix`, `span.localize` in µs), safe to
 //!   hammer from any number of threads.
 //! * [`event::Sink`] — pluggable structured-event consumers (the chaos
@@ -91,11 +91,6 @@ pub fn counter(name: &str) -> Arc<Counter> {
 /// The named gauge on the global registry.
 pub fn gauge(name: &str) -> Arc<Gauge> {
     Registry::global().gauge(name)
-}
-
-/// The named histogram on the global registry.
-pub fn histogram(name: &str) -> Arc<Histogram> {
-    Registry::global().histogram(name)
 }
 
 /// Opens a hierarchical timing span on the global registry; the stage

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of histogram buckets: bucket 0 holds exact zeros, bucket `k`
 /// (1 ≤ k ≤ 64) holds values in `[2^(k−1), 2^k)`.
-pub const N_BUCKETS: usize = 65;
+pub(crate) const N_BUCKETS: usize = 65;
 
 /// A monotonically increasing event count.
 #[derive(Debug, Default)]
@@ -52,7 +52,7 @@ impl Gauge {
     }
 
     /// Overwrites the level.
-    pub fn set(&self, v: f64) {
+    pub(crate) fn set(&self, v: f64) {
         self.0.store(v.to_bits(), Ordering::Relaxed);
     }
 
@@ -63,7 +63,7 @@ impl Gauge {
 }
 
 /// The bucket a value lands in: 0 for 0, else `floor(log₂ v) + 1`.
-pub fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     if v == 0 {
         0
     } else {
@@ -72,7 +72,7 @@ pub fn bucket_index(v: u64) -> usize {
 }
 
 /// The half-open value range `[lo, hi)` covered by bucket `i`.
-pub fn bucket_bounds(i: usize) -> (u64, u64) {
+pub(crate) fn bucket_bounds(i: usize) -> (u64, u64) {
     match i {
         0 => (0, 1),
         64 => (1 << 63, u64::MAX),
@@ -115,7 +115,7 @@ impl Histogram {
     }
 
     /// A point-in-time copy of the histogram state.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
             count: self.count.load(Ordering::Relaxed),
@@ -127,7 +127,7 @@ impl Histogram {
 /// An immutable copy of a [`Histogram`]'s state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Per-bucket sample counts (see [`bucket_bounds`]).
+    /// Per-bucket sample counts (see `bucket_bounds`).
     pub buckets: [u64; N_BUCKETS],
     /// Total samples recorded.
     pub count: u64,
@@ -137,7 +137,7 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// An empty snapshot.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self {
             buckets: [0; N_BUCKETS],
             count: 0,
@@ -146,7 +146,7 @@ impl HistogramSnapshot {
     }
 
     /// Mean sample value; `NaN` when empty.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             f64::NAN
         } else {
@@ -157,7 +157,7 @@ impl HistogramSnapshot {
     /// Approximate `q`-quantile (`0.0 ≤ q ≤ 1.0`) from the bucket
     /// structure: the geometric midpoint of the bucket holding the
     /// `⌈q·count⌉`-th sample. `NaN` when empty.
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return f64::NAN;
         }
@@ -174,7 +174,7 @@ impl HistogramSnapshot {
     }
 
     /// Bucket-wise saturating difference `self − earlier`.
-    pub fn diff(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
+    pub(crate) fn diff(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: std::array::from_fn(|i| self.buckets[i].saturating_sub(earlier.buckets[i])),
             count: self.count.saturating_sub(earlier.count),

@@ -70,7 +70,7 @@ impl Registry {
     }
 
     /// The gauge registered under `name`, created on first use (at 0.0).
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+    pub(crate) fn gauge(&self, name: &str) -> Arc<Gauge> {
         get_or_create(&self.gauges, name)
     }
 
@@ -81,7 +81,7 @@ impl Registry {
 
     /// Opens a hierarchical timing span (see [`crate::span()`]); the
     /// duration is recorded into `span.<path>` when the guard drops.
-    pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
+    pub(crate) fn span(&self, name: &'static str) -> SpanGuard<'_> {
         SpanGuard::open(self, name)
     }
 
@@ -89,7 +89,7 @@ impl Registry {
         self.sinks.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Attaches an event sink; every subsequent [`Registry::emit`] call
+    /// Attaches an event sink; every subsequent `Registry::emit` call
     /// reaches it.
     pub fn add_sink(&self, sink: Box<dyn Sink>) {
         let mut sinks = self.sinks();
@@ -108,12 +108,12 @@ impl Registry {
 
     /// True when at least one sink is attached. Event producers can use
     /// this to skip building expensive payloads nobody will see.
-    pub fn has_sinks(&self) -> bool {
+    pub(crate) fn has_sinks(&self) -> bool {
         self.n_sinks.load(Ordering::Acquire) > 0
     }
 
     /// Delivers `event` to every attached sink (no-op without sinks).
-    pub fn emit(&self, event: Event) {
+    pub(crate) fn emit(&self, event: Event) {
         if !self.has_sinks() {
             return;
         }

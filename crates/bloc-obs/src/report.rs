@@ -167,7 +167,7 @@ impl RunReport {
     }
 
     /// Serializes to JSON Lines: one object per metric, sorted by name.
-    pub fn to_jsonl(&self) -> String {
+    pub(crate) fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for (name, v) in &self.counters {
             let line = Json::obj([
@@ -211,7 +211,7 @@ impl RunReport {
 
     /// Parses the [`RunReport::to_jsonl`] format. Blank lines are
     /// skipped; unknown `type`s are rejected.
-    pub fn from_jsonl(text: &str) -> Result<RunReport, JsonError> {
+    pub(crate) fn from_jsonl(text: &str) -> Result<RunReport, JsonError> {
         let mut report = RunReport::new();
         for (lineno, line) in text.lines().enumerate() {
             if line.trim().is_empty() {

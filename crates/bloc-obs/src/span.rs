@@ -66,11 +66,6 @@ impl<'a> SpanGuard<'a> {
             trace_id,
         }
     }
-
-    /// The full hierarchical path of this span, e.g. `localize/likelihood`.
-    pub fn path(&self) -> &str {
-        &self.path
-    }
 }
 
 impl Drop for SpanGuard<'_> {
@@ -103,10 +98,10 @@ mod tests {
         let reg = Registry::new();
         {
             let outer = reg.span("localize");
-            assert_eq!(outer.path(), "localize");
+            assert_eq!(outer.path, "localize");
             {
                 let inner = reg.span("likelihood");
-                assert_eq!(inner.path(), "localize/likelihood");
+                assert_eq!(inner.path, "localize/likelihood");
             }
         }
         let snap = reg.snapshot();
@@ -137,7 +132,7 @@ mod tests {
             scope.spawn(|| {
                 // A fresh thread starts with an empty stack: no "outer/".
                 let inner = reg.span("worker");
-                assert_eq!(inner.path(), "worker");
+                assert_eq!(inner.path, "worker");
             });
         });
         let snap = reg.snapshot();

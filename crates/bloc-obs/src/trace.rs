@@ -41,7 +41,7 @@ pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
 /// One recorded begin or end edge, as read back out of the ring.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEdge {
+pub(crate) struct TraceEdge {
     /// Global claim order (0-based); per-thread order follows it.
     pub ticket: u64,
     /// Nanoseconds since the tracer's time origin.
@@ -107,7 +107,7 @@ thread_local! {
 
 /// This thread's small dense trace id (assigned on first use, starting
 /// at 1 — the first thread to record, normally `main`, gets 1).
-pub fn thread_tid() -> u32 {
+pub(crate) fn thread_tid() -> u32 {
     TID.with(|cell| {
         let mut tid = cell.get();
         if tid == 0 {
@@ -171,18 +171,6 @@ impl Tracer {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Forgets every recorded edge. Call only while no writers are
-    /// active (between runs), or in-flight edges may be kept or lost
-    /// arbitrarily — never torn.
-    pub fn clear(&self) {
-        if let Some(ring) = self.ring.get() {
-            for slot in ring.slots.iter() {
-                slot.seq.store(0, Ordering::Relaxed);
-            }
-            ring.cursor.store(0, Ordering::Release);
-        }
-    }
-
     /// The id for `name`, interned on first use. `None` while disabled,
     /// so callers can skip building span names nobody will see.
     pub fn intern(&self, name: &str) -> Option<u32> {
@@ -200,7 +188,7 @@ impl Tracer {
     }
 
     /// The interned name behind `id`, if any.
-    pub fn name_of(&self, id: u32) -> Option<String> {
+    pub(crate) fn name_of(&self, id: u32) -> Option<String> {
         let interner = self.names.lock().unwrap_or_else(|e| e.into_inner());
         interner.names.get(id as usize).cloned()
     }
@@ -250,15 +238,10 @@ impl Tracer {
         }
     }
 
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len().0 == 0
-    }
-
     /// The retained edges in claim order. Meant to run after writers
     /// quiesce; edges claimed concurrently with the read may be skipped
     /// but are never returned torn (the `seq` word is published last).
-    pub fn edges(&self) -> Vec<TraceEdge> {
+    pub(crate) fn edges(&self) -> Vec<TraceEdge> {
         let Some(ring) = self.ring.get() else {
             return Vec::new();
         };
@@ -295,7 +278,7 @@ impl Tracer {
     /// `"B"`/`"E"` stream is balanced per `(pid, tid)` even when ring
     /// wrap-around lost one side of a pair. Timestamps are microseconds
     /// with nanosecond fraction.
-    pub fn chrome_trace(&self) -> (Json, TraceExport) {
+    pub(crate) fn chrome_trace(&self) -> (Json, TraceExport) {
         let edges = self.edges();
         let (total, cap) = self.len();
         let mut stats = TraceExport {
@@ -354,7 +337,7 @@ impl Tracer {
         (doc, stats)
     }
 
-    /// Writes [`Tracer::chrome_trace`] to `path`.
+    /// Writes `Tracer::chrome_trace` to `path`.
     pub fn write_chrome_trace(&self, path: impl AsRef<Path>) -> std::io::Result<TraceExport> {
         let (doc, stats) = self.chrome_trace();
         let mut file = std::fs::File::create(path)?;
@@ -384,7 +367,7 @@ mod tests {
         let t = Tracer::new();
         assert_eq!(t.begin("x"), None);
         t.end(0);
-        assert!(t.is_empty());
+        assert_eq!(t.len().0, 0);
         assert!(t.edges().is_empty());
         let (doc, stats) = t.chrome_trace();
         assert_eq!(stats, TraceExport::default());
@@ -491,22 +474,6 @@ mod tests {
         assert_eq!(stats.spans, 4 * per_thread as usize);
         assert_eq!(stats.unmatched, 0);
         assert_eq!(stats.threads, 4);
-    }
-
-    #[test]
-    fn clear_resets_the_ring() {
-        let t = Tracer::new();
-        t.enable(32);
-        let id = t.begin("gone").unwrap();
-        t.end(id);
-        assert!(!t.is_empty());
-        t.clear();
-        assert!(t.is_empty());
-        assert!(t.edges().is_empty());
-        // Recording keeps working after a clear.
-        let id = t.begin("back").unwrap();
-        t.end(id);
-        assert_eq!(t.edges().len(), 2);
     }
 
     #[test]

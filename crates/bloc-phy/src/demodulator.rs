@@ -29,25 +29,6 @@ pub fn demodulate(iq: &[C64], sps: usize) -> Vec<bool> {
     bits
 }
 
-/// Soft demodulation: the mean phase increment per symbol, in radians per
-/// sample. Used by the CSI extractor's sanity checks and by diagnostics.
-pub fn soft_demodulate(iq: &[C64], sps: usize) -> Vec<f64> {
-    assert!(sps > 0, "sps must be positive");
-    let n_sym = iq.len() / sps;
-    let mut out = Vec::with_capacity(n_sym);
-    for s in 0..n_sym {
-        let start = s * sps;
-        let mut acc = 0.0;
-        let mut count = 0;
-        for n in start.max(1)..start + sps {
-            acc += (iq[n] * iq[n - 1].conj()).arg();
-            count += 1;
-        }
-        out.push(if count > 0 { acc / count as f64 } else { 0.0 });
-    }
-    out
-}
-
 /// Counts bit errors between a transmitted and received sequence (shorter
 /// length wins; extra bits in either are ignored).
 pub fn bit_errors(tx: &[bool], rx: &[bool]) -> usize {
@@ -119,23 +100,8 @@ mod tests {
     }
 
     #[test]
-    fn soft_values_reflect_tones() {
-        let m = modem();
-        let mut bits = vec![false; 12];
-        bits.extend(vec![true; 12]);
-        let iq = m.modulate(&bits);
-        let soft = soft_demodulate(&iq, 8);
-        let fs = m.config().sample_rate();
-        let tone = 2.0 * std::f64::consts::PI * 250e3 / fs;
-        // Settled symbols sit at ∓tone.
-        assert!((soft[6] + tone).abs() < 0.02 * tone);
-        assert!((soft[18] - tone).abs() < 0.02 * tone);
-    }
-
-    #[test]
     fn empty_input() {
         assert!(demodulate(&[], 8).is_empty());
-        assert!(soft_demodulate(&[], 8).is_empty());
     }
 
     proptest! {

@@ -11,7 +11,7 @@ use bloc_num::C64;
 
 /// Per-sample instantaneous frequency (hertz) from the phase increments of
 /// an IQ stream at sample rate `fs`. Output length is `iq.len() − 1`.
-pub fn instantaneous_frequency(iq: &[C64], fs: f64) -> Vec<f64> {
+pub(crate) fn instantaneous_frequency(iq: &[C64], fs: f64) -> Vec<f64> {
     iq.windows(2)
         .map(|w| (w[1] * w[0].conj()).arg() * fs / (2.0 * std::f64::consts::PI))
         .collect()
@@ -73,47 +73,23 @@ pub fn settled_regions(
     regions
 }
 
-/// Estimates the carrier frequency offset of a received packet, given the
-/// known transmitted bits: the mean difference between the received and
-/// reference per-sample phase increments. Data-independent (the modulation
-/// cancels term by term), noise-averaged over the whole packet.
-///
-/// This is how a real anchor would *measure* the tag CFO that
-/// `bloc-chan`'s sounder injects — and why CFO cannot simply be calibrated
-/// away for tone-pair ranging: the estimate is only as fresh as the last
-/// packet, while the offset drifts packet to packet.
-pub fn estimate_cfo(rx: &[C64], reference: &[C64], fs: f64) -> Option<f64> {
-    let n = rx.len().min(reference.len());
-    if n < 2 {
-        return None;
-    }
-    // Average the rotation of (rx · ref*) between successive samples —
-    // a phase-safe mean (no unwrapping needed).
-    let mut acc = bloc_num::complex::ZERO;
-    for k in 1..n {
-        let d = (rx[k] * reference[k].conj()) * (rx[k - 1] * reference[k - 1].conj()).conj();
-        acc += d;
-    }
-    Some(acc.arg() * fs / (2.0 * std::f64::consts::PI))
-}
-
-/// Classifies a settled region as the f₀ tone (−deviation), the f₁ tone
-/// (+deviation), or neither, with a ±30 % acceptance band.
-pub fn classify_tone(region: &SettledRegion, deviation_hz: f64) -> Option<bool> {
-    let rel = region.freq_hz / deviation_hz;
-    if (rel - 1.0).abs() < 0.3 {
-        Some(true)
-    } else if (rel + 1.0).abs() < 0.3 {
-        Some(false)
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::modulator::{GfskModulator, ModulatorConfig};
+
+    /// Classifies a settled region as the f₀ tone (−deviation), the f₁ tone
+    /// (+deviation), or neither, with a ±30 % acceptance band.
+    fn classify_tone(region: &SettledRegion, deviation_hz: f64) -> Option<bool> {
+        let rel = region.freq_hz / deviation_hz;
+        if (rel - 1.0).abs() < 0.3 {
+            Some(true)
+        } else if (rel + 1.0).abs() < 0.3 {
+            Some(false)
+        } else {
+            None
+        }
+    }
 
     fn modem() -> GfskModulator {
         GfskModulator::new(ModulatorConfig::default())
@@ -181,52 +157,6 @@ mod tests {
         );
         assert_eq!(classify_tone(&regions[0], 250e3), Some(false));
         assert_eq!(classify_tone(regions.last().unwrap(), 250e3), Some(true));
-    }
-
-    #[test]
-    fn cfo_estimation_recovers_known_offset() {
-        let m = modem();
-        let fs = m.config().sample_rate();
-        let bits: Vec<bool> = (0..128).map(|i| (i * 13) % 5 < 2).collect();
-        let reference = m.modulate(&bits);
-        for cfo in [-42e3f64, -5e3, 0.0, 12.5e3, 80e3] {
-            let mut rx = reference.clone();
-            crate::impairments::apply_cfo(&mut rx, cfo, fs);
-            let est = estimate_cfo(&rx, &reference, fs).unwrap();
-            assert!((est - cfo).abs() < 50.0, "cfo {cfo}: estimated {est}");
-        }
-    }
-
-    #[test]
-    fn cfo_estimation_survives_noise_and_gain() {
-        use rand::SeedableRng;
-        let m = modem();
-        let fs = m.config().sample_rate();
-        let bits: Vec<bool> = (0..256).map(|i| i % 7 < 4).collect();
-        let reference = m.modulate(&bits);
-        let mut rx = reference.clone();
-        crate::impairments::apply_channel_gain(&mut rx, C64::from_polar(0.02, -2.0));
-        crate::impairments::apply_cfo(&mut rx, 17e3, fs);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        crate::impairments::awgn(&mut rx, 15.0, &mut rng);
-        let est = estimate_cfo(&rx, &reference, fs).unwrap();
-        assert!((est - 17e3).abs() < 1.5e3, "estimated {est}");
-    }
-
-    #[test]
-    fn cfo_estimation_degenerate_inputs() {
-        assert!(estimate_cfo(&[], &[], 8e6).is_none());
-        assert!(estimate_cfo(&[C64::real(1.0)], &[C64::real(1.0)], 8e6).is_none());
-    }
-
-    #[test]
-    fn classify_rejects_mid_transition() {
-        let r = SettledRegion {
-            start: 0,
-            len: 10,
-            freq_hz: 10e3,
-        };
-        assert_eq!(classify_tone(&r, 250e3), None);
     }
 
     #[test]

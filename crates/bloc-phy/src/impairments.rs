@@ -74,12 +74,6 @@ fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     }
 }
 
-/// Draws a uniformly random phase in `[0, 2π)` — the model for oscillator
-/// retune offsets.
-pub fn random_phase<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    rng.gen::<f64>() * 2.0 * std::f64::consts::PI
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,24 +175,5 @@ mod tests {
             samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / samples.len() as f64;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.03, "var {var}");
-    }
-
-    #[test]
-    fn random_phase_covers_circle() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let phases: Vec<f64> = (0..1000).map(|_| random_phase(&mut rng)).collect();
-        assert!(phases
-            .iter()
-            .all(|&p| (0.0..2.0 * std::f64::consts::PI).contains(&p)));
-        // All four quadrants occupied:
-        for q in 0..4 {
-            let lo = q as f64 * std::f64::consts::FRAC_PI_2;
-            assert!(
-                phases
-                    .iter()
-                    .any(|&p| p >= lo && p < lo + std::f64::consts::FRAC_PI_2),
-                "quadrant {q} empty"
-            );
-        }
     }
 }

@@ -53,12 +53,6 @@ impl GfskModulator {
         Self { config, pulse }
     }
 
-    /// A modulator with a custom pulse (for BT ablations).
-    pub fn with_pulse(config: ModulatorConfig, pulse: GaussianPulse) -> Self {
-        assert_eq!(pulse.sps(), config.sps, "pulse and config sps must agree");
-        Self { config, pulse }
-    }
-
     /// The configuration.
     pub fn config(&self) -> &ModulatorConfig {
         &self.config
@@ -66,7 +60,7 @@ impl GfskModulator {
 
     /// Modulates on-air bits into unit-envelope IQ samples
     /// (`bits.len() · sps` of them), starting at phase `phase0`.
-    pub fn modulate_from(&self, bits: &[bool], phase0: f64) -> Vec<C64> {
+    pub(crate) fn modulate_from(&self, bits: &[bool], phase0: f64) -> Vec<C64> {
         let w = self.pulse.shape(bits);
         let dphi_scale =
             2.0 * std::f64::consts::PI * self.config.deviation_hz / self.config.sample_rate();
@@ -223,10 +217,10 @@ mod tests {
         };
 
         let gfsk = GfskModulator::new(cfg.clone());
-        let fsk = GfskModulator::with_pulse(
-            cfg.clone(),
-            crate::pulse::GaussianPulse::new(8.0, cfg.sps, 2),
-        );
+        let fsk = GfskModulator {
+            config: cfg.clone(),
+            pulse: crate::pulse::GaussianPulse::new(8.0, cfg.sps, 2),
+        };
         assert!(
             in_band_fraction(&gfsk) > in_band_fraction(&fsk),
             "Gaussian shaping must concentrate in-band energy"

@@ -18,7 +18,7 @@
 /// A sampled Gaussian frequency pulse.
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct GaussianPulse {
+pub(crate) struct GaussianPulse {
     taps: Vec<f64>,
     sps: usize,
     span: usize,
@@ -90,18 +90,9 @@ impl GaussianPulse {
     }
 
     /// The filter taps.
-    pub fn taps(&self) -> &[f64] {
+    #[cfg(test)]
+    pub(crate) fn taps(&self) -> &[f64] {
         &self.taps
-    }
-
-    /// Samples per symbol.
-    pub fn sps(&self) -> usize {
-        self.sps
-    }
-
-    /// Span in symbols on each side of the centre.
-    pub fn span(&self) -> usize {
-        self.span
     }
 
     /// Shapes a bit sequence into the normalized frequency waveform
@@ -113,7 +104,7 @@ impl GaussianPulse {
     /// group delay is compensated internally. Edge bits are extended (the
     /// first/last bit value is held) so the waveform starts and ends
     /// settled, matching a radio that idles at the last tone.
-    pub fn shape(&self, bits: &[bool]) -> Vec<f64> {
+    pub(crate) fn shape(&self, bits: &[bool]) -> Vec<f64> {
         if bits.is_empty() {
             return Vec::new();
         }
@@ -154,7 +145,7 @@ impl GaussianPulse {
 
 /// The BLE-standard pulse: BT = 0.5 at the given oversampling, ±2-symbol
 /// span.
-pub fn ble_pulse(sps: usize) -> GaussianPulse {
+pub(crate) fn ble_pulse(sps: usize) -> GaussianPulse {
     GaussianPulse::new(bloc_num::constants::BLE_GAUSSIAN_BT, sps, 2)
 }
 

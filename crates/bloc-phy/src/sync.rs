@@ -30,7 +30,7 @@ pub struct Detection {
 
 /// The modulated reference waveform of `preamble ‖ access address` — the
 /// 40-bit sync pattern every frame with this address begins with.
-pub fn sync_reference(aa: AccessAddress, modem: &GfskModulator) -> Vec<C64> {
+pub(crate) fn sync_reference(aa: AccessAddress, modem: &GfskModulator) -> Vec<C64> {
     let mut bytes = vec![aa.preamble()];
     bytes.extend_from_slice(&aa.to_bytes());
     modem.modulate(&bytes_to_bits(&bytes))
@@ -39,8 +39,10 @@ pub fn sync_reference(aa: AccessAddress, modem: &GfskModulator) -> Vec<C64> {
 /// Normalized cross-correlation magnitude of `reference` against every
 /// alignment of `stream`: output k = |⟨stream[k..], ref⟩| / (‖stream
 /// window‖·‖ref‖). Output length is `stream.len() − reference.len() + 1`
-/// (empty if the stream is shorter than the reference).
-pub fn normalized_correlation(stream: &[C64], reference: &[C64]) -> Vec<f64> {
+/// (empty if the stream is shorter than the reference). A window that
+/// holds a non-finite sample (a NaN or infinite reading from the radio)
+/// scores NaN; the samples outside it keep every other window finite.
+pub(crate) fn normalized_correlation(stream: &[C64], reference: &[C64]) -> Vec<f64> {
     let n = reference.len();
     if n == 0 || stream.len() < n {
         return Vec::new();
@@ -48,12 +50,31 @@ pub fn normalized_correlation(stream: &[C64], reference: &[C64]) -> Vec<f64> {
     let ref_energy: f64 = reference.iter().map(|z| z.norm_sq()).sum();
     let ref_norm = ref_energy.sqrt();
 
-    // Running window energy for the normalization.
-    let mut window_energy: f64 = stream[..n].iter().map(|z| z.norm_sq()).sum();
+    // Running window energy for the normalization. A non-finite sample
+    // adds nothing to it and is counted instead; while the count is
+    // non-zero the window scores NaN.
+    let finite_energy = |z: &C64| Some(z.norm_sq()).filter(|e| e.is_finite());
+    let mut window_energy: f64 = stream[..n].iter().filter_map(finite_energy).sum();
+    let mut blind = stream[..n]
+        .iter()
+        .filter(|z| finite_energy(z).is_none())
+        .count();
     let mut out = Vec::with_capacity(stream.len() - n + 1);
     for k in 0..=stream.len() - n {
         if k > 0 {
-            window_energy += stream[k + n - 1].norm_sq() - stream[k - 1].norm_sq();
+            let entering = finite_energy(&stream[k + n - 1]);
+            let leaving = finite_energy(&stream[k - 1]);
+            blind = blind + usize::from(entering.is_none()) - usize::from(leaving.is_none());
+            window_energy += entering.unwrap_or(0.0) - leaving.unwrap_or(0.0);
+            if !window_energy.is_finite() {
+                // Finite samples whose energies overflow the sum: start
+                // the sum afresh rather than carry an infinity forward.
+                window_energy = stream[k..k + n].iter().filter_map(finite_energy).sum();
+            }
+        }
+        if blind > 0 {
+            out.push(f64::NAN);
+            continue;
         }
         let mut acc = complex::ZERO;
         for (s, r) in stream[k..k + n].iter().zip(reference) {
@@ -68,6 +89,8 @@ pub fn normalized_correlation(stream: &[C64], reference: &[C64]) -> Vec<f64> {
 /// Scans a sample stream for a packet with the given access address.
 /// Returns the best detection at or above `threshold` (0.5–0.8 is a
 /// sensible range: a perfect match scores 1.0, noise scores ≪ 0.5).
+/// Windows that hold a non-finite sample are skipped, so a corrupt reading
+/// hides only the packets it overlaps.
 pub fn detect_packet(
     stream: &[C64],
     aa: AccessAddress,
@@ -79,44 +102,9 @@ pub fn detect_packet(
     let (offset, &quality) = corr
         .iter()
         .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("correlations are finite"))?;
+        .filter(|(_, q)| q.is_finite())
+        .max_by(|a, b| a.1.total_cmp(b.1))?;
     (quality >= threshold).then_some(Detection { offset, quality })
-}
-
-/// Scans for *all* packets above threshold, suppressing overlapping
-/// detections (two peaks within one sync length keep only the stronger).
-pub fn detect_all_packets(
-    stream: &[C64],
-    aa: AccessAddress,
-    modem: &GfskModulator,
-    threshold: f64,
-) -> Vec<Detection> {
-    let reference = sync_reference(aa, modem);
-    let corr = normalized_correlation(stream, &reference);
-    let min_gap = reference.len();
-
-    let mut detections: Vec<Detection> = Vec::new();
-    for (offset, &quality) in corr.iter().enumerate() {
-        if quality < threshold {
-            continue;
-        }
-        // Local maximum within the stream of correlations:
-        if offset > 0 && corr[offset - 1] >= quality {
-            continue;
-        }
-        if offset + 1 < corr.len() && corr[offset + 1] > quality {
-            continue;
-        }
-        match detections.last_mut() {
-            Some(last) if offset - last.offset < min_gap => {
-                if quality > last.quality {
-                    *last = Detection { offset, quality };
-                }
-            }
-            _ => detections.push(Detection { offset, quality }),
-        }
-    }
-    detections
 }
 
 #[cfg(test)]
@@ -212,18 +200,34 @@ mod tests {
     }
 
     #[test]
-    fn detects_multiple_packets() {
-        let mut rng = StdRng::seed_from_u64(5);
+    fn a_non_finite_sample_blinds_only_its_windows() {
+        for bad in [C64::new(f64::NAN, 0.0), C64::new(f64::INFINITY, 0.0)] {
+            let mut rng = StdRng::seed_from_u64(8);
+            let aa = AccessAddress::generate(&mut rng);
+            let mut stream =
+                stream_with_packet(&mut rng, aa, 500, C64::from_polar(0.05, 0.4), 20.0);
+            stream.truncate(1000);
+            stream[100] = bad;
+            let det =
+                detect_packet(&stream, aa, &modem(), 0.6).expect("packet after the bad sample");
+            assert_eq!(det.offset, 500, "{bad:?}");
+            let corr = normalized_correlation(&stream, &sync_reference(aa, &modem()));
+            assert!(corr[100].is_nan() && corr[101].is_finite(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn a_non_finite_sample_inside_the_packet_does_not_panic() {
+        let mut rng = StdRng::seed_from_u64(9);
         let aa = AccessAddress::generate(&mut rng);
-        let a = stream_with_packet(&mut rng, aa, 50, C64::from_polar(0.05, 0.3), 20.0);
-        let b = stream_with_packet(&mut rng, aa, 120, C64::from_polar(0.04, -1.0), 20.0);
-        let mut stream = a;
-        let gap = stream.len();
-        stream.extend(b.iter());
-        let dets = detect_all_packets(&stream, aa, &modem(), 0.6);
-        assert_eq!(dets.len(), 2, "two packets expected: {dets:?}");
-        assert_eq!(dets[0].offset, 50);
-        assert_eq!(dets[1].offset, gap + 120);
+        let mut stream = stream_with_packet(&mut rng, aa, 500, C64::from_polar(0.05, 0.4), 20.0);
+        stream[520] = C64::new(f64::NAN, f64::NAN);
+        if let Some(det) = detect_packet(&stream, aa, &modem(), 0.6) {
+            assert!(det.quality.is_finite());
+            assert!(det.offset > 520 || det.offset + sync_reference(aa, &modem()).len() <= 520);
+        }
+        let all_bad = vec![C64::new(f64::NAN, 0.0); 1000];
+        assert!(detect_packet(&all_bad, aa, &modem(), 0.0).is_none());
     }
 
     #[test]

@@ -18,7 +18,7 @@ use bloc_num::P2;
 pub const PAPER_DATASET_SIZE: usize = 1700;
 
 /// Margin kept between sampled positions and the walls, metres.
-pub const WALL_MARGIN: f64 = 0.4;
+pub(crate) const WALL_MARGIN: f64 = 0.4;
 
 /// Samples `n` tag positions uniformly over the room interior.
 pub fn sample_positions(room: &Room, n: usize, seed: u64) -> Vec<P2> {
@@ -32,11 +32,6 @@ pub fn sample_positions(room: &Room, n: usize, seed: u64) -> Vec<P2> {
             )
         })
         .collect()
-}
-
-/// The full paper-scale dataset for a room.
-pub fn paper_dataset(room: &Room, seed: u64) -> Vec<P2> {
-    sample_positions(room, PAPER_DATASET_SIZE, seed)
 }
 
 /// Mean nearest-neighbour separation of a point set (the paper quotes
@@ -89,7 +84,7 @@ mod tests {
         // 1700 uniform points on a (5−0.8)×(6−0.8) m area: mean NN spacing
         // ≈ 0.5/√(n/A) ≈ 6–10 cm — same density regime as the paper's 10 cm.
         let room = Room::new(5.0, 6.0);
-        let pts = paper_dataset(&room, 42);
+        let pts = sample_positions(&room, PAPER_DATASET_SIZE, 42);
         assert_eq!(pts.len(), PAPER_DATASET_SIZE);
         let nn = mean_nearest_neighbor(&pts[..600]); // subsample for O(n²) speed
         assert!(nn > 0.03 && nn < 0.25, "nearest-neighbour spacing {nn} m");

@@ -38,7 +38,7 @@ pub struct Fig9bResult {
 }
 
 /// The anchor subsets evaluated per count (all must contain the master).
-pub fn subsets_for(n: usize) -> Vec<Vec<usize>> {
+pub(crate) fn subsets_for(n: usize) -> Vec<Vec<usize>> {
     match n {
         4 => vec![vec![0, 1, 2, 3]],
         3 => vec![vec![0, 1, 2], vec![0, 1, 3], vec![0, 2, 3]],

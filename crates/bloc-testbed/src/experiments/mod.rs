@@ -30,33 +30,18 @@ pub struct ExperimentSize {
 }
 
 impl ExperimentSize {
-    /// The paper's scale: 1700 locations.
-    pub fn paper() -> Self {
-        Self {
-            locations: crate::dataset::PAPER_DATASET_SIZE,
-            seed: 2018,
-        }
-    }
-
     /// A fast smoke scale for tests.
-    pub fn smoke() -> Self {
+    #[cfg(test)]
+    pub(crate) fn smoke() -> Self {
         Self {
             locations: 48,
-            seed: 2018,
-        }
-    }
-
-    /// A custom location count at the standard seed.
-    pub fn locations(n: usize) -> Self {
-        Self {
-            locations: n,
             seed: 2018,
         }
     }
 }
 
 /// Formats a `(value, probability)` CDF series as aligned text rows.
-pub fn format_cdf(name: &str, rows: &[(f64, f64)]) -> String {
+pub(crate) fn format_cdf(name: &str, rows: &[(f64, f64)]) -> String {
     let mut out = format!("  CDF [{name}] (error m → P(err ≤ x)):\n");
     for (v, p) in rows {
         out.push_str(&format!("    {v:5.2}  {p:6.3}\n"));

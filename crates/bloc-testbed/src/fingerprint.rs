@@ -33,7 +33,7 @@ fn splitmix(mut x: u64) -> u64 {
 /// The survey grid: uniform `spacing` over the room, inset by `margin`
 /// from the walls (fingerprints against a wall are dominated by the
 /// nearest anchor and add little).
-pub fn survey_positions(room: &Room, spacing: f64, margin: f64) -> Vec<P2> {
+pub(crate) fn survey_positions(room: &Room, spacing: f64, margin: f64) -> Vec<P2> {
     assert!(spacing > 0.0, "survey spacing must be positive");
     let mut out = Vec::new();
     let mut y = margin;

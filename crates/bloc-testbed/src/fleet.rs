@@ -183,7 +183,7 @@ impl FleetTestbedDriver<'_> {
     ///   [`OUTAGE_ANCHOR`] blackout during
     ///   [`OUTAGE_FROM`]`..`[`OUTAGE_TO`];
     /// * `3` — distance-dependent reception loss.
-    pub fn plan_for(&self, site: SiteId, round: u64) -> FaultPlan {
+    pub(crate) fn plan_for(&self, site: SiteId, round: u64) -> FaultPlan {
         match site.0 % 4 {
             0 => FaultPlan {
                 tag_loss: 0.15,

@@ -25,7 +25,7 @@ pub struct ErrorStats {
 
 impl ErrorStats {
     /// Summarizes a (finite) error sample.
-    pub fn from_errors(errors: Vec<f64>) -> Self {
+    pub(crate) fn from_errors(errors: Vec<f64>) -> Self {
         Self {
             n: errors.len(),
             median: median(&errors),
@@ -51,7 +51,7 @@ impl ErrorStats {
 /// RMSE — paper Fig. 13 ("we plot the RMSE values at different locations
 /// of the BLE tag within the environment").
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RmseMap {
+pub(crate) struct RmseMap {
     spec: GridSpec,
     sum_sq: Vec<f64>,
     count: Vec<u32>,
@@ -82,7 +82,8 @@ impl RmseMap {
     ///
     /// # Panics
     /// Panics on mismatched specs.
-    pub fn merge(&mut self, other: &RmseMap) {
+    #[cfg(test)]
+    pub(crate) fn merge(&mut self, other: &RmseMap) {
         assert_eq!(self.spec, other.spec, "RMSE maps must share a spec");
         for (a, b) in self.sum_sq.iter_mut().zip(&other.sum_sq) {
             *a += b;
@@ -93,7 +94,7 @@ impl RmseMap {
     }
 
     /// The per-cell RMSE grid (`NaN` for never-visited cells).
-    pub fn rmse_grid(&self) -> Grid2D {
+    pub(crate) fn rmse_grid(&self) -> Grid2D {
         let mut g = Grid2D::zeros(self.spec);
         for iy in 0..self.spec.ny {
             for ix in 0..self.spec.nx {
@@ -109,14 +110,9 @@ impl RmseMap {
         g
     }
 
-    /// The grid geometry.
-    pub fn spec(&self) -> GridSpec {
-        self.spec
-    }
-
     /// Mean RMSE over visited cells in a region predicate (e.g. corners vs
     /// centre — the Fig. 13 observation).
-    pub fn mean_rmse_where(&self, mut pred: impl FnMut(P2) -> bool) -> f64 {
+    pub(crate) fn mean_rmse_where(&self, mut pred: impl FnMut(P2) -> bool) -> f64 {
         let mut total = 0.0;
         let mut n = 0usize;
         for iy in 0..self.spec.ny {
@@ -165,7 +161,7 @@ pub fn grid_to_csv(grid: &Grid2D) -> String {
 
 /// Renders a grid as a compact ASCII heat map (for figure binaries); `NaN`
 /// cells print as spaces. Rows are printed top (max y) first.
-pub fn ascii_heatmap(grid: &Grid2D, width_chars: usize) -> String {
+pub(crate) fn ascii_heatmap(grid: &Grid2D, width_chars: usize) -> String {
     const RAMP: &[u8] = b" .:-=+*#%@";
     let spec = grid.spec();
     let step = (spec.nx / width_chars.max(1)).max(1);

@@ -12,7 +12,7 @@
 //! records into the same `sweep.*` metrics (resolved once per sweep), and
 //! results come back in dataset order by construction.
 //!
-//! Locations run in batches of [`BATCH`] consecutive ones. A batch's
+//! Locations run in batches of `BATCH` consecutive ones. A batch's
 //! first attempt sounds every location under its own panic guard, then
 //! localizes them together ([`BlocLocalizer::localize_batch`]), so their
 //! Eq. 17 sweeps share each cell's lattice lookup. A panic is still
@@ -140,7 +140,7 @@ impl<'a> SweepSpec<'a> {
 
 /// Consecutive locations a sweep localizes as one batch: one per tag the
 /// Eq. 17 cell kernel sweeps together.
-pub const BATCH: usize = bloc_num::sweep::MAX_TAGS;
+pub(crate) const BATCH: usize = bloc_num::sweep::MAX_TAGS;
 
 /// The sweep's metrics on one registry, resolved once per sweep and
 /// shared by every worker.

@@ -24,7 +24,7 @@
 //! it. Entries are keyed by grid, anchor geometry and frequency comb, so
 //! soundings reduced to an anchor, antenna or band subset get entries of
 //! their own. The cache is bounded by its built-in budget
-//! ([`bloc_core::engine::CACHE_BUDGET_BYTES`]), evicting the least
+//! (`bloc_core::engine::CACHE_BUDGET_BYTES`), evicting the least
 //! recently used geometry.
 
 use rand::rngs::StdRng;
@@ -100,7 +100,7 @@ impl Scenario {
     }
 
     /// The clean microbenchmark environment (Fig. 8b).
-    pub fn clean_los(seed: u64) -> Self {
+    pub(crate) fn clean_los(seed: u64) -> Self {
         Self::build(Clutter::None, seed)
     }
 
@@ -351,7 +351,7 @@ pub fn standard_anchors(room: &Room) -> Vec<AnchorArray> {
 /// The array axes follow the room's wall winding (bottom →, right ↑,
 /// top ←, left ↓) so that `axis.perp()` — the boresight — points into
 /// the room, matching [`standard_anchors`].
-pub fn corridor_anchors(room: &Room) -> Vec<AnchorArray> {
+pub(crate) fn corridor_anchors(room: &Room) -> Vec<AnchorArray> {
     let (w, h) = (room.width, room.height);
     let mounts = [
         // Short walls (left/right), midpoints.
@@ -373,7 +373,7 @@ pub fn corridor_anchors(room: &Room) -> Vec<AnchorArray> {
 /// The multi-room floor's anchor placement: six 4-antenna arrays on the
 /// outer walls — two per long wall plus one per short wall, offset so no
 /// anchor lands on an interior-wall junction.
-pub fn multi_room_anchors(room: &Room) -> Vec<AnchorArray> {
+pub(crate) fn multi_room_anchors(room: &Room) -> Vec<AnchorArray> {
     let (w, h) = (room.width, room.height);
     let mounts = [
         // Short walls, offset from the y = 7 m interior wall junctions.

@@ -17,6 +17,11 @@ run() {
 
 if [[ "${1:-}" != "quick" ]]; then
     run cargo build --release
+    # The benchmark as BENCHMARK.json builds it: its own manifest and
+    # lock, outside the workspace. --locked fails when a manifest or
+    # public-API change would make it rewrite that lock or stop compiling.
+    run env CARGO_TARGET_DIR=target/benchmark-standalone cargo build --release --offline \
+        --locked --manifest-path crates/bloc-bench/src/bin/benchmark/Cargo.toml
     # Bit-identity pins: each benchmark workload at its 200-call minimum
     # (seed 7, --seconds 0) must print the digest below — a fold of every
     # fix position's bits, identical with and without SIMD and on any core

@@ -239,48 +239,6 @@ fn cfo_is_transparent_to_bloc_but_fatal_to_tone_ranging() {
 }
 
 #[test]
-fn commercial_beacon_advertises_through_the_stack() {
-    // An iBeacon payload rides a real ADV_IND through framing, GFSK and
-    // the air, and is recovered by a scanning anchor — the kind of tag
-    // BLoc's deployment overhears before connecting (paper §1/§3).
-    use bloc_ble::beacon::{encode_ad, parse_ad, Beacon};
-    use bloc_ble::packet::Frame;
-    use bloc_ble::pdu::{AdvPdu, AdvPduType};
-
-    let mut rng = StdRng::seed_from_u64(17);
-    let beacon = Beacon::IBeacon {
-        uuid: *b"BLoc-repro-UUID!",
-        major: 7,
-        minor: 1700,
-        tx_power: -59,
-    };
-    let adv = AdvPdu {
-        pdu_type: AdvPduType::AdvNonconnInd,
-        tx_add: false,
-        rx_add: false,
-        address: DeviceAddress::new([2, 4, 6, 8, 10, 12]),
-        payload: encode_ad(&beacon.to_ad().unwrap()).unwrap(),
-    };
-    let channel = bloc_ble::channels::Channel::new(37).unwrap(); // adv channel
-    let frame = Frame::new(
-        bloc_ble::access_address::AccessAddress::ADVERTISING,
-        adv.encode().unwrap(),
-        bloc_ble::crc::ADV_CRC_INIT,
-    );
-
-    // Over the air at 15 dB:
-    let modem = GfskModulator::new(ModulatorConfig::default());
-    let mut iq = modem.modulate(&frame.encode_bits(channel));
-    impairments::awgn(&mut iq, 15.0, &mut rng);
-    let bits = demodulate(&iq, 8);
-
-    let rx = Frame::decode_bits(&bits, channel, bloc_ble::crc::ADV_CRC_INIT).unwrap();
-    let rx_adv = AdvPdu::decode(&rx.pdu).unwrap();
-    let rx_beacon = Beacon::from_ad(&parse_ad(&rx_adv.payload).unwrap()).unwrap();
-    assert_eq!(rx_beacon, beacon);
-}
-
-#[test]
 fn anchor_finds_packets_in_a_raw_sample_stream() {
     // The sync module locates a localization packet in a noisy stream and
     // the CSI extractor then runs on the synced slice — the receive path
