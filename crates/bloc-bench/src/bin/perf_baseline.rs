@@ -19,8 +19,10 @@
 //! of every SIMD level and of the tag batch (always), nonzero throughput
 //! (always), and — on release builds only, debug timings are
 //! meaningless — the same-process speedup floors: ≥ 5× over the
-//! reference likelihood, ≥ 4× over the reference sounder, and ≥ 1.1× for
-//! a batch of [`sweep::MAX_TAGS`] tags over sweeping them one at a time.
+//! reference likelihood, ≥ 4× over the reference sounder, ≥ 1.1× for
+//! a batch of [`sweep::MAX_TAGS`] tags over sweeping them one at a time,
+//! and the bare kernel's least share of the warm engine's time over the
+//! same window ([`WINDOW_SHARE_FLOORS`]).
 //! Every row runs on one thread, as a fix does. The closing line names
 //! every floor it skipped.
 //!
@@ -42,8 +44,8 @@ use bloc_core::likelihood::{joint_likelihood_reference, AntennaCombining};
 use bloc_core::localizer::BlocLocalizer;
 use bloc_core::{HierarchicalConfig, HierarchicalLocalizer};
 use bloc_num::simd::{SimdLevel, LEVEL_LABELS};
-use bloc_num::sweep::{self, CellSweep, Combine, Lattice, ProfilePlan, ProfileWeights};
-use bloc_num::{GridSpec, C64, P2};
+use bloc_num::sweep::{self, CellRows, CellSweep, Combine, Lattice, ProfilePlan, ProfileWeights};
+use bloc_num::{GridPatch, GridSpec, C64, P2};
 use bloc_testbed::scenario::Scenario;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -53,6 +55,16 @@ use rand::{rngs::StdRng, SeedableRng};
 /// carrier, and the phasor matrix. Measured 1.31–1.32× on AVX-512,
 /// best of 15; the floor keeps the same one-sixth margin below it.
 const TAG_BATCH_FLOOR: f64 = 1.1;
+
+/// Least share of the warm engine's time over a window that the bare
+/// kernel (profile build and cell sweep, same cells, contiguous tables)
+/// takes, for the dense paper room and for a 79×79 corridor patch: what
+/// is left is the engine's per-window work (steering lookup, lattice,
+/// strided strip sweeps, weighted joint). Measured 0.88–0.93 (dense) and
+/// 0.69–0.75 (corridor patch) on AVX-512 over six runs of best of 15 on
+/// a shared 2-vCPU host; each floor keeps the tag-batch floor's
+/// one-sixth margin below the lowest.
+const WINDOW_SHARE_FLOORS: [f64; 2] = [0.73, 0.57];
 
 /// Best-of-N wall time of one call, seconds.
 fn time_best(iters: usize, mut f: impl FnMut()) -> f64 {
@@ -65,11 +77,10 @@ fn time_best(iters: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// The bare Eq. 17 cell kernel's inputs over every grid cell of every
-/// anchor, laid out the way the engine lays them out: per anchor, the
-/// lane stride, the `Δ` and carrier tables of the deployment's steering
-/// geometry, the lattice bracketing the grid's `Δ`, and every tag's
-/// channel weights.
+/// The bare Eq. 17 cell kernel's inputs over every cell of a grid window
+/// for every anchor, laid out contiguously: per anchor, the lane stride,
+/// the `Δ` and carrier tables of the deployment's steering geometry, the
+/// lattice bracketing the window's `Δ`, and every tag's channel weights.
 struct KernelBench {
     cells: usize,
     plan: ProfilePlan,
@@ -87,25 +98,28 @@ struct AnchorBench {
 }
 
 impl KernelBench {
-    /// Inputs for `tags`, soundings of one deployment on one band set.
-    fn build(tags: &[CorrectedChannels], spec: GridSpec) -> Self {
+    /// Inputs for `tags`, soundings of one deployment on one band set,
+    /// over `window` of `spec`.
+    fn build(tags: &[CorrectedChannels], spec: GridSpec, window: &GridPatch) -> Self {
         let corrected = &tags[0];
         let freqs: Vec<f64> = corrected.bands.iter().map(|b| b.freq_hz).collect();
         let plan = ProfilePlan::build(&freqs);
-        let geometry = SteeringTables::build(
+        // `cell_deltas` computes from the geometry: no tile need fill.
+        let geometry = SteeringTables::empty(
             spec,
             &corrected.anchors,
             &corrected.master_anchor_dist,
             plan.carrier_hz,
         );
-        let cells = spec.nx * spec.ny;
+        let cells = window.spec.len();
         let phase = std::f64::consts::TAU / bloc_num::constants::SPEED_OF_LIGHT;
         let anchors = (0..corrected.n_anchors())
             .map(|i| {
                 let nl = corrected.anchors[i].n_antennas.div_ceil(4) * 4;
                 let [mut delta, mut cre, mut cim] = [0.0, 1.0, 0.0].map(|v| vec![v; cells * nl]);
                 for cell in 0..cells {
-                    let ds = geometry.cell_deltas(i, cell);
+                    let (ix, iy) = (cell % window.spec.nx, cell / window.spec.nx);
+                    let ds = geometry.cell_deltas(i, spec.flat(window.x0 + ix, window.y0 + iy));
                     for j in 0..nl {
                         // Padding lanes copy antenna 0, as the engine's do.
                         let d = ds[if j < ds.len() { j } else { 0 }];
@@ -177,7 +191,8 @@ impl KernelBench {
                 profile,
             })
             .collect();
-        sweep::write_profile_cells_batch_at(level, &sweeps, Combine::Hybrid, 0, outs);
+        let rows = CellRows::run(0, self.cells);
+        sweep::write_profile_cells_batch_at(level, &sweeps, Combine::Hybrid, rows, outs);
     }
 
     /// One output buffer per anchor.
@@ -253,6 +268,41 @@ fn tag_batch_row(bench: &KernelBench, iters: usize) -> (f64, f64, bool) {
         .zip(batched.iter().flatten().flatten())
         .all(|(a, b)| a.to_bits() == b.to_bits());
     (t_single, t_batch, identical)
+}
+
+/// The window-overhead row: best-of-`iters` times of the warm engine
+/// over `window` of `spec` (one sounding: every anchor's map and the
+/// weighted joint, Hybrid combining) and of the bare kernel — profile
+/// build and cell sweep at `simd::cell_level`, contiguous tables — over
+/// the same cells, interleaved so host drift hits both alike. Returns
+/// `(engine, bare)` seconds.
+fn window_overhead_row(
+    corrected: &CorrectedChannels,
+    spec: GridSpec,
+    window: &GridPatch,
+    iters: usize,
+) -> (f64, f64) {
+    let bench = KernelBench::build(std::slice::from_ref(corrected), spec, window);
+    let level = bloc_num::simd::cell_level();
+    let mut outs = bench.outputs();
+    let engine = LikelihoodEngine::default();
+    let sweep_window = || {
+        let maps =
+            engine.likelihood_batch(&[corrected], spec, window, AntennaCombining::Hybrid, false);
+        std::hint::black_box(maps);
+    };
+    sweep_window();
+    let _span = bloc_obs::span("perf.window_overhead");
+    let (mut t_engine, mut t_bare) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..iters.max(1) {
+        t_engine = t_engine.min(time_best(1, sweep_window));
+        t_bare = t_bare.min(time_best(1, || {
+            for (a, out) in outs.iter_mut().enumerate() {
+                bench.run(level, a, &[0], &mut [out]);
+            }
+        }));
+    }
+    (t_engine, t_bare)
 }
 
 fn main() {
@@ -363,10 +413,38 @@ fn main() {
         )
         .collect();
     assert_eq!(batch_tags.len(), sweep::MAX_TAGS);
-    let kernel_bench = KernelBench::build(&batch_tags, spec);
+    let kernel_bench = KernelBench::build(&batch_tags, spec, &GridPatch::whole(spec));
     let (level_rows, levels_identical) = kernel_level_rows(&kernel_bench, iters);
     let (t_tags_single, t_tags_batch, batch_identical) = tag_batch_row(&kernel_bench, iters);
     let batch_ratio = t_tags_single / t_tags_batch;
+    // The window-overhead rows: the dense paper room, and a seeded
+    // tracking patch of 79×79 cells on the corridor's 8 cm grid.
+    let corridor = Scenario::corridor(2026);
+    let corridor_spec = corridor.bloc_config().grid;
+    let corridor_tag = P2::new(16.8, 4.95);
+    let corridor_patch = corridor_spec.patch(corridor_tag, 3.1);
+    assert_eq!((corridor_patch.spec.nx, corridor_patch.spec.ny), (79, 79));
+    let corridor_corrected = correct(
+        &corridor.sounder(SounderConfig::default()).sound(
+            corridor_tag,
+            &all_data_channels(),
+            &mut rng,
+        ),
+        true,
+    )
+    .expect("clean corridor sounding");
+    let overhead_rows = [
+        (
+            format!("dense paper room {}×{}", spec.nx, spec.ny),
+            window_overhead_row(&corrected, spec, &GridPatch::whole(spec), iters),
+            WINDOW_SHARE_FLOORS[0],
+        ),
+        (
+            "corridor patch 79×79".to_string(),
+            window_overhead_row(&corridor_corrected, corridor_spec, &corridor_patch, iters),
+            WINDOW_SHARE_FLOORS[1],
+        ),
+    ];
 
     let throughput = |secs: f64| cell_evals / secs;
     let speedup = t_reference / t_warm;
@@ -407,6 +485,20 @@ fn main() {
         t_tags_batch * 1e3,
         if batch_identical { "PASS" } else { "FAIL" }
     );
+    for (name, (t_engine, t_bare), floor) in &overhead_rows {
+        let share = t_bare / t_engine;
+        let verdict = if cfg!(debug_assertions) {
+            "skipped (debug build)".to_string()
+        } else {
+            format!("floor {floor}")
+        };
+        println!(
+            "window overhead, {name}: engine {:.3} ms, bare kernel {:.3} ms ({cell_simd_level}): {:.2}×, kernel share {share:.2} ({verdict})",
+            t_engine * 1e3,
+            t_bare * 1e3,
+            t_engine / t_bare
+        );
+    }
 
     // ===== Channel-synthesis engine (DESIGN.md §10) =====
     println!("\n=== Sounding engine perf baseline (best of {iters}) ===");
@@ -569,6 +661,17 @@ fn main() {
                 "FLOOR FAILED: {n_tags}-tag batch {batch_ratio:.2}× < {TAG_BATCH_FLOOR}× over single-tag sweeps ({cell_simd_level})"
             );
             failed = true;
+        }
+        // Same-process ratio: the bare kernel's share of the warm
+        // engine's time over the same window, on the dispatched level.
+        for (name, (t_engine, t_bare), floor) in &overhead_rows {
+            let share = t_bare / t_engine;
+            if share < *floor {
+                eprintln!(
+                    "FLOOR FAILED: window overhead, {name}: kernel share {share:.2} < {floor} of the warm engine ({cell_simd_level})"
+                );
+                failed = true;
+            }
         }
         if snd_speedup < 4.0 {
             eprintln!(

@@ -25,17 +25,21 @@
 //!    feeds it.
 //! 2. **SoA layout + geometry cache**: [`SoaChannels`] re-packs the
 //!    per-band `alpha[i][j]` tensor into the kernel's split re/im
-//!    lane-padded layout, and [`SteeringCache`] memoizes each cell's relative distances
-//!    `Δ_ij(x)` (Eq. 14) and carriers — three arrays per block, `Δ` and
-//!    the carrier's re and im — keyed by (grid, anchor geometry,
-//!    carrier): a deployment sounds thousands of times against the same
-//!    grid, and the geometry never changes. The tables are indexed by
-//!    the grid and filled lazily in small tiles; every evaluation reads a
-//!    [`GridPatch`] *window* of them — the whole grid for a dense map, a
-//!    patch for a hierarchical level — so a moving patch reuses its
-//!    grid's one table instead of building its own. A lattice row's
-//!    samples depend on its index alone, so a window's cells equal the
-//!    dense map's bit for bit.
+//!    lane-padded layout, and [`SteeringCache`] memoizes each cell's
+//!    relative distances `Δ_ij(x)` (Eq. 14) and carriers — three arrays
+//!    per anchor and storage strip, `Δ` and the carrier's re and im —
+//!    keyed by (grid, anchor geometry, carrier): a deployment sounds
+//!    thousands of times against the same grid, and the geometry never
+//!    changes. The tables are indexed by the grid, stored in strips the
+//!    grid's full width and filled lazily in small tiles; every
+//!    evaluation reads a [`GridPatch`] *window* of them — the whole grid
+//!    for a dense map, a patch for a hierarchical level — so a moving
+//!    patch reuses its grid's one table instead of building its own. A
+//!    window's rows are contiguous in their strip, so each (anchor,
+//!    strip) is one kernel call writing straight into the map, and a
+//!    window's lattice is the union of its tiles' recorded `Δ` ranges,
+//!    read without a lock. A lattice row's samples depend on its index
+//!    alone, so a window's cells equal the dense map's bit for bit.
 //! 3. **Sounding batches**: [`LikelihoodEngine::likelihood_batch`] groups
 //!    soundings that share a steering entry, band set and alive anchors,
 //!    up to [`sweep::MAX_TAGS`] per group; the group shares each cell's
@@ -43,7 +47,9 @@
 //!    build's phasor matrix ([`bloc_num::sweep::write_profile_cells_batch`]).
 //!    Only the profiles and accumulators are per sounding, so every
 //!    sounding's maps equal a call of its own bit for bit. The
-//!    single-sounding entries are its batch of one.
+//!    single-sounding entries are its batch of one. A batch checks its
+//!    window's fill once per group, and reuses one set of map buffers
+//!    across its anchor passes unless the maps are returned.
 //!
 //! A fix runs on the calling thread. Parallelism lives one level up, over
 //! whole units of work: the sweep runner fans out over locations and the
@@ -53,12 +59,14 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use bloc_chan::AnchorArray;
 use bloc_num::constants::SPEED_OF_LIGHT;
-use bloc_num::sweep::{self, CellSweep, Combine, Lattice, ProfilePlan, ProfileWeights, MAX_TAGS};
+use bloc_num::sweep::{
+    self, CellRows, CellSweep, Combine, Lattice, ProfilePlan, ProfileWeights, MAX_TAGS,
+};
 use bloc_num::{Grid2D, GridPatch, GridSpec, C64, P2};
 
 use crate::correction::CorrectedChannels;
@@ -180,17 +188,12 @@ const TILE_W: usize = 4;
 /// grid), so an acquisition round fills about as many cells as its
 /// patches evaluate.
 const TILE_H: usize = 2;
-/// Width, in cells, of a storage block (a multiple of [`TILE_W`]).
-/// Storage is coarser than fill so one sweep-kernel call covers up to a
-/// whole block — with 4-cell runs the per-call cost slows dense sweeps —
-/// while a block stays small enough that sparse fills touch little
-/// memory beyond their tiles.
-const BLOCK_W: usize = 16;
-/// Height, in grid rows, of a storage block (a multiple of [`TILE_H`]).
-const BLOCK_H: usize = 4;
+/// Height, in grid rows, of a storage strip (a multiple of [`TILE_H`]):
+/// one kernel call sweeps a window's rows of a strip.
+const STRIP_H: usize = 8;
 
-/// One anchor's lane-padded steering tables over the cells of one block,
-/// row-major, borrowed from the block's storage.
+/// One anchor's lane-padded steering tables over the cells of one strip,
+/// row-major at the grid's row stride, borrowed from the strip's storage.
 struct AnchorLanes<'a> {
     /// `Δ_ij`, `delta[cell·n_lanes + j]`, cell-major; a padding lane
     /// holds antenna 0's `Δ`, so its lookup stays inside the window's
@@ -205,7 +208,7 @@ struct AnchorLanes<'a> {
 /// Per-cell steering geometry for one (grid, deployment, carrier)
 /// triple: for every cell and every (anchor, antenna), the relative
 /// distance `Δ_ij(x) = d_ij(x) − d_00(x) − d^{i0}_{00}` of Eq. 14 and the
-/// carrier phasor `e^{ι2πf_cΔ/c}`, as three arrays per block (`Δ`, the
+/// carrier phasor `e^{ι2πf_cΔ/c}`, as three arrays per strip (`Δ`, the
 /// carrier's real and imaginary parts). Hoisting the carrier into the
 /// cache removes every transcendental call from the per-cell work: the
 /// warm kernel is a lookup and a few multiply-adds.
@@ -215,9 +218,11 @@ struct AnchorLanes<'a> {
 /// touches it ([`SteeringTables::fill`]); every cell's values are
 /// computed from `spec.cell_center(ix, iy)` exactly as a whole-grid
 /// build computes them, so the fill order never changes a bit. Storage
-/// is one 16×4-cell block (`BLOCK_W`×`BLOCK_H`) at a time, allocated by
-/// the block's first tile. A fine patch is a window into its grid's one
-/// table, not a table of its own.
+/// is one strip per `STRIP_H` rows, the grid's full width, allocated by
+/// the strip's first tile — so every window row is
+/// contiguous in its strip and one kernel call sweeps a window's rows of
+/// a strip. A fine patch is a window into its grid's one table, not a
+/// table of its own.
 #[derive(Debug)]
 pub struct SteeringTables {
     spec: GridSpec,
@@ -229,54 +234,31 @@ pub struct SteeringTables {
     carrier_hz: f64,
     n_lanes: Vec<usize>,
     /// Lanes of the anchors before anchor `i` (its table offset in a
-    /// block, in units of `3 · block cells`); the last entry is the total.
+    /// strip, in units of `3 · strip cells`); the last entry is the total.
     lane_base: Vec<usize>,
     /// Fill markers, row-major over tiles; each tile is computed at most
     /// once.
     tiles: Vec<OnceLock<()>>,
-    /// Block storage, row-major over blocks: anchor `i`'s three tables
-    /// (`Δ`, carrier re/im, each `block cells · n_lanes[i]` long) from
-    /// offset `3 · block cells · lane_base[i]`, then each tile's `Δ`
-    /// range per anchor (`[min, max]` over its lanes, at
-    /// `3 · block cells · total lanes + 2 · (tile · anchors + i)`).
-    /// Empty until the block's first tile fills; tiles write under the
-    /// block's write lock, the kernel reads under its read lock.
-    blocks: Vec<RwLock<Vec<f64>>>,
-    /// Payload bytes of the tiles filled so far.
-    filled_bytes: AtomicUsize,
+    /// Each tile's `Δ` range per anchor (`[min, max]` over its lanes, as
+    /// `f64` bits at `2 · (i · tiles + tile)`): stored (`Relaxed`) by the
+    /// tile's fill inside its marker's `get_or_init`, whose completion
+    /// releases them to every caller that then sees the marker set
+    /// (acquire), so a reader past [`SteeringTables::fill`] reads them
+    /// without a lock.
+    ranges: Vec<AtomicU64>,
+    /// Strip storage, one per `STRIP_H` rows: anchor `i`'s three tables (`Δ`,
+    /// carrier re/im, each `strip cells · n_lanes[i]` long) from offset
+    /// `3 · strip cells · lane_base[i]`. Empty until the strip's first
+    /// tile fills; tiles write under the strip's write lock, the kernel
+    /// reads under its read lock.
+    strips: Vec<RwLock<Vec<f64>>>,
+    /// Bytes of the strips allocated so far.
+    allocated_bytes: AtomicUsize,
 }
 
-/// A storage block's extent in the grid — ragged at the grid's last block
-/// column and row.
-#[derive(Debug, Clone, Copy)]
-struct BlockShape {
-    /// First column.
-    x0: usize,
-    /// First row.
-    y0: usize,
-    /// Columns (the block's row stride).
-    nx: usize,
-    /// Rows.
-    ny: usize,
-}
-
-impl BlockShape {
-    fn cells(&self) -> usize {
-        self.nx * self.ny
-    }
-
-    /// The block-local index of grid cell `(ix, iy)`.
-    fn cell(&self, ix: usize, iy: usize) -> usize {
-        (iy - self.y0) * self.nx + ix - self.x0
-    }
-}
-
-/// Tables per anchor in a storage block: `Δ` and the carrier's real and
+/// Tables per anchor in a strip: `Δ` and the carrier's real and
 /// imaginary parts.
 const TABLES_PER_ANCHOR: usize = 3;
-
-/// Fill tiles per storage block.
-const TILES_PER_BLOCK: usize = (BLOCK_W / TILE_W) * (BLOCK_H / TILE_H);
 
 impl SteeringTables {
     /// Tables for this (grid, deployment, carrier) with no tile filled
@@ -295,7 +277,6 @@ impl SteeringTables {
             }))
             .collect();
         let n_tiles = spec.ny.div_ceil(TILE_H) * spec.nx.div_ceil(TILE_W);
-        let n_blocks = spec.ny.div_ceil(BLOCK_H) * spec.nx.div_ceil(BLOCK_W);
         Self {
             spec,
             antennas: anchors.iter().map(|a| a.antennas()).collect(),
@@ -308,8 +289,13 @@ impl SteeringTables {
             n_lanes,
             lane_base,
             tiles: (0..n_tiles).map(|_| OnceLock::new()).collect(),
-            blocks: (0..n_blocks).map(|_| RwLock::new(Vec::new())).collect(),
-            filled_bytes: AtomicUsize::new(0),
+            ranges: (0..2 * n_tiles * anchors.len())
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+            strips: (0..spec.ny.div_ceil(STRIP_H))
+                .map(|_| RwLock::new(Vec::new()))
+                .collect(),
+            allocated_bytes: AtomicUsize::new(0),
         }
     }
 
@@ -325,6 +311,18 @@ impl SteeringTables {
         tables
     }
 
+    /// The tile columns and rows `window` touches.
+    fn tile_span(window: &GridPatch) -> [std::ops::RangeInclusive<usize>; 2] {
+        let (x1, y1) = (
+            window.x0 + window.spec.nx - 1,
+            window.y0 + window.spec.ny - 1,
+        );
+        [
+            window.x0 / TILE_W..=x1 / TILE_W,
+            window.y0 / TILE_H..=y1 / TILE_H,
+        ]
+    }
+
     /// Fills every tile `window` (a window of [`SteeringTables::spec`])
     /// touches and returns how many this call computed. Each tile is
     /// computed exactly once: a concurrent caller reaching a tile another
@@ -334,9 +332,10 @@ impl SteeringTables {
             return 0;
         }
         let tiles_x = self.spec.nx.div_ceil(TILE_W);
+        let [txs, tys] = Self::tile_span(window);
         let mut computed = 0;
-        for ty in window.y0 / TILE_H..=(window.y0 + window.spec.ny - 1) / TILE_H {
-            for tx in window.x0 / TILE_W..=(window.x0 + window.spec.nx - 1) / TILE_W {
+        for ty in tys {
+            for tx in txs.clone() {
                 self.tiles[ty * tiles_x + tx].get_or_init(|| {
                     computed += 1;
                     self.compute_tile(tx, ty);
@@ -346,63 +345,53 @@ impl SteeringTables {
         computed
     }
 
-    /// The block holding grid cell `(ix, iy)`: its index into `blocks`
-    /// and its shape.
-    fn block(&self, ix: usize, iy: usize) -> (usize, BlockShape) {
-        let (bx, by) = (ix / BLOCK_W, iy / BLOCK_H);
-        let (x0, y0) = (bx * BLOCK_W, by * BLOCK_H);
-        let shape = BlockShape {
-            x0,
-            y0,
-            nx: BLOCK_W.min(self.spec.nx - x0),
-            ny: BLOCK_H.min(self.spec.ny - y0),
-        };
-        (by * self.spec.nx.div_ceil(BLOCK_W) + bx, shape)
-    }
-
-    /// The slot of fill tile `(tx, ty)` among its block's tiles.
-    fn tile_in_block(&self, tx: usize, ty: usize) -> usize {
-        (ty % (BLOCK_H / TILE_H)) * (BLOCK_W / TILE_W) + tx % (BLOCK_W / TILE_W)
+    /// Grid cells in strip `s` (ragged at the grid's last strip).
+    fn strip_cells(&self, s: usize) -> usize {
+        STRIP_H.min(self.spec.ny - s * STRIP_H) * self.spec.nx
     }
 
     /// The one place that pays the per-cell distance arithmetic and
-    /// carrier phasors: tile `(tx, ty)`, written into its block under the
-    /// block's write lock.
+    /// carrier phasors: tile `(tx, ty)`, written into its strip under the
+    /// strip's write lock.
     fn compute_tile(&self, tx: usize, ty: usize) {
         let spec = self.spec;
         let (x0, y0) = (tx * TILE_W, ty * TILE_H);
         let (x1, y1) = ((x0 + TILE_W).min(spec.nx), (y0 + TILE_H).min(spec.ny));
-        let (b, shape) = self.block(x0, y0);
-        let block_cells = shape.cells();
+        let (s, strip_y0) = (y0 / STRIP_H, y0 / STRIP_H * STRIP_H);
+        let strip_cells = self.strip_cells(s);
         let total_lanes = self.lane_base.last().copied().unwrap_or(0);
         let phase_per_m = std::f64::consts::TAU / SPEED_OF_LIGHT * self.carrier_hz;
         // A fill that panicked left only its own tile's cells half
         // written, and that tile stays unfilled, so recovering is sound.
-        let mut block = self.blocks[b].write().unwrap_or_else(|e| e.into_inner());
-        let tables_len = TABLES_PER_ANCHOR * block_cells * total_lanes;
-        if block.is_empty() {
-            *block = vec![0.0; tables_len + 2 * TILES_PER_BLOCK * self.antennas.len()];
+        let mut strip = self.strips[s].write().unwrap_or_else(|e| e.into_inner());
+        if strip.is_empty() {
+            *strip = vec![0.0; TABLES_PER_ANCHOR * strip_cells * total_lanes];
+            let bytes = strip.len() * std::mem::size_of::<f64>();
+            self.allocated_bytes.fetch_add(bytes, Ordering::Relaxed);
         }
-        let (mut rest, ranges) = block.split_at_mut(tables_len);
-        let tile = self.tile_in_block(tx, ty);
+        let mut rest = &mut strip[..];
+        let tile = ty * spec.nx.div_ceil(TILE_W) + tx;
         for (i, positions) in self.antennas.iter().enumerate() {
             let nl = self.n_lanes[i];
-            let len = block_cells * nl;
+            let len = strip_cells * nl;
             let (tables, tail) = rest.split_at_mut(TABLES_PER_ANCHOR * len);
             rest = tail;
             let (delta, tables) = tables.split_at_mut(len);
             let (carrier_re, carrier_im) = tables.split_at_mut(len);
+            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
             for iy in y0..y1 {
                 for ix in x0..x1 {
-                    let cell = shape.cell(ix, iy);
+                    let lane0 = ((iy - strip_y0) * spec.nx + ix) * nl;
                     for (j, d) in self.deltas_at(i, ix, iy).enumerate() {
-                        let k = cell * nl + j;
                         let c = C64::cis(phase_per_m * d);
-                        (delta[k], carrier_re[k], carrier_im[k]) = (d, c.re, c.im);
+                        (
+                            delta[lane0 + j],
+                            carrier_re[lane0 + j],
+                            carrier_im[lane0 + j],
+                        ) = (d, c.re, c.im);
                     }
                     // Padding lanes copy antenna 0 (a lane with no
                     // antenna at all keeps Δ = 0 and the unit carrier).
-                    let lane0 = cell * nl;
                     for k in lane0 + positions.len()..lane0 + nl {
                         (delta[k], carrier_re[k], carrier_im[k]) = if positions.is_empty() {
                             (0.0, 1.0, 0.0)
@@ -410,21 +399,15 @@ impl SteeringTables {
                             (delta[lane0], carrier_re[lane0], carrier_im[lane0])
                         };
                     }
+                    for &d in &delta[lane0..lane0 + nl] {
+                        (lo, hi) = (lo.min(d), hi.max(d));
+                    }
                 }
             }
-            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for iy in y0..y1 {
-                let first = shape.cell(x0, iy) * nl;
-                for &d in &delta[first..first + (x1 - x0) * nl] {
-                    (lo, hi) = (lo.min(d), hi.max(d));
-                }
-            }
-            let at = 2 * (tile * self.antennas.len() + i);
-            (ranges[at], ranges[at + 1]) = (lo, hi);
+            let at = 2 * (i * self.tiles.len() + tile);
+            self.ranges[at].store(lo.to_bits(), Ordering::Relaxed);
+            self.ranges[at + 1].store(hi.to_bits(), Ordering::Relaxed);
         }
-        let bytes =
-            TABLES_PER_ANCHOR * (x1 - x0) * (y1 - y0) * total_lanes * std::mem::size_of::<f64>();
-        self.filled_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Eq. 14's relative distances `Δ_ij` of anchor `i` at grid cell
@@ -440,12 +423,12 @@ impl SteeringTables {
             .map(move |&p| x.dist(p) - d_00 - d_i0)
     }
 
-    /// Anchor `i`'s tables within the storage of a block of `cells`
+    /// Anchor `i`'s tables within the storage of a strip of `cells`
     /// cells.
-    fn lanes<'b>(&self, block: &'b [f64], cells: usize, i: usize) -> AnchorLanes<'b> {
+    fn lanes<'b>(&self, strip: &'b [f64], cells: usize, i: usize) -> AnchorLanes<'b> {
         let len = cells * self.n_lanes[i];
         let tables =
-            &block[TABLES_PER_ANCHOR * cells * self.lane_base[i]..][..TABLES_PER_ANCHOR * len];
+            &strip[TABLES_PER_ANCHOR * cells * self.lane_base[i]..][..TABLES_PER_ANCHOR * len];
         let (delta, rest) = tables.split_at(len);
         let (carrier_re, carrier_im) = rest.split_at(len);
         AnchorLanes {
@@ -460,12 +443,12 @@ impl SteeringTables {
         self.spec
     }
 
-    /// Approximate heap footprint of the tiles filled so far (the payload
-    /// vectors; headers and unfilled slots are noise next to them). It
-    /// grows as windows fill tiles and feeds the
+    /// Approximate heap footprint of the strips allocated so far (the
+    /// payload vectors; headers and unfilled slots are noise next to
+    /// them). It grows as windows reach new strips and feeds the
     /// `cache.steering.resident_bytes` gauge and the LRU byte budget.
     pub fn approx_bytes(&self) -> usize {
-        self.filled_bytes.load(Ordering::Relaxed)
+        self.allocated_bytes.load(Ordering::Relaxed)
     }
 
     /// The `Δ_ij` of one cell for anchor `i` (length = antennas of `i`,
@@ -477,49 +460,26 @@ impl SteeringTables {
         self.deltas_at(i, cell % nx, cell / nx).collect()
     }
 
-    /// Calls `f` with anchor `i`'s lanes and the block-local cell range
-    /// of every block segment of window row `r` (whose tiles are filled),
-    /// each under its block's read lock.
-    fn for_each_segment(
-        &self,
-        i: usize,
-        window: &GridPatch,
-        r: usize,
-        mut f: impl FnMut(&AnchorLanes<'_>, &BlockShape, usize, usize),
-    ) {
-        let iy = window.y0 + r;
-        let mut x = window.x0;
-        while x < window.x0 + window.spec.nx {
-            let (b, shape) = self.block(x, iy);
-            let n = (shape.x0 + shape.nx - x).min(window.x0 + window.spec.nx - x);
-            let block = self.blocks[b].read().unwrap_or_else(|e| e.into_inner());
-            f(&self.lanes(&block, shape.cells(), i), &shape, x, n);
-            x += n;
-        }
-    }
-
     /// The lattice of step `step_m` that brackets every `Δ` anchor `i`'s
     /// lanes take over `window`, whose tiles are filled: the union of the
     /// `Δ` ranges the fill recorded for each tile the window touches.
     fn lattice(&self, i: usize, window: &GridPatch, step_m: f64) -> Lattice {
         let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
         if !window.spec.is_empty() {
-            let (tx0, ty0) = (window.x0 / TILE_W, window.y0 / TILE_H);
-            let tx1 = (window.x0 + window.spec.nx - 1) / TILE_W;
-            let ty1 = (window.y0 + window.spec.ny - 1) / TILE_H;
-            let (per_x, per_y) = (BLOCK_W / TILE_W, BLOCK_H / TILE_H);
-            for by in ty0 / per_y..=ty1 / per_y {
-                for bx in tx0 / per_x..=tx1 / per_x {
-                    let (b, shape) = self.block(bx * BLOCK_W, by * BLOCK_H);
-                    let block = self.blocks[b].read().unwrap_or_else(|e| e.into_inner());
-                    let ranges = &block
-                        [TABLES_PER_ANCHOR * shape.cells() * self.lane_base[self.antennas.len()]..];
-                    for ty in (by * per_y).max(ty0)..=((by + 1) * per_y - 1).min(ty1) {
-                        for tx in (bx * per_x).max(tx0)..=((bx + 1) * per_x - 1).min(tx1) {
-                            let at = 2 * (self.tile_in_block(tx, ty) * self.antennas.len() + i);
-                            (lo, hi) = (lo.min(ranges[at]), hi.max(ranges[at + 1]));
-                        }
-                    }
+            let tiles_x = self.spec.nx.div_ceil(TILE_W);
+            let [txs, tys] = Self::tile_span(window);
+            let base = i * self.tiles.len() + txs.start();
+            for ty in tys {
+                let row = &self.ranges[2 * (base + ty * tiles_x)..][..2 * txs.clone().count()];
+                for range in row.chunks_exact(2) {
+                    let [min, max] =
+                        [&range[0], &range[1]].map(|b| f64::from_bits(b.load(Ordering::Relaxed)));
+                    // `Δ` is finite and never −0: `<` keeps the extremes
+                    // `f64::min` would, without its NaN handling.
+                    (lo, hi) = (
+                        if min < lo { min } else { lo },
+                        if max > hi { max } else { hi },
+                    );
                 }
             }
         }
@@ -530,11 +490,9 @@ impl SteeringTables {
     /// Evaluates anchor `i` over the rows of `window`, whose tiles are
     /// filled, for every sounding of a batch that shares these tables:
     /// `outs[t]` holds sounding `t`'s window map, read from its
-    /// profile `profiles[t]` over `lattice`. Each block the rows cross is
-    /// read under its read lock: one sweep-kernel call for all its rows
-    /// when the window spans the block's width, else one per row segment,
-    /// each at its block-local `first_cell`.
-    #[allow(clippy::too_many_arguments)]
+    /// profile `profiles[t]` over `lattice`. One sweep-kernel call per
+    /// strip the window crosses, under the strip's read lock, writes the
+    /// window's rows of that strip straight into the maps.
     fn sweep_rows(
         &self,
         profiles: &[&[f64]],
@@ -544,55 +502,38 @@ impl SteeringTables {
         window: &GridPatch,
         outs: &mut [&mut [f64]],
     ) {
-        let nx = window.spec.nx.max(1);
-        let rows = outs.first().map_or(0, |o| o.len()) / nx;
+        if window.spec.is_empty() {
+            return;
+        }
+        let (nx, width) = (self.spec.nx, window.spec.nx);
         let n_tags = outs.len();
-        let mut r = 0;
-        while r < rows {
-            let iy = window.y0 + r;
-            let group = (BLOCK_H - iy % BLOCK_H).min(rows - r);
-            self.for_each_segment(i, window, r, |lanes, shape, x, n| {
-                let tags: [CellSweep<'_>; MAX_TAGS] = std::array::from_fn(|t| CellSweep {
-                    delta: lanes.delta,
-                    carrier_re: lanes.carrier_re,
-                    carrier_im: lanes.carrier_im,
-                    n_lanes: self.n_lanes[i],
-                    lattice,
-                    profile: profiles[t.min(n_tags - 1)],
-                });
-                let tags = &tags[..n_tags];
-                let at = |k: usize| (r + k) * nx + x - window.x0;
-                if n == shape.nx && group > 1 {
-                    // The group's rows are contiguous in the block.
-                    let mut cells = [[0.0; BLOCK_W * BLOCK_H]; MAX_TAGS];
-                    let mut views: [&mut [f64]; MAX_TAGS] = Default::default();
-                    for (view, c) in views.iter_mut().zip(&mut cells) {
-                        *view = &mut c[..group * n];
-                    }
-                    let first = shape.cell(x, iy);
-                    sweep::write_profile_cells_batch(tags, combine, first, &mut views[..n_tags]);
-                    for (out, c) in outs.iter_mut().zip(&cells) {
-                        for (k, row) in c[..group * n].chunks_exact(n).enumerate() {
-                            out[at(k)..at(k) + n].copy_from_slice(row);
-                        }
-                    }
-                } else {
-                    for k in 0..group {
-                        let first = shape.cell(x, iy + k);
-                        let mut views: [&mut [f64]; MAX_TAGS] = Default::default();
-                        for (view, out) in views.iter_mut().zip(outs.iter_mut()) {
-                            *view = &mut out[at(k)..at(k) + n];
-                        }
-                        sweep::write_profile_cells_batch(
-                            tags,
-                            combine,
-                            first,
-                            &mut views[..n_tags],
-                        );
-                    }
-                }
+        let y1 = window.y0 + window.spec.ny;
+        for s in window.y0 / STRIP_H..=(y1 - 1) / STRIP_H {
+            let y0 = s * STRIP_H;
+            let (r0, r1) = (
+                y0.max(window.y0) - window.y0,
+                (y0 + STRIP_H).min(y1) - window.y0,
+            );
+            let strip = self.strips[s].read().unwrap_or_else(|e| e.into_inner());
+            let lanes = self.lanes(&strip, self.strip_cells(s), i);
+            let tags: [CellSweep<'_>; MAX_TAGS] = std::array::from_fn(|t| CellSweep {
+                delta: lanes.delta,
+                carrier_re: lanes.carrier_re,
+                carrier_im: lanes.carrier_im,
+                n_lanes: self.n_lanes[i],
+                lattice,
+                profile: profiles[t.min(n_tags - 1)],
             });
-            r += group;
+            let rows = CellRows {
+                first_cell: (window.y0 + r0 - y0) * nx + window.x0,
+                width,
+                stride: nx,
+            };
+            let mut views: [&mut [f64]; MAX_TAGS] = Default::default();
+            for (view, out) in views.iter_mut().zip(outs.iter_mut()) {
+                *view = &mut out[r0 * width..r1 * width];
+            }
+            sweep::write_profile_cells_batch(&tags[..n_tags], combine, rows, &mut views[..n_tags]);
         }
     }
 }
@@ -878,37 +819,37 @@ impl SteeringCache {
     }
 }
 
-/// Anchor `i`'s raw Eq. 17 maps over `window` of `tables`' grid, one per
-/// sounding of a batch of 1 ..= [`sweep::MAX_TAGS`] that share the tables
-/// and band set (panics on any other batch). It brackets the window's `Δ`
-/// with a [`Lattice`], builds every sounding's profile over it
-/// ([`sweep::build_profiles`] — the phasor matrix is a rotation
-/// recurrence along `Δ`, shared by the batch), then sweeps the window's
-/// rows ([`sweep::write_profile_cells_batch`]): one Hermite lookup per
-/// (cell, antenna) and one complex multiply by the cached carrier. Each
-/// cell's value is the parent grid's value at that cell for that
-/// sounding alone, bit for bit. The row sweep is one `par.likelihood`
-/// region of one shard.
+/// Anchor `i`'s raw Eq. 17 maps over `window` of `tables`' grid (whose
+/// tiles are filled) into `maps`, one per sounding of a batch of
+/// 1 ..= [`sweep::MAX_TAGS`] that share the tables and band set (panics
+/// on any other batch), and returns the profile rows × lanes it built. It
+/// brackets the window's `Δ` with a [`Lattice`], builds every sounding's
+/// profile over it ([`sweep::build_profiles`] — the phasor matrix is a
+/// rotation recurrence along `Δ`, shared by the batch), then sweeps the
+/// window's rows ([`sweep::write_profile_cells_batch`]): one Hermite
+/// lookup per (cell, antenna) and one complex multiply by the cached
+/// carrier. Each cell's value is the parent grid's value at that cell for
+/// that sounding alone, bit for bit. The row sweep is one
+/// `par.likelihood` region of one shard.
 fn sweep_anchor(
     soas: &[&SoaChannels],
     tables: &SteeringTables,
-    window: GridPatch,
+    window: &GridPatch,
     i: usize,
     combining: AntennaCombining,
-) -> Vec<Grid2D> {
+    maps: &mut [Grid2D],
+) -> usize {
     let n_tags = soas.len();
     assert!(
-        (1..=MAX_TAGS).contains(&n_tags),
-        "a kernel batch holds 1..={MAX_TAGS} soundings"
+        (1..=MAX_TAGS).contains(&n_tags) && maps.len() == n_tags,
+        "a kernel batch holds 1..={MAX_TAGS} soundings, one map each"
     );
-    let mut maps: Vec<Grid2D> = (0..n_tags).map(|_| Grid2D::zeros(window.spec)).collect();
-    tables.fill(&window);
     let plan = &soas[0].plan;
     assert!(
         soas.iter().all(|soa| &soa.plan == plan),
         "a kernel batch shares one band set"
     );
-    let lattice = tables.lattice(i, &window, plan.step_m);
+    let lattice = tables.lattice(i, window, plan.step_m);
     let len = lattice.profile_len(tables.n_lanes[i]);
     let mut buffer = PROFILES.take();
     buffer.resize(n_tags * len, 0.0);
@@ -925,7 +866,7 @@ fn sweep_anchor(
     }
     let profiles = &profiles[..n_tags];
     let mut outs: [&mut [f64]; MAX_TAGS] = Default::default();
-    for (out, map) in outs.iter_mut().zip(&mut maps) {
+    for (out, map) in outs.iter_mut().zip(maps.iter_mut()) {
         *out = map.data_mut();
     }
     let combine = combine_of(combining);
@@ -935,10 +876,10 @@ fn sweep_anchor(
         &mut outs[..n_tags],
         n_tags,
         1,
-        |_, outs| tables.sweep_rows(profiles, lattice, i, combine, &window, outs),
+        |_, outs| tables.sweep_rows(profiles, lattice, i, combine, window, outs),
     );
     PROFILES.set(buffer);
-    maps
+    n_tags * len / 4
 }
 
 thread_local! {
@@ -1015,16 +956,16 @@ impl LikelihoodEngine {
         let window = GridPatch::whole(spec);
         let soa = self.soa_for(corrected);
         let tables = self.tables_for(corrected, &soa, spec, &window);
-        let map = sweep_anchor(&[&soa], &tables, window, i, combining);
+        let mut map = [Grid2D::zeros(spec)];
+        let rows = sweep_anchor(&[&soa], &tables, &window, i, combining, &mut map);
         self.release_soas([soa]);
-        bloc_obs::counter("engine.cells_evaluated").add(spec.len() as u64);
-        map.into_iter()
-            .next()
-            .unwrap_or_else(|| Grid2D::zeros(spec))
+        count_work(&window, 1, rows);
+        let [map] = map;
+        map
     }
 
     /// The steering lookup for `corrected`'s deployment and comb, which
-    /// fills `window`'s tiles.
+    /// fills `window`'s tiles: the one fill check of a window.
     fn tables_for(
         &self,
         corrected: &CorrectedChannels,
@@ -1051,8 +992,9 @@ impl LikelihoodEngine {
     /// index and weights are computed once for the group; a sounding that matches no
     /// other runs in a group of its own. Grouping never changes a bit:
     /// each sounding's maps and joint equal a call of its own. Each
-    /// group's anchor passes run inside `par.likelihood` regions, and
-    /// `engine.cells_evaluated` counts every sounding's cells.
+    /// group's anchor passes run inside `par.likelihood` regions,
+    /// `engine.cells_evaluated` counts every sounding's cells and
+    /// `engine.profile_rows` every profile row × lane built.
     pub fn likelihood_batch(
         &self,
         corrected: &[&CorrectedChannels],
@@ -1085,6 +1027,9 @@ impl LikelihoodEngine {
             keys[a] == keys[b] && soas[a].plan == soas[b].plan && alive[a] == alive[b]
         };
         let mut grouped = vec![false; n];
+        // Each pass's maps; kept across passes unless they are returned.
+        let mut buffer: Vec<Grid2D> = Vec::new();
+        let mut profile_rows = 0;
         for lead in 0..n {
             if grouped[lead] {
                 continue;
@@ -1106,18 +1051,26 @@ impl LikelihoodEngine {
             let group_soas: [&SoaChannels; MAX_TAGS] =
                 std::array::from_fn(|t| &soas[group[t.min(size - 1)]]);
             for &i in &alive[lead] {
-                let group_maps = sweep_anchor(&group_soas[..size], &tables, *window, i, combining);
-                for (&k, map) in group.iter().zip(group_maps) {
-                    joints[k].add(i, &map);
-                    if keep_maps {
+                buffer.resize_with(size, || Grid2D::zeros(window.spec));
+                profile_rows += sweep_anchor(
+                    &group_soas[..size],
+                    &tables,
+                    window,
+                    i,
+                    combining,
+                    &mut buffer,
+                );
+                for (&k, map) in group.iter().zip(&buffer) {
+                    joints[k].add(i, map);
+                }
+                if keep_maps {
+                    for (&k, map) in group.iter().zip(buffer.drain(..)) {
                         maps[k].push((i, map));
                     }
                 }
             }
         }
-        for alive in &alive {
-            count_cells(window, alive.len());
-        }
+        count_work(window, alive.iter().map(Vec::len).sum(), profile_rows);
         self.release_soas(soas);
         joints
             .into_iter()
@@ -1166,9 +1119,12 @@ impl LikelihoodEngine {
 }
 
 /// One kernel pass per alive anchor over the window: the unit every
-/// dense-vs-hierarchical reduction gate and per-round soak report counts.
-fn count_cells(window: &GridPatch, alive: usize) {
-    bloc_obs::counter("engine.cells_evaluated").add((window.spec.len() * alive) as u64);
+/// dense-vs-hierarchical reduction gate and per-round soak report counts
+/// (`passes` summed over a batch's soundings); and the profile rows ×
+/// lanes those passes built.
+fn count_work(window: &GridPatch, passes: usize, profile_rows: usize) {
+    bloc_obs::counter("engine.cells_evaluated").add((window.spec.len() * passes) as u64);
+    bloc_obs::counter("engine.profile_rows").add(profile_rows as u64);
 }
 
 #[cfg(test)]
@@ -1296,11 +1252,10 @@ mod tests {
     /// Anchor `i`'s lanes at parent cell `(ix, iy)`: `Δ` and carrier
     /// phasors, padding lanes included.
     fn lanes(t: &SteeringTables, i: usize, ix: usize, iy: usize) -> (Vec<f64>, Vec<C64>) {
-        let (b, shape) = t.block(ix, iy);
-        let block = t.blocks[b].read().unwrap();
-        let a = t.lanes(&block, shape.cells(), i);
+        let strip = t.strips[iy / STRIP_H].read().unwrap();
+        let a = t.lanes(&strip, t.strip_cells(iy / STRIP_H), i);
         let nl = t.n_lanes[i];
-        let cell = shape.cell(ix, iy);
+        let cell = (iy % STRIP_H) * t.spec.nx + ix;
         let r = cell * nl..(cell + 1) * nl;
         let carrier = r
             .clone()
@@ -1358,11 +1313,7 @@ mod tests {
             nx: 442,
             ny: 137,
         };
-        assert!(
-            !spec.nx.is_multiple_of(TILE_W)
-                && !spec.nx.is_multiple_of(BLOCK_W)
-                && !spec.ny.is_multiple_of(BLOCK_H)
-        );
+        assert!(!spec.nx.is_multiple_of(TILE_W) && !spec.ny.is_multiple_of(STRIP_H));
         let anchors = vec![
             AnchorArray::centered(0, P2::new(17.0, -0.4), P2::new(1.0, 0.0), 3),
             AnchorArray::centered(1, P2::new(-0.4, 5.0), P2::new(0.0, 1.0), 4),
@@ -1392,6 +1343,12 @@ mod tests {
         filled += lazy.fill(&GridPatch::whole(spec));
         assert_eq!(filled, lazy.tiles.len(), "every tile computed exactly once");
         assert_eq!(lazy.approx_bytes(), whole.approx_bytes());
+        // The lattice reads the tiles' Δ ranges: they too are the whole
+        // build's.
+        let range_bits = |t: &SteeringTables| -> Vec<u64> {
+            t.ranges.iter().map(|r| r.load(Ordering::Relaxed)).collect()
+        };
+        assert_eq!(range_bits(&lazy), range_bits(&whole));
         for iy in 0..spec.ny {
             for ix in 0..spec.nx {
                 for i in 0..anchors.len() {

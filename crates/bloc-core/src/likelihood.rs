@@ -264,12 +264,7 @@ impl WeightedJoint {
             "grid specs must match to combine"
         );
         let w = self.weights[i];
-        // `Grid2D::argmax`'s value: the largest cell by `>`, NaNs never
-        // winning, −∞ when nothing beats it.
-        let peak = map
-            .data()
-            .iter()
-            .fold(f64::NEG_INFINITY, |m, &v| if v > m { v } else { m });
+        let peak = peak(map.data());
         let cells = self.joint.data_mut().iter_mut().zip(map.data());
         if peak > 0.0 {
             let inv = 1.0 / peak;
@@ -285,6 +280,30 @@ impl WeightedJoint {
 
     pub(crate) fn finish(self) -> Grid2D {
         self.joint
+    }
+}
+
+/// `Grid2D::argmax`'s value: the serial fold that keeps the first cell
+/// beating everything before it by `>` — NaNs never winning, −∞ when
+/// nothing beats it — run as eight independent folds and a fold of
+/// theirs. The largest value does not depend on the order; only equal
+/// values of other bits could, and those are ±0, where the serial fold
+/// keeps the first zero.
+fn peak(values: &[f64]) -> f64 {
+    let fold = |m: f64, v: f64| if v > m { v } else { m };
+    let mut lanes = [f64::NEG_INFINITY; 8];
+    let chunks = values.chunks_exact(8);
+    for (m, &v) in lanes.iter_mut().zip(chunks.remainder()) {
+        *m = fold(*m, v);
+    }
+    for chunk in chunks {
+        for (m, &v) in lanes.iter_mut().zip(chunk) {
+            *m = fold(*m, v);
+        }
+    }
+    match lanes.into_iter().fold(f64::NEG_INFINITY, fold) {
+        0.0 => values.iter().copied().find(|&v| v == 0.0).unwrap_or(0.0),
+        peak => peak,
     }
 }
 
@@ -358,6 +377,44 @@ mod tests {
         );
         let mut rng = StdRng::seed_from_u64(seed);
         correct(&sounder.sound(tag, &all_data_channels(), &mut rng), true).unwrap()
+    }
+
+    #[test]
+    fn peak_equals_the_serial_fold_bit_for_bit() {
+        let serial = |v: &[f64]| {
+            v.iter()
+                .fold(f64::NEG_INFINITY, |m, &x| if x > m { x } else { m })
+        };
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let mut maps: Vec<Vec<f64>> = vec![
+            vec![],
+            vec![nan; 13],
+            vec![-inf; 9],
+            // NaN cells around the peak, in every lane and the tail.
+            (0..37)
+                .map(|k| if k % 3 == 0 { nan } else { (k as f64).sin() })
+                .collect(),
+            // No positive cell.
+            (0..29).map(|k| -1.0 - (k as f64).cos().abs()).collect(),
+            (0..20)
+                .map(|k| if k % 2 == 0 { -2.0 } else { nan })
+                .collect(),
+        ];
+        // Mixed ±0 as the peak, the first zero in a later lane or in the
+        // tail, and a positive peak beside zeros.
+        for first in [0, 3, 8, 11, 17] {
+            let mut v: Vec<f64> = (0..19)
+                .map(|k| if k % 2 == 0 { -0.0 } else { 0.0 })
+                .collect();
+            v[..first].fill(-1.0);
+            maps.push(v.clone());
+            maps.push(v.iter().map(|x| -x).collect());
+            v[first] = 0.5;
+            maps.push(v);
+        }
+        for map in &maps {
+            assert_eq!(peak(map).to_bits(), serial(map).to_bits(), "{map:?}");
+        }
     }
 
     #[test]

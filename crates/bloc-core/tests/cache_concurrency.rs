@@ -184,8 +184,8 @@ fn concurrent_window_fills_compute_each_tile_once() {
     );
 
     // The same windows filled one after another compute each tile of
-    // their union exactly once; the racing fill must have computed
-    // exactly as many bytes — a tile computed twice would count twice.
+    // their union exactly once; the racing fill must have allocated
+    // exactly the storage strips the serial fill did.
     let serial_fill = SteeringTables::empty(spec, &anchors, &master, carrier_hz);
     let tiles: usize = windows.iter().map(|w| serial_fill.fill(w)).sum();
     assert!(tiles > 0);
@@ -232,7 +232,7 @@ fn racing_window_fills_feed_the_kernel_the_whole_build_bits() {
     )
     .expect("sounding must correct");
     let combining = AntennaCombining::Hybrid;
-    // Overlapping patch windows sharing tiles and storage blocks, as
+    // Overlapping patch windows sharing tiles and storage strips, as
     // four tags tracked side by side would ask for them.
     let windows: Vec<_> = [(1.8, 2.6), (2.3, 2.9), (2.0, 3.4), (2.6, 3.1)]
         .iter()

@@ -164,6 +164,9 @@ fn fused_fix_refuses_before_sweeping() {
 /// 4-antenna anchors at the wall midpoints) charges exactly its 75×88
 /// grid cells once per anchor: 26,400 `engine.cells_evaluated`. A search
 /// that sweeps a cell twice, or a sweep that stops counting, fails here.
+/// Its four lattices hold 3,776 profile rows × lanes
+/// (`engine.profile_rows`): a lattice that widened, or a profile built
+/// twice, fails here too.
 #[test]
 fn dense_paper_room_fix_charges_26400_cells() {
     let _guard = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
@@ -178,9 +181,40 @@ fn dense_paper_room_fix_charges_26400_cells() {
     let data = sounder.sound(P2::new(2.1, 3.2), &all_data_channels(), &mut rng);
 
     let before = counter("engine.cells_evaluated");
+    let rows_before = counter("engine.profile_rows");
     let est = localizer.localize(&data).expect("clean fix");
     assert!(est.degradation.anchors_excluded.is_empty());
     assert_eq!(counter("engine.cells_evaluated") - before, 26_400);
+    assert_eq!(counter("engine.profile_rows") - rows_before, 3_776);
+}
+
+/// A seeded hierarchical fix in the paper room (the fixture
+/// `each_fix_records_exactly_the_names_that_are_read` runs) sweeps one
+/// 33×33 patch per anchor — 4,356 cells — over lattices of 2,016 profile
+/// rows × lanes: the patch's own `Δ` range, not the grid's.
+#[test]
+fn seeded_fix_builds_only_its_patch_lattices() {
+    let _guard = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    let room = Room::new(5.0, 6.0);
+    let env = Environment::free_space();
+    let anchors = anchors(&room);
+    let sounder = Sounder::new(&env, &anchors, SounderConfig::default());
+    let tag = P2::new(2.1, 3.2);
+    let mut rng = StdRng::seed_from_u64(61);
+    let data = sounder.sound(tag, &all_data_channels(), &mut rng);
+    let hier = HierarchicalLocalizer::new(
+        BlocLocalizer::new(BlocConfig::for_room(&room)),
+        HierarchicalConfig::default(),
+    );
+
+    let (cells, rows) = (
+        counter("engine.cells_evaluated"),
+        counter("engine.profile_rows"),
+    );
+    let h = hier.localize_seeded(&data, tag, 0.5).expect("seeded fix");
+    assert_eq!((h.escape, h.seeded), (None, true));
+    assert_eq!(counter("engine.cells_evaluated") - cells, 4_356);
+    assert_eq!(counter("engine.profile_rows") - rows, 2_016);
 }
 
 /// A dense fix sweeps each alive anchor once, inside one
@@ -349,6 +383,7 @@ fn each_fix_records_exactly_the_names_that_are_read() {
         &[
             "cache.steering.misses",
             "engine.cells_evaluated",
+            "engine.profile_rows",
             "localize.calls",
         ],
         &[
@@ -373,6 +408,7 @@ fn each_fix_records_exactly_the_names_that_are_read() {
         &[
             "cache.steering.misses",
             "engine.cells_evaluated",
+            "engine.profile_rows",
             "hier.localize.seeded",
         ],
         &[
@@ -426,6 +462,7 @@ fn each_fix_records_exactly_the_names_that_are_read() {
         &[
             "cache.steering.misses",
             "engine.cells_evaluated",
+            "engine.profile_rows",
             "fallback.counts.localizations",
             "fallback.knn.queries",
             "fallback.refined_fixes",

@@ -418,6 +418,25 @@ fn freq_comb_and_band_plan_share_one_comb_implementation() {
     assert_eq!(replanned.gaps, via_engine.gaps);
 }
 
+/// The window of `nx`×`ny` cells at parent cell `(x0, y0)` of `parent`,
+/// laid out as [`GridSpec::patch`] lays its patches out.
+fn window(parent: GridSpec, x0: usize, y0: usize, nx: usize, ny: usize) -> GridPatch {
+    assert!(x0 + nx <= parent.nx && y0 + ny <= parent.ny);
+    GridPatch {
+        spec: GridSpec {
+            origin: P2::new(
+                parent.origin.x + x0 as f64 * parent.resolution,
+                parent.origin.y + y0 as f64 * parent.resolution,
+            ),
+            nx,
+            ny,
+            ..parent
+        },
+        x0,
+        y0,
+    }
+}
+
 #[test]
 fn patch_windows_equal_the_dense_map_cell_for_cell() {
     // Hierarchical patches are windows into the fine grid: every window
@@ -428,6 +447,7 @@ fn patch_windows_equal_the_dense_map_cell_for_cell() {
     let room = Room::new(5.0, 6.0);
     let config = BlocConfig::for_room(&room);
     let fine = config.grid;
+    let (nx, ny) = (fine.nx, fine.ny);
     let hier =
         HierarchicalLocalizer::new(BlocLocalizer::new(config), HierarchicalConfig::default());
     let seeded_margin = config.score.entropy_radius_m
@@ -438,6 +458,19 @@ fn patch_windows_equal_the_dense_map_cell_for_cell() {
             "refine",
             fine.patch(P2::new(1.3, 1.8), hier.refine_half_extent_m()),
         ),
+        ("last column", window(fine, nx - 1, 0, 1, ny)),
+        ("last row", window(fine, 0, ny - 1, nx, 1)),
+        ("last corner", window(fine, nx - 9, ny - 6, 9, 6)),
+        ("one cell", window(fine, 37, 41, 1, 1)),
+        ("odd width", window(fine, 5, 12, 13, 9)),
+        ("odd width, odd start", window(fine, 22, 3, 31, 4)),
+        // Rows 1..=2, 7..=8 and 15..=16 straddle the boundaries of
+        // strips of any height that divides 16.
+        ("strip boundary", window(fine, 10, 1, 17, 2)),
+        ("strip boundary, 8", window(fine, 3, 7, 40, 2)),
+        ("strip boundary, 16", window(fine, 30, 15, 45, 2)),
+        // The corridor's coarse grid is 74×23 cells.
+        ("corridor-shaped", window(fine, 1, 30, 74, 23)),
     ];
     let shifted = patches
         .iter()
@@ -461,6 +494,96 @@ fn patch_windows_equal_the_dense_map_cell_for_cell() {
                 win == &full.extract(patch),
                 "{name} patch, anchor {i}: windowed map differs from the dense cells"
             );
+        }
+    }
+
+    // The same windows through the bare kernel on every vector level
+    // this host runs: the window's rows of the whole grid's tables, at
+    // the grid's row stride and over the window's own lattice, equal the
+    // dense sweep's cells on that level.
+    use bloc_num::sweep::{
+        self, CellRows, CellSweep, Combine, Lattice, ProfilePlan, ProfileWeights,
+    };
+    let freqs: Vec<f64> = corrected.bands.iter().map(|b| b.freq_hz).collect();
+    let plan = ProfilePlan::build(&freqs);
+    let geometry = bloc_core::engine::SteeringTables::empty(
+        fine,
+        &corrected.anchors,
+        &corrected.master_anchor_dist,
+        plan.carrier_hz,
+    );
+    let phase_per_m = std::f64::consts::TAU / 299_792_458.0 * plan.carrier_hz;
+    for i in 0..corrected.n_anchors() {
+        let nl = corrected.anchors[i].n_antennas.div_ceil(4) * 4;
+        let [mut delta, mut cre, mut cim] = [0.0, 1.0, 0.0].map(|v| vec![v; fine.len() * nl]);
+        for cell in 0..fine.len() {
+            let ds = geometry.cell_deltas(i, cell);
+            for j in 0..nl {
+                let d = ds[j.min(ds.len() - 1)];
+                let c = bloc_num::C64::cis(phase_per_m * d);
+                (delta[cell * nl + j], cre[cell * nl + j], cim[cell * nl + j]) = (d, c.re, c.im);
+            }
+        }
+        let (mut alpha_re, mut alpha_im) =
+            (vec![0.0; freqs.len() * nl], vec![0.0; freqs.len() * nl]);
+        for (k, band) in corrected.bands.iter().enumerate() {
+            for (j, a) in band.alpha[i].iter().enumerate() {
+                (alpha_re[k * nl + j], alpha_im[k * nl + j]) = (a.re, a.im);
+            }
+        }
+        let weights = ProfileWeights {
+            alpha_re: &alpha_re,
+            alpha_im: &alpha_im,
+            n_lanes: nl,
+        };
+        // Anchor `i`'s map over `patch` on `level`, from its own lattice.
+        let sweep_at = |level, patch: &GridPatch| {
+            let lattice = Lattice::covering(
+                plan.step_m,
+                (0..patch.spec.ny).flat_map(|r| {
+                    let first = (patch.y0 + r) * nx + patch.x0;
+                    delta[first * nl..(first + patch.spec.nx) * nl]
+                        .iter()
+                        .copied()
+                }),
+            );
+            let mut profile = vec![0.0; lattice.profile_len(nl)];
+            sweep::build_profiles_at(level, &plan, &lattice, &[weights], &mut [&mut profile]);
+            let tag = CellSweep {
+                delta: &delta,
+                carrier_re: &cre,
+                carrier_im: &cim,
+                n_lanes: nl,
+                lattice,
+                profile: &profile,
+            };
+            let rows = CellRows {
+                first_cell: patch.y0 * nx + patch.x0,
+                width: patch.spec.nx,
+                stride: nx,
+            };
+            let mut out = vec![0.0; patch.spec.len()];
+            sweep::write_profile_cells_batch_at(
+                level,
+                &[tag],
+                Combine::Hybrid,
+                rows,
+                &mut [&mut out],
+            );
+            out
+        };
+        for level in sweep::levels_to_test() {
+            let mut full = Grid2D::zeros(fine);
+            full.data_mut()
+                .copy_from_slice(&sweep_at(level, &GridPatch::whole(fine)));
+            for (name, patch) in &patches {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&sweep_at(level, patch)),
+                    bits(full.extract(patch).data()),
+                    "{name} window, anchor {i}, {level:?}"
+                );
+            }
         }
     }
 }

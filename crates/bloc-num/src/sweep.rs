@@ -618,6 +618,53 @@ fn cells_body<V: CellLanes, const T: usize>(
     }
 }
 
+/// The cells one cell-kernel call sweeps: rows of `width` cells, row `r`
+/// at table cells `first_cell + r·stride ..` and at output cells
+/// `r·width ..`. A window of a grid's tables is its rows at the grid's
+/// row stride; a contiguous run is one row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CellRows {
+    /// The table cell of row 0's first cell.
+    pub first_cell: usize,
+    /// Cells per row.
+    pub width: usize,
+    /// Table cells from one row's first cell to the next's (`≥ width`).
+    pub stride: usize,
+}
+
+impl CellRows {
+    /// One row of `n` cells from table cell `first_cell`.
+    pub fn run(first_cell: usize, n: usize) -> Self {
+        Self {
+            first_cell,
+            width: n,
+            stride: n,
+        }
+    }
+}
+
+/// The cell kernel over `rows` (as many as `outs[0]` holds): each row's
+/// whole `V` vectors, then its last cells on `W` — the one-cell level of
+/// the same body, or `V` itself when `V` holds one cell.
+#[inline(always)]
+fn rows_body<V: CellLanes, W: CellLanes, const T: usize>(
+    tags: &[CellSweep<'_>; T],
+    combine: Combine,
+    rows: CellRows,
+    outs: &mut [&mut [f64]; T],
+) {
+    let width = rows.width;
+    let whole = width - width % V::CELLS;
+    for r in 0..outs[0].len().checked_div(width).unwrap_or(0) {
+        // Output cell `k` of row `r` reads table cell `first + k`.
+        let (out0, first) = (r * width, rows.first_cell + r * (rows.stride - width));
+        cells_body::<V, T>(tags, combine, first, outs, out0..out0 + whole);
+        if whole < width {
+            cells_body::<W, T>(tags, combine, first, outs, out0 + whole..out0 + width);
+        }
+    }
+}
+
 /// The portable twins: on a CPU without FMA hardware each fused op is a
 /// correctly rounded libm `fma` call — slow, but bit-identical.
 fn profiles_scalar<const T: usize>(
@@ -633,11 +680,10 @@ fn profiles_scalar<const T: usize>(
 fn cells_scalar<const T: usize>(
     tags: &[CellSweep<'_>; T],
     combine: Combine,
-    first_cell: usize,
+    rows: CellRows,
     outs: &mut [&mut [f64]; T],
 ) {
-    let n = outs[0].len();
-    cells_body::<ScalarX4, T>(tags, combine, first_cell, outs, 0..n);
+    rows_body::<ScalarX4, ScalarX4, T>(tags, combine, rows, outs);
 }
 
 /// The scalar level on a CPU with FMA: the same bodies compiled so each
@@ -661,11 +707,10 @@ fn profiles_scalar_fma<const T: usize>(
 fn cells_scalar_fma<const T: usize>(
     tags: &[CellSweep<'_>; T],
     combine: Combine,
-    first_cell: usize,
+    rows: CellRows,
     outs: &mut [&mut [f64]; T],
 ) {
-    let n = outs[0].len();
-    cells_body::<ScalarX4, T>(tags, combine, first_cell, outs, 0..n);
+    rows_body::<ScalarX4, ScalarX4, T>(tags, combine, rows, outs);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -685,11 +730,10 @@ fn profiles_avx2<const T: usize>(
 fn cells_avx2<const T: usize>(
     tags: &[CellSweep<'_>; T],
     combine: Combine,
-    first_cell: usize,
+    rows: CellRows,
     outs: &mut [&mut [f64]; T],
 ) {
-    let n = outs[0].len();
-    cells_body::<simd::AvxX4, T>(tags, combine, first_cell, outs, 0..n);
+    rows_body::<simd::AvxX4, simd::AvxX4, T>(tags, combine, rows, outs);
 }
 
 /// Eight lattice rows per vector.
@@ -705,20 +749,17 @@ fn profiles_avx512<const T: usize>(
     profile_body::<simd::Avx512X8, T>(plan, lat, tags, outs, scratch);
 }
 
-/// Whole cell pairs on the two-cell AVX-512 vector; an odd last cell on
-/// the one-cell AVX2 instantiation of the same body.
+/// Each row's whole cell pairs on the two-cell AVX-512 vector; an odd
+/// last cell on the one-cell AVX2 instantiation of the same body.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx2,fma")]
 fn cells_avx512<const T: usize>(
     tags: &[CellSweep<'_>; T],
     combine: Combine,
-    first_cell: usize,
+    rows: CellRows,
     outs: &mut [&mut [f64]; T],
 ) {
-    let n = outs[0].len();
-    let paired = n - n % simd::Avx512X8::CELLS;
-    cells_body::<simd::Avx512X8, T>(tags, combine, first_cell, outs, 0..paired);
-    cells_body::<simd::AvxX4, T>(tags, combine, first_cell, outs, paired..n);
+    rows_body::<simd::Avx512X8, simd::AvxX4, T>(tags, combine, rows, outs);
 }
 
 /// `T`-tag views of a batch the caller sized.
@@ -841,27 +882,25 @@ fn cells_at<const T: usize>(
     level: SimdLevel,
     tags: &[CellSweep<'_>],
     combine: Combine,
-    first_cell: usize,
+    rows: CellRows,
     outs: &mut [&mut [f64]],
 ) {
     let (tags, outs) = batch_of::<_, _, T>(tags, outs);
     match level.0 {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `has_fma` just detected the `fma` feature.
-        Level::Scalar if simd::has_fma() => unsafe {
-            cells_scalar_fma(tags, combine, first_cell, outs)
-        },
-        Level::Scalar => cells_scalar(tags, combine, first_cell, outs),
+        Level::Scalar if simd::has_fma() => unsafe { cells_scalar_fma(tags, combine, rows, outs) },
+        Level::Scalar => cells_scalar(tags, combine, rows, outs),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the AVX2 level only comes from `simd::host_levels`,
         // which constructs it behind `avx2` and `fma` detection.
-        Level::Avx2 => unsafe { cells_avx2(tags, combine, first_cell, outs) },
+        Level::Avx2 => unsafe { cells_avx2(tags, combine, rows, outs) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the AVX-512 level only comes from `simd::host_levels`,
         // which constructs it behind `avx512f`, `avx2` and `fma` detection.
-        Level::Avx512 => unsafe { cells_avx512(tags, combine, first_cell, outs) },
+        Level::Avx512 => unsafe { cells_avx512(tags, combine, rows, outs) },
         #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 | Level::Avx512 => cells_scalar(tags, combine, first_cell, outs),
+        Level::Avx2 | Level::Avx512 => cells_scalar(tags, combine, rows, outs),
     }
 }
 
@@ -873,7 +912,7 @@ pub fn write_profile_cells_batch_at(
     level: SimdLevel,
     tags: &[CellSweep<'_>],
     combine: Combine,
-    first_cell: usize,
+    rows: CellRows,
     outs: &mut [&mut [f64]],
 ) {
     assert!(
@@ -891,10 +930,17 @@ pub fn write_profile_cells_batch_at(
         s.n_lanes >= 4 && s.n_lanes.is_multiple_of(4),
         "lane stride must be a positive multiple of 4"
     );
-    let needed = (first_cell + n) * s.n_lanes;
+    let n_rows = n.checked_div(rows.width).unwrap_or(0);
+    assert!(
+        n == n_rows * rows.width && rows.width <= rows.stride,
+        "outputs hold whole rows, and rows do not overlap"
+    );
+    let needed = n_rows.checked_sub(1).map_or(0, |last| {
+        (rows.first_cell + last * rows.stride + rows.width) * s.n_lanes
+    });
     assert!(
         s.delta.len() >= needed && s.carrier_re.len() >= needed && s.carrier_im.len() >= needed,
-        "steering tables shorter than the requested cell range"
+        "steering tables shorter than the requested cell rows"
     );
     assert!(s.lattice.rows >= 2, "a lattice brackets its cells");
     for t in tags {
@@ -912,31 +958,32 @@ pub fn write_profile_cells_batch_at(
         );
     }
     match tags.len() {
-        1 => cells_at::<1>(level, tags, combine, first_cell, outs),
-        2 => cells_at::<2>(level, tags, combine, first_cell, outs),
-        3 => cells_at::<3>(level, tags, combine, first_cell, outs),
-        _ => cells_at::<MAX_TAGS>(level, tags, combine, first_cell, outs),
+        1 => cells_at::<1>(level, tags, combine, rows, outs),
+        2 => cells_at::<2>(level, tags, combine, rows, outs),
+        3 => cells_at::<3>(level, tags, combine, rows, outs),
+        _ => cells_at::<MAX_TAGS>(level, tags, combine, rows, outs),
     }
 }
 
-/// Evaluates Eq. 17 for cells `first_cell .. first_cell + n` of one
-/// anchor map for up to [`MAX_TAGS`] tags at once, writing tag `t`'s
-/// combined values into `outs[t]` (each `n` long). Every tag's values are
-/// bit-identical to a [`write_profile_cells`] call of its own: the shared
-/// index, weights and carrier are the same values whoever reads them,
-/// and each tag's accumulators see the same IEEE operations in the same
-/// order. The vector path is chosen once per call via
-/// [`simd::cell_level`].
+/// Evaluates Eq. 17 over the cell `rows` of one anchor map for up to
+/// [`MAX_TAGS`] tags at once, writing tag `t`'s combined values into
+/// `outs[t]` (row after row, `width` cells each). Every tag's values are
+/// bit-identical to a call of its own, and every cell's to a call over
+/// any other rows holding it: the shared index, weights and carrier are
+/// the same values whoever reads them, and each cell's accumulators see
+/// the same IEEE operations in the same order. The vector path is chosen
+/// once per call via [`simd::cell_level`].
 pub fn write_profile_cells_batch(
     tags: &[CellSweep<'_>],
     combine: Combine,
-    first_cell: usize,
+    rows: CellRows,
     outs: &mut [&mut [f64]],
 ) {
-    write_profile_cells_batch_at(simd::cell_level(), tags, combine, first_cell, outs);
+    write_profile_cells_batch_at(simd::cell_level(), tags, combine, rows, outs);
 }
 
-/// [`write_profile_cells`] on an explicit vector level: the batch of one.
+/// One tag's [`write_profile_cells_batch_at`] over the contiguous cells
+/// `first_cell .. first_cell + out.len()`: the batch of one.
 pub fn write_profile_cells_at(
     level: SimdLevel,
     s: &CellSweep<'_>,
@@ -944,26 +991,8 @@ pub fn write_profile_cells_at(
     first_cell: usize,
     out: &mut [f64],
 ) {
-    write_profile_cells_batch_at(
-        level,
-        std::slice::from_ref(s),
-        combine,
-        first_cell,
-        &mut [out],
-    );
-}
-
-/// Evaluates Eq. 17 for cells `first_cell .. first_cell + out.len()` of
-/// one anchor map, writing each cell's combined likelihood value. Lanes
-/// are antennas; the vector path is chosen once per call via
-/// [`simd::cell_level`].
-pub fn write_profile_cells(
-    s: &CellSweep<'_>,
-    combine: Combine,
-    first_cell: usize,
-    out: &mut [f64],
-) {
-    write_profile_cells_at(simd::cell_level(), s, combine, first_cell, out);
+    let rows = CellRows::run(first_cell, out.len());
+    write_profile_cells_batch_at(level, std::slice::from_ref(s), combine, rows, &mut [out]);
 }
 
 /// Reusable dense slot accumulators for [`sweep_tones_into`] — hold them
@@ -1245,6 +1274,16 @@ pub fn sweep_tones_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One tag's contiguous run on the dispatched level.
+    fn write_profile_cells(
+        s: &CellSweep<'_>,
+        combine: Combine,
+        first_cell: usize,
+        out: &mut [f64],
+    ) {
+        write_profile_cells_at(simd::cell_level(), s, combine, first_cell, out);
+    }
 
     fn mix(mut x: u64) -> u64 {
         x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -1809,7 +1848,7 @@ mod tests {
                                 level,
                                 &tags[..size],
                                 combine,
-                                first,
+                                CellRows::run(first, n),
                                 &mut views,
                             );
                             for (t, out) in outs.iter().enumerate() {
@@ -1828,6 +1867,57 @@ mod tests {
     }
 
     #[test]
+    fn strided_rows_equal_their_contiguous_runs() {
+        // A window of a grid's tables is its rows at the grid's stride:
+        // each row of one strided call must equal a contiguous call over
+        // that row alone, bit for bit, on every level and batch size —
+        // odd and even widths (the AVX-512 odd-cell tail per row), one
+        // cell, a full-stride window and rows from an odd start.
+        let levels = levels_to_test();
+        // (first_cell, width, stride) over the fixtures' 24 cells.
+        let shapes = [
+            (0, 6, 6),
+            (1, 5, 6),
+            (3, 3, 7),
+            (0, 1, 8),
+            (2, 7, 11),
+            (5, 4, 5),
+        ];
+        for (name, fx) in &cases() {
+            let alphas: Vec<Alpha> = (0..MAX_TAGS as u64).map(|t| fx.tag_alpha(70 + t)).collect();
+            let profiles: Vec<Vec<f64>> =
+                alphas.iter().map(|a| fx.profile_at(levels[0], a)).collect();
+            let tags: Vec<CellSweep<'_>> = profiles.iter().map(|p| fx.sweep(p)).collect();
+            for &level in &levels {
+                for &(first, width, stride) in &shapes {
+                    let n_rows = (24 - first - width) / stride + 1;
+                    let rows = CellRows {
+                        first_cell: first,
+                        width,
+                        stride,
+                    };
+                    let mut outs = vec![vec![0.0; n_rows * width]; MAX_TAGS];
+                    let mut views: Vec<&mut [f64]> =
+                        outs.iter_mut().map(|o| o.as_mut_slice()).collect();
+                    write_profile_cells_batch_at(level, &tags, Combine::Hybrid, rows, &mut views);
+                    for (t, out) in outs.iter().enumerate() {
+                        for (r, row) in out.chunks_exact(width).enumerate() {
+                            let mut want = vec![0.0; width];
+                            let at = first + r * stride;
+                            write_profile_cells_at(level, &tags[t], Combine::Hybrid, at, &mut want);
+                            assert_eq!(
+                                bits(row),
+                                bits(&want),
+                                "{name}, {level:?}, rows {rows:?}: tag {t} row {r}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "shares one set of steering tables")]
     fn batches_refuse_tags_on_different_tables() {
         let (a, b) = (fixture(5, 8, 4, 37), fixture(6, 8, 4, 37));
@@ -1837,7 +1927,7 @@ mod tests {
         write_profile_cells_batch(
             &[a.sweep(&pa), b.sweep(&pb)],
             Combine::Hybrid,
-            0,
+            CellRows::run(0, 8),
             &mut [x.as_mut_slice(), y.as_mut_slice()],
         );
     }
@@ -1876,7 +1966,7 @@ mod tests {
                 let mut views: Vec<&mut [f64]> =
                     portable.iter_mut().map(|o| o.as_mut_slice()).collect();
                 let (_, views) = batch_of::<_, _, MAX_TAGS>(&tags, &mut views);
-                cells_scalar(&tags, combine, 1, views);
+                cells_scalar(&tags, combine, CellRows::run(1, 8), views);
                 for (t, tag) in tags.iter().enumerate() {
                     let mut dispatched = vec![0.0; 8];
                     write_profile_cells_at(levels_to_test()[0], tag, combine, 1, &mut dispatched);

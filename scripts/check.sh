@@ -78,9 +78,11 @@ if [[ "${1:-}" != "quick" ]]; then
     # level and the tag batch (bit-identical) and the fast
     # channel-synthesis engine (≤ 1e-12) against their references, and
     # enforces ratio floors timed in the same process — ≥ 5× likelihood
-    # and ≥ 4× sounding over the references and ≥ 1.1× for a 4-tag
-    # batch, every row on one thread as a fix runs. Also runs the
-    # hierarchical floors on the dispatched kernel.
+    # and ≥ 4× sounding over the references, ≥ 1.1× for a 4-tag batch,
+    # and the bare kernel's share of the warm engine over one window
+    # (≥ 0.73 dense paper room, ≥ 0.57 corridor 79×79 patch), every row
+    # on one thread as a fix runs. Also runs the hierarchical floors on
+    # the dispatched kernel.
     # Best-of-15 keeps the ratios stable on noisy shared hosts (see
     # crates/bloc-bench/src/bin/perf_baseline.rs).
     run cargo run --release -q -p bloc-bench --bin perf_baseline 15
