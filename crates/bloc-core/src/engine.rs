@@ -59,7 +59,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use bloc_chan::AnchorArray;
@@ -239,13 +239,10 @@ pub struct SteeringTables {
     /// Fill markers, row-major over tiles; each tile is computed at most
     /// once.
     tiles: Vec<OnceLock<()>>,
-    /// Each tile's `Δ` range per anchor (`[min, max]` over its lanes, as
-    /// `f64` bits at `2 · (i · tiles + tile)`): stored (`Relaxed`) by the
-    /// tile's fill inside its marker's `get_or_init`, whose completion
-    /// releases them to every caller that then sees the marker set
-    /// (acquire), so a reader past [`SteeringTables::fill`] reads them
-    /// without a lock.
-    ranges: Vec<AtomicU64>,
+    /// Each tile's `Δ` range per anchor (`[min, max]` over its lanes, at
+    /// `i · tiles + tile`), set once by the tile's fill, so a window's
+    /// lattice reads it without a lock.
+    ranges: Vec<OnceLock<[f64; 2]>>,
     /// Strip storage, one per `STRIP_H` rows: anchor `i`'s three tables (`Δ`,
     /// carrier re/im, each `strip cells · n_lanes[i]` long) from offset
     /// `3 · strip cells · lane_base[i]`. Empty until the strip's first
@@ -289,8 +286,8 @@ impl SteeringTables {
             n_lanes,
             lane_base,
             tiles: (0..n_tiles).map(|_| OnceLock::new()).collect(),
-            ranges: (0..2 * n_tiles * anchors.len())
-                .map(|_| AtomicU64::new(0))
+            ranges: (0..n_tiles * anchors.len())
+                .map(|_| OnceLock::new())
                 .collect(),
             strips: (0..spec.ny.div_ceil(STRIP_H))
                 .map(|_| RwLock::new(Vec::new()))
@@ -404,9 +401,8 @@ impl SteeringTables {
                     }
                 }
             }
-            let at = 2 * (i * self.tiles.len() + tile);
-            self.ranges[at].store(lo.to_bits(), Ordering::Relaxed);
-            self.ranges[at + 1].store(hi.to_bits(), Ordering::Relaxed);
+            let fresh = self.ranges[i * self.tiles.len() + tile].set([lo, hi]);
+            debug_assert!(fresh.is_ok(), "the tile's marker runs its fill once");
         }
     }
 
@@ -461,8 +457,10 @@ impl SteeringTables {
     }
 
     /// The lattice of step `step_m` that brackets every `Δ` anchor `i`'s
-    /// lanes take over `window`, whose tiles are filled: the union of the
-    /// `Δ` ranges the fill recorded for each tile the window touches.
+    /// lanes take over `window`: the union of the `Δ` ranges the fill
+    /// recorded for each tile the window touches. The window's tiles are
+    /// filled before it is swept; a tile found unfilled fails a debug
+    /// build and is filled here in a release one, never read as empty.
     fn lattice(&self, i: usize, window: &GridPatch, step_m: f64) -> Lattice {
         let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
         if !window.spec.is_empty() {
@@ -470,10 +468,12 @@ impl SteeringTables {
             let [txs, tys] = Self::tile_span(window);
             let base = i * self.tiles.len() + txs.start();
             for ty in tys {
-                let row = &self.ranges[2 * (base + ty * tiles_x)..][..2 * txs.clone().count()];
-                for range in row.chunks_exact(2) {
-                    let [min, max] =
-                        [&range[0], &range[1]].map(|b| f64::from_bits(b.load(Ordering::Relaxed)));
+                for range in &self.ranges[base + ty * tiles_x..][..txs.clone().count()] {
+                    let Some(&[min, max]) = range.get() else {
+                        debug_assert!(range.get().is_some(), "lattice over an unfilled tile");
+                        self.fill(window);
+                        return self.lattice(i, window, step_m);
+                    };
                     // `Δ` is finite and never −0: `<` keeps the extremes
                     // `f64::min` would, without its NaN handling.
                     (lo, hi) = (
@@ -1303,6 +1303,34 @@ mod tests {
     }
 
     #[test]
+    fn a_lattice_never_reads_an_unfilled_tile_as_empty() {
+        let spec = GridSpec {
+            origin: P2::new(0.0, 0.0),
+            resolution: 0.1,
+            nx: 20,
+            ny: 12,
+        };
+        let anchors = vec![AnchorArray::centered(
+            0,
+            P2::new(1.0, -0.2),
+            P2::new(1.0, 0.0),
+            4,
+        )];
+        let window = spec.patch(P2::new(1.0, 0.6), 0.4);
+        let filled = SteeringTables::build(spec, &anchors, &[0.0], 2.441e9);
+        let cold = SteeringTables::empty(spec, &anchors, &[0.0], 2.441e9);
+        let lattice = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cold.lattice(0, &window, 0.03)
+        }));
+        // A debug build fails; a release build fills the window first.
+        if cfg!(debug_assertions) {
+            assert!(lattice.is_err());
+        } else {
+            assert_eq!(lattice.unwrap(), filled.lattice(0, &window, 0.03));
+        }
+    }
+
+    #[test]
     fn window_fills_in_any_order_equal_the_whole_build() {
         // The corridor lattice: 442 × 137 cells is ragged against the
         // tile side in both axes, and 3-antenna anchors leave a padding
@@ -1345,9 +1373,13 @@ mod tests {
         assert_eq!(lazy.approx_bytes(), whole.approx_bytes());
         // The lattice reads the tiles' Δ ranges: they too are the whole
         // build's.
-        let range_bits = |t: &SteeringTables| -> Vec<u64> {
-            t.ranges.iter().map(|r| r.load(Ordering::Relaxed)).collect()
+        let range_bits = |t: &SteeringTables| -> Vec<Option<[u64; 2]>> {
+            t.ranges
+                .iter()
+                .map(|r| r.get().map(|r| r.map(f64::to_bits)))
+                .collect()
         };
+        assert!(range_bits(&lazy).iter().all(Option::is_some));
         assert_eq!(range_bits(&lazy), range_bits(&whole));
         for iy in 0..spec.ny {
             for ix in 0..spec.nx {

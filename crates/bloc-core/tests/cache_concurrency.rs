@@ -184,8 +184,7 @@ fn concurrent_window_fills_compute_each_tile_once() {
     );
 
     // The same windows filled one after another compute each tile of
-    // their union exactly once; the racing fill must have allocated
-    // exactly the storage strips the serial fill did.
+    // their union exactly once.
     let serial_fill = SteeringTables::empty(spec, &anchors, &master, carrier_hz);
     let tiles: usize = windows.iter().map(|w| serial_fill.fill(w)).sum();
     assert!(tiles > 0);
@@ -193,6 +192,33 @@ fn concurrent_window_fills_compute_each_tile_once() {
         windows.iter().map(|w| serial_fill.fill(w)).sum::<usize>(),
         0
     );
+    // Racing fills of one cold table must compute exactly those tiles
+    // between them: a tile computed twice counts twice in the sum, a
+    // tile skipped is missing from it.
+    let racing_fill = SteeringTables::empty(spec, &anchors, &master, carrier_hz);
+    let raced: usize = thread::scope(|s| {
+        let handles: Vec<_> = windows
+            .iter()
+            .map(|w| {
+                let (racing_fill, barrier) = (&racing_fill, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    racing_fill.fill(w)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("filler must not panic"))
+            .sum()
+    });
+    assert_eq!(
+        raced, tiles,
+        "every tile of the union computed exactly once"
+    );
+    // Storage strips are charged whole, once each: both racing fills
+    // must have allocated exactly the strips the serial fill did.
+    assert_eq!(racing_fill.approx_bytes(), serial_fill.approx_bytes());
     assert_eq!(tables[0].approx_bytes(), serial_fill.approx_bytes());
     assert!(tables[0].approx_bytes() > 0);
 
