@@ -325,8 +325,8 @@ fn main() {
         println!("all hierarchical floors passed");
         return;
     }
-    // The likelihood rows run the cell kernel's level, the sounding rows
-    // the 4-lane level its tone kernel runs.
+    // Every row runs the cell level; `simd` is its 4-lane part, the level
+    // the benchmark's host record reports.
     let simd_level = bloc_num::simd::active_level().label();
     let cell_simd_level = bloc_num::simd::cell_level().label();
     println!(

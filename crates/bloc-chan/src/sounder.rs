@@ -26,7 +26,7 @@
 use crate::array::AnchorArray;
 use crate::environment::Environment;
 use crate::oscillator::{Device, TuningEpoch};
-use crate::synth::{splitmix, FreqComb, PathCache, PathSet};
+use crate::synth::{splitmix, PathCache, PathSet};
 use bloc_ble::access_address::AccessAddress;
 use bloc_ble::channels::Channel;
 use bloc_ble::locpacket::LocalizationPacket;
@@ -49,8 +49,8 @@ pub enum Fidelity {
 }
 
 /// Offset of each GFSK tone from the band centre, hertz (±250 kHz — the
-/// f₀/f₁ tones of the 1M PHY).
-pub const TONE_OFFSET_HZ: f64 = 250e3;
+/// f₀/f₁ tones of the 1M PHY, the GFSK deviation the tone sweep uses).
+pub const TONE_OFFSET_HZ: f64 = bloc_num::constants::BLE_GFSK_DEVIATION_HZ;
 
 /// Time between the h₀ and h₁ measurements within one localization packet
 /// (one 0-run followed by one 1-run ≈ 16 µs at 1 Mb/s, paper §6).
@@ -240,8 +240,8 @@ impl SoundingData {
 /// Analytic soundings run on the fast path: per-link
 /// [`crate::synth::PathSet`]s (the static master links from a shared
 /// [`PathCache`] — clones share it, so per-retry clones and every
-/// sounding of a static deployment stay warm), the whole band comb swept
-/// per link by the exact phasor recurrence, and each band assembled from
+/// sounding of a static deployment stay warm), every sounded channel
+/// swept per link by the phasor GEMM, and each band assembled from
 /// its own RNG stream, split deterministically from the caller's seed.
 /// A sounding runs on the calling thread; callers that sound many tags
 /// fan out across soundings.
@@ -418,7 +418,7 @@ impl<'a> Sounder<'a> {
     /// Phase A (link-major): every directed link's
     /// [`crate::synth::PathSet`] — traced afresh for the tag's links, from
     /// the [`PathCache`] for the static master links — is swept
-    /// across the whole comb by the exact phasor recurrence — clean
+    /// across every channel by [`PathSet::sweep_tones_with`] — clean
     /// per-tone channels for all links × bands in one pass per link.
     /// Phase B (band-major): per band, oscillator offsets, CFO and noise
     /// are applied as phasors. All randomness derives from `seed` via
@@ -437,7 +437,6 @@ impl<'a> Sounder<'a> {
     ) -> (SoundingData, crate::faults::FaultCensus) {
         let _span = bloc_obs::span("sound");
         let n_anchors = self.anchors.len();
-        let comb = FreqComb::for_channels(channels);
 
         // Directed link table: tag → every (anchor, antenna), then the
         // static master0 → anchor links (antenna 0), in measurement order.
@@ -453,12 +452,10 @@ impl<'a> Sounder<'a> {
             links.push((master0, anchor.antenna(0)));
         }
 
-        // Phase A: sweep every link across all bands × tones, each a full
-        // comb sweep. One tone-sweep scratch and one path set serve every
-        // link: tag links are traced into that set outside any lock,
-        // static links come from the shared cache, and warm sweeps
-        // allocate no accumulators.
-        let mut scratch = bloc_num::sweep::ToneSweepScratch::new();
+        // Phase A: sweep every link across all bands × tones. One path
+        // set serves every tag link, traced into outside any lock; static
+        // links come from the shared cache, and warm sweeps allocate no
+        // kernel scratch.
         let mut tag_set = PathSet::new();
         let clean: Vec<Vec<[C64; 2]>> = links
             .iter()
@@ -467,10 +464,10 @@ impl<'a> Sounder<'a> {
                 let mut out = vec![[bloc_num::complex::ZERO; 2]; channels.len()];
                 if l < total_antennas {
                     self.env.path_set_into(tx, rx, &mut tag_set);
-                    tag_set.sweep_tones_with(&comb, &mut scratch, &mut out);
+                    tag_set.sweep_tones_with(channels, &mut out);
                 } else {
                     let set = self.cache.path_set(self.env, tx, rx);
-                    set.sweep_tones_with(&comb, &mut scratch, &mut out);
+                    set.sweep_tones_with(channels, &mut out);
                 }
                 out
             })

@@ -1,6 +1,6 @@
 //! The fast channel-synthesis engine: frequency-independent path geometry
-//! extracted once per link, evaluated across the whole sounding comb by an
-//! exact phasor recurrence, and cached across queries.
+//! extracted once per link, evaluated across every sounded channel by the
+//! workspace's one phasor GEMM, and cached across queries.
 //!
 //! [`crate::environment::Environment::channel`] (paper Eq. 2) rebuilds the
 //! full path list — LOS obstruction tests, every reflector's specular +
@@ -13,13 +13,12 @@
 //!   gains with the 1/d spreading folded in), filled by
 //!   [`crate::environment::Environment::path_set_into`] into reusable
 //!   buffers;
-//! * [`FreqComb`] — the evaluation plan over one sounding's bands: a
-//!   [`bloc_num::sweep::CombPlan`] (the same comb detector the likelihood
-//!   engine uses) plus the ±250 kHz GFSK tone offset. On BLE's uniform
-//!   2 MHz comb each path's phasor advances by the exact SIMD rotation
-//!   recurrence in [`bloc_num::sweep::sweep_tones_into`] (one `cis`
-//!   seed plus one step per path instead of 2 × 37 transcendentals);
-//!   off-comb frequencies fall back to per-band `cis`;
+//! * [`PathSet::sweep_tones_with`] — the evaluation over one sounding's
+//!   channels: every BLE RF channel sits on the 2 MHz grid from 2402 to
+//!   2480 MHz, so [`bloc_num::sweep::sweep_tones`] runs the likelihood
+//!   engine's envelope GEMM with rows on that grid, the link's paths as
+//!   bands and the ±250 kHz GFSK tones as lanes (a few `cis` per path
+//!   instead of 2 × 37 transcendentals);
 //! * [`PathCache`] — link-level memoization keyed by (environment
 //!   revision, tx, rx) of the static anchor↔master PathSets (§5.2 — the
 //!   anchors never move): computed once per deployment, invalidated when
@@ -34,8 +33,9 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::environment::Environment;
+use bloc_ble::channels::Channel;
 use bloc_num::constants::SPEED_OF_LIGHT;
-use bloc_num::sweep::{self, CombPlan, ToneSweepScratch};
+use bloc_num::sweep;
 use bloc_num::{complex, C64, P2};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -109,78 +109,21 @@ impl PathSet {
         h
     }
 
-    /// Evaluates the two GFSK tone channels `[h(f−δ), h(f+δ)]` for every
-    /// band of `comb` in a single pass, writing into `out` (indexed in
-    /// the comb's original sounding order; `out.len()` must equal
-    /// `FreqComb::n_bands`).
+    /// Evaluates the two GFSK tone channels `[h(f−δ), h(f+δ)]`
+    /// (`δ` = [`crate::sounder::TONE_OFFSET_HZ`]) at every channel of
+    /// `channels` in a single pass, writing `out[k]` for `channels[k]`
+    /// (any order, duplicates allowed; `out.len()` must equal
+    /// `channels.len()`).
     ///
-    /// On a uniform comb the shared SIMD kernel
-    /// ([`bloc_num::sweep::sweep_tones_into`]) costs three `cis` calls
-    /// per path — seed, step and tone rotation — and then one 4-slot
-    /// complex multiply per lane quad: the phase `−2πd f/c` is linear in
-    /// `f`, so the recurrence is **exact**, and the ±δ tone offset is one
-    /// fixed rotation applied symmetrically. Off-comb inputs fall back to
-    /// per-band `cis`.
-    ///
-    /// The caller holds the scratch: steady-state sweeps allocate nothing.
-    pub fn sweep_tones_with(
-        &self,
-        comb: &FreqComb,
-        scratch: &mut ToneSweepScratch,
-        out: &mut [[C64; 2]],
-    ) {
-        debug_assert_eq!(out.len(), comb.n_bands());
-        // phase(f) = w·f with w = −2πd/c per metre of path length.
-        let phase_per_metre_hz = -std::f64::consts::TAU / SPEED_OF_LIGHT;
-        sweep::sweep_tones_into(
-            &comb.plan,
-            comb.tone_offset_hz,
-            phase_per_metre_hz,
-            &self.lengths,
-            &self.gains,
-            scratch,
-            out,
-        );
-    }
-}
-
-/// The evaluation plan for one sounding's bands: the workspace-wide
-/// [`CombPlan`] (the same detector `bloc_core::engine` uses for the
-/// likelihood comb — the former duplicate here is gone) plus the GFSK
-/// tone offset the sounding applies symmetrically around each centre.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FreqComb {
-    /// The uniform-comb walk (ascending order, integer comb gaps).
-    plan: CombPlan,
-    /// GFSK tone offset from each band centre (±), hertz.
-    tone_offset_hz: f64,
-}
-
-impl FreqComb {
-    /// Plans the sweep for band centres `freqs` (in sounding order) with
-    /// the given ± tone offset.
-    pub fn build(freqs_in_order: &[f64], tone_offset_hz: f64) -> Self {
-        Self {
-            plan: CombPlan::build(freqs_in_order),
-            tone_offset_hz,
-        }
-    }
-
-    /// Plans the sweep for BLE channels at the standard
-    /// [`crate::sounder::TONE_OFFSET_HZ`] GFSK tone offset.
-    pub fn for_channels(channels: &[bloc_ble::channels::Channel]) -> Self {
-        let freqs: Vec<f64> = channels.iter().map(|c| c.freq_hz()).collect();
-        Self::build(&freqs, crate::sounder::TONE_OFFSET_HZ)
-    }
-
-    /// Number of bands planned.
-    pub(crate) fn n_bands(&self) -> usize {
-        self.plan.n_bands()
-    }
-
-    /// The underlying comb walk.
-    pub fn plan(&self) -> &CombPlan {
-        &self.plan
+    /// [`bloc_num::sweep::sweep_tones`] costs a few `cis` calls per path
+    /// — its phase at 2402 MHz, the ±δ tone rotation and the 2 MHz row
+    /// step — and then one fused complex multiply-add per path for every
+    /// row quad of both tones: the phase `−2πd f/c` is linear in `f`, and
+    /// the rows are the channels' integer frequency indices. Its scratch
+    /// is per thread, so steady-state sweeps allocate nothing.
+    pub fn sweep_tones_with(&self, channels: &[Channel], out: &mut [[C64; 2]]) {
+        let rows = channels.iter().map(|c| c.freq_index());
+        sweep::sweep_tones(&self.lengths, &self.gains, rows, out);
     }
 }
 
@@ -319,6 +262,7 @@ mod tests {
     use super::*;
     use crate::geometry::Room;
     use crate::materials::Material;
+    use crate::sounder::TONE_OFFSET_HZ;
     use rand::{rngs::StdRng, SeedableRng};
 
     fn test_env(seed: u64) -> Environment {
@@ -326,13 +270,6 @@ mod tests {
         Environment::in_room(Room::new(5.0, 6.0))
             .with_walls(Material::metal(), &mut rng)
             .unwrap()
-    }
-
-    fn ble_freqs() -> Vec<f64> {
-        crate::sounder::all_data_channels()
-            .iter()
-            .map(|c| c.freq_hz())
-            .collect()
     }
 
     #[test]
@@ -352,27 +289,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sweep_recurrence_matches_per_band_cis() {
-        let env = test_env(2);
-        let (tx, rx) = (P2::new(0.7, 2.3), P2::new(4.4, 5.2));
-        let mut set = PathSet::new();
-        env.path_set_into(tx, rx, &mut set);
-        let freqs = ble_freqs();
-        let comb = FreqComb::build(&freqs, 250e3);
-        assert!(
-            comb.plan().is_uniform_comb(),
-            "BLE data channels are a uniform comb"
-        );
-        let mut out = vec![[complex::ZERO; 2]; freqs.len()];
-        set.sweep_tones_with(&comb, &mut ToneSweepScratch::new(), &mut out);
+    /// Asserts `out` holds `set`'s tone pair at each of `channels`.
+    fn assert_tones(set: &PathSet, channels: &[Channel], out: &[[C64; 2]]) {
         let scale: f64 = out.iter().flatten().map(|h| h.abs()).fold(0.0f64, f64::max);
-        for (k, &f) in freqs.iter().enumerate() {
+        for (k, ch) in channels.iter().enumerate() {
             for (t, sign) in [(0usize, -1.0), (1usize, 1.0)] {
-                let reference = set.channel_at(f + sign * 250e3);
+                let reference = set.channel_at(ch.freq_hz() + sign * TONE_OFFSET_HZ);
                 assert!(
-                    (out[k][t] - reference).abs() <= 1e-12 * scale,
-                    "band {k} tone {t}: {:?} vs {reference:?}",
+                    (out[k][t] - reference).abs() <= 1e-12 * scale.max(1e-12),
+                    "slot {k} tone {t}: {:?} vs {reference:?}",
                     out[k][t]
                 );
             }
@@ -380,21 +305,15 @@ mod tests {
     }
 
     #[test]
-    fn off_comb_frequencies_fall_back_exactly() {
-        let env = test_env(3);
-        let (tx, rx) = (P2::new(1.0, 1.0), P2::new(4.0, 5.0));
+    fn sweep_recurrence_matches_per_band_cis() {
+        let env = test_env(2);
+        let (tx, rx) = (P2::new(0.7, 2.3), P2::new(4.4, 5.2));
         let mut set = PathSet::new();
         env.path_set_into(tx, rx, &mut set);
-        // An irrational-ish spacing: no uniform comb exists.
-        let freqs = [2.402e9, 2.402e9 + 1.37e6, 2.402e9 + 3.91e6];
-        let comb = FreqComb::build(&freqs, 250e3);
-        assert!(!comb.plan().is_uniform_comb());
-        let mut out = vec![[complex::ZERO; 2]; freqs.len()];
-        set.sweep_tones_with(&comb, &mut ToneSweepScratch::new(), &mut out);
-        for (k, &f) in freqs.iter().enumerate() {
-            let reference = set.channel_at(f - 250e3);
-            assert!((out[k][0] - reference).abs() <= 1e-12 * reference.abs().max(1e-12));
-        }
+        let channels = crate::sounder::all_data_channels();
+        let mut out = vec![[complex::ZERO; 2]; channels.len()];
+        set.sweep_tones_with(&channels, &mut out);
+        assert_tones(&set, &channels, &out);
     }
 
     #[test]
@@ -403,18 +322,12 @@ mod tests {
         let env = test_env(4);
         let mut set = PathSet::new();
         env.path_set_into(P2::new(2.0, 2.0), P2::new(0.5, 4.0), &mut set);
-        let freqs = [2.426e9, 2.402e9, 2.480e9, 2.402e9, 2.404e9];
-        let comb = FreqComb::build(&freqs, 250e3);
-        assert!(comb.plan().is_uniform_comb());
-        let mut out = vec![[complex::ZERO; 2]; freqs.len()];
-        set.sweep_tones_with(&comb, &mut ToneSweepScratch::new(), &mut out);
-        for (k, &f) in freqs.iter().enumerate() {
-            let reference = set.channel_at(f + 250e3);
-            assert!(
-                (out[k][1] - reference).abs() <= 1e-12 * reference.abs().max(1e-12),
-                "slot {k}"
-            );
-        }
+        let channels: Vec<Channel> = [12, 0, 39, 0, 1]
+            .map(|k| Channel::from_freq_index(k).unwrap())
+            .to_vec();
+        let mut out = vec![[complex::ZERO; 2]; channels.len()];
+        set.sweep_tones_with(&channels, &mut out);
+        assert_tones(&set, &channels, &out);
         assert_eq!(out[1], out[3], "duplicate channels get identical sweeps");
     }
 
@@ -423,14 +336,11 @@ mod tests {
         let env = test_env(5);
         let mut set = PathSet::new();
         env.path_set_into(P2::new(1.0, 1.0), P2::new(2.0, 2.0), &mut set);
-        for freqs in [vec![], vec![2.44e9], vec![2.44e9, 2.44e9]] {
-            let comb = FreqComb::build(&freqs, 250e3);
-            let mut out = vec![[complex::ZERO; 2]; freqs.len()];
-            set.sweep_tones_with(&comb, &mut ToneSweepScratch::new(), &mut out);
-            for (k, &f) in freqs.iter().enumerate() {
-                let reference = set.channel_at(f - 250e3);
-                assert!((out[k][0] - reference).abs() <= 1e-9 * reference.abs().max(1e-12));
-            }
+        let ch = Channel::from_freq_index(19).unwrap();
+        for channels in [vec![], vec![ch], vec![ch, ch]] {
+            let mut out = vec![[complex::ZERO; 2]; channels.len()];
+            set.sweep_tones_with(&channels, &mut out);
+            assert_tones(&set, &channels, &out);
         }
     }
 

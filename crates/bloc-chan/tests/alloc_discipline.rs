@@ -1,10 +1,10 @@
-//! Pins the warm-path allocation budget of the analytic sounder
-//! (ISSUE 8): once the path cache holds every link of a scene, a
-//! repeat sounding may allocate only its outputs (per-band alpha
-//! matrices), the per-link tone buffers and fixed bookkeeping — never
-//! O(paths × bands) kernel scratch. The tone-sweep kernel writes into a
-//! per-worker [`bloc_num::sweep::ToneSweepScratch`], so regressing to a
-//! fresh `vec![]` per path or per comb slot would multiply the count by
+//! Pins the warm-path allocation budget of the analytic sounder: once
+//! the path cache holds every link of a scene, a repeat sounding may
+//! allocate only its outputs (per-band alpha matrices), the per-link
+//! tone buffers and fixed bookkeeping — never O(paths × bands) kernel
+//! scratch. The tone sweep ([`bloc_num::sweep::sweep_tones`]) runs in a
+//! per-thread scratch buffer that a warm sweep reuses, so regressing to
+//! a fresh `vec![]` per path or per channel would multiply the count by
 //! the path fan-out and trip the budget immediately.
 //!
 //! One `#[test]` per file: the process-global allocation counter must
@@ -78,15 +78,15 @@ fn warm_sounding_allocates_only_outputs() {
 
     // Warm budget: the returned `SoundingData` (37 bands × per-anchor
     // alpha rows plus per-band bookkeeping), one clean-tone buffer per
-    // link, the per-worker tone scratch growth and fixed bookkeeping.
-    // Measured 497 at the time of writing — all O(bands × anchors +
-    // links), ~13 per band. 640 leaves drift slack while still catching
-    // any per-path or per-(path × slot) scratch, which would add
+    // link and fixed bookkeeping. Measured 475 (484 with the former
+    // per-sounding comb plan and tone scratch) — all O(bands × anchors +
+    // links), ~13 per band. 620 leaves drift slack while still catching
+    // any per-path or per-(path × channel) scratch, which would add
     // thousands (the free-space scene alone sweeps hundreds of paths
     // per link).
     assert!(
-        warm <= 640,
-        "warm sound() made {warm} allocations (budget 640)"
+        warm <= 620,
+        "warm sound() made {warm} allocations (budget 620)"
     );
     assert!(
         warm < cold,

@@ -2,11 +2,12 @@
 //!
 //! Three families, mirroring the kernel-equivalence suite of `bloc-core`:
 //!
-//! 1. **Fast vs reference synthesis** — the comb-sweep phasor recurrence
+//! 1. **Fast vs reference synthesis** — the phasor-GEMM tone sweep
 //!    ([`bloc_chan::PathSet::sweep_tones_with`]) and the cached per-band path
 //!    ([`bloc_chan::PathSet::channel_at`]) must match the reference
 //!    [`bloc_chan::Environment::channel`] to ≤ 1e-12 relative error on
-//!    randomized rooms — walls on/off, obstructions on/off.
+//!    randomized rooms — walls on/off, obstructions on/off — and on every
+//!    kind of channel list a sounding hands it.
 //! 2. **Fault composition** — a [`FaultPlan`]-degraded fast sounding's
 //!    census must be byte-identical to the reference engine's census and
 //!    to the plan's data-free replay, with masked entries exactly zero.
@@ -14,13 +15,13 @@
 //!    worker-thread counts (soundings fanned out on one shared sounder)
 //!    and across cold/warm path caches.
 
+use bloc_ble::channels::Channel;
 use bloc_chan::environment::Obstruction;
 use bloc_chan::geometry::{Room, Segment};
 use bloc_chan::materials::Material;
 use bloc_chan::reflector::Reflector;
 use bloc_chan::sounder::{all_data_channels, SounderConfig, TONE_OFFSET_HZ};
-use bloc_chan::{AnchorArray, Environment, FaultPlan, FreqComb, InterferenceBurst, Sounder};
-use bloc_num::sweep::ToneSweepScratch;
+use bloc_chan::{AnchorArray, Environment, FaultPlan, InterferenceBurst, Sounder};
 use bloc_num::{C64, P2};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -80,15 +81,72 @@ fn rel_err(got: C64, want: C64, scale: f64) -> f64 {
     (got - want).abs() / scale.max(1e-30)
 }
 
+/// Sweeps `set` (the paths of `tx → rx` in `env`) over `channels` and
+/// checks every tone against [`Environment::channel`] at ≤ 1e-12 of the
+/// largest reference tone; returns that scale.
+fn assert_sweep_matches_reference(
+    env: &Environment,
+    set: &bloc_chan::PathSet,
+    (tx, rx): (P2, P2),
+    channels: &[Channel],
+    what: &str,
+) -> f64 {
+    let mut out = vec![[bloc_num::complex::ZERO; 2]; channels.len()];
+    set.sweep_tones_with(channels, &mut out);
+
+    // Scale: the largest reference tone magnitude over the sweep.
+    let mut scale = 0.0f64;
+    let mut reference = Vec::with_capacity(channels.len());
+    for &ch in channels {
+        let f = ch.freq_hz();
+        let lo = env.channel(tx, rx, f - TONE_OFFSET_HZ);
+        let hi = env.channel(tx, rx, f + TONE_OFFSET_HZ);
+        scale = scale.max(lo.abs()).max(hi.abs());
+        reference.push([lo, hi]);
+    }
+
+    for (slot, (&got, want)) in out.iter().zip(&reference).enumerate() {
+        for (tone, (&g, &w)) in got.iter().zip(want).enumerate() {
+            let e = rel_err(g, w, scale);
+            assert!(
+                e <= 1e-12,
+                "{what} slot {slot} tone {tone}: rel err {e:.3e}"
+            );
+        }
+    }
+    scale
+}
+
+/// The channel lists a sounding can hand the sweep, by name.
+fn channel_lists() -> Vec<(&'static str, Vec<Channel>)> {
+    let by_row = |rows: &[usize]| -> Vec<Channel> {
+        rows.iter()
+            .map(|&k| Channel::from_freq_index(k).unwrap())
+            .collect()
+    };
+    // Interference over rows 3..=36 leaves the band edges: six channels
+    // spanning 2402–2480 MHz.
+    let masked: Vec<usize> = (0..40).filter(|k| !(3..=36).contains(k)).collect();
+    vec![
+        ("data channels", all_data_channels()),
+        // Fig. 10's narrowest bandwidth: one 2 MHz channel.
+        ("one channel", by_row(&[20])),
+        // Advertising channels 37, 38, 39.
+        ("advertising", by_row(&[0, 12, 39])),
+        ("interference-masked", by_row(&masked)),
+        (
+            "link-layer order",
+            (0..40).map(|ll| Channel::new(ll).unwrap()).collect(),
+        ),
+        ("empty", Vec::new()),
+    ]
+}
+
 #[test]
 fn fast_synthesis_matches_reference_on_randomized_rooms() {
-    let channels = all_data_channels();
-    let comb = FreqComb::for_channels(&channels);
-    assert!(
-        comb.plan().is_uniform_comb(),
-        "the 37 data channels form a 2 MHz comb"
-    );
-
+    // Every room sweeps the data channels, one channel, the advertising
+    // channels, an interference-masked set with holes of many rows,
+    // link-layer (not frequency) order and no channel at all.
     for seed in 0..10u64 {
         let env = random_room(seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD1CE);
@@ -106,32 +164,15 @@ fn fast_synthesis_matches_reference_on_randomized_rooms() {
         env.path_set_into(tx, rx, &mut set);
         assert!(set.len() <= env.path_capacity(), "capacity hint is exact");
 
-        let mut out = vec![[bloc_num::complex::ZERO; 2]; channels.len()];
-        set.sweep_tones_with(&comb, &mut ToneSweepScratch::new(), &mut out);
-
-        // Scale: the largest reference tone magnitude over the sweep.
         let mut scale = 0.0f64;
-        let mut reference = Vec::with_capacity(channels.len());
-        for &ch in &channels {
-            let f = ch.freq_hz();
-            let lo = env.channel(tx, rx, f - TONE_OFFSET_HZ);
-            let hi = env.channel(tx, rx, f + TONE_OFFSET_HZ);
-            scale = scale.max(lo.abs()).max(hi.abs());
-            reference.push([lo, hi]);
-        }
-
-        for (slot, (&got, want)) in out.iter().zip(&reference).enumerate() {
-            for (tone, (&g, &w)) in got.iter().zip(want).enumerate() {
-                let e = rel_err(g, w, scale);
-                assert!(
-                    e <= 1e-12,
-                    "room {seed} slot {slot} tone {tone}: rel err {e:.3e}"
-                );
-            }
+        for (name, channels) in channel_lists() {
+            let what = format!("room {seed}, {name}");
+            let s = assert_sweep_matches_reference(&env, &set, (tx, rx), &channels, &what);
+            scale = scale.max(s);
         }
 
         // The per-band cached path agrees with the reference too, at an
-        // arbitrary off-comb frequency.
+        // arbitrary off-grid frequency.
         let f = 2.441e9 + 137.0;
         let e = rel_err(set.channel_at(f), env.channel(tx, rx, f), scale);
         assert!(e <= 1e-12, "room {seed} channel_at: rel err {e:.3e}");

@@ -16,7 +16,7 @@ use bloc_core::likelihood::{
     anchor_likelihood_reference, joint_likelihood, joint_likelihood_reference, AntennaCombining,
 };
 use bloc_core::{BlocConfig, BlocLocalizer, HierarchicalConfig, HierarchicalLocalizer};
-use bloc_num::sweep::{CombPlan, PROFILE_TOLERANCE};
+use bloc_num::sweep::PROFILE_TOLERANCE;
 use bloc_num::{Grid2D, GridPatch, GridSpec, P2};
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -228,24 +228,20 @@ fn public_free_functions_route_through_the_fast_path() {
 }
 
 #[test]
-fn off_comb_bands_fall_back_and_still_match_reference() {
+fn off_comb_bands_still_match_reference() {
     let room = Room::new(5.0, 6.0);
     let spec = spec(&room);
     let mut corrected = corrected_for(&Environment::free_space(), P2::new(2.8, 1.7), 800, None);
-    // Push one band half a channel off the comb: no comb recurrence
-    // exists for this band set…
+    // Push one band half a channel off BLE's 2 MHz grid…
     corrected.bands[10].freq_hz += 1.0e6;
-    let freqs: Vec<f64> = corrected.bands.iter().map(|b| b.freq_hz).collect();
-    assert!(
-        !CombPlan::build(&freqs).is_uniform_comb(),
-        "off-comb band must break the comb"
-    );
-    // …while the range profile, which takes any band set, still matches
+    let slot = (corrected.bands[10].freq_hz - 2.402e9) / 2.0e6;
+    assert_ne!(slot, slot.round(), "band 10 must sit off the 2 MHz grid");
+    // …and the range profile, which takes any band set, still matches
     // the reference.
     let fast =
         LikelihoodEngine::default().joint_likelihood(&corrected, spec, AntennaCombining::default());
     let reference = joint_likelihood_reference(&corrected, spec, AntennaCombining::default());
-    assert_grids_close(&fast, &reference, 1e-9, "off-comb fallback");
+    assert_grids_close(&fast, &reference, 1e-9, "off-comb bands");
 }
 
 #[test]
@@ -276,18 +272,6 @@ fn localizer_clones_share_one_steering_cache() {
         carrier,
     );
     assert!(Arc::ptr_eq(&a, &b));
-}
-
-#[test]
-fn band_plan_handles_the_full_ble_data_comb() {
-    // The 37 data channels after correction: one uniform 2 MHz comb with
-    // the advertising gaps folded in.
-    let corrected = corrected_for(&Environment::free_space(), P2::new(1.0, 5.0), 1000, None);
-    let freqs: Vec<f64> = corrected.bands.iter().map(|b| b.freq_hz).collect();
-    let plan = CombPlan::build(&freqs);
-    assert!(plan.is_uniform_comb());
-    assert_eq!(plan.gaps.len(), freqs.len());
-    assert_eq!(plan.step_hz, 2.0e6);
 }
 
 #[test]
@@ -395,27 +379,6 @@ fn simd_dispatch_paths_are_bit_identical_on_degraded_inputs() {
             }
         }
     }
-}
-
-#[test]
-fn freq_comb_and_band_plan_share_one_comb_implementation() {
-    // The synthesizer's `FreqComb` plans with the workspace's one comb
-    // detector (`bloc_num::sweep::CombPlan`): identical ordering, base,
-    // step and slot assignment for the same band set.
-    let channels = all_data_channels();
-    let freqs: Vec<f64> = channels.iter().map(|c| c.freq_hz()).collect();
-    let via_synth = bloc_chan::FreqComb::for_channels(&channels);
-    let via_engine = CombPlan::build(&freqs);
-    assert_eq!(via_synth.plan(), &via_engine);
-    assert!(via_engine.is_uniform_comb());
-    // Scrambled input order plans the same comb (order is per-input).
-    let mut shuffled = freqs.clone();
-    shuffled.reverse();
-    shuffled.swap(3, 17);
-    let replanned = CombPlan::build(&shuffled);
-    assert_eq!(replanned.freqs, via_engine.freqs);
-    assert_eq!(replanned.step_hz, via_engine.step_hz);
-    assert_eq!(replanned.gaps, via_engine.gaps);
 }
 
 /// The window of `nx`×`ny` cells at parent cell `(x0, y0)` of `parent`,

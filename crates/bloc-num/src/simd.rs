@@ -1,24 +1,22 @@
 //! Hand-rolled `f64` SIMD with a runtime-dispatched scalar twin.
 //!
-//! The workspace's two hot loops — the Eq. 17 range-profile kernel of
-//! `bloc-core` and the Eq. 2 channel sweep in `bloc-chan` — are both
-//! complex phasor multiply-adds over structure-of-arrays data. This
-//! module gives them one vector substrate with **no** external
-//! dependencies. The `CellLanes` operations trait describes a vector of
-//! `CELLS` grid cells × 4 lanes; `F64x4` adds the plain 4-lane loads
-//! and stores of its one-cell implementations. There are three
-//! implementations:
+//! The workspace's hot loops — the Eq. 17 range-profile kernels of
+//! `bloc-core` and the Eq. 2 channel sweep in `bloc-chan` — are complex
+//! phasor multiply-adds over structure-of-arrays data. This module gives
+//! them one vector substrate with **no** external dependencies. The
+//! `CellLanes` operations trait describes a vector of `CELLS` grid cells
+//! × 4 lanes (in the envelope GEMM, `CELLS` quads of consecutive rows).
+//! There are three implementations:
 //!
 //! * `ScalarX4` — plain `[f64; 4]` element-wise arithmetic, compiled for
-//!   the baseline target, plus an `fma`-enabled twin of the cell kernel
-//!   for CPUs with FMA (one cell);
+//!   the baseline target, plus `fma`-enabled twins of the kernels for
+//!   CPUs with FMA (one cell);
 //! * `AvxX4` (x86-64 only) — the same operations as explicit AVX2
 //!   `__m256d` intrinsics (one cell);
 //! * `Avx512X8` (x86-64 only) — one AVX-512 `__m512d` holding **two
-//!   consecutive grid cells × 4 lanes** (or eight lattice rows in the
-//!   profile build), with each 4-lane row operand broadcast into both
-//!   256-bit halves. Only the Eq. 17 kernels run on it; the Eq. 2 tone
-//!   kernel stays 4 lanes wide (see [`crate::sweep`]).
+//!   consecutive grid cells × 4 lanes** (or eight rows in the envelope
+//!   GEMM), with each 4-lane row operand broadcast into both 256-bit
+//!   halves.
 //!
 //! # Bit-identical dispatch
 //!
@@ -34,18 +32,15 @@
 //! this, and it is why no result in the workspace depends on which CPU
 //! ran it. Fused multiply-add keeps that identity: one correctly rounded
 //! operation gives the same bits from `f64::mul_add`, `vfmadd…pd` on
-//! 256 bits and on 512 bits. The Eq. 17 cell kernel runs on the fused
-//! ops; the Eq. 2 tone kernel stays unfused (`mul` then `add`), because
-//! fusing it would round differently and change every sounding's bits.
+//! 256 bits and on 512 bits. Every kernel runs on the fused ops.
 //!
 //! # Choosing a path
 //!
-//! [`cell_level`] picks the widest level the host supports for the Eq. 17
-//! cell kernel — AVX-512 (`avx512f`, `avx2` and `fma`), else AVX2 (`avx2`
-//! and `fma`), else scalar.
-//! [`active_level`] is the 4-lane level every kernel runs its one-cell
-//! vectors on — AVX2, else scalar — so it equals [`cell_level`] except on
-//! AVX-512 hosts, where it is AVX2. Both are scalar when the
+//! [`cell_level`] picks the widest level the host supports, and every
+//! kernel dispatches on it — AVX-512 (`avx512f`, `avx2` and `fma`), else
+//! AVX2 (`avx2` and `fma`), else scalar. [`active_level`] is its 4-lane
+//! part — AVX2, else scalar — the level reports give as the host's SIMD
+//! level; no kernel dispatches on it. Both are scalar when the
 //! `BLOC_NO_SIMD` environment variable is set (any value); the scalar leg
 //! CI runs under exactly that switch. Kernels that need an explicit path
 //! (the equivalence tests) take a [`SimdLevel`] argument from
@@ -67,8 +62,8 @@
 //!   (its odd-cell tail runs the AVX2 instantiation).
 //! * `AvxX4` and `Avx512X8` methods are only reachable from kernel
 //!   twins dispatched on the matching level, so a safe caller can never
-//!   execute an instruction its CPU lacks. The scalar level's `fma` twin
-//!   of the cell kernel runs only behind `has_fma` detection.
+//!   execute an instruction its CPU lacks. The scalar level's `fma` twins
+//!   run only behind `has_fma` detection.
 
 #![allow(unsafe_code)]
 
@@ -144,11 +139,11 @@ pub(crate) fn has_fma() -> bool {
     std::arch::is_x86_feature_detected!("fma")
 }
 
-/// The 4-lane vector level the host should run: AVX2 when detected, else
-/// scalar, and scalar when `BLOC_NO_SIMD` is set. Every kernel's one-cell
-/// vectors run at this level — the Eq. 2 tone kernel throughout, the
-/// Eq. 17 cell kernel in its odd-cell tail; only the cell kernel widens
-/// further, to [`cell_level`].
+/// The 4-lane part of [`cell_level`]: AVX2 when detected, else scalar,
+/// and scalar when `BLOC_NO_SIMD` is set. Reports (the benchmark's host
+/// record among them) name it as the host's SIMD level; the kernels all
+/// dispatch on [`cell_level`], whose AVX-512 level runs an odd last cell
+/// on this level's one-cell vectors.
 pub fn active_level() -> SimdLevel {
     match cell_level().0 {
         Level::Avx512 => SimdLevel(Level::Avx2),
@@ -156,10 +151,9 @@ pub fn active_level() -> SimdLevel {
     }
 }
 
-/// The level the Eq. 17 cell kernel dispatches to, computed once: the
-/// widest of `host_levels` — AVX-512, two cells per vector, on hosts
-/// with `avx512f`, `avx2` and `fma` — or scalar when `BLOC_NO_SIMD` is
-/// set.
+/// The level every kernel dispatches to, computed once: the widest of
+/// `host_levels` — AVX-512, two cells per vector, on hosts with
+/// `avx512f`, `avx2` and `fma` — or scalar when `BLOC_NO_SIMD` is set.
 pub fn cell_level() -> SimdLevel {
     static LEVEL: std::sync::OnceLock<SimdLevel> = std::sync::OnceLock::new();
     *LEVEL.get_or_init(|| {
@@ -172,8 +166,8 @@ pub fn cell_level() -> SimdLevel {
     })
 }
 
-/// `CELLS` grid cells × 4 `f64` lanes with the operations the Eq. 17
-/// cell kernel needs — the type its generic body is instantiated over.
+/// `CELLS` grid cells × 4 `f64` lanes with the operations the kernels
+/// need — the type their generic bodies are instantiated over.
 ///
 /// Implementations must be IEEE-754 correctly rounded per lane (the
 /// fused ops round once, as IEEE-754 `fusedMultiplyAdd`) and must
@@ -235,15 +229,6 @@ pub(crate) trait CellLanes: Copy {
     fn hsum_cells(self) -> Self::Sums;
 }
 
-/// A one-cell [`CellLanes`]: four plain lanes with contiguous loads and
-/// stores — what the Eq. 2 tone kernel runs on.
-pub(crate) trait F64x4: CellLanes<Sums = [f64; 1]> {
-    /// Loads lanes from `s[0..4]` (panics if shorter).
-    fn load(s: &[f64]) -> Self;
-    /// Stores lanes into `out[0..4]` (panics if shorter).
-    fn store(self, out: &mut [f64]);
-}
-
 /// The scalar fallback: `[f64; 4]` element-wise arithmetic.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ScalarX4([f64; 4]);
@@ -258,11 +243,11 @@ impl CellLanes for ScalarX4 {
     }
     #[inline(always)]
     fn load_cells(s: &[f64], _stride: usize) -> Self {
-        Self::load(s)
+        ScalarX4([s[0], s[1], s[2], s[3]])
     }
     #[inline(always)]
     fn load_row(s: &[f64]) -> Self {
-        Self::load(s)
+        Self::load_cells(s, 4)
     }
     #[inline(always)]
     fn add(self, o: Self) -> Self {
@@ -341,7 +326,7 @@ impl CellLanes for ScalarX4 {
     }
     #[inline(always)]
     fn store_cells(self, out: &mut [f64], _stride: usize) {
-        self.store(out);
+        out[..4].copy_from_slice(&self.0);
     }
     #[inline(always)]
     fn store_records(q: [Self; 4], out: &mut [f64]) {
@@ -352,17 +337,6 @@ impl CellLanes for ScalarX4 {
     #[inline(always)]
     fn hsum_cells(self) -> [f64; 1] {
         [(self.0[0] + self.0[2]) + (self.0[1] + self.0[3])]
-    }
-}
-
-impl F64x4 for ScalarX4 {
-    #[inline(always)]
-    fn load(s: &[f64]) -> Self {
-        ScalarX4([s[0], s[1], s[2], s[3]])
-    }
-    #[inline(always)]
-    fn store(self, out: &mut [f64]) {
-        out[..4].copy_from_slice(&self.0);
     }
 }
 
@@ -377,8 +351,7 @@ pub(crate) struct AvxX4(std::arch::x86_64::__m256d);
 // `host_levels` only constructs either behind
 // `is_x86_feature_detected!` for `avx2` and `fma`. The methods are
 // `#[inline(always)]` so they fold into the `#[target_feature]` kernel
-// twins; only the cell-kernel twins, which enable `fma`, call the fused
-// ops.
+// twins, which all enable `avx2` and `fma`.
 #[cfg(target_arch = "x86_64")]
 impl CellLanes for AvxX4 {
     const CELLS: usize = 1;
@@ -391,11 +364,13 @@ impl CellLanes for AvxX4 {
     }
     #[inline(always)]
     fn load_cells(s: &[f64], _stride: usize) -> Self {
-        Self::load(s)
+        assert!(s.len() >= 4);
+        // SAFETY: length checked above; see the AVX2 safety contract.
+        unsafe { AvxX4(std::arch::x86_64::_mm256_loadu_pd(s.as_ptr())) }
     }
     #[inline(always)]
     fn load_row(s: &[f64]) -> Self {
-        Self::load(s)
+        Self::load_cells(s, 4)
     }
     #[inline(always)]
     fn add(self, o: Self) -> Self {
@@ -484,7 +459,9 @@ impl CellLanes for AvxX4 {
     }
     #[inline(always)]
     fn store_cells(self, out: &mut [f64], _stride: usize) {
-        self.store(out);
+        assert!(out.len() >= 4);
+        // SAFETY: length checked above; see the AVX2 safety contract.
+        unsafe { std::arch::x86_64::_mm256_storeu_pd(out.as_mut_ptr(), self.0) }
     }
     #[inline(always)]
     fn store_records(q: [Self; 4], out: &mut [f64]) {
@@ -512,22 +489,6 @@ impl CellLanes for AvxX4 {
             let odd = _mm_unpackhi_pd(s, s);
             [_mm_cvtsd_f64(_mm_add_sd(s, odd))] // (l0+l2)+(l1+l3)
         }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-impl F64x4 for AvxX4 {
-    #[inline(always)]
-    fn load(s: &[f64]) -> Self {
-        assert!(s.len() >= 4);
-        // SAFETY: length checked above; see the AVX2 safety contract.
-        unsafe { AvxX4(std::arch::x86_64::_mm256_loadu_pd(s.as_ptr())) }
-    }
-    #[inline(always)]
-    fn store(self, out: &mut [f64]) {
-        assert!(out.len() >= 4);
-        // SAFETY: length checked above; see the AVX2 safety contract.
-        unsafe { std::arch::x86_64::_mm256_storeu_pd(out.as_mut_ptr(), self.0) }
     }
 }
 
@@ -820,25 +781,13 @@ impl<V: CellLanes> Cx<V> {
         }
     }
 
-    /// Lane-wise complex product, expanded with separate multiplies and
-    /// adds — the unfused form the Eq. 2 tone kernel runs, so soundings
-    /// keep their bits (see the module docs).
+    /// Fused lane-wise complex multiply-accumulate `self·o + acc`: four
+    /// fused ops instead of four multiplies and four adds — the envelope
+    /// GEMM's accumulation step.
     ///
     /// Named like the [`CellLanes`] element ops rather than via
     /// `std::ops`: operator impls would force `V: Copy + …` bounds on
     /// every generic kernel signature for no call-site gain.
-    #[allow(clippy::should_implement_trait)]
-    #[inline(always)]
-    pub(crate) fn mul(self, o: Self) -> Self {
-        Cx {
-            re: self.re.mul(o.re).sub(self.im.mul(o.im)),
-            im: self.re.mul(o.im).add(self.im.mul(o.re)),
-        }
-    }
-
-    /// Fused lane-wise complex multiply-accumulate `self·o + acc`: four
-    /// fused ops instead of four multiplies and four adds — the Eq. 17
-    /// cell kernel's accumulation step.
     #[inline(always)]
     pub(crate) fn mul_add(self, o: Self, acc: Self) -> Self {
         Cx {
@@ -855,16 +804,6 @@ impl<V: CellLanes> Cx<V> {
         Cx {
             re: self.im.neg_mul_add(o.im, self.re.mul(o.re)),
             im: self.im.mul_add(o.re, self.re.mul(o.im)),
-        }
-    }
-
-    /// Lane-wise complex sum.
-    #[allow(clippy::should_implement_trait)]
-    #[inline(always)]
-    pub fn add(self, o: Self) -> Self {
-        Cx {
-            re: self.re.add(o.re),
-            im: self.im.add(o.im),
         }
     }
 
@@ -890,16 +829,20 @@ mod tests {
         (mix(seed) >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0
     }
 
-    fn check_ops<V: F64x4>(seed: u64) -> [u64; 10] {
+    /// Lane-wise ops, `hsum_cells` and the fused ops through a one-cell
+    /// `V`, loaded and stored with `load_cells`/`store_cells`.
+    fn check_ops<V: CellLanes<Sums = [f64; 1]>>(seed: u64) -> [u64; 10] {
         let a: Vec<f64> = (0..4).map(|k| rand_f64(seed ^ k)).collect();
         let b: Vec<f64> = (0..4).map(|k| rand_f64(seed ^ (k + 7))).collect();
-        let va = V::load(&a);
-        let vb = V::load(&b);
+        let va = V::load_cells(&a, 4);
+        let vb = V::load_cells(&b, 4);
         let mut out = [0.0; 4];
-        va.mul(vb).add(va).sub(vb).store(&mut out);
+        va.mul(vb).add(va).sub(vb).store_cells(&mut out, 4);
         let abs2 = va.mul(va).add(vb.mul(vb)).sqrt();
         let mut fused = [0.0; 4];
-        va.mul_add(vb, va).neg_mul_add(vb, va).store(&mut fused);
+        va.mul_add(vb, va)
+            .neg_mul_add(vb, va)
+            .store_cells(&mut fused, 4);
         [
             out[0].to_bits(),
             out[1].to_bits(),
@@ -952,11 +895,12 @@ mod tests {
     }
 
     /// `mul_add` then `neg_mul_add` lanes for one case, through `V`.
-    fn fused_ops<V: F64x4>([a, b, c]: &[[f64; 4]; 3]) -> [u64; 8] {
-        let (va, vb, vc) = (V::load(a), V::load(b), V::load(c));
+    fn fused_ops<V: CellLanes<Sums = [f64; 1]>>([a, b, c]: &[[f64; 4]; 3]) -> [u64; 8] {
+        let load = |x: &[f64; 4]| V::load_cells(x, 4);
+        let (va, vb, vc) = (load(a), load(b), load(c));
         let (mut fma, mut fnma) = ([0.0; 4], [0.0; 4]);
-        va.mul_add(vb, vc).store(&mut fma);
-        va.neg_mul_add(vb, vc).store(&mut fnma);
+        va.mul_add(vb, vc).store_cells(&mut fma, 4);
+        va.neg_mul_add(vb, vc).store_cells(&mut fnma, 4);
         std::array::from_fn(|k| if k < 4 { fma[k] } else { fnma[k - 4] }.to_bits())
     }
 
@@ -1074,10 +1018,10 @@ mod tests {
         );
     }
 
-    /// The cell kernel dispatches to the widest level the CPU reports —
+    /// The kernels dispatch to the widest level the CPU reports —
     /// AVX-512 with `avx512f`, else AVX2 with `avx2`, both only with
-    /// `fma` — and to scalar under `BLOC_NO_SIMD`; the other kernels'
-    /// 4-lane level is at most AVX2. Losing a dispatch level fails here
+    /// `fma` — and to scalar under `BLOC_NO_SIMD`; the reported 4-lane
+    /// level is at most AVX2. Losing a dispatch level fails here
     /// on any host.
     #[test]
     fn cell_level_is_the_widest_host_level() {
@@ -1109,10 +1053,10 @@ mod tests {
     #[test]
     fn scalar_ops_match_plain_arithmetic() {
         let a = [1.5, -2.25, 0.5, 3.0];
-        let v = ScalarX4::load(&a);
+        let v = ScalarX4::load_cells(&a, 4);
         assert_eq!(v.hsum_cells(), [(1.5 + 0.5) + (-2.25 + 3.0)]);
         let mut out = [0.0; 4];
-        v.mul(v).store(&mut out);
+        v.mul(v).store_cells(&mut out, 4);
         assert_eq!(out, [2.25, 5.0625, 0.25, 9.0]);
     }
 
@@ -1222,7 +1166,7 @@ mod tests {
                 .flat_map(|half| lookup_ops::<ScalarX4>(half, &table))
                 .collect();
             // The scalar level reads exactly what plain indexing reads.
-            let idx = ScalarX4::load(&xs[..4])
+            let idx = ScalarX4::load_cells(&xs[..4], 4)
                 .mul(ScalarX4::splat(3.0))
                 .floor()
                 .index(56);
@@ -1311,18 +1255,5 @@ mod tests {
             #[cfg(not(target_arch = "x86_64"))]
             assert_eq!(level.0, Level::Scalar);
         }
-    }
-
-    #[test]
-    fn complex_mul_matches_expansion() {
-        let a = Cx::<ScalarX4>::broadcast(1.25, -0.5);
-        let b = Cx::<ScalarX4>::broadcast(0.75, 2.0);
-        let p = a.mul(b);
-        let mut re = [0.0; 4];
-        let mut im = [0.0; 4];
-        p.re.store(&mut re);
-        p.im.store(&mut im);
-        assert_eq!(re[0], 1.25 * 0.75 - (-0.5) * 2.0);
-        assert_eq!(im[0], 1.25 * 2.0 + (-0.5) * 0.75);
     }
 }

@@ -1,8 +1,12 @@
-//! The two phasor-sum kernels of the workspace: the likelihood engine's
+//! The phasor-sum kernels of the workspace: the likelihood engine's
 //! (`bloc-core`, paper Eq. 17) and the channel-synthesis engine's
 //! (`bloc-chan`, paper Eq. 2). Both sum phasors whose phase is **linear
-//! in frequency** (`φ(f) = w·f` with `w = ±2πd/c`) over one sounding's
-//! bands.
+//! in frequency** (`φ(f) = w·f` with `w = ±2πd/c`), and both run on one
+//! primitive: the **envelope GEMM** (`Gemm`), a small complex matrix
+//! product of a phasor matrix `e^{iw_k·step·m}` (rows `m` on a uniform
+//! lattice, one column per "band" `k`: one rotation per band along the
+//! rows, re-seeded exactly every 256 rows) with per-lane weights, the
+//! accumulators in registers.
 //!
 //! * The Eq. 17 cell kernel is a **range-profile lookup**. Per antenna,
 //!   Eq. 17's band sum `S(Δ) = Σ_k α_k e^{iω_kΔ}` (`ω_k = 2πf_k/c`)
@@ -14,11 +18,11 @@
 //!   envelope `E(Δ) = Σ_k α_k e^{i(ω_k−ω_c)Δ}` is band-limited to the
 //!   half-span, so it varies on a metre scale. Per sounding,
 //!   [`build_profiles`] samples `E` and `h·E′` on a lattice of step `h`
-//!   over the window's `Δ` range ([`Lattice`]): `E` is a small complex
-//!   GEMM of a phasor matrix `e^{i(ω_k−ω_c)Δ_m}` (one rotation per band
-//!   along `Δ`, re-seeded exactly every 256 rows) times each antenna's
-//!   `α`, with the accumulators in registers, and `h·E′` a sixth-order
-//!   central difference of the `E` samples. Per cell and antenna,
+//!   over the window's `Δ` range ([`Lattice`]): `E` is the envelope GEMM
+//!   (rows are lattice rows, bands are bands, lanes are antennas, each
+//!   weighted by its `α`), and the profile's record step adds `h·E′`, a
+//!   sixth-order central difference of the `E` samples. Per cell and
+//!   antenna,
 //!   [`write_profile_cells_batch`] then computes one lattice index and
 //!   the four cubic-Hermite weights, gathers `E` and `h·E′` at the two
 //!   bracketing rows, and multiplies by the cached carrier; the lanes
@@ -32,144 +36,25 @@
 //!   [`MAX_TAGS`] tags of one deployment and band set: the index, the
 //!   weights, the carrier and the phasor matrix are shared, and each tag
 //!   gathers from its own profile.
-//! * [`sweep_tones_into`] — the synthesis recurrence. On BLE's uniform
-//!   2 MHz comb ([`CombPlan`]) the phasor at band `k` follows from band
-//!   `k−1` by one exact complex rotation. SIMD lanes are **four
-//!   consecutive comb slots** of one propagation path; all paths
-//!   accumulate into a dense slot buffer that is scattered back to
-//!   sounding order. It stays 4 lanes wide on the AVX-512 level too: an
-//!   8-slot body would advance each path by `step⁸` instead of `step⁴`,
-//!   a different rounding chain, and so change the sounding's bits. For
-//!   the same reason it stays unfused (`Cx::mul` then `Cx::add`).
-//!   Off-comb band sets fall back to per-band `cis`.
+//! * [`sweep_tones`] — Eq. 2 synthesis, the envelope GEMM with the roles
+//!   swapped. Every BLE RF channel sits on one 2 MHz grid from 2402 to
+//!   2480 MHz, so the rows are the channels' frequency indices (no guard
+//!   rows, no record step), the "bands" are a link's propagation paths
+//!   (wavenumber `−2π·len/c` per hertz) and the two lanes are the GFSK
+//!   tones: each lane weight is the path gain rotated to its phase at
+//!   2402 MHz and by ∓250 kHz. Any channel list works — one channel, a
+//!   masked set, link-layer order, duplicates.
 //!
 //! Each kernel is one generic body instantiated for every [`simd`] vector
-//! implementation it runs on and runtime-dispatched ([`simd::cell_level`]
-//! for the cell kernel and the profile build, [`simd::active_level`] for
-//! the tone kernel), so the scalar fallback, the AVX2 path and the
-//! AVX-512 path are bit-identical by construction: every op — fused ones,
-//! `floor` and the gathers included — is exact or one correctly rounded
-//! IEEE-754 operation, and the profile's phasor rotation runs 4 rows wide
-//! on every level.
+//! implementation and runtime-dispatched on [`simd::cell_level`], so the
+//! scalar fallback, the AVX2 path and the AVX-512 path are bit-identical
+//! by construction: every op — fused ones, `floor` and the gathers
+//! included — is exact or one correctly rounded IEEE-754 operation, and
+//! the GEMM's phasor rotation is the same lane-wise op on every level.
 
-use crate::complex::{self, C64};
-use crate::constants::SPEED_OF_LIGHT;
-use crate::simd::{self, CellLanes, Cx, F64x4, Level, ScalarX4, SimdLevel};
-
-/// How far (in hertz) a band may sit off the comb and still count as on
-/// it. BLE channel centres are exact megahertz multiples, so any real
-/// deviation is a unit-test fabrication, not measurement noise.
-pub(crate) const COMB_TOLERANCE_HZ: f64 = 1.0;
-
-/// The frequency walk the tone kernel takes across a sounding's bands.
-///
-/// Bands are visited in ascending frequency. When every band offset from
-/// the lowest frequency is an integer multiple of one comb spacing (BLE:
-/// 2 MHz), `gaps[k]` holds how many comb slots to advance from band
-/// `k−1` to band `k` (first entry 0) and the rotation recurrence is
-/// exact. Otherwise `step_hz` is 0 and the kernel falls back to per-band
-/// `cis`. Degenerate inputs (zero or one distinct frequency) are valid
-/// but not a comb: the fallback handles them exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CombPlan {
-    /// Indices into the caller's band order, ascending frequency.
-    pub order: Vec<usize>,
-    /// Frequencies in plan (ascending) order, hertz.
-    pub freqs: Vec<f64>,
-    /// The lowest surviving frequency, hertz.
-    pub base_hz: f64,
-    /// Comb spacing, hertz; 0 when the bands are not on a uniform comb.
-    pub step_hz: f64,
-    /// Comb slots to advance per planned band; empty when `step_hz == 0`.
-    pub gaps: Vec<u32>,
-    /// Absolute comb slot of each planned band (`slots[k] = Σ gaps[..=k]`);
-    /// empty when `step_hz == 0`. Lets the dense tone kernel scatter.
-    pub slots: Vec<u32>,
-}
-
-impl CombPlan {
-    /// Plans the walk for bands with the given centre frequencies (in
-    /// their stored order).
-    pub fn build(freqs_in_order: &[f64]) -> Self {
-        let mut order: Vec<usize> = (0..freqs_in_order.len()).collect();
-        order.sort_by(|&a, &b| freqs_in_order[a].total_cmp(&freqs_in_order[b]));
-        let freqs: Vec<f64> = order.iter().map(|&k| freqs_in_order[k]).collect();
-        let base_hz = freqs.first().copied().unwrap_or(0.0);
-
-        // Candidate comb spacing: the smallest positive adjacent gap.
-        let mut step_hz = f64::INFINITY;
-        for w in freqs.windows(2) {
-            let d = w[1] - w[0];
-            if d > 0.0 {
-                step_hz = step_hz.min(d);
-            }
-        }
-        if !step_hz.is_finite() {
-            // Zero or one distinct frequency: a degenerate (but valid)
-            // comb — every gap is zero slots, and no recurrence applies.
-            return Self {
-                gaps: vec![0; freqs.len()],
-                slots: vec![0; freqs.len()],
-                order,
-                freqs,
-                base_hz,
-                step_hz: 0.0,
-            };
-        }
-
-        let mut gaps = Vec::with_capacity(freqs.len());
-        let mut slots = Vec::with_capacity(freqs.len());
-        let mut prev_slot: i64 = 0;
-        for &f in &freqs {
-            let raw = (f - base_hz) / step_hz;
-            let rounded = raw.round();
-            if ((f - base_hz) - rounded * step_hz).abs() > COMB_TOLERANCE_HZ
-                || rounded < 0.0
-                || rounded > u32::MAX as f64
-            {
-                // Off-comb band: no exact recurrence exists.
-                return Self {
-                    order,
-                    freqs,
-                    base_hz,
-                    step_hz: 0.0,
-                    gaps: Vec::new(),
-                    slots: Vec::new(),
-                };
-            }
-            let slot = rounded as i64;
-            gaps.push((slot - prev_slot) as u32);
-            slots.push(rounded as u32);
-            prev_slot = slot;
-        }
-        Self {
-            order,
-            freqs,
-            base_hz,
-            step_hz,
-            gaps,
-            slots,
-        }
-    }
-
-    /// True when the exact rotation recurrence applies.
-    pub fn is_uniform_comb(&self) -> bool {
-        self.step_hz > 0.0 && !self.gaps.is_empty()
-    }
-
-    /// Number of planned bands.
-    pub fn n_bands(&self) -> usize {
-        self.freqs.len()
-    }
-
-    /// Total comb slots spanned (highest slot + 1); 0 when off-comb.
-    pub(crate) fn span(&self) -> usize {
-        if !self.is_uniform_comb() {
-            return 0;
-        }
-        self.slots.last().map_or(0, |&s| s as usize + 1)
-    }
-}
+use crate::complex::C64;
+use crate::constants::{BLE_CHANNEL_WIDTH_HZ, BLE_GFSK_DEVIATION_HZ, SPEED_OF_LIGHT};
+use crate::simd::{self, CellLanes, Cx, Level, ScalarX4, SimdLevel};
 
 /// How the per-lane accumulators of one cell reduce to its likelihood
 /// value — mirrors `bloc_core::likelihood::AntennaCombining` without the
@@ -340,7 +225,8 @@ pub const MAX_TAGS: usize = 4;
 
 /// One tag's channel weights `α` for [`build_profiles`], band-major in
 /// the plan's band order, padded to `n_lanes` lanes (a multiple of 4)
-/// with zeros.
+/// with zeros. The tone sweep fills one internally: its bands are paths
+/// and its two lanes the GFSK tones.
 #[derive(Debug, Clone, Copy)]
 pub struct ProfileWeights<'a> {
     /// `α` real parts, `alpha_re[band·n_lanes + lane]`.
@@ -362,7 +248,7 @@ const DIFF: [f64; 3] = [3.0 / 4.0, -3.0 / 20.0, 1.0 / 60.0];
 /// central differences of its first and last rows.
 const GUARD: usize = ROW_BLOCK;
 
-/// Scratch per band in [`profile_body`]: the current row block's
+/// Scratch per band in [`envelope_body`]: the current row block's
 /// phasors (eight real parts, eight imaginary), the eight-row rotation
 /// and the one-row rotation (real, imaginary each).
 const BAND_SCRATCH: usize = 2 * ROW_BLOCK + 4;
@@ -427,49 +313,53 @@ fn central_difference<V: CellLanes>(part: &[f64], c: usize, diff: &[V; 3]) -> V 
     )
 }
 
-/// Builds the profile of every tag over `lat`. First the envelope at
-/// every row from one guard block below the lattice to one above, one
-/// row block at a time: for each tag and each 4-antenna group, the GEMM
-/// of the block's phasors (every band) with `α`, `4·V::CELLS` rows per
-/// vector with the eight accumulators (`E` of the group) in registers;
-/// then every band's phasors rotate to the next block. Then, per tag and
-/// antenna, the central differences `h·E′` and the records.
+/// One envelope GEMM: the sums `Σ_k weight_k·e^{iw_k·step·m}` of every
+/// lane of every tag at the rows `m` from `first_row` on.
+struct Gemm<'a, const T: usize> {
+    /// `w_k` per band, radians per unit of `step`.
+    wavenumbers: &'a [f64],
+    /// The row step: metres for a range profile, hertz for a tone sweep.
+    step: f64,
+    /// The global index of the first row (a multiple of the row block).
+    first_row: f64,
+    /// Rows computed (a multiple of the row block).
+    rows: usize,
+    /// Each tag's band-major lane weights.
+    weights: &'a [ProfileWeights<'a>; T],
+}
+
+/// The envelope GEMM, one row block at a time: for each tag and each
+/// group of `L` lanes, the product of the block's phasors (every band)
+/// with the weights, `4·V::CELLS` rows per vector with the group's `L`
+/// complex accumulators in registers; then every band's phasors rotate
+/// to the next block. Writes tag `t`, lane `j`, part `c` (re, im) at row
+/// `r` to `envelope[((t·n_lanes + j)·2 + c)·rows + r]`.
 #[inline(always)]
-fn profile_body<V: CellLanes, const T: usize>(
-    plan: &ProfilePlan,
-    lat: &Lattice,
-    tags: &[ProfileWeights<'_>; T],
-    outs: &mut [&mut [f64]; T],
-    scratch: &mut [f64],
+fn envelope_body<V: CellLanes, const T: usize, const L: usize>(
+    gemm: &Gemm<'_, T>,
+    phasors: &mut [f64],
+    envelope: &mut [f64],
 ) {
-    let nb = plan.wavenumbers.len();
-    let nl = tags[0].n_lanes;
-    let rows = lat.rows;
-    let span = rows + 2 * GUARD;
-    // Envelope samples of tag `t`, lane `j`, part `c` (re, im) at
-    // `envelope[((t·nl + j)·2 + c)·span + GUARD + r]` for lattice row `r`.
-    let (phasors, envelope) = scratch.split_at_mut(nb * BAND_SCRATCH);
-    let first = lat.first_row - GUARD as f64;
-    for (band, &w) in phasors
-        .chunks_exact_mut(BAND_SCRATCH)
-        .zip(&plan.wavenumbers)
-    {
-        seed_block::<V>(w, lat.step_m, first, band);
+    let nb = gemm.wavenumbers.len();
+    let nl = gemm.weights[0].n_lanes;
+    let span = gemm.rows;
+    for (band, &w) in phasors.chunks_exact_mut(BAND_SCRATCH).zip(gemm.wavenumbers) {
+        seed_block::<V>(w, gemm.step, gemm.first_row, band);
     }
     for rb in 0..span / ROW_BLOCK {
-        for (t, w) in tags.iter().enumerate() {
+        for (t, w) in gemm.weights.iter().enumerate() {
             let weights = [w.alpha_re, w.alpha_im].map(|v| &v[..nb * nl]);
-            for lane0 in (0..nl).step_by(4) {
+            for lane0 in (0..nl).step_by(L) {
                 for half in (0..ROW_BLOCK).step_by(4 * V::CELLS) {
-                    let mut e = [Cx::<V>::zero(); 4];
+                    let mut e = [Cx::<V>::zero(); L];
                     for (k, band) in phasors.chunks_exact(BAND_SCRATCH).enumerate() {
                         let p = Cx {
                             re: V::load_cells(&band[half..], 4),
                             im: V::load_cells(&band[ROW_BLOCK + half..], 4),
                         };
                         let row = k * nl + lane0;
-                        let [are, aim] = weights.map(|v| &v[row..row + 4]);
-                        for j in 0..4 {
+                        let [are, aim] = weights.map(|v| &v[row..row + L]);
+                        for j in 0..L {
                             e[j] = Cx::<V>::broadcast(are[j], aim[j]).mul_add(p, e[j]);
                         }
                     }
@@ -481,24 +371,34 @@ fn profile_body<V: CellLanes, const T: usize>(
                 }
             }
         }
-        let next = first + ((rb + 1) * ROW_BLOCK) as f64;
+        let next = gemm.first_row + ((rb + 1) * ROW_BLOCK) as f64;
         let reseed = (next as i64).rem_euclid(SEED_ROWS as i64) == 0;
-        for (band, &w) in phasors
-            .chunks_exact_mut(BAND_SCRATCH)
-            .zip(&plan.wavenumbers)
-        {
+        for (band, &w) in phasors.chunks_exact_mut(BAND_SCRATCH).zip(gemm.wavenumbers) {
             if reseed {
-                reseed_block(w, lat.step_m, next, band);
+                reseed_block(w, gemm.step, next, band);
             } else {
                 advance_block::<V>(band);
             }
         }
     }
+}
+
+/// The profile's record step: per tag and lane, `E` at every lattice row
+/// and the central difference `h·E′`, from an `envelope` of `span` rows
+/// that reaches one guard block beyond each end of the lattice.
+#[inline(always)]
+fn record_body<V: CellLanes, const T: usize>(
+    envelope: &[f64],
+    n_lanes: usize,
+    span: usize,
+    outs: &mut [&mut [f64]; T],
+) {
+    let rows = span - 2 * GUARD;
     let diff = DIFF.map(V::splat);
     for (t, out) in outs.iter_mut().enumerate() {
-        for lane in 0..nl {
-            let at = (t * nl + lane) * 2 * span + GUARD;
-            let (re, im) = envelope[at - GUARD..at - GUARD + 2 * span].split_at(span);
+        for lane in 0..n_lanes {
+            let at = (t * n_lanes + lane) * 2 * span;
+            let (re, im) = envelope[at..at + 2 * span].split_at(span);
             for r in (0..rows).step_by(4 * V::CELLS) {
                 let c = r + GUARD;
                 let record = [
@@ -510,6 +410,22 @@ fn profile_body<V: CellLanes, const T: usize>(
                 V::store_records(record, &mut out[(lane * rows + r) * 4..]);
             }
         }
+    }
+}
+
+/// The envelope GEMM over `L`-lane groups into `scratch` (the phasor
+/// blocks, then the envelope), followed by the record step when
+/// `records` holds the tags' profiles.
+#[inline(always)]
+fn phasor_body<V: CellLanes, const T: usize, const L: usize>(
+    gemm: &Gemm<'_, T>,
+    records: Option<&mut [&mut [f64]; T]>,
+    scratch: &mut [f64],
+) {
+    let (phasors, envelope) = scratch.split_at_mut(gemm.wavenumbers.len() * BAND_SCRATCH);
+    envelope_body::<V, T, L>(gemm, phasors, envelope);
+    if let Some(outs) = records {
+        record_body::<V, T>(envelope, gemm.weights[0].n_lanes, gemm.rows, outs);
     }
 }
 
@@ -667,14 +583,12 @@ fn rows_body<V: CellLanes, W: CellLanes, const T: usize>(
 
 /// The portable twins: on a CPU without FMA hardware each fused op is a
 /// correctly rounded libm `fma` call — slow, but bit-identical.
-fn profiles_scalar<const T: usize>(
-    plan: &ProfilePlan,
-    lat: &Lattice,
-    tags: &[ProfileWeights<'_>; T],
-    outs: &mut [&mut [f64]; T],
+fn phasors_scalar<const T: usize, const L: usize>(
+    gemm: &Gemm<'_, T>,
+    records: Option<&mut [&mut [f64]; T]>,
     scratch: &mut [f64],
 ) {
-    profile_body::<ScalarX4, T>(plan, lat, tags, outs, scratch);
+    phasor_body::<ScalarX4, T, L>(gemm, records, scratch);
 }
 
 fn cells_scalar<const T: usize>(
@@ -692,14 +606,12 @@ fn cells_scalar<const T: usize>(
 /// every lane still runs the same correctly rounded ops.)
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "fma")]
-fn profiles_scalar_fma<const T: usize>(
-    plan: &ProfilePlan,
-    lat: &Lattice,
-    tags: &[ProfileWeights<'_>; T],
-    outs: &mut [&mut [f64]; T],
+fn phasors_scalar_fma<const T: usize, const L: usize>(
+    gemm: &Gemm<'_, T>,
+    records: Option<&mut [&mut [f64]; T]>,
     scratch: &mut [f64],
 ) {
-    profile_body::<ScalarX4, T>(plan, lat, tags, outs, scratch);
+    phasor_body::<ScalarX4, T, L>(gemm, records, scratch);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -715,14 +627,12 @@ fn cells_scalar_fma<const T: usize>(
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-fn profiles_avx2<const T: usize>(
-    plan: &ProfilePlan,
-    lat: &Lattice,
-    tags: &[ProfileWeights<'_>; T],
-    outs: &mut [&mut [f64]; T],
+fn phasors_avx2<const T: usize, const L: usize>(
+    gemm: &Gemm<'_, T>,
+    records: Option<&mut [&mut [f64]; T]>,
     scratch: &mut [f64],
 ) {
-    profile_body::<simd::AvxX4, T>(plan, lat, tags, outs, scratch);
+    phasor_body::<simd::AvxX4, T, L>(gemm, records, scratch);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -736,17 +646,15 @@ fn cells_avx2<const T: usize>(
     rows_body::<simd::AvxX4, simd::AvxX4, T>(tags, combine, rows, outs);
 }
 
-/// Eight lattice rows per vector.
+/// Eight rows per vector.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx2,fma")]
-fn profiles_avx512<const T: usize>(
-    plan: &ProfilePlan,
-    lat: &Lattice,
-    tags: &[ProfileWeights<'_>; T],
-    outs: &mut [&mut [f64]; T],
+fn phasors_avx512<const T: usize, const L: usize>(
+    gemm: &Gemm<'_, T>,
+    records: Option<&mut [&mut [f64]; T]>,
     scratch: &mut [f64],
 ) {
-    profile_body::<simd::Avx512X8, T>(plan, lat, tags, outs, scratch);
+    phasor_body::<simd::Avx512X8, T, L>(gemm, records, scratch);
 }
 
 /// Each row's whole cell pairs on the two-cell AVX-512 vector; an odd
@@ -773,8 +681,51 @@ fn batch_of<'s, 'o, A, B, const T: usize>(
     (tags, outs)
 }
 
-/// The `T`-tag profile build on `level`.
+/// The envelope GEMM over `L`-lane groups, and the record step when
+/// `records` holds the profiles, on `level`.
 #[allow(unsafe_code)]
+fn phasors_at<const T: usize, const L: usize>(
+    level: SimdLevel,
+    gemm: &Gemm<'_, T>,
+    records: Option<&mut [&mut [f64]; T]>,
+    s: &mut [f64],
+) {
+    match level.0 {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `has_fma` just detected the `fma` feature.
+        Level::Scalar if simd::has_fma() => unsafe { phasors_scalar_fma::<T, L>(gemm, records, s) },
+        Level::Scalar => phasors_scalar::<T, L>(gemm, records, s),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the AVX2 level only comes from `simd::host_levels`,
+        // which constructs it behind `avx2` and `fma` detection.
+        Level::Avx2 => unsafe { phasors_avx2::<T, L>(gemm, records, s) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the AVX-512 level only comes from `simd::host_levels`,
+        // which constructs it behind `avx512f`, `avx2` and `fma` detection.
+        Level::Avx512 => unsafe { phasors_avx512::<T, L>(gemm, records, s) },
+        #[cfg(not(target_arch = "x86_64"))]
+        Level::Avx2 | Level::Avx512 => phasors_scalar::<T, L>(gemm, records, s),
+    }
+}
+
+thread_local! {
+    /// This thread's last profile build or tone sweep scratch — phasor
+    /// blocks, envelope samples and a sweep's path weights — kept so a
+    /// warm call allocates nothing.
+    static PHASOR_SCRATCH: std::cell::Cell<Vec<f64>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
+/// Runs `f` on this thread's phasor scratch, `len` zeros long.
+fn with_scratch(len: usize, f: impl FnOnce(&mut [f64])) {
+    let mut scratch = PHASOR_SCRATCH.take();
+    scratch.clear();
+    scratch.resize(len, 0.0);
+    f(&mut scratch);
+    PHASOR_SCRATCH.set(scratch);
+}
+
+/// The `T`-tag profile build on `level`: the envelope from one guard
+/// block below the lattice to one above, then the records.
 fn profiles_at<const T: usize>(
     level: SimdLevel,
     plan: &ProfilePlan,
@@ -783,39 +734,15 @@ fn profiles_at<const T: usize>(
     outs: &mut [&mut [f64]],
 ) {
     let (tags, outs) = batch_of::<_, _, T>(tags, outs);
-    let mut scratch = PROFILE_SCRATCH.take();
-    scratch.clear();
-    let span = lat.rows + 2 * GUARD;
-    scratch.resize(
-        plan.wavenumbers.len() * BAND_SCRATCH + T * tags[0].n_lanes * 2 * span,
-        0.0,
-    );
-    let s = &mut scratch[..];
-    match level.0 {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `has_fma` just detected the `fma` feature.
-        Level::Scalar if simd::has_fma() => unsafe {
-            profiles_scalar_fma(plan, lat, tags, outs, s)
-        },
-        Level::Scalar => profiles_scalar(plan, lat, tags, outs, s),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the AVX2 level only comes from `simd::host_levels`,
-        // which constructs it behind `avx2` and `fma` detection.
-        Level::Avx2 => unsafe { profiles_avx2(plan, lat, tags, outs, s) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the AVX-512 level only comes from `simd::host_levels`,
-        // which constructs it behind `avx512f`, `avx2` and `fma` detection.
-        Level::Avx512 => unsafe { profiles_avx512(plan, lat, tags, outs, s) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 | Level::Avx512 => profiles_scalar(plan, lat, tags, outs, s),
-    }
-    PROFILE_SCRATCH.set(scratch);
-}
-
-thread_local! {
-    /// The phasor blocks and envelope samples of this thread's last
-    /// profile build, kept so a warm build allocates nothing.
-    static PROFILE_SCRATCH: std::cell::Cell<Vec<f64>> = const { std::cell::Cell::new(Vec::new()) };
+    let gemm = Gemm {
+        wavenumbers: &plan.wavenumbers,
+        step: lat.step_m,
+        first_row: lat.first_row - GUARD as f64,
+        rows: lat.rows + 2 * GUARD,
+        weights: tags,
+    };
+    let len = plan.wavenumbers.len() * BAND_SCRATCH + T * tags[0].n_lanes * 2 * gemm.rows;
+    with_scratch(len, |s| phasors_at::<T, 4>(level, &gemm, Some(outs), s));
 }
 
 /// [`build_profiles`] on an explicit vector level — what the
@@ -995,247 +922,103 @@ pub fn write_profile_cells_at(
     write_profile_cells_batch_at(level, std::slice::from_ref(s), combine, rows, &mut [out]);
 }
 
-/// Reusable dense slot accumulators for [`sweep_tones_into`] — hold them
-/// in the caller's scratch arena so warm sweeps allocate nothing.
-#[derive(Debug, Default)]
-pub struct ToneSweepScratch {
-    lo_re: Vec<f64>,
-    lo_im: Vec<f64>,
-    hi_re: Vec<f64>,
-    hi_im: Vec<f64>,
-}
+/// The centre of BLE RF channel frequency index 0 (advertising channel
+/// 37), hertz: row 0 of a tone sweep.
+const TONE_ROW0_HZ: f64 = 2.402e9;
 
-impl ToneSweepScratch {
-    /// Empty scratch (buffers grow on first use and are then reused).
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// Path weights per path in a tone sweep's scratch: the wavenumber, then
+/// each tone's weight (re, im).
+const PATH_SCRATCH: usize = 5;
 
-    fn reset(&mut self, lanes: usize) {
-        for buf in [
-            &mut self.lo_re,
-            &mut self.lo_im,
-            &mut self.hi_re,
-            &mut self.hi_im,
-        ] {
-            buf.clear();
-            buf.resize(lanes, 0.0);
-        }
-    }
-}
-
-/// When a uniform comb's dense span exceeds this multiple of its band
-/// count, the dense-slot kernel would mostly rotate through empty slots;
-/// the per-band gap walk is used instead.
-const DENSE_SPAN_FACTOR: usize = 4;
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn tone_paths_body<V: F64x4>(
+/// [`sweep_tones`] with the envelope GEMM run by `run` on the sweep's
+/// lane weights and the rest of its scratch.
+fn tone_sweep<I>(
     lengths: &[f64],
     gains: &[C64],
-    base_hz: f64,
-    step_hz: f64,
-    tone_offset_hz: f64,
-    phase_per_metre_hz: f64,
-    scratch: &mut ToneSweepScratch,
-    n_quads: usize,
-) {
-    for (&len, &gain) in lengths.iter().zip(gains) {
-        let w = phase_per_metre_hz * len;
-        let step = C64::cis(w * step_hz);
-        let tone = C64::cis(w * tone_offset_hz);
-        let rot0 = C64::cis(w * base_hz);
-        let lo = gain * tone.conj();
-        let hi = gain * tone;
-        // Lane seed: four consecutive comb slots of this path.
-        let r1 = rot0 * step;
-        let r2 = r1 * step;
-        let r3 = r2 * step;
-        let mut rot = Cx::<V> {
-            re: V::load(&[rot0.re, r1.re, r2.re, r3.re]),
-            im: V::load(&[rot0.im, r1.im, r2.im, r3.im]),
-        };
-        let s2 = step * step;
-        let s4 = s2 * s2;
-        let step4 = Cx::<V>::broadcast(s4.re, s4.im);
-        let lo4 = Cx::<V>::broadcast(lo.re, lo.im);
-        let hi4 = Cx::<V>::broadcast(hi.re, hi.im);
-        for q in 0..n_quads {
-            let at = q * 4;
-            let lo_acc = Cx {
-                re: V::load(&scratch.lo_re[at..]),
-                im: V::load(&scratch.lo_im[at..]),
-            };
-            let hi_acc = Cx {
-                re: V::load(&scratch.hi_re[at..]),
-                im: V::load(&scratch.hi_im[at..]),
-            };
-            let lo_next = lo_acc.add(lo4.mul(rot));
-            let hi_next = hi_acc.add(hi4.mul(rot));
-            lo_next.re.store(&mut scratch.lo_re[at..]);
-            lo_next.im.store(&mut scratch.lo_im[at..]);
-            hi_next.re.store(&mut scratch.hi_re[at..]);
-            hi_next.im.store(&mut scratch.hi_im[at..]);
-            rot = rot.mul(step4);
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn tone_paths_scalar(
-    lengths: &[f64],
-    gains: &[C64],
-    base_hz: f64,
-    step_hz: f64,
-    tone_offset_hz: f64,
-    phase_per_metre_hz: f64,
-    scratch: &mut ToneSweepScratch,
-    n_quads: usize,
-) {
-    tone_paths_body::<ScalarX4>(
-        lengths,
-        gains,
-        base_hz,
-        step_hz,
-        tone_offset_hz,
-        phase_per_metre_hz,
-        scratch,
-        n_quads,
-    );
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-fn tone_paths_avx2(
-    lengths: &[f64],
-    gains: &[C64],
-    base_hz: f64,
-    step_hz: f64,
-    tone_offset_hz: f64,
-    phase_per_metre_hz: f64,
-    scratch: &mut ToneSweepScratch,
-    n_quads: usize,
-) {
-    tone_paths_body::<simd::AvxX4>(
-        lengths,
-        gains,
-        base_hz,
-        step_hz,
-        tone_offset_hz,
-        phase_per_metre_hz,
-        scratch,
-        n_quads,
-    );
-}
-
-/// [`sweep_tones_into`] on an explicit vector level (for the dispatch
-/// equivalence tests). The AVX-512 level runs the 4-wide AVX2 body: see
-/// the module docs for why this kernel does not widen.
-#[allow(unsafe_code)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sweep_tones_into_at(
-    level: SimdLevel,
-    plan: &CombPlan,
-    tone_offset_hz: f64,
-    phase_per_metre_hz: f64,
-    lengths: &[f64],
-    gains: &[C64],
-    scratch: &mut ToneSweepScratch,
+    rows: I,
     out: &mut [[C64; 2]],
-) {
+    run: impl FnOnce(&Gemm<'_, 1>, &mut [f64]),
+) where
+    I: Iterator<Item = usize> + Clone,
+{
     assert_eq!(lengths.len(), gains.len(), "path SoA arrays must match");
-    assert_eq!(
-        out.len(),
-        plan.n_bands(),
-        "out must hold one entry per band"
-    );
-    for v in out.iter_mut() {
-        *v = [complex::ZERO; 2];
-    }
-    if !plan.is_uniform_comb() {
-        // Off-comb (or degenerate) bands: exact per-band `cis`.
-        for (&len, &gain) in lengths.iter().zip(gains) {
-            let w = phase_per_metre_hz * len;
-            for (k, &f) in plan.freqs.iter().enumerate() {
-                let slot = &mut out[plan.order[k]];
-                slot[0] += gain * C64::cis(w * (f - tone_offset_hz));
-                slot[1] += gain * C64::cis(w * (f + tone_offset_hz));
-            }
-        }
+    let (n, lo, hi) = rows.clone().fold((0, usize::MAX, 0), |(n, lo, hi), r| {
+        (n + 1, lo.min(r), hi.max(r))
+    });
+    assert_eq!(n, out.len(), "one output per row");
+    if n == 0 {
         return;
     }
-    let span = plan.span();
-    if span > DENSE_SPAN_FACTOR * plan.n_bands().max(1) {
-        // Too sparse for dense lanes: walk the gaps per path instead.
-        for (&len, &gain) in lengths.iter().zip(gains) {
-            let w = phase_per_metre_hz * len;
-            let step = C64::cis(w * plan.step_hz);
-            let tone = C64::cis(w * tone_offset_hz);
-            let mut rot = C64::cis(w * plan.base_hz);
-            let lo = gain * tone.conj();
-            let hi = gain * tone;
-            for (slot, &gap) in plan.gaps.iter().enumerate() {
-                for _ in 0..gap {
-                    rot *= step;
-                }
-                let o = &mut out[plan.order[slot]];
-                o[0] += lo * rot;
-                o[1] += hi * rot;
+    let first = lo - lo % ROW_BLOCK;
+    let span = (hi + 1 - first).next_multiple_of(ROW_BLOCK);
+    let np = lengths.len();
+    with_scratch(np * (PATH_SCRATCH + BAND_SCRATCH) + 4 * span, |s| {
+        let (wavenumbers, s) = s.split_at_mut(np);
+        let (alpha_re, s) = s.split_at_mut(2 * np);
+        let (alpha_im, s) = s.split_at_mut(2 * np);
+        let per_hz = -std::f64::consts::TAU / SPEED_OF_LIGHT;
+        for (p, (&len, &gain)) in lengths.iter().zip(gains).enumerate() {
+            let w = per_hz * len;
+            let g = gain * C64::cis(w * TONE_ROW0_HZ);
+            let tone = C64::cis(w * BLE_GFSK_DEVIATION_HZ);
+            wavenumbers[p] = w;
+            for (lane, a) in [g * tone.conj(), g * tone].into_iter().enumerate() {
+                (alpha_re[2 * p + lane], alpha_im[2 * p + lane]) = (a.re, a.im);
             }
         }
-        return;
-    }
-    let n_quads = span.div_ceil(4);
-    scratch.reset(n_quads * 4);
-    match level.0 {
-        Level::Scalar => tone_paths_scalar(
-            lengths,
-            gains,
-            plan.base_hz,
-            plan.step_hz,
-            tone_offset_hz,
-            phase_per_metre_hz,
-            scratch,
-            n_quads,
-        ),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: both levels only come from `simd::host_levels`, which
-        // constructs them behind `is_x86_feature_detected!("avx2")`.
-        Level::Avx2 | Level::Avx512 => unsafe {
-            tone_paths_avx2(
-                lengths,
-                gains,
-                plan.base_hz,
-                plan.step_hz,
-                tone_offset_hz,
-                phase_per_metre_hz,
-                scratch,
-                n_quads,
-            )
-        },
-        #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 | Level::Avx512 => tone_paths_scalar(
-            lengths,
-            gains,
-            plan.base_hz,
-            plan.step_hz,
-            tone_offset_hz,
-            phase_per_metre_hz,
-            scratch,
-            n_quads,
-        ),
-    }
-    // Scatter dense slots back to the caller's sounding order (duplicate
-    // frequencies land on the same dense slot and get identical values).
-    for (k, &slot) in plan.slots.iter().enumerate() {
-        let d = slot as usize;
-        out[plan.order[k]] = [
-            C64::new(scratch.lo_re[d], scratch.lo_im[d]),
-            C64::new(scratch.hi_re[d], scratch.hi_im[d]),
-        ];
-    }
+        let weights = [ProfileWeights {
+            alpha_re,
+            alpha_im,
+            n_lanes: 2,
+        }];
+        let gemm = Gemm {
+            wavenumbers,
+            step: BLE_CHANNEL_WIDTH_HZ,
+            first_row: first as f64,
+            rows: span,
+            weights: &weights,
+        };
+        run(&gemm, s);
+        // Each tone's real parts, then its imaginary parts, `span` each.
+        let (lower, upper) = s[np * BAND_SCRATCH..].split_at(2 * span);
+        for (o, r) in out.iter_mut().zip(rows) {
+            let at = r - first;
+            *o = [lower, upper].map(|t| C64::new(t[at], t[span + at]));
+        }
+    });
+}
+
+/// [`sweep_tones`] on an explicit vector level — what the
+/// dispatch-equivalence tests drive so they never mutate process state.
+/// Sound for any `level` safe code can hold: levels only come from CPU
+/// detection (`simd::host_levels`).
+fn sweep_tones_at<I>(
+    level: SimdLevel,
+    lengths: &[f64],
+    gains: &[C64],
+    rows: I,
+    out: &mut [[C64; 2]],
+) where
+    I: Iterator<Item = usize> + Clone,
+{
+    tone_sweep(lengths, gains, rows, out, |gemm, s| {
+        phasors_at::<1, 2>(level, gemm, None, s)
+    });
+}
+
+/// Evaluates the two GFSK tone channels `[h(f−δ), h(f+δ)]` of Eq. 2,
+/// `h(f) = Σ_p gain_p·e^{−i2πf·len_p/c}`, for a whole path set at the
+/// BLE channels of frequency indices `rows` (`f = 2402 MHz + 2 MHz·row`,
+/// `δ = 250 kHz`), into `out` in the order of `rows`: the envelope GEMM
+/// with rows on the 2 MHz channel grid, paths as bands and the two tones
+/// as lanes. A row's value depends only on its index and the paths, so
+/// duplicates, any order and any subset of the 40 rows agree bit for
+/// bit. The vector path is chosen once per call via [`simd::cell_level`].
+pub fn sweep_tones<I>(lengths: &[f64], gains: &[C64], rows: I, out: &mut [[C64; 2]])
+where
+    I: Iterator<Item = usize> + Clone,
+{
+    sweep_tones_at(simd::cell_level(), lengths, gains, rows, out);
 }
 
 /// The vector levels this host can actually execute, narrowest first
@@ -1244,36 +1027,10 @@ pub fn levels_to_test() -> Vec<SimdLevel> {
     simd::host_levels().to_vec()
 }
 
-/// Evaluates the two GFSK tone channels `[h(f−δ), h(f+δ)]` of every band
-/// for a whole path set (Eq. 2 with the geometry hoisted out): lanes are
-/// four consecutive dense comb slots, every path's rotation chain
-/// advances four slots per complex multiply, and the dense accumulators
-/// scatter back to sounding order. `phase_per_metre_hz` is the phase
-/// slope `w/d` (`bloc-chan` passes `−2π/c`).
-pub fn sweep_tones_into(
-    plan: &CombPlan,
-    tone_offset_hz: f64,
-    phase_per_metre_hz: f64,
-    lengths: &[f64],
-    gains: &[C64],
-    scratch: &mut ToneSweepScratch,
-    out: &mut [[C64; 2]],
-) {
-    sweep_tones_into_at(
-        simd::active_level(),
-        plan,
-        tone_offset_hz,
-        phase_per_metre_hz,
-        lengths,
-        gains,
-        scratch,
-        out,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complex;
 
     /// One tag's contiguous run on the dispatched level.
     fn write_profile_cells(
@@ -1294,47 +1051,6 @@ mod tests {
 
     fn rand_unit(seed: u64) -> f64 {
         (mix(seed) >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    #[test]
-    fn comb_plan_detects_the_ble_comb() {
-        let freqs: Vec<f64> = (0..10).map(|k| 2.402e9 + 2e6 * k as f64).collect();
-        let plan = CombPlan::build(&freqs);
-        assert!(plan.is_uniform_comb());
-        assert_eq!(plan.base_hz, 2.402e9);
-        assert_eq!(plan.step_hz, 2e6);
-        assert_eq!(plan.gaps[0], 0);
-        assert!(plan.gaps[1..].iter().all(|&g| g == 1));
-        assert_eq!(plan.span(), 10);
-    }
-
-    #[test]
-    fn comb_plan_sorts_and_rejects_non_combs() {
-        let freqs = [2.410e9, 2.402e9, 2.416e9];
-        let plan = CombPlan::build(&freqs);
-        assert_eq!(plan.order, vec![1, 0, 2]);
-        // 8 and 6 MHz adjacent gaps: 6 MHz does not divide 8 MHz.
-        assert!(!plan.is_uniform_comb());
-    }
-
-    #[test]
-    fn comb_plan_multi_slot_gaps() {
-        let plan = CombPlan::build(&[2.402e9, 2.404e9, 2.412e9]);
-        assert!(plan.is_uniform_comb());
-        assert_eq!(plan.gaps, vec![0, 1, 4]);
-        assert_eq!(plan.slots, vec![0, 1, 5]);
-        assert_eq!(plan.span(), 6);
-    }
-
-    #[test]
-    fn comb_plan_degenerate_sizes() {
-        assert!(!CombPlan::build(&[]).is_uniform_comb());
-        let one = CombPlan::build(&[2.44e9]);
-        assert!(!one.is_uniform_comb());
-        assert_eq!(one.gaps, vec![0]);
-        assert_eq!(one.base_hz, 2.44e9);
-        // Duplicates of one frequency are degenerate too.
-        assert!(!CombPlan::build(&[2.44e9, 2.44e9]).is_uniform_comb());
     }
 
     /// Frequencies of comb slots `slots` above 2402 MHz, 2 MHz apart.
@@ -1564,7 +1280,6 @@ mod tests {
 
     #[test]
     fn offcomb_cells_match_reference() {
-        assert!(!CombPlan::build(&off_comb()).is_uniform_comb());
         let fx = fixture_on(31, 20, 4, &off_comb());
         let profile = fx.profile();
         let mut out = vec![0.0; 20];
@@ -1955,10 +1670,16 @@ mod tests {
             let mut views: Vec<&mut [f64]> =
                 portable.iter_mut().map(|o| o.as_mut_slice()).collect();
             let (_, views) = batch_of::<_, _, MAX_TAGS>(&weights, &mut views);
-            let span = fx.lattice.rows + 2 * GUARD;
+            let gemm = Gemm {
+                wavenumbers: &fx.plan.wavenumbers,
+                step: fx.plan.step_m,
+                first_row: fx.lattice.first_row - GUARD as f64,
+                rows: fx.lattice.rows + 2 * GUARD,
+                weights: &weights,
+            };
             let mut scratch =
-                vec![0.0; fx.freqs.len() * BAND_SCRATCH + MAX_TAGS * fx.n_lanes * 2 * span];
-            profiles_scalar(&fx.plan, &fx.lattice, &weights, views, &mut scratch);
+                vec![0.0; fx.freqs.len() * BAND_SCRATCH + MAX_TAGS * fx.n_lanes * 2 * gemm.rows];
+            phasors_scalar::<MAX_TAGS, 4>(&gemm, Some(views), &mut scratch);
             assert_eq!(portable, dispatched, "profiles");
             let tags: [CellSweep<'_>; MAX_TAGS] = std::array::from_fn(|t| fx.sweep(&dispatched[t]));
             for combine in [Combine::Coherent, Combine::Noncoherent, Combine::Hybrid] {
@@ -1976,23 +1697,21 @@ mod tests {
         }
     }
 
-    fn tone_reference(
-        lengths: &[f64],
-        gains: &[C64],
-        freqs: &[f64],
-        tone: f64,
-        w_per_m: f64,
-    ) -> Vec<[C64; 2]> {
-        freqs
-            .iter()
-            .map(|&f| {
-                let mut lo = complex::ZERO;
-                let mut hi = complex::ZERO;
-                for (&len, &g) in lengths.iter().zip(gains) {
-                    lo += g * C64::cis(w_per_m * len * (f - tone));
-                    hi += g * C64::cis(w_per_m * len * (f + tone));
-                }
-                [lo, hi]
+    /// Eq. 2's tone pair at BLE row `r`, per path and band by `cis`.
+    fn tone_reference(lengths: &[f64], gains: &[C64], rows: &[usize]) -> Vec<[C64; 2]> {
+        let w_per_m = -std::f64::consts::TAU / SPEED_OF_LIGHT;
+        rows.iter()
+            .map(|&r| {
+                let f = TONE_ROW0_HZ + BLE_CHANNEL_WIDTH_HZ * r as f64;
+                [-1.0, 1.0].map(|sign| {
+                    let f = f + sign * BLE_GFSK_DEVIATION_HZ;
+                    lengths
+                        .iter()
+                        .zip(gains)
+                        .fold(complex::ZERO, |h, (&len, &g)| {
+                            h + g * C64::cis(w_per_m * len * f)
+                        })
+                })
             })
             .collect()
     }
@@ -2012,140 +1731,118 @@ mod tests {
         (lengths, gains)
     }
 
-    #[test]
-    fn tone_sweep_matches_per_band_cis() {
-        let (lengths, gains) = tone_fixture(5, 24);
-        // Sounding order shuffled, with a duplicate channel.
-        let freqs = [2.426e9, 2.402e9, 2.480e9, 2.402e9, 2.404e9];
-        let plan = CombPlan::build(&freqs);
-        assert!(plan.is_uniform_comb());
-        let w = -std::f64::consts::TAU / 299_792_458.0;
-        let mut scratch = ToneSweepScratch::new();
-        let mut out = vec![[complex::ZERO; 2]; freqs.len()];
-        sweep_tones_into(&plan, 250e3, w, &lengths, &gains, &mut scratch, &mut out);
-        let want = tone_reference(&lengths, &gains, &freqs, 250e3, w);
+    /// The tone sweep of `rows` on `level`.
+    fn tones_at(level: SimdLevel, lengths: &[f64], gains: &[C64], rows: &[usize]) -> Vec<[C64; 2]> {
+        let mut out = vec![[complex::ZERO; 2]; rows.len()];
+        sweep_tones_at(level, lengths, gains, rows.iter().copied(), &mut out);
+        out
+    }
+
+    fn tone_bits(out: &[[C64; 2]]) -> Vec<u64> {
+        out.iter()
+            .flatten()
+            .flat_map(|h| [h.re.to_bits(), h.im.to_bits()])
+            .collect()
+    }
+
+    /// Asserts `got` is within 1e-12 of the largest reference tone of
+    /// the per-band `cis` reference.
+    fn assert_tones_match(got: &[[C64; 2]], lengths: &[f64], gains: &[C64], rows: &[usize]) {
+        let want = tone_reference(lengths, gains, rows);
         let scale: f64 = want
             .iter()
             .flatten()
             .map(|h| h.abs())
             .fold(f64::MIN_POSITIVE, f64::max);
-        for (k, (got, want)) in out.iter().zip(&want).enumerate() {
+        for (k, (got, want)) in got.iter().zip(&want).enumerate() {
             for t in 0..2 {
                 assert!(
                     (got[t] - want[t]).abs() <= 1e-12 * scale,
-                    "band {k} tone {t}: {:?} vs {:?}",
+                    "row {} tone {t}: {:?} vs {:?}",
+                    rows[k],
                     got[t],
                     want[t]
                 );
             }
         }
-        assert_eq!(out[1], out[3], "duplicate channels get identical sweeps");
     }
 
     #[test]
-    fn tone_sweep_off_comb_and_degenerate_fall_back() {
-        let (lengths, gains) = tone_fixture(9, 7);
-        let w = -std::f64::consts::TAU / 299_792_458.0;
-        for freqs in [
-            vec![2.402e9, 2.402e9 + 1.37e6, 2.402e9 + 3.91e6],
-            vec![],
-            vec![2.44e9],
-            vec![2.44e9, 2.44e9],
-        ] {
-            let plan = CombPlan::build(&freqs);
-            let mut scratch = ToneSweepScratch::new();
-            let mut out = vec![[complex::ZERO; 2]; freqs.len()];
-            sweep_tones_into(&plan, 250e3, w, &lengths, &gains, &mut scratch, &mut out);
-            let want = tone_reference(&lengths, &gains, &freqs, 250e3, w);
-            for (k, (got, want)) in out.iter().zip(&want).enumerate() {
-                for t in 0..2 {
-                    assert!(
-                        (got[t] - want[t]).abs() <= 1e-9 * want[t].abs().max(1e-12),
-                        "band {k} tone {t}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tone_sweep_sparse_comb_uses_gap_walk_and_matches() {
-        let (lengths, gains) = tone_fixture(13, 11);
-        // Uniform 2 MHz comb but very sparse: span ≫ 4 × bands.
-        let freqs = [2.402e9, 2.404e9, 2.480e9];
-        let plan = CombPlan::build(&freqs);
-        assert!(plan.is_uniform_comb());
-        assert!(plan.span() > DENSE_SPAN_FACTOR * plan.n_bands());
-        let w = -std::f64::consts::TAU / 299_792_458.0;
-        let mut scratch = ToneSweepScratch::new();
-        let mut out = vec![[complex::ZERO; 2]; freqs.len()];
-        sweep_tones_into(&plan, 250e3, w, &lengths, &gains, &mut scratch, &mut out);
-        let want = tone_reference(&lengths, &gains, &freqs, 250e3, w);
-        for (k, (got, want)) in out.iter().zip(&want).enumerate() {
-            for t in 0..2 {
-                assert!(
-                    (got[t] - want[t]).abs() <= 1e-12 * want[t].abs().max(1e-12),
-                    "band {k} tone {t}"
+    fn tone_sweep_matches_per_band_cis() {
+        // Sounding order shuffled with a duplicate channel, no row, one
+        // row, one row twice, and sparse sets with holes of many rows, on
+        // every level: each row matches the per-band reference and holds
+        // the bits of the full 40-row sweep, and an empty path set sums
+        // to zero.
+        let (lengths, gains) = tone_fixture(5, 24);
+        let all: Vec<usize> = (0..40).collect();
+        for &level in &levels_to_test() {
+            let full = tones_at(level, &lengths, &gains, &all);
+            for rows in [
+                vec![12, 0, 39, 0, 1],
+                vec![],
+                vec![17],
+                vec![17, 17],
+                vec![0, 1, 39],
+                vec![33, 2, 20],
+            ] {
+                let out = tones_at(level, &lengths, &gains, &rows);
+                assert_tones_match(&out, &lengths, &gains, &rows);
+                let want: Vec<[C64; 2]> = rows.iter().map(|&r| full[r]).collect();
+                assert_eq!(
+                    tone_bits(&out),
+                    tone_bits(&want),
+                    "{level:?}, rows {rows:?}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn tone_sweep_dispatch_paths_are_bit_identical() {
-        let (lengths, gains) = tone_fixture(17, 40);
-        let freqs: Vec<f64> = (0..37).map(|k| 2.402e9 + 2e6 * k as f64).collect();
-        let plan = CombPlan::build(&freqs);
-        let w = -std::f64::consts::TAU / 299_792_458.0;
-        let mut reference: Option<Vec<[C64; 2]>> = None;
-        for &level in &levels_to_test() {
-            let mut scratch = ToneSweepScratch::new();
-            let mut out = vec![[complex::ZERO; 2]; freqs.len()];
-            sweep_tones_into_at(
-                level,
-                &plan,
-                250e3,
-                w,
-                &lengths,
-                &gains,
-                &mut scratch,
-                &mut out,
-            );
-            match &reference {
-                None => reference = Some(out),
-                Some(want) => {
-                    for (k, (got, want)) in out.iter().zip(want).enumerate() {
-                        for t in 0..2 {
-                            assert_eq!(
-                                got[t].re.to_bits(),
-                                want[t].re.to_bits(),
-                                "band {k} tone {t} re ({level:?})"
-                            );
-                            assert_eq!(
-                                got[t].im.to_bits(),
-                                want[t].im.to_bits(),
-                                "band {k} tone {t} im ({level:?})"
-                            );
-                        }
-                    }
-                }
-            }
+            let none = tones_at(level, &[], &[], &[3, 8]);
+            assert_eq!(none, vec![[complex::ZERO; 2]; 2]);
         }
     }
 
     #[test]
     fn tone_scratch_reuses_buffers() {
+        // The sweep's scratch is per thread: a warm sweep of the same
+        // size neither regrows it nor changes a bit.
         let (lengths, gains) = tone_fixture(21, 5);
-        let freqs: Vec<f64> = (0..37).map(|k| 2.402e9 + 2e6 * k as f64).collect();
-        let plan = CombPlan::build(&freqs);
-        let w = -std::f64::consts::TAU / 299_792_458.0;
-        let mut scratch = ToneSweepScratch::new();
-        let mut out = vec![[complex::ZERO; 2]; freqs.len()];
-        sweep_tones_into(&plan, 250e3, w, &lengths, &gains, &mut scratch, &mut out);
-        let cap = scratch.lo_re.capacity();
-        let first = out.clone();
-        sweep_tones_into(&plan, 250e3, w, &lengths, &gains, &mut scratch, &mut out);
-        assert_eq!(scratch.lo_re.capacity(), cap, "warm sweep must not regrow");
-        assert_eq!(out, first, "repeat sweep is bit-identical");
+        let rows: Vec<usize> = (0..40).collect();
+        let capacity = || {
+            let scratch = PHASOR_SCRATCH.take();
+            let cap = scratch.capacity();
+            PHASOR_SCRATCH.set(scratch);
+            cap
+        };
+        let first = tones_at(levels_to_test()[0], &lengths, &gains, &rows);
+        let cap = capacity();
+        let again = tones_at(levels_to_test()[0], &lengths, &gains, &rows);
+        assert_eq!(capacity(), cap, "warm sweep must not regrow");
+        assert_eq!(
+            tone_bits(&again),
+            tone_bits(&first),
+            "repeat sweep is bit-identical"
+        );
+    }
+
+    #[test]
+    fn tone_sweep_dispatch_paths_are_bit_identical() {
+        // Every level, and the portable scalar twin whose fused ops are
+        // libm `fma` calls, give the dispatched scalar level's bits.
+        let (lengths, gains) = tone_fixture(17, 40);
+        let rows: Vec<usize> = (1..=38).filter(|&r| r != 12).collect();
+        let levels = levels_to_test();
+        let want = tone_bits(&tones_at(levels[0], &lengths, &gains, &rows));
+        for &level in &levels[1..] {
+            let got = tones_at(level, &lengths, &gains, &rows);
+            assert_eq!(tone_bits(&got), want, "{level:?} diverged");
+        }
+        let mut got = vec![[complex::ZERO; 2]; rows.len()];
+        tone_sweep(
+            &lengths,
+            &gains,
+            rows.iter().copied(),
+            &mut got,
+            |gemm, s| phasors_scalar::<1, 2>(gemm, None, s),
+        );
+        assert_eq!(tone_bits(&got), want, "portable scalar twin diverged");
     }
 }

@@ -99,9 +99,9 @@ run cargo test -q
 # re-verify the sweep core, the likelihood engine and the synthesizer
 # through it. The results are bit-identical to the vectorized path by
 # construction (one generic kernel body, exact or IEEE correctly-rounded
-# ops: the cell kernel's fused multiply-adds round once on every level,
-# its lookups are exact loads, and the tone kernel stays unfused so
-# soundings keep their bits), so the same tolerances apply unchanged;
+# ops: the fused multiply-adds of the phasor GEMM and the cell kernel
+# round once on every level, and the lookups are exact loads), so the
+# same tolerances apply unchanged;
 # fix_telemetry's cell counts must not move either, and the free-space
 # peak oracle (paper_invariances) holds through the portable kernel too.
 echo "==> BLOC_NO_SIMD=1 scalar-fallback leg"
