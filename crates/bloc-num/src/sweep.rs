@@ -1767,27 +1767,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn tone_sweep_matches_per_band_cis() {
-        // Sounding order shuffled with a duplicate channel, no row, one
-        // row, one row twice, and sparse sets with holes of many rows, on
-        // every level: each row matches the per-band reference and holds
-        // the bits of the full 40-row sweep, and an empty path set sums
-        // to zero.
-        let (lengths, gains) = tone_fixture(5, 24);
+    /// On every level, each row set's sweep matches the per-band
+    /// reference and holds the bits of the full 40-row sweep.
+    fn assert_row_sets_match(lengths: &[f64], gains: &[C64], row_sets: &[&[usize]]) {
         let all: Vec<usize> = (0..40).collect();
         for &level in &levels_to_test() {
-            let full = tones_at(level, &lengths, &gains, &all);
-            for rows in [
-                vec![12, 0, 39, 0, 1],
-                vec![],
-                vec![17],
-                vec![17, 17],
-                vec![0, 1, 39],
-                vec![33, 2, 20],
-            ] {
-                let out = tones_at(level, &lengths, &gains, &rows);
-                assert_tones_match(&out, &lengths, &gains, &rows);
+            let full = tones_at(level, lengths, gains, &all);
+            for rows in row_sets {
+                let out = tones_at(level, lengths, gains, rows);
+                assert_tones_match(&out, lengths, gains, rows);
                 let want: Vec<[C64; 2]> = rows.iter().map(|&r| full[r]).collect();
                 assert_eq!(
                     tone_bits(&out),
@@ -1795,9 +1783,36 @@ mod tests {
                     "{level:?}, rows {rows:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn tone_sweep_matches_per_band_cis() {
+        // Sounding order shuffled with a duplicate channel; an empty path
+        // set sums to zero.
+        let (lengths, gains) = tone_fixture(5, 24);
+        assert_row_sets_match(&lengths, &gains, &[&[12, 0, 39, 0, 1]]);
+        for &level in &levels_to_test() {
             let none = tones_at(level, &[], &[], &[3, 8]);
             assert_eq!(none, vec![[complex::ZERO; 2]; 2]);
         }
+    }
+
+    #[test]
+    fn tone_sweep_off_comb_and_degenerate_fall_back() {
+        // Rows index the 2 MHz channel grid, so no off-grid input can be
+        // built; the degenerate row sets (none, one, one twice) run the
+        // same GEMM as every other set and must still match.
+        let (lengths, gains) = tone_fixture(9, 7);
+        assert_row_sets_match(&lengths, &gains, &[&[], &[17], &[17, 17]]);
+    }
+
+    #[test]
+    fn tone_sweep_sparse_comb_uses_gap_walk_and_matches() {
+        // Sparse sets with holes of many rows: the GEMM serves them
+        // without a separate gap walk and they must still match.
+        let (lengths, gains) = tone_fixture(13, 11);
+        assert_row_sets_match(&lengths, &gains, &[&[0, 1, 39], &[33, 2, 20]]);
     }
 
     #[test]
