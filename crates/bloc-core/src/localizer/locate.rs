@@ -307,7 +307,8 @@ impl BlocLocalizer {
                     min_rel_height: COARSE_MIN_REL_HEIGHT,
                     max_peaks: MAX_CANDIDATES,
                 },
-            );
+            )
+            .peaks;
             let mut windows = Vec::with_capacity(candidates.len());
             for c in &candidates {
                 let patch = fine.patch(c.position, half);

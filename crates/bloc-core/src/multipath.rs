@@ -122,9 +122,12 @@ pub(crate) fn score_windows<G: Borrow<Grid2D>>(
     };
     let floor = config.peaks.min_rel_height * max_v;
     let mut peaks: Vec<ScoredPeak> = Vec::new();
+    let mut dominance_checks = 0;
     for (patch, joint) in windows {
         let joint = joint.borrow();
-        let mut kept = find_peaks(joint, &opts);
+        let scan = find_peaks(joint, &opts);
+        dominance_checks += scan.dominance_checks;
+        let mut kept = scan.peaks;
         kept.retain(|p| {
             p.value >= floor && patch.interior_border_dist(&parent, p.ix, p.iy) >= keep
         });
@@ -138,6 +141,7 @@ pub(crate) fn score_windows<G: Borrow<Grid2D>>(
             }
         }
     }
+    bloc_obs::counter("multipath.dominance_checks").add(dominance_checks as u64);
     if merged {
         peaks.sort_by(|a, b| {
             b.score
@@ -223,7 +227,7 @@ pub(crate) fn shortest_distance_peak(
     anchor_refs: &[P2],
     peaks: &PeakOptions,
 ) -> Option<Peak> {
-    find_peaks(grid, peaks).into_iter().min_by(|a, b| {
+    find_peaks(grid, peaks).peaks.into_iter().min_by(|a, b| {
         let da: f64 = anchor_refs.iter().map(|&r| a.position.dist(r)).sum();
         let db: f64 = anchor_refs.iter().map(|&r| b.position.dist(r)).sum();
         da.total_cmp(&db)

@@ -182,10 +182,12 @@ fn dense_paper_room_fix_charges_26400_cells() {
 
     let before = counter("engine.cells_evaluated");
     let rows_before = counter("engine.profile_rows");
+    let checks_before = counter("multipath.dominance_checks");
     let est = localizer.localize(&data).expect("clean fix");
     assert!(est.degradation.anchors_excluded.is_empty());
     assert_eq!(counter("engine.cells_evaluated") - before, 26_400);
     assert_eq!(counter("engine.profile_rows") - rows_before, 3_776);
+    assert_eq!(counter("multipath.dominance_checks") - checks_before, 9);
 }
 
 /// A seeded hierarchical fix in the paper room (the fixture
@@ -207,14 +209,16 @@ fn seeded_fix_builds_only_its_patch_lattices() {
         HierarchicalConfig::default(),
     );
 
-    let (cells, rows) = (
+    let (cells, rows, checks) = (
         counter("engine.cells_evaluated"),
         counter("engine.profile_rows"),
+        counter("multipath.dominance_checks"),
     );
     let h = hier.localize_seeded(&data, tag, 0.5).expect("seeded fix");
     assert_eq!((h.escape, h.seeded), (None, true));
     assert_eq!(counter("engine.cells_evaluated") - cells, 4_356);
     assert_eq!(counter("engine.profile_rows") - rows, 2_016);
+    assert_eq!(counter("multipath.dominance_checks") - checks, 2);
 }
 
 /// A dense fix sweeps each alive anchor once, inside one
@@ -385,6 +389,7 @@ fn each_fix_records_exactly_the_names_that_are_read() {
             "engine.cells_evaluated",
             "engine.profile_rows",
             "localize.calls",
+            "multipath.dominance_checks",
         ],
         &[
             "par.likelihood.busy_us",
@@ -410,6 +415,7 @@ fn each_fix_records_exactly_the_names_that_are_read() {
             "engine.cells_evaluated",
             "engine.profile_rows",
             "hier.localize.seeded",
+            "multipath.dominance_checks",
         ],
         &[
             "par.likelihood.busy_us",
@@ -469,6 +475,7 @@ fn each_fix_records_exactly_the_names_that_are_read() {
             "fault.recovered.bands_dropped",
             "fault.recovered.holes",
             "localize.calls",
+            "multipath.dominance_checks",
             "runtime.rounds",
             "runtime.rounds.fixed",
         ],

@@ -284,7 +284,9 @@ fn simd_dispatch_paths_are_bit_identical_on_degraded_inputs() {
     // generic body over exact or IEEE correctly-rounded ops, so this is
     // exact, and `BLOC_NO_SIMD=1` (which forces the scalar level at
     // dispatch) can never change a result.
-    use bloc_num::sweep::{self, CellSweep, Combine, Lattice, ProfilePlan, ProfileWeights};
+    use bloc_num::sweep::{
+        self, CellRows, CellSweep, Combine, Lattice, ProfilePlan, ProfileWeights,
+    };
 
     let levels = sweep::levels_to_test();
     let corrected = corrected_for(
@@ -365,11 +367,23 @@ fn simd_dispatch_paths_are_bit_identical_on_degraded_inputs() {
         }
         for combine in [Combine::Coherent, Combine::Noncoherent, Combine::Hybrid] {
             let mut baseline = vec![0.0; n_cells];
-            sweep::write_profile_cells_at(levels[0], &s, combine, 0, &mut baseline);
+            sweep::write_profile_cells_batch_at(
+                levels[0],
+                &[s],
+                combine,
+                CellRows::run(0, n_cells),
+                &mut [baseline.as_mut_slice()],
+            );
             assert!(baseline.iter().all(|v| v.is_finite() && *v >= 0.0));
             for &level in &levels[1..] {
                 let mut out = vec![0.0; n_cells];
-                sweep::write_profile_cells_at(level, &s, combine, 0, &mut out);
+                sweep::write_profile_cells_batch_at(
+                    level,
+                    &[s],
+                    combine,
+                    CellRows::run(0, n_cells),
+                    &mut [out.as_mut_slice()],
+                );
                 assert_eq!(
                     bits(&baseline),
                     bits(&out),

@@ -26,11 +26,13 @@
 //! transposes of `gather_rows`/`store_records`), IEEE-754 correctly
 //! rounded (`add`/`sub`/`mul`/`sqrt` and the fused
 //! `mul_add`/`neg_mul_add`, which round `a·b ± c` once) or has a fixed,
-//! documented reduction order (`CellLanes::hsum_cells`: each cell is
-//! reduced from its own four lanes). Consequently all dispatch paths
-//! produce **bit-identical** results — the equivalence suites assert
-//! this, and it is why no result in the workspace depends on which CPU
-//! ran it. Fused multiply-add keeps that identity: one correctly rounded
+//! documented reduction order (`CellLanes::reduce_cells`: each cell's
+//! three sums are reduced from its own four lanes as
+//! `(l0+l2)+(l1+l3)`, and `CellLanes::store_combined` runs the scalar
+//! combining formula's correctly rounded ops lane-wise). Consequently
+//! all dispatch paths produce **bit-identical** results — the
+//! equivalence suites assert this, and it is why no result in the
+//! workspace depends on which CPU ran it. Fused multiply-add keeps that identity: one correctly rounded
 //! operation gives the same bits from `f64::mul_add`, `vfmadd…pd` on
 //! 256 bits and on 512 bits. Every kernel runs on the fused ops.
 //!
@@ -66,6 +68,8 @@
 //!   run only behind `has_fma` detection.
 
 #![allow(unsafe_code)]
+
+use crate::sweep::Combine;
 
 /// Which vector implementation a kernel should run.
 ///
@@ -171,15 +175,13 @@ pub fn cell_level() -> SimdLevel {
 ///
 /// Implementations must be IEEE-754 correctly rounded per lane (the
 /// fused ops round once, as IEEE-754 `fusedMultiplyAdd`) and must
-/// use the exact [`CellLanes::hsum_cells`] reduction order, so that any
+/// use the exact [`CellLanes::reduce_cells`] reduction order, so that any
 /// generic kernel instantiated over two implementations produces
 /// bit-identical results (the dispatch-equivalence contract of this
 /// module).
 pub(crate) trait CellLanes: Copy {
     /// Grid cells one vector holds, four lanes each.
     const CELLS: usize;
-    /// One horizontal sum per cell (`[f64; CELLS]`).
-    type Sums: Copy + Default + AsRef<[f64]> + AsMut<[f64]>;
     /// Clamped gather indices, one per lane, with the bound they were
     /// clamped to ([`CellLanes::index`]).
     type Index: Copy;
@@ -222,11 +224,29 @@ pub(crate) trait CellLanes: Copy {
     /// than `16·CELLS`) — the transpose of [`CellLanes::gather_rows`]'s
     /// first four values.
     fn store_records(q: [Self; 4], out: &mut [f64]);
-    /// Each cell's horizontal sum with the fixed association
+    /// Each cell's horizontal sums of `re`, `im` and `non` (the Eq. 17
+    /// kernel's coherent real and imaginary parts and its magnitudes),
+    /// reduced together in registers, each with the fixed association
     /// `(l0 + l2) + (l1 + l3)` — the order a 256-bit high/low fold
     /// produces naturally, adopted by every implementation so all paths
-    /// agree bitwise.
-    fn hsum_cells(self) -> Self::Sums;
+    /// agree bitwise. The result is in this implementation's own sums
+    /// layout: lane-wise [`CellLanes::add`]s of results, from
+    /// `splat(0.0)`, total each cell's lane groups, and
+    /// [`CellLanes::store_combined`] reads the total.
+    fn reduce_cells(re: Self, im: Self, non: Self) -> Self;
+    /// Writes cell `c`'s combining value of the sums `self` (a total of
+    /// [`CellLanes::reduce_cells`] results) to `out[c]` for every
+    /// `c < CELLS` (panics if `out` is shorter): the coherent
+    /// `sqrt(re·re + im·im)`, the non-coherent `non`, or the hybrid
+    /// `coherent + 0.5·non`, each op correctly rounded in that order.
+    fn store_combined(self, combine: Combine, out: &mut [f64]);
+}
+
+/// One cell's horizontal sum with the fixed association
+/// `(l0 + l2) + (l1 + l3)`.
+#[inline(always)]
+fn hsum(l: [f64; 4]) -> f64 {
+    (l[0] + l[2]) + (l[1] + l[3])
 }
 
 /// The scalar fallback: `[f64; 4]` element-wise arithmetic.
@@ -235,7 +255,6 @@ pub(crate) struct ScalarX4([f64; 4]);
 
 impl CellLanes for ScalarX4 {
     const CELLS: usize = 1;
-    type Sums = [f64; 1];
     type Index = [usize; 4];
     #[inline(always)]
     fn splat(v: f64) -> Self {
@@ -334,9 +353,23 @@ impl CellLanes for ScalarX4 {
             record.copy_from_slice(&[q[0].0[l], q[1].0[l], q[2].0[l], q[3].0[l]]);
         }
     }
+    /// Sums layout `[re, im, non, 0]`.
     #[inline(always)]
-    fn hsum_cells(self) -> [f64; 1] {
-        [(self.0[0] + self.0[2]) + (self.0[1] + self.0[3])]
+    fn reduce_cells(re: Self, im: Self, non: Self) -> Self {
+        ScalarX4([hsum(re.0), hsum(im.0), hsum(non.0), 0.0])
+    }
+    #[inline(always)]
+    fn store_combined(self, combine: Combine, out: &mut [f64]) {
+        let [re, im, non, _] = self.0;
+        // `sqrt(re² + im²)` instead of `hypot`: the libm `hypot` guards
+        // against overflow the likelihood magnitudes can't reach, and
+        // costs more than a whole cell's lookups.
+        let coherent = (re * re + im * im).sqrt();
+        out[0] = match combine {
+            Combine::Coherent => coherent,
+            Combine::Noncoherent => non,
+            Combine::Hybrid => coherent + 0.5 * non,
+        };
     }
 }
 
@@ -355,7 +388,6 @@ pub(crate) struct AvxX4(std::arch::x86_64::__m256d);
 #[cfg(target_arch = "x86_64")]
 impl CellLanes for AvxX4 {
     const CELLS: usize = 1;
-    type Sums = [f64; 1];
     type Index = (std::arch::x86_64::__m128i, usize);
     #[inline(always)]
     fn splat(v: f64) -> Self {
@@ -478,16 +510,68 @@ impl CellLanes for AvxX4 {
             _mm256_storeu_pd(p.add(12), r[3]);
         }
     }
+    /// Sums layout `[re, non, im, non]`.
     #[inline(always)]
-    fn hsum_cells(self) -> [f64; 1] {
+    fn reduce_cells(re: Self, im: Self, non: Self) -> Self {
         // SAFETY: see the AVX2 safety contract.
         unsafe {
             use std::arch::x86_64::*;
-            let lo = _mm256_castpd256_pd128(self.0); // [l0, l1]
-            let hi = _mm256_extractf128_pd::<1>(self.0); // [l2, l3]
-            let s = _mm_add_pd(lo, hi); // [l0+l2, l1+l3]
-            let odd = _mm_unpackhi_pd(s, s);
-            [_mm_cvtsd_f64(_mm_add_sd(s, odd))] // (l0+l2)+(l1+l3)
+            // [r0+r2, r1+r3, i0+i2, i1+i3]
+            let s = _mm256_add_pd(
+                _mm256_permute2f128_pd::<0x20>(re.0, im.0),
+                _mm256_permute2f128_pd::<0x31>(re.0, im.0),
+            );
+            // [n0+n2, n1+n3, n2+n0, n3+n1]
+            let n = _mm256_add_pd(non.0, _mm256_permute2f128_pd::<0x01>(non.0, non.0));
+            AvxX4(_mm256_add_pd(
+                _mm256_unpacklo_pd(s, n),
+                _mm256_unpackhi_pd(s, n),
+            ))
+        }
+    }
+    #[inline(always)]
+    fn store_combined(self, combine: Combine, out: &mut [f64]) {
+        assert!(!out.is_empty());
+        // SAFETY: one write at `out[0]` (checked above); see the AVX2
+        // safety contract.
+        unsafe {
+            use std::arch::x86_64::*;
+            let im = _mm256_permute2f128_pd::<0x01>(self.0, self.0);
+            let v = combine_even(self.0, im, combine);
+            _mm_store_sd(out.as_mut_ptr(), _mm256_castpd256_pd128(v));
+        }
+    }
+}
+
+/// The combining value of the sums `re_non = [re, non, re′, non′]` and
+/// `im = [im, ·, im′, ·]` in lanes 0 and 2: `sqrt(re·re + im·im)`, `non`
+/// or `coherent + 0.5·non`, the ops of the scalar formula in its order.
+///
+/// # Safety
+///
+/// AVX must be available (the AVX2 safety contract).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn combine_even(
+    re_non: std::arch::x86_64::__m256d,
+    im: std::arch::x86_64::__m256d,
+    combine: Combine,
+) -> std::arch::x86_64::__m256d {
+    use std::arch::x86_64::*;
+    // SAFETY: the caller guarantees AVX.
+    unsafe {
+        // [non, re, non′, re′]
+        let non = _mm256_permute_pd::<0b0101>(re_non);
+        if combine == Combine::Noncoherent {
+            return non;
+        }
+        let coherent = _mm256_sqrt_pd(_mm256_add_pd(
+            _mm256_mul_pd(re_non, re_non),
+            _mm256_mul_pd(im, im),
+        ));
+        match combine {
+            Combine::Hybrid => _mm256_add_pd(coherent, _mm256_mul_pd(_mm256_set1_pd(0.5), non)),
+            _ => coherent,
         }
     }
 }
@@ -536,7 +620,6 @@ pub(crate) struct Avx512X8(std::arch::x86_64::__m512d);
 #[cfg(target_arch = "x86_64")]
 impl CellLanes for Avx512X8 {
     const CELLS: usize = 2;
-    type Sums = [f64; 2];
     type Index = (std::arch::x86_64::__m256i, usize);
     #[inline(always)]
     fn splat(v: f64) -> Self {
@@ -731,23 +814,48 @@ impl CellLanes for Avx512X8 {
             _mm512_storeu_pd(p.add(24), _mm512_shuffle_f64x2::<HI>(x2, y2));
         }
     }
+    /// Sums layout `[re₀, non₀, re₁, non₁, im₀, non₀, im₁, non₁]`, the
+    /// subscript the cell.
     #[inline(always)]
-    fn hsum_cells(self) -> [f64; 2] {
+    fn reduce_cells(re: Self, im: Self, non: Self) -> Self {
         // SAFETY: see the AVX-512 safety contract.
         unsafe {
             use std::arch::x86_64::*;
-            let a = _mm512_castpd512_pd256(self.0); // cell 0: [a0, a1, a2, a3]
-            let b = _mm512_extractf64x4_pd::<1>(self.0); // cell 1: [b0, b1, b2, b3]
-            let s = _mm256_add_pd(
-                _mm256_permute2f128_pd::<0x20>(a, b), // [a0, a1, b0, b1]
-                _mm256_permute2f128_pd::<0x31>(a, b), // [a2, a3, b2, b3]
+            // Quarters [a.q0, a.q2, b.q0, b.q2] and [a.q1, a.q3, b.q1,
+            // b.q3]: each cell's lanes 0–1, then its lanes 2–3.
+            const LOW: i32 = 0b10_00_10_00;
+            const HIGH: i32 = 0b11_01_11_01;
+            // [l0+l2, l1+l3] of re₀, re₁, im₀, im₁, then of non₀, non₁
+            // twice.
+            let s = _mm512_add_pd(
+                _mm512_shuffle_f64x2::<LOW>(re.0, im.0),
+                _mm512_shuffle_f64x2::<HIGH>(re.0, im.0),
             );
-            // [(a0+a2)+(a1+a3), ·, (b0+b2)+(b1+b3), ·]
-            let t = _mm256_hadd_pd(s, s);
-            [
-                _mm256_cvtsd_f64(t),
-                _mm_cvtsd_f64(_mm256_extractf128_pd::<1>(t)),
-            ]
+            let n = _mm512_add_pd(
+                _mm512_shuffle_f64x2::<LOW>(non.0, non.0),
+                _mm512_shuffle_f64x2::<HIGH>(non.0, non.0),
+            );
+            Avx512X8(_mm512_add_pd(
+                _mm512_unpacklo_pd(s, n),
+                _mm512_unpackhi_pd(s, n),
+            ))
+        }
+    }
+    #[inline(always)]
+    fn store_combined(self, combine: Combine, out: &mut [f64]) {
+        assert!(out.len() >= 2);
+        // SAFETY: two writes at `out[0..2]` (checked above); see the
+        // AVX-512 safety contract.
+        unsafe {
+            use std::arch::x86_64::*;
+            let v = combine_even(
+                _mm512_castpd512_pd256(self.0),
+                _mm512_extractf64x4_pd::<1>(self.0),
+                combine,
+            );
+            // Lanes 0 and 2, the two cells' values, to the low half.
+            let v = _mm256_permute4x64_pd::<0b00_00_10_00>(v);
+            _mm_storeu_pd(out.as_mut_ptr(), _mm256_castpd256_pd128(v));
         }
     }
 }
@@ -829,9 +937,20 @@ mod tests {
         (mix(seed) >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0
     }
 
-    /// Lane-wise ops, `hsum_cells` and the fused ops through a one-cell
+    /// Every combining value of `V::reduce_cells` over one cell's lanes.
+    fn combined<V: CellLanes>(re: V, im: V, non: V) -> [f64; 3] {
+        let sums = V::splat(0.0).add(V::reduce_cells(re, im, non));
+        [Combine::Coherent, Combine::Noncoherent, Combine::Hybrid].map(|combine| {
+            let mut out = [0.0];
+            sums.store_combined(combine, &mut out);
+            out[0]
+        })
+    }
+
+    /// Lane-wise ops, the reduction and the fused ops through a one-cell
     /// `V`, loaded and stored with `load_cells`/`store_cells`.
-    fn check_ops<V: CellLanes<Sums = [f64; 1]>>(seed: u64) -> [u64; 10] {
+    fn check_ops<V: CellLanes>(seed: u64) -> [u64; 11] {
+        assert_eq!(V::CELLS, 1);
         let a: Vec<f64> = (0..4).map(|k| rand_f64(seed ^ k)).collect();
         let b: Vec<f64> = (0..4).map(|k| rand_f64(seed ^ (k + 7))).collect();
         let va = V::load_cells(&a, 4);
@@ -843,13 +962,15 @@ mod tests {
         va.mul_add(vb, va)
             .neg_mul_add(vb, va)
             .store_cells(&mut fused, 4);
+        let combined = combined(va, vb, abs2);
         [
             out[0].to_bits(),
             out[1].to_bits(),
             out[2].to_bits(),
             out[3].to_bits(),
-            va.hsum_cells()[0].to_bits(),
-            abs2.hsum_cells()[0].to_bits(),
+            combined[0].to_bits(),
+            combined[1].to_bits(),
+            combined[2].to_bits(),
             fused[0].to_bits(),
             fused[1].to_bits(),
             fused[2].to_bits(),
@@ -895,7 +1016,7 @@ mod tests {
     }
 
     /// `mul_add` then `neg_mul_add` lanes for one case, through `V`.
-    fn fused_ops<V: CellLanes<Sums = [f64; 1]>>([a, b, c]: &[[f64; 4]; 3]) -> [u64; 8] {
+    fn fused_ops<V: CellLanes>([a, b, c]: &[[f64; 4]; 3]) -> [u64; 8] {
         let load = |x: &[f64; 4]| V::load_cells(x, 4);
         let (va, vb, vc) = (load(a), load(b), load(c));
         let (mut fma, mut fnma) = ([0.0; 4], [0.0; 4]);
@@ -1054,7 +1175,8 @@ mod tests {
     fn scalar_ops_match_plain_arithmetic() {
         let a = [1.5, -2.25, 0.5, 3.0];
         let v = ScalarX4::load_cells(&a, 4);
-        assert_eq!(v.hsum_cells(), [(1.5 + 0.5) + (-2.25 + 3.0)]);
+        let zero = ScalarX4::splat(0.0);
+        assert_eq!(combined(zero, zero, v)[1], (1.5 + 0.5) + (-2.25 + 3.0));
         let mut out = [0.0; 4];
         v.mul(v).store_cells(&mut out, 4);
         assert_eq!(out, [2.25, 5.0625, 0.25, 9.0]);
@@ -1075,19 +1197,24 @@ mod tests {
         }
     }
 
-    /// Per-cell results of `(x·r + x − r)`, `hsum(sqrt(x² + r²))` and the
-    /// fused `hsum(r − (x·r + x)·r)` for cells loaded at `stride` against
-    /// one broadcast row `r`.
+    /// Per-cell combining values, every mode, of the sums of
+    /// `(x·r + x − r)`, `sqrt(x² + r²)` and the fused `r − (x·r + x)·r`
+    /// for cells loaded at `stride` against one broadcast row `r`.
     fn cell_ops<V: CellLanes>(xs: &[f64], stride: usize, row: &[f64]) -> Vec<u64> {
         let x = V::load_cells(xs, stride);
         let r = V::load_row(row);
-        let sums = [
-            x.mul(r).add(x).sub(r).hsum_cells(),
-            x.mul(x).add(r.mul(r)).sqrt().hsum_cells(),
-            x.mul_add(r, x).neg_mul_add(r, r).hsum_cells(),
-        ];
-        sums.iter()
-            .flat_map(|s| s.as_ref().iter().map(|v| v.to_bits()))
+        let sums = V::splat(0.0).add(V::reduce_cells(
+            x.mul(r).add(x).sub(r),
+            x.mul(x).add(r.mul(r)).sqrt(),
+            x.mul_add(r, x).neg_mul_add(r, r),
+        ));
+        [Combine::Coherent, Combine::Noncoherent, Combine::Hybrid]
+            .iter()
+            .flat_map(|&combine| {
+                let mut out = vec![0.0; V::CELLS];
+                sums.store_combined(combine, &mut out);
+                out.into_iter().map(f64::to_bits)
+            })
             .collect()
     }
 
@@ -1113,13 +1240,237 @@ mod tests {
                 let wide = unsafe { avx512_cell_ops(&xs, stride, &row) };
                 let c0 = cell_ops::<ScalarX4>(&xs, stride, &row);
                 let c1 = cell_ops::<ScalarX4>(&xs[stride..], stride, &row);
-                // `wide` is [op0 cell0, op0 cell1, op1 cell0, op1 cell1, …].
+                // `wide` is [mode0 cell0, mode0 cell1, mode1 cell0, …].
                 assert_eq!(
                     wide,
                     [c0[0], c1[0], c0[1], c1[1], c0[2], c1[2]],
                     "seed {seed} stride {stride}"
                 );
             }
+        }
+    }
+
+    /// The cell kernel's value for cell `cell` before its reduction was
+    /// vectorized: each sum folded lane group by lane group from +0.0,
+    /// each group reduced as `(l0+l2)+(l1+l3)`, then the scalar
+    /// combining formula.
+    fn combine_oracle(
+        combine: Combine,
+        [re, im, non]: &[Vec<f64>; 3],
+        cell: usize,
+        stride: usize,
+    ) -> f64 {
+        let sum = |v: &[f64]| {
+            (0..stride).step_by(4).fold(0.0, |acc, lane0| {
+                let l = &v[cell * stride + lane0..];
+                acc + ((l[0] + l[2]) + (l[1] + l[3]))
+            })
+        };
+        let (coh_re, coh_im, non) = (sum(re), sum(im), sum(non));
+        let coherent = (coh_re * coh_re + coh_im * coh_im).sqrt();
+        match combine {
+            Combine::Coherent => coherent,
+            Combine::Noncoherent => non,
+            Combine::Hybrid => coherent + 0.5 * non,
+        }
+    }
+
+    /// The cell kernel's tail through `V` for `T` tags: every lane group
+    /// of every tag reduced with `reduce_cells` and totalled from +0.0,
+    /// tags innermost as in the kernel, then combined. Returns the
+    /// values of the `V::CELLS` cells from `cell`, tag-major.
+    #[inline(always)]
+    fn tail<V: CellLanes, const T: usize>(
+        tags: &[[Vec<f64>; 3]; T],
+        cell: usize,
+        stride: usize,
+        combine: Combine,
+    ) -> Vec<f64> {
+        let mut sums = [V::splat(0.0); T];
+        for lane0 in (0..stride).step_by(4) {
+            let at = cell * stride + lane0;
+            for (sum, [re, im, non]) in sums.iter_mut().zip(tags) {
+                *sum = sum.add(V::reduce_cells(
+                    V::load_cells(&re[at..], stride),
+                    V::load_cells(&im[at..], stride),
+                    V::load_cells(&non[at..], stride),
+                ));
+            }
+        }
+        let mut out = vec![0.0; T * V::CELLS];
+        for (sum, out) in sums.iter().zip(out.chunks_exact_mut(V::CELLS)) {
+            sum.store_combined(combine, out);
+        }
+        out
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    fn avx2_tail<const T: usize>(
+        tags: &[[Vec<f64>; 3]; T],
+        cell: usize,
+        stride: usize,
+        combine: Combine,
+    ) -> Vec<f64> {
+        tail::<AvxX4, T>(tags, cell, stride, combine)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn avx512_tail<const T: usize>(
+        tags: &[[Vec<f64>; 3]; T],
+        stride: usize,
+        combine: Combine,
+    ) -> Vec<f64> {
+        tail::<Avx512X8, T>(tags, 0, stride, combine)
+    }
+
+    /// The values of two cells of `T` tags on `level`, as the kernel
+    /// runs that level: one cell per vector on the 4-lane levels, both
+    /// in one vector on AVX-512. Tag-major: `out[2·t + cell]`.
+    fn tail_at<const T: usize>(
+        level: SimdLevel,
+        tags: &[[Vec<f64>; 3]; T],
+        stride: usize,
+        combine: Combine,
+    ) -> Vec<f64> {
+        let one_cell = |cell: usize| -> Vec<f64> {
+            match level.0 {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: the AVX2 level was detected for this host.
+                Level::Avx2 => unsafe { avx2_tail::<T>(tags, cell, stride, combine) },
+                _ => tail::<ScalarX4, T>(tags, cell, stride, combine),
+            }
+        };
+        match level.0 {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the AVX-512 level was detected for this host.
+            Level::Avx512 => unsafe { avx512_tail::<T>(tags, stride, combine) },
+            _ => {
+                let (c0, c1) = (one_cell(0), one_cell(1));
+                c0.iter().zip(&c1).flat_map(|(&a, &b)| [a, b]).collect()
+            }
+        }
+    }
+
+    /// Lanes that stress the reduction: signed zeros, NaN, infinities,
+    /// subnormals, magnitudes whose squares overflow or underflow, and
+    /// ordinary values.
+    fn adversarial_lane(seed: u64) -> f64 {
+        const SPECIAL: [f64; 17] = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE,
+            -2.5e-310,
+            1e300,
+            -1e300,
+            1e-300,
+            -1e-300,
+            1e160,
+            -3e-170,
+            1.0,
+            -2.5,
+        ];
+        let k = mix(seed);
+        match k % 4 {
+            // One lane in four ordinary, the rest special; NaN and the
+            // infinities stay rare enough that most cells are finite.
+            0 => rand_f64(seed ^ 0x5EED),
+            _ => match SPECIAL[(k >> 8) as usize % SPECIAL.len()] {
+                v if !v.is_finite() && !(k >> 20).is_multiple_of(4) => 0.5,
+                v => v,
+            },
+        }
+    }
+
+    /// A `NaN`-canonical bit pattern: IEEE-754 and Rust leave which NaN
+    /// an operation on NaNs returns unspecified, so every NaN compares as
+    /// one.
+    fn canonical_bits(v: f64) -> u64 {
+        if v.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    }
+
+    /// Checks the reduce-and-combine of `T`-tag batches against the
+    /// oracle on every level, lane stride and combining mode; returns
+    /// the oracle values seen.
+    fn check_tail<const T: usize>() -> Vec<f64> {
+        let mut seen = Vec::new();
+        for stride in [4usize, 8] {
+            let mut cases: Vec<[[Vec<f64>; 3]; T]> = (0..96u64)
+                .map(|seed| {
+                    std::array::from_fn(|t| {
+                        std::array::from_fn(|part| {
+                            (0..2 * stride as u64)
+                                .map(|l| {
+                                    let s = seed * 1_000 + (t * 3 + part) as u64 * 64 + l;
+                                    adversarial_lane(s)
+                                })
+                                .collect()
+                        })
+                    })
+                })
+                .collect();
+            // Every lane -0.0 (the +0.0 start makes the sums +0.0), and
+            // every lane NaN.
+            for v in [-0.0, f64::NAN] {
+                cases.push(std::array::from_fn(|_| {
+                    std::array::from_fn(|_| vec![v; 2 * stride])
+                }));
+            }
+            for tags in &cases {
+                for combine in [Combine::Coherent, Combine::Noncoherent, Combine::Hybrid] {
+                    let want: Vec<f64> = (0..T)
+                        .flat_map(|t| {
+                            (0..2).map(move |c| combine_oracle(combine, &tags[t], c, stride))
+                        })
+                        .collect();
+                    for &level in host_levels() {
+                        let got = tail_at::<T>(level, tags, stride, combine);
+                        assert_eq!(
+                            got.iter().map(|&v| canonical_bits(v)).collect::<Vec<_>>(),
+                            want.iter().map(|&v| canonical_bits(v)).collect::<Vec<_>>(),
+                            "{level:?}, {T} tags, stride {stride}, {combine:?}: {tags:?}"
+                        );
+                    }
+                    seen.extend(want);
+                }
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn reduction_matches_the_scalar_formula_bit_for_bit() {
+        // The vector reduce-and-combine on every level this host runs,
+        // for batches of 1 to 4 tags, lane strides 4 and 8 and every
+        // combining mode, must return the old scalar formula's bits.
+        let seen: Vec<f64> = [
+            check_tail::<1>(),
+            check_tail::<2>(),
+            check_tail::<3>(),
+            check_tail::<4>(),
+        ]
+        .concat();
+        // The cases reach every class of result (never −0: every sum
+        // starts from +0.0).
+        let subnormal = |v: f64| v != 0.0 && v.abs() < f64::MIN_POSITIVE;
+        for (class, hit) in [
+            ("NaN", seen.iter().any(|v| v.is_nan())),
+            ("infinite", seen.iter().any(|v| v.is_infinite())),
+            ("+0", seen.iter().any(|v| v.to_bits() == 0)),
+            ("subnormal", seen.iter().any(|&v| subnormal(v))),
+            ("normal", seen.iter().any(|v| v.is_normal())),
+        ] {
+            assert!(hit, "no {class} result");
         }
     }
 

@@ -25,9 +25,10 @@
 //!   antenna,
 //!   [`write_profile_cells_batch`] then computes one lattice index and
 //!   the four cubic-Hermite weights, gathers `E` and `h·E′` at the two
-//!   bracketing rows, and multiplies by the cached carrier; the lanes
-//!   reduce to the Eq. 17 combining value. `h` is not a setting: it
-//!   follows from the half-span by the Hermite remainder bound
+//!   bracketing rows, and multiplies by the cached carrier; each cell's
+//!   lanes reduce in registers and combine on the vector to its Eq. 17
+//!   value. `h` is not a setting: it follows from the half-span by the
+//!   Hermite remainder bound
 //!   `(h·ω_max)⁴/384·Σ|α|` held to [`PROFILE_TOLERANCE`]. The lattice
 //!   works for any band set: a comb, a masked sub-comb or off-comb bands.
 //!   SIMD lanes are antennas; on the AVX-512 level one vector carries
@@ -67,19 +68,6 @@ pub enum Combine {
     Noncoherent,
     /// `|Σ| + 0.5·Σ|·|` — the workspace's hybrid combining.
     Hybrid,
-}
-
-#[inline(always)]
-fn combine_value(combine: Combine, coh_re: f64, coh_im: f64, non: f64) -> f64 {
-    // `sqrt(re² + im²)` instead of `hypot`: the libm `hypot` guards
-    // against overflow the likelihood magnitudes can't reach, and costs
-    // more than the whole 37-band recurrence per cell.
-    let coherent = (coh_re * coh_re + coh_im * coh_im).sqrt();
-    match combine {
-        Combine::Coherent => coherent,
-        Combine::Noncoherent => non,
-        Combine::Hybrid => coherent + 0.5 * non,
-    }
 }
 
 /// The Hermite remainder a range profile is held to, per unit `Σ|α|`:
@@ -476,16 +464,11 @@ fn cells_body<V: CellLanes, const T: usize>(
     let inv_step = V::splat(lat.inv_step);
     let lane_rows = V::load_row(&[0.0, 1.0, 2.0, 3.0].map(|l| l * lat.rows as f64));
     let (one, two, three, four) = (V::splat(1.0), V::splat(2.0), V::splat(3.0), V::splat(4.0));
-    let add_cells = |acc: &mut V::Sums, sums: V::Sums| {
-        for (a, v) in acc.as_mut().iter_mut().zip(sums.as_ref()) {
-            *a += v;
-        }
-    };
     for k in range.step_by(V::CELLS) {
         let cell = first_cell + k;
-        let mut coh_re = [V::Sums::default(); T];
-        let mut coh_im = [V::Sums::default(); T];
-        let mut non = [V::Sums::default(); T];
+        // Each tag's per-cell sums, totalled lane group by lane group from
+        // +0.0 in registers.
+        let mut sums = [V::splat(0.0); T];
         for lane0 in (0..nl).step_by(4) {
             let base = cell * nl + lane0;
             let carrier = Cx {
@@ -516,20 +499,11 @@ fn cells_body<V: CellLanes, const T: usize>(
                     im: interp(ei0, di0, ei1, di1),
                 };
                 let sig = envelope.rotate(carrier);
-                add_cells(&mut coh_re[tag], sig.re.hsum_cells());
-                add_cells(&mut coh_im[tag], sig.im.hsum_cells());
-                add_cells(&mut non[tag], sig.abs().hsum_cells());
+                sums[tag] = sums[tag].add(V::reduce_cells(sig.re, sig.im, sig.abs()));
             }
         }
-        for t in 0..T {
-            for c in 0..V::CELLS {
-                outs[t][k + c] = combine_value(
-                    combine,
-                    coh_re[t].as_ref()[c],
-                    coh_im[t].as_ref()[c],
-                    non[t].as_ref()[c],
-                );
-            }
+        for (sums, out) in sums.iter().zip(outs.iter_mut()) {
+            sums.store_combined(combine, &mut out[k..]);
         }
     }
 }
@@ -909,19 +883,6 @@ pub fn write_profile_cells_batch(
     write_profile_cells_batch_at(simd::cell_level(), tags, combine, rows, outs);
 }
 
-/// One tag's [`write_profile_cells_batch_at`] over the contiguous cells
-/// `first_cell .. first_cell + out.len()`: the batch of one.
-pub fn write_profile_cells_at(
-    level: SimdLevel,
-    s: &CellSweep<'_>,
-    combine: Combine,
-    first_cell: usize,
-    out: &mut [f64],
-) {
-    let rows = CellRows::run(first_cell, out.len());
-    write_profile_cells_batch_at(level, std::slice::from_ref(s), combine, rows, &mut [out]);
-}
-
 /// The centre of BLE RF channel frequency index 0 (advertising channel
 /// 37), hertz: row 0 of a tone sweep.
 const TONE_ROW0_HZ: f64 = 2.402e9;
@@ -1039,7 +1000,8 @@ mod tests {
         first_cell: usize,
         out: &mut [f64],
     ) {
-        write_profile_cells_at(simd::cell_level(), s, combine, first_cell, out);
+        let rows = CellRows::run(first_cell, out.len());
+        write_profile_cells_batch(&[*s], combine, rows, &mut [out]);
     }
 
     fn mix(mut x: u64) -> u64 {
@@ -1422,7 +1384,13 @@ mod tests {
         for &level in &levels_to_test() {
             let profile = fx.profile_at(level, &fx.alpha);
             let mut out = vec![0.0; 64];
-            write_profile_cells_at(level, &fx.sweep(&profile), Combine::Hybrid, 0, &mut out);
+            write_profile_cells_batch_at(
+                level,
+                &[fx.sweep(&profile)],
+                Combine::Hybrid,
+                CellRows::run(0, out.len()),
+                &mut [out.as_mut_slice()],
+            );
             let got = (bits(&profile), bits(&out));
             match &reference {
                 None => reference = Some(got),
@@ -1485,10 +1453,22 @@ mod tests {
             for combine in [Combine::Coherent, Combine::Noncoherent, Combine::Hybrid] {
                 for &(first, n) in &ranges {
                     let mut want = vec![0.0; n];
-                    write_profile_cells_at(levels[0], &sweep, combine, first, &mut want);
+                    write_profile_cells_batch_at(
+                        levels[0],
+                        &[sweep],
+                        combine,
+                        CellRows::run(first, want.len()),
+                        &mut [want.as_mut_slice()],
+                    );
                     for &level in &levels[1..] {
                         let mut got = vec![0.0; n];
-                        write_profile_cells_at(level, &sweep, combine, first, &mut got);
+                        write_profile_cells_batch_at(
+                            level,
+                            &[sweep],
+                            combine,
+                            CellRows::run(first, got.len()),
+                            &mut [got.as_mut_slice()],
+                        );
                         assert_eq!(
                             bits(&got),
                             bits(&want),
@@ -1548,7 +1528,13 @@ mod tests {
                 for &(first, n) in &ranges {
                     let single = |level: SimdLevel, tag: &CellSweep<'_>| {
                         let mut out = vec![0.0; n];
-                        write_profile_cells_at(level, tag, combine, first, &mut out);
+                        write_profile_cells_batch_at(
+                            level,
+                            &[*tag],
+                            combine,
+                            CellRows::run(first, out.len()),
+                            &mut [out.as_mut_slice()],
+                        );
                         bits(&out)
                     };
                     let scalar: Vec<_> = tags.iter().map(|t| single(levels[0], t)).collect();
@@ -1619,7 +1605,13 @@ mod tests {
                         for (r, row) in out.chunks_exact(width).enumerate() {
                             let mut want = vec![0.0; width];
                             let at = first + r * stride;
-                            write_profile_cells_at(level, &tags[t], Combine::Hybrid, at, &mut want);
+                            write_profile_cells_batch_at(
+                                level,
+                                &tags[t..=t],
+                                Combine::Hybrid,
+                                CellRows::run(at, want.len()),
+                                &mut [want.as_mut_slice()],
+                            );
                             assert_eq!(
                                 bits(row),
                                 bits(&want),
@@ -1690,7 +1682,13 @@ mod tests {
                 cells_scalar(&tags, combine, CellRows::run(1, 8), views);
                 for (t, tag) in tags.iter().enumerate() {
                     let mut dispatched = vec![0.0; 8];
-                    write_profile_cells_at(levels_to_test()[0], tag, combine, 1, &mut dispatched);
+                    write_profile_cells_batch_at(
+                        levels_to_test()[0],
+                        &[*tag],
+                        combine,
+                        CellRows::run(1, dispatched.len()),
+                        &mut [dispatched.as_mut_slice()],
+                    );
                     assert_eq!(bits(&dispatched), bits(&portable[t]), "{combine:?} tag {t}");
                 }
             }

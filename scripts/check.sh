@@ -96,8 +96,9 @@ fi
 run cargo test -q
 # Scalar-fallback leg: BLOC_NO_SIMD=1 forces the portable kernel at
 # dispatch (simd::tests pins that it does), and the equivalence suites
-# re-verify the sweep core, the likelihood engine and the synthesizer
-# through it. The results are bit-identical to the vectorized path by
+# re-verify the sweep core (with its reduction oracle), the peak scan's
+# prefilter against its exhaustive oracle, the likelihood engine and the
+# synthesizer through it. The results are bit-identical to the vectorized path by
 # construction (one generic kernel body, exact or IEEE correctly-rounded
 # ops: the fused multiply-adds of the phasor GEMM and the cell kernel
 # round once on every level, and the lookups are exact loads), so the
@@ -105,16 +106,17 @@ run cargo test -q
 # fix_telemetry's cell counts must not move either, and the free-space
 # peak oracle (paper_invariances) holds through the portable kernel too.
 echo "==> BLOC_NO_SIMD=1 scalar-fallback leg"
-run env BLOC_NO_SIMD=1 cargo test -q -p bloc-num -- simd sweep
+run env BLOC_NO_SIMD=1 cargo test -q -p bloc-num -- simd sweep peaks
 run env BLOC_NO_SIMD=1 cargo test -q -p bloc-core --test kernel_equivalence --test fix_telemetry \
     --test paper_invariances
 run env BLOC_NO_SIMD=1 cargo test -q -p bloc-chan --test synth_equivalence
 # Release leg: the shipped cell kernel is the release build, with its
 # `target_feature` twins inlined and every tag-batch width instantiated.
-# Re-prove its bit-identity (per level, per batch size, per tag) and the
-# engine's batched joints there, not only in the debug build above.
+# Re-prove its bit-identity (per level, per batch size, per tag), the
+# peak scan's prefilter and the engine's batched joints there, not only
+# in the debug build above.
 echo "==> release-mode bit-identity leg"
-run cargo test --release -q -p bloc-num -- simd sweep
+run cargo test --release -q -p bloc-num -- simd sweep peaks
 run cargo test --release -q -p bloc-core --test kernel_equivalence
 run cargo fmt --check
 run cargo clippy --all-targets -- -D warnings
